@@ -10,7 +10,12 @@
 //! Format rules:
 //! * all integers little-endian; `usize` travels as `u64`;
 //! * collections are a `u64` element count followed by the elements;
+//!   `u8`/`u32`/`u64`/`f32` elements move as one bulk copy
+//!   ([`Wire::encode_slice`] / [`Wire::decode_vec`]);
 //! * `Option<T>` is a `u8` tag (0/1) optionally followed by `T`;
+//! * counts and strictly ascending integer runs inside the batched
+//!   pipeline messages are LEB128 varints ([`put_varint`],
+//!   [`put_ascending`]: a survivor index costs ~1 byte instead of 4);
 //! * no padding, no framing — framing belongs to the transport.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -47,9 +52,46 @@ pub trait Wire: Sized {
     /// [`CodecError`] if the buffer is truncated or malformed.
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
 
+    /// Encoded size, exact or slightly low, used by [`Wire::to_bytes`] to
+    /// allocate once instead of doubling through a multi-megabyte block.
+    /// 0 (the default) means "small, let the buffer grow".
+    fn size_hint(&self) -> usize {
+        0
+    }
+
+    /// Encodes `items` as a collection: `u64` count, then the elements.
+    /// Fixed-width primitives override this with one bulk copy.
+    fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+        buf.put_u64_le(items.len() as u64);
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decodes a collection written by [`Wire::encode_slice`].
+    ///
+    /// # Errors
+    /// [`CodecError`] if the buffer is truncated or malformed.
+    fn decode_vec(buf: &mut Bytes) -> Result<Vec<Self>, CodecError> {
+        let len = usize::decode(buf)?;
+        // Guard against hostile / corrupt lengths: each element needs at
+        // least one byte on the wire.
+        if len > buf.remaining() {
+            return Err(CodecError::Invalid(format!(
+                "declared {len} elements but only {} bytes remain",
+                buf.remaining()
+            )));
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
+
     /// Convenience: encodes into a fresh buffer.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.size_hint());
         self.encode(&mut buf);
         buf.freeze()
     }
@@ -80,8 +122,54 @@ macro_rules! check_len {
     };
 }
 
+/// Checks a declared element count of `size`-byte elements against the
+/// bytes that remain and returns the payload length in bytes.
+fn bulk_len(buf: &Bytes, len: usize, size: usize) -> Result<usize, CodecError> {
+    len.checked_mul(size)
+        .filter(|&bytes| bytes <= buf.remaining())
+        .ok_or_else(|| {
+            CodecError::Invalid(format!(
+                "declared {len} {size}-byte elements but only {} bytes remain",
+                buf.remaining()
+            ))
+        })
+}
+
 macro_rules! impl_wire_primitive {
     ($ty:ty, $put:ident, $get:ident, $size:expr) => {
+        impl_wire_primitive!($ty, $put, $get, $size, {});
+    };
+    // `bulk`: the payloads that dominate the wire (ids, coordinates, codes,
+    // indices) are one length check plus one pass over a pre-sized
+    // region, which the compiler turns into a copy on little-endian hosts.
+    ($ty:ty, $put:ident, $get:ident, $size:expr, bulk) => {
+        impl_wire_primitive!($ty, $put, $get, $size, {
+            fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+                buf.put_u64_le(items.len() as u64);
+                let start = buf.len();
+                buf.resize(start + items.len() * $size, 0);
+                for (dst, v) in buf[start..].chunks_exact_mut($size).zip(items) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+
+            fn decode_vec(buf: &mut Bytes) -> Result<Vec<Self>, CodecError> {
+                let len = usize::decode(buf)?;
+                let bytes = bulk_len(buf, len, $size)?;
+                let out = buf[..bytes]
+                    .chunks_exact($size)
+                    .map(|c| {
+                        let mut raw = [0u8; $size];
+                        raw.copy_from_slice(c);
+                        <$ty>::from_le_bytes(raw)
+                    })
+                    .collect();
+                buf.advance(bytes);
+                Ok(out)
+            }
+        });
+    };
+    ($ty:ty, $put:ident, $get:ident, $size:expr, { $($bulk:tt)* }) => {
         impl Wire for $ty {
             #[inline]
             fn encode(&self, buf: &mut BytesMut) {
@@ -92,16 +180,21 @@ macro_rules! impl_wire_primitive {
                 check_len!(buf, $size);
                 Ok(buf.$get())
             }
+            #[inline]
+            fn size_hint(&self) -> usize {
+                $size
+            }
+            $($bulk)*
         }
     };
 }
 
-impl_wire_primitive!(u8, put_u8, get_u8, 1);
+impl_wire_primitive!(u8, put_u8, get_u8, 1, bulk);
 impl_wire_primitive!(u16, put_u16_le, get_u16_le, 2);
-impl_wire_primitive!(u32, put_u32_le, get_u32_le, 4);
-impl_wire_primitive!(u64, put_u64_le, get_u64_le, 8);
+impl_wire_primitive!(u32, put_u32_le, get_u32_le, 4, bulk);
+impl_wire_primitive!(u64, put_u64_le, get_u64_le, 8, bulk);
 impl_wire_primitive!(i64, put_i64_le, get_i64_le, 8);
-impl_wire_primitive!(f32, put_f32_le, get_f32_le, 4);
+impl_wire_primitive!(f32, put_f32_le, get_f32_le, 4, bulk);
 impl_wire_primitive!(f64, put_f64_le, get_f64_le, 8);
 
 impl Wire for usize {
@@ -149,26 +242,13 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let len = usize::decode(buf)?;
-        // Guard against hostile / corrupt lengths: each element needs at
-        // least one byte on the wire.
-        if len > buf.remaining() {
-            return Err(CodecError::Invalid(format!(
-                "declared {len} elements but only {} bytes remain",
-                buf.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_vec(buf)
+    }
+    fn size_hint(&self) -> usize {
+        8 + self.iter().map(Wire::size_hint).sum::<usize>()
     }
 }
 
@@ -213,25 +293,101 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-/// Bulk-encodes an `f32` slice (length prefix + raw LE floats).
+/// Appends `v` as an LEB128 varint (7 value bits per byte, low first).
+#[inline]
+pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+/// Reads one varint at `bytes[*at..]`, advancing `*at` past it.
+#[inline]
+fn varint_at(bytes: &[u8], at: &mut usize) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let &b = bytes.get(*at).ok_or(CodecError::UnexpectedEof)?;
+        *at += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return Ok(v);
+        }
+    }
+    Err(CodecError::Invalid("varint longer than 10 bytes".into()))
+}
+
+/// Decodes one varint written by [`put_varint`].
 ///
-/// Equivalent to `Vec::<f32>::encode` but callable on borrowed slices,
-/// avoiding a copy on the hot send path.
-pub fn encode_f32_slice(slice: &[f32], buf: &mut BytesMut) {
-    buf.reserve(8 + slice.len() * 4);
-    buf.put_u64_le(slice.len() as u64);
-    for &x in slice {
-        buf.put_f32_le(x);
+/// # Errors
+/// [`CodecError`] if the buffer ends inside the varint or it overflows `u64`.
+#[inline]
+pub fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
+    let mut at = 0;
+    let v = varint_at(buf, &mut at)?;
+    buf.advance(at);
+    Ok(v)
+}
+
+/// Decodes a varint element count, bounded by the bytes that remain (every
+/// counted element takes at least `min_bytes` on the wire), so a hostile
+/// count cannot force an allocation.
+///
+/// # Errors
+/// [`CodecError`] on truncation or a count the buffer cannot hold.
+pub fn get_count(buf: &mut Bytes, min_bytes: usize) -> Result<usize, CodecError> {
+    let n = get_varint(buf)?;
+    usize::try_from(n)
+        .ok()
+        .filter(|n| n.saturating_mul(min_bytes) <= buf.remaining())
+        .ok_or_else(|| {
+            CodecError::Invalid(format!(
+                "declared {n} elements but only {} bytes remain",
+                buf.remaining()
+            ))
+        })
+}
+
+/// Appends a non-descending run as varint gaps (the first value is its gap
+/// from 0). No count is written; the caller's framing supplies it.
+pub fn put_ascending<T: Copy + Into<u64>>(values: &[T], buf: &mut BytesMut) {
+    buf.reserve(values.len());
+    let mut prev = 0u64;
+    for &v in values {
+        let v = v.into();
+        debug_assert!(v >= prev, "run is not ascending");
+        put_varint(buf, v.wrapping_sub(prev));
+        prev = v;
     }
 }
 
-/// Bulk-encodes a `u64` slice (length prefix + raw LE integers).
-pub fn encode_u64_slice(slice: &[u64], buf: &mut BytesMut) {
-    buf.reserve(8 + slice.len() * 8);
-    buf.put_u64_le(slice.len() as u64);
-    for &x in slice {
-        buf.put_u64_le(x);
+/// Decodes `count` values written by [`put_ascending`], appending to `out`.
+///
+/// # Errors
+/// [`CodecError`] on truncation or a value that overflows `T`.
+pub fn get_ascending<T: TryFrom<u64>>(
+    buf: &mut Bytes,
+    count: usize,
+    out: &mut Vec<T>,
+) -> Result<(), CodecError> {
+    if count > buf.remaining() {
+        return Err(CodecError::UnexpectedEof);
     }
+    out.reserve(count);
+    let mut at = 0;
+    let mut prev = 0u64;
+    for _ in 0..count {
+        let v = prev.checked_add(varint_at(buf, &mut at)?);
+        let v = v.ok_or_else(|| CodecError::Invalid("ascending run overflows u64".into()))?;
+        out.push(
+            T::try_from(v)
+                .map_err(|_| CodecError::Invalid(format!("ascending value {v} out of range")))?,
+        );
+        prev = v;
+    }
+    buf.advance(at);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -319,21 +475,85 @@ mod tests {
         ));
     }
 
+    /// The bulk overrides must put exactly the bytes the element-wise
+    /// default would: count, then each element little-endian.
     #[test]
-    fn slice_helpers_match_vec_encoding() {
-        let v = vec![1.5f32, -2.0, 0.0];
-        let mut a = BytesMut::new();
-        v.encode(&mut a);
-        let mut b = BytesMut::new();
-        encode_f32_slice(&v, &mut b);
-        assert_eq!(a, b);
+    fn bulk_slices_match_elementwise_encoding() {
+        fn elementwise<T: Wire>(items: &[T]) -> BytesMut {
+            let mut buf = BytesMut::new();
+            buf.put_u64_le(items.len() as u64);
+            for item in items {
+                item.encode(&mut buf);
+            }
+            buf
+        }
+        fn check<T: Wire + PartialEq + fmt::Debug>(items: Vec<T>) {
+            let mut bulk = BytesMut::new();
+            T::encode_slice(&items, &mut bulk);
+            assert_eq!(bulk, elementwise(&items));
+            assert_eq!(items.size_hint(), bulk.len());
+            roundtrip(items);
+        }
+        check(vec![1.5f32, -2.0, 0.0, f32::INFINITY]);
+        check(vec![10u64, 20, u64::MAX]);
+        check(vec![7u32, 0, u32::MAX]);
+        check(vec![0u8, 255, 17]);
+        check(Vec::<f32>::new());
+        // Truncated bulk payloads fail on the one length check.
+        let full = vec![1u32, 2, 3].to_bytes();
+        assert!(Vec::<u32>::decode(&mut full.slice(..full.len() - 1)).is_err());
+    }
 
-        let ids = vec![10u64, 20, 30];
-        let mut a = BytesMut::new();
-        ids.encode(&mut a);
-        let mut b = BytesMut::new();
-        encode_u64_slice(&ids, &mut b);
-        assert_eq!(a, b);
+    #[test]
+    fn varints_and_ascending_runs_roundtrip() {
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, v);
+            assert_eq!(
+                buf.len(),
+                (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
+            );
+            let mut bytes = buf.freeze();
+            assert_eq!(get_varint(&mut bytes), Ok(v));
+            assert!(!bytes.has_remaining());
+        }
+        // Gaps at every varint width, including none at all.
+        let run = vec![
+            0u32,
+            0,
+            5,
+            5 + (1 << 14),
+            5 + (1 << 14) + (1 << 21),
+            u32::MAX,
+        ];
+        let mut buf = BytesMut::new();
+        put_ascending(&run, &mut buf);
+        let full = buf.freeze();
+        let mut back = Vec::<u32>::new();
+        get_ascending(&mut full.clone(), run.len(), &mut back).unwrap();
+        assert_eq!(back, run);
+        for cut in 0..full.len() {
+            let mut out = Vec::<u32>::new();
+            assert!(get_ascending(&mut full.slice(..cut), run.len(), &mut out).is_err());
+        }
+        // A run that leaves the target type is rejected, not wrapped.
+        let mut buf = BytesMut::new();
+        put_ascending(&[u64::from(u32::MAX) + 1], &mut buf);
+        assert!(get_ascending(&mut buf.freeze(), 1, &mut Vec::<u32>::new()).is_err());
+        // An 11-byte varint and a count the buffer cannot hold are hostile.
+        assert!(get_varint(&mut Bytes::from(vec![0x80u8; 11])).is_err());
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, 1 << 40);
+        assert!(get_count(&mut buf.freeze(), 1).is_err());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`TcpTransport`] — real loopback sockets carrying length-prefixed
 //!   frames encoded with the [`crate::codec`] wire format. Each destination
 //!   owns a bounded send queue drained by a writer thread that coalesces
-//!   small frames into one `write` per flush tick; a full queue surfaces as
+//!   whatever is queued into one `write` and flushes the moment the queue
+//!   runs dry; a full queue surfaces as
 //!   [`ClusterError::Backpressure`], and broken connections are re-dialed
 //!   with bounded retries before the destination is declared down.
 //!
@@ -43,7 +44,7 @@
 //!   [`ClusterError::NodeDown`].
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -235,10 +236,9 @@ impl TransportKind {
 pub struct TcpOptions {
     /// Frames a destination's send queue holds before `send` pushes back.
     pub queue_capacity: usize,
-    /// Coalescing buffer size that forces an immediate flush.
+    /// Coalescing buffer size that forces a flush while frames are still
+    /// queued (an idle queue always flushes at once).
     pub flush_threshold_bytes: usize,
-    /// Longest a small batch is held open waiting for more frames.
-    pub flush_tick: Duration,
     /// Longest `send` waits for queue space before
     /// [`ClusterError::Backpressure`].
     pub send_wait: Duration,
@@ -254,7 +254,6 @@ impl Default for TcpOptions {
         Self {
             queue_capacity: 1024,
             flush_threshold_bytes: 64 << 10,
-            flush_tick: Duration::from_micros(100),
             send_wait: Duration::from_millis(200),
             connect_retries: 5,
             retry_backoff: Duration::from_millis(20),
@@ -716,7 +715,10 @@ fn accept_loop(listener: TcpListener, delivery: Sender<Frame>, down: Arc<AtomicB
 
 /// Reads length-prefixed frames off one connection until EOF or a framing
 /// violation (oversized or malformed frame), which drops the connection.
-fn read_frames(mut stream: TcpStream, delivery: &Sender<Frame>, down: &AtomicBool) {
+/// Buffered, so a batch the writer coalesced costs one `read`, not two per
+/// frame; bodies larger than the buffer bypass it.
+fn read_frames(stream: TcpStream, delivery: &Sender<Frame>, down: &AtomicBool) {
+    let mut stream = BufReader::with_capacity(64 << 10, stream);
     let mut header = [0u8; 4];
     loop {
         if stream.read_exact(&mut header).is_err() {
@@ -761,9 +763,22 @@ fn dial(
     None
 }
 
-/// Drains one destination's send queue: coalesces frames into a buffer
-/// until the flush threshold or flush tick is hit, writes the batch, and
-/// re-dials (retransmitting the batch) on a broken connection.
+/// Appends to `buf` every frame already queued behind the batch's first,
+/// up to the flush threshold, without waiting: an empty queue ends the
+/// batch, so a lone frame is written as soon as it is popped and coalescing
+/// costs no latency.
+fn coalesce_queued(queue: &SendQueue, buf: &mut BytesMut, flush_threshold_bytes: usize) {
+    while buf.len() < flush_threshold_bytes {
+        match queue.pop(Duration::ZERO) {
+            Ok(Some(frame)) => encode_frame(&frame, buf),
+            Ok(None) | Err(()) => break,
+        }
+    }
+}
+
+/// Drains one destination's send queue: coalesces the queued frames into a
+/// buffer, writes the batch, and re-dials (retransmitting the batch) on a
+/// broken connection.
 fn writer_loop(
     addr: SocketAddr,
     queue: Arc<SendQueue>,
@@ -789,20 +804,7 @@ fn writer_loop(
         };
         buf.clear();
         encode_frame(&first, &mut buf);
-        // Coalesce: hold the batch open for at most one flush tick, or
-        // until it is large enough to be worth a syscall on its own.
-        let deadline = Instant::now() + opts.flush_tick;
-        while buf.len() < opts.flush_threshold_bytes {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match queue.pop(remaining) {
-                Ok(Some(frame)) => encode_frame(&frame, &mut buf),
-                Ok(None) => break,
-                Err(()) => break,
-            }
-        }
+        coalesce_queued(&queue, &mut buf, opts.flush_threshold_bytes);
         while stream.write_all(&buf).is_err() {
             if down.load(Ordering::Acquire) {
                 return;
@@ -958,23 +960,35 @@ mod tests {
 
     #[test]
     fn tcp_coalesces_small_frames() {
-        // A generous flush tick batches the burst into few writes; all
-        // frames must still arrive, in order.
-        let opts = TcpOptions {
-            flush_tick: Duration::from_millis(5),
-            ..TcpOptions::default()
-        };
-        let t = TcpTransport::bind(1, opts).unwrap();
+        // A pre-filled queue is one batch: the writer takes everything that
+        // is already waiting, in order, and stops when the queue runs dry.
+        let queue = SendQueue::new(128);
         for i in 0..64u64 {
-            t.send(0, Frame::Ping { token: i }).unwrap();
+            assert!(queue.push(Frame::Ping { token: i }, Duration::ZERO).is_ok());
         }
+        let first = queue.pop(Duration::ZERO).unwrap().unwrap();
+        let mut buf = BytesMut::new();
+        encode_frame(&first, &mut buf);
+        coalesce_queued(&queue, &mut buf, 64 << 10);
+        assert_eq!(queue.buffered_bytes(), 0, "queued frames left behind");
+        let mut batch = buf.freeze();
         for i in 0..64u64 {
             assert_eq!(
-                t.recv(0, Duration::from_secs(5)).unwrap(),
-                Frame::Ping { token: i }
+                decode_frame(&mut batch).unwrap(),
+                Some(Frame::Ping { token: i })
             );
         }
-        t.shutdown();
+        assert!(!batch.has_remaining());
+
+        // The threshold still splits a backlog into bounded writes.
+        for i in 0..64u64 {
+            assert!(queue.push(Frame::Ping { token: i }, Duration::ZERO).is_ok());
+        }
+        let mut buf = BytesMut::new();
+        coalesce_queued(&queue, &mut buf, 64);
+        assert!(buf.len() >= 64 && buf.len() < 64 + 13);
+        assert!(queue.buffered_bytes() > 0);
+        queue.close();
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl Default for HarmonyConfigBuilder {
                 net: NetworkModel::amortized(10),
                 delay: DelayMode::Account,
                 plan_override: None,
-                max_inflight: 64,
+                max_inflight: 256,
                 replan: ReplanConfig::default(),
                 transport: TransportKind::InProc,
                 repr: BlockRepr::F32,

@@ -9,6 +9,17 @@
 //! [`EngineCore::search_batch`] plus the worker-side relay in
 //! [`crate::worker`].
 //!
+//! # Sub-batches
+//!
+//! The unit that moves through the dimension pipeline is a **sub-batch**
+//! of queries, not a query: a session admits contiguous rows of its batch
+//! together, and the rows whose next visit is the same shard travel as one
+//! [`ChunkBatch`] per machine, one [`crate::messages::CarryBatch`] per hop
+//! and one [`ResultBatch`] back — per-message cost (encode, queue, thread
+//! wake, decode) is paid per sub-batch, and the hop order is picked once
+//! for all of its rows. A single [`EngineCore::search`] is a sub-batch of
+//! one.
+//!
 //! # Concurrent search sessions
 //!
 //! The engine multiplexes any number of caller threads over one worker
@@ -16,9 +27,10 @@
 //! reserves a contiguous `query_id` range from a shared atomic counter,
 //! registers the range in a session table, and drives its own dispatch
 //! loop. A dedicated client-side **router thread** owns the cluster's
-//! receive path and demultiplexes incoming [`ToClient::Result`] messages by
-//! query-id range to the owning session's channel (control replies such as
-//! [`ToClient::Stats`] go to a separate control channel). Sends need only
+//! receive path and demultiplexes incoming [`ToClient::ResultBatch`]
+//! messages by their first query id to the owning session's channel
+//! (control replies such as [`ToClient::Stats`] go to a separate control
+//! channel). Sends need only
 //! `&self`, so sessions never serialize on one another; the per-machine
 //! `outstanding` load estimates that drive §4.3 deferred-dimension
 //! scheduling live in a lock-free [`LoadTracker`] shared by all sessions.
@@ -84,8 +96,8 @@ use crate::config::{EngineMode, HarmonyConfig, NamespaceConfig, SearchOptions};
 use crate::cost::{weights_from, CostModel, PlanCost, WorkloadProfile};
 use crate::error::CoreError;
 use crate::messages::{
-    metric_tag, repr_tag, BeginEpoch, ClusterBlock, DeleteIds, DeltaUpsert, InstallLists,
-    ListPiece, LoadBlock, MigrateOut, QueryChunk, QueryResult, SetTier, ToClient, ToWorker,
+    metric_tag, repr_tag, span, BeginEpoch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert,
+    InstallLists, ListPiece, LoadBlock, MigrateOut, ResultBatch, SetTier, ToClient, ToWorker,
     TransferSpec,
 };
 use crate::partition::{PartitionPlan, ShardAssignment};
@@ -104,7 +116,8 @@ use crate::worker::HarmonyWorker;
 /// any number of threads concurrently; each call runs as an independent
 /// session against the shared worker pool (see the [module docs](self) for
 /// the session model). `max_inflight` bounds the in-flight queries *per
-/// session*.
+/// session*; sub-batch size is derived from it (see
+/// [`EngineCore::search_batch`]).
 ///
 /// The engine API lives on [`EngineCore`], reachable through `Deref`: the
 /// wrapper only adds thread lifecycle (router + compactor) so the core can
@@ -169,10 +182,10 @@ pub struct NamespaceState {
     centroids: VectorStore,
     /// Current list sizes per cluster; rewritten by compaction.
     list_sizes: RwLock<Vec<usize>>,
-    /// Full-dimension samples kept client-side for threshold prewarming.
-    prewarm_store: VectorStore,
-    /// Rows of `prewarm_store` per cluster.
-    prewarm_rows: Vec<Vec<usize>>,
+    /// Prewarm samples cut per list (at build and again by every
+    /// compaction) and the seed their picks derive from.
+    prewarm_per_list: usize,
+    prewarm_seed: u64,
     /// Exact full-dimension copy of every live vector, `by_id` pointing at
     /// the newest row per external id. Source of truth for compaction
     /// (lists are recut from it) and, under SQ8, for the exact re-rank
@@ -231,6 +244,12 @@ pub struct RoutingEpoch {
     dim_ranges: Vec<DimRange>,
     /// Clusters owned by each shard.
     shard_clusters: Vec<Vec<u32>>,
+    /// Threshold-prewarm samples cut from the lists this epoch serves.
+    /// They ride the epoch because a compaction rewrites the lists: the
+    /// epoch it publishes carries samples of the compacted rows, so the
+    /// ids overridden before it need no remembering. Migrations move lists
+    /// without changing them and share the incumbent's samples.
+    prewarm: Arc<PrewarmSamples>,
 }
 
 impl RoutingEpoch {
@@ -239,6 +258,7 @@ impl RoutingEpoch {
         plan: PartitionPlan,
         assignment: ShardAssignment,
         dim: usize,
+        prewarm: Arc<PrewarmSamples>,
     ) -> Result<Self, CoreError> {
         let dim_ranges = plan.dim_ranges(dim)?;
         let shard_clusters = (0..plan.vec_shards)
@@ -250,7 +270,67 @@ impl RoutingEpoch {
             assignment,
             dim_ranges,
             shard_clusters,
+            prewarm,
         })
+    }
+}
+
+/// Full-dimension samples of every list, kept client-side to seed each
+/// query's pruning threshold (Algorithm 1, lines 1-5).
+#[derive(Debug)]
+struct PrewarmSamples {
+    store: VectorStore,
+    /// Rows of `store` per cluster.
+    rows: Vec<Vec<usize>>,
+}
+
+impl PrewarmSamples {
+    /// Cuts `per_list` samples (or the whole list, if shorter) from every
+    /// list, vectors read from the exact client-side copy. Samples of
+    /// `prior` whose id was not written since stay, in place — a recut
+    /// only replaces what went stale, so thresholds (and, for ids the
+    /// prewarm heap contributes, result bits) do not jump across a
+    /// compaction. Open places are filled from a seeded start, walking the
+    /// list's members in order.
+    fn cut(
+        per_list: usize,
+        seed: u64,
+        members: &[Vec<u64>],
+        base: &BaseStore,
+        prior: Option<(&PrewarmSamples, &HashSet<u64>)>,
+    ) -> Result<Self, CoreError> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut store = VectorStore::new(base.store.dim());
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
+        let mut picked: Vec<u64> = Vec::with_capacity(per_list);
+        for (c, ids) in members.iter().enumerate() {
+            let want = per_list.min(ids.len());
+            picked.clear();
+            if let Some((prior, overridden)) = prior {
+                let kept = prior.rows[c].iter().map(|&r| prior.store.id(r));
+                picked.extend(kept.filter(|id| !overridden.contains(id)).take(want));
+            }
+            let start = rng.random_range(0..ids.len().max(1));
+            for j in 0..ids.len() {
+                if picked.len() >= want {
+                    break;
+                }
+                let id = ids[(start + j) % ids.len()];
+                if !picked.contains(&id) {
+                    picked.push(id);
+                }
+            }
+            for &id in &picked {
+                let row = *base.by_id.get(&id).ok_or_else(|| {
+                    CoreError::Runtime(format!("list member {id} missing from the base store"))
+                })?;
+                rows[c].push(store.len());
+                store
+                    .push(id, base.store.row(row))
+                    .map_err(CoreError::Index)?;
+            }
+        }
+        Ok(Self { store, rows })
     }
 }
 
@@ -348,7 +428,7 @@ struct SessionTableState {
 struct SessionEntry {
     /// One past the last query id of the session's range.
     end: u64,
-    tx: Sender<QueryResult>,
+    tx: Sender<ResultBatch>,
 }
 
 impl SessionTable {
@@ -356,7 +436,7 @@ impl SessionTable {
     /// result channel. Must happen before the session dispatches anything.
     /// On a closed table the sender is dropped immediately, so the session
     /// observes a disconnect instead of waiting out its deadline.
-    fn register(&self, base: u64, count: u64) -> Receiver<QueryResult> {
+    fn register(&self, base: u64, count: u64) -> Receiver<ResultBatch> {
         let (tx, rx) = unbounded();
         let mut inner = self.inner.lock();
         if !inner.closed {
@@ -375,14 +455,18 @@ impl SessionTable {
         self.inner.lock().ranges.remove(&base);
     }
 
-    /// Routes one result to the session owning its query id; results for
-    /// departed sessions (timed out, dropped) are discarded.
-    fn route(&self, result: QueryResult) {
-        let mut inner = self.inner.lock();
-        let Some((&base, entry)) = inner.ranges.range(..=result.query_id).next_back() else {
+    /// Routes one sub-batch's results to the session owning its first
+    /// query id (a sub-batch never spans sessions); results for departed
+    /// sessions (timed out, dropped) are discarded.
+    fn route(&self, result: ResultBatch) {
+        let Some(&first) = result.query_ids.first() else {
             return;
         };
-        if result.query_id >= entry.end {
+        let mut inner = self.inner.lock();
+        let Some((&base, entry)) = inner.ranges.range(..=first).next_back() else {
+            return;
+        };
+        if first >= entry.end {
             return;
         }
         if entry.tx.send(result).is_err() {
@@ -404,7 +488,7 @@ impl SessionTable {
 struct Session<'a> {
     table: &'a SessionTable,
     base: u64,
-    rx: Receiver<QueryResult>,
+    rx: Receiver<ResultBatch>,
 }
 
 impl Drop for Session<'_> {
@@ -458,7 +542,9 @@ fn run_router(
     while !stop.load(Ordering::Acquire) {
         match rx.recv_timeout(ROUTER_TICK) {
             Ok((from, payload)) => match ToClient::from_bytes(payload) {
-                Ok(ToClient::Result(result)) => sessions.route(result),
+                Ok(ToClient::ResultBatch(batch)) => sessions.route(batch),
+                // The single-query form is a one-row batch.
+                Ok(ToClient::Result(result)) => sessions.route(result.into()),
                 Ok(other) => {
                     let _ = control_tx.send((from, other));
                 }
@@ -498,47 +584,68 @@ struct QueryState {
     topk: TopK,
     /// Ids already inserted by prewarm (skip on merge to avoid duplicates).
     prewarm_ids: HashSet<u64>,
-    /// Shard visits not yet dispatched: `(shard, probed clusters)`.
+    /// Shard visits not yet dispatched: `(shard, probed clusters)`, nearest
+    /// shard last so `pop()` yields it; clusters ascending — the canonical
+    /// enumeration order on the workers.
     pending_visits: Vec<(u32, Vec<u32>)>,
     /// Visits currently in flight.
     in_flight: usize,
-    /// Work estimates added to `outstanding`, one entry per in-flight
-    /// visit, keyed by the visit's shard so the completing result
-    /// discharges exactly the machines it charged.
-    charged: Vec<VisitCharge>,
-    /// Row of this query in the input batch.
-    row: usize,
-    /// Namespace the query runs in, captured at admission.
-    ns_state: Arc<NamespaceState>,
-    /// Routing generation captured at admission: every visit of this query
-    /// executes against this layout, even if the engine switches mid-query.
-    routing: Arc<RoutingEpoch>,
-    /// Ingest watermark captured at admission, stamped on every chunk of
-    /// the query so all machines of a shard row scan the identical prefix
-    /// of delta rows.
-    delta_seq: u64,
+    admission: Arc<Admission>,
 }
 
-/// The per-machine load estimates charged for one shard visit.
-struct VisitCharge {
-    shard: u32,
-    per_machine: Vec<(NodeId, f64)>,
+/// What the rows of one admitted sub-batch share for their whole lifetime
+/// — and therefore what every message built from them states once, in its
+/// header.
+struct Admission {
+    /// Routing generation captured at admission: every visit of these
+    /// queries executes against this layout, even if the engine switches
+    /// mid-query.
+    routing: Arc<RoutingEpoch>,
+    /// Ingest watermark captured at admission, stamped on every chunk so
+    /// all machines of a shard row scan the identical prefix of delta rows.
+    delta_seq: u64,
+    /// Position of the sub-batch in its batch; rotates the hop order when
+    /// load balancing is off.
+    ordinal: usize,
 }
+
+/// Per-machine load estimates charged for the in-flight shard visits of a
+/// session, keyed like the visits themselves by `(first query id, shard)`
+/// so the completing [`ResultBatch`] discharges exactly the machines it
+/// charged.
+type Charges = HashMap<(u64, u32), Vec<(NodeId, f64)>>;
 
 /// The shared inputs of one batch session's dispatch loop.
 struct BatchCtx<'a> {
     state: &'a Arc<NamespaceState>,
     queries: &'a VectorStore,
     opts: &'a SearchOptions,
+    /// First query id of the session: query `base + row` is batch row `row`.
+    base: u64,
 }
 
 /// Client-side exact vectors: compaction source and SQ8 re-rank store.
-/// Upserts append rows and repoint `by_id`; superseded rows linger until
-/// the store is rebuilt but are unreachable through the id map.
+/// Upserts append rows and repoint `by_id`; superseded rows are
+/// unreachable through the id map and linger, like the rows of deleted
+/// ids, until the next compaction sweeps them.
 struct BaseStore {
     store: VectorStore,
     /// External id → newest row of `store`.
     by_id: HashMap<u64, usize>,
+}
+
+impl BaseStore {
+    /// Drops the rows of `deleted` ids and every superseded row, in place.
+    /// Without this the store (and the quota's live count) grew with every
+    /// write a namespace had ever seen.
+    fn sweep(&mut self, deleted: &HashMap<u64, u64>) {
+        let Self { store, by_id } = self;
+        by_id.retain(|id, _| !deleted.contains_key(id));
+        store.retain_rows(|row, id| by_id.get(&id) == Some(&row));
+        for (row, id) in store.ids().iter().enumerate() {
+            by_id.insert(*id, row);
+        }
+    }
 }
 
 /// One not-yet-compacted upsert (client-side record of a delta row).
@@ -561,26 +668,30 @@ struct IngestState {
     /// Cleared by compaction (the recut lists contain no stale copies).
     tombstones: HashMap<u64, u64>,
     /// Ids deleted and not re-upserted since: the authoritative dead-set
-    /// filtered out of every result. Subset of `tombstones`.
-    deleted: HashMap<u64, u64>,
+    /// filtered out of every result. Subset of `tombstones`. Shared
+    /// copy-on-write with the published [`IngestSnapshot`]: an ingest op
+    /// clones only the set it changes.
+    deleted: Arc<HashMap<u64, u64>>,
     /// Member ids per cluster of the currently installed lists; rewritten
     /// by compaction. Mirrors what the workers hold.
     members: Vec<Vec<u64>>,
-    /// Every id ever upserted or deleted. Prewarm samples of these ids are
-    /// permanently skipped: the prewarm store still holds their build-time
-    /// vectors, which may be stale or dead.
-    overridden: HashSet<u64>,
+    /// Ids upserted or deleted since the current lists were cut. The
+    /// epoch's prewarm samples of these ids may be stale or dead and are
+    /// skipped; a compaction recuts the samples and empties the set.
+    /// Copy-on-write like `deleted`.
+    overridden: Arc<HashSet<u64>>,
 }
 
 /// Immutable ingest snapshot read lock-free-ish on the search path.
 #[derive(Default)]
 struct IngestSnapshot {
     /// Ids deleted and not re-upserted since (id → delete seq).
-    deleted: HashMap<u64, u64>,
+    deleted: Arc<HashMap<u64, u64>>,
     /// Clusters with pending delta rows (drives forced shard visits).
     pending_clusters: HashSet<u32>,
-    /// Ids whose prewarm samples must be skipped (ever upserted/deleted).
-    overridden: HashSet<u64>,
+    /// Ids whose prewarm samples must be skipped (written since the last
+    /// compaction).
+    overridden: Arc<HashSet<u64>>,
 }
 
 /// Accounting of one executed compaction.
@@ -694,7 +805,19 @@ fn prepare_namespace(
     } else {
         ShardAssignment::round_robin(&weights, plan.vec_shards)
     };
-    let routing = RoutingEpoch::new(0, plan, assignment, dim)?;
+    // Exact client-side copy of the base: compaction recuts IVF lists
+    // from it, and under SQ8 it doubles as the re-rank store.
+    let base_store = BaseStore {
+        store: base.clone(),
+        by_id: (0..base.len()).map(|r| (base.id(r), r)).collect(),
+    };
+    let members: Vec<Vec<u64>> = list_rows
+        .iter()
+        .map(|rows| rows.iter().map(|&r| base.id(r)).collect())
+        .collect();
+    let prewarm_seed = params.seed ^ 0x9E37_79B9_7F4A_7C15;
+    let prewarm = PrewarmSamples::cut(params.prewarm, prewarm_seed, &members, &base_store, None)?;
+    let routing = RoutingEpoch::new(0, plan, assignment, dim, Arc::new(prewarm))?;
 
     let is_ip = !matches!(metric, Metric::L2);
     let sq8 = matches!(params.repr, BlockRepr::Sq8);
@@ -757,36 +880,6 @@ fn prepare_namespace(
         }
     }
 
-    // --- Prewarm samples -------------------------------------------
-    let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let mut prewarm_store = VectorStore::new(dim);
-    let mut prewarm_rows: Vec<Vec<usize>> = vec![Vec::new(); nlist];
-    if params.prewarm > 0 {
-        for (c, rows) in list_rows.iter().enumerate() {
-            let take = params.prewarm.min(rows.len());
-            for i in 0..take {
-                // Deterministic stratified pick.
-                let pick = rows[(rng.random_range(0..rows.len().max(1)) + i) % rows.len()];
-                prewarm_rows[c].push(prewarm_store.len());
-                prewarm_store
-                    .push(base.id(pick), base.row(pick))
-                    .map_err(CoreError::Index)?;
-            }
-        }
-    }
-
-    // Exact client-side copy of the base: compaction recuts IVF lists
-    // from it, and under SQ8 it doubles as the re-rank store.
-    let by_id = (0..base.len()).map(|r| (base.id(r), r)).collect();
-    let base_store = BaseStore {
-        store: base.clone(),
-        by_id,
-    };
-    let members: Vec<Vec<u64>> = list_rows
-        .iter()
-        .map(|rows| rows.iter().map(|&r| base.id(r)).collect())
-        .collect();
-
     let state = NamespaceState {
         ns,
         metric,
@@ -798,16 +891,16 @@ fn prepare_namespace(
         auto_tier: params.auto_tier,
         centroids: km.centroids,
         list_sizes: RwLock::new(list_sizes),
-        prewarm_store,
-        prewarm_rows,
+        prewarm_per_list: params.prewarm,
+        prewarm_seed,
         base: RwLock::new(base_store),
         ingest: Mutex::new(IngestState {
             next_seq: 1,
             pending: Vec::new(),
             tombstones: HashMap::new(),
-            deleted: HashMap::new(),
+            deleted: Arc::default(),
             members,
-            overridden: HashSet::new(),
+            overridden: Arc::default(),
         }),
         published_seq: AtomicU64::new(0),
         ingest_snap: RwLock::new(Arc::new(IngestSnapshot::default())),
@@ -1375,6 +1468,10 @@ impl EngineCore {
     ///
     /// Safe to call from multiple threads at once: each call runs as its
     /// own session over the shared workers (see the [module docs](self)).
+    /// Rows are admitted in sub-batches of `clamp(min(batch length,
+    /// max_inflight) / (2 × dimension blocks), 1, 32)` contiguous rows, up
+    /// to `max_inflight` queries in flight, and each sub-batch moves
+    /// through the pipeline as one message per hop.
     /// `opts.timeout_ms` is a *batch deadline*: every receive waits only
     /// for the time remaining until it, so a stalled batch fails after one
     /// timeout total, not one per query.
@@ -1440,19 +1537,18 @@ impl EngineCore {
             rx: self.sessions.register(base, n as u64),
         };
 
-        let mut active: HashMap<u64, QueryState> = HashMap::new();
+        let mut charges = Charges::new();
         let ctx = BatchCtx {
             state: &state,
             queries,
             opts,
+            base,
         };
-        let outcome = self.drive_batch(&ctx, &session, deadline, &mut results, &mut active);
-        if outcome.is_err() {
-            // Queries abandoned mid-flight must not leave their load
-            // estimates charged forever.
-            for qs in active.values() {
-                self.discharge_state(qs);
-            }
+        let outcome = self.drive_batch(&ctx, &session, deadline, &mut results, &mut charges);
+        // Visits abandoned mid-flight must not leave their load estimates
+        // charged forever (on success every visit was discharged already).
+        for charge in charges.values() {
+            self.discharge(charge);
         }
         outcome?;
 
@@ -1476,6 +1572,17 @@ impl EngineCore {
         })
     }
 
+    /// Rows per sub-batch, from what the session can see: enough
+    /// sub-batches that every hop of the dimension pipeline has work while
+    /// others are on the wire (at least two per dimension block inside one
+    /// in-flight window), at most 32 rows each — past that a sub-batch only
+    /// adds latency to its first row without amortizing more.
+    fn sub_batch_rows(&self, state: &NamespaceState, batch_len: usize) -> usize {
+        let dim_blocks = state.routing.read().plan.dim_blocks.max(1);
+        let window = batch_len.min(self.config.max_inflight);
+        (window / (2 * dim_blocks)).clamp(1, 32)
+    }
+
     /// The admission/collection loop of one session.
     fn drive_batch(
         &self,
@@ -1483,45 +1590,46 @@ impl EngineCore {
         session: &Session<'_>,
         deadline: Instant,
         results: &mut [Vec<Neighbor>],
-        active: &mut HashMap<u64, QueryState>,
+        charges: &mut Charges,
     ) -> Result<(), CoreError> {
         let n = ctx.queries.len();
+        let sub_rows = self.sub_batch_rows(ctx.state, n);
+        // Query `base + row` lives at `active[row]` while in flight.
+        let mut active: Vec<Option<QueryState>> = (0..n).map(|_| None).collect();
         let mut next_row = 0usize;
+        let mut live = 0usize;
         let mut completed = 0usize;
+        let mut ready: Vec<usize> = Vec::new();
 
         while completed < n {
-            // Admit new queries up to the session's in-flight window. The
+            // Admit sub-batches up to the session's in-flight window. The
             // batch deadline covers dispatch too: blocking transports can
             // stall sends long enough to eat the whole budget.
-            while next_row < n && active.len() < self.config.max_inflight {
+            while next_row < n && live < self.config.max_inflight {
                 if deadline.saturating_duration_since(Instant::now()).is_zero() {
                     return Err(CoreError::Cluster(ClusterError::Timeout));
                 }
-                let row = next_row;
-                next_row += 1;
-                let qid = session.base + row as u64;
-                match self.admit_query(ctx.state, qid, ctx.queries.row(row), row, ctx.opts)? {
-                    Some(state) => {
-                        active.insert(qid, state);
-                    }
-                    None => {
-                        // Query resolved entirely from prewarm (no probes hit
-                        // populated shards) — rare but possible.
-                        completed += 1;
-                    }
-                }
+                let rows = next_row..(next_row + sub_rows).min(n);
+                let ordinal = next_row / sub_rows;
+                next_row = rows.end;
+                let admitted =
+                    self.admit_sub_batch(ctx, ordinal, rows.clone(), &mut active, charges)?;
+                live += admitted;
+                // Queries resolved entirely from prewarm (no probes hit
+                // populated shards) — rare but possible.
+                completed += rows.len() - admitted;
             }
             if completed >= n {
                 break;
             }
 
-            // Collect one routed result within the remaining batch budget.
+            // Collect one routed sub-batch within the remaining budget.
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(CoreError::Cluster(ClusterError::Timeout));
             }
-            let result = match session.rx.recv_timeout(remaining) {
-                Ok(result) => result,
+            let batch = match session.rx.recv_timeout(remaining) {
+                Ok(batch) => batch,
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(CoreError::Cluster(ClusterError::Timeout))
                 }
@@ -1529,54 +1637,48 @@ impl EngineCore {
                     return Err(CoreError::Cluster(ClusterError::ShutDown))
                 }
             };
-            let Some(state) = active.get_mut(&result.query_id) else {
-                continue; // stale result for an already-finished query
-            };
-            if state.in_flight == 0 {
-                continue; // defensive: duplicate result for this visit
-            }
-
-            // Merge candidates (skipping prewarm duplicates).
-            for (&id, &score) in result.ids.iter().zip(&result.scores) {
-                if !state.prewarm_ids.contains(&id) {
-                    state.topk.push(id, score);
-                }
-            }
-            state.in_flight -= 1;
-
-            // Discharge exactly the completing visit's load estimates,
-            // matched by the shard that answered.
-            if let Some(pos) = state.charged.iter().position(|c| c.shard == result.shard) {
-                let charge = state.charged.swap_remove(pos);
+            // Discharge exactly the completing visit's load estimates.
+            let first = batch.query_ids.first().copied().unwrap_or(u64::MAX);
+            if let Some(charge) = charges.remove(&(first, batch.shard)) {
                 self.discharge(&charge);
             }
 
-            // Stage the next visit (pipeline mode) or finish.
-            if state.in_flight == 0 && !state.pending_visits.is_empty() {
-                let qid = result.query_id;
-                // Presence was proven by the `get_mut` above; a defensive
-                // skip beats a panic on the router thread.
-                let Some(mut state) = active.remove(&qid) else {
-                    continue;
+            ready.clear();
+            for (i, &qid) in batch.query_ids.iter().enumerate() {
+                let row = qid.wrapping_sub(ctx.base) as usize;
+                let Some(state) = active.get_mut(row).and_then(Option::as_mut) else {
+                    continue; // stale result for an already-finished query
                 };
-                if let Err(e) =
-                    self.dispatch_next(qid, ctx.queries.row(state.row), ctx.opts, &mut state)
-                {
-                    // The state is outside `active` here: discharge its
-                    // load estimates before surfacing the error.
-                    self.discharge_state(&state);
-                    return Err(e);
+                if state.in_flight == 0 {
+                    continue; // defensive: duplicate result for this visit
                 }
-                active.insert(qid, state);
-            } else if state.in_flight == 0 {
-                let Some(state) = active.remove(&result.query_id) else {
+                // Merge candidates (skipping prewarm duplicates).
+                let hits = span(&batch.result_ends, i);
+                for (&id, &score) in batch.ids[hits.clone()].iter().zip(&batch.scores[hits]) {
+                    if !state.prewarm_ids.contains(&id) {
+                        state.topk.push(id, score);
+                    }
+                }
+                state.in_flight -= 1;
+                if state.in_flight > 0 {
                     continue;
-                };
-                let row = state.row;
-                results[row] =
-                    self.finalize_results(ctx.state, ctx.queries.row(row), state.topk, ctx.opts.k);
-                completed += 1;
+                }
+                // Stage the next visit (pipeline mode) or finish.
+                if !state.pending_visits.is_empty() {
+                    ready.push(row);
+                } else if let Some(done) = active[row].take() {
+                    results[row] = self.finalize_results(
+                        ctx.state,
+                        ctx.queries.row(row),
+                        done.topk,
+                        ctx.opts.k,
+                    );
+                    completed += 1;
+                    live -= 1;
+                }
             }
+            // The rows that move on together stay one sub-batch per shard.
+            self.dispatch_round(ctx, &ready, &mut active, charges)?;
         }
         Ok(())
     }
@@ -1630,37 +1732,72 @@ impl EngineCore {
     }
 
     /// Subtracts one visit's per-machine estimates from the shared tracker.
-    fn discharge(&self, charge: &VisitCharge) {
-        for &(machine, amount) in &charge.per_machine {
+    fn discharge(&self, charge: &[(NodeId, f64)]) {
+        for &(machine, amount) in charge {
             self.shared.outstanding.sub(machine, amount);
         }
     }
 
-    /// Discharges every remaining visit charge of an abandoned query.
-    fn discharge_state(&self, state: &QueryState) {
-        for charge in &state.charged {
-            self.discharge(charge);
+    /// Admits batch rows `rows` as the batch's `ordinal`-th sub-batch:
+    /// captures what they share, sets each query up (probes, prewarm, visit
+    /// list) and dispatches their first stage(s). Returns how many have
+    /// something to visit.
+    fn admit_sub_batch(
+        &self,
+        ctx: &BatchCtx<'_>,
+        ordinal: usize,
+        rows: std::ops::Range<usize>,
+        active: &mut [Option<QueryState>],
+        charges: &mut Charges,
+    ) -> Result<usize, CoreError> {
+        let ns_state = ctx.state;
+        // Ingest watermark and snapshot: rows with `seq < delta_seq` are
+        // visible, the dead-set is filtered out.
+        //
+        // The order of these three loads matters. Watermark before
+        // routing: every row the watermark covers was sent to the epoch
+        // current at its upsert and re-shipped (or folded) into each later
+        // one before that epoch was published, so the later-read epoch
+        // holds all of them. Snapshot before routing: a compaction swaps
+        // in the epoch with recut prewarm samples *before* it publishes the
+        // snapshot with the emptied `overridden` set, so a snapshot can be
+        // older than the epoch read after it (its set is then merely
+        // over-inclusive) but never newer — an emptied set is never paired
+        // with samples cut before the writes it forgot.
+        let delta_seq = ns_state.published_seq.load(Ordering::Acquire);
+        let snap = Arc::clone(&ns_state.ingest_snap.read());
+        // Capture the routing generation for these queries' whole
+        // lifetime: a concurrent plan switch must never split one query
+        // across layouts.
+        let routing = Arc::clone(&ns_state.routing.read());
+        let admission = Arc::new(Admission {
+            routing,
+            delta_seq,
+            ordinal,
+        });
+        let mut admitted = Vec::with_capacity(rows.len());
+        for row in rows {
+            let query = ctx.queries.row(row);
+            if let Some(state) = self.admit_query(ns_state, &admission, &snap, query, ctx.opts) {
+                active[row] = Some(state);
+                admitted.push(row);
+            }
         }
+        self.dispatch_round(ctx, &admitted, active, charges)?;
+        Ok(admitted.len())
     }
 
-    /// Sets up a query: probes, prewarm, visit list; dispatches its first
-    /// stage(s). Returns `None` when the query has nothing to visit.
+    /// Sets up one query: probes, prewarm, visit list. Returns `None` when
+    /// the query has nothing to visit.
     fn admit_query(
         &self,
         ns_state: &Arc<NamespaceState>,
-        qid: u64,
+        admission: &Arc<Admission>,
+        snap: &IngestSnapshot,
         query: &[f32],
-        row: usize,
         opts: &SearchOptions,
-    ) -> Result<Option<QueryState>, CoreError> {
-        // Capture the routing generation for this query's whole lifetime:
-        // a concurrent plan switch must never split one query across
-        // layouts.
-        let routing = Arc::clone(&ns_state.routing.read());
-        // Ingest watermark and snapshot for this query: rows with
-        // `seq < delta_seq` are visible, the dead-set is filtered out.
-        let delta_seq = ns_state.published_seq.load(Ordering::Acquire);
-        let snap = Arc::clone(&ns_state.ingest_snap.read());
+    ) -> Option<QueryState> {
+        let routing = &admission.routing;
         let probes = nearest_centroids(query, &ns_state.centroids, opts.nprobe);
         // Feed the observed-workload counters driving the plan supervisor.
         ns_state.probes.record(&probes, opts.k);
@@ -1672,20 +1809,19 @@ impl EngineCore {
         let mut topk = TopK::new(ns_state.effective_k(opts.k));
         let mut prewarm_ids = HashSet::new();
         let budget = (4 * opts.k).max(16);
+        let samples = &routing.prewarm;
         'prewarm: for &c in &probes {
-            for &sample_row in &ns_state.prewarm_rows[c as usize] {
+            for &sample_row in &samples.rows[c as usize] {
                 if prewarm_ids.len() >= budget {
                     break 'prewarm;
                 }
-                let id = ns_state.prewarm_store.id(sample_row);
-                // Prewarm samples are build-time copies: skip any id that
-                // was upserted or deleted since (the sample is stale).
+                let id = samples.store.id(sample_row);
+                // Samples are copies cut with the epoch's lists: skip any
+                // id that was upserted or deleted since (stale or dead).
                 if snap.overridden.contains(&id) {
                     continue;
                 }
-                let score = ns_state
-                    .metric
-                    .score(query, ns_state.prewarm_store.row(sample_row));
+                let score = ns_state.metric.score(query, samples.store.row(sample_row));
                 if prewarm_ids.insert(id) {
                     topk.push(id, score);
                 }
@@ -1716,7 +1852,7 @@ impl EngineCore {
         // Fresh-data recall is 1.0 by construction: every shard holding
         // pending delta rows gets a (possibly cluster-less) forced visit,
         // and its workers scan the full delta prefix below the watermark.
-        if delta_seq > 0 {
+        if admission.delta_seq > 0 {
             let mut delta_shards: Vec<u32> = snap
                 .pending_clusters
                 .iter()
@@ -1733,88 +1869,99 @@ impl EngineCore {
         }
         let mut pending_visits: Vec<(u32, Vec<u32>)> = visit_order
             .into_iter()
-            .map(|s| (s, by_shard.remove(&s).unwrap_or_default()))
+            .map(|s| {
+                let mut clusters = by_shard.remove(&s).unwrap_or_default();
+                clusters.sort_unstable();
+                (s, clusters)
+            })
             .collect();
         // Dispatch order: nearest shard first; reverse so pop() yields it.
         pending_visits.reverse();
 
-        if pending_visits.is_empty() {
-            return Ok(None);
-        }
-
-        let mut state = QueryState {
+        (!pending_visits.is_empty()).then(|| QueryState {
             topk,
             prewarm_ids,
             pending_visits,
             in_flight: 0,
-            charged: Vec::new(),
-            row,
-            ns_state: Arc::clone(ns_state),
-            routing,
-            delta_seq,
-        };
-        if let Err(e) = self.dispatch_next(qid, query, opts, &mut state) {
-            // The query never reaches `active`: release whatever this
-            // partial dispatch already charged.
-            self.discharge_state(&state);
-            return Err(e);
-        }
-        Ok(Some(state))
+            admission: Arc::clone(admission),
+        })
     }
 
-    /// Dispatches the next shard visit (pipeline mode) or every remaining
-    /// visit at once (non-pipelined mode).
-    fn dispatch_next(
+    /// Dispatches the next shard visit of every row in `rows` (pipeline
+    /// mode) or every remaining visit at once (non-pipelined mode). Rows
+    /// bound for the same shard travel as one sub-batch. `rows` ascend and
+    /// share one admission.
+    fn dispatch_round(
         &self,
-        qid: u64,
-        query: &[f32],
-        opts: &SearchOptions,
-        state: &mut QueryState,
+        ctx: &BatchCtx<'_>,
+        rows: &[usize],
+        active: &mut [Option<QueryState>],
+        charges: &mut Charges,
     ) -> Result<(), CoreError> {
-        let rounds = if self.config.pipeline {
-            1
-        } else {
-            state.pending_visits.len()
-        };
-        for _ in 0..rounds {
-            let Some((shard, clusters)) = state.pending_visits.pop() else {
-                break;
+        // shard → (row, probed clusters) of every visit going there.
+        let mut groups: BTreeMap<u32, Vec<(usize, Vec<u32>)>> = BTreeMap::new();
+        for &row in rows {
+            let Some(state) = active[row].as_mut() else {
+                continue;
             };
-            self.dispatch_visit(qid, query, opts, state, shard, clusters)?;
+            let rounds = if self.config.pipeline {
+                1
+            } else {
+                state.pending_visits.len()
+            };
+            for _ in 0..rounds {
+                let Some((shard, clusters)) = state.pending_visits.pop() else {
+                    break;
+                };
+                state.in_flight += 1;
+                groups.entry(shard).or_default().push((row, clusters));
+            }
+        }
+        for (shard, members) in groups {
+            self.dispatch_visit(ctx, shard, &members, active, charges)?;
         }
         Ok(())
     }
 
-    /// Sends the dimension-sliced chunks of one `(query, shard)` pipeline.
+    /// Sends the dimension-sliced chunk batches of one sub-batch's visit to
+    /// `shard`: one [`ChunkBatch`] per machine of the shard row.
     fn dispatch_visit(
         &self,
-        qid: u64,
-        query: &[f32],
-        opts: &SearchOptions,
-        state: &mut QueryState,
+        ctx: &BatchCtx<'_>,
         shard: u32,
-        clusters: Vec<u32>,
+        members: &[(usize, Vec<u32>)],
+        active: &[Option<QueryState>],
+        charges: &mut Charges,
     ) -> Result<(), CoreError> {
-        let ns = Arc::clone(&state.ns_state);
-        let routing = Arc::clone(&state.routing);
+        let ns = ctx.state;
+        let states = || {
+            members
+                .iter()
+                .filter_map(|(row, _)| active[*row].as_ref().map(|s| (*row, s)))
+        };
+        let Some((first_row, first)) = states().next() else {
+            return Ok(());
+        };
+        let admission = Arc::clone(&first.admission);
+        debug_assert!(states().all(|(_, s)| Arc::ptr_eq(&s.admission, &admission)));
+        let routing = &admission.routing;
         let plan = routing.plan;
-        let threshold = state.topk.threshold();
-        let is_ip = !matches!(ns.metric, Metric::L2);
-        let q_total_norm_sq = if is_ip { ip(query, query) } else { 0.0 };
 
         // Estimate the candidate volume of this visit for load accounting.
         let candidates: usize = {
             let sizes = ns.list_sizes.read();
-            clusters
+            members
                 .iter()
+                .flat_map(|(_, clusters)| clusters)
                 .map(|&c| sizes.get(c as usize).copied().unwrap_or(0))
                 .sum()
         };
 
-        // Pipeline order over dimension blocks (§4.3 Load Balancing):
-        // balanced mode sends the most-loaded machine's block last, where
-        // pruning has already thinned the candidates; otherwise natural
-        // order with a deterministic rotation to spread stage collisions.
+        // Pipeline order over dimension blocks (§4.3 Load Balancing), once
+        // for the sub-batch: balanced mode sends the most-loaded machine's
+        // block last, where pruning has already thinned the candidates;
+        // otherwise natural order with a deterministic rotation to spread
+        // stage collisions.
         let blocks: Vec<usize> = {
             let mut blocks: Vec<usize> = (0..plan.dim_blocks).collect();
             if self.config.balanced_load {
@@ -1825,17 +1972,14 @@ impl EngineCore {
                     la.total_cmp(&lb).then(a.cmp(&b))
                 });
             } else {
-                // Rotate by the query's batch row, not its global id: ids
-                // depend on how concurrent sessions interleave their range
-                // reservations, rows make results reproducible per batch.
-                blocks.rotate_left(state.row % plan.dim_blocks.max(1));
+                // Rotate by the sub-batch's place in its batch, not by
+                // query ids: ids depend on how concurrent sessions
+                // interleave their range reservations, places make results
+                // reproducible per batch.
+                blocks.rotate_left(admission.ordinal % plan.dim_blocks.max(1));
             }
             blocks
         };
-        let order: Vec<u64> = blocks
-            .iter()
-            .map(|&b| plan.machine_of(shard as usize, b) as u64)
-            .collect();
 
         // Charge the estimated work per machine: later positions are
         // discounted by the expected pruning survival rate. The same
@@ -1853,30 +1997,55 @@ impl EngineCore {
             self.shared.outstanding.add(machine, amount);
             per_machine.push((machine, amount));
         }
-        state.charged.push(VisitCharge { shard, per_machine });
+        charges.insert((ctx.base + first_row as u64, shard), per_machine);
 
-        for (pos, &b) in blocks.iter().enumerate() {
-            let machine = plan.machine_of(shard as usize, b);
-            let range = routing.dim_ranges[b];
-            let chunk = QueryChunk {
-                ns: ns.ns,
-                query_id: qid,
-                epoch: routing.epoch,
-                shard,
-                k: ns.effective_k(opts.k) as u32,
-                threshold,
-                clusters: clusters.clone(),
-                dims: query[range.start..range.end].to_vec(),
-                q_total_norm_sq,
-                order: order.clone(),
-                position: pos as u32,
-                delta_seq: state.delta_seq,
-            };
-            self.shared
-                .cluster
-                .send(machine, ToWorker::Chunk(chunk).to_bytes())?;
+        // Everything but the coordinates is the same on every machine.
+        let is_ip = !matches!(ns.metric, Metric::L2);
+        let mut header = ChunkBatch {
+            ns: ns.ns,
+            epoch: routing.epoch,
+            shard,
+            k: ns.effective_k(ctx.opts.k) as u32,
+            order: blocks
+                .iter()
+                .map(|&b| plan.machine_of(shard as usize, b) as u64)
+                .collect(),
+            position: 0,
+            delta_seq: admission.delta_seq,
+            legacy_reply: false,
+            query_ids: Vec::with_capacity(members.len()),
+            thresholds: Vec::with_capacity(members.len()),
+            q_total_norms_sq: Vec::new(),
+            cluster_ends: Vec::with_capacity(members.len()),
+            clusters: Vec::new(),
+            dims: Vec::new(),
+        };
+        for ((row, state), (_, clusters)) in states().zip(members) {
+            let query = ctx.queries.row(row);
+            header.query_ids.push(ctx.base + row as u64);
+            header.thresholds.push(state.topk.threshold());
+            if is_ip {
+                header.q_total_norms_sq.push(ip(query, query));
+            }
+            header.clusters.extend_from_slice(clusters);
+            header.cluster_ends.push(header.clusters.len() as u32);
         }
-        state.in_flight += 1;
+        for (pos, &b) in blocks.iter().enumerate() {
+            let range = routing.dim_ranges[b];
+            let mut dims = Vec::with_capacity(members.len() * range.len());
+            for (row, _) in states() {
+                dims.extend_from_slice(&ctx.queries.row(row)[range.start..range.end]);
+            }
+            let chunk = ChunkBatch {
+                position: pos as u32,
+                dims,
+                ..header.clone()
+            };
+            self.shared.cluster.send(
+                plan.machine_of(shard as usize, b),
+                ToWorker::ChunkBatch(chunk).to_bytes(),
+            )?;
+        }
         Ok(())
     }
 
@@ -1966,8 +2135,10 @@ impl EngineCore {
                 base.by_id.insert(id, row);
             }
             ing.pending.push(PendingDelta { id, cluster, seq });
-            ing.deleted.remove(&id);
-            ing.overridden.insert(id);
+            if ing.deleted.contains_key(&id) {
+                Arc::make_mut(&mut ing.deleted).remove(&id);
+            }
+            mark_overridden(&mut ing, id);
             let shard = routing
                 .assignment
                 .cluster_to_shard
@@ -2052,8 +2223,8 @@ impl EngineCore {
                 .send(m, ToWorker::DeleteIds(msg.clone()).to_bytes())?;
         }
         ing.tombstones.insert(id, seq);
-        ing.deleted.insert(id, seq);
-        ing.overridden.insert(id);
+        Arc::make_mut(&mut ing.deleted).insert(id, seq);
+        mark_overridden(&mut ing, id);
         state.published_seq.store(ing.next_seq, Ordering::Release);
         refresh_ingest_snapshot(&state, &ing);
         Ok(true)
@@ -2144,6 +2315,16 @@ impl EngineCore {
         let machines = self.config.n_machines;
         let is_ip = !matches!(state.metric, Metric::L2);
         let base = state.base.read();
+        // The published epoch carries prewarm samples of the lists it
+        // serves, so thresholds stay as tight as a fresh build's however
+        // many write cycles came before.
+        let prewarm = Arc::new(PrewarmSamples::cut(
+            state.prewarm_per_list,
+            state.prewarm_seed.wrapping_add(epoch),
+            &members,
+            &base,
+            Some((&cur.prewarm, &ing.overridden)),
+        )?);
         let control = self.control.lock();
         let sends = (|| -> Result<(), CoreError> {
             for (s, clusters) in cur.shard_clusters.iter().enumerate() {
@@ -2261,6 +2442,7 @@ impl EngineCore {
             cur.plan,
             cur.assignment.clone(),
             state.dim,
+            prewarm,
         )?);
         drop(cur);
         {
@@ -2269,10 +2451,16 @@ impl EngineCore {
             *routing = next;
         }
         *state.list_sizes.write() = members.iter().map(Vec::len).collect();
+        // In-flight queries of the retired epoch re-rank against whatever
+        // is left; the ids swept here are dead to them already.
+        state.base.write().sweep(&ing.deleted);
         ing.members = members;
         ing.pending.clear();
         ing.tombstones.clear();
-        ing.deleted.clear();
+        ing.deleted = Arc::default();
+        // Every id written before this point is folded into the lists the
+        // new epoch's samples were cut from.
+        ing.overridden = Arc::default();
         refresh_ingest_snapshot(state, &ing);
         Ok(CompactionReport {
             epoch,
@@ -2468,7 +2656,13 @@ impl EngineCore {
                 .tuned
                 .plan_cost_with_assignment(plan, &profile, &assignment)
                 .total_ns;
-            let next = RoutingEpoch::new(cur.epoch + 1, plan, assignment, state.dim)?;
+            let next = RoutingEpoch::new(
+                cur.epoch + 1,
+                plan,
+                assignment,
+                state.dim,
+                Arc::clone(&cur.prewarm),
+            )?;
             let (bytes, msgs, _) = self.migration_volume(state, &cur, &next);
             let migration_ns = sup.tuned.migration_ns(bytes, msgs);
             let score = cost + migration_ns / replan.amortize_windows;
@@ -2638,7 +2832,15 @@ impl EngineCore {
         // impersonate a later one.
         let epoch = sup.next_epoch;
         sup.next_epoch += 1;
-        let next = Arc::new(RoutingEpoch::new(epoch, plan, assignment, state.dim)?);
+        // A migration moves the lists without changing them: the samples
+        // stay valid.
+        let next = Arc::new(RoutingEpoch::new(
+            epoch,
+            plan,
+            assignment,
+            state.dim,
+            Arc::clone(&cur.prewarm),
+        )?);
         let specs = self.build_transfers(state, &cur, &next);
         let (modeled_bytes, msgs, network_pieces) = self.migration_volume(state, &cur, &next);
         let clusters_moved = cur.assignment.moved_clusters(&next.assignment).len();
@@ -2962,13 +3164,23 @@ impl EngineCore {
     }
 }
 
+/// Records that `id`'s prewarm sample (if any) no longer reflects the
+/// live vector. Copies the shared set only when it actually changes.
+fn mark_overridden(ing: &mut IngestState, id: u64) {
+    if !ing.overridden.contains(&id) {
+        Arc::make_mut(&mut ing.overridden).insert(id);
+    }
+}
+
 /// Publishes a fresh immutable snapshot of a namespace's ingest state for
-/// the search path. Called with the ingest lock held.
+/// the search path. Called with the ingest lock held. The id sets are
+/// shared, not copied: the next ingest op that changes one clones it then
+/// (copy-on-write), so publishing costs nothing per id of history.
 fn refresh_ingest_snapshot(state: &NamespaceState, ing: &IngestState) {
     let snap = IngestSnapshot {
-        deleted: ing.deleted.clone(),
+        deleted: Arc::clone(&ing.deleted),
         pending_clusters: ing.pending.iter().map(|p| p.cluster).collect(),
-        overridden: ing.overridden.clone(),
+        overridden: Arc::clone(&ing.overridden),
     };
     *state.ingest_snap.write() = Arc::new(snap);
 }
@@ -2982,6 +3194,7 @@ pub struct SingleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::QueryResult;
     use harmony_data::SyntheticSpec;
     use harmony_index::{FlatIndex, IvfIndex, IvfParams};
 
@@ -3070,13 +3283,89 @@ mod tests {
     #[test]
     fn batch_matches_single_queries() {
         let d = dataset(1_500, 16);
-        let engine = engine_with(EngineMode::Harmony, &d.base);
         let opts = SearchOptions::new(5).with_nprobe(4);
-        let queries = d.base.gather(&[3, 500, 999]);
-        let batch = engine.search_batch(&queries, &opts).unwrap();
-        for (qi, res) in batch.results.iter().enumerate() {
-            let single = engine.search(queries.row(qi), &opts).unwrap();
-            assert_equivalent(res, &single.neighbors);
+        // More rows than one in-flight window, so admission goes through
+        // several rounds of sub-batches; once on the planner's layout and
+        // once on a 2-shard plan, where the rows of a sub-batch part ways
+        // between their first and second shard visit.
+        let rows: Vec<usize> = (0..150).map(|i| (i * 37 + 3) % d.base.len()).collect();
+        let queries = d.base.gather(&rows);
+        for plan in [None, Some(PartitionPlan::new(2, 2).unwrap())] {
+            let mut config = HarmonyConfig::builder()
+                .n_machines(4)
+                .nlist(16)
+                .seed(7)
+                .max_inflight(64);
+            if let Some(plan) = plan {
+                config = config.plan(plan);
+            }
+            let engine = HarmonyEngine::build(config.build().unwrap(), &d.base).unwrap();
+            let batch = engine.search_batch(&queries, &opts).unwrap();
+            assert_eq!(batch.results.len(), rows.len());
+            for (qi, res) in batch.results.iter().enumerate() {
+                assert_eq!(res.first().map(|n| n.id), Some(rows[qi] as u64));
+                let single = engine.search(queries.row(qi), &opts).unwrap();
+                assert_equivalent(res, &single.neighbors);
+            }
+            let leftover: f64 = engine.outstanding_load().iter().sum();
+            assert!(leftover.abs() < 1e-6, "load estimates leaked: {leftover}");
+            engine.shutdown().unwrap();
+        }
+    }
+
+    /// Regression: prewarm used to decay under churn — samples of written
+    /// ids were skipped forever and never replaced, so thresholds loosened
+    /// with every write cycle. A compaction now recuts them.
+    #[test]
+    fn compaction_recuts_prewarm_and_drains_overridden() {
+        let d = dataset(1_200, 16);
+        let engine = engine_with(EngineMode::Harmony, &d.base);
+        let ns = &engine.ns0;
+        let per_list = engine.config().prewarm;
+        let sample_ids = || -> Vec<u64> {
+            let routing = ns.routing.read();
+            let samples = &routing.prewarm;
+            (0..samples.store.len())
+                .map(|r| samples.store.id(r))
+                .collect()
+        };
+        for cycle in 0..4u64 {
+            // The worst case for the samples: overwrite and delete the very
+            // ids they hold, besides inserting new ones.
+            let sampled = sample_ids();
+            for (i, &id) in sampled.iter().take(24).enumerate() {
+                let mut v = d.base.row(i).to_vec();
+                v[0] += 0.125 * (cycle + 1) as f32;
+                engine.upsert(id, &v).unwrap();
+            }
+            for &id in sampled.iter().skip(24).take(12) {
+                engine.delete(id).unwrap();
+            }
+            for i in 0..8u64 {
+                engine
+                    .upsert(50_000 + cycle * 8 + i, d.base.row(i as usize))
+                    .unwrap();
+            }
+            assert!(!ns.ingest.lock().overridden.is_empty());
+            assert!(!engine.compact().unwrap().noop);
+
+            assert!(ns.ingest.lock().overridden.is_empty());
+            assert!(ns.ingest_snap.read().overridden.is_empty());
+            let routing = Arc::clone(&ns.routing.read());
+            let base = ns.base.read();
+            // Nor does the exact copy keep superseded or deleted rows.
+            let live: usize = engine.list_sizes().iter().sum();
+            assert_eq!((base.store.len(), base.by_id.len()), (live, live));
+            for (c, &size) in engine.list_sizes().iter().enumerate() {
+                // Exactly what a fresh build over this list would hold.
+                let rows = &routing.prewarm.rows[c];
+                assert_eq!(rows.len(), size.min(per_list), "cycle {cycle} list {c}");
+                for &r in rows {
+                    let id = routing.prewarm.store.id(r);
+                    let live = base.store.row(base.by_id[&id]);
+                    assert_eq!(routing.prewarm.store.row(r), live, "stale sample {id}");
+                }
+            }
         }
         engine.shutdown().unwrap();
     }
@@ -3243,12 +3532,14 @@ mod tests {
         let table = SessionTable::default();
         let rx_a = table.register(0, 10);
         let rx_b = table.register(10, 5);
-        let result = |qid| QueryResult {
-            query_id: qid,
-            shard: 0,
-            ids: vec![],
-            scores: vec![],
-            candidates_seen: 0,
+        let result = |qid| {
+            ResultBatch::from(QueryResult {
+                query_id: qid,
+                shard: 0,
+                ids: vec![],
+                scores: vec![],
+                candidates_seen: 0,
+            })
         };
         table.route(result(3));
         table.route(result(9));
@@ -3279,12 +3570,13 @@ mod tests {
         let rx2 = table.register(10, 4);
         assert!(matches!(rx2.try_recv(), Err(TryRecvError::Disconnected)));
         // Routing into a closed table is a no-op, not a panic.
-        table.route(QueryResult {
-            query_id: 1,
+        table.route(ResultBatch {
             shard: 0,
+            query_ids: vec![1],
+            result_ends: vec![0],
             ids: vec![],
             scores: vec![],
-            candidates_seen: 0,
+            candidates_seen: vec![0],
         });
     }
 

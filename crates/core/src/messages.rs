@@ -7,14 +7,20 @@
 //! * **Build phase** — [`LoadBlock`] ships one grid block `V_s D_b` (the
 //!   paper's *Pre-assign* stage, Fig. 10) and is acknowledged by
 //!   [`ToClient::LoadAck`].
-//! * **Query phase** — the client splits each query across the dimension
-//!   blocks of every visited shard as [`QueryChunk`]s (Fig. 4b); workers
-//!   stream surviving candidates down the pipeline as [`Carry`]s (Fig. 5b)
-//!   and the final hop reports a [`QueryResult`].
+//! * **Query phase** — the client splits each *sub-batch* of queries
+//!   across the dimension blocks of every visited shard as one
+//!   [`ChunkBatch`] per machine (Fig. 4b); workers stream surviving
+//!   candidates down the pipeline as one [`CarryBatch`] per hop (Fig. 5b)
+//!   and the final hop reports one [`ResultBatch`]. The single-query forms
+//!   [`QueryChunk`] / [`Carry`] / [`QueryResult`] stay decodable and are
+//!   lifted into one-row batches on arrival.
 //! * **Diagnostics** — [`ToWorker::GetStats`] / [`ToClient::Stats`] collect
 //!   the per-slice pruning counters behind Fig. 2a and Table 3.
 
+use std::ops::Range;
+
 use bytes::{Bytes, BytesMut};
+use harmony_cluster::codec::{get_ascending, get_count, get_varint, put_ascending, put_varint};
 use harmony_cluster::{CodecError, Wire};
 use harmony_index::Sq8Segment;
 
@@ -32,6 +38,13 @@ fn encode_segs(segs: &[Sq8Segment], buf: &mut BytesMut) {
         s.codes.encode(buf);
         s.code_sums.encode(buf);
     }
+}
+
+fn segs_size_hint(segs: &[Sq8Segment]) -> usize {
+    8 + segs
+        .iter()
+        .map(|s| 40 + s.codes.len() + 4 * s.code_sums.len())
+        .sum::<usize>()
 }
 
 fn decode_segs(buf: &mut Bytes) -> Result<Vec<Sq8Segment>, CodecError> {
@@ -99,6 +112,14 @@ impl Wire for ClusterBlock {
             total_norms_sq: Vec::decode(buf)?,
         })
     }
+
+    fn size_hint(&self) -> usize {
+        4 + self.ids.size_hint()
+            + self.flat.size_hint()
+            + segs_size_hint(&self.segs)
+            + self.block_norms_sq.size_hint()
+            + self.total_norms_sq.size_hint()
+    }
 }
 
 /// Build-phase shipment of one grid block to its machine.
@@ -158,6 +179,10 @@ impl Wire for LoadBlock {
             pruning: bool::decode(buf)?,
             lists: Vec::decode(buf)?,
         })
+    }
+
+    fn size_hint(&self) -> usize {
+        41 + self.lists.size_hint()
     }
 }
 
@@ -350,6 +375,498 @@ impl Wire for QueryResult {
     }
 }
 
+/// The rows `i` owns in a concatenated array whose per-row exclusive end
+/// offsets are `ends`.
+#[inline]
+pub fn span(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
+}
+
+/// Reads `n` per-row varint counts and returns their running end offsets.
+fn decode_ends(buf: &mut Bytes, n: usize) -> Result<Vec<u32>, CodecError> {
+    let mut ends = Vec::with_capacity(n);
+    let mut end = 0u32;
+    for _ in 0..n {
+        end = u32::try_from(get_varint(buf)?)
+            .ok()
+            .and_then(|count| end.checked_add(count))
+            .ok_or_else(|| CodecError::Invalid("row counts overflow u32".into()))?;
+        ends.push(end);
+    }
+    Ok(ends)
+}
+
+fn encode_counts(ends: &[u32], buf: &mut BytesMut) {
+    for i in 0..ends.len() {
+        put_varint(buf, span(ends, i).len() as u64);
+    }
+}
+
+/// Decodes an `f32` array that is on the wire only when `present`, and
+/// must then hold `want` entries.
+fn decode_optional(
+    what: &str,
+    present: bool,
+    want: usize,
+    buf: &mut Bytes,
+) -> Result<Vec<f32>, CodecError> {
+    if !present {
+        return Ok(Vec::new());
+    }
+    let values = Vec::<f32>::decode(buf)?;
+    expect_len(what, values.len(), want)?;
+    Ok(values)
+}
+
+/// Rejects a per-row or per-survivor array whose length disagrees with the
+/// batch shape it was decoded beside.
+fn expect_len(what: &str, got: usize, want: usize) -> Result<(), CodecError> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(CodecError::Invalid(format!(
+            "{what} holds {got} entries, batch shape needs {want}"
+        )))
+    }
+}
+
+/// The dimension slices of one *sub-batch* of queries routed to one machine
+/// — the unit that moves through the dimension pipeline. Everything the
+/// rows share (`ns`, `epoch`, `shard`, `k`, itinerary, watermark) travels
+/// once in the header; per-query data is struct-of-arrays, row `i` of every
+/// array belonging to `query_ids[i]`.
+///
+/// Every machine of the shard row receives the same rows in the same
+/// order, so `(query_ids[0], shard)` names the sub-batch on all of them and
+/// a [`CarryBatch`] addresses its rows positionally.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkBatch {
+    /// Namespace the queries target.
+    pub ns: u16,
+    /// Routing epoch the sub-batch was admitted under (see
+    /// [`QueryChunk::epoch`]).
+    pub epoch: u64,
+    /// Visited vector shard.
+    pub shard: u32,
+    /// Results wanted per query (`k`).
+    pub k: u32,
+    /// Machines of the shard's pipeline in execution order, chosen once
+    /// for the whole sub-batch.
+    pub order: Vec<u64>,
+    /// This machine's position in `order`.
+    pub position: u32,
+    /// Delta watermark shared by the rows (see [`QueryChunk::delta_seq`]).
+    pub delta_seq: u64,
+    /// Set by the [`QueryChunk`] adapter: the last hop answers with one
+    /// [`ToClient::Result`] per query instead of a [`ResultBatch`].
+    pub legacy_reply: bool,
+    /// Query identifiers, strictly ascending.
+    pub query_ids: Vec<u64>,
+    /// Pruning threshold `τ` per query.
+    pub thresholds: Vec<f32>,
+    /// Squared norm of each query's *full* vector (inner-product metrics;
+    /// empty under L2, read as zeros).
+    pub q_total_norms_sq: Vec<f32>,
+    /// Exclusive end offset of each query's probed clusters in `clusters`.
+    pub cluster_ends: Vec<u32>,
+    /// Probed clusters of this shard, per query **ascending** — which makes
+    /// ascending cluster id the canonical candidate enumeration order of
+    /// every query, so a worker can walk the union list by list.
+    pub clusters: Vec<u32>,
+    /// Row-major query coordinates for *this machine's* dimension block.
+    pub dims: Vec<f32>,
+}
+
+impl ChunkBatch {
+    /// Queries in the sub-batch.
+    pub fn len(&self) -> usize {
+        self.query_ids.len()
+    }
+
+    /// `true` for a batch without queries (never sent by the engine).
+    pub fn is_empty(&self) -> bool {
+        self.query_ids.is_empty()
+    }
+
+    /// Width of this machine's dimension block.
+    pub fn width(&self) -> usize {
+        self.dims.len().checked_div(self.len()).unwrap_or(0)
+    }
+
+    /// Query `i`'s coordinates for this block.
+    pub fn dims_of(&self, i: usize) -> &[f32] {
+        let w = self.width();
+        &self.dims[i * w..(i + 1) * w]
+    }
+
+    /// Query `i`'s probed clusters, ascending.
+    pub fn clusters_of(&self, i: usize) -> &[u32] {
+        &self.clusters[span(&self.cluster_ends, i)]
+    }
+}
+
+impl Wire for ChunkBatch {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.ns.encode(buf);
+        self.epoch.encode(buf);
+        self.shard.encode(buf);
+        self.k.encode(buf);
+        put_varint(buf, self.order.len() as u64);
+        for &machine in &self.order {
+            put_varint(buf, machine);
+        }
+        self.position.encode(buf);
+        self.delta_seq.encode(buf);
+        let flags = u8::from(self.legacy_reply) | u8::from(!self.q_total_norms_sq.is_empty()) << 1;
+        flags.encode(buf);
+        put_varint(buf, self.query_ids.len() as u64);
+        put_ascending(&self.query_ids, buf);
+        self.thresholds.encode(buf);
+        if flags & 2 != 0 {
+            self.q_total_norms_sq.encode(buf);
+        }
+        encode_counts(&self.cluster_ends, buf);
+        for i in 0..self.cluster_ends.len() {
+            put_ascending(&self.clusters[span(&self.cluster_ends, i)], buf);
+        }
+        self.dims.encode(buf);
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let ns = u16::decode(buf)?;
+        let epoch = u64::decode(buf)?;
+        let shard = u32::decode(buf)?;
+        let k = u32::decode(buf)?;
+        let hops = get_count(buf, 1)?;
+        let mut order = Vec::with_capacity(hops);
+        for _ in 0..hops {
+            order.push(get_varint(buf)?);
+        }
+        let position = u32::decode(buf)?;
+        let delta_seq = u64::decode(buf)?;
+        let flags = u8::decode(buf)?;
+        if flags > 3 {
+            return Err(CodecError::Invalid(format!("bad ChunkBatch flags {flags}")));
+        }
+        let n = get_count(buf, 1)?;
+        let mut query_ids = Vec::new();
+        get_ascending(buf, n, &mut query_ids)?;
+        let thresholds = Vec::<f32>::decode(buf)?;
+        expect_len("thresholds", thresholds.len(), n)?;
+        let q_total_norms_sq = decode_optional("q_total_norms_sq", flags & 2 != 0, n, buf)?;
+        let cluster_ends = decode_ends(buf, n)?;
+        let mut clusters = Vec::new();
+        for i in 0..n {
+            get_ascending(buf, span(&cluster_ends, i).len(), &mut clusters)?;
+        }
+        let dims = Vec::<f32>::decode(buf)?;
+        if !dims.len().is_multiple_of(n.max(1)) || (n == 0 && !dims.is_empty()) {
+            return Err(CodecError::Invalid(format!(
+                "{} coordinates do not divide into {n} rows",
+                dims.len()
+            )));
+        }
+        Ok(Self {
+            ns,
+            epoch,
+            shard,
+            k,
+            order,
+            position,
+            delta_seq,
+            legacy_reply: flags & 1 != 0,
+            query_ids,
+            thresholds,
+            q_total_norms_sq,
+            cluster_ends,
+            clusters,
+            dims,
+        })
+    }
+
+    fn size_hint(&self) -> usize {
+        64 + 2 * self.order.len()
+            + 2 * self.query_ids.len()
+            + 4 * (self.thresholds.len() + self.q_total_norms_sq.len() + self.dims.len())
+            + self.cluster_ends.len()
+            + 2 * self.clusters.len()
+    }
+}
+
+impl From<QueryChunk> for ChunkBatch {
+    /// Lifts a single-query chunk into a one-row batch that answers in the
+    /// legacy form. Clusters are sorted (and deduplicated) into the
+    /// canonical ascending order; every hop of the query applies the same
+    /// lift, so the enumeration stays identical along the shard row.
+    fn from(c: QueryChunk) -> Self {
+        let mut clusters = c.clusters;
+        clusters.sort_unstable();
+        clusters.dedup();
+        Self {
+            ns: c.ns,
+            epoch: c.epoch,
+            shard: c.shard,
+            k: c.k,
+            order: c.order,
+            position: c.position,
+            delta_seq: c.delta_seq,
+            legacy_reply: true,
+            query_ids: vec![c.query_id],
+            thresholds: vec![c.threshold],
+            q_total_norms_sq: vec![c.q_total_norm_sq],
+            cluster_ends: vec![clusters.len() as u32],
+            clusters,
+            dims: c.dims,
+        }
+    }
+}
+
+/// Pipeline hop of one sub-batch: every query's surviving candidates and
+/// accumulated partials, struct-of-arrays. Row `i` continues row `i` of the
+/// receiver's [`ChunkBatch`] with the same `(first_query_id, shard)`, so
+/// nothing the chunk header already says (`ns`, `epoch`, position, ids) is
+/// repeated. Fields a deployment never uses are omitted rather than sent
+/// as zeros: the norm arrays under L2, `quant_eps` without SQ8 error.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CarryBatch {
+    /// `query_ids[0]` of the sub-batch this carry belongs to.
+    pub first_query_id: u64,
+    /// Shard whose pipeline this is.
+    pub shard: u32,
+    /// Tightest threshold known to the sender, per query.
+    pub thresholds: Vec<f32>,
+    /// Exclusive end offset of each query's survivors in the arrays below.
+    pub survivor_ends: Vec<u32>,
+    /// Surviving positions in each query's canonical enumeration, strictly
+    /// ascending per query; on the wire a gap costs one varint.
+    pub indices: Vec<u32>,
+    /// Accumulated partial scores, parallel to `indices`.
+    pub partials: Vec<f32>,
+    /// Accumulated visited-block squared norms per survivor (inner-product
+    /// metrics; empty under L2).
+    pub visited_norms_sq: Vec<f32>,
+    /// Accumulated visited squared norm of each query (inner-product
+    /// metrics; empty under L2).
+    pub q_visited_norms_sq: Vec<f32>,
+    /// Accumulated SQ8 prune slack per query (see [`Carry::quant_eps`]);
+    /// empty when every query's slack is zero.
+    pub quant_eps: Vec<f32>,
+}
+
+impl CarryBatch {
+    /// Queries in the sub-batch.
+    pub fn len(&self) -> usize {
+        self.thresholds.len()
+    }
+
+    /// `true` for a carry without queries.
+    pub fn is_empty(&self) -> bool {
+        self.thresholds.is_empty()
+    }
+}
+
+impl Wire for CarryBatch {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.first_query_id.encode(buf);
+        self.shard.encode(buf);
+        let flags = u8::from(!self.q_visited_norms_sq.is_empty())
+            | u8::from(!self.quant_eps.is_empty()) << 1;
+        flags.encode(buf);
+        self.thresholds.encode(buf);
+        encode_counts(&self.survivor_ends, buf);
+        for i in 0..self.survivor_ends.len() {
+            put_ascending(&self.indices[span(&self.survivor_ends, i)], buf);
+        }
+        self.partials.encode(buf);
+        if flags & 1 != 0 {
+            self.visited_norms_sq.encode(buf);
+            self.q_visited_norms_sq.encode(buf);
+        }
+        if flags & 2 != 0 {
+            self.quant_eps.encode(buf);
+        }
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let first_query_id = u64::decode(buf)?;
+        let shard = u32::decode(buf)?;
+        let flags = u8::decode(buf)?;
+        if flags > 3 {
+            return Err(CodecError::Invalid(format!("bad CarryBatch flags {flags}")));
+        }
+        let thresholds = Vec::<f32>::decode(buf)?;
+        let n = thresholds.len();
+        let survivor_ends = decode_ends(buf, n)?;
+        let mut indices = Vec::new();
+        for i in 0..n {
+            get_ascending(buf, span(&survivor_ends, i).len(), &mut indices)?;
+        }
+        let partials = Vec::<f32>::decode(buf)?;
+        expect_len("partials", partials.len(), indices.len())?;
+        let ip = flags & 1 != 0;
+        let visited_norms_sq = decode_optional("visited_norms_sq", ip, indices.len(), buf)?;
+        let q_visited_norms_sq = decode_optional("q_visited_norms_sq", ip, n, buf)?;
+        let quant_eps = decode_optional("quant_eps", flags & 2 != 0, n, buf)?;
+        Ok(Self {
+            first_query_id,
+            shard,
+            thresholds,
+            survivor_ends,
+            indices,
+            partials,
+            visited_norms_sq,
+            q_visited_norms_sq,
+            quant_eps,
+        })
+    }
+
+    fn size_hint(&self) -> usize {
+        64 + 4
+            * (self.thresholds.len()
+                + self.partials.len()
+                + self.visited_norms_sq.len()
+                + self.q_visited_norms_sq.len()
+                + self.quant_eps.len())
+            + 2 * self.survivor_ends.len()
+            + 2 * self.indices.len()
+    }
+}
+
+impl From<Carry> for CarryBatch {
+    /// Lifts a single-query carry into a one-row batch. `ns`, `epoch` and
+    /// `next_position` are dropped: the receiver's chunk states them.
+    fn from(c: Carry) -> Self {
+        // An inner-product carry with no survivors still has a query norm.
+        let ip = !c.visited_norms_sq.is_empty() || c.q_visited_norm_sq != 0.0;
+        Self {
+            first_query_id: c.query_id,
+            shard: c.shard,
+            thresholds: vec![c.threshold],
+            survivor_ends: vec![c.indices.len() as u32],
+            visited_norms_sq: if ip && c.visited_norms_sq.is_empty() {
+                vec![0.0; c.indices.len()]
+            } else {
+                c.visited_norms_sq
+            },
+            q_visited_norms_sq: if ip {
+                vec![c.q_visited_norm_sq]
+            } else {
+                Vec::new()
+            },
+            quant_eps: if c.quant_eps != 0.0 {
+                vec![c.quant_eps]
+            } else {
+                Vec::new()
+            },
+            indices: c.indices,
+            partials: c.partials,
+        }
+    }
+}
+
+/// Final hop of a shard pipeline for one sub-batch: every query's top
+/// candidates, struct-of-arrays. The session router demultiplexes the
+/// whole batch by `query_ids[0]` — a sub-batch never spans sessions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultBatch {
+    /// Shard that produced the results.
+    pub shard: u32,
+    /// Queries answered, strictly ascending.
+    pub query_ids: Vec<u64>,
+    /// Exclusive end offset of each query's candidates in `ids`/`scores`.
+    pub result_ends: Vec<u32>,
+    /// Candidate ids (at most `k` per query).
+    pub ids: Vec<u64>,
+    /// Full scores, parallel to `ids` (see [`QueryResult::scores`]).
+    pub scores: Vec<f32>,
+    /// Candidates the last hop considered, per query (diagnostics).
+    pub candidates_seen: Vec<u64>,
+}
+
+impl ResultBatch {
+    /// Queries answered.
+    pub fn len(&self) -> usize {
+        self.query_ids.len()
+    }
+
+    /// `true` for a batch without queries.
+    pub fn is_empty(&self) -> bool {
+        self.query_ids.is_empty()
+    }
+
+    /// Query `i`'s answer in the single-query form.
+    pub fn result(&self, i: usize) -> QueryResult {
+        let rows = span(&self.result_ends, i);
+        QueryResult {
+            query_id: self.query_ids[i],
+            shard: self.shard,
+            ids: self.ids[rows.clone()].to_vec(),
+            scores: self.scores[rows].to_vec(),
+            candidates_seen: self.candidates_seen[i],
+        }
+    }
+}
+
+impl Wire for ResultBatch {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.shard.encode(buf);
+        put_varint(buf, self.query_ids.len() as u64);
+        put_ascending(&self.query_ids, buf);
+        encode_counts(&self.result_ends, buf);
+        for &seen in &self.candidates_seen {
+            put_varint(buf, seen);
+        }
+        self.ids.encode(buf);
+        self.scores.encode(buf);
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let shard = u32::decode(buf)?;
+        let n = get_count(buf, 3)?;
+        let mut query_ids = Vec::new();
+        get_ascending(buf, n, &mut query_ids)?;
+        let result_ends = decode_ends(buf, n)?;
+        let mut candidates_seen = Vec::with_capacity(n);
+        for _ in 0..n {
+            candidates_seen.push(get_varint(buf)?);
+        }
+        let ids = Vec::<u64>::decode(buf)?;
+        let scores = Vec::<f32>::decode(buf)?;
+        expect_len(
+            "ids",
+            ids.len(),
+            result_ends.last().map_or(0, |&e| e as usize),
+        )?;
+        expect_len("scores", scores.len(), ids.len())?;
+        Ok(Self {
+            shard,
+            query_ids,
+            result_ends,
+            ids,
+            scores,
+            candidates_seen,
+        })
+    }
+
+    fn size_hint(&self) -> usize {
+        32 + 6 * self.query_ids.len() + 12 * self.ids.len()
+    }
+}
+
+impl From<QueryResult> for ResultBatch {
+    fn from(r: QueryResult) -> Self {
+        Self {
+            shard: r.shard,
+            query_ids: vec![r.query_id],
+            result_ends: vec![r.ids.len() as u32],
+            ids: r.ids,
+            scores: r.scores,
+            candidates_seen: vec![r.candidates_seen],
+        }
+    }
+}
+
 /// One cluster's rows restricted to a *dimension sub-range* — the unit of
 /// live migration. Pieces sent to one destination partition that block's
 /// dimension range, so the receiver reassembles the full grid block by
@@ -402,6 +919,14 @@ impl Wire for ListPiece {
             piece_norms_sq: Vec::decode(buf)?,
             total_norms_sq: Vec::decode(buf)?,
         })
+    }
+
+    fn size_hint(&self) -> usize {
+        20 + self.ids.size_hint()
+            + self.flat.size_hint()
+            + segs_size_hint(&self.segs)
+            + self.piece_norms_sq.size_hint()
+            + self.total_norms_sq.size_hint()
     }
 }
 
@@ -568,6 +1093,10 @@ impl Wire for InstallLists {
             pieces: Vec::decode(buf)?,
         })
     }
+
+    fn size_hint(&self) -> usize {
+        18 + self.pieces.size_hint()
+    }
 }
 
 /// Client → every machine of a shard row: freshly upserted rows for that
@@ -629,6 +1158,14 @@ impl Wire for DeltaUpsert {
             block_norms_sq: Vec::decode(buf)?,
             total_norms_sq: Vec::decode(buf)?,
         })
+    }
+
+    fn size_hint(&self) -> usize {
+        30 + self.ids.size_hint()
+            + self.seqs.size_hint()
+            + self.flat.size_hint()
+            + self.block_norms_sq.size_hint()
+            + self.total_norms_sq.size_hint()
     }
 }
 
@@ -803,6 +1340,11 @@ pub enum ToWorker {
     DeleteIds(DeleteIds),
     /// Move a namespace between residency tiers.
     SetTier(SetTier),
+    /// Route one sub-batch's query slices (query phase; what the engine
+    /// sends — [`ToWorker::Chunk`] is its one-row legacy form).
+    ChunkBatch(ChunkBatch),
+    /// Pipeline hop of one sub-batch from a peer worker.
+    CarryBatch(CarryBatch),
 }
 
 impl Wire for ToWorker {
@@ -851,6 +1393,14 @@ impl Wire for ToWorker {
                 11u8.encode(buf);
                 m.encode(buf);
             }
+            ToWorker::ChunkBatch(m) => {
+                12u8.encode(buf);
+                m.encode(buf);
+            }
+            ToWorker::CarryBatch(m) => {
+                13u8.encode(buf);
+                m.encode(buf);
+            }
         }
     }
 
@@ -871,7 +1421,20 @@ impl Wire for ToWorker {
             9 => Ok(ToWorker::UpsertDelta(DeltaUpsert::decode(buf)?)),
             10 => Ok(ToWorker::DeleteIds(DeleteIds::decode(buf)?)),
             11 => Ok(ToWorker::SetTier(SetTier::decode(buf)?)),
+            12 => Ok(ToWorker::ChunkBatch(ChunkBatch::decode(buf)?)),
+            13 => Ok(ToWorker::CarryBatch(CarryBatch::decode(buf)?)),
             t => Err(CodecError::Invalid(format!("bad ToWorker tag {t}"))),
+        }
+    }
+
+    fn size_hint(&self) -> usize {
+        1 + match self {
+            ToWorker::Load(m) => m.size_hint(),
+            ToWorker::InstallLists(m) => m.size_hint(),
+            ToWorker::UpsertDelta(m) => m.size_hint(),
+            ToWorker::ChunkBatch(m) => m.size_hint(),
+            ToWorker::CarryBatch(m) => m.size_hint(),
+            _ => 0,
         }
     }
 }
@@ -906,6 +1469,8 @@ pub enum ToClient {
         /// Namespace whose transition completed.
         ns: u16,
     },
+    /// A shard pipeline finished for one sub-batch of queries.
+    ResultBatch(ResultBatch),
 }
 
 impl Wire for ToClient {
@@ -938,6 +1503,10 @@ impl Wire for ToClient {
                 4u8.encode(buf);
                 ns.encode(buf);
             }
+            ToClient::ResultBatch(m) => {
+                5u8.encode(buf);
+                m.encode(buf);
+            }
         }
     }
 
@@ -957,7 +1526,15 @@ impl Wire for ToClient {
             4 => Ok(ToClient::TierAck {
                 ns: u16::decode(buf)?,
             }),
+            5 => Ok(ToClient::ResultBatch(ResultBatch::decode(buf)?)),
             t => Err(CodecError::Invalid(format!("bad ToClient tag {t}"))),
+        }
+    }
+
+    fn size_hint(&self) -> usize {
+        1 + match self {
+            ToClient::ResultBatch(m) => m.size_hint(),
+            _ => 0,
         }
     }
 }

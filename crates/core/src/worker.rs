@@ -3,16 +3,24 @@
 //!
 //! Each worker owns one grid block `V_s D_b` per shard it participates in:
 //! the vectors of shard `s`'s inverted lists, restricted to dimension block
-//! `b`. Query execution is a relay:
+//! `b`. Query execution is a relay, and its unit is a **sub-batch** of
+//! queries visiting the same shard ([`ChunkBatch`]):
 //!
-//! 1. The *first* machine of a query's pipeline order enumerates candidates
-//!    from its probed lists, computes partial scores over its dimension
-//!    range, prunes against the threshold, and forwards survivors as a
-//!    [`Carry`].
+//! 1. The *first* machine of the sub-batch's pipeline order enumerates each
+//!    query's candidates from its probed lists, computes partial scores
+//!    over its dimension range, prunes against the query's threshold, and
+//!    forwards all survivors as one [`CarryBatch`].
 //! 2. *Middle* machines add their block's contribution to each carried
 //!    partial, prune again (partials only grow under L2), and forward.
-//! 3. The *last* machine completes the scores, keeps the best `k`, and
-//!    reports a [`QueryResult`] to the client.
+//! 3. The *last* machine completes the scores, keeps the best `k` per
+//!    query, and reports one [`ResultBatch`] to the client.
+//!
+//! All three are the same routine ([`scan_batch`] → [`scan_run`]): `scan →
+//! bound → prune → emit` over runs of rows, walked **list-major** — every
+//! query of the sub-batch that probes a list is scored against it while
+//! the list is cache-resident — with the metric resolved once per
+//! sub-batch. The single-query messages ([`ToWorker::Chunk`],
+//! [`ToWorker::Carry`]) are lifted into one-row sub-batches on arrival.
 //!
 //! Reported scores live in the metric's client-side lower-is-better space
 //! ([`Metric::score`]): raw for L2 and inner product, and normalized by the
@@ -50,9 +58,9 @@ use harmony_index::{
 };
 
 use crate::messages::{
-    metric_tag, repr_tag, BeginEpoch, Carry, ClusterBlock, DeleteIds, DeltaUpsert, InstallLists,
-    ListPiece, LoadBlock, MigrateOut, QueryChunk, QueryResult, SetTier, StatsReport, ToClient,
-    ToWorker,
+    metric_tag, repr_tag, span, BeginEpoch, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds,
+    DeltaUpsert, InstallLists, ListPiece, LoadBlock, MigrateOut, ResultBatch, SetTier, StatsReport,
+    ToClient, ToWorker,
 };
 use crate::pruning::PruneRule;
 
@@ -324,123 +332,513 @@ struct ClusterAssembly {
     width: usize,
 }
 
-/// In-flight pipeline state keyed by `(query_id, shard)`.
+/// In-flight sub-batch halves keyed by `(first query id, shard)`: every
+/// machine of a shard row sees a sub-batch's rows in the same order, so the
+/// first id names it on all of them.
 #[derive(Default)]
 struct PendingTables {
-    chunks: HashMap<(u64, u32), QueryChunk>,
-    carries: HashMap<(u64, u32), Carry>,
+    chunks: HashMap<(u64, u32), ChunkBatch>,
+    carries: HashMap<(u64, u32), CarryBatch>,
 }
 
-/// Negated dot product: the lower-is-better partial for similarity metrics.
-fn neg_ip(a: &[f32], b: &[f32]) -> f32 {
-    -ip(a, b)
-}
+/// What a metric contributes to the scan: how a row scores, how far SQ8
+/// may have moved that score, how a full partial becomes a result score
+/// and when a partial can be discarded. Resolved once per sub-batch
+/// ([`HarmonyWorker::run_hop`]), so the row loop is monomorphised and
+/// carries no metric branch.
+trait MetricOps {
+    /// Inner-product family: rows carry norm tables and partials are
+    /// bounded by Cauchy–Schwarz residuals instead of by monotonicity.
+    const IP: bool;
 
-/// Final cosine score from a fully accumulated raw partial (`-q·p`):
-/// normalized by the full vector norms so worker results land in the same
-/// lower-is-better space as the client's prewarm scores
-/// ([`Metric::score`]), even for unnormalized inputs. Zero-norm vectors
-/// score 0, matching [`harmony_index::distance::cosine`].
-#[inline]
-fn cos_normalize(partial: f32, q_total_sq: f32, p_total_sq: f32) -> f32 {
-    let denom = (q_total_sq * p_total_sq).sqrt();
-    if denom > 0.0 {
-        partial / denom
-    } else {
-        0.0
+    /// Lower-is-better partial of an exact row.
+    fn f32_partial(q: &[f32], row: &[f32]) -> f32;
+
+    /// Lower-is-better stage-1 partial of a quantized row.
+    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32;
+
+    /// This list's prune-widening term (see the `pruning` module docs):
+    /// distance-space under L2, dot-space under IP/cosine.
+    fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32;
+
+    /// Result score of a fully accumulated partial.
+    #[inline]
+    fn finish(partial: f32, _q_total_sq: f32, _p_total_sq: f32) -> f32 {
+        partial
+    }
+
+    /// Whether even the best completion of `partial` misses `threshold`.
+    #[inline]
+    fn prune(rule: &PruneRule, partial: f32, threshold: f32, rest: Rest, eps: f32) -> bool {
+        rule.should_prune_quantized(partial, threshold, rest.q_rest_sq, rest.p_rest_sq, eps)
     }
 }
 
-/// Hoists the metric dispatch out of per-candidate loops: with dimension
-/// blocks as thin as 32 floats, a per-candidate `match` + feature check
-/// costs as much as the kernel itself.
-#[inline]
-fn scorer_for(metric: Metric) -> fn(&[f32], &[f32]) -> f32 {
-    match metric {
-        Metric::L2 => l2_sq,
-        Metric::InnerProduct | Metric::Cosine => neg_ip,
+/// Residual and full squared norms of query and candidate (zeros under L2;
+/// residuals zero on the last hop, where the partial is the full score).
+#[derive(Clone, Copy, Default)]
+struct Rest {
+    q_rest_sq: f32,
+    p_rest_sq: f32,
+    q_total_sq: f32,
+    p_total_sq: f32,
+}
+
+struct L2Ops;
+struct IpOps;
+struct CosOps;
+
+impl MetricOps for L2Ops {
+    const IP: bool = false;
+
+    #[inline]
+    fn f32_partial(q: &[f32], row: &[f32]) -> f32 {
+        l2_sq(q, row)
+    }
+
+    #[inline]
+    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
+        quant::l2_partial_row(segs, bq, row)
+    }
+
+    // Triangle inequality: ‖q−p‖ ≥ ‖dq(q)−dq(p)‖ − (E_q+E_p).
+    fn sq8_eps(bq: &Sq8BlockQuery, _max_block_norm_sq: f32, _q_block_norm_sq: f32) -> f32 {
+        bq.err + bq.data_err
     }
 }
 
-/// Per-(query, list) scan state, prepared once per list so the row loop
-/// stays branch-cheap. The f32 path keeps the hoisted scorer; the SQ8 path
-/// carries the query quantized against the list's segments plus this hop's
-/// prune-widening term `eps` (distance-space under L2, dot-space under
-/// IP/cosine — see the `pruning` module docs).
-enum PreparedQuery<'a> {
-    F32 {
-        flat: &'a [f32],
-        scorer: fn(&[f32], &[f32]) -> f32,
-    },
-    Sq8 {
-        segs: &'a [Sq8Segment],
-        bq: Sq8BlockQuery,
-        /// Negate the dot product for lower-is-better similarity metrics.
-        neg: bool,
-    },
+impl MetricOps for IpOps {
+    const IP: bool = true;
+
+    #[inline]
+    fn f32_partial(q: &[f32], row: &[f32]) -> f32 {
+        -ip(q, row)
+    }
+
+    #[inline]
+    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
+        -quant::ip_dot_row(segs, bq, row)
+    }
+
+    // |q·p − dq(q)·dq(p)| ≤ E_q·‖p‖ + (‖q‖+E_q)·E_p. The stored block norm
+    // may itself be a dequantized lower bound after a migration, so pad it
+    // by 2·E_p to keep the slack an upper bound on the true ‖p‖ term.
+    fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
+        let p_norm = max_block_norm_sq.max(0.0).sqrt() + 2.0 * bq.data_err;
+        bq.err * p_norm + (q_block_norm_sq.max(0.0).sqrt() + bq.err) * bq.data_err
+    }
 }
 
-impl<'a> PreparedQuery<'a> {
-    /// Prepares a query against one list and returns the pair
-    /// `(prepared, eps)` where `eps` widens this hop's prune bounds
-    /// (0 for exact f32 lists).
-    fn prepare(
-        metric: Metric,
-        list: &'a ListBlock,
-        dims: &[f32],
-        block_dim_start: u64,
-        q_block_norm_sq: f32,
-    ) -> (Self, f32) {
-        match &list.data {
-            BlockData::F32 { flat } => (
-                PreparedQuery::F32 {
-                    flat,
-                    scorer: scorer_for(metric),
-                },
-                0.0,
-            ),
-            BlockData::Sq8 { segs } => {
-                let bq = quant::prepare_block_query(segs, dims, block_dim_start);
-                let eps = match metric {
-                    // Triangle inequality: ‖q−p‖ ≥ ‖dq(q)−dq(p)‖ − (E_q+E_p).
-                    Metric::L2 => bq.err + bq.data_err,
-                    // |q·p − dq(q)·dq(p)| ≤ E_q·‖p‖ + (‖q‖+E_q)·E_p. The
-                    // stored block norm may itself be a dequantized lower
-                    // bound after a migration, so pad it by 2·E_p to keep
-                    // the slack an upper bound on the true ‖p‖ term.
-                    Metric::InnerProduct | Metric::Cosine => {
-                        let p_norm = list.max_block_norm_sq.max(0.0).sqrt() + 2.0 * bq.data_err;
-                        bq.err * p_norm + (q_block_norm_sq.max(0.0).sqrt() + bq.err) * bq.data_err
-                    }
-                };
-                (
-                    PreparedQuery::Sq8 {
-                        segs,
-                        bq,
-                        neg: !matches!(metric, Metric::L2),
-                    },
-                    eps,
-                )
-            }
+impl MetricOps for CosOps {
+    const IP: bool = true;
+
+    #[inline]
+    fn f32_partial(q: &[f32], row: &[f32]) -> f32 {
+        IpOps::f32_partial(q, row)
+    }
+
+    #[inline]
+    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
+        IpOps::sq8_partial(segs, bq, row)
+    }
+
+    fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
+        IpOps::sq8_eps(bq, max_block_norm_sq, q_block_norm_sq)
+    }
+
+    /// Normalized by the full vector norms so worker results land in the
+    /// same lower-is-better space as the client's prewarm scores
+    /// ([`Metric::score`]), even for unnormalized inputs. Zero-norm vectors
+    /// score 0, matching [`harmony_index::distance::cosine`].
+    #[inline]
+    fn finish(partial: f32, q_total_sq: f32, p_total_sq: f32) -> f32 {
+        let denom = (q_total_sq * p_total_sq).sqrt();
+        if denom > 0.0 {
+            partial / denom
+        } else {
+            0.0
         }
     }
 
-    /// Stage-1 partial score of `row` (quantized under SQ8, exact for f32).
     #[inline]
-    fn score(&self, dims: &[f32], width: usize, row: usize) -> f32 {
-        match self {
-            PreparedQuery::F32 { flat, scorer } => {
-                scorer(dims, &flat[row * width..(row + 1) * width])
+    fn prune(rule: &PruneRule, partial: f32, threshold: f32, rest: Rest, eps: f32) -> bool {
+        rule.should_prune_cosine_quantized(
+            partial,
+            threshold,
+            rest.q_rest_sq,
+            rest.p_rest_sq,
+            rest.q_total_sq,
+            rest.p_total_sq,
+            eps,
+        )
+    }
+}
+
+/// One run of rows a query is scored against: a list restricted to this
+/// block ([`ListRows`], bound to the query by its representation's scoring
+/// closure) or the shard's delta prefix ([`DeltaRows`]). `BlockRepr`
+/// contract point 1 (DESIGN.md §5) as code: a representation joins the
+/// scan with a [`MetricOps`] scoring hook and an arm in [`scan_batch`]
+/// that binds it — the row loop never learns which one it runs.
+trait Rows {
+    /// This block's contribution to `row`'s lower-is-better partial.
+    fn partial(&self, row: usize) -> f32;
+    /// Squared norm of `row`'s coordinates in this block (IP metrics).
+    fn block_norm_sq(&self, row: usize) -> f32;
+    /// Squared norm of `row`'s full vector (IP metrics).
+    fn total_norm_sq(&self, row: usize) -> f32;
+    fn id(&self, row: usize) -> u64;
+    /// Soft-deleted: dropped at emission only, so the enumeration itself
+    /// is untouched.
+    fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool;
+}
+
+/// A list restricted to this block, bound to one query by `partial` —
+/// the representation's scoring of a row (exact or quantized).
+struct ListRows<'a, P> {
+    list: &'a ListBlock,
+    partial: P,
+}
+
+/// The shard's delta rows, exact f32 whatever the block representation.
+struct DeltaRows<'a, P> {
+    delta: &'a DeltaList,
+    partial: P,
+}
+
+impl<P: Fn(usize) -> f32> Rows for ListRows<'_, P> {
+    #[inline]
+    fn partial(&self, row: usize) -> f32 {
+        (self.partial)(row)
+    }
+    #[inline]
+    fn block_norm_sq(&self, row: usize) -> f32 {
+        self.list.block_norms_sq[row]
+    }
+    #[inline]
+    fn total_norm_sq(&self, row: usize) -> f32 {
+        self.list.total_norms_sq[row]
+    }
+    #[inline]
+    fn id(&self, row: usize) -> u64 {
+        self.list.ids[row]
+    }
+    #[inline]
+    fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool {
+        tombstones.suppresses_list_row(self.list.ids[row])
+    }
+}
+
+impl<P: Fn(usize) -> f32> Rows for DeltaRows<'_, P> {
+    #[inline]
+    fn partial(&self, row: usize) -> f32 {
+        (self.partial)(row)
+    }
+    #[inline]
+    fn block_norm_sq(&self, row: usize) -> f32 {
+        self.delta.block_norm_sq(row)
+    }
+    #[inline]
+    fn total_norm_sq(&self, row: usize) -> f32 {
+        self.delta.total_norm_sq(row)
+    }
+    #[inline]
+    fn id(&self, row: usize) -> u64 {
+        self.delta.id(row)
+    }
+    #[inline]
+    fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool {
+        tombstones.suppresses_delta_row(self.delta.id(row), self.delta.seq(row))
+    }
+}
+
+/// One candidate entering the hop: where it sits in the run, its position
+/// in the query's canonical enumeration, and what earlier hops accumulated
+/// (zeros on the first hop).
+struct Cand {
+    row: usize,
+    index: u32,
+    partial: f32,
+    visited_norm_sq: f32,
+}
+
+/// Where one query's survivors of this hop go: the outgoing carry arrays,
+/// or — on the last hop — a local top-k, which also tightens the threshold
+/// within the scan itself.
+#[derive(Default)]
+struct SlotOut {
+    indices: Vec<u32>,
+    partials: Vec<f32>,
+    visited_norms_sq: Vec<f32>,
+    topk: Option<TopK>,
+}
+
+/// Walk state and output of one query of the sub-batch. Slots live in the
+/// worker's [`Scratch`] and are reused across batches, so survivors land in
+/// warm buffers instead of a fresh `Vec` per chunk.
+#[derive(Default)]
+struct QuerySlot {
+    /// Tightest threshold known (the chunk's and the carry's).
+    threshold: f32,
+    q_total_norm_sq: f32,
+    /// This block's share of the query norm (IP metrics).
+    q_block_norm_sq: f32,
+    /// Query norm over every block visited so far, this one included.
+    q_visited_norm_sq: f32,
+    /// Prune slack carried in from earlier hops.
+    eps_in: f32,
+    /// Largest per-list slack met on this hop.
+    hop_eps: f32,
+    /// Enumeration index of row 0 of the run being walked.
+    base: u32,
+    /// Cursor value when the hop began; `cursor - entered` candidates
+    /// have entered the hop so far.
+    entered: usize,
+    /// Next unread carried survivor (absolute offset into the carry); on
+    /// the first hop, simply the rows enumerated so far.
+    cursor: usize,
+    /// One past this query's last carried survivor.
+    carried_end: usize,
+    out: SlotOut,
+}
+
+/// Per-worker buffers of the scan routine.
+#[derive(Default)]
+struct Scratch {
+    slots: Vec<QuerySlot>,
+    /// `(cluster, query row)` pairs of the sub-batch, sorted: the
+    /// list-major walk order.
+    probes: Vec<(u32, u32)>,
+}
+
+/// What one hop did, for the statistics counters.
+#[derive(Default)]
+struct HopTally {
+    pruned: u64,
+    scanned_point_dims: u64,
+}
+
+/// The per-hop constants of the scan.
+struct HopEnv<'a> {
+    rule: PruneRule,
+    tombstones: &'a TombstoneSet,
+    /// `None` on the first hop: every row of a run is a candidate.
+    carry: Option<&'a CarryBatch>,
+    is_last: bool,
+}
+
+/// What every candidate of one `(query, run)` is bounded against.
+#[derive(Clone, Copy)]
+struct Bounds {
+    threshold: f32,
+    q_total_sq: f32,
+    /// Query norm over the blocks not visited yet.
+    q_rest_sq: f32,
+    /// Prune slack accumulated so far: previous hops' carry plus this
+    /// run's contribution.
+    eps: f32,
+}
+
+/// `bound → prune → emit` for one scored candidate.
+#[inline(always)]
+fn settle<M: MetricOps, R: Rows>(
+    env: &HopEnv<'_>,
+    rows: &R,
+    c: Cand,
+    Bounds {
+        threshold,
+        q_total_sq,
+        q_rest_sq,
+        eps,
+    }: Bounds,
+    out: &mut SlotOut,
+    tally: &mut HopTally,
+) {
+    let partial = c.partial + rows.partial(c.row);
+    let (mut rest, mut p_visited) = (Rest::default(), 0.0);
+    if M::IP {
+        p_visited = c.visited_norm_sq + rows.block_norm_sq(c.row);
+        rest.q_total_sq = q_total_sq;
+        rest.p_total_sq = rows.total_norm_sq(c.row);
+        if !env.is_last {
+            rest.q_rest_sq = q_rest_sq;
+            rest.p_rest_sq = rest.p_total_sq - p_visited;
+        }
+    }
+    let global_prune = M::prune(&env.rule, partial, threshold, rest, eps);
+    if let Some(topk) = out.topk.as_mut() {
+        // Full score now known; keep only entries beating both the local
+        // top-k (same-domain, no widening) and the exact-domain client
+        // threshold (widened).
+        let score = M::finish(partial, rest.q_total_sq, rest.p_total_sq);
+        if env.rule.enabled() && (score > topk.threshold() || global_prune) {
+            tally.pruned += 1;
+        } else if !rows.suppressed(env.tombstones, c.row) {
+            topk.push(rows.id(c.row), score);
+        }
+    } else if global_prune {
+        tally.pruned += 1;
+    } else {
+        out.indices.push(c.index);
+        out.partials.push(partial);
+        if M::IP {
+            out.visited_norms_sq.push(p_visited);
+        }
+    }
+}
+
+/// `scan → bound → prune → emit` for one query over one run of `run_len`
+/// rows — the only row loop of the worker. The candidates are every row of
+/// the run on the first hop, and on later hops the carried survivors that
+/// fall inside it (a merge-walk: runs and survivor indices both ascend).
+/// `eps_run` is the run's own prune slack (0 for exact rows).
+fn scan_run<M: MetricOps, R: Rows>(
+    env: &HopEnv<'_>,
+    rows: &R,
+    (run_len, width): (usize, usize),
+    eps_run: f32,
+    slot: &mut QuerySlot,
+    tally: &mut HopTally,
+) {
+    slot.hop_eps = slot.hop_eps.max(eps_run);
+    let bounds = Bounds {
+        threshold: slot.threshold,
+        q_total_sq: slot.q_total_norm_sq,
+        q_rest_sq: slot.q_total_norm_sq - slot.q_visited_norm_sq,
+        eps: slot.eps_in + eps_run,
+    };
+    let base = slot.base;
+    let before = slot.cursor;
+    match env.carry {
+        None => {
+            for row in 0..run_len {
+                let c = Cand {
+                    row,
+                    index: base + row as u32,
+                    partial: 0.0,
+                    visited_norm_sq: 0.0,
+                };
+                settle::<M, R>(env, rows, c, bounds, &mut slot.out, tally);
             }
-            PreparedQuery::Sq8 { segs, bq, neg } => {
-                if *neg {
-                    -quant::ip_dot_row(segs, bq, row)
-                } else {
-                    quant::l2_partial_row(segs, bq, row)
+            slot.cursor += run_len;
+        }
+        Some(carry) => {
+            while slot.cursor < slot.carried_end {
+                let index = carry.indices[slot.cursor];
+                let row = index.wrapping_sub(base) as usize;
+                if row >= run_len {
+                    break; // survivor lives in a later run
+                }
+                let c = Cand {
+                    row,
+                    index,
+                    partial: carry.partials[slot.cursor],
+                    visited_norm_sq: carry
+                        .visited_norms_sq
+                        .get(slot.cursor)
+                        .copied()
+                        .unwrap_or(0.0),
+                };
+                settle::<M, R>(env, rows, c, bounds, &mut slot.out, tally);
+                slot.cursor += 1;
+            }
+        }
+    }
+    tally.scanned_point_dims += ((slot.cursor - before) * width) as u64;
+    slot.base += run_len as u32;
+}
+
+/// Scans one sub-batch on one hop, **list-major**: for each list any query
+/// of the sub-batch probes, in ascending cluster id — which is also every
+/// query's canonical enumeration order, because chunk rows list their
+/// clusters ascending — score every query that probes it while the list's
+/// slice is cache-resident; then the shard's delta prefix, once, for all
+/// queries. Results are left in the slots of `scratch`.
+fn scan_batch<M: MetricOps>(
+    env: &HopEnv<'_>,
+    block: Option<&BlockStore>,
+    delta: Option<&DeltaList>,
+    chunk: &ChunkBatch,
+    scratch: &mut Scratch,
+) -> HopTally {
+    let mut tally = HopTally::default();
+    let Scratch { slots, probes } = scratch;
+    if let Some(block) = block {
+        probes.clear();
+        for q in 0..chunk.len() {
+            probes.extend(chunk.clusters_of(q).iter().map(|&c| (c, q as u32)));
+        }
+        probes.sort_unstable();
+        let mut current: Option<(u32, Option<&ListBlock>)> = None;
+        for &(cluster, q) in probes.iter() {
+            let list = match current {
+                Some((c, list)) if c == cluster => list,
+                _ => {
+                    let list = block.lists.get(&cluster);
+                    current = Some((cluster, list));
+                    list
+                }
+            };
+            let Some(list) = list else { continue };
+            let slot = &mut slots[q as usize];
+            let shape = (list.rows(), list.width);
+            let carried_here = env.carry.is_none_or(|carry| {
+                slot.cursor < slot.carried_end
+                    && carry.indices[slot.cursor].wrapping_sub(slot.base) < shape.0 as u32
+            });
+            if shape.0 == 0 || !carried_here {
+                // Nothing of this query lives here: only the enumeration
+                // advances (and no SQ8 query preparation is paid).
+                slot.base += shape.0 as u32;
+                continue;
+            }
+            let dims = chunk.dims_of(q as usize);
+            match &list.data {
+                BlockData::F32 { flat } => {
+                    let w = list.width;
+                    let partial = |row: usize| M::f32_partial(dims, &flat[row * w..(row + 1) * w]);
+                    let rows = ListRows { list, partial };
+                    scan_run::<M, _>(env, &rows, shape, 0.0, slot, &mut tally);
+                }
+                BlockData::Sq8 { segs } => {
+                    let bq = quant::prepare_block_query(segs, dims, block.dim_start);
+                    let eps = M::sq8_eps(&bq, list.max_block_norm_sq, slot.q_block_norm_sq);
+                    let partial = |row: usize| M::sq8_partial(segs, &bq, row);
+                    let rows = ListRows { list, partial };
+                    scan_run::<M, _>(env, &rows, shape, eps, slot, &mut tally);
                 }
             }
         }
     }
+    // Exact delta scan: rows below the shared admission watermark, in
+    // append (= sequence) order, enumerated after every probed list so
+    // carried indices stay canonical across the shard row. Delta partials
+    // are exact f32, so their own prune slack is zero even under SQ8.
+    if let Some(delta) = delta {
+        // The first hop enumerates the visible prefix (rows are sorted by
+        // sequence); later hops address whatever it enumerated.
+        let run_len = match env.carry {
+            Some(_) => delta.len(),
+            None => (0..delta.len())
+                .take_while(|&i| delta.seq(i) < chunk.delta_seq)
+                .count(),
+        };
+        let shape = (run_len, delta.width());
+        for (q, slot) in slots.iter_mut().enumerate().take(chunk.len()) {
+            let dims = chunk.dims_of(q);
+            let partial = |row: usize| M::f32_partial(dims, delta.row(row));
+            let rows = DeltaRows { delta, partial };
+            scan_run::<M, _>(env, &rows, shape, 0.0, slot, &mut tally);
+        }
+    }
+    debug_assert!(
+        slots
+            .iter()
+            .take(chunk.len())
+            .all(|s| env.carry.is_none() || s.cursor == s.carried_end),
+        "carried indices extend past the canonical enumeration"
+    );
+    tally
 }
 
 /// The Harmony worker node handler.
@@ -462,6 +860,8 @@ pub struct HarmonyWorker {
     /// different senders, no FIFO).
     evicted_watermark: HashMap<u16, u64>,
     pending: PendingTables,
+    /// Reusable buffers of the scan routine.
+    scratch: Scratch,
     /// Per-namespace metric and pruning rule.
     ns_meta: HashMap<u16, NsMeta>,
     /// Per-namespace residency tier (absent = hot).
@@ -511,6 +911,7 @@ impl HarmonyWorker {
             orphan_pieces: HashMap::new(),
             evicted_watermark: HashMap::new(),
             pending: PendingTables::default(),
+            scratch: Scratch::default(),
             ns_meta: HashMap::new(),
             tiers: HashMap::new(),
             cache: BlockCache::new(cache_budget),
@@ -875,610 +1276,199 @@ impl HarmonyWorker {
         }
     }
 
-    fn handle_chunk(&mut self, ctx: &NodeCtx, chunk: QueryChunk) {
+    fn handle_chunk_batch(&mut self, ctx: &NodeCtx, chunk: ChunkBatch) {
+        let Some(&first) = chunk.query_ids.first() else {
+            debug_assert!(false, "chunk batch without queries");
+            return;
+        };
         if chunk.position == 0 {
-            self.start_pipeline(ctx, chunk);
-        } else {
-            let key = (chunk.query_id, chunk.shard);
-            if let Some(carry) = self.pending.carries.remove(&key) {
-                self.continue_pipeline(ctx, chunk, carry);
-            } else {
+            self.run_hop(ctx, chunk, None);
+            return;
+        }
+        // The chunk may arrive after the carry from the previous hop
+        // (different senders, one mailbox), so both orders are buffered.
+        let key = (first, chunk.shard);
+        match self.pending.carries.remove(&key) {
+            Some(carry) => self.run_hop(ctx, chunk, Some(carry)),
+            None => {
                 self.pending.chunks.insert(key, chunk);
             }
         }
     }
 
-    fn handle_carry(&mut self, ctx: &NodeCtx, carry: Carry) {
-        let key = (carry.query_id, carry.shard);
-        if let Some(chunk) = self.pending.chunks.remove(&key) {
-            self.continue_pipeline(ctx, chunk, carry);
-        } else {
-            self.pending.carries.insert(key, carry);
+    fn handle_carry_batch(&mut self, ctx: &NodeCtx, carry: CarryBatch) {
+        let key = (carry.first_query_id, carry.shard);
+        match self.pending.chunks.remove(&key) {
+            Some(chunk) => self.run_hop(ctx, chunk, Some(carry)),
+            None => {
+                self.pending.carries.insert(key, carry);
+            }
         }
     }
 
-    /// Position 0: enumerate candidates from the probed lists (plus the
-    /// shard's delta rows below the watermark) and compute the first
-    /// partials.
-    fn start_pipeline(&mut self, ctx: &NodeCtx, chunk: QueryChunk) {
-        // Fault a demoted block back in (and refresh its cache recency)
-        // before taking the immutable storage borrow.
-        self.ensure_resident((chunk.ns, chunk.epoch, chunk.shard));
-        let meta = self.meta(chunk.ns);
-        let metric = meta.metric;
-        let Some(store) = self.epochs.get(&(chunk.ns, chunk.epoch)) else {
-            // Epoch never loaded (or already evicted): answer emptily so
-            // the client can finish.
-            self.finalize(ctx, &chunk, Vec::new(), Vec::new(), 0);
-            return;
-        };
-        let block = store
-            .blocks
-            .get(&chunk.shard)
-            .and_then(|s| s.resident.as_ref());
-        let delta = store
-            .deltas
-            .get(&chunk.shard)
-            .filter(|_| chunk.delta_seq > 0);
-        let tombstones = &store.tombstones;
-        if block.is_none() && delta.is_none() {
-            self.finalize(ctx, &chunk, Vec::new(), Vec::new(), 0);
-            return;
-        }
-        let is_ip = !matches!(metric, Metric::L2);
-        let is_cos = matches!(metric, Metric::Cosine);
-        let q_block_norm_sq = if is_ip {
-            ip(&chunk.dims, &chunk.dims)
-        } else {
-            0.0
-        };
-        let threshold = chunk.threshold;
-        let rule = meta.rule;
-
-        let single_hop = chunk.order.len() <= 1;
-        let mut indices = Vec::new();
-        let mut partials = Vec::new();
-        let mut visited_norms_sq = Vec::new();
-        // Single-hop fast path accumulates directly into a top-k.
-        let mut topk = TopK::new(chunk.k.max(1) as usize);
-        let mut out_ids = Vec::new();
-        let mut seen = 0u64;
-        let mut pruned = 0u64;
-        let mut scanned = 0u64;
-
-        let scan_start = Instant::now();
-        let mut hop_eps = 0f32;
-        let mut enum_index = 0u32;
-        if let Some(block) = block {
-            for cluster in &chunk.clusters {
-                let Some(list) = block.lists.get(cluster) else {
-                    continue;
-                };
-                let (pq, eps_list) = PreparedQuery::prepare(
-                    metric,
-                    list,
-                    &chunk.dims,
-                    block.dim_start,
-                    q_block_norm_sq,
-                );
-                hop_eps = hop_eps.max(eps_list);
-                for i in 0..list.rows() {
-                    let index = enum_index;
-                    enum_index += 1;
-                    seen += 1;
-                    scanned += list.width as u64;
-                    let partial = pq.score(&chunk.dims, list.width, i);
-                    if single_hop {
-                        // Partials are full scores (cosine normalizes by the
-                        // full norms here); keep the best k. The top-k
-                        // threshold comparison is same-domain (quantized vs
-                        // quantized under SQ8) and needs no widening; the
-                        // client threshold is exact-domain and does.
-                        let score = if is_cos {
-                            cos_normalize(partial, chunk.q_total_norm_sq, list.total_norms_sq[i])
-                        } else {
-                            partial
-                        };
-                        let local_prune = score > topk.threshold();
-                        let global_prune = if is_cos {
-                            rule.should_prune_cosine_quantized(
-                                partial,
-                                threshold,
-                                0.0,
-                                0.0,
-                                chunk.q_total_norm_sq,
-                                list.total_norms_sq[i],
-                                eps_list,
-                            )
-                        } else {
-                            rule.should_prune_quantized(score, threshold, 0.0, 0.0, eps_list)
-                        };
-                        if rule.enabled() && (local_prune || global_prune) {
-                            pruned += 1;
-                            continue;
-                        }
-                        // Soft deletes suppress at emission only, so the
-                        // enumeration itself is untouched.
-                        if tombstones.suppresses_list_row(list.ids[i]) {
-                            continue;
-                        }
-                        topk.push(list.ids[i], score);
-                        continue;
-                    }
-                    let (q_rest, p_rest) = if is_ip {
-                        (
-                            chunk.q_total_norm_sq - q_block_norm_sq,
-                            list.total_norms_sq[i] - list.block_norms_sq[i],
-                        )
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    let prune = if is_cos {
-                        rule.should_prune_cosine_quantized(
-                            partial,
-                            threshold,
-                            q_rest,
-                            p_rest,
-                            chunk.q_total_norm_sq,
-                            list.total_norms_sq[i],
-                            eps_list,
-                        )
-                    } else {
-                        rule.should_prune_quantized(partial, threshold, q_rest, p_rest, eps_list)
-                    };
-                    if prune {
-                        pruned += 1;
-                        continue;
-                    }
-                    indices.push(index);
-                    partials.push(partial);
-                    if is_ip {
-                        visited_norms_sq.push(list.block_norms_sq[i]);
-                    }
-                }
-            }
-        }
-        // Exact delta scan: rows below the admission watermark, in append
-        // (= sequence) order, enumerated after every probed list so carried
-        // indices stay canonical across the shard row. Delta partials are
-        // exact f32, so their prune slack is zero even under SQ8.
-        if let Some(delta) = delta {
-            let scorer = scorer_for(metric);
-            let width = delta.width();
-            for i in 0..delta.len() {
-                if delta.seq(i) >= chunk.delta_seq {
-                    break; // sorted by seq: the rest is past the watermark
-                }
-                let index = enum_index;
-                enum_index += 1;
-                seen += 1;
-                scanned += width as u64;
-                let partial = scorer(&chunk.dims, delta.row(i));
-                if single_hop {
-                    let score = if is_cos {
-                        cos_normalize(partial, chunk.q_total_norm_sq, delta.total_norm_sq(i))
-                    } else {
-                        partial
-                    };
-                    let local_prune = score > topk.threshold();
-                    let global_prune = if is_cos {
-                        rule.should_prune_cosine_quantized(
-                            partial,
-                            threshold,
-                            0.0,
-                            0.0,
-                            chunk.q_total_norm_sq,
-                            delta.total_norm_sq(i),
-                            0.0,
-                        )
-                    } else {
-                        rule.should_prune_quantized(score, threshold, 0.0, 0.0, 0.0)
-                    };
-                    if rule.enabled() && (local_prune || global_prune) {
-                        pruned += 1;
-                        continue;
-                    }
-                    if tombstones.suppresses_delta_row(delta.id(i), delta.seq(i)) {
-                        continue;
-                    }
-                    topk.push(delta.id(i), score);
-                    continue;
-                }
-                let (q_rest, p_rest) = if is_ip {
-                    (
-                        chunk.q_total_norm_sq - q_block_norm_sq,
-                        delta.total_norm_sq(i) - delta.block_norm_sq(i),
-                    )
-                } else {
-                    (0.0, 0.0)
-                };
-                let prune = if is_cos {
-                    rule.should_prune_cosine_quantized(
-                        partial,
-                        threshold,
-                        q_rest,
-                        p_rest,
-                        chunk.q_total_norm_sq,
-                        delta.total_norm_sq(i),
-                        0.0,
-                    )
-                } else {
-                    rule.should_prune_quantized(partial, threshold, q_rest, p_rest, 0.0)
-                };
-                if prune {
-                    pruned += 1;
-                    continue;
-                }
-                indices.push(index);
-                partials.push(partial);
-                if is_ip {
-                    visited_norms_sq.push(delta.block_norm_sq(i));
-                }
-            }
-        }
-        self.compute_ns += scan_start.elapsed().as_nanos() as u64;
-        // Modeled compute charge: deterministic, host-independent.
-        ctx.charge_compute(scanned, seen);
-
-        self.slice_in[0] += seen;
-        self.slice_pruned[0] += pruned;
-        self.scanned_point_dims += scanned;
-
-        if single_hop {
-            let mut scores = Vec::new();
-            for n in topk.into_sorted() {
-                out_ids.push(n.id);
-                scores.push(n.score);
-            }
-            self.finalize(ctx, &chunk, out_ids, scores, seen);
-        } else {
-            let carry = Carry {
-                ns: chunk.ns,
-                query_id: chunk.query_id,
-                epoch: chunk.epoch,
-                shard: chunk.shard,
-                threshold,
-                next_position: 1,
-                indices,
-                partials,
-                visited_norms_sq,
-                q_visited_norm_sq: q_block_norm_sq,
-                quant_eps: hop_eps,
-            };
-            let next = chunk.order[1] as NodeId;
-            let _ = ctx.send(next, ToWorker::Carry(carry).to_bytes());
-        }
-    }
-
-    /// Positions 1..: add this block's contribution to carried partials.
-    fn continue_pipeline(&mut self, ctx: &NodeCtx, chunk: QueryChunk, carry: Carry) {
+    /// One hop of one sub-batch: position 0 enumerates candidates from the
+    /// probed lists (plus the shard's delta rows below the watermark),
+    /// later positions add this block's contribution to the carried
+    /// partials; the last position answers the client, the others forward
+    /// the survivors. Metric is resolved here, once, and the whole batch
+    /// runs through [`scan_batch`].
+    fn run_hop(&mut self, ctx: &NodeCtx, chunk: ChunkBatch, carry: Option<CarryBatch>) {
+        let n = chunk.len();
         let position = chunk.position as usize;
         let is_last = position + 1 >= chunk.order.len();
+        // Fault a demoted block back in (and refresh its cache recency)
+        // once per sub-batch, before taking the immutable storage borrow.
         self.ensure_resident((chunk.ns, chunk.epoch, chunk.shard));
         let meta = self.meta(chunk.ns);
-        let metric = meta.metric;
-        let Some(store) = self.epochs.get(&(chunk.ns, chunk.epoch)) else {
-            self.finalize(ctx, &chunk, Vec::new(), Vec::new(), 0);
-            return;
-        };
+        let store = self.epochs.get(&(chunk.ns, chunk.epoch));
         let block = store
-            .blocks
-            .get(&chunk.shard)
+            .and_then(|s| s.blocks.get(&chunk.shard))
             .and_then(|s| s.resident.as_ref());
         let delta = store
-            .deltas
-            .get(&chunk.shard)
+            .and_then(|s| s.deltas.get(&chunk.shard))
             .filter(|_| chunk.delta_seq > 0);
-        let tombstones = &store.tombstones;
-        if block.is_none() && delta.is_none() {
-            self.finalize(ctx, &chunk, Vec::new(), Vec::new(), 0);
+        let rows_agree = carry.as_ref().is_none_or(|c| c.len() == n);
+        debug_assert!(rows_agree, "carry and chunk disagree on the sub-batch");
+        let store = store.filter(|_| rows_agree && (block.is_some() || delta.is_some()));
+        let Some(store) = store else {
+            // Epoch never loaded (or already evicted): answer emptily so
+            // the client can finish.
+            let empty = ResultBatch {
+                shard: chunk.shard,
+                result_ends: vec![0; n],
+                ids: Vec::new(),
+                scores: Vec::new(),
+                candidates_seen: vec![0; n],
+                query_ids: chunk.query_ids,
+            };
+            Self::reply(ctx, chunk.legacy_reply, empty);
             return;
-        }
-        let is_ip = !matches!(metric, Metric::L2);
-        let is_cos = matches!(metric, Metric::Cosine);
-        let q_block_norm_sq = if is_ip {
-            ip(&chunk.dims, &chunk.dims)
-        } else {
-            0.0
         };
-        let q_visited = carry.q_visited_norm_sq + q_block_norm_sq;
-        // Tightest threshold wins (lower-is-better scores).
-        let threshold = chunk.threshold.min(carry.threshold);
-        let rule = meta.rule;
 
-        let seen = carry.indices.len() as u64;
-        let mut pruned = 0u64;
-        let mut scanned = 0u64;
-        let mut indices = Vec::with_capacity(carry.indices.len());
-        let mut partials = Vec::with_capacity(carry.indices.len());
-        let mut visited_norms_sq = Vec::new();
-        // Last hop keeps a local top-k so the threshold tightens within the
-        // scan itself.
-        let mut topk = TopK::new(chunk.k.max(1) as usize);
-
-        let scan_start = Instant::now();
-        let mut hop_eps = 0f32;
-        {
-            // Merge-walk the canonical enumeration (clusters in chunk order,
-            // members in list order, then the delta region) against the
-            // ascending survivor indices.
-            let mut cursor = 0usize; // position in carry.indices
-            let mut base = 0u32; // enumeration index of current list's row 0
-            if let Some(block) = block {
-                'clusters: for cluster in &chunk.clusters {
-                    let Some(list) = block.lists.get(cluster) else {
-                        continue;
-                    };
-                    let list_len = list.ids.len() as u32;
-                    // Prepared lazily: lists with no surviving candidates never
-                    // pay the SQ8 query-quantization cost.
-                    let mut prepared: Option<(PreparedQuery, f32)> = None;
-                    while cursor < carry.indices.len() {
-                        let index = carry.indices[cursor];
-                        if index >= base + list_len {
-                            break; // survivor lives in a later list
-                        }
-                        let row = (index - base) as usize;
-                        scanned += list.width as u64;
-                        let (pq, eps_list) = prepared.get_or_insert_with(|| {
-                            PreparedQuery::prepare(
-                                metric,
-                                list,
-                                &chunk.dims,
-                                block.dim_start,
-                                q_block_norm_sq,
-                            )
-                        });
-                        let eps_list = *eps_list;
-                        hop_eps = hop_eps.max(eps_list);
-                        // Widen prune bounds by everything accumulated so far:
-                        // previous hops' carry plus this list's contribution.
-                        let eps_acc = carry.quant_eps + eps_list;
-                        let partial =
-                            carry.partials[cursor] + pq.score(&chunk.dims, list.width, row);
-                        let (q_rest, p_rest, p_visited) = if is_ip {
-                            let p_visited =
-                                carry.visited_norms_sq[cursor] + list.block_norms_sq[row];
-                            (
-                                chunk.q_total_norm_sq - q_visited,
-                                list.total_norms_sq[row] - p_visited,
-                                p_visited,
-                            )
-                        } else {
-                            (0.0, 0.0, 0.0)
-                        };
-                        if is_last {
-                            // Full score now known (cosine normalizes by the
-                            // full norms); keep only entries beating both the
-                            // local top-k (same-domain, no widening) and the
-                            // exact-domain client threshold (widened).
-                            let score = if is_cos {
-                                cos_normalize(
-                                    partial,
-                                    chunk.q_total_norm_sq,
-                                    list.total_norms_sq[row],
-                                )
-                            } else {
-                                partial
-                            };
-                            let local_prune = score > topk.threshold();
-                            let global_prune = if is_cos {
-                                rule.should_prune_cosine_quantized(
-                                    partial,
-                                    threshold,
-                                    0.0,
-                                    0.0,
-                                    chunk.q_total_norm_sq,
-                                    list.total_norms_sq[row],
-                                    eps_acc,
-                                )
-                            } else {
-                                rule.should_prune_quantized(score, threshold, 0.0, 0.0, eps_acc)
-                            };
-                            if rule.enabled() && (local_prune || global_prune) {
-                                pruned += 1;
-                            } else if !tombstones.suppresses_list_row(list.ids[row]) {
-                                topk.push(list.ids[row], score);
-                            }
-                        } else {
-                            let prune = if is_cos {
-                                rule.should_prune_cosine_quantized(
-                                    partial,
-                                    threshold,
-                                    q_rest,
-                                    p_rest,
-                                    chunk.q_total_norm_sq,
-                                    list.total_norms_sq[row],
-                                    eps_acc,
-                                )
-                            } else {
-                                rule.should_prune_quantized(
-                                    partial, threshold, q_rest, p_rest, eps_acc,
-                                )
-                            };
-                            if prune {
-                                pruned += 1;
-                            } else {
-                                indices.push(index);
-                                partials.push(partial);
-                                if is_ip {
-                                    visited_norms_sq.push(p_visited);
-                                }
-                            }
-                        }
-                        cursor += 1;
-                        if cursor == carry.indices.len() {
-                            break 'clusters;
-                        }
-                    }
-                    base += list_len;
-                }
-            }
-            // Surviving indices past every probed list address the delta
-            // region: row `index - base` of the shard's delta list, whose
-            // append order is identical on every machine of the row.
-            if cursor < carry.indices.len() {
-                if let Some(delta) = delta {
-                    let scorer = scorer_for(metric);
-                    let width = delta.width();
-                    while cursor < carry.indices.len() {
-                        let index = carry.indices[cursor];
-                        let row = (index - base) as usize;
-                        if row >= delta.len() {
-                            break;
-                        }
-                        scanned += width as u64;
-                        // Delta contributions are exact: the accumulated
-                        // slack is whatever earlier hops carried, unchanged.
-                        let eps_acc = carry.quant_eps;
-                        let partial = carry.partials[cursor] + scorer(&chunk.dims, delta.row(row));
-                        let (q_rest, p_rest, p_visited) = if is_ip {
-                            let p_visited =
-                                carry.visited_norms_sq[cursor] + delta.block_norm_sq(row);
-                            (
-                                chunk.q_total_norm_sq - q_visited,
-                                delta.total_norm_sq(row) - p_visited,
-                                p_visited,
-                            )
-                        } else {
-                            (0.0, 0.0, 0.0)
-                        };
-                        if is_last {
-                            let score = if is_cos {
-                                cos_normalize(
-                                    partial,
-                                    chunk.q_total_norm_sq,
-                                    delta.total_norm_sq(row),
-                                )
-                            } else {
-                                partial
-                            };
-                            let local_prune = score > topk.threshold();
-                            let global_prune = if is_cos {
-                                rule.should_prune_cosine_quantized(
-                                    partial,
-                                    threshold,
-                                    0.0,
-                                    0.0,
-                                    chunk.q_total_norm_sq,
-                                    delta.total_norm_sq(row),
-                                    eps_acc,
-                                )
-                            } else {
-                                rule.should_prune_quantized(score, threshold, 0.0, 0.0, eps_acc)
-                            };
-                            if rule.enabled() && (local_prune || global_prune) {
-                                pruned += 1;
-                            } else if !tombstones
-                                .suppresses_delta_row(delta.id(row), delta.seq(row))
-                            {
-                                topk.push(delta.id(row), score);
-                            }
-                        } else {
-                            let prune = if is_cos {
-                                rule.should_prune_cosine_quantized(
-                                    partial,
-                                    threshold,
-                                    q_rest,
-                                    p_rest,
-                                    chunk.q_total_norm_sq,
-                                    delta.total_norm_sq(row),
-                                    eps_acc,
-                                )
-                            } else {
-                                rule.should_prune_quantized(
-                                    partial, threshold, q_rest, p_rest, eps_acc,
-                                )
-                            };
-                            if prune {
-                                pruned += 1;
-                            } else {
-                                indices.push(index);
-                                partials.push(partial);
-                                if is_ip {
-                                    visited_norms_sq.push(p_visited);
-                                }
-                            }
-                        }
-                        cursor += 1;
-                    }
-                }
-                debug_assert_eq!(
-                    cursor,
-                    carry.indices.len(),
-                    "carried indices extend past the canonical enumeration"
-                );
-            }
+        let is_ip = !matches!(meta.metric, Metric::L2);
+        let k = chunk.k.max(1) as usize;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        if scratch.slots.len() < n {
+            scratch.slots.resize_with(n, QuerySlot::default);
         }
-        self.compute_ns += scan_start.elapsed().as_nanos() as u64;
-        ctx.charge_compute(scanned, seen);
+        for (q, slot) in scratch.slots.iter_mut().enumerate().take(n) {
+            let dims = chunk.dims_of(q);
+            slot.threshold = chunk.thresholds[q];
+            slot.q_total_norm_sq = chunk.q_total_norms_sq.get(q).copied().unwrap_or(0.0);
+            slot.q_block_norm_sq = if is_ip { ip(dims, dims) } else { 0.0 };
+            slot.q_visited_norm_sq = slot.q_block_norm_sq;
+            (slot.eps_in, slot.hop_eps, slot.base) = (0.0, 0.0, 0);
+            (slot.cursor, slot.carried_end) = (0, 0);
+            if let Some(carry) = &carry {
+                let carried = span(&carry.survivor_ends, q);
+                (slot.cursor, slot.carried_end) = (carried.start, carried.end);
+                // Tightest threshold wins (lower-is-better scores).
+                slot.threshold = slot.threshold.min(carry.thresholds[q]);
+                slot.q_visited_norm_sq += carry.q_visited_norms_sq.get(q).copied().unwrap_or(0.0);
+                slot.eps_in = carry.quant_eps.get(q).copied().unwrap_or(0.0);
+            }
+            slot.entered = slot.cursor;
+            slot.out.indices.clear();
+            slot.out.partials.clear();
+            slot.out.visited_norms_sq.clear();
+            slot.out.topk = is_last.then(|| TopK::new(k));
+        }
 
+        let env = HopEnv {
+            rule: meta.rule,
+            tombstones: &store.tombstones,
+            carry: carry.as_ref(),
+            is_last,
+        };
+        let scan_start = Instant::now();
+        let tally = match meta.metric {
+            Metric::L2 => scan_batch::<L2Ops>(&env, block, delta, &chunk, &mut scratch),
+            Metric::InnerProduct => scan_batch::<IpOps>(&env, block, delta, &chunk, &mut scratch),
+            Metric::Cosine => scan_batch::<CosOps>(&env, block, delta, &chunk, &mut scratch),
+        };
+        self.compute_ns += scan_start.elapsed().as_nanos() as u64;
+        let slots = &mut scratch.slots[..n];
+        let seen: u64 = slots.iter().map(|s| (s.cursor - s.entered) as u64).sum();
+        // Modeled compute charge: deterministic, host-independent.
+        ctx.charge_compute(tally.scanned_point_dims, seen);
         if position < self.slice_in.len() {
             self.slice_in[position] += seen;
-            self.slice_pruned[position] += pruned;
+            self.slice_pruned[position] += tally.pruned;
         }
-        self.scanned_point_dims += scanned;
+        self.scanned_point_dims += tally.scanned_point_dims;
 
         if is_last {
-            let (mut ids, mut scores) = (Vec::new(), Vec::new());
-            for n in topk.into_sorted() {
-                ids.push(n.id);
-                scores.push(n.score);
-            }
-            self.finalize(ctx, &chunk, ids, scores, seen);
-        } else {
-            let next_position = position as u32 + 1;
-            let next = chunk.order[position + 1] as NodeId;
-            let out = Carry {
-                ns: chunk.ns,
-                query_id: chunk.query_id,
-                epoch: chunk.epoch,
+            let mut result = ResultBatch {
                 shard: chunk.shard,
-                threshold,
-                next_position,
-                indices,
-                partials,
-                visited_norms_sq,
-                q_visited_norm_sq: q_visited,
-                quant_eps: carry.quant_eps + hop_eps,
+                result_ends: Vec::with_capacity(n),
+                ids: Vec::with_capacity(n * k),
+                scores: Vec::with_capacity(n * k),
+                candidates_seen: Vec::with_capacity(n),
+                query_ids: chunk.query_ids,
             };
-            let _ = ctx.send(next, ToWorker::Carry(out).to_bytes());
+            for slot in slots.iter_mut() {
+                for hit in slot
+                    .out
+                    .topk
+                    .take()
+                    .map(TopK::into_sorted)
+                    .unwrap_or_default()
+                {
+                    result.ids.push(hit.id);
+                    result.scores.push(hit.score);
+                }
+                result.result_ends.push(result.ids.len() as u32);
+                result
+                    .candidates_seen
+                    .push((slot.cursor - slot.entered) as u64);
+            }
+            Self::reply(ctx, chunk.legacy_reply, result);
+        } else {
+            let survivors: usize = slots.iter().map(|s| s.out.indices.len()).sum();
+            let mut out = CarryBatch {
+                first_query_id: chunk.query_ids[0],
+                shard: chunk.shard,
+                thresholds: Vec::with_capacity(n),
+                survivor_ends: Vec::with_capacity(n),
+                indices: Vec::with_capacity(survivors),
+                partials: Vec::with_capacity(survivors),
+                visited_norms_sq: Vec::with_capacity(if is_ip { survivors } else { 0 }),
+                q_visited_norms_sq: Vec::with_capacity(if is_ip { n } else { 0 }),
+                quant_eps: Vec::new(),
+            };
+            for slot in slots.iter() {
+                out.thresholds.push(slot.threshold);
+                out.indices.extend_from_slice(&slot.out.indices);
+                out.partials.extend_from_slice(&slot.out.partials);
+                out.survivor_ends.push(out.indices.len() as u32);
+                if is_ip {
+                    out.visited_norms_sq
+                        .extend_from_slice(&slot.out.visited_norms_sq);
+                    out.q_visited_norms_sq.push(slot.q_visited_norm_sq);
+                }
+            }
+            // Per hop, the *maximum* slack over the scanned lists, summed
+            // along the pipeline; exact deployments never send the array.
+            if slots.iter().any(|s| s.eps_in + s.hop_eps != 0.0) {
+                out.quant_eps = slots.iter().map(|s| s.eps_in + s.hop_eps).collect();
+            }
+            let next = chunk.order[position + 1] as NodeId;
+            let _ = ctx.send(next, ToWorker::CarryBatch(out).to_bytes());
         }
+        self.scratch = scratch;
     }
 
-    /// Sends the shard's final candidates to the client, truncated to `k`.
-    fn finalize(
-        &mut self,
-        ctx: &NodeCtx,
-        chunk: &QueryChunk,
-        ids: Vec<u64>,
-        scores: Vec<f32>,
-        candidates_seen: u64,
-    ) {
-        let k = chunk.k.max(1) as usize;
-        let (ids, scores) = if ids.len() > k {
-            let mut topk = TopK::new(k);
-            for (&id, &s) in ids.iter().zip(&scores) {
-                topk.push(id, s);
+    /// Sends a finished sub-batch to the client: one [`ResultBatch`], or —
+    /// for a sub-batch lifted from a legacy [`QueryChunk`] — one
+    /// [`ToClient::Result`] per query.
+    fn reply(ctx: &NodeCtx, legacy: bool, result: ResultBatch) {
+        if legacy {
+            for i in 0..result.len() {
+                let _ = ctx.send(CLIENT, ToClient::Result(result.result(i)).to_bytes());
             }
-            let mut out_ids = Vec::with_capacity(k);
-            let mut out_scores = Vec::with_capacity(k);
-            for n in topk.into_sorted() {
-                out_ids.push(n.id);
-                out_scores.push(n.score);
-            }
-            (out_ids, out_scores)
         } else {
-            (ids, scores)
-        };
-        let result = ToClient::Result(QueryResult {
-            query_id: chunk.query_id,
-            shard: chunk.shard,
-            ids,
-            scores,
-            candidates_seen,
-        });
-        let _ = ctx.send(CLIENT, result.to_bytes());
+            let _ = ctx.send(CLIENT, ToClient::ResultBatch(result).to_bytes());
+        }
     }
 
     /// Client announcement of a new epoch's grid block: set up assembly and
@@ -1911,8 +1901,11 @@ impl NodeHandler for HarmonyWorker {
         };
         match msg {
             ToWorker::Load(load) => self.handle_load(ctx, load),
-            ToWorker::Chunk(chunk) => self.handle_chunk(ctx, chunk),
-            ToWorker::Carry(carry) => self.handle_carry(ctx, carry),
+            // The single-query forms run as one-row batches.
+            ToWorker::Chunk(chunk) => self.handle_chunk_batch(ctx, chunk.into()),
+            ToWorker::Carry(carry) => self.handle_carry_batch(ctx, carry.into()),
+            ToWorker::ChunkBatch(chunk) => self.handle_chunk_batch(ctx, chunk),
+            ToWorker::CarryBatch(carry) => self.handle_carry_batch(ctx, carry),
             ToWorker::GetStats => {
                 let _ = ctx.send(CLIENT, ToClient::Stats(self.stats_report()).to_bytes());
             }
@@ -1931,6 +1924,7 @@ impl NodeHandler for HarmonyWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{Carry, QueryChunk, QueryResult};
     use harmony_cluster::{Cluster, ClusterConfig};
     use std::time::Duration;
 
@@ -2181,6 +2175,352 @@ mod tests {
         let r = recv_result(&mut cluster);
         assert_eq!(r.ids, vec![1]);
         assert!((r.scores[0] - 8.0).abs() < 1e-6);
+        cluster.shutdown().unwrap();
+    }
+
+    // --- Sub-batch pipeline -------------------------------------------
+
+    const FX_DIM: usize = 8;
+    const FX_LISTS: u32 = 3;
+    const FX_ROWS: usize = 9;
+    const FX_DELTA_ROWS: u64 = 4;
+
+    /// Deterministic coordinates in (-1, 1).
+    fn fx_coord(i: u64) -> f32 {
+        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        h as f32 / (1u64 << 23) as f32 - 1.0
+    }
+
+    fn fx_row(id: u64) -> Vec<f32> {
+        (0..FX_DIM as u64).map(|j| fx_coord(id * 31 + j)).collect()
+    }
+
+    fn fx_list_id(list: u32, row: usize) -> u64 {
+        u64::from(list) * 100 + row as u64
+    }
+
+    fn recv_batch(cluster: &mut Cluster) -> ResultBatch {
+        loop {
+            let (_, payload) = cluster.recv_timeout(Duration::from_secs(5)).unwrap();
+            match ToClient::from_bytes(payload).unwrap() {
+                ToClient::ResultBatch(b) => return b,
+                _ => continue,
+            }
+        }
+    }
+
+    /// Two workers, each holding one half of the dimensions of three lists
+    /// plus a four-row delta list; one list row and one delta row are
+    /// tombstoned. Exercises every kind of run the scan walks.
+    fn fx_cluster(metric: Metric, sq8: bool) -> Cluster {
+        let mut cluster = Cluster::spawn(ClusterConfig::new(2), |_| HarmonyWorker::new());
+        let is_ip = !matches!(metric, Metric::L2);
+        let half = FX_DIM / 2;
+        for w in 0..2usize {
+            let range = w * half..(w + 1) * half;
+            let lists = (0..FX_LISTS)
+                .map(|l| {
+                    let ids: Vec<u64> = (0..FX_ROWS).map(|r| fx_list_id(l, r)).collect();
+                    let rows: Vec<Vec<f32>> = ids.iter().map(|&id| fx_row(id)).collect();
+                    let flat: Vec<f32> = rows
+                        .iter()
+                        .flat_map(|v| v[range.clone()].to_vec())
+                        .collect();
+                    crate::messages::ClusterBlock {
+                        cluster: l,
+                        ids,
+                        segs: if sq8 {
+                            vec![Sq8Segment::quantize(&flat, half, range.start as u64)]
+                        } else {
+                            vec![]
+                        },
+                        flat: if sq8 { vec![] } else { flat },
+                        block_norms_sq: if is_ip {
+                            rows.iter()
+                                .map(|v| ip(&v[range.clone()], &v[range.clone()]))
+                                .collect()
+                        } else {
+                            vec![]
+                        },
+                        total_norms_sq: if is_ip {
+                            rows.iter().map(|v| ip(v, v)).collect()
+                        } else {
+                            vec![]
+                        },
+                    }
+                })
+                .collect();
+            let load = LoadBlock {
+                ns: 0,
+                epoch: 0,
+                shard: 0,
+                dim_block: w as u32,
+                dim_start: range.start as u64,
+                dim_end: range.end as u64,
+                total_dim_blocks: 2,
+                metric: metric_tag::encode(metric),
+                pruning: true,
+                repr: u8::from(sq8),
+                lists,
+            };
+            cluster.send(w, ToWorker::Load(load).to_bytes()).unwrap();
+            drain_ack(&mut cluster);
+            let delta_ids: Vec<u64> = (0..FX_DELTA_ROWS).map(|i| 900 + i).collect();
+            let delta_rows: Vec<Vec<f32>> = delta_ids.iter().map(|&id| fx_row(id)).collect();
+            let upsert = DeltaUpsert {
+                ns: 0,
+                epoch: 0,
+                shard: 0,
+                dim_start: range.start as u64,
+                dim_end: range.end as u64,
+                ids: delta_ids,
+                seqs: (1..=FX_DELTA_ROWS).collect(),
+                flat: delta_rows
+                    .iter()
+                    .flat_map(|v| v[range.clone()].to_vec())
+                    .collect(),
+                block_norms_sq: if is_ip {
+                    delta_rows
+                        .iter()
+                        .map(|v| ip(&v[range.clone()], &v[range.clone()]))
+                        .collect()
+                } else {
+                    vec![]
+                },
+                total_norms_sq: if is_ip {
+                    delta_rows.iter().map(|v| ip(v, v)).collect()
+                } else {
+                    vec![]
+                },
+            };
+            cluster
+                .send(w, ToWorker::UpsertDelta(upsert).to_bytes())
+                .unwrap();
+            // Tombstone one list row everywhere and the first delta row
+            // (its delete outsequences it; the later delta rows stay).
+            let delete = DeleteIds {
+                ns: 0,
+                epoch: 0,
+                ids: vec![fx_list_id(1, 4), 900],
+                seq: 2,
+            };
+            cluster
+                .send(w, ToWorker::DeleteIds(delete).to_bytes())
+                .unwrap();
+        }
+        cluster
+    }
+
+    /// One query of the fixture: full vector, probed clusters, threshold.
+    struct FxQuery {
+        id: u64,
+        vector: Vec<f32>,
+        clusters: Vec<u32>,
+        threshold: f32,
+    }
+
+    /// Sixteen queries probing every non-empty subset shape of the three
+    /// lists (and none at all: delta only), half of them with a threshold
+    /// tight enough to prune.
+    fn fx_queries(metric: Metric, first_id: u64) -> Vec<FxQuery> {
+        (0..16u64)
+            .map(|i| {
+                let vector = fx_row(5_000 + i);
+                let clusters = (0..FX_LISTS).filter(|l| (i + 1) >> l & 1 == 1).collect();
+                let near = metric.score(&vector, &fx_row(fx_list_id(i as u32 % FX_LISTS, 2)));
+                FxQuery {
+                    id: first_id + i,
+                    vector,
+                    clusters,
+                    threshold: if i % 2 == 0 { f32::INFINITY } else { near },
+                }
+            })
+            .collect()
+    }
+
+    /// Sends `queries` down the two-hop fixture pipeline as one sub-batch.
+    fn fx_send(cluster: &Cluster, metric: Metric, queries: &[FxQuery]) {
+        let half = FX_DIM / 2;
+        let mut clusters = Vec::new();
+        let mut cluster_ends = Vec::new();
+        for q in queries {
+            clusters.extend_from_slice(&q.clusters);
+            cluster_ends.push(clusters.len() as u32);
+        }
+        for w in 0..2usize {
+            let chunk = ChunkBatch {
+                ns: 0,
+                epoch: 0,
+                shard: 0,
+                k: 5,
+                order: vec![0, 1],
+                position: w as u32,
+                delta_seq: FX_DELTA_ROWS, // the last delta row is past it
+                legacy_reply: false,
+                query_ids: queries.iter().map(|q| q.id).collect(),
+                thresholds: queries.iter().map(|q| q.threshold).collect(),
+                q_total_norms_sq: if matches!(metric, Metric::L2) {
+                    vec![]
+                } else {
+                    queries.iter().map(|q| ip(&q.vector, &q.vector)).collect()
+                },
+                cluster_ends: cluster_ends.clone(),
+                clusters: clusters.clone(),
+                dims: queries
+                    .iter()
+                    .flat_map(|q| q.vector[w * half..(w + 1) * half].to_vec())
+                    .collect(),
+            };
+            cluster
+                .send(w, ToWorker::ChunkBatch(chunk).to_bytes())
+                .unwrap();
+        }
+    }
+
+    /// The tentpole's contract: list-major execution of a sub-batch is an
+    /// execution order, not a different computation. Every query of a
+    /// 16-row sub-batch gets exactly — ids, score bits, candidate counts —
+    /// what it gets alone in a one-row batch, under both representations
+    /// and both bound families, with delta rows and tombstones in play.
+    #[test]
+    fn sub_batch_equals_one_row_batches() {
+        for (metric, sq8) in [
+            (Metric::L2, false),
+            (Metric::L2, true),
+            (Metric::Cosine, false),
+            (Metric::Cosine, true),
+        ] {
+            let mut cluster = fx_cluster(metric, sq8);
+            let queries = fx_queries(metric, 100);
+            fx_send(&cluster, metric, &queries);
+            let together = recv_batch(&mut cluster);
+            assert_eq!(together.len(), 16);
+            assert!(
+                together
+                    .ids
+                    .iter()
+                    .all(|&id| id != fx_list_id(1, 4) && id != 900),
+                "{metric:?} sq8={sq8}: tombstoned id returned"
+            );
+            let mut pruned_some = false;
+            for (i, q) in fx_queries(metric, 200).into_iter().enumerate() {
+                fx_send(&cluster, metric, std::slice::from_ref(&q));
+                let alone = recv_batch(&mut cluster);
+                let (a, b) = (alone.result(0), together.result(i));
+                assert_eq!(a.ids, b.ids, "{metric:?} sq8={sq8} query {i}: ids");
+                assert_eq!(
+                    a.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    b.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "{metric:?} sq8={sq8} query {i}: score bits"
+                );
+                assert_eq!(a.candidates_seen, b.candidates_seen, "query {i}: seen");
+                let enumerated = q.clusters.len() * FX_ROWS + (FX_DELTA_ROWS as usize - 1);
+                pruned_some |= (a.candidates_seen as usize) < enumerated;
+                if q.threshold.is_infinite() {
+                    assert_eq!(a.ids.len(), 5.min(enumerated - 1), "query {i}: short top-k");
+                }
+            }
+            assert!(
+                pruned_some,
+                "{metric:?} sq8={sq8}: no threshold ever pruned"
+            );
+            cluster.shutdown().unwrap();
+        }
+    }
+
+    /// The single-query messages are adapters into the same routine: a
+    /// legacy `Chunk` pipeline answers with the legacy `Result`, equal to
+    /// what a one-row `ChunkBatch` reports.
+    #[test]
+    fn legacy_chunk_pipeline_matches_one_row_batch() {
+        let metric = Metric::L2;
+        let mut cluster = fx_cluster(metric, false);
+        let q = fx_queries(metric, 300).swap_remove(6); // probes all lists
+        fx_send(&cluster, metric, std::slice::from_ref(&q));
+        let batch = recv_batch(&mut cluster);
+        let half = FX_DIM / 2;
+        for w in 0..2usize {
+            // Unsorted on purpose: the adapter restores the canonical order.
+            let mut clusters = q.clusters.clone();
+            clusters.reverse();
+            let chunk = QueryChunk {
+                ns: 0,
+                query_id: 301,
+                epoch: 0,
+                shard: 0,
+                k: 5,
+                threshold: q.threshold,
+                clusters,
+                dims: q.vector[w * half..(w + 1) * half].to_vec(),
+                q_total_norm_sq: 0.0,
+                order: vec![0, 1],
+                position: w as u32,
+                delta_seq: FX_DELTA_ROWS,
+            };
+            cluster.send(w, ToWorker::Chunk(chunk).to_bytes()).unwrap();
+        }
+        let legacy = recv_result(&mut cluster);
+        assert_eq!(legacy.query_id, 301);
+        let want = batch.result(0);
+        assert!(!want.ids.is_empty());
+        assert_eq!(legacy.ids, want.ids);
+        assert_eq!(legacy.scores, want.scores);
+        assert_eq!(legacy.candidates_seen, want.candidates_seen);
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn carry_batch_before_chunk_batch_is_buffered() {
+        // Only the second hop of the fixture is driven here: its carry
+        // arrives first and must wait for the chunk.
+        let mut cluster = fx_cluster(Metric::L2, false);
+        let carry = CarryBatch {
+            first_query_id: 40,
+            shard: 0,
+            thresholds: vec![f32::INFINITY, 0.5],
+            survivor_ends: vec![2, 2],
+            // List 2 is the second run of query 40 (it probes lists 0, 2).
+            indices: vec![1, FX_ROWS as u32 + 3],
+            partials: vec![0.25, 0.5],
+            visited_norms_sq: vec![],
+            q_visited_norms_sq: vec![],
+            quant_eps: vec![],
+        };
+        cluster
+            .send(1, ToWorker::CarryBatch(carry).to_bytes())
+            .unwrap();
+        let q = [fx_row(7_000), fx_row(7_001)];
+        let half = FX_DIM / 2;
+        let chunk = ChunkBatch {
+            ns: 0,
+            epoch: 0,
+            shard: 0,
+            k: 3,
+            order: vec![0, 1],
+            position: 1,
+            delta_seq: 0,
+            legacy_reply: false,
+            query_ids: vec![40, 41],
+            thresholds: vec![f32::INFINITY; 2],
+            q_total_norms_sq: vec![],
+            cluster_ends: vec![2, 3],
+            clusters: vec![0, 2, 1],
+            dims: q.iter().flat_map(|v| v[half..].to_vec()).collect(),
+        };
+        cluster
+            .send(1, ToWorker::ChunkBatch(chunk).to_bytes())
+            .unwrap();
+        let r = recv_batch(&mut cluster);
+        assert_eq!(r.query_ids, vec![40, 41]);
+        assert_eq!(
+            r.result_ends,
+            vec![2, 2],
+            "an empty survivor set stays empty"
+        );
+        assert_eq!(r.ids, vec![fx_list_id(0, 1), fx_list_id(2, 3)]);
+        let want = |id: u64, carried: f32| carried + l2_sq(&q[0][half..], &fx_row(id)[half..]);
+        assert_eq!(r.scores, vec![want(1, 0.25), want(203, 0.5)]);
+        assert_eq!(r.candidates_seen, vec![2, 0]);
         cluster.shutdown().unwrap();
     }
 

@@ -178,6 +178,26 @@ impl VectorStore {
         Ok(())
     }
 
+    /// Drops, in place, every row for which `keep(row, id)` is false; kept
+    /// rows close ranks in their original order. Capacity is retained.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(usize, VectorId) -> bool) {
+        let dim = self.dim;
+        let mut kept = 0;
+        for row in 0..self.ids.len() {
+            if !keep(row, self.ids[row]) {
+                continue;
+            }
+            if kept != row {
+                self.ids[kept] = self.ids[row];
+                self.data
+                    .copy_within(row * dim..(row + 1) * dim, kept * dim);
+            }
+            kept += 1;
+        }
+        self.ids.truncate(kept);
+        self.data.truncate(kept * dim);
+    }
+
     /// Appends every row of `other`.
     ///
     /// # Errors
@@ -278,6 +298,20 @@ impl VectorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retain_rows_compacts_in_place_and_keeps_order() {
+        let mut s = VectorStore::new(2);
+        for i in 0..6u64 {
+            s.push(10 + i, &[i as f32, -(i as f32)]).unwrap();
+        }
+        s.retain_rows(|row, id| row != 0 && id != 13);
+        assert_eq!(s.ids(), &[11, 12, 14, 15]);
+        assert_eq!(s.row(2), &[4.0, -4.0]);
+        assert_eq!(s.as_flat().len(), 8);
+        s.retain_rows(|_, _| false);
+        assert!(s.is_empty());
+    }
 
     fn sample() -> VectorStore {
         VectorStore::from_flat(3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]).unwrap()

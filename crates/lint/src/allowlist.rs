@@ -176,9 +176,12 @@ mod tests {
     use super::*;
 
     fn entry_text(text: &str) -> Allowlist {
+        // Tests run on parallel threads: one file each.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!("hl-allow-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("lint.allow");
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let p = dir.join(format!("lint-{n}.allow"));
         std::fs::write(&p, text).unwrap();
         Allowlist::load(&p, "lint.allow").unwrap()
     }

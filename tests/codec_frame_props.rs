@@ -4,13 +4,20 @@
 //! and `Wire` deserialization — bit for bit. Truncated frames must decode
 //! to "incomplete" without consuming bytes, and frames whose header
 //! declares a body larger than [`MAX_FRAME_BYTES`] must be rejected.
+//!
+//! The sub-batch pipeline messages (`ChunkBatch` / `CarryBatch` /
+//! `ResultBatch`) get their own properties — varint index gaps of every
+//! width, empty survivor sets, truncation — and the single-query forms
+//! they superseded (`Chunk` / `Carry` / `Result`) are pinned byte for byte:
+//! external drivers still speak them.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use harmony::cluster::codec::Wire;
 use harmony::cluster::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
 use harmony::core::messages::{
-    BeginEpoch, Carry, ClusterBlock, DeleteIds, DeltaUpsert, InstallLists, ListPiece, LoadBlock,
-    MigrateOut, QueryChunk, QueryResult, SetTier, StatsReport, ToClient, ToWorker, TransferSpec,
+    BeginEpoch, Carry, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert, InstallLists,
+    ListPiece, LoadBlock, MigrateOut, QueryChunk, QueryResult, ResultBatch, SetTier, StatsReport,
+    ToClient, ToWorker, TransferSpec,
 };
 use harmony::index::Sq8Segment;
 use proptest::prelude::*;
@@ -101,13 +108,251 @@ fn sample_piece(cluster: u32, n: usize, width: usize, ip: bool, sq8: bool) -> Li
     }
 }
 
+/// A sub-batch of `n` queries; query `i` probes `i % 4` clusters (so some
+/// probe none), ascending, with gaps that need multi-byte varints.
+fn sample_chunk_batch(n: usize, width: usize, ip: bool, seed: u64) -> ChunkBatch {
+    let mut clusters = Vec::new();
+    let mut cluster_ends = Vec::new();
+    for i in 0..n {
+        clusters.extend((0..(i % 4) as u32).map(|c| c * 200 + i as u32));
+        cluster_ends.push(clusters.len() as u32);
+    }
+    ChunkBatch {
+        ns: (seed % 8) as u16,
+        epoch: seed % 1_000,
+        shard: (seed % 64) as u32,
+        k: 10,
+        order: vec![3, 0, 2, 1],
+        position: (seed % 4) as u32,
+        delta_seq: seed % 10_000,
+        legacy_reply: seed.is_multiple_of(2),
+        query_ids: (0..n as u64).map(|i| seed / 2 + i * 3).collect(),
+        thresholds: (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    f32::INFINITY
+                } else {
+                    i as f32 * 0.5
+                }
+            })
+            .collect(),
+        q_total_norms_sq: if ip { vec![2.5; n] } else { Vec::new() },
+        cluster_ends,
+        clusters,
+        dims: (0..n * width).map(|i| i as f32 * 0.125 - 1.0).collect(),
+    }
+}
+
+/// A carry of `n` queries; query `i` keeps `i % 5` survivors (so some keep
+/// none) whose indices step by `gap`.
+fn sample_carry_batch(n: usize, gap: u32, ip: bool, sq8: bool, seed: u64) -> CarryBatch {
+    let mut indices = Vec::new();
+    let mut survivor_ends = Vec::new();
+    for i in 0..n {
+        indices.extend((0..(i % 5) as u32).map(|j| (seed % 7) as u32 + j * gap));
+        survivor_ends.push(indices.len() as u32);
+    }
+    let survivors = indices.len();
+    CarryBatch {
+        first_query_id: seed,
+        shard: (seed % 64) as u32,
+        thresholds: (0..n).map(|i| i as f32 + 0.25).collect(),
+        survivor_ends,
+        indices,
+        partials: (0..survivors).map(|i| i as f32 * 0.75).collect(),
+        visited_norms_sq: if ip { vec![1.5; survivors] } else { Vec::new() },
+        q_visited_norms_sq: if ip { vec![0.5; n] } else { Vec::new() },
+        quant_eps: if sq8 { vec![0.0625; n] } else { Vec::new() },
+    }
+}
+
+fn sample_result_batch(n: usize, seed: u64) -> ResultBatch {
+    let mut ids = Vec::new();
+    let mut result_ends = Vec::new();
+    for i in 0..n {
+        ids.extend((0..(i % 4) as u64).map(|j| seed % 1_000 + i as u64 * 10 + j));
+        result_ends.push(ids.len() as u32);
+    }
+    ResultBatch {
+        shard: (seed % 64) as u32,
+        query_ids: (0..n as u64).map(|i| seed / 2 + i).collect(),
+        result_ends,
+        scores: (0..ids.len()).map(|i| i as f32 * 0.5 - 2.0).collect(),
+        ids,
+        candidates_seen: (0..n as u64).map(|i| (seed % 100_000) * i).collect(),
+    }
+}
+
+/// Every strict prefix of `msg`'s encoding must fail to decode (never
+/// panic, never yield a shorter message), and every strict prefix of its
+/// frame must report "incomplete".
+fn assert_truncation_detected<T: Wire + std::fmt::Debug>(msg: &T) -> Result<(), TestCaseError> {
+    let payload = msg.to_bytes();
+    for cut in 0..payload.len() {
+        prop_assert!(
+            T::from_bytes(payload.slice(..cut)).is_err(),
+            "{cut}/{} payload bytes decoded",
+            payload.len()
+        );
+    }
+    let frame = Frame::User {
+        from: 1,
+        payload,
+        injected_delay_ns: 0,
+    };
+    let mut wire = BytesMut::new();
+    encode_frame(&frame, &mut wire);
+    let full = wire.freeze();
+    for cut in 0..full.len() {
+        let got = decode_frame(&mut full.slice(..cut));
+        prop_assert!(matches!(got, Ok(None)), "frame cut at {cut}: {got:?}");
+    }
+    Ok(())
+}
+
+fn hex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The single-query pipeline messages are a published format: drivers
+/// outside this workspace build them field by field and expect the old
+/// bytes back. Expected values were derived from the documented layout
+/// (tag, little-endian fields in declaration order, `u64` counts), not
+/// from this encoder.
+#[test]
+fn legacy_pipeline_messages_keep_their_bytes() {
+    let chunk = ToWorker::Chunk(QueryChunk {
+        ns: 2,
+        query_id: 42,
+        epoch: 3,
+        shard: 1,
+        k: 10,
+        threshold: 3.25,
+        clusters: vec![0, 5, 9],
+        dims: vec![0.5, -1.0, 2.0],
+        q_total_norm_sq: 5.25,
+        order: vec![3, 4, 5],
+        position: 1,
+        delta_seq: 6,
+    });
+    let carry = ToWorker::Carry(Carry {
+        ns: 2,
+        query_id: 42,
+        epoch: 3,
+        shard: 1,
+        threshold: 1.5,
+        next_position: 2,
+        indices: vec![10, 20],
+        partials: vec![0.25, 0.75],
+        visited_norms_sq: vec![],
+        q_visited_norm_sq: 0.0,
+        quant_eps: 0.125,
+    });
+    let result = ToClient::Result(QueryResult {
+        query_id: 42,
+        shard: 1,
+        ids: vec![5, 7],
+        scores: vec![0.125, 2.0],
+        candidates_seen: 100,
+    });
+    let chunk_bytes = hex(concat!(
+        "0102002a000000000000000300000000000000010000000a00000000005040",
+        "0300000000000000000000000500000009000000",
+        "03000000000000000000003f000080bf00000040",
+        "0000a840",
+        "0300000000000000030000000000000004000000000000000500000000000000",
+        "010000000600000000000000",
+    ));
+    let carry_bytes = hex(concat!(
+        "0202002a000000000000000300000000000000010000000000c03f02000000",
+        "02000000000000000a00000014000000",
+        "02000000000000000000803e0000403f",
+        "0000000000000000",
+        "000000000000003e",
+    ));
+    let result_bytes = hex(concat!(
+        "012a0000000000000001000000",
+        "020000000000000005000000000000000700000000000000",
+        "02000000000000000000003e00000040",
+        "6400000000000000",
+    ));
+    assert_eq!(chunk.to_bytes().as_ref(), &chunk_bytes[..]);
+    assert_eq!(carry.to_bytes().as_ref(), &carry_bytes[..]);
+    assert_eq!(result.to_bytes().as_ref(), &result_bytes[..]);
+    assert_eq!(ToWorker::from_bytes(chunk_bytes.into()).unwrap(), chunk);
+    assert_eq!(ToWorker::from_bytes(carry_bytes.into()).unwrap(), carry);
+    assert_eq!(ToClient::from_bytes(result_bytes.into()).unwrap(), result);
+    // The batch variants took the next free tags; the old ones did not move.
+    let tag = |m: ToWorker| m.to_bytes()[0];
+    assert_eq!(
+        tag(ToWorker::ChunkBatch(sample_chunk_batch(1, 2, false, 0))),
+        12
+    );
+    assert_eq!(
+        tag(ToWorker::CarryBatch(sample_carry_batch(
+            1, 1, false, false, 0
+        ))),
+        13
+    );
+    assert_eq!(
+        ToClient::ResultBatch(sample_result_batch(1, 0)).to_bytes()[0],
+        5
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The sub-batch messages survive the frame path whatever their shape:
+    /// survivor-index gaps on every side of the 1/2/3/4/5-byte varint
+    /// boundaries, queries with no survivors / clusters / results, the
+    /// optional arrays present or omitted — and lose no byte silently.
+    #[test]
+    fn batch_messages_roundtrip_and_detect_truncation(
+        n in 0usize..12,
+        width in 1usize..8,
+        gap_class in 0usize..5,
+        nudge in 0u32..2,
+        ip in proptest::bool::ANY,
+        sq8 in proptest::bool::ANY,
+        from in 0u64..8,
+        delay in 0u64..1_000_000,
+        seed in proptest::num::u64::ANY,
+    ) {
+        let gap = [1u32, 1 << 7, 1 << 14, 1 << 21, 1 << 28][gap_class] - nudge.min(gap_class as u32);
+        let chunk = sample_chunk_batch(n, width, ip, seed);
+        let carry = sample_carry_batch(n, gap, ip, sq8, seed);
+        let result = sample_result_batch(n, seed);
+        assert_truncation_detected(&chunk)?;
+        assert_truncation_detected(&carry)?;
+        assert_truncation_detected(&result)?;
+        // A survivor costs its index gap (one byte when dense) plus its
+        // partial (and visited norm), nothing else.
+        let dense = sample_carry_batch(n, 1, ip, sq8, seed);
+        let none = CarryBatch {
+            survivor_ends: vec![0; n],
+            indices: Vec::new(),
+            partials: Vec::new(),
+            visited_norms_sq: Vec::new(),
+            ..dense.clone()
+        };
+        let per_survivor = if ip { 9 } else { 5 };
+        prop_assert_eq!(
+            dense.to_bytes().len(),
+            none.to_bytes().len() + dense.indices.len() * per_survivor
+        );
+        roundtrip_msg(chunk, from, delay)?;
+        roundtrip_msg(carry, from, delay)?;
+        roundtrip_msg(result, from, delay)?;
+    }
 
     /// Every `ToWorker` variant survives the full frame path.
     #[test]
     fn to_worker_variants_roundtrip_through_frames(
-        tag in 0usize..12,
+        tag in 0usize..14,
         ns in 0u16..8,
         epoch in 0u64..1_000,
         shard in 0u32..64,
@@ -212,10 +457,12 @@ proptest! {
                 ids: (0..n as u64).map(|i| i * 11).collect(),
                 seq: seed % 10_000,
             }),
-            _ => ToWorker::SetTier(SetTier {
+            11 => ToWorker::SetTier(SetTier {
                 ns,
                 temperature: (seed % 3) as u8,
             }),
+            12 => ToWorker::ChunkBatch(sample_chunk_batch(n, width, ip, seed)),
+            _ => ToWorker::CarryBatch(sample_carry_batch(n, 1 + shard, ip, sq8, seed)),
         };
         roundtrip_msg(msg, from, delay)?;
     }
@@ -223,7 +470,7 @@ proptest! {
     /// Every `ToClient` variant survives the full frame path.
     #[test]
     fn to_client_variants_roundtrip_through_frames(
-        tag in 0usize..5,
+        tag in 0usize..6,
         ns in 0u16..8,
         epoch in 0u64..1_000,
         shard in 0u32..64,
@@ -256,7 +503,8 @@ proptest! {
                 spilled_block_bytes: seed / 19,
             }),
             3 => ToClient::EpochReady { ns, epoch },
-            _ => ToClient::TierAck { ns },
+            4 => ToClient::TierAck { ns },
+            _ => ToClient::ResultBatch(sample_result_batch(n, seed)),
         };
         roundtrip_msg(msg, from, delay)?;
     }
