@@ -7,6 +7,11 @@
 //! when auditing the communication-volume claims of the paper (§4.2.2:
 //! "the total data sent does not change").
 //!
+//! Messages are declared through [`wire!`](crate::wire): it takes a
+//! message's documented field (or variant) list once and emits the type
+//! together with its [`Wire`] impl, so `encode`, `decode`, `size_hint` and
+//! an enum's two tag matches cannot drift apart.
+//!
 //! Format rules:
 //! * all integers little-endian; `usize` travels as `u64`;
 //! * collections are a `u64` element count followed by the elements;
@@ -18,8 +23,10 @@
 //!   [`put_ascending`]: a survivor index costs ~1 byte instead of 4);
 //! * no padding, no framing — framing belongs to the transport.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use std::fmt;
+
+pub use bytes::{Bytes, BytesMut};
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,6 +215,10 @@ impl Wire for usize {
         let v = buf.get_u64_le();
         usize::try_from(v).map_err(|_| CodecError::Invalid(format!("usize overflow: {v}")))
     }
+    #[inline]
+    fn size_hint(&self) -> usize {
+        8
+    }
 }
 
 impl Wire for bool {
@@ -223,6 +234,10 @@ impl Wire for bool {
             1 => Ok(true),
             t => Err(CodecError::Invalid(format!("bad bool tag {t}"))),
         }
+    }
+    #[inline]
+    fn size_hint(&self) -> usize {
+        1
     }
 }
 
@@ -291,6 +306,228 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
     }
+}
+
+/// Declares a wire message **once**: the documented field (or variant)
+/// list is the type definition *and* its [`Wire`] impl. `encode`, `decode`
+/// and `size_hint` walk that one list in declaration order, so field
+/// symmetry, variant coverage and encode/decode tag agreement hold by
+/// construction. Adding a field is one line in the declaration.
+///
+/// **Struct form.** Fields travel in declaration order through their
+/// type's [`Wire`] impl. `field: Type as module` routes one field through
+/// `module::{encode, decode, size_hint}` instead (a foreign type the orphan
+/// rule keeps from implementing [`Wire`]). An optional `validate = f;`
+/// runs `f(&message)?` at the end of `decode`, so a message that is
+/// decodable but malformed never reaches a handler.
+///
+/// ```
+/// use harmony_cluster::{wire, CodecError, Wire};
+///
+/// wire! {
+///     /// A list of 2-d points.
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub struct Points {
+///         /// Point ids.
+///         pub ids: Vec<u64>,
+///         /// Row-major coordinates, two per id.
+///         pub flat: Vec<f32>,
+///     }
+///     validate = |p: &Points| match p.flat.len() == 2 * p.ids.len() {
+///         true => Ok(()),
+///         false => Err(CodecError::Invalid("flat is not two per id".into())),
+///     };
+/// }
+///
+/// let p = Points { ids: vec![7], flat: vec![0.5, 1.5] };
+/// assert_eq!(Points::from_bytes(p.to_bytes()), Ok(p));
+/// let bad = Points { ids: vec![7], flat: vec![0.5] };
+/// assert!(Points::from_bytes(bad.to_bytes()).is_err());
+/// ```
+///
+/// **Enum form.** `tag => Variant(Payload)`, `tag => Variant { fields }` or
+/// `tag => Variant`: one `u8` tag, then the payload. Both match directions
+/// come from the one list, as do `TAGS` (every `(tag, variant name)`, in
+/// declaration order) and `tag()`. A tag used twice is a compile error
+/// (the generated `decode` denies unreachable patterns); tag *stability*
+/// across versions is what the compiler cannot see — pin `TAGS` in a test.
+///
+/// ```
+/// use harmony_cluster::{wire, Wire};
+///
+/// wire! {
+///     /// A request.
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub enum Request {
+///         /// Fetch one key.
+///         0 => Get(u64),
+///         /// Store a value under a key.
+///         1 => Put {
+///             /// The key.
+///             key: u64,
+///             /// The value.
+///             value: f32,
+///         },
+///         /// Drop everything.
+///         2 => Clear,
+///     }
+/// }
+///
+/// assert_eq!(Request::TAGS, &[(0, "Get"), (1, "Put"), (2, "Clear")]);
+/// let put = Request::Put { key: 9, value: 0.5 };
+/// assert_eq!((put.tag(), put.to_bytes()[0]), (1, 1));
+/// assert_eq!(Request::from_bytes(put.to_bytes()), Ok(put));
+/// ```
+///
+/// ```compile_fail
+/// harmony_cluster::wire! {
+///     pub enum Dup {
+///         0 => First,
+///         0 => Second, // error: unreachable pattern
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! wire {
+    // One field (or payload) through its `Wire` impl, or through the
+    // override module when one is named.
+    (@encode $value:expr, $buf:expr) => { $crate::codec::Wire::encode($value, $buf) };
+    (@encode $value:expr, $buf:expr, $codec:ident) => { $codec::encode($value, $buf) };
+    (@decode $ty:ty, $buf:expr) => { <$ty as $crate::codec::Wire>::decode($buf) };
+    (@decode $ty:ty, $buf:expr, $codec:ident) => { $codec::decode($buf) };
+    (@hint $value:expr) => { $crate::codec::Wire::size_hint($value) };
+    (@hint $value:expr, $codec:ident) => { $codec::size_hint($value) };
+    // Emits `$keep` once per captured `$drop` (a repetition must name one).
+    (@first $keep:tt, $($drop:tt)*) => { $keep };
+
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $fty:ty $(as $codec:ident)?
+            ),* $(,)?
+        }
+        $(validate = $validate:expr;)?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $fty, )*
+        }
+
+        impl $crate::codec::Wire for $name {
+            fn encode(&self, buf: &mut $crate::codec::BytesMut) {
+                $( $crate::wire!(@encode &self.$field, buf $(, $codec)?); )*
+            }
+
+            fn decode(
+                buf: &mut $crate::codec::Bytes,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                let msg = Self {
+                    $( $field: $crate::wire!(@decode $fty, buf $(, $codec)?)?, )*
+                };
+                $( ($validate)(&msg)?; )?
+                Ok(msg)
+            }
+
+            fn size_hint(&self) -> usize {
+                <[usize]>::iter(&[
+                    $( $crate::wire!(@hint &self.$field $(, $codec)?), )*
+                ])
+                .sum()
+            }
+        }
+    };
+
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                    $( ( $payload:ty ) )?
+                    $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? } )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $( ( $payload ) )? $( { $( $(#[$fmeta])* $field: $fty, )* } )?,
+            )*
+        }
+
+        impl $name {
+            /// Every variant's `(wire tag, name)`, in declaration order.
+            pub const TAGS: &'static [(u8, &'static str)] =
+                &[ $( ($tag, stringify!($variant)), )* ];
+
+            /// The wire tag of this value's variant.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(
+                        $name::$variant
+                            $( ( $crate::wire!(@first _, $payload) ) )?
+                            $( { $( $field: _, )* } )?
+                        => $tag,
+                    )*
+                }
+            }
+        }
+
+        impl $crate::codec::Wire for $name {
+            fn encode(&self, buf: &mut $crate::codec::BytesMut) {
+                match self {
+                    $(
+                        $name::$variant
+                            $( ( $crate::wire!(@first m, $payload) ) )?
+                            $( { $( $field, )* } )?
+                        => {
+                            <u8 as $crate::codec::Wire>::encode(&$tag, buf);
+                            $( $crate::codec::Wire::encode($crate::wire!(@first m, $payload), buf); )?
+                            $( $( $crate::codec::Wire::encode($field, buf); )* )?
+                        }
+                    )*
+                }
+            }
+
+            // A tag listed twice makes its second arm unreachable.
+            #[deny(unreachable_patterns)]
+            fn decode(
+                buf: &mut $crate::codec::Bytes,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                match <u8 as $crate::codec::Wire>::decode(buf)? {
+                    $(
+                        $tag => Ok($name::$variant
+                            $( ( <$payload as $crate::codec::Wire>::decode(buf)? ) )?
+                            $( { $( $field: <$fty as $crate::codec::Wire>::decode(buf)?, )* } )?
+                        ),
+                    )*
+                    t => Err($crate::codec::CodecError::Invalid(format!(
+                        concat!("bad ", stringify!($name), " tag {}"),
+                        t
+                    ))),
+                }
+            }
+
+            fn size_hint(&self) -> usize {
+                match self {
+                    $(
+                        $name::$variant
+                            $( ( $crate::wire!(@first m, $payload) ) )?
+                            $( { $( $field, )* } )?
+                        => <[usize]>::iter(&[
+                            1,
+                            $( $crate::codec::Wire::size_hint($crate::wire!(@first m, $payload)), )?
+                            $( $( $crate::codec::Wire::size_hint($field), )* )?
+                        ])
+                        .sum(),
+                    )*
+                }
+            }
+        }
+    };
 }
 
 /// Appends `v` as an LEB128 varint (7 value bits per byte, low first).
@@ -398,6 +635,111 @@ mod tests {
         let bytes = v.to_bytes();
         let back = T::from_bytes(bytes).expect("decode");
         assert_eq!(v, back);
+    }
+
+    /// A field codec the schema can be pointed at with `as`: one byte that
+    /// travels bit-inverted.
+    mod inverted {
+        use super::*;
+
+        pub fn encode(v: &u8, buf: &mut BytesMut) {
+            (!*v).encode(buf);
+        }
+        pub fn decode(buf: &mut Bytes) -> Result<u8, CodecError> {
+            Ok(!u8::decode(buf)?)
+        }
+        pub fn size_hint(_: &u8) -> usize {
+            1
+        }
+    }
+
+    wire! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Sample {
+            id: u32,
+            mask: u8 as inverted,
+            rows: Vec<u16>,
+            live: bool,
+        }
+        validate = |s: &Sample| match s.rows.len() <= 2 {
+            true => Ok(()),
+            false => Err(CodecError::Invalid("more than two rows".into())),
+        };
+    }
+
+    wire! {
+        #[derive(Debug, Clone, PartialEq)]
+        enum Op {
+            0 => Run(Sample),
+            1 => Stop,
+            5 => Move { from: u16, to: u64 },
+        }
+    }
+
+    fn sample() -> Sample {
+        Sample {
+            id: 0x0403_0201,
+            mask: 0x0F,
+            rows: vec![7],
+            live: true,
+        }
+    }
+
+    #[test]
+    fn schema_struct_walks_fields_in_declaration_order() {
+        let bytes = sample().to_bytes();
+        // id, inverted mask, u64 count + one u16, bool.
+        assert_eq!(
+            bytes.as_ref(),
+            &[1, 2, 3, 4, 0xF0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 1]
+        );
+        assert_eq!(sample().size_hint(), bytes.len());
+        roundtrip(sample());
+        for cut in 0..bytes.len() {
+            assert!(Sample::from_bytes(bytes.slice(..cut)).is_err());
+        }
+    }
+
+    #[test]
+    fn schema_validate_runs_at_the_end_of_decode() {
+        let long = Sample {
+            rows: vec![1, 2, 3],
+            ..sample()
+        };
+        assert_eq!(
+            Sample::from_bytes(long.to_bytes()),
+            Err(CodecError::Invalid("more than two rows".into()))
+        );
+        // Nested decodes validate too.
+        assert!(Op::from_bytes(Op::Run(long).to_bytes()).is_err());
+    }
+
+    #[test]
+    fn schema_enum_tags_and_shapes() {
+        assert_eq!(Op::TAGS, &[(0, "Run"), (1, "Stop"), (5, "Move")]);
+        let ops = [
+            Op::Run(sample()),
+            Op::Stop,
+            Op::Move {
+                from: 0x0102,
+                to: 3,
+            },
+        ];
+        for (op, &(tag, _)) in ops.iter().zip(Op::TAGS) {
+            let bytes = op.to_bytes();
+            assert_eq!((op.tag(), bytes[0]), (tag, tag));
+            assert_eq!(op.size_hint(), bytes.len());
+            roundtrip(op.clone());
+        }
+        assert_eq!(
+            ops[2].to_bytes().as_ref(),
+            &[5, 2, 1, 3, 0, 0, 0, 0, 0, 0, 0]
+        );
+        // A tag between two declared ones is still unknown.
+        assert_eq!(
+            Op::from_bytes(Bytes::from_static(&[2])),
+            Err(CodecError::Invalid("bad Op tag 2".into()))
+        );
     }
 
     #[test]

@@ -735,6 +735,91 @@ struct PreparedNamespace {
     add: Duration,
 }
 
+/// One inverted list cut to one dimension range: the payload a
+/// [`ClusterBlock`] (build) and a [`ListPiece`] (compaction) both carry.
+struct ListCut {
+    ids: Vec<u64>,
+    /// Row-major coordinates over the range (empty under SQ8).
+    flat: Vec<f32>,
+    /// The same rows quantized as one segment (SQ8 only).
+    segs: Vec<Sq8Segment>,
+    /// Per-row squared norm over the range and over the full vector
+    /// (inner-product metrics only; empty under L2).
+    range_norms_sq: Vec<f32>,
+    total_norms_sq: Vec<f32>,
+}
+
+/// Cuts `rows` of `store` to `range`. Under SQ8 only codes travel and
+/// reside; the norm tables stay exact (computed from the original slices,
+/// before quantization).
+fn cut_list(
+    store: &VectorStore,
+    rows: impl ExactSizeIterator<Item = usize>,
+    range: DimRange,
+    is_ip: bool,
+    sq8: bool,
+) -> ListCut {
+    let mut cut = ListCut {
+        ids: Vec::with_capacity(rows.len()),
+        flat: Vec::with_capacity(rows.len() * range.len()),
+        segs: Vec::new(),
+        range_norms_sq: Vec::new(),
+        total_norms_sq: Vec::new(),
+    };
+    for row in rows {
+        cut.ids.push(store.id(row));
+        let slice = store.row_range(row, range);
+        cut.flat.extend_from_slice(slice);
+        if is_ip {
+            cut.range_norms_sq.push(ip(slice, slice));
+            let full = store.row(row);
+            cut.total_norms_sq.push(ip(full, full));
+        }
+    }
+    if sq8 && !cut.flat.is_empty() {
+        let flat = std::mem::take(&mut cut.flat);
+        cut.segs = vec![Sq8Segment::quantize(&flat, range.len(), range.start as u64)];
+    }
+    cut
+}
+
+/// Drains the control channel until `accept` has taken `expected`
+/// acknowledgments or `deadline` passes — one deadline for the whole
+/// handshake, however many replies it takes. `accept(from, msg)` says
+/// whether a message is a new ack of the awaited operation; anything else
+/// (stats replies and acks of earlier, timed-out operations) is skipped.
+fn await_acks(
+    control: &Receiver<(NodeId, ToClient)>,
+    deadline: Instant,
+    expected: usize,
+    mut accept: impl FnMut(NodeId, ToClient) -> bool,
+) -> Result<(), CoreError> {
+    let mut accepted = 0;
+    while accepted < expected {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        match control.recv_timeout(remaining) {
+            Ok((from, msg)) => accepted += usize::from(accept(from, msg)),
+            Err(RecvTimeoutError::Timeout) => {
+                return Err(CoreError::Cluster(ClusterError::Timeout))
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(CoreError::Cluster(ClusterError::ShutDown))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The `accept` of a handshake every machine answers once: takes a matching
+/// reply from each of `machines` senders, a duplicate from none.
+fn once_per_machine(
+    machines: usize,
+    mut matches: impl FnMut(&ToClient) -> bool,
+) -> impl FnMut(NodeId, ToClient) -> bool {
+    let mut seen = vec![false; machines];
+    move |from, msg| matches(&msg) && from < machines && !std::mem::replace(&mut seen[from], true)
+}
+
 /// Runs the Train / Add / plan-selection / Pre-assign pipeline for one
 /// namespace over `base`, producing its state and the grid blocks to ship.
 fn prepare_namespace(
@@ -828,38 +913,15 @@ fn prepare_namespace(
             let lists: Vec<ClusterBlock> = clusters
                 .iter()
                 .map(|&c| {
-                    let rows = &list_rows[c as usize];
-                    let mut flat = Vec::with_capacity(rows.len() * range.len());
-                    let mut ids = Vec::with_capacity(rows.len());
-                    let mut block_norms_sq = Vec::new();
-                    let mut total_norms_sq = Vec::new();
-                    for &row in rows {
-                        ids.push(base.id(row));
-                        let slice = base.row_range(row, *range);
-                        flat.extend_from_slice(slice);
-                        if is_ip {
-                            block_norms_sq.push(ip(slice, slice));
-                            let full = base.row(row);
-                            total_norms_sq.push(ip(full, full));
-                        }
-                    }
-                    // Under SQ8 only codes travel and reside; norm
-                    // tables stay exact (they are computed from the
-                    // original slices above, before quantization).
-                    let segs = if sq8 && !flat.is_empty() {
-                        let seg = Sq8Segment::quantize(&flat, range.len(), range.start as u64);
-                        flat = Vec::new();
-                        vec![seg]
-                    } else {
-                        Vec::new()
-                    };
+                    let rows = list_rows[c as usize].iter().copied();
+                    let cut = cut_list(base, rows, *range, is_ip, sq8);
                     ClusterBlock {
                         cluster: c,
-                        ids,
-                        flat,
-                        segs,
-                        block_norms_sq,
-                        total_norms_sq,
+                        ids: cut.ids,
+                        flat: cut.flat,
+                        segs: cut.segs,
+                        block_norms_sq: cut.range_norms_sq,
+                        total_norms_sq: cut.total_norms_sq,
                     }
                 })
                 .collect();
@@ -1011,9 +1073,10 @@ impl HarmonyEngine {
         }
         // Collect acknowledgments (the receive path is still attached to
         // the building thread here).
-        let deadline = Duration::from_secs(120);
+        let deadline = Instant::now() + Duration::from_secs(120);
         for _ in 0..expected_acks {
-            let (_, payload) = cluster.recv_timeout(deadline)?;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let (_, payload) = cluster.recv_timeout(remaining)?;
             match ToClient::from_bytes(payload)? {
                 ToClient::LoadAck { .. } => {}
                 other => {
@@ -1303,35 +1366,16 @@ impl EngineCore {
                 .send(machine, ToWorker::Load(load).to_bytes())?;
         }
         let deadline = Instant::now() + Duration::from_secs(120);
+        // Stale acks of other namespaces are not this install's.
         let mut acked: HashSet<(u32, u32)> = HashSet::new();
-        while acked.len() < expected {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CoreError::Cluster(ClusterError::Timeout));
-            }
-            match control.recv_timeout(remaining) {
-                Ok((
-                    _,
-                    ToClient::LoadAck {
-                        ns: n,
-                        shard,
-                        dim_block,
-                    },
-                )) if n == ns => {
-                    acked.insert((shard, dim_block));
-                }
-                // Unrelated control traffic (stats, stale acks of other
-                // namespaces) is skipped, not an error.
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CoreError::Cluster(ClusterError::Timeout))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CoreError::Cluster(ClusterError::ShutDown))
-                }
-            }
-        }
-        Ok(())
+        await_acks(&control, deadline, expected, |_, msg| match msg {
+            ToClient::LoadAck {
+                ns: n,
+                shard,
+                dim_block,
+            } => n == ns && acked.insert((shard, dim_block)),
+            _ => false,
+        })
     }
 
     /// Moves a namespace to a storage temperature on every worker: hot
@@ -1372,29 +1416,13 @@ impl EngineCore {
                 .send(m, ToWorker::SetTier(msg).to_bytes())?;
         }
         let deadline = Instant::now() + Duration::from_secs(30);
-        let mut ready = vec![false; machines];
-        let mut count = 0usize;
-        while count < machines {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CoreError::Cluster(ClusterError::Timeout));
-            }
-            match control.recv_timeout(remaining) {
-                Ok((from, ToClient::TierAck { ns })) if ns == state.ns => {
-                    if from < machines && !std::mem::replace(&mut ready[from], true) {
-                        count += 1;
-                    }
-                }
-                // Stale control traffic of other operations is skipped.
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CoreError::Cluster(ClusterError::Timeout))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CoreError::Cluster(ClusterError::ShutDown))
-                }
-            }
-        }
+        let acked = |msg: &ToClient| matches!(*msg, ToClient::TierAck { ns } if ns == state.ns);
+        await_acks(
+            &control,
+            deadline,
+            machines,
+            once_per_machine(machines, acked),
+        )?;
         drop(control);
         state.tier.lock().temperature = temperature;
         Ok(())
@@ -2312,7 +2340,6 @@ impl EngineCore {
             members[cluster as usize].push(id);
         }
 
-        let machines = self.config.n_machines;
         let is_ip = !matches!(state.metric, Metric::L2);
         let base = state.base.read();
         // The published epoch carries prewarm samples of the lists it
@@ -2346,39 +2373,17 @@ impl EngineCore {
                     let pieces: Vec<ListPiece> = clusters
                         .iter()
                         .map(|&c| {
-                            let ids = &members[c as usize];
-                            let mut flat = Vec::with_capacity(ids.len() * range.len());
-                            let mut piece_norms_sq = Vec::new();
-                            let mut total_norms_sq = Vec::new();
-                            for &id in ids {
-                                let row = base.by_id[&id];
-                                let slice = base.store.row_range(row, *range);
-                                flat.extend_from_slice(slice);
-                                if is_ip {
-                                    piece_norms_sq.push(ip(slice, slice));
-                                    let full = base.store.row(row);
-                                    total_norms_sq.push(ip(full, full));
-                                }
-                            }
-                            // Norm tables stay exact: computed from the f32
-                            // slices above, before any re-quantization.
-                            let segs = if state.sq8 && !flat.is_empty() {
-                                let seg =
-                                    Sq8Segment::quantize(&flat, range.len(), range.start as u64);
-                                flat = Vec::new();
-                                vec![seg]
-                            } else {
-                                Vec::new()
-                            };
+                            let rows = members[c as usize].iter().map(|id| base.by_id[id]);
+                            let cut = cut_list(&base.store, rows, *range, is_ip, state.sq8);
                             ListPiece {
                                 cluster: c,
                                 dim_start: range.start as u64,
                                 dim_end: range.end as u64,
-                                ids: ids.clone(),
-                                flat,
-                                segs,
-                                piece_norms_sq,
-                                total_norms_sq,
+                                ids: cut.ids,
+                                flat: cut.flat,
+                                segs: cut.segs,
+                                piece_norms_sq: cut.range_norms_sq,
+                                total_norms_sq: cut.total_norms_sq,
                             }
                         })
                         .collect();
@@ -2397,43 +2402,13 @@ impl EngineCore {
             Ok(())
         })();
         drop(base);
-        if let Err(e) = sends {
-            drop(control);
+        // Await one activation ack per machine (the migration handshake).
+        let acks = sends.and_then(|()| self.await_epoch_ready(&control, state.ns, epoch));
+        drop(control);
+        if let Err(e) = acks {
             self.abort_epoch(state.ns, epoch);
             return Err(e);
         }
-
-        // Await one activation ack per machine (the migration handshake).
-        let deadline = Instant::now() + MIGRATION_HANDSHAKE_TIMEOUT;
-        let mut ready = vec![false; machines];
-        let mut count = 0usize;
-        while count < machines {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                drop(control);
-                self.abort_epoch(state.ns, epoch);
-                return Err(CoreError::Cluster(ClusterError::Timeout));
-            }
-            match control.recv_timeout(remaining) {
-                Ok((from, ToClient::EpochReady { ns, epoch: e }))
-                    if ns == state.ns && e == epoch =>
-                {
-                    if from < machines && !std::mem::replace(&mut ready[from], true) {
-                        count += 1;
-                    }
-                }
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    drop(control);
-                    self.abort_epoch(state.ns, epoch);
-                    return Err(CoreError::Cluster(ClusterError::Timeout));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CoreError::Cluster(ClusterError::ShutDown))
-                }
-            }
-        }
-        drop(control);
 
         // Swap admissions onto the compacted epoch; the old one retires
         // until its in-flight queries drain, exactly like a migration.
@@ -2900,44 +2875,13 @@ impl EngineCore {
             }
             Ok(())
         })();
-        if let Err(e) = sends {
-            drop(control);
+        // Await one activation ack per machine.
+        let acks = sends.and_then(|()| self.await_epoch_ready(&control, state.ns, epoch));
+        drop(control);
+        if let Err(e) = acks {
             self.abort_epoch(state.ns, epoch);
             return Err(e);
         }
-
-        // Await one activation ack per machine.
-        let deadline = Instant::now() + MIGRATION_HANDSHAKE_TIMEOUT;
-        let mut ready = vec![false; machines];
-        let mut count = 0usize;
-        while count < machines {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                drop(control);
-                self.abort_epoch(state.ns, epoch);
-                return Err(CoreError::Cluster(ClusterError::Timeout));
-            }
-            match control.recv_timeout(remaining) {
-                Ok((from, ToClient::EpochReady { ns, epoch: e }))
-                    if ns == state.ns && e == epoch =>
-                {
-                    if from < machines && !std::mem::replace(&mut ready[from], true) {
-                        count += 1;
-                    }
-                }
-                // Stale stats replies / acks of older epochs are skipped.
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    drop(control);
-                    self.abort_epoch(state.ns, epoch);
-                    return Err(CoreError::Cluster(ClusterError::Timeout));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CoreError::Cluster(ClusterError::ShutDown))
-                }
-            }
-        }
-        drop(control);
 
         // The migration shipped only the epoch's *list* storage; rows still
         // sitting in delta lists — and the tombstones suppressing their
@@ -3064,6 +3008,25 @@ impl EngineCore {
         Ok(())
     }
 
+    /// Awaits every machine's [`ToClient::EpochReady`] for `(ns, epoch)`.
+    /// Stale stats replies and acks of older epochs are skipped; on expiry
+    /// the caller aborts the epoch and the incumbent layout stays in force.
+    fn await_epoch_ready(
+        &self,
+        control: &Receiver<(NodeId, ToClient)>,
+        ns: u16,
+        epoch: u64,
+    ) -> Result<(), CoreError> {
+        let machines = self.config.n_machines;
+        let ready = |msg: &ToClient| *msg == ToClient::EpochReady { ns, epoch };
+        await_acks(
+            control,
+            Instant::now() + MIGRATION_HANDSHAKE_TIMEOUT,
+            machines,
+            once_per_machine(machines, ready),
+        )
+    }
+
     /// Best-effort cleanup of a half-installed epoch after a failed
     /// handshake, so a retry cannot meet leftover state.
     fn abort_epoch(&self, ns: u16, epoch: u64) {
@@ -3097,51 +3060,29 @@ impl EngineCore {
             ..EngineStats::default()
         };
         let deadline = Instant::now() + Duration::from_secs(30);
-        let mut received = 0;
         // One reply per worker: a straggler from an earlier timed-out
         // collection that arrives mid-flight must not be merged twice.
         let mut seen = vec![false; workers];
-        while received < workers {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CoreError::Cluster(ClusterError::Timeout));
+        await_acks(&control, deadline, workers, |from, msg| {
+            let ToClient::Stats(r) = msg else {
+                return false;
+            };
+            if from >= workers || std::mem::replace(&mut seen[from], true) {
+                return false;
             }
-            match control.recv_timeout(remaining) {
-                Ok((from, ToClient::Stats(r))) => {
-                    if from >= workers || std::mem::replace(&mut seen[from], true) {
-                        continue; // duplicate or stale reply from this worker
-                    }
-                    stats.slices.merge_report(&r.slice_in, &r.slice_pruned);
-                    stats.worker_memory_bytes[from] = r.memory_bytes;
-                    stats.scanned_point_dims += r.scanned_point_dims;
-                    stats.f32_block_bytes += r.f32_block_bytes;
-                    stats.sq8_block_bytes += r.sq8_block_bytes;
-                    stats.compute_ns += r.compute_ns;
-                    stats.delta_block_bytes += r.delta_bytes;
-                    stats.delta_rows += r.delta_rows;
-                    stats.tombstone_entries += r.tombstone_entries;
-                    stats.cache_block_bytes += r.cache_block_bytes;
-                    stats.spilled_block_bytes += r.spilled_block_bytes;
-                    received += 1;
-                }
-                // Late acks from aborted handshakes / installs / tier
-                // transitions of other operations are harmless here.
-                Ok((_, ToClient::EpochReady { .. }))
-                | Ok((_, ToClient::LoadAck { .. }))
-                | Ok((_, ToClient::TierAck { .. })) => continue,
-                Ok((_, other)) => {
-                    return Err(CoreError::Protocol(format!(
-                        "unexpected message during stats collection: {other:?}"
-                    )))
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CoreError::Cluster(ClusterError::Timeout))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CoreError::Cluster(ClusterError::ShutDown))
-                }
-            }
-        }
+            stats.slices.merge_report(&r.slice_in, &r.slice_pruned);
+            stats.worker_memory_bytes[from] = r.memory_bytes;
+            stats.scanned_point_dims += r.scanned_point_dims;
+            stats.f32_block_bytes += r.f32_block_bytes;
+            stats.sq8_block_bytes += r.sq8_block_bytes;
+            stats.compute_ns += r.compute_ns;
+            stats.delta_block_bytes += r.delta_bytes;
+            stats.delta_rows += r.delta_rows;
+            stats.tombstone_entries += r.tombstone_entries;
+            stats.cache_block_bytes += r.cache_block_bytes;
+            stats.spilled_block_bytes += r.spilled_block_bytes;
+            true
+        })?;
         Ok(stats)
     }
 

@@ -16,362 +16,363 @@
 //!   lifted into one-row batches on arrival.
 //! * **Diagnostics** — [`ToWorker::GetStats`] / [`ToClient::Stats`] collect
 //!   the per-slice pruning counters behind Fig. 2a and Table 3.
+//!
+//! Every message is declared **once**, through [`harmony_cluster::wire!`]:
+//! the documented field (or tagged variant) list below is the type and its
+//! codec. Adding a field is one line in its declaration plus regenerating
+//! that message's lines in `tests/golden/wire_messages.txt`. Messages whose
+//! arrays a handler indexes by row carry a `validate` hook, so a
+//! malformed-but-decodable payload fails in `decode` instead of panicking
+//! a worker thread. Only [`ChunkBatch`] / [`CarryBatch`] / [`ResultBatch`]
+//! keep hand-written codecs: their varint and omitted-field layouts are
+//! their purpose.
 
 use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
 use harmony_cluster::codec::{get_ascending, get_count, get_varint, put_ascending, put_varint};
-use harmony_cluster::{CodecError, Wire};
-use harmony_index::Sq8Segment;
+use harmony_cluster::{wire, CodecError, Wire};
+use harmony_index::{BlockRepr, Metric, Sq8Segment, Temperature};
 
-/// Encodes SQ8 segments field-by-field. `Sq8Segment` lives in
-/// `harmony-index` and `Wire` in `harmony-cluster`, so the orphan rule
-/// forbids an `impl Wire for Sq8Segment` here; these free helpers keep the
-/// wire layout (count + per-segment header + codes + sums) in one place.
-fn encode_segs(segs: &[Sq8Segment], buf: &mut BytesMut) {
-    (segs.len() as u64).encode(buf);
+/// Field codec of `Vec<Sq8Segment>` (`segs: … as sq8_segs` in the schemas
+/// below). `Sq8Segment` lives in `harmony-index` and `Wire` in
+/// `harmony-cluster`, so the orphan rule forbids an `impl Wire for
+/// Sq8Segment` here; this module keeps the wire layout (count + per-segment
+/// header + codes + sums) in one place.
+mod sq8_segs {
+    use super::*;
+
+    pub fn encode(segs: &[Sq8Segment], buf: &mut BytesMut) {
+        (segs.len() as u64).encode(buf);
+        for s in segs {
+            s.dim_start.encode(buf);
+            s.dim_end.encode(buf);
+            s.min.encode(buf);
+            s.scale.encode(buf);
+            s.codes.encode(buf);
+            s.code_sums.encode(buf);
+        }
+    }
+
+    pub fn decode(buf: &mut Bytes) -> Result<Vec<Sq8Segment>, CodecError> {
+        let len = usize::decode(buf)?;
+        if len > buf.len() {
+            return Err(CodecError::Invalid(format!(
+                "declared {len} segments but only {} bytes remain",
+                buf.len()
+            )));
+        }
+        let mut segs = Vec::with_capacity(len);
+        for _ in 0..len {
+            segs.push(Sq8Segment {
+                dim_start: u64::decode(buf)?,
+                dim_end: u64::decode(buf)?,
+                min: f32::decode(buf)?,
+                scale: f32::decode(buf)?,
+                codes: Vec::decode(buf)?,
+                code_sums: Vec::decode(buf)?,
+            });
+        }
+        Ok(segs)
+    }
+
+    pub fn size_hint(segs: &[Sq8Segment]) -> usize {
+        8 + segs
+            .iter()
+            .map(|s| 40 + s.codes.len() + 4 * s.code_sums.len())
+            .sum::<usize>()
+    }
+}
+
+fn invalid(msg: String) -> Result<(), CodecError> {
+    Err(CodecError::Invalid(msg))
+}
+
+/// Width of the dimension range `[dim_start, dim_end)`.
+fn width_of(what: &str, dim_start: u64, dim_end: u64) -> Result<usize, CodecError> {
+    dim_end
+        .checked_sub(dim_start)
+        .and_then(|w| usize::try_from(w).ok())
+        .ok_or_else(|| {
+            CodecError::Invalid(format!(
+                "{what}: bad dimension range {dim_start}..{dim_end}"
+            ))
+        })
+}
+
+/// The shape every row-carrying payload must have whatever its width, in
+/// O(segments): norm tables are absent or per-row, and the rows travel as
+/// `flat` *or* as SQ8 segments whose code and code-sum arrays are per-row.
+/// Handlers and the scan index these arrays by row without checking.
+fn check_rows(
+    what: &str,
+    rows: usize,
+    flat: &[f32],
+    segs: &[Sq8Segment],
+    norm_tables: [&[f32]; 2],
+) -> Result<(), CodecError> {
+    for table in norm_tables {
+        if !table.is_empty() && table.len() != rows {
+            return invalid(format!(
+                "{what}: norm table of {} entries beside {rows} rows",
+                table.len()
+            ));
+        }
+    }
+    if !segs.is_empty() && !flat.is_empty() {
+        return invalid(format!("{what}: both f32 rows and SQ8 segments"));
+    }
     for s in segs {
-        s.dim_start.encode(buf);
-        s.dim_end.encode(buf);
-        s.min.encode(buf);
-        s.scale.encode(buf);
-        s.codes.encode(buf);
-        s.code_sums.encode(buf);
+        let width = width_of(what, s.dim_start, s.dim_end)?;
+        if rows.checked_mul(width) != Some(s.codes.len()) || s.code_sums.len() != rows {
+            return invalid(format!(
+                "{what}: segment of {} codes / {} code sums beside {rows} rows of {width}",
+                s.codes.len(),
+                s.code_sums.len()
+            ));
+        }
     }
+    Ok(())
 }
 
-fn segs_size_hint(segs: &[Sq8Segment]) -> usize {
-    8 + segs
+/// The width-dependent half of [`check_rows`]: without segments `flat` is
+/// exactly `rows × width`; segments stay inside `[dim_start, dim_end)`.
+fn check_width(
+    what: &str,
+    rows: usize,
+    (dim_start, dim_end): (u64, u64),
+    flat: &[f32],
+    segs: &[Sq8Segment],
+) -> Result<(), CodecError> {
+    let width = width_of(what, dim_start, dim_end)?;
+    if segs.is_empty() && rows.checked_mul(width) != Some(flat.len()) {
+        return invalid(format!(
+            "{what}: {} coordinates beside {rows} rows of {width}",
+            flat.len()
+        ));
+    }
+    if segs
         .iter()
-        .map(|s| 40 + s.codes.len() + 4 * s.code_sums.len())
-        .sum::<usize>()
+        .any(|s| s.dim_start < dim_start || s.dim_end > dim_end)
+    {
+        return invalid(format!(
+            "{what}: segment outside dimensions {dim_start}..{dim_end}"
+        ));
+    }
+    Ok(())
 }
 
-fn decode_segs(buf: &mut Bytes) -> Result<Vec<Sq8Segment>, CodecError> {
-    let len = usize::decode(buf)?;
-    if len > buf.len() {
-        return Err(CodecError::Invalid(format!(
-            "declared {len} segments but only {} bytes remain",
-            buf.len()
-        )));
+wire! {
+    /// One inverted list restricted to one dimension block.
+    ///
+    /// Exactly one of `flat` (f32 representation) and `segs` (SQ8) is
+    /// populated; the block's [`LoadBlock::repr`] tag says which.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ClusterBlock {
+        /// IVF list (cluster) id.
+        pub cluster: u32,
+        /// Member vector ids.
+        pub ids: Vec<u64>,
+        /// Row-major member vectors, `block_dims` wide (f32 representation;
+        /// empty under SQ8).
+        pub flat: Vec<f32>,
+        /// SQ8-quantized dimension-slice segments (empty under f32).
+        pub segs: Vec<Sq8Segment> as sq8_segs,
+        /// Per-member squared norm of *this* block's coordinates (inner-product
+        /// pruning only; empty under L2).
+        pub block_norms_sq: Vec<f32>,
+        /// Per-member squared norm of the *full* vector (inner-product pruning
+        /// only; empty under L2).
+        pub total_norms_sq: Vec<f32>,
     }
-    let mut segs = Vec::with_capacity(len);
-    for _ in 0..len {
-        segs.push(Sq8Segment {
-            dim_start: u64::decode(buf)?,
-            dim_end: u64::decode(buf)?,
-            min: f32::decode(buf)?,
-            scale: f32::decode(buf)?,
-            codes: Vec::decode(buf)?,
-            code_sums: Vec::decode(buf)?,
-        });
-    }
-    Ok(segs)
+    validate = ClusterBlock::validate;
 }
 
-/// One inverted list restricted to one dimension block.
-///
-/// Exactly one of `flat` (f32 representation) and `segs` (SQ8) is
-/// populated; the block's [`LoadBlock::repr`] tag says which.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterBlock {
-    /// IVF list (cluster) id.
-    pub cluster: u32,
-    /// Member vector ids.
-    pub ids: Vec<u64>,
-    /// Row-major member vectors, `block_dims` wide (f32 representation;
-    /// empty under SQ8).
-    pub flat: Vec<f32>,
-    /// SQ8-quantized dimension-slice segments (empty under f32).
-    pub segs: Vec<Sq8Segment>,
-    /// Per-member squared norm of *this* block's coordinates (inner-product
-    /// pruning only; empty under L2).
-    pub block_norms_sq: Vec<f32>,
-    /// Per-member squared norm of the *full* vector (inner-product pruning
-    /// only; empty under L2).
-    pub total_norms_sq: Vec<f32>,
-}
-
-impl Wire for ClusterBlock {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cluster.encode(buf);
-        self.ids.encode(buf);
-        self.flat.encode(buf);
-        encode_segs(&self.segs, buf);
-        self.block_norms_sq.encode(buf);
-        self.total_norms_sq.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            cluster: u32::decode(buf)?,
-            ids: Vec::decode(buf)?,
-            flat: Vec::decode(buf)?,
-            segs: decode_segs(buf)?,
-            block_norms_sq: Vec::decode(buf)?,
-            total_norms_sq: Vec::decode(buf)?,
-        })
-    }
-
-    fn size_hint(&self) -> usize {
-        4 + self.ids.size_hint()
-            + self.flat.size_hint()
-            + segs_size_hint(&self.segs)
-            + self.block_norms_sq.size_hint()
-            + self.total_norms_sq.size_hint()
+impl ClusterBlock {
+    /// Width-independent shape; [`LoadBlock`] checks the rest against its
+    /// dimension range.
+    fn validate(&self) -> Result<(), CodecError> {
+        check_rows(
+            "ClusterBlock",
+            self.ids.len(),
+            &self.flat,
+            &self.segs,
+            [&self.block_norms_sq, &self.total_norms_sq],
+        )
     }
 }
 
-/// Build-phase shipment of one grid block to its machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadBlock {
-    /// Namespace (tenant) this block belongs to. Workers key all epoch
-    /// storage by `(ns, epoch)`, so id-spaces never collide across tenants.
-    pub ns: u16,
-    /// Routing epoch this block belongs to (the initial build is epoch 0).
-    pub epoch: u64,
-    /// Vector shard index `s` of the block.
-    pub shard: u32,
-    /// Dimension block index `b`.
-    pub dim_block: u32,
-    /// Dimension range `[start, end)` this block covers.
-    pub dim_start: u64,
-    /// End of the dimension range.
-    pub dim_end: u64,
-    /// Total number of dimension blocks in the plan (pipeline length).
-    pub total_dim_blocks: u32,
-    /// Metric tag (0 = L2, 1 = IP, 2 = cosine).
-    pub metric: u8,
-    /// Block representation tag (0 = f32, 1 = SQ8); see [`repr_tag`].
-    pub repr: u8,
-    /// Whether early-stop pruning is enabled on this deployment.
-    pub pruning: bool,
-    /// The inverted lists assigned to this block.
-    pub lists: Vec<ClusterBlock>,
+wire! {
+    /// Build-phase shipment of one grid block to its machine.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LoadBlock {
+        /// Namespace (tenant) this block belongs to. Workers key all epoch
+        /// storage by `(ns, epoch)`, so id-spaces never collide across tenants.
+        pub ns: u16,
+        /// Routing epoch this block belongs to (the initial build is epoch 0).
+        pub epoch: u64,
+        /// Vector shard index `s` of the block.
+        pub shard: u32,
+        /// Dimension block index `b`.
+        pub dim_block: u32,
+        /// Dimension range `[start, end)` this block covers.
+        pub dim_start: u64,
+        /// End of the dimension range.
+        pub dim_end: u64,
+        /// Total number of dimension blocks in the plan (pipeline length).
+        pub total_dim_blocks: u32,
+        /// Metric tag (0 = L2, 1 = IP, 2 = cosine).
+        pub metric: u8,
+        /// Block representation tag (0 = f32, 1 = SQ8); see [`repr_tag`].
+        pub repr: u8,
+        /// Whether early-stop pruning is enabled on this deployment.
+        pub pruning: bool,
+        /// The inverted lists assigned to this block.
+        pub lists: Vec<ClusterBlock>,
+    }
+    validate = LoadBlock::validate;
 }
 
-impl Wire for LoadBlock {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.epoch.encode(buf);
-        self.shard.encode(buf);
-        self.dim_block.encode(buf);
-        self.dim_start.encode(buf);
-        self.dim_end.encode(buf);
-        self.total_dim_blocks.encode(buf);
-        self.metric.encode(buf);
-        self.repr.encode(buf);
-        self.pruning.encode(buf);
-        self.lists.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            dim_block: u32::decode(buf)?,
-            dim_start: u64::decode(buf)?,
-            dim_end: u64::decode(buf)?,
-            total_dim_blocks: u32::decode(buf)?,
-            metric: u8::decode(buf)?,
-            repr: u8::decode(buf)?,
-            pruning: bool::decode(buf)?,
-            lists: Vec::decode(buf)?,
-        })
-    }
-
-    fn size_hint(&self) -> usize {
-        41 + self.lists.size_hint()
-    }
-}
-
-/// The dimension slice of one query routed to one machine (Fig. 4b's
-/// `Q_i D_j`), plus the pipeline itinerary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryChunk {
-    /// Namespace the query targets; workers resolve block storage by
-    /// `(ns, epoch)`.
-    pub ns: u16,
-    /// Query identifier, unique within a batch.
-    pub query_id: u64,
-    /// Routing epoch the query was admitted under: workers resolve block
-    /// storage by epoch, so in-flight queries keep completing against the
-    /// old layout while a migration installs the new one.
-    pub epoch: u64,
-    /// Visited vector shard.
-    pub shard: u32,
-    /// Results wanted (`k`).
-    pub k: u32,
-    /// Current pruning threshold `τ` for this query (`+∞` encoded as such).
-    pub threshold: f32,
-    /// Clusters of this shard the query probes.
-    pub clusters: Vec<u32>,
-    /// The query's coordinates for *this machine's* dimension block.
-    pub dims: Vec<f32>,
-    /// Squared norm of the query's *full* vector (inner-product pruning
-    /// residuals and cosine score normalization; 0 under L2).
-    pub q_total_norm_sq: f32,
-    /// Machines of this shard's pipeline, in execution order.
-    pub order: Vec<u64>,
-    /// This machine's position in `order`.
-    pub position: u32,
-    /// Delta watermark captured at admission: every machine of the shard
-    /// row scans exactly the delta rows with `seq < delta_seq`, so the
-    /// pipeline's canonical enumeration stays identical across machines
-    /// even while new upserts race in. Transports deliver FIFO per
-    /// destination, so a chunk stamped `w` always arrives after every
-    /// [`DeltaUpsert`] it covers.
-    pub delta_seq: u64,
-}
-
-impl Wire for QueryChunk {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.query_id.encode(buf);
-        self.epoch.encode(buf);
-        self.shard.encode(buf);
-        self.k.encode(buf);
-        self.threshold.encode(buf);
-        self.clusters.encode(buf);
-        self.dims.encode(buf);
-        self.q_total_norm_sq.encode(buf);
-        self.order.encode(buf);
-        self.position.encode(buf);
-        self.delta_seq.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            query_id: u64::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            k: u32::decode(buf)?,
-            threshold: f32::decode(buf)?,
-            clusters: Vec::decode(buf)?,
-            dims: Vec::decode(buf)?,
-            q_total_norm_sq: f32::decode(buf)?,
-            order: Vec::decode(buf)?,
-            position: u32::decode(buf)?,
-            delta_seq: u64::decode(buf)?,
-        })
+impl LoadBlock {
+    /// Known metric and representation tags, and every list shaped for
+    /// them: payload in the tagged representation, as wide as the block,
+    /// with per-row norm tables under the inner-product metrics.
+    fn validate(&self) -> Result<(), CodecError> {
+        let ip = metric_tag::decode(self.metric)? != Metric::L2;
+        let sq8 = repr_tag::decode(self.repr)? == BlockRepr::Sq8;
+        for list in &self.lists {
+            let rows = list.ids.len();
+            check_width(
+                "LoadBlock",
+                rows,
+                (self.dim_start, self.dim_end),
+                &list.flat,
+                &list.segs,
+            )?;
+            let payload_fits = if sq8 {
+                list.flat.is_empty()
+            } else {
+                list.segs.is_empty()
+            };
+            let norms_fit =
+                !ip || (list.block_norms_sq.len() == rows && list.total_norms_sq.len() == rows);
+            if !payload_fits || !norms_fit {
+                return invalid(format!(
+                    "LoadBlock: list {} does not fit metric tag {} / repr tag {}",
+                    list.cluster, self.metric, self.repr
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Pipeline hop: surviving candidates and their accumulated partials
-/// (Fig. 5b's "Compute & send" → "Receive & check").
-///
-/// Candidates are addressed *positionally*: every machine of a shard row
-/// stores the same lists in the same order, so the canonical enumeration
-/// (probed clusters in chunk order, members in list order) is identical on
-/// every hop. Carrying sorted enumeration indices instead of vector ids
-/// turns each downstream hop into a sequential merge-scan — no per-candidate
-/// hash lookups — and halves the carry width.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Carry {
-    /// Namespace of the originating chunk.
-    pub ns: u16,
-    /// Query this carry belongs to.
-    pub query_id: u64,
-    /// Routing epoch of the originating chunk (see [`QueryChunk::epoch`]).
-    pub epoch: u64,
-    /// Shard whose pipeline this is.
-    pub shard: u32,
-    /// Tightest threshold known to the sender.
-    pub threshold: f32,
-    /// Position the *receiver* occupies in the pipeline order.
-    pub next_position: u32,
-    /// Surviving candidate positions in the canonical enumeration,
-    /// strictly ascending.
-    pub indices: Vec<u32>,
-    /// Accumulated partial scores, parallel to `indices`.
-    pub partials: Vec<f32>,
-    /// Accumulated per-candidate visited-block squared norms (inner-product
-    /// pruning; empty under L2).
-    pub visited_norms_sq: Vec<f32>,
-    /// Accumulated visited squared norm of the query (inner-product; 0
-    /// under L2).
-    pub q_visited_norm_sq: f32,
-    /// Accumulated quantization-error slack for SQ8 pipelines (0 under
-    /// f32): per hop, the *maximum* over the scanned lists of that hop's
-    /// error term, summed along the pipeline. Receivers widen their prune
-    /// bounds by this before comparing quantized partials against the
-    /// exact-domain threshold.
-    pub quant_eps: f32,
-}
-
-impl Wire for Carry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.query_id.encode(buf);
-        self.epoch.encode(buf);
-        self.shard.encode(buf);
-        self.threshold.encode(buf);
-        self.next_position.encode(buf);
-        self.indices.encode(buf);
-        self.partials.encode(buf);
-        self.visited_norms_sq.encode(buf);
-        self.q_visited_norm_sq.encode(buf);
-        self.quant_eps.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            query_id: u64::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            threshold: f32::decode(buf)?,
-            next_position: u32::decode(buf)?,
-            indices: Vec::decode(buf)?,
-            partials: Vec::decode(buf)?,
-            visited_norms_sq: Vec::decode(buf)?,
-            q_visited_norm_sq: f32::decode(buf)?,
-            quant_eps: f32::decode(buf)?,
-        })
+wire! {
+    /// The dimension slice of one query routed to one machine (Fig. 4b's
+    /// `Q_i D_j`), plus the pipeline itinerary.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueryChunk {
+        /// Namespace the query targets; workers resolve block storage by
+        /// `(ns, epoch)`.
+        pub ns: u16,
+        /// Query identifier, unique within a batch.
+        pub query_id: u64,
+        /// Routing epoch the query was admitted under: workers resolve block
+        /// storage by epoch, so in-flight queries keep completing against the
+        /// old layout while a migration installs the new one.
+        pub epoch: u64,
+        /// Visited vector shard.
+        pub shard: u32,
+        /// Results wanted (`k`).
+        pub k: u32,
+        /// Current pruning threshold `τ` for this query (`+∞` encoded as such).
+        pub threshold: f32,
+        /// Clusters of this shard the query probes.
+        pub clusters: Vec<u32>,
+        /// The query's coordinates for *this machine's* dimension block.
+        pub dims: Vec<f32>,
+        /// Squared norm of the query's *full* vector (inner-product pruning
+        /// residuals and cosine score normalization; 0 under L2).
+        pub q_total_norm_sq: f32,
+        /// Machines of this shard's pipeline, in execution order.
+        pub order: Vec<u64>,
+        /// This machine's position in `order`.
+        pub position: u32,
+        /// Delta watermark captured at admission: every machine of the shard
+        /// row scans exactly the delta rows with `seq < delta_seq`, so the
+        /// pipeline's canonical enumeration stays identical across machines
+        /// even while new upserts race in. Transports deliver FIFO per
+        /// destination, so a chunk stamped `w` always arrives after every
+        /// [`DeltaUpsert`] it covers.
+        pub delta_seq: u64,
     }
 }
 
-/// Final hop of a shard pipeline: the shard's top candidates.
-///
-/// `query_id` is the session demultiplexing key: the client router matches
-/// it against each session's reserved id range, and `shard` identifies the
-/// completing visit so the session can discharge exactly that visit's load
-/// estimates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryResult {
-    /// Query this result answers.
-    pub query_id: u64,
-    /// Shard that produced it.
-    pub shard: u32,
-    /// Candidate ids (at most `k`).
-    pub ids: Vec<u64>,
-    /// Full scores, parallel to `ids`, in the metric's client-side
-    /// lower-is-better space ([`harmony_index::Metric::score`]): raw for L2
-    /// and inner product, normalized by the full vector norms for cosine.
-    pub scores: Vec<f32>,
-    /// Candidates this shard's pipeline enumerated (diagnostics).
-    pub candidates_seen: u64,
+wire! {
+    /// Pipeline hop: surviving candidates and their accumulated partials
+    /// (Fig. 5b's "Compute & send" → "Receive & check").
+    ///
+    /// Candidates are addressed *positionally*: every machine of a shard row
+    /// stores the same lists in the same order, so the canonical enumeration
+    /// (probed clusters in chunk order, members in list order) is identical on
+    /// every hop. Carrying sorted enumeration indices instead of vector ids
+    /// turns each downstream hop into a sequential merge-scan — no per-candidate
+    /// hash lookups — and halves the carry width.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Carry {
+        /// Namespace of the originating chunk.
+        pub ns: u16,
+        /// Query this carry belongs to.
+        pub query_id: u64,
+        /// Routing epoch of the originating chunk (see [`QueryChunk::epoch`]).
+        pub epoch: u64,
+        /// Shard whose pipeline this is.
+        pub shard: u32,
+        /// Tightest threshold known to the sender.
+        pub threshold: f32,
+        /// Position the *receiver* occupies in the pipeline order.
+        pub next_position: u32,
+        /// Surviving candidate positions in the canonical enumeration,
+        /// strictly ascending.
+        pub indices: Vec<u32>,
+        /// Accumulated partial scores, parallel to `indices`.
+        pub partials: Vec<f32>,
+        /// Accumulated per-candidate visited-block squared norms (inner-product
+        /// pruning; empty under L2).
+        pub visited_norms_sq: Vec<f32>,
+        /// Accumulated visited squared norm of the query (inner-product; 0
+        /// under L2).
+        pub q_visited_norm_sq: f32,
+        /// Accumulated quantization-error slack for SQ8 pipelines (0 under
+        /// f32): per hop, the *maximum* over the scanned lists of that hop's
+        /// error term, summed along the pipeline. Receivers widen their prune
+        /// bounds by this before comparing quantized partials against the
+        /// exact-domain threshold.
+        pub quant_eps: f32,
+    }
 }
 
-impl Wire for QueryResult {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.query_id.encode(buf);
-        self.shard.encode(buf);
-        self.ids.encode(buf);
-        self.scores.encode(buf);
-        self.candidates_seen.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            query_id: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            ids: Vec::decode(buf)?,
-            scores: Vec::decode(buf)?,
-            candidates_seen: u64::decode(buf)?,
-        })
+wire! {
+    /// Final hop of a shard pipeline: the shard's top candidates.
+    ///
+    /// `query_id` is the session demultiplexing key: the client router matches
+    /// it against each session's reserved id range, and `shard` identifies the
+    /// completing visit so the session can discharge exactly that visit's load
+    /// estimates.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueryResult {
+        /// Query this result answers.
+        pub query_id: u64,
+        /// Shard that produced it.
+        pub shard: u32,
+        /// Candidate ids (at most `k`).
+        pub ids: Vec<u64>,
+        /// Full scores, parallel to `ids`, in the metric's client-side
+        /// lower-is-better space ([`harmony_index::Metric::score`]): raw for L2
+        /// and inner product, normalized by the full vector norms for cosine.
+        pub scores: Vec<f32>,
+        /// Candidates this shard's pipeline enumerated (diagnostics).
+        pub candidates_seen: u64,
     }
 }
 
@@ -867,675 +868,364 @@ impl From<QueryResult> for ResultBatch {
     }
 }
 
-/// One cluster's rows restricted to a *dimension sub-range* — the unit of
-/// live migration. Pieces sent to one destination partition that block's
-/// dimension range, so the receiver reassembles the full grid block by
-/// copying each piece's columns at its offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ListPiece {
-    /// IVF list (cluster) id.
-    pub cluster: u32,
-    /// Absolute dimension range `[start, end)` the piece covers.
-    pub dim_start: u64,
-    /// End of the piece's dimension range.
-    pub dim_end: u64,
-    /// Member vector ids (identical across the cluster's pieces).
-    pub ids: Vec<u64>,
-    /// Row-major member coordinates, `dim_end - dim_start` wide (f32
-    /// representation; empty under SQ8).
-    pub flat: Vec<f32>,
-    /// SQ8 segments column-sliced to `[dim_start, dim_end)` (empty under
-    /// f32). Each segment keeps its source block's `min`/`scale` verbatim,
-    /// so reassembled blocks are bit-identical to never-migrated ones.
-    pub segs: Vec<Sq8Segment>,
-    /// Per-member squared norm over *this piece's* dimensions
-    /// (inner-product metrics only; empty under L2). The destination sums
-    /// these across pieces to rebuild its block norms.
-    pub piece_norms_sq: Vec<f32>,
-    /// Per-member squared norm of the full vector (inner-product only).
-    pub total_norms_sq: Vec<f32>,
+wire! {
+    /// One cluster's rows restricted to a *dimension sub-range* — the unit of
+    /// live migration. Pieces sent to one destination partition that block's
+    /// dimension range, so the receiver reassembles the full grid block by
+    /// copying each piece's columns at its offset.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct ListPiece {
+        /// IVF list (cluster) id.
+        pub cluster: u32,
+        /// Absolute dimension range `[start, end)` the piece covers.
+        pub dim_start: u64,
+        /// End of the piece's dimension range.
+        pub dim_end: u64,
+        /// Member vector ids (identical across the cluster's pieces).
+        pub ids: Vec<u64>,
+        /// Row-major member coordinates, `dim_end - dim_start` wide (f32
+        /// representation; empty under SQ8).
+        pub flat: Vec<f32>,
+        /// SQ8 segments column-sliced to `[dim_start, dim_end)` (empty under
+        /// f32). Each segment keeps its source block's `min`/`scale` verbatim,
+        /// so reassembled blocks are bit-identical to never-migrated ones.
+        pub segs: Vec<Sq8Segment> as sq8_segs,
+        /// Per-member squared norm over *this piece's* dimensions
+        /// (inner-product metrics only; empty under L2). The destination sums
+        /// these across pieces to rebuild its block norms.
+        pub piece_norms_sq: Vec<f32>,
+        /// Per-member squared norm of the full vector (inner-product only).
+        pub total_norms_sq: Vec<f32>,
+    }
+    validate = ListPiece::validate;
 }
 
-impl Wire for ListPiece {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cluster.encode(buf);
-        self.dim_start.encode(buf);
-        self.dim_end.encode(buf);
-        self.ids.encode(buf);
-        self.flat.encode(buf);
-        encode_segs(&self.segs, buf);
-        self.piece_norms_sq.encode(buf);
-        self.total_norms_sq.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            cluster: u32::decode(buf)?,
-            dim_start: u64::decode(buf)?,
-            dim_end: u64::decode(buf)?,
-            ids: Vec::decode(buf)?,
-            flat: Vec::decode(buf)?,
-            segs: decode_segs(buf)?,
-            piece_norms_sq: Vec::decode(buf)?,
-            total_norms_sq: Vec::decode(buf)?,
-        })
-    }
-
-    fn size_hint(&self) -> usize {
-        20 + self.ids.size_hint()
-            + self.flat.size_hint()
-            + segs_size_hint(&self.segs)
-            + self.piece_norms_sq.size_hint()
-            + self.total_norms_sq.size_hint()
+impl ListPiece {
+    fn validate(&self) -> Result<(), CodecError> {
+        let rows = self.ids.len();
+        check_rows(
+            "ListPiece",
+            rows,
+            &self.flat,
+            &self.segs,
+            [&self.piece_norms_sq, &self.total_norms_sq],
+        )?;
+        check_width(
+            "ListPiece",
+            rows,
+            (self.dim_start, self.dim_end),
+            &self.flat,
+            &self.segs,
+        )
     }
 }
 
-/// One migration transfer: "slice this cluster's stored block to the given
-/// dimension sub-range and deliver it to `dest`'s new-epoch grid block".
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferSpec {
-    /// Cluster whose data moves.
-    pub cluster: u32,
-    /// Epoch whose storage the source slices from.
-    pub src_epoch: u64,
-    /// Shard the cluster belongs to under the source epoch.
-    pub src_shard: u32,
-    /// Absolute dimension range `[start, end)` to ship.
-    pub dim_start: u64,
-    /// End of the shipped dimension range.
-    pub dim_end: u64,
-    /// Destination machine.
-    pub dest: u64,
-    /// Shard of the destination grid block (new epoch).
-    pub dest_shard: u32,
-    /// Dimension block of the destination grid block (new epoch).
-    pub dest_dim_block: u32,
-}
-
-impl Wire for TransferSpec {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cluster.encode(buf);
-        self.src_epoch.encode(buf);
-        self.src_shard.encode(buf);
-        self.dim_start.encode(buf);
-        self.dim_end.encode(buf);
-        self.dest.encode(buf);
-        self.dest_shard.encode(buf);
-        self.dest_dim_block.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            cluster: u32::decode(buf)?,
-            src_epoch: u64::decode(buf)?,
-            src_shard: u32::decode(buf)?,
-            dim_start: u64::decode(buf)?,
-            dim_end: u64::decode(buf)?,
-            dest: u64::decode(buf)?,
-            dest_shard: u32::decode(buf)?,
-            dest_dim_block: u32::decode(buf)?,
-        })
+wire! {
+    /// One migration transfer: "slice this cluster's stored block to the given
+    /// dimension sub-range and deliver it to `dest`'s new-epoch grid block".
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TransferSpec {
+        /// Cluster whose data moves.
+        pub cluster: u32,
+        /// Epoch whose storage the source slices from.
+        pub src_epoch: u64,
+        /// Shard the cluster belongs to under the source epoch.
+        pub src_shard: u32,
+        /// Absolute dimension range `[start, end)` to ship.
+        pub dim_start: u64,
+        /// End of the shipped dimension range.
+        pub dim_end: u64,
+        /// Destination machine.
+        pub dest: u64,
+        /// Shard of the destination grid block (new epoch).
+        pub dest_shard: u32,
+        /// Dimension block of the destination grid block (new epoch).
+        pub dest_dim_block: u32,
     }
 }
 
-/// Client → source machine: execute these transfers toward `epoch`.
-/// Worker-to-worker shipping rides the existing fabric; transfers whose
-/// destination is the source itself are installed locally without touching
-/// the network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrateOut {
-    /// Namespace being migrated; sources slice from and destinations
-    /// install into this namespace's storage only.
-    pub ns: u16,
-    /// Epoch the shipped pieces install into.
-    pub epoch: u64,
-    /// Transfers this source must perform.
-    pub transfers: Vec<TransferSpec>,
-}
-
-impl Wire for MigrateOut {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.epoch.encode(buf);
-        self.transfers.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            transfers: Vec::decode(buf)?,
-        })
+wire! {
+    /// Client → source machine: execute these transfers toward `epoch`.
+    /// Worker-to-worker shipping rides the existing fabric; transfers whose
+    /// destination is the source itself are installed locally without touching
+    /// the network.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MigrateOut {
+        /// Namespace being migrated; sources slice from and destinations
+        /// install into this namespace's storage only.
+        pub ns: u16,
+        /// Epoch the shipped pieces install into.
+        pub epoch: u64,
+        /// Transfers this source must perform.
+        pub transfers: Vec<TransferSpec>,
     }
 }
 
-/// Client → destination machine: announce the grid block the machine hosts
-/// under `epoch` and how many [`ListPiece`]s to expect. Once the count is
-/// met the machine activates the epoch's storage and acks with
-/// [`ToClient::EpochReady`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BeginEpoch {
-    /// Namespace whose routing advances to the new epoch.
-    pub ns: u16,
-    /// The new epoch.
-    pub epoch: u64,
-    /// Shard of this machine's grid block under the new plan.
-    pub shard: u32,
-    /// Dimension block index under the new plan.
-    pub dim_block: u32,
-    /// Dimension range `[start, end)` of the block.
-    pub dim_start: u64,
-    /// End of the block's dimension range.
-    pub dim_end: u64,
-    /// Pipeline length of the new plan.
-    pub total_dim_blocks: u32,
-    /// Pieces that must arrive before the epoch activates.
-    pub expected_pieces: u64,
-}
-
-impl Wire for BeginEpoch {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.epoch.encode(buf);
-        self.shard.encode(buf);
-        self.dim_block.encode(buf);
-        self.dim_start.encode(buf);
-        self.dim_end.encode(buf);
-        self.total_dim_blocks.encode(buf);
-        self.expected_pieces.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            dim_block: u32::decode(buf)?,
-            dim_start: u64::decode(buf)?,
-            dim_end: u64::decode(buf)?,
-            total_dim_blocks: u32::decode(buf)?,
-            expected_pieces: u64::decode(buf)?,
-        })
+wire! {
+    /// Client → destination machine: announce the grid block the machine hosts
+    /// under `epoch` and how many [`ListPiece`]s to expect. Once the count is
+    /// met the machine activates the epoch's storage and acks with
+    /// [`ToClient::EpochReady`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BeginEpoch {
+        /// Namespace whose routing advances to the new epoch.
+        pub ns: u16,
+        /// The new epoch.
+        pub epoch: u64,
+        /// Shard of this machine's grid block under the new plan.
+        pub shard: u32,
+        /// Dimension block index under the new plan.
+        pub dim_block: u32,
+        /// Dimension range `[start, end)` of the block.
+        pub dim_start: u64,
+        /// End of the block's dimension range.
+        pub dim_end: u64,
+        /// Pipeline length of the new plan.
+        pub total_dim_blocks: u32,
+        /// Pieces that must arrive before the epoch activates.
+        pub expected_pieces: u64,
     }
 }
 
-/// Worker → worker (or worker → itself): migrated pieces for one grid
-/// block of `epoch`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstallLists {
-    /// Namespace the pieces install into.
-    pub ns: u16,
-    /// Epoch the pieces install into.
-    pub epoch: u64,
-    /// Destination shard (sanity-checked against the announced block).
-    pub shard: u32,
-    /// Destination dimension block.
-    pub dim_block: u32,
-    /// The shipped pieces.
-    pub pieces: Vec<ListPiece>,
-}
-
-impl Wire for InstallLists {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.epoch.encode(buf);
-        self.shard.encode(buf);
-        self.dim_block.encode(buf);
-        self.pieces.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            dim_block: u32::decode(buf)?,
-            pieces: Vec::decode(buf)?,
-        })
-    }
-
-    fn size_hint(&self) -> usize {
-        18 + self.pieces.size_hint()
+wire! {
+    /// Worker → worker (or worker → itself): migrated pieces for one grid
+    /// block of `epoch`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InstallLists {
+        /// Namespace the pieces install into.
+        pub ns: u16,
+        /// Epoch the pieces install into.
+        pub epoch: u64,
+        /// Destination shard (sanity-checked against the announced block).
+        pub shard: u32,
+        /// Destination dimension block.
+        pub dim_block: u32,
+        /// The shipped pieces.
+        pub pieces: Vec<ListPiece>,
     }
 }
 
-/// Client → every machine of a shard row: freshly upserted rows for that
-/// machine's dimension slice, appended to the shard's in-memory delta list.
-///
-/// Delta rows are stored and scanned as exact f32 regardless of the
-/// deployment's block representation, so recall on fresh data is 1.0 by
-/// construction. Rows carry ingest sequence numbers; queries scan only rows
-/// below their admission watermark ([`QueryChunk::delta_seq`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaUpsert {
-    /// Namespace whose delta storage the rows append to.
-    pub ns: u16,
-    /// Epoch whose delta storage the rows append to.
-    pub epoch: u64,
-    /// Home shard of the upserted vectors.
-    pub shard: u32,
-    /// Absolute dimension range `[start, end)` of this machine's slice.
-    pub dim_start: u64,
-    /// End of the dimension range.
-    pub dim_end: u64,
-    /// Upserted vector ids.
-    pub ids: Vec<u64>,
-    /// Ingest sequence numbers, parallel to `ids`.
-    pub seqs: Vec<u64>,
-    /// Row-major coordinates, `dim_end - dim_start` wide per row.
-    pub flat: Vec<f32>,
-    /// Per-row squared norm of this slice's coordinates (inner-product
-    /// metrics only; empty under L2).
-    pub block_norms_sq: Vec<f32>,
-    /// Per-row squared norm of the full vector (inner-product only).
-    pub total_norms_sq: Vec<f32>,
+wire! {
+    /// Client → every machine of a shard row: freshly upserted rows for that
+    /// machine's dimension slice, appended to the shard's in-memory delta list.
+    ///
+    /// Delta rows are stored and scanned as exact f32 regardless of the
+    /// deployment's block representation, so recall on fresh data is 1.0 by
+    /// construction. Rows carry ingest sequence numbers; queries scan only rows
+    /// below their admission watermark ([`QueryChunk::delta_seq`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DeltaUpsert {
+        /// Namespace whose delta storage the rows append to.
+        pub ns: u16,
+        /// Epoch whose delta storage the rows append to.
+        pub epoch: u64,
+        /// Home shard of the upserted vectors.
+        pub shard: u32,
+        /// Absolute dimension range `[start, end)` of this machine's slice.
+        pub dim_start: u64,
+        /// End of the dimension range.
+        pub dim_end: u64,
+        /// Upserted vector ids.
+        pub ids: Vec<u64>,
+        /// Ingest sequence numbers, parallel to `ids`.
+        pub seqs: Vec<u64>,
+        /// Row-major coordinates, `dim_end - dim_start` wide per row.
+        pub flat: Vec<f32>,
+        /// Per-row squared norm of this slice's coordinates (inner-product
+        /// metrics only; empty under L2).
+        pub block_norms_sq: Vec<f32>,
+        /// Per-row squared norm of the full vector (inner-product only).
+        pub total_norms_sq: Vec<f32>,
+    }
+    validate = DeltaUpsert::validate;
 }
 
-impl Wire for DeltaUpsert {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.epoch.encode(buf);
-        self.shard.encode(buf);
-        self.dim_start.encode(buf);
-        self.dim_end.encode(buf);
-        self.ids.encode(buf);
-        self.seqs.encode(buf);
-        self.flat.encode(buf);
-        self.block_norms_sq.encode(buf);
-        self.total_norms_sq.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            shard: u32::decode(buf)?,
-            dim_start: u64::decode(buf)?,
-            dim_end: u64::decode(buf)?,
-            ids: Vec::decode(buf)?,
-            seqs: Vec::decode(buf)?,
-            flat: Vec::decode(buf)?,
-            block_norms_sq: Vec::decode(buf)?,
-            total_norms_sq: Vec::decode(buf)?,
-        })
-    }
-
-    fn size_hint(&self) -> usize {
-        30 + self.ids.size_hint()
-            + self.seqs.size_hint()
-            + self.flat.size_hint()
-            + self.block_norms_sq.size_hint()
-            + self.total_norms_sq.size_hint()
+impl DeltaUpsert {
+    fn validate(&self) -> Result<(), CodecError> {
+        let rows = self.ids.len();
+        expect_len("seqs", self.seqs.len(), rows)?;
+        check_rows(
+            "DeltaUpsert",
+            rows,
+            &self.flat,
+            &[],
+            [&self.block_norms_sq, &self.total_norms_sq],
+        )?;
+        check_width(
+            "DeltaUpsert",
+            rows,
+            (self.dim_start, self.dim_end),
+            &self.flat,
+            &[],
+        )
     }
 }
 
-/// Client → all machines: soft-delete these ids at sequence `seq`.
-///
-/// Workers record the ids in the target epoch's tombstone set; stored rows
-/// are suppressed at result-emission time, never removed (positional
-/// enumeration must stay identical across a shard row). The client keeps
-/// its own authoritative dead set, so worker-side tombstones are a
-/// best-effort early filter rather than the correctness mechanism.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeleteIds {
-    /// Namespace whose tombstone sets record the delete; the wildcard
-    /// epoch never crosses namespaces.
-    pub ns: u16,
-    /// Epoch whose tombstone set records the delete, or [`u64::MAX`] to
-    /// apply to every live epoch of the namespace on the machine.
-    pub epoch: u64,
-    /// Ids to tombstone.
-    pub ids: Vec<u64>,
-    /// Ingest sequence number of the delete: delta rows upserted at or
-    /// after this stay visible (re-upsert after delete).
-    pub seq: u64,
-}
-
-impl Wire for DeleteIds {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.epoch.encode(buf);
-        self.ids.encode(buf);
-        self.seq.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            epoch: u64::decode(buf)?,
-            ids: Vec::decode(buf)?,
-            seq: u64::decode(buf)?,
-        })
+wire! {
+    /// Client → all machines: soft-delete these ids at sequence `seq`.
+    ///
+    /// Workers record the ids in the target epoch's tombstone set; stored rows
+    /// are suppressed at result-emission time, never removed (positional
+    /// enumeration must stay identical across a shard row). The client keeps
+    /// its own authoritative dead set, so worker-side tombstones are a
+    /// best-effort early filter rather than the correctness mechanism.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DeleteIds {
+        /// Namespace whose tombstone sets record the delete; the wildcard
+        /// epoch never crosses namespaces.
+        pub ns: u16,
+        /// Epoch whose tombstone set records the delete, or [`u64::MAX`] to
+        /// apply to every live epoch of the namespace on the machine.
+        pub epoch: u64,
+        /// Ids to tombstone.
+        pub ids: Vec<u64>,
+        /// Ingest sequence number of the delete: delta rows upserted at or
+        /// after this stay visible (re-upsert after delete).
+        pub seq: u64,
     }
 }
 
-/// Client → all machines: move a namespace to a new residency tier.
-///
-/// Workers spill or fault the namespace's grid blocks accordingly (see
-/// `harmony_index::tier`) and ack with [`ToClient::TierAck`] once the
-/// transition is durable. Tier changes never alter stored bytes — a
-/// spilled block faults back bit-identical — so search results are
-/// unaffected by when the ack races with in-flight queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SetTier {
-    /// Namespace whose tier changes.
-    pub ns: u16,
-    /// Target tier tag ([`harmony_index::Temperature::encode`]).
-    pub temperature: u8,
+wire! {
+    /// Client → all machines: move a namespace to a new residency tier.
+    ///
+    /// Workers spill or fault the namespace's grid blocks accordingly (see
+    /// `harmony_index::tier`) and ack with [`ToClient::TierAck`] once the
+    /// transition is durable. Tier changes never alter stored bytes — a
+    /// spilled block faults back bit-identical — so search results are
+    /// unaffected by when the ack races with in-flight queries.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SetTier {
+        /// Namespace whose tier changes.
+        pub ns: u16,
+        /// Target tier tag ([`harmony_index::Temperature::encode`]).
+        pub temperature: u8,
+    }
+    validate = SetTier::validate;
 }
 
-impl Wire for SetTier {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.temperature.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            ns: u16::decode(buf)?,
-            temperature: u8::decode(buf)?,
-        })
-    }
-}
-
-/// Per-worker pruning and load counters.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsReport {
-    /// Candidates entering the pipeline at each position this worker served.
-    pub slice_in: Vec<u64>,
-    /// Candidates pruned at each position.
-    pub slice_pruned: Vec<u64>,
-    /// Total candidate-dimension products scanned.
-    pub scanned_point_dims: u64,
-    /// Heap bytes used by this worker's block storage.
-    pub memory_bytes: u64,
-    /// Resident block payload bytes held in f32 form (vector coordinates
-    /// only, ids excluded).
-    pub f32_block_bytes: u64,
-    /// Resident block payload bytes held in SQ8 form (codes + per-row code
-    /// sums + segment headers, ids excluded).
-    pub sq8_block_bytes: u64,
-    /// Wall nanoseconds this worker spent in candidate scan loops since the
-    /// last reset — the numerator of the observed compute rate the
-    /// supervisor feeds back into the cost model.
-    pub compute_ns: u64,
-    /// Resident delta-list payload bytes (exact f32 rows awaiting
-    /// compaction).
-    pub delta_bytes: u64,
-    /// Delta rows currently held across live epochs.
-    pub delta_rows: u64,
-    /// Tombstoned ids currently held across live epochs.
-    pub tombstone_entries: u64,
-    /// Evictable block payload bytes resident in the warm-tier cache (a
-    /// subset of `f32_block_bytes` + `sq8_block_bytes`).
-    pub cache_block_bytes: u64,
-    /// Block payload bytes spilled to disk (warm/cold namespaces); not
-    /// counted in any RAM gauge.
-    pub spilled_block_bytes: u64,
-}
-
-impl Wire for StatsReport {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.slice_in.encode(buf);
-        self.slice_pruned.encode(buf);
-        self.scanned_point_dims.encode(buf);
-        self.memory_bytes.encode(buf);
-        self.f32_block_bytes.encode(buf);
-        self.sq8_block_bytes.encode(buf);
-        self.compute_ns.encode(buf);
-        self.delta_bytes.encode(buf);
-        self.delta_rows.encode(buf);
-        self.tombstone_entries.encode(buf);
-        self.cache_block_bytes.encode(buf);
-        self.spilled_block_bytes.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(Self {
-            slice_in: Vec::decode(buf)?,
-            slice_pruned: Vec::decode(buf)?,
-            scanned_point_dims: u64::decode(buf)?,
-            memory_bytes: u64::decode(buf)?,
-            f32_block_bytes: u64::decode(buf)?,
-            sq8_block_bytes: u64::decode(buf)?,
-            compute_ns: u64::decode(buf)?,
-            delta_bytes: u64::decode(buf)?,
-            delta_rows: u64::decode(buf)?,
-            tombstone_entries: u64::decode(buf)?,
-            cache_block_bytes: u64::decode(buf)?,
-            spilled_block_bytes: u64::decode(buf)?,
-        })
-    }
-}
-
-/// Client → worker messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ToWorker {
-    /// Ship a grid block (build phase).
-    Load(LoadBlock),
-    /// Route a query slice (query phase).
-    Chunk(QueryChunk),
-    /// Pipeline hop from a peer worker.
-    Carry(Carry),
-    /// Request a [`StatsReport`].
-    GetStats,
-    /// Zero the statistics counters.
-    ResetStats,
-    /// Announce a new epoch's grid block to its destination machine.
-    BeginEpoch(BeginEpoch),
-    /// Execute migration transfers toward a new epoch.
-    MigrateOut(MigrateOut),
-    /// Migrated pieces from a peer (or from the machine itself).
-    InstallLists(InstallLists),
-    /// Drop all storage of a retired epoch.
-    EvictEpoch {
-        /// Namespace whose epoch retires.
-        ns: u16,
-        /// The retired epoch.
-        epoch: u64,
-    },
-    /// Append freshly upserted rows to a shard's delta list.
-    UpsertDelta(DeltaUpsert),
-    /// Tombstone ids for soft deletion.
-    DeleteIds(DeleteIds),
-    /// Move a namespace between residency tiers.
-    SetTier(SetTier),
-    /// Route one sub-batch's query slices (query phase; what the engine
-    /// sends — [`ToWorker::Chunk`] is its one-row legacy form).
-    ChunkBatch(ChunkBatch),
-    /// Pipeline hop of one sub-batch from a peer worker.
-    CarryBatch(CarryBatch),
-}
-
-impl Wire for ToWorker {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ToWorker::Load(m) => {
-                0u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::Chunk(m) => {
-                1u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::Carry(m) => {
-                2u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::GetStats => 3u8.encode(buf),
-            ToWorker::ResetStats => 4u8.encode(buf),
-            ToWorker::BeginEpoch(m) => {
-                5u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::MigrateOut(m) => {
-                6u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::InstallLists(m) => {
-                7u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::EvictEpoch { ns, epoch } => {
-                8u8.encode(buf);
-                ns.encode(buf);
-                epoch.encode(buf);
-            }
-            ToWorker::UpsertDelta(m) => {
-                9u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::DeleteIds(m) => {
-                10u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::SetTier(m) => {
-                11u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::ChunkBatch(m) => {
-                12u8.encode(buf);
-                m.encode(buf);
-            }
-            ToWorker::CarryBatch(m) => {
-                13u8.encode(buf);
-                m.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(ToWorker::Load(LoadBlock::decode(buf)?)),
-            1 => Ok(ToWorker::Chunk(QueryChunk::decode(buf)?)),
-            2 => Ok(ToWorker::Carry(Carry::decode(buf)?)),
-            3 => Ok(ToWorker::GetStats),
-            4 => Ok(ToWorker::ResetStats),
-            5 => Ok(ToWorker::BeginEpoch(BeginEpoch::decode(buf)?)),
-            6 => Ok(ToWorker::MigrateOut(MigrateOut::decode(buf)?)),
-            7 => Ok(ToWorker::InstallLists(InstallLists::decode(buf)?)),
-            8 => Ok(ToWorker::EvictEpoch {
-                ns: u16::decode(buf)?,
-                epoch: u64::decode(buf)?,
-            }),
-            9 => Ok(ToWorker::UpsertDelta(DeltaUpsert::decode(buf)?)),
-            10 => Ok(ToWorker::DeleteIds(DeleteIds::decode(buf)?)),
-            11 => Ok(ToWorker::SetTier(SetTier::decode(buf)?)),
-            12 => Ok(ToWorker::ChunkBatch(ChunkBatch::decode(buf)?)),
-            13 => Ok(ToWorker::CarryBatch(CarryBatch::decode(buf)?)),
-            t => Err(CodecError::Invalid(format!("bad ToWorker tag {t}"))),
-        }
-    }
-
-    fn size_hint(&self) -> usize {
-        1 + match self {
-            ToWorker::Load(m) => m.size_hint(),
-            ToWorker::InstallLists(m) => m.size_hint(),
-            ToWorker::UpsertDelta(m) => m.size_hint(),
-            ToWorker::ChunkBatch(m) => m.size_hint(),
-            ToWorker::CarryBatch(m) => m.size_hint(),
-            _ => 0,
+impl SetTier {
+    fn validate(&self) -> Result<(), CodecError> {
+        match Temperature::decode(self.temperature) {
+            Some(_) => Ok(()),
+            None => invalid(format!("bad temperature tag {}", self.temperature)),
         }
     }
 }
 
-/// Worker → client messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ToClient {
-    /// Acknowledges a [`LoadBlock`].
-    LoadAck {
-        /// Namespace of the acknowledged block.
-        ns: u16,
-        /// Shard of the acknowledged block.
-        shard: u32,
-        /// Dimension block of the acknowledged block.
-        dim_block: u32,
-    },
-    /// A shard pipeline finished for one query.
-    Result(QueryResult),
-    /// Statistics reply.
-    Stats(StatsReport),
-    /// A destination machine received every migrated piece of `epoch` and
-    /// activated the new storage.
-    EpochReady {
-        /// Namespace of the activated epoch.
-        ns: u16,
-        /// The activated epoch.
-        epoch: u64,
-    },
-    /// Acknowledges a [`SetTier`]: the namespace's blocks on this machine
-    /// now sit in the requested tier.
-    TierAck {
-        /// Namespace whose transition completed.
-        ns: u16,
-    },
-    /// A shard pipeline finished for one sub-batch of queries.
-    ResultBatch(ResultBatch),
+wire! {
+    /// Per-worker pruning and load counters.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct StatsReport {
+        /// Candidates entering the pipeline at each position this worker served.
+        pub slice_in: Vec<u64>,
+        /// Candidates pruned at each position.
+        pub slice_pruned: Vec<u64>,
+        /// Total candidate-dimension products scanned.
+        pub scanned_point_dims: u64,
+        /// Heap bytes used by this worker's block storage.
+        pub memory_bytes: u64,
+        /// Resident block payload bytes held in f32 form (vector coordinates
+        /// only, ids excluded).
+        pub f32_block_bytes: u64,
+        /// Resident block payload bytes held in SQ8 form (codes + per-row code
+        /// sums + segment headers, ids excluded).
+        pub sq8_block_bytes: u64,
+        /// Wall nanoseconds this worker spent in candidate scan loops since the
+        /// last reset — the numerator of the observed compute rate the
+        /// supervisor feeds back into the cost model.
+        pub compute_ns: u64,
+        /// Resident delta-list payload bytes (exact f32 rows awaiting
+        /// compaction).
+        pub delta_bytes: u64,
+        /// Delta rows currently held across live epochs.
+        pub delta_rows: u64,
+        /// Tombstoned ids currently held across live epochs.
+        pub tombstone_entries: u64,
+        /// Evictable block payload bytes resident in the warm-tier cache (a
+        /// subset of `f32_block_bytes` + `sq8_block_bytes`).
+        pub cache_block_bytes: u64,
+        /// Block payload bytes spilled to disk (warm/cold namespaces); not
+        /// counted in any RAM gauge.
+        pub spilled_block_bytes: u64,
+    }
 }
 
-impl Wire for ToClient {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ToClient::LoadAck {
-                ns,
-                shard,
-                dim_block,
-            } => {
-                0u8.encode(buf);
-                ns.encode(buf);
-                shard.encode(buf);
-                dim_block.encode(buf);
-            }
-            ToClient::Result(m) => {
-                1u8.encode(buf);
-                m.encode(buf);
-            }
-            ToClient::Stats(m) => {
-                2u8.encode(buf);
-                m.encode(buf);
-            }
-            ToClient::EpochReady { ns, epoch } => {
-                3u8.encode(buf);
-                ns.encode(buf);
-                epoch.encode(buf);
-            }
-            ToClient::TierAck { ns } => {
-                4u8.encode(buf);
-                ns.encode(buf);
-            }
-            ToClient::ResultBatch(m) => {
-                5u8.encode(buf);
-                m.encode(buf);
-            }
-        }
+wire! {
+    /// Client → worker messages. Tags are a published format (drivers
+    /// outside this workspace speak the single-query forms): a new variant
+    /// takes the next free tag, an existing one never moves.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ToWorker {
+        /// Ship a grid block (build phase).
+        0 => Load(LoadBlock),
+        /// Route a query slice (query phase).
+        1 => Chunk(QueryChunk),
+        /// Pipeline hop from a peer worker.
+        2 => Carry(Carry),
+        /// Request a [`StatsReport`].
+        3 => GetStats,
+        /// Zero the statistics counters.
+        4 => ResetStats,
+        /// Announce a new epoch's grid block to its destination machine.
+        5 => BeginEpoch(BeginEpoch),
+        /// Execute migration transfers toward a new epoch.
+        6 => MigrateOut(MigrateOut),
+        /// Migrated pieces from a peer (or from the machine itself).
+        7 => InstallLists(InstallLists),
+        /// Drop all storage of a retired epoch.
+        8 => EvictEpoch {
+            /// Namespace whose epoch retires.
+            ns: u16,
+            /// The retired epoch.
+            epoch: u64,
+        },
+        /// Append freshly upserted rows to a shard's delta list.
+        9 => UpsertDelta(DeltaUpsert),
+        /// Tombstone ids for soft deletion.
+        10 => DeleteIds(DeleteIds),
+        /// Move a namespace between residency tiers.
+        11 => SetTier(SetTier),
+        /// Route one sub-batch's query slices (query phase; what the engine
+        /// sends — [`ToWorker::Chunk`] is its one-row legacy form).
+        12 => ChunkBatch(ChunkBatch),
+        /// Pipeline hop of one sub-batch from a peer worker.
+        13 => CarryBatch(CarryBatch),
     }
+}
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(ToClient::LoadAck {
-                ns: u16::decode(buf)?,
-                shard: u32::decode(buf)?,
-                dim_block: u32::decode(buf)?,
-            }),
-            1 => Ok(ToClient::Result(QueryResult::decode(buf)?)),
-            2 => Ok(ToClient::Stats(StatsReport::decode(buf)?)),
-            3 => Ok(ToClient::EpochReady {
-                ns: u16::decode(buf)?,
-                epoch: u64::decode(buf)?,
-            }),
-            4 => Ok(ToClient::TierAck {
-                ns: u16::decode(buf)?,
-            }),
-            5 => Ok(ToClient::ResultBatch(ResultBatch::decode(buf)?)),
-            t => Err(CodecError::Invalid(format!("bad ToClient tag {t}"))),
-        }
-    }
-
-    fn size_hint(&self) -> usize {
-        1 + match self {
-            ToClient::ResultBatch(m) => m.size_hint(),
-            _ => 0,
-        }
+wire! {
+    /// Worker → client messages (tags published like [`ToWorker`]'s).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ToClient {
+        /// Acknowledges a [`LoadBlock`].
+        0 => LoadAck {
+            /// Namespace of the acknowledged block.
+            ns: u16,
+            /// Shard of the acknowledged block.
+            shard: u32,
+            /// Dimension block of the acknowledged block.
+            dim_block: u32,
+        },
+        /// A shard pipeline finished for one query.
+        1 => Result(QueryResult),
+        /// Statistics reply.
+        2 => Stats(StatsReport),
+        /// A destination machine received every migrated piece of `epoch`
+        /// and activated the new storage.
+        3 => EpochReady {
+            /// Namespace of the activated epoch.
+            ns: u16,
+            /// The activated epoch.
+            epoch: u64,
+        },
+        /// Acknowledges a [`SetTier`]: the namespace's blocks on this
+        /// machine now sit in the requested tier.
+        4 => TierAck {
+            /// Namespace whose transition completed.
+            ns: u16,
+        },
+        /// A shard pipeline finished for one sub-batch of queries.
+        5 => ResultBatch(ResultBatch),
     }
 }
 
@@ -1599,207 +1289,8 @@ pub mod repr_tag {
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.to_bytes();
-        assert_eq!(T::from_bytes(bytes).unwrap(), v);
-    }
-
-    fn sample_chunk() -> QueryChunk {
-        QueryChunk {
-            ns: 2,
-            query_id: 42,
-            epoch: 3,
-            shard: 1,
-            k: 10,
-            threshold: 3.25,
-            clusters: vec![0, 5, 9],
-            dims: vec![0.5, -1.0, 2.0],
-            q_total_norm_sq: 5.25,
-            order: vec![3, 4, 5],
-            position: 1,
-            delta_seq: 6,
-        }
-    }
-
-    #[test]
-    fn all_messages_roundtrip() {
-        roundtrip(ClusterBlock {
-            cluster: 7,
-            ids: vec![1, 2, 3],
-            flat: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-            segs: vec![],
-            block_norms_sq: vec![1.0, 2.0, 3.0],
-            total_norms_sq: vec![4.0, 5.0, 6.0],
-        });
-        roundtrip(LoadBlock {
-            ns: 1,
-            epoch: 0,
-            shard: 1,
-            dim_block: 2,
-            dim_start: 32,
-            dim_end: 64,
-            total_dim_blocks: 4,
-            metric: 0,
-            repr: 0,
-            pruning: true,
-            lists: vec![],
-        });
-        roundtrip(sample_chunk());
-        roundtrip(Carry {
-            ns: 2,
-            query_id: 42,
-            epoch: 3,
-            shard: 1,
-            threshold: 1.5,
-            next_position: 2,
-            indices: vec![10, 20],
-            partials: vec![0.25, 0.75],
-            visited_norms_sq: vec![],
-            q_visited_norm_sq: 0.0,
-            quant_eps: 0.0,
-        });
-        roundtrip(QueryResult {
-            query_id: 42,
-            shard: 1,
-            ids: vec![5],
-            scores: vec![0.125],
-            candidates_seen: 100,
-        });
-        roundtrip(StatsReport {
-            slice_in: vec![100, 60, 20],
-            slice_pruned: vec![0, 40, 15],
-            scanned_point_dims: 123_456,
-            memory_bytes: 1 << 20,
-            f32_block_bytes: 1 << 19,
-            sq8_block_bytes: 1 << 17,
-            compute_ns: 987_654_321,
-            delta_bytes: 4096,
-            delta_rows: 32,
-            tombstone_entries: 5,
-            cache_block_bytes: 1 << 16,
-            spilled_block_bytes: 1 << 21,
-        });
-    }
-
-    #[test]
-    fn ingest_messages_roundtrip() {
-        roundtrip(DeltaUpsert {
-            ns: 3,
-            epoch: 4,
-            shard: 2,
-            dim_start: 8,
-            dim_end: 12,
-            ids: vec![900, 901],
-            seqs: vec![17, 18],
-            flat: vec![0.5; 8],
-            block_norms_sq: vec![1.0, 2.0],
-            total_norms_sq: vec![3.0, 4.0],
-        });
-        roundtrip(ToWorker::UpsertDelta(DeltaUpsert {
-            ns: 0,
-            epoch: 0,
-            shard: 0,
-            dim_start: 0,
-            dim_end: 2,
-            ids: vec![1],
-            seqs: vec![0],
-            flat: vec![-1.5, 2.5],
-            block_norms_sq: vec![],
-            total_norms_sq: vec![],
-        }));
-        roundtrip(DeleteIds {
-            ns: 7,
-            epoch: u64::MAX,
-            ids: vec![7, 8, 9],
-            seq: 42,
-        });
-        roundtrip(ToWorker::DeleteIds(DeleteIds {
-            ns: 0,
-            epoch: 3,
-            ids: vec![],
-            seq: 0,
-        }));
-    }
-
-    #[test]
-    fn tier_messages_roundtrip() {
-        roundtrip(SetTier {
-            ns: 9,
-            temperature: 2,
-        });
-        roundtrip(ToWorker::SetTier(SetTier {
-            ns: 0,
-            temperature: 0,
-        }));
-        roundtrip(ToClient::TierAck { ns: 9 });
-    }
-
-    #[test]
-    fn sq8_payloads_roundtrip() {
-        let flat: Vec<f32> = (0..12).map(|i| i as f32 * 0.75 - 2.0).collect();
-        let seg = Sq8Segment::quantize(&flat, 4, 8);
-        assert!(!seg.codes.is_empty());
-        roundtrip(ClusterBlock {
-            cluster: 3,
-            ids: vec![10, 11, 12],
-            flat: vec![],
-            segs: vec![seg.clone()],
-            block_norms_sq: vec![],
-            total_norms_sq: vec![],
-        });
-        roundtrip(ToWorker::Load(LoadBlock {
-            ns: 4,
-            epoch: 2,
-            shard: 0,
-            dim_block: 1,
-            dim_start: 8,
-            dim_end: 12,
-            total_dim_blocks: 2,
-            metric: 0,
-            repr: 1,
-            pruning: true,
-            lists: vec![ClusterBlock {
-                cluster: 3,
-                ids: vec![10, 11, 12],
-                flat: vec![],
-                segs: vec![seg.clone()],
-                block_norms_sq: vec![],
-                total_norms_sq: vec![],
-            }],
-        }));
-        let half = seg.slice_dims(8, 10);
-        roundtrip(ToWorker::InstallLists(InstallLists {
-            ns: 4,
-            epoch: 2,
-            shard: 0,
-            dim_block: 0,
-            pieces: vec![ListPiece {
-                cluster: 3,
-                dim_start: 8,
-                dim_end: 10,
-                ids: vec![10, 11, 12],
-                flat: vec![],
-                segs: vec![half],
-                piece_norms_sq: vec![],
-                total_norms_sq: vec![],
-            }],
-        }));
-        let mut c = Carry {
-            ns: 4,
-            query_id: 9,
-            epoch: 2,
-            shard: 0,
-            threshold: 4.5,
-            next_position: 1,
-            indices: vec![0, 2],
-            partials: vec![1.25, 0.5],
-            visited_norms_sq: vec![],
-            q_visited_norm_sq: 0.0,
-            quant_eps: 0.0,
-        };
-        c.quant_eps = 0.125;
-        roundtrip(c);
-    }
+    // Round-trips, golden bytes, tag tables and the `validate` rejections
+    // of every message live in `tests/codec_frame_props.rs`.
 
     #[test]
     fn hostile_segment_count_rejected() {
@@ -1812,76 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_messages_roundtrip() {
-        let piece = ListPiece {
-            cluster: 5,
-            dim_start: 8,
-            dim_end: 12,
-            ids: vec![7, 9],
-            flat: vec![0.1; 8],
-            segs: vec![],
-            piece_norms_sq: vec![1.0, 2.0],
-            total_norms_sq: vec![3.0, 4.0],
-        };
-        roundtrip(piece.clone());
-        roundtrip(TransferSpec {
-            cluster: 5,
-            src_epoch: 0,
-            src_shard: 1,
-            dim_start: 8,
-            dim_end: 12,
-            dest: 3,
-            dest_shard: 0,
-            dest_dim_block: 1,
-        });
-        roundtrip(ToWorker::MigrateOut(MigrateOut {
-            ns: 1,
-            epoch: 1,
-            transfers: vec![],
-        }));
-        roundtrip(ToWorker::BeginEpoch(BeginEpoch {
-            ns: 1,
-            epoch: 1,
-            shard: 0,
-            dim_block: 1,
-            dim_start: 8,
-            dim_end: 16,
-            total_dim_blocks: 2,
-            expected_pieces: 12,
-        }));
-        roundtrip(ToWorker::InstallLists(InstallLists {
-            ns: 1,
-            epoch: 1,
-            shard: 0,
-            dim_block: 1,
-            pieces: vec![piece],
-        }));
-        roundtrip(ToWorker::EvictEpoch { ns: 1, epoch: 0 });
-        roundtrip(ToClient::EpochReady { ns: 1, epoch: 1 });
-    }
-
-    #[test]
-    fn enum_wrappers_roundtrip() {
-        roundtrip(ToWorker::Chunk(sample_chunk()));
-        roundtrip(ToWorker::GetStats);
-        roundtrip(ToWorker::ResetStats);
-        roundtrip(ToClient::LoadAck {
-            ns: 2,
-            shard: 3,
-            dim_block: 1,
-        });
-        roundtrip(ToClient::Stats(StatsReport::default()));
-    }
-
-    #[test]
-    fn infinity_threshold_survives_the_wire() {
-        let mut c = sample_chunk();
-        c.threshold = f32::INFINITY;
-        let back = QueryChunk::from_bytes(c.to_bytes()).unwrap();
-        assert!(back.threshold.is_infinite());
-    }
-
-    #[test]
     fn bad_tags_rejected() {
         let raw = Bytes::from_static(&[99]);
         assert!(ToWorker::from_bytes(raw.clone()).is_err());
@@ -1889,32 +1310,14 @@ mod tests {
     }
 
     #[test]
-    fn metric_tags_roundtrip() {
-        use harmony_index::Metric;
+    fn metric_and_repr_tags_roundtrip() {
         for m in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
             assert_eq!(metric_tag::decode(metric_tag::encode(m)).unwrap(), m);
         }
         assert!(metric_tag::decode(9).is_err());
-    }
-
-    #[test]
-    fn repr_tags_roundtrip() {
-        use harmony_index::BlockRepr;
         for r in [BlockRepr::F32, BlockRepr::Sq8] {
             assert_eq!(repr_tag::decode(repr_tag::encode(r)).unwrap(), r);
         }
         assert!(repr_tag::decode(7).is_err());
-    }
-
-    #[test]
-    fn chunk_wire_size_tracks_dims() {
-        // The query payload per block must shrink as 1/B_dim: the chunk
-        // overhead is fixed, the dims dominate at realistic widths.
-        let mut small = sample_chunk();
-        small.dims = vec![0.0; 32];
-        let mut large = sample_chunk();
-        large.dims = vec![0.0; 128];
-        let delta = large.to_bytes().len() - small.to_bytes().len();
-        assert_eq!(delta, 96 * 4);
     }
 }

@@ -53,14 +53,12 @@ use harmony_cluster::{mem, NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
 use harmony_index::distance::{ip, l2_sq};
 use harmony_index::persist::{load_block_file, save_block_file};
 use harmony_index::quant::{self, Sq8BlockQuery};
-use harmony_index::{
-    BlockCache, BlockRepr, DeltaList, Metric, Sq8Segment, Temperature, TombstoneSet, TopK,
-};
+use harmony_index::{BlockCache, DeltaList, Metric, Sq8Segment, Temperature, TombstoneSet, TopK};
 
 use crate::messages::{
-    metric_tag, repr_tag, span, BeginEpoch, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds,
-    DeltaUpsert, InstallLists, ListPiece, LoadBlock, MigrateOut, ResultBatch, SetTier, StatsReport,
-    ToClient, ToWorker,
+    metric_tag, span, BeginEpoch, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert,
+    InstallLists, ListPiece, LoadBlock, MigrateOut, ResultBatch, SetTier, StatsReport, ToClient,
+    ToWorker,
 };
 use crate::pruning::PruneRule;
 
@@ -95,6 +93,33 @@ struct ListBlock {
 }
 
 impl ListBlock {
+    /// The resident form of one list `width` dimensions wide: SQ8 when it
+    /// has segments — kept in `dim_start` order, so a block is the same
+    /// whichever source's pieces landed first — exact rows otherwise.
+    fn new(
+        ids: Vec<u64>,
+        flat: Vec<f32>,
+        mut segs: Vec<Sq8Segment>,
+        block_norms_sq: Vec<f32>,
+        total_norms_sq: Vec<f32>,
+        width: usize,
+    ) -> Self {
+        let data = if segs.is_empty() {
+            BlockData::F32 { flat }
+        } else {
+            segs.sort_by_key(|s| s.dim_start);
+            BlockData::Sq8 { segs }
+        };
+        Self {
+            ids,
+            data,
+            max_block_norm_sq: block_norms_sq.iter().fold(0.0f32, |a, &b| a.max(b)),
+            block_norms_sq,
+            total_norms_sq,
+            width,
+        }
+    }
+
     fn rows(&self) -> usize {
         self.ids.len()
     }
@@ -117,10 +142,6 @@ impl ListBlock {
     }
 }
 
-fn max_norm(norms: &[f32]) -> f32 {
-    norms.iter().fold(0.0f32, |a, &b| a.max(b))
-}
-
 /// Storage for one grid block `V_s D_b`.
 struct BlockStore {
     /// Absolute dimension range `[start, end)` of the block — needed to
@@ -131,6 +152,30 @@ struct BlockStore {
 }
 
 impl BlockStore {
+    /// The storage of a block shipped (or spilled) as wire lists.
+    fn from_wire(dim_start: u64, dim_end: u64, lists: Vec<ClusterBlock>) -> Self {
+        let width = (dim_end - dim_start) as usize;
+        let lists = lists
+            .into_iter()
+            .map(|cb| {
+                let list = ListBlock::new(
+                    cb.ids,
+                    cb.flat,
+                    cb.segs,
+                    cb.block_norms_sq,
+                    cb.total_norms_sq,
+                    width,
+                );
+                (cb.cluster, list)
+            })
+            .collect();
+        Self {
+            dim_start,
+            dim_end,
+            lists,
+        }
+    }
+
     fn memory_bytes(&self) -> usize {
         self.lists
             .values()
@@ -227,32 +272,7 @@ fn decode_block_store(payload: &[u8]) -> Option<BlockStore> {
     let dim_start = u64::decode(&mut buf).ok()?;
     let dim_end = u64::decode(&mut buf).ok()?;
     let clusters = Vec::<ClusterBlock>::decode(&mut buf).ok()?;
-    let width = (dim_end - dim_start) as usize;
-    let mut lists = HashMap::with_capacity(clusters.len());
-    for cb in clusters {
-        let data = if cb.segs.is_empty() {
-            BlockData::F32 { flat: cb.flat }
-        } else {
-            BlockData::Sq8 { segs: cb.segs }
-        };
-        let max_block_norm_sq = max_norm(&cb.block_norms_sq);
-        lists.insert(
-            cb.cluster,
-            ListBlock {
-                ids: cb.ids,
-                data,
-                block_norms_sq: cb.block_norms_sq,
-                total_norms_sq: cb.total_norms_sq,
-                max_block_norm_sq,
-                width,
-            },
-        );
-    }
-    Some(BlockStore {
-        dim_start,
-        dim_end,
-        lists,
-    })
+    (dim_start <= dim_end).then(|| BlockStore::from_wire(dim_start, dim_end, clusters))
 }
 
 /// Per-namespace query configuration, set by the namespace's first
@@ -964,6 +984,13 @@ impl HarmonyWorker {
         }
     }
 
+    /// Forgets `key` in the warm cache (its payload stays with the slot).
+    fn uncache(&mut self, key: &SpillKey) {
+        let before = self.cache.resident_bytes();
+        self.cache.remove(key);
+        self.sync_cache_gauge(before);
+    }
+
     /// Evicts the slots named by a batch of cache-evicted keys.
     fn apply_cache_evictions(&mut self, evicted: Vec<SpillKey>) {
         for key in evicted {
@@ -1096,9 +1123,7 @@ impl HarmonyWorker {
                     return;
                 }
                 Self::evict_resident(slot);
-                let before = self.cache.resident_bytes();
-                self.cache.remove(&key);
-                self.sync_cache_gauge(before);
+                self.uncache(&key);
             }
         }
     }
@@ -1117,27 +1142,26 @@ impl HarmonyWorker {
 
     /// Moves a namespace between residency tiers and acks the client.
     fn handle_set_tier(&mut self, ctx: &NodeCtx, msg: SetTier) {
-        if let Some(tier) = Temperature::decode(msg.temperature) {
-            self.tiers.insert(msg.ns, tier);
-            for key in self.ns_keys(msg.ns) {
-                match tier {
-                    Temperature::Hot => {
-                        // Promote: fault everything back, pin it, release
-                        // the disk backing.
-                        self.ensure_resident(key);
-                        let before = self.cache.resident_bytes();
-                        self.cache.remove(&key);
-                        self.sync_cache_gauge(before);
-                        if let Some(slot) = self
-                            .epochs
-                            .get_mut(&(key.0, key.1))
-                            .and_then(|e| e.blocks.get_mut(&key.2))
-                        {
-                            Self::drop_spill(slot);
-                        }
+        let Some(tier) = Temperature::decode(msg.temperature) else {
+            return; // unknown tags die at decode; never ack what was not applied
+        };
+        self.tiers.insert(msg.ns, tier);
+        for key in self.ns_keys(msg.ns) {
+            match tier {
+                Temperature::Hot => {
+                    // Promote: fault everything back, pin it, release
+                    // the disk backing.
+                    self.ensure_resident(key);
+                    self.uncache(&key);
+                    if let Some(slot) = self
+                        .epochs
+                        .get_mut(&(key.0, key.1))
+                        .and_then(|e| e.blocks.get_mut(&key.2))
+                    {
+                        Self::drop_spill(slot);
                     }
-                    Temperature::Warm | Temperature::Cold => self.apply_tier(key),
                 }
+                Temperature::Warm | Temperature::Cold => self.apply_tier(key),
             }
         }
         let _ = ctx.send(CLIENT, ToClient::TierAck { ns: msg.ns }.to_bytes());
@@ -1155,9 +1179,34 @@ impl HarmonyWorker {
         }
     }
 
+    /// Installs `block` as `key`'s grid block — replacing, and un-accounting,
+    /// one already there — and applies the namespace's tier to it.
+    fn install_block(&mut self, key: SpillKey, total_dim_blocks: u32, block: BlockStore) {
+        let total_dim_blocks = total_dim_blocks.max(1) as usize;
+        self.ensure_slice_positions(total_dim_blocks);
+        let (ns, epoch, shard) = key;
+        let store = self
+            .epochs
+            .entry((ns, epoch))
+            .or_insert_with(|| EpochStore::new(total_dim_blocks));
+        store.total_dim_blocks = total_dim_blocks;
+        gauge_add(&block);
+        if let Some(mut old) = store.blocks.insert(shard, BlockSlot::pinned(block)) {
+            // Replaced block: its spill file (if any) describes stale data.
+            if let Some(old_store) = old.resident.take() {
+                gauge_sub(&old_store);
+            }
+            Self::drop_spill(&mut old);
+            self.uncache(&key);
+        }
+        // A demoted namespace keeps its tier across reloads and migrations.
+        self.apply_tier(key);
+    }
+
     fn handle_load(&mut self, ctx: &NodeCtx, load: LoadBlock) {
-        let metric = metric_tag::decode(load.metric).unwrap_or(Metric::L2);
-        let repr = repr_tag::decode(load.repr).unwrap_or(BlockRepr::F32);
+        let Ok(metric) = metric_tag::decode(load.metric) else {
+            return; // unknown tags (and misshapen lists) die at decode
+        };
         self.ns_meta.insert(
             load.ns,
             NsMeta {
@@ -1165,60 +1214,16 @@ impl HarmonyWorker {
                 rule: PruneRule::new(metric, load.pruning),
             },
         );
-        let total_dim_blocks = load.total_dim_blocks.max(1) as usize;
-        self.ensure_slice_positions(total_dim_blocks);
-
-        let width = (load.dim_end - load.dim_start) as usize;
-        let mut lists = HashMap::with_capacity(load.lists.len());
-        for cb in load.lists {
-            let data = match repr {
-                BlockRepr::F32 => BlockData::F32 { flat: cb.flat },
-                BlockRepr::Sq8 => BlockData::Sq8 { segs: cb.segs },
-            };
-            let max_block_norm_sq = max_norm(&cb.block_norms_sq);
-            lists.insert(
-                cb.cluster,
-                ListBlock {
-                    ids: cb.ids,
-                    data,
-                    block_norms_sq: cb.block_norms_sq,
-                    total_norms_sq: cb.total_norms_sq,
-                    max_block_norm_sq,
-                    width,
-                },
-            );
-        }
-        let ns = load.ns;
-        let shard = load.shard;
-        let dim_block = load.dim_block;
-        let store = self
-            .epochs
-            .entry((ns, load.epoch))
-            .or_insert_with(|| EpochStore::new(total_dim_blocks));
-        store.total_dim_blocks = total_dim_blocks;
-        let block = BlockStore {
-            dim_start: load.dim_start,
-            dim_end: load.dim_end,
-            lists,
-        };
-        gauge_add(&block);
-        let key: SpillKey = (ns, load.epoch, shard);
-        if let Some(mut old) = store.blocks.insert(shard, BlockSlot::pinned(block)) {
-            // Replaced block: its spill file (if any) describes stale data.
-            if let Some(old_store) = old.resident.take() {
-                gauge_sub(&old_store);
-            }
-            Self::drop_spill(&mut old);
-            let before = self.cache.resident_bytes();
-            self.cache.remove(&key);
-            self.sync_cache_gauge(before);
-        }
-        // A demoted namespace keeps its tier across reloads.
-        self.apply_tier(key);
+        let block = BlockStore::from_wire(load.dim_start, load.dim_end, load.lists);
+        self.install_block(
+            (load.ns, load.epoch, load.shard),
+            load.total_dim_blocks,
+            block,
+        );
         let ack = ToClient::LoadAck {
-            ns,
-            shard,
-            dim_block,
+            ns: load.ns,
+            shard: load.shard,
+            dim_block: load.dim_block,
         }
         .to_bytes();
         let _ = ctx.send(CLIENT, ack);
@@ -1232,7 +1237,6 @@ impl HarmonyWorker {
         if self.watermarked(msg.ns, msg.epoch) {
             return; // straggler for an evicted epoch
         }
-        let is_ip = !matches!(self.meta(msg.ns).metric, Metric::L2);
         let width = (msg.dim_end - msg.dim_start) as usize;
         let store = self
             .epochs
@@ -1244,14 +1248,14 @@ impl HarmonyWorker {
             .or_insert_with(|| DeltaList::new(width));
         debug_assert_eq!(delta.width(), width, "delta slice width changed mid-epoch");
         let before = delta.memory_bytes();
+        // Decode validated the shape: `seqs` and `flat` are per-row, the
+        // norm tables per-row or (L2) absent.
+        let norm = |table: &[f32], i: usize| table.get(i).copied().unwrap_or(0.0);
         for (i, (&id, &seq)) in msg.ids.iter().zip(&msg.seqs).enumerate() {
             let row = &msg.flat[i * width..(i + 1) * width];
-            let (bn, tn) = if is_ip {
-                (msg.block_norms_sq[i], msg.total_norms_sq[i])
-            } else {
-                (0.0, 0.0)
-            };
-            delta.push(id, seq, row, bn, tn);
+            let (block_norm_sq, total_norm_sq) =
+                (norm(&msg.block_norms_sq, i), norm(&msg.total_norms_sq, i));
+            delta.push(id, seq, row, block_norm_sq, total_norm_sq);
         }
         mem::delta_block_add(delta.memory_bytes() - before);
     }
@@ -1597,68 +1601,39 @@ impl HarmonyWorker {
         let Some(assembly) = self.installs.remove(&(ns, epoch)) else {
             return;
         };
-        let total_dim_blocks = assembly.total_dim_blocks.max(1) as usize;
-        self.ensure_slice_positions(total_dim_blocks);
-        let lists: HashMap<u32, ListBlock> = assembly
+        // Segments land in canonical order whichever source's pieces came
+        // first, so assembled blocks are bit-identical across transports.
+        let lists = assembly
             .clusters
             .into_iter()
-            .map(|(cluster, mut c)| {
-                let data = if c.segs.is_empty() {
-                    BlockData::F32 { flat: c.flat }
-                } else {
-                    // Canonical segment order regardless of which source's
-                    // pieces landed first, so assembled blocks are
-                    // bit-identical across transports.
-                    c.segs.sort_by_key(|s| s.dim_start);
-                    BlockData::Sq8 { segs: c.segs }
-                };
-                let max_block_norm_sq = max_norm(&c.block_norms_sq);
-                (
-                    cluster,
-                    ListBlock {
-                        ids: c.ids,
-                        data,
-                        block_norms_sq: c.block_norms_sq,
-                        total_norms_sq: c.total_norms_sq,
-                        max_block_norm_sq,
-                        width: c.width,
-                    },
-                )
+            .map(|(cluster, c)| {
+                let list = ListBlock::new(
+                    c.ids,
+                    c.flat,
+                    c.segs,
+                    c.block_norms_sq,
+                    c.total_norms_sq,
+                    c.width,
+                );
+                (cluster, list)
             })
             .collect();
-        let store = self
-            .epochs
-            .entry((ns, epoch))
-            .or_insert_with(|| EpochStore::new(total_dim_blocks));
-        store.total_dim_blocks = total_dim_blocks;
         let block = BlockStore {
             dim_start: assembly.dim_start,
             dim_end: assembly.dim_end,
             lists,
         };
-        gauge_add(&block);
-        let key = (ns, epoch, assembly.shard);
-        if let Some(mut old) = store
-            .blocks
-            .insert(assembly.shard, BlockSlot::pinned(block))
-        {
-            if let Some(old_block) = &old.resident {
-                gauge_sub(old_block);
-            }
-            Self::drop_spill(&mut old);
-            let before = self.cache.resident_bytes();
-            self.cache.remove(&key);
-            self.sync_cache_gauge(before);
-        }
+        self.install_block(
+            (ns, epoch, assembly.shard),
+            assembly.total_dim_blocks,
+            block,
+        );
         // Migrations are serialized and epoch numbers are per-namespace
         // sequences that never repeat, so any assembly or orphan pieces of
         // an *older* epoch of this namespace belong to an aborted attempt
         // and can never activate — drop them.
         self.installs.retain(|&(n, e), _| n != ns || e > epoch);
         self.orphan_pieces.retain(|&(n, e), _| n != ns || e > epoch);
-        // A demoted namespace keeps its tier across migrations: spill the
-        // freshly-assembled block right away.
-        self.apply_tier(key);
         let _ = ctx.send(CLIENT, ToClient::EpochReady { ns, epoch }.to_bytes());
     }
 
@@ -1756,11 +1731,7 @@ impl HarmonyWorker {
                     cluster: t.cluster,
                     dim_start: t.dim_start,
                     dim_end: t.dim_end,
-                    ids: Vec::new(),
-                    flat: Vec::new(),
-                    segs: Vec::new(),
-                    piece_norms_sq: Vec::new(),
-                    total_norms_sq: Vec::new(),
+                    ..ListPiece::default()
                 },
             };
             outbound

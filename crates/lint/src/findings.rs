@@ -6,21 +6,6 @@ use std::fmt;
 /// in `lint.allow`, so renaming one is a breaking change for allowlists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Enum variant missing from the `encode` match of its `Wire` impl.
-    CodecEncode,
-    /// Enum variant missing from the `decode` tag dispatch.
-    CodecDecode,
-    /// Enum variant never mentioned in the codec property test.
-    CodecTest,
-    /// Two variants encode with the same discriminant tag.
-    CodecTagDup,
-    /// Discriminant tags are not the dense range 0..n (a gap shifts or
-    /// orphans wire values across versions).
-    CodecTagGap,
-    /// A variant's encode tag differs from its decode tag.
-    CodecTagMismatch,
-    /// Struct field never referenced in its own `encode`/`decode` body.
-    CodecField,
     /// `unsafe` block or fn without an adjacent `// SAFETY:` comment.
     UnsafeComment,
     /// `#[target_feature]` fn reachable from a caller that does not check
@@ -48,13 +33,6 @@ impl Rule {
     /// The stable textual ID.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::CodecEncode => "HL-CODEC-ENCODE",
-            Rule::CodecDecode => "HL-CODEC-DECODE",
-            Rule::CodecTest => "HL-CODEC-TEST",
-            Rule::CodecTagDup => "HL-CODEC-TAG-DUP",
-            Rule::CodecTagGap => "HL-CODEC-TAG-GAP",
-            Rule::CodecTagMismatch => "HL-CODEC-TAG-MISMATCH",
-            Rule::CodecField => "HL-CODEC-FIELD",
             Rule::UnsafeComment => "HL-UNSAFE-COMMENT",
             Rule::UnsafeGuard => "HL-UNSAFE-GUARD",
             Rule::LockOrder => "HL-LOCK-ORDER",

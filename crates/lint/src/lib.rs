@@ -1,12 +1,11 @@
 //! harmony-lint: repo-invariant static analysis for the Harmony workspace.
 //!
-//! The compiler cannot see the invariants this crate enforces: wire-codec
-//! exhaustiveness across encode/decode/proptest, `SAFETY` obligations on
-//! `unsafe` code, the lock-acquisition order that keeps router and
-//! supervisor threads deadlock-free, and the no-panic discipline of the
-//! hot paths. See DESIGN.md §7 for the rule catalogue and allowlist
-//! policy; configuration lives in `lint.toml`, deliberate exceptions in
-//! `lint.allow`, both at the repo root.
+//! The compiler cannot see the invariants this crate enforces: `SAFETY`
+//! obligations on `unsafe` code, the lock-acquisition order that keeps
+//! router and supervisor threads deadlock-free, and the no-panic
+//! discipline of the hot paths. See DESIGN.md §7 for the rule catalogue
+//! and allowlist policy; configuration lives in `lint.toml`, deliberate
+//! exceptions in `lint.allow`, both at the repo root.
 
 pub mod allowlist;
 pub mod config;
@@ -64,13 +63,6 @@ pub fn run_with(root: &Path, cfg: &Config, al: &mut Allowlist) -> Result<Report,
             }
         }
     }
-    let codec_files: Vec<&FileIndex> = indexed
-        .iter()
-        .filter(|fi| cfg.codec_files.contains(&fi.path))
-        .collect();
-    let test_file = indexed.iter().find(|fi| fi.path == cfg.codec_test_file);
-    rules::codec::check(&codec_files, test_file, &mut raw);
-
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
     for f in raw {

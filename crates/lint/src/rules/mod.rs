@@ -1,6 +1,5 @@
-//! The four rule families.
+//! The three rule families.
 
-pub mod codec;
 pub mod forbid;
 pub mod locks;
 pub mod unsafe_audit;

@@ -1,8 +1,7 @@
 //! End-to-end tests: the `harmony-lint` binary over the checked-in
 //! fixtures (a bad and a fixed tree per rule family), the library over
-//! the real repo (must be clean), and mutation tests that delete a real
-//! decode arm / SAFETY comment and assert the pass catches it at the
-//! right location.
+//! the real repo (must be clean), and a mutation test that deletes a real
+//! SAFETY comment and asserts the pass catches it at the right location.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -36,16 +35,6 @@ fn check_pair(name: &str, expect_line: &str) {
     );
     let (code, stdout) = lint(&fixture(name).join("fixed"));
     assert_eq!(code, 0, "{name}/fixed should pass; stdout:\n{stdout}");
-}
-
-#[test]
-fn codec_missing_decode_arm() {
-    check_pair("codec_decode", "codec.rs:3  HL-CODEC-DECODE");
-}
-
-#[test]
-fn codec_tag_collision() {
-    check_pair("codec_tags", "HL-CODEC-TAG-DUP");
 }
 
 #[test]
@@ -108,49 +97,6 @@ fn repo_tree_is_clean() {
         "repo tree has findings:\n{}",
         rendered.join("\n")
     );
-}
-
-/// Deleting a single `decode` arm of the real `ToWorker` must fail with
-/// `HL-CODEC-DECODE` pointing into messages.rs.
-#[test]
-fn real_toworker_decode_arm_deletion_is_caught() {
-    let root = harmony_lint::default_root();
-    let src = std::fs::read_to_string(root.join("crates/core/src/messages.rs"))
-        .expect("read messages.rs");
-    let arm_line = src
-        .lines()
-        .find(|l| l.contains("=> Ok(ToWorker::"))
-        .expect("a ToWorker decode arm");
-    let mutated = src.replacen(arm_line, "", 1);
-
-    let dir = std::env::temp_dir().join(format!("hl-decode-mut-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir scratch");
-    std::fs::write(dir.join("messages.rs"), mutated).expect("write mutated");
-    std::fs::write(
-        dir.join("lint.toml"),
-        "[codec]\nfiles = [\"messages.rs\"]\n",
-    )
-    .expect("write config");
-    // Only the codec rule matters here; the copied file would otherwise
-    // also trip path rules it is exempt from in its real location.
-    let cfg = harmony_lint::config::load(&dir.join("lint.toml")).expect("config");
-    let mut al = harmony_lint::allowlist::Allowlist::default();
-    let report = harmony_lint::run_with(&dir, &cfg, &mut al).expect("lint scratch");
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule.id() == "HL-CODEC-DECODE" && f.file == "messages.rs"),
-        "expected HL-CODEC-DECODE in messages.rs, got:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Deleting any `// SAFETY:` comment in the real distance.rs must fail

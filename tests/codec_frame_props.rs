@@ -1,18 +1,34 @@
-//! Property tests for the framed transport codec: every typed message
-//! variant must survive the full wire path — `Wire` serialization into a
-//! `Frame::User` payload, length-prefixed frame encoding, frame decoding,
-//! and `Wire` deserialization — bit for bit. Truncated frames must decode
-//! to "incomplete" without consuming bytes, and frames whose header
-//! declares a body larger than [`MAX_FRAME_BYTES`] must be rejected.
+//! Property and golden tests for the wire codec and the framed transport:
+//! every typed message variant must survive the full wire path — `Wire`
+//! serialization into a `Frame::User` payload, length-prefixed frame
+//! encoding, frame decoding, and `Wire` deserialization — bit for bit.
+//! Truncated frames must decode to "incomplete" without consuming bytes,
+//! and frames whose header declares a body larger than [`MAX_FRAME_BYTES`]
+//! must be rejected.
 //!
-//! The sub-batch pipeline messages (`ChunkBatch` / `CarryBatch` /
-//! `ResultBatch`) get their own properties — varint index gaps of every
-//! width, empty survivor sets, truncation — and the single-query forms
-//! they superseded (`Chunk` / `Carry` / `Result`) are pinned byte for byte:
-//! external drivers still speak them.
+//! The message codecs are generated from one declaration each (`wire!`), so
+//! field symmetry and variant coverage hold by construction. What the
+//! compiler cannot see is pinned here:
+//!
+//! * **tag and layout stability** — `ToWorker::TAGS` / `ToClient::TAGS`
+//!   against a literal table, golden bytes of every variant in
+//!   `tests/golden/wire_messages.txt`, and the hand-derived bytes of the
+//!   single-query forms (a published format: drivers outside this
+//!   workspace speak them);
+//! * **sample coverage** — goldens and round-trip properties take their
+//!   variants from `TAGS` and fail on one nobody wrote a sample for;
+//! * **the three hand-written batch codecs** (`ChunkBatch` / `CarryBatch`
+//!   / `ResultBatch`: varint index gaps of every width, omitted arrays,
+//!   truncation), whose `full` golden draw sets every field to a
+//!   non-default value, so a field dropped from either direction cannot
+//!   round-trip;
+//! * **decode-boundary validation** — one malformed-but-decodable message
+//!   per `validate` rule.
+
+use std::collections::HashMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use harmony::cluster::codec::Wire;
+use harmony::cluster::codec::{CodecError, Wire};
 use harmony::cluster::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
 use harmony::core::messages::{
     BeginEpoch, Carry, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert, InstallLists,
@@ -60,12 +76,21 @@ fn roundtrip_msg<T: Wire + PartialEq + std::fmt::Debug>(
 
 /// One quantized segment covering `[dim_start, dim_start + width)` for `n`
 /// rows (what an SQ8 block or migration piece carries instead of `flat`).
+/// Written out rather than quantized, so the goldens pin the codec alone.
 fn sample_segs(n: usize, width: usize, dim_start: u64) -> Vec<Sq8Segment> {
     if n == 0 {
         return Vec::new();
     }
-    let flat: Vec<f32> = (0..n * width).map(|i| i as f32 * 0.375 - 3.0).collect();
-    vec![Sq8Segment::quantize(&flat, width, dim_start)]
+    let codes: Vec<u8> = (0..n * width).map(|i| (i * 37 % 256) as u8).collect();
+    let sum = |row: &[u8]| row.iter().map(|&c| u32::from(c)).sum();
+    vec![Sq8Segment {
+        dim_start,
+        dim_end: dim_start + width as u64,
+        min: -3.0,
+        scale: 0.375,
+        code_sums: codes.chunks(width).map(sum).collect(),
+        codes,
+    }]
 }
 
 fn sample_block(cluster: u32, n: usize, width: usize, ip: bool, sq8: bool) -> ClusterBlock {
@@ -181,6 +206,172 @@ fn sample_result_batch(n: usize, seed: u64) -> ResultBatch {
         ids,
         candidates_seen: (0..n as u64).map(|i| (seed % 100_000) * i).collect(),
     }
+}
+
+/// The knobs a variant sample is drawn from.
+#[derive(Clone, Copy)]
+struct Draw {
+    ns: u16,
+    epoch: u64,
+    shard: u32,
+    /// Rows (list members, queries, survivors …).
+    n: usize,
+    width: usize,
+    /// Inner-product shape: norm tables present.
+    ip: bool,
+    sq8: bool,
+    seed: u64,
+}
+
+/// A sample of the `ToWorker` variant called `name` in the schema's tag
+/// table; `None` for a variant nobody wrote one for.
+fn to_worker_sample(name: &str, d: &Draw) -> Option<ToWorker> {
+    let (ns, epoch, shard, n, seed) = (d.ns, d.epoch, d.shard, d.n, d.seed);
+    let dim_end = d.width as u64;
+    Some(match name {
+        "Load" => ToWorker::Load(LoadBlock {
+            ns,
+            epoch,
+            shard,
+            dim_block: shard % 4,
+            dim_start: 0,
+            dim_end,
+            total_dim_blocks: 4,
+            metric: if d.ip { 1 + (seed % 2) as u8 } else { 0 },
+            pruning: seed.is_multiple_of(3),
+            repr: d.sq8 as u8,
+            lists: vec![sample_block(shard, n, d.width, d.ip, d.sq8)],
+        }),
+        "Chunk" => ToWorker::Chunk(QueryChunk {
+            ns,
+            query_id: seed,
+            epoch,
+            shard,
+            k: 10,
+            threshold: if d.ip { f32::INFINITY } else { 1.25 },
+            clusters: (0..n as u32).collect(),
+            dims: (0..d.width).map(|i| i as f32 * 0.1).collect(),
+            q_total_norm_sq: 2.0,
+            order: (0..4u64).collect(),
+            position: shard % 4,
+            delta_seq: seed % 1_000,
+        }),
+        "Carry" => ToWorker::Carry(Carry {
+            ns,
+            query_id: seed,
+            epoch,
+            shard,
+            threshold: 0.5,
+            next_position: 1,
+            indices: (0..n as u32).map(|i| i * 2).collect(),
+            partials: (0..n).map(|i| i as f32).collect(),
+            visited_norms_sq: if d.ip { vec![1.0; n] } else { Vec::new() },
+            q_visited_norm_sq: if d.ip { 0.25 } else { 0.0 },
+            quant_eps: if d.sq8 { 0.0625 } else { 0.0 },
+        }),
+        "GetStats" => ToWorker::GetStats,
+        "ResetStats" => ToWorker::ResetStats,
+        "BeginEpoch" => ToWorker::BeginEpoch(BeginEpoch {
+            ns,
+            epoch,
+            shard,
+            dim_block: 1,
+            dim_start: 0,
+            dim_end,
+            total_dim_blocks: 2,
+            expected_pieces: n as u64,
+        }),
+        "MigrateOut" => ToWorker::MigrateOut(MigrateOut {
+            ns,
+            epoch,
+            transfers: (0..n as u32)
+                .map(|c| TransferSpec {
+                    cluster: c,
+                    src_epoch: epoch,
+                    src_shard: shard,
+                    dim_start: 0,
+                    dim_end,
+                    dest: seed % 4,
+                    dest_shard: c % 2,
+                    dest_dim_block: c % 3,
+                })
+                .collect(),
+        }),
+        "InstallLists" => ToWorker::InstallLists(InstallLists {
+            ns,
+            epoch,
+            shard,
+            dim_block: 0,
+            pieces: vec![sample_piece(shard, n, d.width, d.ip, d.sq8)],
+        }),
+        "EvictEpoch" => ToWorker::EvictEpoch { ns, epoch },
+        "UpsertDelta" => ToWorker::UpsertDelta(sample_upsert(d)),
+        "DeleteIds" => ToWorker::DeleteIds(DeleteIds {
+            ns,
+            epoch: if d.ip { u64::MAX } else { epoch },
+            ids: (0..n as u64).map(|i| i * 11).collect(),
+            seq: seed % 10_000,
+        }),
+        "SetTier" => ToWorker::SetTier(SetTier {
+            ns,
+            temperature: (seed % 3) as u8,
+        }),
+        "ChunkBatch" => ToWorker::ChunkBatch(sample_chunk_batch(n, d.width, d.ip, seed)),
+        "CarryBatch" => ToWorker::CarryBatch(sample_carry_batch(n, 1 + shard, d.ip, d.sq8, seed)),
+        _ => return None,
+    })
+}
+
+fn sample_upsert(d: &Draw) -> DeltaUpsert {
+    DeltaUpsert {
+        ns: d.ns,
+        epoch: d.epoch,
+        shard: d.shard,
+        dim_start: 0,
+        dim_end: d.width as u64,
+        ids: (0..d.n as u64).map(|i| i * 5 + 2).collect(),
+        seqs: (0..d.n as u64).map(|i| d.seed % 1_000 + i).collect(),
+        flat: (0..d.n * d.width).map(|i| i as f32 * 0.125 - 2.0).collect(),
+        block_norms_sq: if d.ip { vec![0.5; d.n] } else { Vec::new() },
+        total_norms_sq: if d.ip { vec![1.75; d.n] } else { Vec::new() },
+    }
+}
+
+/// [`to_worker_sample`] for `ToClient`.
+fn to_client_sample(name: &str, d: &Draw) -> Option<ToClient> {
+    let (ns, epoch, shard, n, seed) = (d.ns, d.epoch, d.shard, d.n, d.seed);
+    Some(match name {
+        "LoadAck" => ToClient::LoadAck {
+            ns,
+            shard,
+            dim_block: shard % 4,
+        },
+        "Result" => ToClient::Result(QueryResult {
+            query_id: seed,
+            shard,
+            ids: (0..n as u64).collect(),
+            scores: (0..n).map(|i| i as f32 * 0.5 - 2.0).collect(),
+            candidates_seen: seed % 10_000,
+        }),
+        "Stats" => ToClient::Stats(StatsReport {
+            slice_in: (0..n as u64).collect(),
+            slice_pruned: (0..n as u64).map(|x| x / 2).collect(),
+            scanned_point_dims: seed,
+            memory_bytes: seed / 3,
+            f32_block_bytes: seed / 5,
+            sq8_block_bytes: seed / 7,
+            compute_ns: seed / 11,
+            delta_bytes: seed / 13,
+            delta_rows: seed % 100,
+            tombstone_entries: seed % 50,
+            cache_block_bytes: seed / 17,
+            spilled_block_bytes: seed / 19,
+        }),
+        "EpochReady" => ToClient::EpochReady { ns, epoch },
+        "TierAck" => ToClient::TierAck { ns },
+        "ResultBatch" => ToClient::ResultBatch(sample_result_batch(n, seed)),
+        _ => return None,
+    })
 }
 
 /// Every strict prefix of `msg`'s encoding must fail to decode (never
@@ -303,6 +494,264 @@ fn legacy_pipeline_messages_keep_their_bytes() {
     );
 }
 
+/// The draws `tests/golden/wire_messages.txt` records for every variant:
+/// `full` has inner-product norm tables and SQ8 payloads (every optional
+/// array present, every field of the batch messages non-default), `plain`
+/// is what an exact L2 deployment sends (every optional array omitted),
+/// `empty` has no rows (empty lists, fallback pieces, zero survivors).
+const FULL: Draw = Draw {
+    ns: 1,
+    epoch: 2,
+    shard: 3,
+    n: 4,
+    width: 2,
+    ip: true,
+    sq8: true,
+    seed: 1_000_006,
+};
+const GOLDEN_DRAWS: [(&str, Draw); 3] = [
+    ("full", FULL),
+    (
+        "plain",
+        Draw {
+            ip: false,
+            sq8: false,
+            ..FULL
+        },
+    ),
+    ("empty", Draw { n: 0, ..FULL }),
+];
+
+/// Every variant of both enums, under every golden draw, encodes to
+/// exactly the bytes the hand-written codecs of the commit before the
+/// schema (PR 16) produced, and decodes back from them.
+#[test]
+fn golden_messages_keep_their_bytes() {
+    fn check<T: Wire + PartialEq + std::fmt::Debug>(
+        golden: &mut HashMap<&str, &str>,
+        (enum_name, tags): (&str, &[(u8, &str)]),
+        sample: fn(&str, &Draw) -> Option<T>,
+        tag_of: fn(&T) -> u8,
+    ) {
+        for &(tag, name) in tags {
+            for (draw_name, draw) in &GOLDEN_DRAWS {
+                let label = format!("{enum_name}::{name} {draw_name}");
+                let msg = sample(name, draw).unwrap_or_else(|| panic!("no sample for {label}"));
+                let want = golden.remove(label.as_str());
+                let want = want.unwrap_or_else(|| panic!("no golden line for {label}"));
+                let got: String = msg.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+                assert!(got == want, "{label} now encodes as {got}");
+                assert_eq!(tag_of(&msg), tag, "{label}");
+                assert!(got.starts_with(&format!("{tag:02x}")), "{label}");
+                assert_eq!(
+                    T::from_bytes(hex(want).into()).as_ref(),
+                    Ok(&msg),
+                    "{label}"
+                );
+            }
+        }
+    }
+    let mut golden: HashMap<&str, &str> = include_str!("golden/wire_messages.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.rsplit_once(' ').expect("`<label> <hex>`"))
+        .collect();
+    check(
+        &mut golden,
+        ("ToWorker", ToWorker::TAGS),
+        to_worker_sample,
+        ToWorker::tag,
+    );
+    check(
+        &mut golden,
+        ("ToClient", ToClient::TAGS),
+        to_client_sample,
+        ToClient::tag,
+    );
+    assert!(golden.is_empty(), "stale golden lines: {:?}", golden.keys());
+}
+
+/// The tag tables, literally. The schema makes a duplicate tag a compile
+/// error; that a tag never *moves* (or is reused for something else) is
+/// what this pins — append new variants, never renumber.
+#[test]
+fn wire_tags_are_golden() {
+    assert_eq!(
+        ToWorker::TAGS,
+        &[
+            (0, "Load"),
+            (1, "Chunk"),
+            (2, "Carry"),
+            (3, "GetStats"),
+            (4, "ResetStats"),
+            (5, "BeginEpoch"),
+            (6, "MigrateOut"),
+            (7, "InstallLists"),
+            (8, "EvictEpoch"),
+            (9, "UpsertDelta"),
+            (10, "DeleteIds"),
+            (11, "SetTier"),
+            (12, "ChunkBatch"),
+            (13, "CarryBatch"),
+        ]
+    );
+    assert_eq!(
+        ToClient::TAGS,
+        &[
+            (0, "LoadAck"),
+            (1, "Result"),
+            (2, "Stats"),
+            (3, "EpochReady"),
+            (4, "TierAck"),
+            (5, "ResultBatch"),
+        ]
+    );
+}
+
+/// The batch codecs are written by hand (their varint / omitted-field
+/// layouts are their purpose), so nothing generates their field symmetry.
+/// Their `full` golden samples therefore set **every** field to a
+/// non-default value — destructured without `..`, so a new field fails to
+/// compile here until it is given one — and a field dropped from `encode`
+/// or defaulted in `decode` cannot round-trip them.
+#[test]
+fn batch_codec_goldens_set_every_field() {
+    let ChunkBatch {
+        ns,
+        epoch,
+        shard,
+        k,
+        order,
+        position,
+        delta_seq,
+        legacy_reply,
+        query_ids,
+        thresholds,
+        q_total_norms_sq,
+        cluster_ends,
+        clusters,
+        dims,
+    } = sample_chunk_batch(FULL.n, FULL.width, FULL.ip, FULL.seed);
+    assert!(ns != 0 && epoch != 0 && shard != 0 && k != 0 && position != 0 && delta_seq != 0);
+    assert!(legacy_reply && !order.is_empty() && !query_ids.is_empty());
+    assert!(!thresholds.is_empty() && !q_total_norms_sq.is_empty());
+    assert!(!cluster_ends.is_empty() && !clusters.is_empty() && !dims.is_empty());
+    let CarryBatch {
+        first_query_id,
+        shard,
+        thresholds,
+        survivor_ends,
+        indices,
+        partials,
+        visited_norms_sq,
+        q_visited_norms_sq,
+        quant_eps,
+    } = sample_carry_batch(FULL.n, 1 + FULL.shard, FULL.ip, FULL.sq8, FULL.seed);
+    assert!(first_query_id != 0 && shard != 0 && !thresholds.is_empty());
+    assert!(!survivor_ends.is_empty() && !indices.is_empty() && !partials.is_empty());
+    assert!(!visited_norms_sq.is_empty() && !q_visited_norms_sq.is_empty());
+    assert!(!quant_eps.is_empty());
+    let ResultBatch {
+        shard,
+        query_ids,
+        result_ends,
+        ids,
+        scores,
+        candidates_seen,
+    } = sample_result_batch(FULL.n, FULL.seed);
+    assert!(shard != 0 && !query_ids.is_empty() && !result_ends.is_empty());
+    assert!(!ids.is_empty() && !scores.is_empty());
+    assert!(candidates_seen.iter().any(|&seen| seen != 0));
+}
+
+/// Handlers index a message's arrays by row without checking, so a
+/// malformed-but-decodable message must die in `from_bytes`: one case per
+/// `validate` rule, each a golden sample with one thing wrong.
+#[test]
+fn malformed_shapes_are_rejected_at_decode() {
+    fn rejected<T: Wire + std::fmt::Debug>(rule: &str, mut msg: T, spoil: impl FnOnce(&mut T)) {
+        assert!(T::from_bytes(msg.to_bytes()).is_ok(), "{rule}: bad base");
+        spoil(&mut msg);
+        let got = T::from_bytes(msg.to_bytes());
+        let invalid = matches!(got, Err(CodecError::Invalid(_)));
+        assert!(invalid, "{rule}: decoded as {got:?}");
+    }
+    let plain = GOLDEN_DRAWS[1].1;
+    let load = |d: &Draw| match to_worker_sample("Load", d) {
+        Some(ToWorker::Load(load)) => load,
+        other => panic!("not a load: {other:?}"),
+    };
+    rejected("metric tag", load(&plain), |m| m.metric = 3);
+    rejected("repr tag", load(&plain), |m| m.repr = 2);
+    rejected("block range", load(&plain), |m| m.dim_start = 3);
+    rejected("flat vs rows", load(&plain), |m| {
+        m.lists[0].flat.truncate(7)
+    });
+    rejected("flat vs block width", load(&plain), |m| m.dim_end = 3);
+    rejected("partial norm table", load(&plain), |m| {
+        m.lists[0].block_norms_sq = vec![1.0; 2];
+    });
+    rejected("inner product without norms", load(&plain), |m| {
+        m.metric = 1
+    });
+    rejected("rows under the sq8 tag", load(&plain), |m| m.repr = 1);
+    rejected("segments under the f32 tag", load(&FULL), |m| m.repr = 0);
+    rejected("rows and segments", load(&FULL), |m| {
+        m.lists[0].flat = vec![0.0; 8];
+    });
+    rejected("codes vs rows", load(&FULL), |m| {
+        m.lists[0].segs[0].codes.truncate(7);
+    });
+    rejected("code sums vs rows", load(&FULL), |m| {
+        m.lists[0].segs[0].code_sums.truncate(3);
+    });
+    rejected("segment range", load(&FULL), |m| {
+        m.lists[0].segs[0].dim_start = 3;
+    });
+    rejected("segment outside the block", load(&FULL), |m| m.dim_end = 1);
+    // A list on its own (the spill format) checks what needs no width.
+    rejected("list norms", load(&FULL).lists.remove(0), |l| {
+        l.total_norms_sq.truncate(1);
+    });
+
+    let piece = |d: &Draw| sample_piece(5, d.n, d.width, d.ip, d.sq8);
+    rejected("piece flat vs rows", piece(&plain), |p| p.flat.truncate(7));
+    rejected("piece range", piece(&plain), |p| p.dim_end = 7);
+    rejected("piece rows without payload", piece(&plain), |p| {
+        p.flat.clear()
+    });
+    rejected("piece norms", piece(&FULL), |p| {
+        p.piece_norms_sq.truncate(1)
+    });
+    rejected("piece codes vs rows", piece(&FULL), |p| {
+        p.segs[0].codes.push(0)
+    });
+    rejected("piece segment outside", piece(&FULL), |p| p.dim_start = 9);
+    // Pieces are checked wherever they travel.
+    let install = |d: &Draw| InstallLists {
+        ns: d.ns,
+        epoch: d.epoch,
+        shard: d.shard,
+        dim_block: 0,
+        pieces: vec![piece(d)],
+    };
+    rejected("install", install(&plain), |m| m.pieces[0].flat.truncate(7));
+
+    rejected("upsert seqs", sample_upsert(&FULL), |m| m.seqs.truncate(1));
+    rejected("upsert flat vs rows", sample_upsert(&FULL), |m| {
+        m.flat.push(0.0)
+    });
+    rejected("upsert range", sample_upsert(&FULL), |m| m.dim_start = 3);
+    rejected("upsert norms", sample_upsert(&FULL), |m| {
+        m.block_norms_sq.truncate(1);
+    });
+    let tier = SetTier {
+        ns: 9,
+        temperature: 2,
+    };
+    rejected("temperature tag", tier, |m| m.temperature = 3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -349,10 +798,13 @@ proptest! {
         roundtrip_msg(result, from, delay)?;
     }
 
-    /// Every `ToWorker` variant survives the full frame path.
+    /// Every `ToWorker` variant survives the full frame path. The variant
+    /// is drawn from the schema's own tag table, so one added there without
+    /// a sample fails here (and, whatever the draw, in
+    /// `wire_tags_are_golden`).
     #[test]
     fn to_worker_variants_roundtrip_through_frames(
-        tag in 0usize..14,
+        pick in 0usize..ToWorker::TAGS.len(),
         ns in 0u16..8,
         epoch in 0u64..1_000,
         shard in 0u32..64,
@@ -364,113 +816,18 @@ proptest! {
         delay in 0u64..1_000_000,
         seed in proptest::num::u64::ANY,
     ) {
-        let msg = match tag {
-            0 => ToWorker::Load(LoadBlock {
-                ns,
-                epoch,
-                shard,
-                dim_block: shard % 4,
-                dim_start: 0,
-                dim_end: width as u64,
-                total_dim_blocks: 4,
-                metric: (seed % 3) as u8,
-                pruning: ip,
-                repr: sq8 as u8,
-                lists: vec![sample_block(shard, n, width, ip, sq8)],
-            }),
-            1 => ToWorker::Chunk(QueryChunk {
-                ns,
-                query_id: seed,
-                epoch,
-                shard,
-                k: 10,
-                threshold: if ip { f32::INFINITY } else { 1.25 },
-                clusters: (0..n as u32).collect(),
-                dims: (0..width).map(|i| i as f32 * 0.1).collect(),
-                q_total_norm_sq: 2.0,
-                order: (0..4u64).collect(),
-                position: shard % 4,
-                delta_seq: seed % 1_000,
-            }),
-            2 => ToWorker::Carry(Carry {
-                ns,
-                query_id: seed,
-                epoch,
-                shard,
-                threshold: 0.5,
-                next_position: 1,
-                indices: (0..n as u32).map(|i| i * 2).collect(),
-                partials: (0..n).map(|i| i as f32).collect(),
-                visited_norms_sq: if ip { vec![1.0; n] } else { Vec::new() },
-                q_visited_norm_sq: if ip { 0.25 } else { 0.0 },
-                quant_eps: if sq8 { 0.0625 } else { 0.0 },
-            }),
-            3 => ToWorker::GetStats,
-            4 => ToWorker::ResetStats,
-            5 => ToWorker::BeginEpoch(BeginEpoch {
-                ns,
-                epoch,
-                shard,
-                dim_block: 1,
-                dim_start: 0,
-                dim_end: width as u64,
-                total_dim_blocks: 2,
-                expected_pieces: n as u64,
-            }),
-            6 => ToWorker::MigrateOut(MigrateOut {
-                ns,
-                epoch,
-                transfers: (0..n as u32).map(|c| TransferSpec {
-                    cluster: c,
-                    src_epoch: epoch,
-                    src_shard: shard,
-                    dim_start: 0,
-                    dim_end: width as u64,
-                    dest: seed % 4,
-                    dest_shard: c % 2,
-                    dest_dim_block: c % 3,
-                }).collect(),
-            }),
-            7 => ToWorker::InstallLists(InstallLists {
-                ns,
-                epoch,
-                shard,
-                dim_block: 0,
-                pieces: vec![sample_piece(shard, n, width, ip, sq8)],
-            }),
-            8 => ToWorker::EvictEpoch { ns, epoch },
-            9 => ToWorker::UpsertDelta(DeltaUpsert {
-                ns,
-                epoch,
-                shard,
-                dim_start: 0,
-                dim_end: width as u64,
-                ids: (0..n as u64).map(|i| i * 5 + 2).collect(),
-                seqs: (0..n as u64).map(|i| seed % 1_000 + i).collect(),
-                flat: (0..n * width).map(|i| i as f32 * 0.125 - 2.0).collect(),
-                block_norms_sq: if ip { vec![0.5; n] } else { Vec::new() },
-                total_norms_sq: if ip { vec![1.75; n] } else { Vec::new() },
-            }),
-            10 => ToWorker::DeleteIds(DeleteIds {
-                ns,
-                epoch: if ip { u64::MAX } else { epoch },
-                ids: (0..n as u64).map(|i| i * 11).collect(),
-                seq: seed % 10_000,
-            }),
-            11 => ToWorker::SetTier(SetTier {
-                ns,
-                temperature: (seed % 3) as u8,
-            }),
-            12 => ToWorker::ChunkBatch(sample_chunk_batch(n, width, ip, seed)),
-            _ => ToWorker::CarryBatch(sample_carry_batch(n, 1 + shard, ip, sq8, seed)),
-        };
+        let (tag, name) = ToWorker::TAGS[pick];
+        let draw = Draw { ns, epoch, shard, n, width, ip, sq8, seed };
+        let msg = to_worker_sample(name, &draw)
+            .ok_or_else(|| TestCaseError::Fail(format!("no sample for ToWorker::{name}")))?;
+        prop_assert_eq!(msg.tag(), tag);
         roundtrip_msg(msg, from, delay)?;
     }
 
     /// Every `ToClient` variant survives the full frame path.
     #[test]
     fn to_client_variants_roundtrip_through_frames(
-        tag in 0usize..6,
+        pick in 0usize..ToClient::TAGS.len(),
         ns in 0u16..8,
         epoch in 0u64..1_000,
         shard in 0u32..64,
@@ -479,33 +836,11 @@ proptest! {
         delay in 0u64..1_000_000,
         seed in proptest::num::u64::ANY,
     ) {
-        let msg = match tag {
-            0 => ToClient::LoadAck { ns, shard, dim_block: shard % 4 },
-            1 => ToClient::Result(QueryResult {
-                query_id: seed,
-                shard,
-                ids: (0..n as u64).collect(),
-                scores: (0..n).map(|i| i as f32 * 0.5 - 2.0).collect(),
-                candidates_seen: seed % 10_000,
-            }),
-            2 => ToClient::Stats(StatsReport {
-                slice_in: (0..n as u64).collect(),
-                slice_pruned: (0..n as u64).map(|x| x / 2).collect(),
-                scanned_point_dims: seed,
-                memory_bytes: seed / 3,
-                f32_block_bytes: seed / 5,
-                sq8_block_bytes: seed / 7,
-                compute_ns: seed / 11,
-                delta_bytes: seed / 13,
-                delta_rows: seed % 100,
-                tombstone_entries: seed % 50,
-                cache_block_bytes: seed / 17,
-                spilled_block_bytes: seed / 19,
-            }),
-            3 => ToClient::EpochReady { ns, epoch },
-            4 => ToClient::TierAck { ns },
-            _ => ToClient::ResultBatch(sample_result_batch(n, seed)),
-        };
+        let (tag, name) = ToClient::TAGS[pick];
+        let draw = Draw { ns, epoch, shard, n, width: 1, ip: false, sq8: false, seed };
+        let msg = to_client_sample(name, &draw)
+            .ok_or_else(|| TestCaseError::Fail(format!("no sample for ToClient::{name}")))?;
+        prop_assert_eq!(msg.tag(), tag);
         roundtrip_msg(msg, from, delay)?;
     }
 
