@@ -142,9 +142,7 @@ impl AuncelEngine {
                 net: config.net,
                 comm_mode: CommMode::NonBlocking,
                 delay: config.delay,
-                rates: harmony_cluster::ComputeRates::default()
-                    .with_kernel_rate(model.comp_ns_per_point_dim)
-                    .with_candidate_rate(model.comp_ns_per_candidate),
+                rates: model.rates.compute_rates(dim),
                 drop_every_nth: 0,
                 transport: harmony_cluster::TransportKind::InProc,
             },

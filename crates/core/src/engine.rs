@@ -80,7 +80,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use harmony_cluster::{
-    ClientReceiver, Cluster, ClusterConfig, ClusterError, ClusterSnapshot, CommMode, NodeId, Wire,
+    ClientReceiver, Cluster, ClusterConfig, ClusterError, ClusterSnapshot, CommMode, DelayMode,
+    NodeId, Wire,
 };
 use harmony_index::distance::ip;
 use harmony_index::kmeans::nearest_centroids;
@@ -93,7 +94,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{EngineMode, HarmonyConfig, NamespaceConfig, SearchOptions};
-use crate::cost::{weights_from, CostModel, PlanCost, WorkloadProfile};
+use crate::cost::{
+    sub_batch_rows, weights_from, CostModel, PlanCost, PlanEstimate, ScanRates, Survivors,
+    WorkloadProfile,
+};
 use crate::error::CoreError;
 use crate::messages::{
     metric_tag, repr_tag, span, BeginEpoch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert,
@@ -101,6 +105,7 @@ use crate::messages::{
     TransferSpec,
 };
 use crate::partition::{PartitionPlan, ShardAssignment};
+use crate::planner::{self, ListRows, SampleView};
 use crate::pruning::SliceStats;
 use crate::stats::{
     BatchResult, BuildStats, EngineStats, LoadTracker, ProbeEwma, ProbeSnapshot, ProbeTracker,
@@ -143,9 +148,14 @@ impl std::ops::Deref for HarmonyEngine {
 /// background threads hold it as an `Arc`.
 pub struct EngineCore {
     config: HarmonyConfig,
-    /// Build-time calibrated cost model; tenant namespaces clone it (the
-    /// calibration is machine-wide, only the pruning survival differs).
+    /// Namespace 0's cost model as the build measured it. Tenants start
+    /// from it: the fabric's message cost and the knobs of the choice are
+    /// engine-wide, the scan rates carry over to tenants of namespace 0's
+    /// shape (`rates_shape`), survivors are sampled per namespace.
     model: CostModel,
+    /// Representation, metric and dimensionality `model`'s scan rates were
+    /// measured on.
+    rates_shape: (BlockRepr, Metric, usize),
     /// Tenant registry. Lock order: `namespaces` before any per-namespace
     /// lock; only ever held as a temporary.
     namespaces: RwLock<BTreeMap<u16, Arc<NamespaceState>>>,
@@ -211,15 +221,19 @@ pub struct NamespaceState {
     tier: Mutex<TierState>,
 }
 
+/// Stage-1 collection size: `k × rerank_scale` under SQ8 (the extra
+/// survivors feed the exact re-rank stage), plain `k` otherwise.
+fn effective_k(sq8: bool, rerank_scale: usize, k: usize) -> usize {
+    if sq8 {
+        k.saturating_mul(rerank_scale.max(1))
+    } else {
+        k
+    }
+}
+
 impl NamespaceState {
-    /// Stage-1 collection size: `k × rerank_scale` under SQ8 (the extra
-    /// survivors feed the exact re-rank stage), plain `k` otherwise.
     fn effective_k(&self, k: usize) -> usize {
-        if self.sq8 {
-            k.saturating_mul(self.rerank_scale.max(1))
-        } else {
-            k
-        }
+        effective_k(self.sq8, self.rerank_scale, k)
     }
 }
 
@@ -250,6 +264,11 @@ pub struct RoutingEpoch {
     /// ids overridden before it need no remembering. Migrations move lists
     /// without changing them and share the incumbent's samples.
     prewarm: Arc<PrewarmSamples>,
+    /// Expected share of a visit's candidates that enters each pipeline
+    /// position, as the namespace's cost model holds it when the epoch is
+    /// cut (1 everywhere with pruning off) — what the load estimates
+    /// behind the §4.3 hop order discount later positions by.
+    survivors: Vec<f64>,
 }
 
 impl RoutingEpoch {
@@ -259,6 +278,7 @@ impl RoutingEpoch {
         assignment: ShardAssignment,
         dim: usize,
         prewarm: Arc<PrewarmSamples>,
+        model: &CostModel,
     ) -> Result<Self, CoreError> {
         let dim_ranges = plan.dim_ranges(dim)?;
         let shard_clusters = (0..plan.vec_shards)
@@ -271,6 +291,7 @@ impl RoutingEpoch {
             dim_ranges,
             shard_clusters,
             prewarm,
+            survivors: model.survivors_entering(plan),
         })
     }
 }
@@ -278,13 +299,46 @@ impl RoutingEpoch {
 /// Full-dimension samples of every list, kept client-side to seed each
 /// query's pruning threshold (Algorithm 1, lines 1-5).
 #[derive(Debug)]
-struct PrewarmSamples {
+pub(crate) struct PrewarmSamples {
     store: VectorStore,
     /// Rows of `store` per cluster.
     rows: Vec<Vec<usize>>,
 }
 
 impl PrewarmSamples {
+    /// Seeds a query's heap from the samples of its probed lists
+    /// (Algorithm 1 lines 1-5), nearest probe first, skipping ids written
+    /// since the samples were cut (`overridden`: stale or dead). The budget
+    /// is capped so prewarming stays a cheap threshold seed. Returns the
+    /// ids it pushed.
+    pub(crate) fn seed(
+        &self,
+        metric: Metric,
+        query: &[f32],
+        probes: &[u32],
+        k: usize,
+        overridden: &HashSet<u64>,
+        topk: &mut TopK,
+    ) -> HashSet<u64> {
+        let mut seeded = HashSet::new();
+        let budget = (4 * k).max(16);
+        for &c in probes {
+            for &sample_row in &self.rows[c as usize] {
+                if seeded.len() >= budget {
+                    return seeded;
+                }
+                let id = self.store.id(sample_row);
+                if overridden.contains(&id) {
+                    continue;
+                }
+                if seeded.insert(id) {
+                    topk.push(id, metric.score(query, self.store.row(sample_row)));
+                }
+            }
+        }
+        seeded
+    }
+
     /// Cuts `per_list` samples (or the whole list, if shorter) from every
     /// list, vectors read from the exact client-side copy. Samples of
     /// `prior` whose id was not written since stay, in place — a recut
@@ -292,7 +346,7 @@ impl PrewarmSamples {
     /// prewarm heap contributes, result bits) do not jump across a
     /// compaction. Open places are filled from a seeded start, walking the
     /// list's members in order.
-    fn cut(
+    pub(crate) fn cut(
         per_list: usize,
         seed: u64,
         members: &[Vec<u64>],
@@ -362,10 +416,13 @@ struct SupervisorState {
     /// only this list holds an Arc (`strong_count == 1`), the epoch's
     /// storage is evicted from the workers.
     retired: Vec<Arc<RoutingEpoch>>,
-    /// Cost model with the compute rate recalibrated from observed worker
-    /// wall time (`StatsReport::compute_ns`); seeds from the build-time
-    /// microbenchmark and EWMA-blends each observation window.
+    /// The namespace's cost model: scan rates and survivors per hop start
+    /// from the build's measurements and follow what each observation
+    /// window of worker counters shows.
     tuned: CostModel,
+    /// Worker statistics as of the previous tick — the counters are
+    /// cumulative, a window is the difference of two collections.
+    last_stats: EngineStats,
 }
 
 /// What one supervisor tick decided.
@@ -380,6 +437,10 @@ pub enum ReplanOutcome {
         stay_ns: f64,
         /// Best challenger's modeled cost including amortized migration, ns.
         best_ns: f64,
+        /// What the tick priced, with the inputs of each estimate: the
+        /// incumbent layout first, then every challenger (the incumbent's
+        /// plan appears again when a same-plan rebalance was one).
+        candidates: Vec<PlanEstimate>,
     },
     /// The engine switched layouts via live migration.
     Switched(MigrationReport),
@@ -410,6 +471,9 @@ pub struct MigrationReport {
     /// Modeled steady-state cost of the new layout, ns (0 for forced
     /// migrations).
     pub projected_ns: f64,
+    /// What the deciding tick priced (see [`ReplanOutcome::Hold`]; empty
+    /// for forced migrations).
+    pub candidates: Vec<PlanEstimate>,
 }
 
 /// Registered sessions, keyed by the base of their reserved query-id range.
@@ -628,13 +692,19 @@ struct BatchCtx<'a> {
 /// Upserts append rows and repoint `by_id`; superseded rows are
 /// unreachable through the id map and linger, like the rows of deleted
 /// ids, until the next compaction sweeps them.
-struct BaseStore {
-    store: VectorStore,
+pub(crate) struct BaseStore {
+    pub(crate) store: VectorStore,
     /// External id → newest row of `store`.
-    by_id: HashMap<u64, usize>,
+    pub(crate) by_id: HashMap<u64, usize>,
 }
 
 impl BaseStore {
+    /// The exact copy of a freshly built namespace: every row live.
+    pub(crate) fn over(store: VectorStore) -> Self {
+        let by_id = (0..store.len()).map(|r| (store.id(r), r)).collect();
+        Self { store, by_id }
+    }
+
     /// Drops the rows of `deleted` ids and every superseded row, in place.
     /// Without this the store (and the quota's live count) grew with every
     /// write a namespace had ever seen.
@@ -646,6 +716,50 @@ impl BaseStore {
             by_id.insert(*id, row);
         }
     }
+}
+
+/// The lists of a live namespace as the planner's samplers read them:
+/// member ids resolved through the exact copy's id map.
+struct LiveLists<'a> {
+    members: &'a [Vec<u64>],
+    by_id: &'a HashMap<u64, usize>,
+}
+
+impl ListRows for LiveLists<'_> {
+    fn len(&self, c: u32) -> usize {
+        self.members[c as usize].len()
+    }
+    fn row(&self, c: u32, i: usize) -> Option<usize> {
+        let id = self.members[c as usize].get(i)?;
+        self.by_id.get(id).copied()
+    }
+}
+
+/// Runs `sample` over the planner's view of a namespace as it stands, for
+/// queries asking for `k` results.
+fn with_sample_view<R>(
+    state: &NamespaceState,
+    k: usize,
+    sample: impl FnOnce(&SampleView<'_>) -> R,
+) -> R {
+    let ing = state.ingest.lock();
+    let base = state.base.read();
+    let routing = Arc::clone(&state.routing.read());
+    let lists = LiveLists {
+        members: &ing.members,
+        by_id: &base.by_id,
+    };
+    sample(&SampleView {
+        metric: state.metric,
+        sq8: state.sq8,
+        pruning: state.pruning,
+        k,
+        stage1_k: state.effective_k(k),
+        centroids: &state.centroids,
+        store: &base.store,
+        lists: &lists,
+        prewarm: &routing.prewarm,
+    })
 }
 
 /// One not-yet-compacted upsert (client-side record of a delta row).
@@ -724,20 +838,25 @@ struct NsParams {
     mode: EngineMode,
 }
 
-/// Output of [`prepare_namespace`]: the assembled state plus the grid
+/// Output of [`place_namespace`]: the assembled state plus the grid
 /// blocks to ship (the caller owns the transport).
 struct PreparedNamespace {
     state: NamespaceState,
     /// `(machine, block)` pairs in send order.
     loads: Vec<(usize, LoadBlock)>,
     plan_cost: Option<PlanCost>,
+    /// Every candidate plan as the namespace's model priced it.
+    candidates: Vec<PlanEstimate>,
+    /// The model that priced them: the engine's, with this namespace's
+    /// scan rates and sampled survivors.
+    model: CostModel,
     train: Duration,
     add: Duration,
 }
 
 /// One inverted list cut to one dimension range: the payload a
 /// [`ClusterBlock`] (build) and a [`ListPiece`] (compaction) both carry.
-struct ListCut {
+pub(crate) struct ListCut {
     ids: Vec<u64>,
     /// Row-major coordinates over the range (empty under SQ8).
     flat: Vec<f32>,
@@ -749,10 +868,24 @@ struct ListCut {
     total_norms_sq: Vec<f32>,
 }
 
+impl ListCut {
+    /// The cut as the list of a [`LoadBlock`].
+    pub(crate) fn into_block(self, cluster: u32) -> ClusterBlock {
+        ClusterBlock {
+            cluster,
+            ids: self.ids,
+            flat: self.flat,
+            segs: self.segs,
+            block_norms_sq: self.range_norms_sq,
+            total_norms_sq: self.total_norms_sq,
+        }
+    }
+}
+
 /// Cuts `rows` of `store` to `range`. Under SQ8 only codes travel and
 /// reside; the norm tables stay exact (computed from the original slices,
 /// before quantization).
-fn cut_list(
+pub(crate) fn cut_list(
     store: &VectorStore,
     rows: impl ExactSizeIterator<Item = usize>,
     range: DimRange,
@@ -820,20 +953,66 @@ fn once_per_machine(
     move |from, msg| matches(&msg) && from < machines && !std::mem::replace(&mut seen[from], true)
 }
 
-/// Runs the Train / Add / plan-selection / Pre-assign pipeline for one
-/// namespace over `base`, producing its state and the grid blocks to ship.
-fn prepare_namespace(
-    ns: u16,
+/// A fresh packing of lists (weighted by size) into `shards`: load-aware
+/// LPT, or round-robin with `balanced_load` off.
+fn pack_shards(balanced_load: bool, weights: &[u64], shards: usize) -> ShardAssignment {
+    if balanced_load {
+        ShardAssignment::balanced(weights, shards)
+    } else {
+        ShardAssignment::round_robin(weights, shards)
+    }
+}
+
+/// A namespace trained and measured but not yet placed: the outcome of
+/// Train and Add, the exact client-side copy with its prewarm samples, and
+/// what the plan choice measures on the namespace's own rows.
+struct SurveyedNamespace {
+    centroids: VectorStore,
+    /// Rows of the base per list.
+    list_rows: Vec<Vec<usize>>,
+    base_store: BaseStore,
+    members: Vec<Vec<u64>>,
+    prewarm: PrewarmSamples,
+    prewarm_seed: u64,
+    /// The workload the plan choice prices.
+    profile: WorkloadProfile,
+    /// Scan rates measured on (or handed down for) these lists.
+    rates: ScanRates,
+    /// Survivors per hop of every candidate plan.
+    survivors: Survivors,
+    train: Duration,
+    add: Duration,
+}
+
+/// Every plan `machines` can run over `dim` dimensions, each under the
+/// packing a fresh placement gives it.
+fn candidate_plans(
+    config: &HarmonyConfig,
+    list_sizes: &[usize],
+    dim: usize,
+) -> Vec<(PartitionPlan, ShardAssignment)> {
+    let weights: Vec<u64> = list_sizes.iter().map(|&s| s as u64 + 1).collect();
+    PartitionPlan::enumerate(config.n_machines)
+        .into_iter()
+        .filter(|p| p.dim_blocks <= dim)
+        .map(|p| (p, pack_shards(config.balanced_load, &weights, p.vec_shards)))
+        .collect()
+}
+
+/// Runs Train and Add for one namespace over `base` and takes the plan
+/// choice's measurements — everything that needs no fabric. `rates` are
+/// scan rates already measured on a namespace of this one's shape, if any;
+/// otherwise this namespace measures its own.
+fn survey_namespace(
     config: &HarmonyConfig,
     params: &NsParams,
     base: &VectorStore,
-    model: &CostModel,
-) -> Result<PreparedNamespace, CoreError> {
+    rates: Option<&ScanRates>,
+) -> Result<SurveyedNamespace, CoreError> {
     if base.is_empty() {
         return Err(CoreError::Config("base vectors must be non-empty".into()));
     }
     let dim = base.dim();
-    let metric = params.metric;
     let nlist = params.nlist.min(base.len());
 
     // --- Train ---------------------------------------------------
@@ -858,12 +1037,94 @@ fn prepare_namespace(
     let list_sizes: Vec<usize> = list_rows.iter().map(Vec::len).collect();
     let add = t0.elapsed();
 
+    // Exact client-side copy of the base: compaction recuts IVF lists
+    // from it, and under SQ8 it doubles as the re-rank store.
+    let base_store = BaseStore::over(base.clone());
+    let members: Vec<Vec<u64>> = list_rows
+        .iter()
+        .map(|rows| rows.iter().map(|&r| base.id(r)).collect())
+        .collect();
+    let prewarm_seed = params.seed ^ 0x9E37_79B9_7F4A_7C15;
+    let prewarm = PrewarmSamples::cut(params.prewarm, prewarm_seed, &members, &base_store, None)?;
+    let sq8 = matches!(params.repr, BlockRepr::Sq8);
+
+    // --- What the plan choice measures ------------------------------
+    // The build knows nothing of the queries to come, so it prices the ones
+    // the API issues by default — `SearchOptions::new`'s probe count, one
+    // full in-flight window per batch — spread evenly over the lists. What
+    // it can know it measures: the scan's rates on these lists (a small
+    // fraction of the Train stage it follows), and how many candidates
+    // survive into each hop of every candidate pipeline.
+    let mut profile = WorkloadProfile::uniform(list_sizes, dim, config.max_inflight, 1);
+    let asked = SearchOptions::new(profile.k);
+    profile.nprobe = asked.nprobe.min(nlist);
+    let plans = candidate_plans(config, &profile.list_sizes, dim);
+    let pipelines: Vec<usize> = plans.iter().map(|(p, _)| p.dim_blocks).collect();
+    let view = SampleView {
+        metric: params.metric,
+        sq8,
+        pruning: params.pruning,
+        k: asked.k,
+        stage1_k: effective_k(sq8, params.rerank_scale, asked.k),
+        centroids: &km.centroids,
+        store: base,
+        lists: &list_rows,
+        prewarm: &prewarm,
+    };
+    let measure =
+        || planner::measure_scan_rates(&view, profile.nprobe, &pipelines, params.seed, train / 64);
+    let rates = rates.cloned().or_else(measure);
+    let picks = planner::even_picks(&view, params.seed);
+    let survivors = planner::sample_survivors(&view, &picks, profile.nprobe, &plans);
+    Ok(SurveyedNamespace {
+        centroids: km.centroids,
+        list_rows,
+        base_store,
+        members,
+        prewarm,
+        prewarm_seed,
+        profile,
+        // A namespace too empty to time keeps the assumed rates.
+        rates: rates.unwrap_or_else(|| CostModel::new(config.net, config.alpha).rates),
+        survivors,
+        train,
+        add,
+    })
+}
+
+/// Chooses the plan of a surveyed namespace and cuts the grid blocks to
+/// ship (Pre-assign), producing its state. `model` carries what is measured
+/// once per engine — the fabric's message cost — and the knobs of the
+/// choice; the namespace's own rates and survivors complete it.
+fn place_namespace(
+    ns: u16,
+    config: &HarmonyConfig,
+    params: &NsParams,
+    base: &VectorStore,
+    surveyed: SurveyedNamespace,
+    model: &CostModel,
+) -> Result<PreparedNamespace, CoreError> {
+    let SurveyedNamespace {
+        centroids,
+        list_rows,
+        base_store,
+        members,
+        prewarm,
+        prewarm_seed,
+        profile,
+        rates,
+        survivors,
+        train,
+        add,
+    } = surveyed;
+    let dim = base.dim();
+    let metric = params.metric;
+    let nlist = centroids.len();
+    let sq8 = matches!(params.repr, BlockRepr::Sq8);
+
     // --- Plan selection -------------------------------------------
-    let profile = WorkloadProfile::uniform(list_sizes.clone(), dim, 1_000, 8);
-    let survival = if params.pruning { 0.55 } else { 1.0 };
-    // One calibration per engine: tenants reuse the measured rates and
-    // only adjust the survival their pruning setting implies.
-    let scoring = model.clone().with_pruning_survival(survival);
+    let scoring = model.clone().with_rates(rates).with_survivors(survivors);
+    let candidates = scoring.estimates(config.n_machines, &profile);
     let (plan, plan_cost) = match (params.plan_override, params.mode) {
         (Some(plan), _) => (plan, None),
         (None, EngineMode::HarmonyVector) => (PartitionPlan::pure_vector(config.n_machines), None),
@@ -872,8 +1133,10 @@ fn prepare_namespace(
             (PartitionPlan::pure_dimension(blocks), None)
         }
         (None, EngineMode::Harmony) => {
-            let (plan, cost) = scoring.choose_plan(config.n_machines, &profile);
-            (plan, Some(cost))
+            let chosen = scoring
+                .pick(&candidates)
+                .ok_or_else(|| CoreError::Config("no partition plan fits".into()))?;
+            (candidates[chosen].plan, Some(candidates[chosen].cost))
         }
     };
     if plan.dim_blocks > dim {
@@ -884,28 +1147,12 @@ fn prepare_namespace(
     }
 
     // --- Pre-assign ------------------------------------------------
+    let list_sizes = profile.list_sizes;
     let weights: Vec<u64> = list_sizes.iter().map(|&s| s as u64 + 1).collect();
-    let assignment = if config.balanced_load {
-        ShardAssignment::balanced(&weights, plan.vec_shards)
-    } else {
-        ShardAssignment::round_robin(&weights, plan.vec_shards)
-    };
-    // Exact client-side copy of the base: compaction recuts IVF lists
-    // from it, and under SQ8 it doubles as the re-rank store.
-    let base_store = BaseStore {
-        store: base.clone(),
-        by_id: (0..base.len()).map(|r| (base.id(r), r)).collect(),
-    };
-    let members: Vec<Vec<u64>> = list_rows
-        .iter()
-        .map(|rows| rows.iter().map(|&r| base.id(r)).collect())
-        .collect();
-    let prewarm_seed = params.seed ^ 0x9E37_79B9_7F4A_7C15;
-    let prewarm = PrewarmSamples::cut(params.prewarm, prewarm_seed, &members, &base_store, None)?;
-    let routing = RoutingEpoch::new(0, plan, assignment, dim, Arc::new(prewarm))?;
+    let assignment = pack_shards(config.balanced_load, &weights, plan.vec_shards);
+    let routing = RoutingEpoch::new(0, plan, assignment, dim, Arc::new(prewarm), &scoring)?;
 
     let is_ip = !matches!(metric, Metric::L2);
-    let sq8 = matches!(params.repr, BlockRepr::Sq8);
     let mut loads = Vec::new();
     for (s, clusters) in routing.shard_clusters.iter().enumerate() {
         for (b, range) in routing.dim_ranges.iter().enumerate() {
@@ -914,15 +1161,7 @@ fn prepare_namespace(
                 .iter()
                 .map(|&c| {
                     let rows = list_rows[c as usize].iter().copied();
-                    let cut = cut_list(base, rows, *range, is_ip, sq8);
-                    ClusterBlock {
-                        cluster: c,
-                        ids: cut.ids,
-                        flat: cut.flat,
-                        segs: cut.segs,
-                        block_norms_sq: cut.range_norms_sq,
-                        total_norms_sq: cut.total_norms_sq,
-                    }
+                    cut_list(base, rows, *range, is_ip, sq8).into_block(c)
                 })
                 .collect();
             let load = LoadBlock {
@@ -951,7 +1190,7 @@ fn prepare_namespace(
         rerank_scale: params.rerank_scale,
         max_vectors: params.max_vectors,
         auto_tier: params.auto_tier,
-        centroids: km.centroids,
+        centroids,
         list_sizes: RwLock::new(list_sizes),
         prewarm_per_list: params.prewarm,
         prewarm_seed,
@@ -974,7 +1213,8 @@ fn prepare_namespace(
             next_check: config.replan.check_every.max(1),
             next_epoch: 1,
             retired: Vec::new(),
-            tuned: scoring,
+            tuned: scoring.clone(),
+            last_stats: EngineStats::default(),
         }),
         tier: Mutex::new(TierState {
             temperature: Temperature::Hot,
@@ -985,6 +1225,8 @@ fn prepare_namespace(
         state,
         loads,
         plan_cost,
+        candidates,
+        model: scoring,
         train,
         add,
     })
@@ -1002,32 +1244,6 @@ impl HarmonyEngine {
     /// Configuration, clustering, or transport failures.
     pub fn build(config: HarmonyConfig, base: &VectorStore) -> Result<Self, CoreError> {
         config.validate()?;
-        let survival = if config.pruning { 0.55 } else { 1.0 };
-        let model = CostModel::new(config.net, config.alpha)
-            .with_pruning_survival(survival)
-            .calibrate();
-        let params = NsParams {
-            metric: config.metric,
-            repr: config.repr,
-            rerank_scale: config.rerank_scale,
-            nlist: config.nlist,
-            pruning: config.pruning,
-            seed: config.seed,
-            prewarm: config.prewarm,
-            max_vectors: 0,
-            auto_tier: false,
-            plan_override: config.plan_override,
-            mode: config.mode,
-        };
-        let PreparedNamespace {
-            state,
-            loads,
-            plan_cost,
-            train,
-            add,
-        } = prepare_namespace(0, &config, &params, base, &model)?;
-        let plan = state.routing.read().plan;
-
         let comm_mode = if config.pipeline {
             CommMode::NonBlocking
         } else {
@@ -1044,16 +1260,31 @@ impl HarmonyEngine {
             })
             .join(format!("e{engine_seq}"));
         let cache_budget = config.cache_budget_bytes;
+        let params = NsParams {
+            metric: config.metric,
+            repr: config.repr,
+            rerank_scale: config.rerank_scale,
+            nlist: config.nlist,
+            pruning: config.pruning,
+            seed: config.seed,
+            prewarm: config.prewarm,
+            max_vectors: 0,
+            auto_tier: false,
+            plan_override: config.plan_override,
+            mode: config.mode,
+        };
+        let surveyed = survey_namespace(&config, &params, base, None)?;
+        // The workers come up between the two halves of the build: after
+        // the scan is measured — all nodes charge compute at the measured
+        // rates — and before the plan is chosen, because what a message
+        // costs is measured on the fabric that will carry the queries.
         let mut cluster = Cluster::try_spawn(
             ClusterConfig {
                 workers: config.n_machines,
                 net: config.net,
                 comm_mode,
                 delay: config.delay,
-                // All nodes charge compute at the measured scan rates.
-                rates: harmony_cluster::ComputeRates::default()
-                    .with_kernel_rate(model.comp_ns_per_point_dim)
-                    .with_candidate_rate(model.comp_ns_per_candidate),
+                rates: surveyed.rates.compute_rates(base.dim()),
                 drop_every_nth: 0,
                 transport: config.transport.clone(),
             },
@@ -1063,6 +1294,29 @@ impl HarmonyEngine {
             },
         )
         .map_err(CoreError::Cluster)?;
+        let mut msg_ns = planner::measure_message_ns(&mut cluster)?;
+        // A fabric that sleeps the modeled link's latency was timed with
+        // it; the model adds the link itself.
+        if let DelayMode::Sleep { scale } = config.delay {
+            msg_ns = (msg_ns - scale * config.net.transfer_ns(0) as f64).max(0.0);
+        }
+        // The measurement's traffic is not the build's.
+        cluster.reset_metrics();
+        let model = CostModel::new(config.net, config.alpha)
+            .with_message_ns(msg_ns)
+            .with_near_tie(config.replan.hysteresis);
+        let PreparedNamespace {
+            state,
+            loads,
+            plan_cost,
+            candidates,
+            model,
+            train,
+            add,
+        } = place_namespace(0, &config, &params, base, surveyed, &model)?;
+        let plan = state.routing.read().plan;
+        // Namespaces of namespace 0's shape reuse its scan rates.
+        let rates_shape = (config.repr, config.metric, state.dim);
 
         // --- Pre-assign: ship namespace 0's grid blocks ----------------
         let t0 = Instant::now();
@@ -1119,6 +1373,7 @@ impl HarmonyEngine {
         let core = Arc::new(EngineCore {
             config,
             model,
+            rates_shape,
             namespaces: RwLock::new(registry),
             next_ns: Mutex::new(1),
             ns0,
@@ -1128,6 +1383,7 @@ impl HarmonyEngine {
                 preassign,
                 plan,
                 plan_cost,
+                candidates,
                 bytes_shipped,
             },
             shared,
@@ -1343,13 +1599,20 @@ impl EngineCore {
             plan_override: cfg.plan_override,
             mode: EngineMode::Harmony,
         };
-        let PreparedNamespace { state, loads, .. } =
-            prepare_namespace(ns, &self.config, &params, base, &self.model)?;
+        let shape = (cfg.repr, cfg.metric, base.dim());
+        let rates = (shape == self.rates_shape).then_some(&self.model.rates);
+        let surveyed = survey_namespace(&self.config, &params, base, rates)?;
+        let PreparedNamespace {
+            mut state, loads, ..
+        } = place_namespace(ns, &self.config, &params, base, surveyed, &self.model)?;
         if let Err(e) = self.install_loads(ns, loads) {
             // Best-effort cleanup of whatever blocks already landed.
             self.abort_epoch(ns, 0);
             return Err(e);
         }
+        // The worker counters are shared by every namespace and cumulative:
+        // this tenant's first window starts here, not at the engine's build.
+        state.supervisor.get_mut().last_stats = self.collect_stats()?;
         self.namespaces.write().insert(ns, Arc::new(state));
         Ok(ns)
     }
@@ -1496,10 +1759,9 @@ impl EngineCore {
     ///
     /// Safe to call from multiple threads at once: each call runs as its
     /// own session over the shared workers (see the [module docs](self)).
-    /// Rows are admitted in sub-batches of `clamp(min(batch length,
-    /// max_inflight) / (2 × dimension blocks), 1, 32)` contiguous rows, up
-    /// to `max_inflight` queries in flight, and each sub-batch moves
-    /// through the pipeline as one message per hop.
+    /// Rows are admitted in sub-batches of [`sub_batch_rows`] contiguous
+    /// rows, up to `max_inflight` queries in flight, and each sub-batch
+    /// moves through the pipeline as one message per hop.
     /// `opts.timeout_ms` is a *batch deadline*: every receive waits only
     /// for the time remaining until it, so a stalled batch fails after one
     /// timeout total, not one per query.
@@ -1551,6 +1813,7 @@ impl EngineCore {
         }
         // Feed the auto-tier signal: this namespace is being queried.
         state.tier.lock().access.record(n as u64);
+        state.probes.record_batch();
 
         // One deadline for the whole batch: every receive below gets only
         // the remaining budget, never a fresh full timeout.
@@ -1600,17 +1863,6 @@ impl EngineCore {
         })
     }
 
-    /// Rows per sub-batch, from what the session can see: enough
-    /// sub-batches that every hop of the dimension pipeline has work while
-    /// others are on the wire (at least two per dimension block inside one
-    /// in-flight window), at most 32 rows each — past that a sub-batch only
-    /// adds latency to its first row without amortizing more.
-    fn sub_batch_rows(&self, state: &NamespaceState, batch_len: usize) -> usize {
-        let dim_blocks = state.routing.read().plan.dim_blocks.max(1);
-        let window = batch_len.min(self.config.max_inflight);
-        (window / (2 * dim_blocks)).clamp(1, 32)
-    }
-
     /// The admission/collection loop of one session.
     fn drive_batch(
         &self,
@@ -1621,7 +1873,8 @@ impl EngineCore {
         charges: &mut Charges,
     ) -> Result<(), CoreError> {
         let n = ctx.queries.len();
-        let sub_rows = self.sub_batch_rows(ctx.state, n);
+        let dim_blocks = ctx.state.routing.read().plan.dim_blocks;
+        let sub_rows = sub_batch_rows(n.min(self.config.max_inflight), dim_blocks);
         // Query `base + row` lives at `active[row]` while in flight.
         let mut active: Vec<Option<QueryState>> = (0..n).map(|_| None).collect();
         let mut next_row = 0usize;
@@ -1835,26 +2088,14 @@ impl EngineCore {
         // stays a cheap threshold seed — nearest probes sampled first.
         // Under SQ8 the heap over-collects for the exact re-rank stage.
         let mut topk = TopK::new(ns_state.effective_k(opts.k));
-        let mut prewarm_ids = HashSet::new();
-        let budget = (4 * opts.k).max(16);
-        let samples = &routing.prewarm;
-        'prewarm: for &c in &probes {
-            for &sample_row in &samples.rows[c as usize] {
-                if prewarm_ids.len() >= budget {
-                    break 'prewarm;
-                }
-                let id = samples.store.id(sample_row);
-                // Samples are copies cut with the epoch's lists: skip any
-                // id that was upserted or deleted since (stale or dead).
-                if snap.overridden.contains(&id) {
-                    continue;
-                }
-                let score = ns_state.metric.score(query, samples.store.row(sample_row));
-                if prewarm_ids.insert(id) {
-                    topk.push(id, score);
-                }
-            }
-        }
+        let prewarm_ids = routing.prewarm.seed(
+            ns_state.metric,
+            query,
+            &probes,
+            opts.k,
+            &snap.overridden,
+            &mut topk,
+        );
         // Client-side computation (centroid scan + prewarm) is charged with
         // the same modeled rates as any node: the client is a real machine.
         let centroid_pd = (ns_state.centroids.len() * ns_state.dim) as u64;
@@ -1865,18 +2106,7 @@ impl EngineCore {
         );
 
         // Group probes by shard, preserving probe (= proximity) order.
-        let mut visit_order: Vec<u32> = Vec::new();
-        let mut by_shard: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &c in &probes {
-            let s = routing.assignment.cluster_to_shard[c as usize];
-            by_shard
-                .entry(s)
-                .or_insert_with(|| {
-                    visit_order.push(s);
-                    Vec::new()
-                })
-                .push(c);
-        }
+        let mut pending_visits = routing.assignment.visits(&probes);
         // Fresh-data recall is 1.0 by construction: every shard holding
         // pending delta rows gets a (possibly cluster-less) forced visit,
         // and its workers scan the full delta prefix below the watermark.
@@ -1889,20 +2119,15 @@ impl EngineCore {
             delta_shards.sort_unstable();
             delta_shards.dedup();
             for s in delta_shards {
-                by_shard.entry(s).or_insert_with(|| {
-                    visit_order.push(s);
-                    Vec::new()
-                });
+                if !pending_visits.iter().any(|(shard, _)| *shard == s) {
+                    pending_visits.push((s, Vec::new()));
+                }
             }
         }
-        let mut pending_visits: Vec<(u32, Vec<u32>)> = visit_order
-            .into_iter()
-            .map(|s| {
-                let mut clusters = by_shard.remove(&s).unwrap_or_default();
-                clusters.sort_unstable();
-                (s, clusters)
-            })
-            .collect();
+        // Clusters ascending: the canonical enumeration order on the workers.
+        for (_, clusters) in &mut pending_visits {
+            clusters.sort_unstable();
+        }
         // Dispatch order: nearest shard first; reverse so pop() yields it.
         pending_visits.reverse();
 
@@ -2016,11 +2241,7 @@ impl EngineCore {
         for (pos, &b) in blocks.iter().enumerate() {
             let machine = plan.machine_of(shard as usize, b);
             let width = routing.dim_ranges[b].len() as f64;
-            let survival = if ns.pruning {
-                0.55f64.powi(pos as i32)
-            } else {
-                1.0
-            };
+            let survival = routing.survivors.get(pos).copied().unwrap_or(1.0);
             let amount = candidates as f64 * width * survival;
             self.shared.outstanding.add(machine, amount);
             per_machine.push((machine, amount));
@@ -2418,6 +2639,7 @@ impl EngineCore {
             cur.assignment.clone(),
             state.dim,
             prewarm,
+            &sup.tuned,
         )?);
         drop(cur);
         {
@@ -2514,15 +2736,62 @@ impl EngineCore {
         let cur = Arc::clone(&state.routing.read());
         let assignment = if plan == cur.plan {
             ShardAssignment::rebalance(&cur.assignment, &weights, plan.vec_shards, 1.0)
-        } else if self.config.balanced_load {
-            ShardAssignment::balanced(&weights, plan.vec_shards)
         } else {
-            ShardAssignment::round_robin(&weights, plan.vec_shards)
+            pack_shards(self.config.balanced_load, &weights, plan.vec_shards)
         };
         drop(cur);
         let mut sup = state.supervisor.lock();
         self.gc_retired(&state, &mut sup);
         self.execute_migration(&state, &mut sup, plan, assignment)
+    }
+
+    /// Runs the planner's survival sample on queries of the caller's
+    /// choosing (default namespace): the candidates that would enter each
+    /// position of `plan`'s dimension pipeline — every probed list cut to
+    /// the pipeline's slices in the namespace's representation and every
+    /// shard visit run through the worker's own scan routine against the
+    /// query's threshold, which starts from the prewarm samples and
+    /// tightens between shard visits. The layout in force is sampled under
+    /// its own shard assignment, any other plan under the packing a forced
+    /// migration would give it. These are the `slice_in` counters a
+    /// deployment running the plan reports for the same queries searched
+    /// one at a time with `balanced_load` off (blocks in natural order).
+    /// The call copies the probed lists: it is a diagnostic, sized for
+    /// tests and tools.
+    ///
+    /// # Errors
+    /// [`CoreError::Config`] when the plan has more blocks than the vectors
+    /// have dimensions, or the queries another dimensionality.
+    pub fn sample_survivors(
+        &self,
+        queries: &VectorStore,
+        opts: &SearchOptions,
+        plan: PartitionPlan,
+    ) -> Result<Vec<u64>, CoreError> {
+        let state = &self.ns0;
+        if plan.dim_blocks > state.dim || queries.dim() != state.dim {
+            return Err(CoreError::Config(format!(
+                "cannot sample {}-d queries over plan {} of {} dimensions",
+                queries.dim(),
+                plan.label(),
+                state.dim
+            )));
+        }
+        let routing = Arc::clone(&state.routing.read());
+        let assignment = if plan == routing.plan {
+            routing.assignment.clone()
+        } else {
+            let sizes = state.list_sizes.read();
+            let weights: Vec<u64> = sizes.iter().map(|&s| s as u64 + 1).collect();
+            pack_shards(self.config.balanced_load, &weights, plan.vec_shards)
+        };
+        drop(routing);
+        let rows = (0..queries.len()).map(|q| queries.row(q));
+        let plans = [(plan, &assignment)];
+        let entering = with_sample_view(state, opts.k, |view| {
+            planner::survivors_entering(view, rows, opts.nprobe, &plans, 1)
+        });
+        Ok(entering.into_iter().next().unwrap_or_default())
     }
 
     /// Drain-time eviction hook: retired epochs must not wait for the next
@@ -2587,29 +2856,36 @@ impl EngineCore {
             nprobe,
             k,
         )?
-        .with_pending_deltas(pending);
-        // Recalibrate the modeled compute rate from observed worker wall
-        // time: the build-time microbenchmark drifts from the real scan
-        // cost once quantized kernels and delta scans mix (PR-3 leftover).
-        if let Ok(ws) = self.collect_stats() {
-            if ws.scanned_point_dims > 0 && ws.compute_ns > 0 {
-                let observed =
-                    (ws.compute_ns as f64 / ws.scanned_point_dims as f64).clamp(0.02, 10.0);
-                let alpha = 0.5;
-                sup.tuned.comp_ns_per_point_dim =
-                    alpha * observed + (1.0 - alpha) * sup.tuned.comp_ns_per_point_dim;
+        .with_pending_deltas(pending)
+        .with_window(window.mean_batch().min(self.config.max_inflight));
+        let cur = Arc::clone(&state.routing.read());
+        let weights = weights_from(&profile);
+        // Let the model follow how the incumbent pipeline pruned since the
+        // previous tick: the candidates that entered each of its positions.
+        // The worker counters are cumulative and shared by every namespace
+        // — the window is the difference of two collections, and on a
+        // multi-tenant deployment it holds the other tenants' scans of the
+        // same interval too. The scan rates stay as the build measured
+        // them: a window served at one slice width is one equation for two
+        // rates, on a clock that also counts the time workers sat preempted.
+        if let Ok(stats) = self.collect_stats() {
+            let entering = stats.entering_since(&sup.last_stats);
+            sup.last_stats = stats;
+            let observed = entering.get(..cur.plan.dim_blocks);
+            if let Some(observed) = observed.and_then(Survivors::fractions) {
+                let blend = replan.ewma_alpha;
+                sup.tuned.survivors.observe(cur.plan, &observed, blend);
             }
         }
-        let weights = weights_from(&profile);
-        let cur = Arc::clone(&state.routing.read());
-        let stay_ns = sup
+        let stay = sup
             .tuned
-            .plan_cost_with_assignment(cur.plan, &profile, &cur.assignment)
-            .total_ns;
+            .estimate_with_assignment(cur.plan, &profile, &cur.assignment);
+        let stay_ns = stay.cost.total_ns;
+        let mut candidates = vec![stay];
 
         // Score every factorization under the observed profile, charging
         // challengers the amortized cost of moving to them.
-        let mut best: Option<(PartitionPlan, ShardAssignment, f64, f64)> = None;
+        let mut best: Option<(PartitionPlan, ShardAssignment, f64, f64, f64)> = None;
         for plan in PartitionPlan::enumerate(self.config.n_machines) {
             if plan.dim_blocks > state.dim {
                 continue;
@@ -2627,40 +2903,51 @@ impl EngineCore {
             if plan == cur.plan && assignment.cluster_to_shard == cur.assignment.cluster_to_shard {
                 continue; // identical to the incumbent, already priced
             }
-            let cost = sup
+            let estimate = sup
                 .tuned
-                .plan_cost_with_assignment(plan, &profile, &assignment)
-                .total_ns;
+                .estimate_with_assignment(plan, &profile, &assignment);
+            let cost = estimate.cost.total_ns;
+            candidates.push(estimate);
             let next = RoutingEpoch::new(
                 cur.epoch + 1,
                 plan,
                 assignment,
                 state.dim,
                 Arc::clone(&cur.prewarm),
+                &sup.tuned,
             )?;
             let (bytes, msgs, _) = self.migration_volume(state, &cur, &next);
             let migration_ns = sup.tuned.migration_ns(bytes, msgs);
             let score = cost + migration_ns / replan.amortize_windows;
-            if best.as_ref().is_none_or(|b| score < b.2) {
-                best = Some((next.plan, next.assignment, score, cost));
+            // Near-ties are settled by the choice's own rule, and for the
+            // incumbent where it has none (`CostModel::challenger_score`).
+            let preferred = sup.tuned.challenger_score(cur.plan, plan, score);
+            if best.as_ref().is_none_or(|b| preferred < b.4) {
+                best = Some((next.plan, next.assignment, score, cost, preferred));
             }
         }
         drop(cur);
         // Every decision starts a fresh observation window.
         sup.window_start = now;
 
-        let Some((plan, assignment, best_ns, cost)) = best else {
+        let Some((plan, assignment, best_ns, cost, preferred_ns)) = best else {
             return Ok(ReplanOutcome::Hold {
                 stay_ns,
                 best_ns: stay_ns,
+                candidates,
             });
         };
-        if best_ns >= stay_ns * (1.0 - replan.hysteresis) {
-            return Ok(ReplanOutcome::Hold { stay_ns, best_ns });
+        if preferred_ns >= stay_ns * (1.0 - replan.hysteresis) {
+            return Ok(ReplanOutcome::Hold {
+                stay_ns,
+                best_ns,
+                candidates,
+            });
         }
         let mut report = self.execute_migration(state, sup, plan, assignment)?;
         report.stay_ns = stay_ns;
         report.projected_ns = cost;
+        report.candidates = candidates;
         Ok(ReplanOutcome::Switched(report))
     }
 
@@ -2815,6 +3102,7 @@ impl EngineCore {
             assignment,
             state.dim,
             Arc::clone(&cur.prewarm),
+            &sup.tuned,
         )?);
         let specs = self.build_transfers(state, &cur, &next);
         let (modeled_bytes, msgs, network_pieces) = self.migration_volume(state, &cur, &next);
@@ -2908,6 +3196,7 @@ impl EngineCore {
             migration_ns: sup.tuned.migration_ns(modeled_bytes, msgs),
             stay_ns: 0.0,
             projected_ns: 0.0,
+            candidates: Vec::new(),
         };
         drop(cur);
         {

@@ -28,6 +28,7 @@ pub mod engine;
 pub mod error;
 pub mod messages;
 pub mod partition;
+mod planner;
 pub mod pruning;
 pub mod stats;
 pub mod worker;
@@ -35,7 +36,10 @@ pub mod worker;
 pub use config::{
     EngineMode, HarmonyConfig, HarmonyConfigBuilder, NamespaceConfig, ReplanConfig, SearchOptions,
 };
-pub use cost::{CostModel, PlanCost, WorkloadProfile};
+pub use cost::{
+    sub_batch_rows, CostModel, PlanCost, PlanEstimate, PlanInputs, ScanRates, Survivors,
+    WorkloadProfile,
+};
 pub use engine::{
     CompactionReport, EngineCore, HarmonyEngine, MigrationReport, ReplanOutcome, RoutingEpoch,
     SingleResult,

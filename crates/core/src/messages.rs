@@ -432,6 +432,38 @@ fn expect_len(what: &str, got: usize, want: usize) -> Result<(), CodecError> {
     }
 }
 
+/// Encoded size of a [`ChunkBatch`] of `rows` queries probing
+/// `clusters_per_row` lists each, `width` coordinates per row, on a
+/// `hops`-machine itinerary — the exact layout (L2: no query norms), for
+/// the planner's byte counts. Varints are counted at one byte, which holds
+/// for machine ids, row and cluster counts and id gaps below 128.
+pub fn chunk_wire_bytes(rows: f64, clusters_per_row: f64, width: usize, hops: usize) -> f64 {
+    // ns, epoch, shard, k, hop count, position, delta_seq, flags, row
+    // count, two array length prefixes.
+    let header = (2 + 8 + 4 + 4 + 1 + 4 + 8 + 1 + 1 + 8 + 8 + hops) as f64;
+    // id gap, threshold, cluster count, cluster gaps, coordinates.
+    header + rows * (1.0 + 4.0 + 1.0 + clusters_per_row + 4.0 * width as f64)
+}
+
+/// Encoded size of a [`CarryBatch`] of `rows` queries with
+/// `survivors_per_row` survivors each (L2, no quantization slack): an index
+/// travels as a one-byte gap where [`Carry`] spent four.
+pub fn carry_wire_bytes(rows: f64, survivors_per_row: f64) -> f64 {
+    // first id, shard, flags, two array length prefixes.
+    let header = (8 + 4 + 1 + 8 + 8) as f64;
+    // threshold, survivor count; index gap, partial.
+    header + rows * (4.0 + 1.0 + survivors_per_row * (1.0 + 4.0))
+}
+
+/// Encoded size of a [`ResultBatch`] of `rows` queries with
+/// `results_per_row` hits each.
+pub fn result_wire_bytes(rows: f64, results_per_row: f64) -> f64 {
+    // shard, row count, two array length prefixes.
+    let header = (4 + 1 + 8 + 8) as f64;
+    // id gap, result count, candidates seen; id, score.
+    header + rows * (1.0 + 1.0 + 1.0 + results_per_row * (8.0 + 4.0))
+}
+
 /// The dimension slices of one *sub-batch* of queries routed to one machine
 /// — the unit that moves through the dimension pipeline. Everything the
 /// rows share (`ns`, `epoch`, `shard`, `k`, itinerary, watermark) travels
@@ -1319,5 +1351,63 @@ mod tests {
             assert_eq!(repr_tag::decode(repr_tag::encode(r)).unwrap(), r);
         }
         assert!(repr_tag::decode(7).is_err());
+    }
+
+    /// The planner's byte counts are the codecs' own sizes (every varint
+    /// below 128, as the helpers state).
+    #[test]
+    fn wire_size_helpers_equal_the_encodings() {
+        let (rows, clusters, width, hops) = (3usize, 2usize, 5usize, 4usize);
+        let chunk = ChunkBatch {
+            ns: 1,
+            epoch: 2,
+            shard: 3,
+            k: 10,
+            order: (0..hops as u64).collect(),
+            position: 1,
+            delta_seq: 0,
+            legacy_reply: false,
+            query_ids: (0..rows as u64).map(|q| 40 + q).collect(),
+            thresholds: vec![1.0; rows],
+            q_total_norms_sq: Vec::new(),
+            cluster_ends: (1..=rows as u32).map(|q| q * clusters as u32).collect(),
+            clusters: (0..rows).flat_map(|_| [7u32, 9]).collect(),
+            dims: vec![0.5; rows * width],
+        };
+        assert_eq!(
+            chunk.to_bytes().len() as f64,
+            chunk_wire_bytes(rows as f64, clusters as f64, width, hops)
+        );
+        let survivors = 6usize;
+        let carry = CarryBatch {
+            first_query_id: 40,
+            shard: 3,
+            thresholds: vec![1.0; rows],
+            survivor_ends: (1..=rows as u32).map(|q| q * survivors as u32).collect(),
+            indices: (0..rows)
+                .flat_map(|_| (0..survivors as u32).map(|i| 3 * i))
+                .collect(),
+            partials: vec![0.25; rows * survivors],
+            visited_norms_sq: Vec::new(),
+            q_visited_norms_sq: Vec::new(),
+            quant_eps: Vec::new(),
+        };
+        assert_eq!(
+            carry.to_bytes().len() as f64,
+            carry_wire_bytes(rows as f64, survivors as f64)
+        );
+        let hits = 10usize;
+        let result = ResultBatch {
+            shard: 3,
+            query_ids: (0..rows as u64).map(|q| 40 + q).collect(),
+            result_ends: (1..=rows as u32).map(|q| q * hits as u32).collect(),
+            ids: vec![11; rows * hits],
+            scores: vec![0.5; rows * hits],
+            candidates_seen: vec![99; rows],
+        };
+        assert_eq!(
+            result.to_bytes().len() as f64,
+            result_wire_bytes(rows as f64, hits as f64)
+        );
     }
 }

@@ -231,6 +231,22 @@ impl ShardAssignment {
         }
     }
 
+    /// Groups a query's probed clusters into its shard visits: shards in
+    /// the order the probes first reach them (probes come nearest first, so
+    /// the nearest shard is visited first), each with its clusters in probe
+    /// order.
+    pub fn visits(&self, probes: &[u32]) -> Vec<(u32, Vec<u32>)> {
+        let mut visits: Vec<(u32, Vec<u32>)> = Vec::new();
+        for &c in probes {
+            let shard = self.cluster_to_shard[c as usize];
+            match visits.iter_mut().find(|(s, _)| *s == shard) {
+                Some((_, clusters)) => clusters.push(c),
+                None => visits.push((shard, vec![c])),
+            }
+        }
+        visits
+    }
+
     /// Clusters whose shard differs between `self` and `other` (the
     /// migration set of a rebalance).
     pub fn moved_clusters(&self, other: &ShardAssignment) -> Vec<u32> {

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use harmony_cluster::{ClusterSnapshot, CommMode, TimeBreakdown};
 
-use crate::cost::PlanCost;
+use crate::cost::{PlanCost, PlanEstimate};
 use crate::partition::PartitionPlan;
 use crate::pruning::SliceStats;
 
@@ -90,6 +90,9 @@ impl LoadTracker {
 pub struct ProbeTracker {
     counts: Vec<AtomicU64>,
     queries: AtomicU64,
+    /// Batch calls the queries arrived in (the cost model sizes sub-batches
+    /// from the mean batch).
+    batches: AtomicU64,
     /// `k` of the most recently admitted query (the cost model's
     /// result-message size input).
     last_k: AtomicU64,
@@ -101,8 +104,15 @@ impl ProbeTracker {
         Self {
             counts: (0..nlist).map(|_| AtomicU64::new(0)).collect(),
             queries: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
             last_k: AtomicU64::new(0),
         }
+    }
+
+    /// Records the arrival of one batch call (its queries are recorded one
+    /// by one as they are admitted).
+    pub fn record_batch(&self) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one query probing the given clusters with result size `k`.
@@ -135,6 +145,7 @@ impl ProbeTracker {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             queries: self.queries.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
         }
     }
 }
@@ -146,6 +157,8 @@ pub struct ProbeSnapshot {
     pub counts: Vec<u64>,
     /// Queries recorded.
     pub queries: u64,
+    /// Batch calls recorded.
+    pub batches: u64,
 }
 
 impl ProbeSnapshot {
@@ -159,7 +172,13 @@ impl ProbeSnapshot {
                 .map(|(i, &c)| c.saturating_sub(earlier.counts.get(i).copied().unwrap_or(0)))
                 .collect(),
             queries: self.queries.saturating_sub(earlier.queries),
+            batches: self.batches.saturating_sub(earlier.batches),
         }
+    }
+
+    /// Mean queries per batch call (at least 1).
+    pub fn mean_batch(&self) -> usize {
+        (self.queries / self.batches.max(1)).max(1) as usize
     }
 
     /// Total probes across clusters.
@@ -245,6 +264,10 @@ pub struct BuildStats {
     pub plan: PartitionPlan,
     /// Cost-model estimate of the chosen plan (None for forced plans).
     pub plan_cost: Option<PlanCost>,
+    /// Every candidate plan as the cost model priced it at build, with the
+    /// inputs of each estimate (rates, survivors per hop, messages per
+    /// query) — also recorded when the plan was forced.
+    pub candidates: Vec<PlanEstimate>,
     /// Bytes shipped to workers during pre-assign.
     pub bytes_shipped: u64,
 }
@@ -294,6 +317,19 @@ impl EngineStats {
     /// Largest single-worker block storage.
     pub fn max_worker_memory_bytes(&self) -> u64 {
         self.worker_memory_bytes.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The candidates that entered each pipeline position since `earlier`
+    /// was collected. The worker counters behind these are cumulative; a
+    /// reset in between (a counter running backwards) makes the window
+    /// everything since that reset.
+    pub fn entering_since(&self, earlier: &EngineStats) -> Vec<u64> {
+        let seen = &self.slices.seen;
+        let before = |i: usize| earlier.slices.seen.get(i).copied().unwrap_or(0);
+        let reset = (0..seen.len()).any(|i| seen[i] < before(i));
+        (0..seen.len())
+            .map(|i| seen[i] - if reset { 0 } else { before(i) })
+            .collect()
     }
 }
 
@@ -358,6 +394,7 @@ mod tests {
             preassign: Duration::from_millis(5),
             plan: PartitionPlan::pure_vector(4),
             plan_cost: None,
+            candidates: Vec::new(),
             bytes_shipped: 0,
         };
         assert_eq!(b.total(), Duration::from_millis(35));
@@ -454,6 +491,7 @@ mod tests {
         e.absorb(&ProbeSnapshot {
             counts: vec![10, 0, 4],
             queries: 8,
+            batches: 1,
         });
         assert_eq!(e.counts(), vec![10, 0, 4]);
         assert_eq!(e.queries(), 8);
@@ -465,11 +503,13 @@ mod tests {
         e.absorb(&ProbeSnapshot {
             counts: vec![100, 0],
             queries: 50,
+            batches: 1,
         });
         // Workload flips entirely to the other cluster.
         e.absorb(&ProbeSnapshot {
             counts: vec![0, 100],
             queries: 50,
+            batches: 1,
         });
         let c = e.counts();
         assert_eq!(c, vec![25, 75], "recent window must dominate at α=0.75");
@@ -478,6 +518,7 @@ mod tests {
         e.absorb(&ProbeSnapshot {
             counts: vec![0, 100],
             queries: 50,
+            batches: 1,
         });
         assert!(e.counts()[0] < 10);
         assert!(e.counts()[1] > 90);
@@ -489,10 +530,12 @@ mod tests {
         e.absorb(&ProbeSnapshot {
             counts: vec![100],
             queries: 10,
+            batches: 1,
         });
         e.absorb(&ProbeSnapshot {
             counts: vec![4],
             queries: 2,
+            batches: 1,
         });
         assert_eq!(e.counts(), vec![4]);
         assert_eq!(e.queries(), 2);
@@ -506,5 +549,32 @@ mod tests {
         };
         assert_eq!(s.total_memory_bytes(), 60);
         assert_eq!(s.max_worker_memory_bytes(), 30);
+    }
+
+    #[test]
+    fn windows_are_differences_not_lifetime_totals() {
+        let collected = |seen: Vec<u64>| EngineStats {
+            slices: SliceStats {
+                pruned: vec![0; seen.len()],
+                seen,
+            },
+            ..EngineStats::default()
+        };
+        // Two ticks of 1000 candidates each; the second window's traffic
+        // pruned half as well. The counters themselves only ever grow.
+        let built = EngineStats::default();
+        let first = collected(vec![1_000, 200]);
+        let second = collected(vec![2_000, 600]);
+        assert_eq!(first.entering_since(&built), vec![1_000, 200]);
+        // The lifetime totals would have said 0.3 for the second window,
+        // and ever closer to the lifetime mean for any later one.
+        assert_eq!(second.entering_since(&first), vec![1_000, 400]);
+        // A manual reset in between runs the counters backwards: the window
+        // is then everything since that reset.
+        let after_reset = collected(vec![200, 50]);
+        assert_eq!(after_reset.entering_since(&second), vec![200, 50]);
+        // A pipeline that grew since the earlier collection.
+        let longer = collected(vec![2_500, 700, 90]);
+        assert_eq!(longer.entering_since(&second), vec![500, 100, 90]);
     }
 }

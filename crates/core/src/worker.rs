@@ -143,7 +143,7 @@ impl ListBlock {
 }
 
 /// Storage for one grid block `V_s D_b`.
-struct BlockStore {
+pub(crate) struct BlockStore {
     /// Absolute dimension range `[start, end)` of the block — needed to
     /// slice sub-ranges out during migration.
     dim_start: u64,
@@ -153,7 +153,7 @@ struct BlockStore {
 
 impl BlockStore {
     /// The storage of a block shipped (or spilled) as wire lists.
-    fn from_wire(dim_start: u64, dim_end: u64, lists: Vec<ClusterBlock>) -> Self {
+    pub(crate) fn from_wire(dim_start: u64, dim_end: u64, lists: Vec<ClusterBlock>) -> Self {
         let width = (dim_end - dim_start) as usize;
         let lists = lists
             .into_iter()
@@ -279,17 +279,23 @@ fn decode_block_store(payload: &[u8]) -> Option<BlockStore> {
 /// [`LoadBlock`] and inherited by every later epoch (migrations never
 /// change a namespace's metric or pruning rule).
 #[derive(Clone, Copy)]
-struct NsMeta {
+pub(crate) struct NsMeta {
     metric: Metric,
     rule: PruneRule,
 }
 
+impl NsMeta {
+    pub(crate) fn new(metric: Metric, pruning: bool) -> Self {
+        Self {
+            metric,
+            rule: PruneRule::new(metric, pruning),
+        }
+    }
+}
+
 impl Default for NsMeta {
     fn default() -> Self {
-        Self {
-            metric: Metric::L2,
-            rule: PruneRule::new(Metric::L2, true),
-        }
+        Self::new(Metric::L2, true)
     }
 }
 
@@ -624,7 +630,7 @@ struct QuerySlot {
 
 /// Per-worker buffers of the scan routine.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     slots: Vec<QuerySlot>,
     /// `(cluster, query row)` pairs of the sub-batch, sorted: the
     /// list-major walk order.
@@ -633,9 +639,11 @@ struct Scratch {
 
 /// What one hop did, for the statistics counters.
 #[derive(Default)]
-struct HopTally {
-    pruned: u64,
-    scanned_point_dims: u64,
+pub(crate) struct HopTally {
+    /// Candidates that entered the hop (candidate visits).
+    pub(crate) seen: u64,
+    pub(crate) pruned: u64,
+    pub(crate) scanned_point_dims: u64,
 }
 
 /// The per-hop constants of the scan.
@@ -859,6 +867,135 @@ fn scan_batch<M: MetricOps>(
         "carried indices extend past the canonical enumeration"
     );
     tally
+}
+
+/// What one hop of a sub-batch produces.
+pub(crate) enum HopOutput {
+    /// Not the last position: the survivors, for the next machine of the
+    /// itinerary.
+    Forward(CarryBatch),
+    /// The last position: the sub-batch's answer, for the client.
+    Answer(ResultBatch),
+}
+
+/// One hop of one sub-batch over the storage it resolved to — the part of
+/// the worker that touches neither the fabric nor the worker's tables, so
+/// the planner can time it on sample lists and a simulated transport can
+/// drive it. Position 0 enumerates candidates from the probed lists (plus
+/// the shard's delta rows below the watermark), later positions add this
+/// block's contribution to the carried partials; the last position keeps
+/// the best `k` per query, the others forward the survivors. The metric is
+/// resolved here, once, and the whole batch runs through [`scan_batch`].
+pub(crate) fn scan_hop(
+    meta: NsMeta,
+    tombstones: &TombstoneSet,
+    block: Option<&BlockStore>,
+    delta: Option<&DeltaList>,
+    chunk: ChunkBatch,
+    carry: Option<&CarryBatch>,
+    scratch: &mut Scratch,
+) -> (HopOutput, HopTally) {
+    let n = chunk.len();
+    let position = chunk.position as usize;
+    let is_last = position + 1 >= chunk.order.len();
+    let is_ip = !matches!(meta.metric, Metric::L2);
+    let k = chunk.k.max(1) as usize;
+    if scratch.slots.len() < n {
+        scratch.slots.resize_with(n, QuerySlot::default);
+    }
+    for (q, slot) in scratch.slots.iter_mut().enumerate().take(n) {
+        let dims = chunk.dims_of(q);
+        slot.threshold = chunk.thresholds[q];
+        slot.q_total_norm_sq = chunk.q_total_norms_sq.get(q).copied().unwrap_or(0.0);
+        slot.q_block_norm_sq = if is_ip { ip(dims, dims) } else { 0.0 };
+        slot.q_visited_norm_sq = slot.q_block_norm_sq;
+        (slot.eps_in, slot.hop_eps, slot.base) = (0.0, 0.0, 0);
+        (slot.cursor, slot.carried_end) = (0, 0);
+        if let Some(carry) = carry {
+            let carried = span(&carry.survivor_ends, q);
+            (slot.cursor, slot.carried_end) = (carried.start, carried.end);
+            // Tightest threshold wins (lower-is-better scores).
+            slot.threshold = slot.threshold.min(carry.thresholds[q]);
+            slot.q_visited_norm_sq += carry.q_visited_norms_sq.get(q).copied().unwrap_or(0.0);
+            slot.eps_in = carry.quant_eps.get(q).copied().unwrap_or(0.0);
+        }
+        slot.entered = slot.cursor;
+        slot.out.indices.clear();
+        slot.out.partials.clear();
+        slot.out.visited_norms_sq.clear();
+        slot.out.topk = is_last.then(|| TopK::new(k));
+    }
+
+    let env = HopEnv {
+        rule: meta.rule,
+        tombstones,
+        carry,
+        is_last,
+    };
+    let mut tally = match meta.metric {
+        Metric::L2 => scan_batch::<L2Ops>(&env, block, delta, &chunk, scratch),
+        Metric::InnerProduct => scan_batch::<IpOps>(&env, block, delta, &chunk, scratch),
+        Metric::Cosine => scan_batch::<CosOps>(&env, block, delta, &chunk, scratch),
+    };
+    let slots = &mut scratch.slots[..n];
+    tally.seen = slots.iter().map(|s| (s.cursor - s.entered) as u64).sum();
+
+    if is_last {
+        let mut result = ResultBatch {
+            shard: chunk.shard,
+            result_ends: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n * k),
+            scores: Vec::with_capacity(n * k),
+            candidates_seen: Vec::with_capacity(n),
+            query_ids: chunk.query_ids,
+        };
+        for slot in slots.iter_mut() {
+            for hit in slot
+                .out
+                .topk
+                .take()
+                .map(TopK::into_sorted)
+                .unwrap_or_default()
+            {
+                result.ids.push(hit.id);
+                result.scores.push(hit.score);
+            }
+            result.result_ends.push(result.ids.len() as u32);
+            result
+                .candidates_seen
+                .push((slot.cursor - slot.entered) as u64);
+        }
+        return (HopOutput::Answer(result), tally);
+    }
+    let survivors: usize = slots.iter().map(|s| s.out.indices.len()).sum();
+    let mut out = CarryBatch {
+        first_query_id: chunk.query_ids[0],
+        shard: chunk.shard,
+        thresholds: Vec::with_capacity(n),
+        survivor_ends: Vec::with_capacity(n),
+        indices: Vec::with_capacity(survivors),
+        partials: Vec::with_capacity(survivors),
+        visited_norms_sq: Vec::with_capacity(if is_ip { survivors } else { 0 }),
+        q_visited_norms_sq: Vec::with_capacity(if is_ip { n } else { 0 }),
+        quant_eps: Vec::new(),
+    };
+    for slot in slots.iter() {
+        out.thresholds.push(slot.threshold);
+        out.indices.extend_from_slice(&slot.out.indices);
+        out.partials.extend_from_slice(&slot.out.partials);
+        out.survivor_ends.push(out.indices.len() as u32);
+        if is_ip {
+            out.visited_norms_sq
+                .extend_from_slice(&slot.out.visited_norms_sq);
+            out.q_visited_norms_sq.push(slot.q_visited_norm_sq);
+        }
+    }
+    // Per hop, the *maximum* slack over the scanned lists, summed along
+    // the pipeline; exact deployments never send the array.
+    if slots.iter().any(|s| s.eps_in + s.hop_eps != 0.0) {
+        out.quant_eps = slots.iter().map(|s| s.eps_in + s.hop_eps).collect();
+    }
+    (HopOutput::Forward(out), tally)
 }
 
 /// The Harmony worker node handler.
@@ -1207,13 +1344,8 @@ impl HarmonyWorker {
         let Ok(metric) = metric_tag::decode(load.metric) else {
             return; // unknown tags (and misshapen lists) die at decode
         };
-        self.ns_meta.insert(
-            load.ns,
-            NsMeta {
-                metric,
-                rule: PruneRule::new(metric, load.pruning),
-            },
-        );
+        self.ns_meta
+            .insert(load.ns, NsMeta::new(metric, load.pruning));
         let block = BlockStore::from_wire(load.dim_start, load.dim_end, load.lists);
         self.install_block(
             (load.ns, load.epoch, load.shard),
@@ -1310,16 +1442,13 @@ impl HarmonyWorker {
         }
     }
 
-    /// One hop of one sub-batch: position 0 enumerates candidates from the
-    /// probed lists (plus the shard's delta rows below the watermark),
-    /// later positions add this block's contribution to the carried
-    /// partials; the last position answers the client, the others forward
-    /// the survivors. Metric is resolved here, once, and the whole batch
-    /// runs through [`scan_batch`].
+    /// One hop of one sub-batch on this worker: resolve the storage the
+    /// chunk names, run [`scan_hop`] over it, count what it did and send
+    /// what it produced — the survivors to the next machine of the
+    /// itinerary, or the last position's answer to the client.
     fn run_hop(&mut self, ctx: &NodeCtx, chunk: ChunkBatch, carry: Option<CarryBatch>) {
         let n = chunk.len();
         let position = chunk.position as usize;
-        let is_last = position + 1 >= chunk.order.len();
         // Fault a demoted block back in (and refresh its cache recency)
         // once per sub-batch, before taking the immutable storage borrow.
         self.ensure_resident((chunk.ns, chunk.epoch, chunk.shard));
@@ -1349,117 +1478,35 @@ impl HarmonyWorker {
             return;
         };
 
-        let is_ip = !matches!(meta.metric, Metric::L2);
-        let k = chunk.k.max(1) as usize;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if scratch.slots.len() < n {
-            scratch.slots.resize_with(n, QuerySlot::default);
-        }
-        for (q, slot) in scratch.slots.iter_mut().enumerate().take(n) {
-            let dims = chunk.dims_of(q);
-            slot.threshold = chunk.thresholds[q];
-            slot.q_total_norm_sq = chunk.q_total_norms_sq.get(q).copied().unwrap_or(0.0);
-            slot.q_block_norm_sq = if is_ip { ip(dims, dims) } else { 0.0 };
-            slot.q_visited_norm_sq = slot.q_block_norm_sq;
-            (slot.eps_in, slot.hop_eps, slot.base) = (0.0, 0.0, 0);
-            (slot.cursor, slot.carried_end) = (0, 0);
-            if let Some(carry) = &carry {
-                let carried = span(&carry.survivor_ends, q);
-                (slot.cursor, slot.carried_end) = (carried.start, carried.end);
-                // Tightest threshold wins (lower-is-better scores).
-                slot.threshold = slot.threshold.min(carry.thresholds[q]);
-                slot.q_visited_norm_sq += carry.q_visited_norms_sq.get(q).copied().unwrap_or(0.0);
-                slot.eps_in = carry.quant_eps.get(q).copied().unwrap_or(0.0);
-            }
-            slot.entered = slot.cursor;
-            slot.out.indices.clear();
-            slot.out.partials.clear();
-            slot.out.visited_norms_sq.clear();
-            slot.out.topk = is_last.then(|| TopK::new(k));
-        }
-
-        let env = HopEnv {
-            rule: meta.rule,
-            tombstones: &store.tombstones,
-            carry: carry.as_ref(),
-            is_last,
-        };
+        let legacy_reply = chunk.legacy_reply;
+        let next = chunk.order.get(position + 1).copied();
         let scan_start = Instant::now();
-        let tally = match meta.metric {
-            Metric::L2 => scan_batch::<L2Ops>(&env, block, delta, &chunk, &mut scratch),
-            Metric::InnerProduct => scan_batch::<IpOps>(&env, block, delta, &chunk, &mut scratch),
-            Metric::Cosine => scan_batch::<CosOps>(&env, block, delta, &chunk, &mut scratch),
-        };
+        let (out, tally) = scan_hop(
+            meta,
+            &store.tombstones,
+            block,
+            delta,
+            chunk,
+            carry.as_ref(),
+            &mut self.scratch,
+        );
         self.compute_ns += scan_start.elapsed().as_nanos() as u64;
-        let slots = &mut scratch.slots[..n];
-        let seen: u64 = slots.iter().map(|s| (s.cursor - s.entered) as u64).sum();
         // Modeled compute charge: deterministic, host-independent.
-        ctx.charge_compute(tally.scanned_point_dims, seen);
+        ctx.charge_compute(tally.scanned_point_dims, tally.seen);
         if position < self.slice_in.len() {
-            self.slice_in[position] += seen;
+            self.slice_in[position] += tally.seen;
             self.slice_pruned[position] += tally.pruned;
         }
         self.scanned_point_dims += tally.scanned_point_dims;
-
-        if is_last {
-            let mut result = ResultBatch {
-                shard: chunk.shard,
-                result_ends: Vec::with_capacity(n),
-                ids: Vec::with_capacity(n * k),
-                scores: Vec::with_capacity(n * k),
-                candidates_seen: Vec::with_capacity(n),
-                query_ids: chunk.query_ids,
-            };
-            for slot in slots.iter_mut() {
-                for hit in slot
-                    .out
-                    .topk
-                    .take()
-                    .map(TopK::into_sorted)
-                    .unwrap_or_default()
-                {
-                    result.ids.push(hit.id);
-                    result.scores.push(hit.score);
-                }
-                result.result_ends.push(result.ids.len() as u32);
-                result
-                    .candidates_seen
-                    .push((slot.cursor - slot.entered) as u64);
+        match (out, next) {
+            (HopOutput::Answer(result), _) => Self::reply(ctx, legacy_reply, result),
+            (HopOutput::Forward(carry), Some(next)) => {
+                let _ = ctx.send(next as NodeId, ToWorker::CarryBatch(carry).to_bytes());
             }
-            Self::reply(ctx, chunk.legacy_reply, result);
-        } else {
-            let survivors: usize = slots.iter().map(|s| s.out.indices.len()).sum();
-            let mut out = CarryBatch {
-                first_query_id: chunk.query_ids[0],
-                shard: chunk.shard,
-                thresholds: Vec::with_capacity(n),
-                survivor_ends: Vec::with_capacity(n),
-                indices: Vec::with_capacity(survivors),
-                partials: Vec::with_capacity(survivors),
-                visited_norms_sq: Vec::with_capacity(if is_ip { survivors } else { 0 }),
-                q_visited_norms_sq: Vec::with_capacity(if is_ip { n } else { 0 }),
-                quant_eps: Vec::new(),
-            };
-            for slot in slots.iter() {
-                out.thresholds.push(slot.threshold);
-                out.indices.extend_from_slice(&slot.out.indices);
-                out.partials.extend_from_slice(&slot.out.partials);
-                out.survivor_ends.push(out.indices.len() as u32);
-                if is_ip {
-                    out.visited_norms_sq
-                        .extend_from_slice(&slot.out.visited_norms_sq);
-                    out.q_visited_norms_sq.push(slot.q_visited_norm_sq);
-                }
+            (HopOutput::Forward(_), None) => {
+                debug_assert!(false, "a forwarding hop is never the itinerary's last")
             }
-            // Per hop, the *maximum* slack over the scanned lists, summed
-            // along the pipeline; exact deployments never send the array.
-            if slots.iter().any(|s| s.eps_in + s.hop_eps != 0.0) {
-                out.quant_eps = slots.iter().map(|s| s.eps_in + s.hop_eps).collect();
-            }
-            let next = chunk.order[position + 1] as NodeId;
-            let _ = ctx.send(next, ToWorker::CarryBatch(out).to_bytes());
         }
-        self.scratch = scratch;
     }
 
     /// Sends a finished sub-batch to the client: one [`ResultBatch`], or —

@@ -26,6 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>8} {:>10} {:>14} {:>16} {:>18}",
         "workers", "plan", "modeled QPS", "max node MiB", "bytes shipped MiB"
     );
+    let mut decisions = Vec::new();
     for workers in [2, 4, 8, 16] {
         let config = HarmonyConfig::builder()
             .n_machines(workers)
@@ -42,7 +43,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.max_worker_memory_bytes() as f64 / (1024.0 * 1024.0),
             engine.build_stats().bytes_shipped as f64 / (1024.0 * 1024.0),
         );
+        decisions.push((workers, engine.build_stats().candidates.clone()));
         engine.shutdown()?;
+    }
+    // What each build's planner chose from: the candidate grids, their
+    // prices and the measured inputs behind them.
+    for (workers, candidates) in decisions {
+        println!(
+            "\n{workers} workers\n{}",
+            harmony::core::PlanEstimate::HEADER
+        );
+        for candidate in &candidates {
+            println!("{candidate}");
+        }
     }
     println!("\nper-node memory shrinks ~linearly with workers; the planner");
     println!("re-factorizes the grid as the machine count grows.");

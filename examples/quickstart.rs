@@ -29,6 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.build_stats().add,
         engine.build_stats().preassign,
     );
+    // What the planner saw when it chose: every candidate plan's price and
+    // the measured inputs behind it (scan rates, survivors per hop, messages).
+    println!("{}", harmony::core::PlanEstimate::HEADER);
+    for candidate in &engine.build_stats().candidates {
+        println!("{candidate}");
+    }
 
     // Single query.
     let opts = SearchOptions::new(10).with_nprobe(16);

@@ -64,7 +64,9 @@ fn supervisor_holds_on_a_fitting_plan_under_uniform_traffic() {
     let opts = SearchOptions::new(10).with_nprobe(4);
     engine.search_batch(&d.queries, &opts).unwrap();
     match engine.supervisor_tick().unwrap() {
-        ReplanOutcome::Hold { stay_ns, best_ns } => assert!(best_ns >= 0.0 && stay_ns >= 0.0),
+        ReplanOutcome::Hold {
+            stay_ns, best_ns, ..
+        } => assert!(best_ns >= 0.0 && stay_ns >= 0.0),
         ReplanOutcome::InsufficientData => {}
         other => panic!("uniform traffic must not trigger a switch, got {other:?}"),
     }
@@ -343,10 +345,14 @@ fn same_plan_rebalance_migrates_cleanly() {
 fn throttled_migration_ships_in_waves_and_matches_unthrottled_results() {
     let d = clustered(2_000, 16, 13);
     let build = |max_pieces_per_tick: usize| {
+        // Pinned: this compares two deployments bit for bit and tests wave
+        // throttling, not planning — two timing-calibrated planners may
+        // settle a near-tie differently.
         let config = HarmonyConfig::builder()
             .n_machines(4)
             .nlist(16)
             .seed(7)
+            .plan(PartitionPlan::pure_vector(4))
             .balanced_load(false)
             .replan(ReplanConfig {
                 max_pieces_per_tick,

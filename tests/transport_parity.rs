@@ -30,10 +30,14 @@ fn build_engine(
     // balanced_load(false) keeps packing and dimension-block rotation
     // row-deterministic, so float summation order — and therefore result
     // bits — depends only on the layout, never on scheduling.
+    // The plan is pinned: two engines on two fabrics measure different
+    // message costs and may settle a near-tie differently, and the layout
+    // decides the summation order (and, under SQ8, the quantization).
     let config = HarmonyConfig::builder()
         .n_machines(WORKERS)
         .nlist(32)
         .seed(7)
+        .plan(PartitionPlan::new(2, 2).unwrap())
         .balanced_load(false)
         .transport(transport)
         .repr(repr)
