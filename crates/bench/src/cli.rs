@@ -2,7 +2,6 @@
 
 use std::path::PathBuf;
 
-use harmony_cluster::TransportKind;
 use harmony_index::BlockRepr;
 
 /// Common benchmark knobs.
@@ -18,8 +17,6 @@ pub struct BenchArgs {
     pub quick: bool,
     /// Output directory for CSV copies.
     pub out_dir: PathBuf,
-    /// Cluster fabric: in-process channels or real loopback TCP.
-    pub transport: TransportKind,
     /// Block representation: exact f32 or SQ8 two-stage.
     pub repr: BlockRepr,
 }
@@ -36,7 +33,6 @@ impl Default for BenchArgs {
             workers: 4,
             quick: false,
             out_dir: PathBuf::from("bench_results"),
-            transport: TransportKind::InProc,
             repr: BlockRepr::F32,
         }
     }
@@ -66,13 +62,6 @@ impl BenchArgs {
                 "--workers" => out.workers = take("--workers").parse().expect("bad --workers"),
                 "--out-dir" => out.out_dir = PathBuf::from(take("--out-dir")),
                 "--quick" => out.quick = true,
-                "--transport" => {
-                    out.transport = match take("--transport").as_str() {
-                        "inproc" => TransportKind::InProc,
-                        "tcp" => TransportKind::tcp(),
-                        other => panic!("bad --transport {other} (expected inproc|tcp)"),
-                    }
-                }
                 "--repr" => {
                     out.repr = match take("--repr").as_str() {
                         "f32" => BlockRepr::F32,
@@ -83,7 +72,7 @@ impl BenchArgs {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: [--scale f] [--queries n] [--workers n] [--out-dir d] \
-                         [--transport inproc|tcp] [--repr f32|sq8] [--quick]"
+                         [--repr f32|sq8] [--quick]"
                     );
                     std::process::exit(0);
                 }
@@ -168,25 +157,6 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
         parse(&["--bogus"]);
-    }
-
-    #[test]
-    fn transport_flag_selects_fabric() {
-        assert!(matches!(parse(&[]).transport, TransportKind::InProc));
-        assert!(matches!(
-            parse(&["--transport", "inproc"]).transport,
-            TransportKind::InProc
-        ));
-        assert!(matches!(
-            parse(&["--transport", "tcp"]).transport,
-            TransportKind::Tcp(_)
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --transport")]
-    fn bad_transport_panics() {
-        parse(&["--transport", "carrier-pigeon"]);
     }
 
     #[test]

@@ -237,17 +237,6 @@ pub fn emit_bench_json(out_dir: &Path, name: &str, json: &Json) {
     }
 }
 
-/// Nearest-rank percentile (`p` in 0..=100) of an unsorted sample set.
-/// Returns 0.0 for an empty slice.
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN latency samples"));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
-}
-
 /// Formats a float with `digits` decimals, trimming noise.
 pub fn num(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
@@ -324,14 +313,5 @@ mod tests {
             .render();
         assert!(s.contains(r#""msg": "a\"b\\c\nd""#));
         assert!(s.contains("\"nan\": null"));
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let mut xs = vec![4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&mut xs, 50.0), 2.0);
-        assert_eq!(percentile(&mut xs, 99.0), 4.0);
-        assert_eq!(percentile(&mut xs, 0.0), 1.0);
-        assert_eq!(percentile(&mut [], 50.0), 0.0);
     }
 }

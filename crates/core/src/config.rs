@@ -165,9 +165,6 @@ pub struct HarmonyConfig {
     pub balanced_load: bool,
     /// Imbalance weight `α` in the cost model (`--α`).
     pub alpha: f64,
-    /// Per-query prewarm samples used to seed the pruning threshold
-    /// (Algorithm 1, lines 1-5). Zero disables prewarming.
-    pub prewarm: usize,
     /// Training/packing RNG seed.
     pub seed: u64,
     /// Interconnect model for the simulated cluster.
@@ -191,15 +188,17 @@ pub struct HarmonyConfig {
     /// `k`. Larger values recover more recall at more re-rank work; ignored
     /// under [`BlockRepr::F32`]. Must be ≥ 1.
     pub rerank_scale: usize,
-    /// Auto-compaction threshold: fold pending delta rows into their home
-    /// IVF lists once this many upserts accumulate (0 = manual
-    /// [`crate::HarmonyEngine::compact`] calls only).
+    /// The background compactor's threshold: it folds a namespace once
+    /// this many unfolded writes (pending upserts plus live tombstones)
+    /// accumulate (0 = manual [`crate::HarmonyEngine::compact`] calls only).
+    /// Needs [`HarmonyConfig::compact_interval_ms`] > 0 — the ingest path
+    /// itself never compacts.
     pub compact_after: usize,
     /// Background maintenance interval in milliseconds. When > 0 the engine
     /// runs a self-scheduling tick thread that compacts any namespace whose
-    /// pending deltas reached [`HarmonyConfig::compact_after`] and sweeps
+    /// unfolded writes reached [`HarmonyConfig::compact_after`] and sweeps
     /// auto-tiered namespaces between temperature tiers by access rate
-    /// (0 = no background thread; compaction stays query-path-driven).
+    /// (0 = no background thread).
     pub compact_interval_ms: u64,
     /// Per-worker byte budget of the warm/cold block cache. Faulted-in
     /// blocks of non-pinned namespaces are retained up to this budget and
@@ -238,6 +237,13 @@ impl HarmonyConfig {
         }
         if self.rerank_scale == 0 {
             return Err(CoreError::Config("rerank_scale must be >= 1".into()));
+        }
+        if self.compact_after > 0 && self.compact_interval_ms == 0 {
+            return Err(CoreError::Config(format!(
+                "compact_after = {} needs compact_interval_ms > 0: the background \
+                 compactor is the only threshold-driven compaction trigger",
+                self.compact_after
+            )));
         }
         self.replan.validate()?;
         if let Some(plan) = self.plan_override {
@@ -280,7 +286,6 @@ impl Default for HarmonyConfigBuilder {
                 pipeline: true,
                 balanced_load: true,
                 alpha: 4.0,
-                prewarm: 8,
                 seed: 0x04A1_0D0E_u64 ^ 0x5EED,
                 // Per-query amortized message cost under the paper's
                 // query-block batching (10 queries per wire message).
@@ -345,10 +350,6 @@ impl HarmonyConfigBuilder {
         alpha: f64
     );
     builder_setter!(
-        /// Prewarm samples per query.
-        prewarm: usize
-    );
-    builder_setter!(
         /// RNG seed.
         seed: u64
     );
@@ -381,7 +382,7 @@ impl HarmonyConfigBuilder {
         rerank_scale: usize
     );
     builder_setter!(
-        /// Auto-compaction threshold in pending upserts (0 = manual).
+        /// Background compaction threshold in unfolded writes (0 = manual).
         compact_after: usize
     );
     builder_setter!(
@@ -436,8 +437,6 @@ pub struct NamespaceConfig {
     pub pruning: bool,
     /// Training/packing RNG seed.
     pub seed: u64,
-    /// Per-query prewarm samples (0 disables prewarming).
-    pub prewarm: usize,
     /// Quota: maximum live vectors this tenant may hold (0 = unlimited).
     /// Upserts past the quota are rejected with [`CoreError::Config`].
     pub max_vectors: usize,
@@ -457,7 +456,6 @@ impl Default for NamespaceConfig {
             nlist: 16,
             pruning: true,
             seed: 0x04A1_0D0E_u64 ^ 0x5EED,
-            prewarm: 8,
             max_vectors: 0,
             auto_tier: false,
             plan_override: None,
@@ -634,6 +632,12 @@ mod tests {
         assert!(HarmonyConfig::builder().alpha(-1.0).build().is_err());
         assert!(HarmonyConfig::builder().alpha(f64::NAN).build().is_err());
         assert!(HarmonyConfig::builder().max_inflight(0).build().is_err());
+        // A threshold without the thread that acts on it would do nothing.
+        assert!(HarmonyConfig::builder().compact_after(8).build().is_err());
+        let both = HarmonyConfig::builder()
+            .compact_after(8)
+            .compact_interval_ms(10);
+        assert!(both.build().is_ok());
     }
 
     #[test]

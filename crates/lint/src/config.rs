@@ -8,11 +8,12 @@
 
 use std::path::Path;
 
-/// Declared lock order for one file: `order[i]` must be acquired before
-/// `order[j]` whenever `i < j` and both are held.
+/// Declared lock order for one file, or for every file under one
+/// directory: `order[i]` must be acquired before `order[j]` whenever
+/// `i < j` and both are held.
 #[derive(Debug, Clone, Default)]
 pub struct LockOrder {
-    /// Repo-relative file the order applies to.
+    /// Repo-relative file or directory the order applies to.
     pub file: String,
     /// Lock names (the field identifier the lock lives behind), outermost
     /// first.
@@ -24,12 +25,13 @@ pub struct LockOrder {
 pub struct Config {
     /// Directory prefixes (repo-relative) excluded from all rules.
     pub exclude: Vec<String>,
-    /// Files where `unwrap()`/`expect()` are forbidden outside the allowlist.
+    /// Files (or directories of files) where `unwrap()`/`expect()` are
+    /// forbidden outside the allowlist.
     pub no_panic: Vec<String>,
     /// Files where `thread::sleep`/`Instant::now` are forbidden (codec and
     /// encode paths must stay deterministic and non-blocking).
     pub no_time: Vec<String>,
-    /// Declared lock orders, one per file.
+    /// Declared lock orders, one per file or directory.
     pub lock_orders: Vec<LockOrder>,
 }
 

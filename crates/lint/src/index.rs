@@ -1,9 +1,8 @@
 //! Structural index over one file's token stream.
 //!
-//! A single pass records, for every function and `impl` block, its token
-//! interval, module path, attributes, and whether it sits inside a
-//! `#[cfg(test)]` region. Rules consume this instead of re-deriving brace
-//! structure themselves.
+//! A single pass records, for every function, its token interval, module
+//! path, attributes, and whether it sits inside a `#[cfg(test)]` region.
+//! Rules consume this instead of re-deriving brace structure themselves.
 
 use crate::lexer::{Kind, Tok};
 
@@ -43,26 +42,6 @@ impl FnInfo {
     }
 }
 
-/// One `impl` block.
-#[derive(Debug, Clone)]
-pub struct ImplInfo {
-    /// Trait name, empty for inherent impls.
-    pub trait_name: String,
-    /// Self-type head identifier (`Vec` for `Vec<T>`); verbatim token text
-    /// when not an identifier (e.g. `$ty` inside a macro body).
-    pub type_name: String,
-    /// Inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-    /// Token index of the `impl` keyword.
-    pub start: usize,
-    /// Token index of the body `{`.
-    pub body_start: usize,
-    /// Token index one past the closing `}`.
-    pub end: usize,
-    /// Line of the `impl` keyword.
-    pub line: u32,
-}
-
 /// Index over one file.
 #[derive(Debug)]
 pub struct FileIndex {
@@ -72,8 +51,6 @@ pub struct FileIndex {
     pub toks: Vec<Tok>,
     /// All `fn` items in source order.
     pub fns: Vec<FnInfo>,
-    /// All `impl` blocks in source order.
-    pub impls: Vec<ImplInfo>,
     /// Token intervals `[start, end)` under `#[cfg(test)]`.
     pub test_regions: Vec<(usize, usize)>,
 }
@@ -85,7 +62,6 @@ impl FileIndex {
             path,
             toks,
             fns: Vec::new(),
-            impls: Vec::new(),
             test_regions: Vec::new(),
         };
         idx.scan();
@@ -118,7 +94,6 @@ impl FileIndex {
         let mut modifiers: Vec<usize> = Vec::new();
 
         let mut fns = Vec::new();
-        let mut impls = Vec::new();
         let mut test_regions = Vec::new();
 
         while i < n {
@@ -225,41 +200,19 @@ impl FileIndex {
                     continue;
                 }
                 "impl" => {
-                    // Scan the header for `for` and the body `{`.
+                    // Only a `#[cfg(test)] impl` matters here: its fns are
+                    // test code. Any other is walked like the tokens around
+                    // it, which finds the fns inside.
                     let mut j = i + 1;
-                    let mut for_at = None;
                     while j < n && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-                        if toks[j].is_ident("for") && for_at.is_none() {
-                            for_at = Some(j);
-                        }
                         j += 1;
                     }
-                    if j < n && toks[j].is_punct('{') {
-                        let close = matching(toks, j, "{", "}");
-                        let (trait_name, type_name) = match for_at {
-                            Some(f) => (last_ident(toks, i + 1, f), first_ident(toks, f + 1, j)),
-                            None => (String::new(), first_ident(toks, i + 1, j)),
-                        };
-                        let in_test = test_regions.iter().any(|&(s, e)| s <= i && i < e)
-                            || pending_attrs.iter().any(|a| a == "cfg(test)");
-                        if pending_attrs.iter().any(|a| a == "cfg(test)") {
-                            test_regions.push((i, close + 1));
-                        }
-                        impls.push(ImplInfo {
-                            trait_name,
-                            type_name,
-                            in_test,
-                            start: i,
-                            body_start: j,
-                            end: close + 1,
-                            line: t.line,
-                        });
-                        pending_attrs.clear();
-                        modifiers.clear();
-                        // Descend into the body for its fns.
-                        i = j + 1;
-                        continue;
+                    let cfg_test = pending_attrs.iter().any(|a| a == "cfg(test)");
+                    if j < n && toks[j].is_punct('{') && cfg_test {
+                        test_regions.push((i, matching(toks, j, "{", "}") + 1));
                     }
+                    pending_attrs.clear();
+                    modifiers.clear();
                     i = j;
                     continue;
                 }
@@ -270,7 +223,6 @@ impl FileIndex {
             }
         }
         self.fns = fns;
-        self.impls = impls;
         self.test_regions = test_regions;
     }
 }
@@ -300,29 +252,6 @@ pub fn matching(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize
         }
     }
     toks.len().saturating_sub(1)
-}
-
-fn last_ident(toks: &[Tok], from: usize, to: usize) -> String {
-    toks[from..to]
-        .iter()
-        .rev()
-        .find(|t| t.kind == Kind::Ident)
-        .map(|t| t.text.clone())
-        .unwrap_or_default()
-}
-
-fn first_ident(toks: &[Tok], from: usize, to: usize) -> String {
-    toks[from..to.min(toks.len())]
-        .iter()
-        .find(|t| t.kind == Kind::Ident && t.text != "dyn")
-        .map(|t| t.text.clone())
-        .or_else(|| {
-            toks[from..to.min(toks.len())]
-                .iter()
-                .find(|t| t.kind != Kind::Comment)
-                .map(|t| t.text.clone())
-        })
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -362,22 +291,6 @@ mod tests {
             .unwrap();
         assert!(fi.in_test(call));
         assert!(!fi.in_test(0));
-    }
-
-    #[test]
-    fn impls_capture_trait_and_type() {
-        let fi = idx(
-            "impl Wire for ToWorker {\n fn encode(&self, b: &mut Vec<u8>) {}\n}\nimpl<T: Wire> Wire for Vec<T> { }\nimpl Engine { fn go(&self) {} }\n",
-        );
-        assert_eq!(fi.impls.len(), 3);
-        assert_eq!(fi.impls[0].trait_name, "Wire");
-        assert_eq!(fi.impls[0].type_name, "ToWorker");
-        assert_eq!(fi.impls[1].type_name, "Vec");
-        assert_eq!(fi.impls[2].trait_name, "");
-        assert_eq!(fi.impls[2].type_name, "Engine");
-        // fns inside impls are found.
-        assert!(fi.fns.iter().any(|f| f.name == "encode"));
-        assert!(fi.fns.iter().any(|f| f.name == "go"));
     }
 
     #[test]

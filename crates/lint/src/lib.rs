@@ -58,7 +58,7 @@ pub fn run_with(root: &Path, cfg: &Config, al: &mut Allowlist) -> Result<Report,
         rules::forbid::check(fi, cfg, &mut raw);
         rules::unsafe_audit::check(fi, &mut raw);
         for lo in &cfg.lock_orders {
-            if lo.file == fi.path {
+            if covers(&lo.file, &fi.path) {
                 rules::locks::check(fi, lo, &mut raw);
             }
         }
@@ -104,9 +104,14 @@ fn collect(root: &Path, dir: &Path, cfg: &Config, out: &mut Vec<String>) -> Resu
 }
 
 fn excluded(cfg: &Config, rel: &str) -> bool {
-    cfg.exclude
-        .iter()
-        .any(|p| rel == *p || rel.starts_with(&format!("{p}/")))
+    cfg.exclude.iter().any(|p| covers(p, rel))
+}
+
+/// Whether the `lint.toml` path `entry` covers the repo-relative file
+/// `rel`: it names the file itself, or a directory above it.
+pub(crate) fn covers(entry: &str, rel: &str) -> bool {
+    rel.strip_prefix(entry)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

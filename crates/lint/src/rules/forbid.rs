@@ -20,8 +20,9 @@ use crate::lexer::Kind;
 
 /// Runs the forbidden-API family over one file.
 pub fn check(fi: &FileIndex, cfg: &Config, out: &mut Vec<Finding>) {
-    let no_panic = cfg.no_panic.contains(&fi.path);
-    let no_time = cfg.no_time.contains(&fi.path);
+    let listed = |entries: &[String]| entries.iter().any(|e| crate::covers(e, &fi.path));
+    let no_panic = listed(&cfg.no_panic);
+    let no_time = listed(&cfg.no_time);
     let toks = &fi.toks;
     let n = toks.len();
 
@@ -144,6 +145,28 @@ mod tests {
         let src = "fn f(x: Option<u8>) { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t(x: Option<u8>) { x.unwrap(); } }";
         assert_eq!(run(src, true, false).len(), 1);
         assert!(run(src, false, false).is_empty());
+    }
+
+    #[test]
+    fn a_directory_entry_covers_the_files_under_it() {
+        let fi = FileIndex::build(
+            "a/engine/mod.rs".into(),
+            lex("fn f(x: Option<u8>) { x.unwrap(); }"),
+        );
+        let findings = |entry: &str| {
+            let cfg = Config {
+                no_panic: vec![entry.into()],
+                ..Config::default()
+            };
+            let mut out = Vec::new();
+            check(&fi, &cfg, &mut out);
+            out.len()
+        };
+        assert_eq!(findings("a/engine"), 1);
+        assert_eq!(findings("a/engine/mod.rs"), 1);
+        // A name that merely starts the same way is another path.
+        assert_eq!(findings("a/eng"), 0);
+        assert_eq!(findings("a/engine/mod"), 0);
     }
 
     #[test]

@@ -248,3 +248,63 @@ fn namespaces_isolate_overlapping_id_spaces() {
 
     engine.shutdown().unwrap();
 }
+
+/// Sixteen tenants, one hot: demoting the other fifteen must collapse the
+/// cluster's RAM-resident block bytes to at most a quarter of the all-hot
+/// footprint — and keep them there while the cold tenants are queried,
+/// because what a query faults in stays only within the cache's budget.
+#[test]
+fn one_hot_tenant_of_sixteen_keeps_resident_bytes_under_a_quarter() {
+    const TENANTS: usize = 16;
+    let data: Vec<harmony::data::Dataset> = (0..TENANTS)
+        .map(|t| {
+            SyntheticSpec::clustered(1_000, 32, 4)
+                .with_seed(400 + t as u64)
+                .generate()
+        })
+        .collect();
+    // A tenant's block on a machine is 32 000 B under any plan (1 000 rows
+    // x 32 d x 4 B over 4 machines): each worker's cache holds one.
+    const CACHE_BUDGET: usize = 48 << 10;
+    let config = HarmonyConfig::builder()
+        .n_machines(WORKERS)
+        .nlist(8)
+        .seed(11)
+        .cache_budget_bytes(CACHE_BUDGET)
+        .build()
+        .unwrap();
+    let engine = HarmonyEngine::build(config, &data[0].base).unwrap();
+    let mut ns = vec![0u16];
+    for tenant in &data[1..] {
+        let cfg = NamespaceConfig::default().with_nlist(8);
+        ns.push(engine.create_namespace(&cfg, &tenant.base).unwrap());
+    }
+    // Block payload in RAM: pinned blocks and cached ones alike.
+    let resident = || {
+        let stats = engine.collect_stats().unwrap();
+        assert!(stats.cache_block_bytes as usize <= WORKERS * CACHE_BUDGET);
+        stats.f32_block_bytes + stats.sq8_block_bytes
+    };
+
+    let all_hot = resident();
+    for &cold in &ns[1..] {
+        engine.set_namespace_tier(cold, Temperature::Cold).unwrap();
+    }
+    let tiered = resident();
+    assert!(
+        tiered * 4 <= all_hot,
+        "1 hot of {TENANTS}: {tiered} resident bytes of {all_hot} all-hot"
+    );
+
+    let opts = SearchOptions::new(1).with_nprobe(8);
+    for (tenant, &cold) in data.iter().zip(&ns).skip(1) {
+        let got = engine.search_ns(cold, tenant.base.row(7), &opts).unwrap();
+        assert_eq!(got.neighbors.first().map(|n| n.id), Some(tenant.base.id(7)));
+    }
+    let faulted = resident();
+    assert!(
+        faulted > tiered && faulted * 4 <= all_hot,
+        "after cold queries: {faulted} resident bytes of {all_hot} all-hot"
+    );
+    engine.shutdown().unwrap();
+}
