@@ -194,10 +194,10 @@ impl AuncelEngine {
         for _ in 0..config.n_machines {
             let (_, payload) = inner.cluster.recv_timeout(Duration::from_secs(120))?;
             match ToClient::from_bytes(payload)? {
-                ToClient::LoadAck { .. } => {}
+                ToClient::EpochReady { .. } => {}
                 other => {
                     return Err(CoreError::Protocol(format!(
-                        "expected LoadAck, got {other:?}"
+                        "expected EpochReady, got {other:?}"
                     )))
                 }
             }

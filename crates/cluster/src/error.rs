@@ -25,6 +25,14 @@ pub enum ClusterError {
     /// deadline (TCP transport); the caller decides whether to retry, shed
     /// load, or abort.
     Backpressure,
+    /// A frame whose encoded body exceeds the transport's cap: the reader
+    /// would drop the connection on it, so it is refused at `send`.
+    FrameTooLarge {
+        /// Encoded body size of the refused frame.
+        bytes: usize,
+        /// The cap ([`crate::MAX_FRAME_BYTES`]).
+        cap: usize,
+    },
     /// A transport-level I/O failure (bind, connect, thread spawn).
     Io(String),
 }
@@ -45,6 +53,9 @@ impl fmt::Display for ClusterError {
                     f,
                     "send queue full: destination is not draining fast enough"
                 )
+            }
+            ClusterError::FrameTooLarge { bytes, cap } => {
+                write!(f, "frame of {bytes} bytes exceeds the {cap}-byte cap")
             }
             ClusterError::Io(msg) => write!(f, "transport i/o error: {msg}"),
         }

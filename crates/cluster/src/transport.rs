@@ -27,9 +27,10 @@
 //!
 //! The body reuses the codec's rules (tag byte, little-endian integers,
 //! length-prefixed payload). Frames longer than [`MAX_FRAME_BYTES`] are
-//! rejected on decode — a hostile or corrupt length prefix cannot force an
-//! unbounded allocation — and any malformed frame drops the connection so
-//! the reader can resynchronize on a fresh accept.
+//! refused at `send` ([`ClusterError::FrameTooLarge`]) and rejected on
+//! decode — a hostile or corrupt length prefix cannot force an unbounded
+//! allocation — and any malformed frame drops the connection so the reader
+//! can resynchronize on a fresh accept.
 //!
 //! ## Backpressure and reconnect contract (TCP)
 //!
@@ -278,7 +279,9 @@ pub trait Transport: Send + Sync {
     /// [`ClusterError::UnknownNode`] for an invalid id,
     /// [`ClusterError::NodeDown`] when the destination is gone,
     /// [`ClusterError::Backpressure`] when its send queue stayed full,
-    /// [`ClusterError::ShutDown`] after [`Transport::shutdown`].
+    /// [`ClusterError::FrameTooLarge`] for a frame a framing backend
+    /// cannot carry, [`ClusterError::ShutDown`] after
+    /// [`Transport::shutdown`].
     fn send(&self, to: NodeId, frame: Frame) -> Result<(), ClusterError>;
 
     /// Delivers a copy of `frame` to every worker.
@@ -640,6 +643,13 @@ impl Transport for TcpTransport {
         if self.dead[slot].load(Ordering::Acquire) {
             return Err(ClusterError::NodeDown(to));
         }
+        // The reader drops the connection on a longer frame, and the sender
+        // would wait out its handshake for a reply that cannot come.
+        let bytes = frame.encoded_len();
+        if bytes > MAX_FRAME_BYTES {
+            let cap = MAX_FRAME_BYTES;
+            return Err(ClusterError::FrameTooLarge { bytes, cap });
+        }
         match self.queues[slot].push(frame, self.opts.send_wait) {
             Ok(()) => Ok(()),
             Err(PushError::Full) => Err(ClusterError::Backpressure),
@@ -941,6 +951,31 @@ mod tests {
         );
         t.shutdown();
         assert_eq!(t.send(0, Frame::Shutdown), Err(ClusterError::ShutDown));
+    }
+
+    /// A frame the reader would drop the connection on is refused at
+    /// `send`, by name, and the connection stays usable. (The payload is
+    /// zeroed pages nobody touches: the check reads only its length.)
+    #[test]
+    fn tcp_send_rejects_a_frame_over_the_cap() {
+        let t = TcpTransport::bind(1, TcpOptions::default()).unwrap();
+        let payload = Bytes::from(vec![0u8; MAX_FRAME_BYTES]);
+        let frame = Frame::User {
+            from: CLIENT,
+            payload,
+            injected_delay_ns: 0,
+        };
+        let bytes = frame.encoded_len();
+        let cap = MAX_FRAME_BYTES;
+        let refused = ClusterError::FrameTooLarge { bytes, cap };
+        assert!(bytes > cap && refused.to_string().contains(&cap.to_string()));
+        assert_eq!(t.send(0, frame), Err(refused));
+        t.send(0, user(CLIENT, b"still connected")).unwrap();
+        assert_eq!(
+            t.recv(0, Duration::from_secs(5)).unwrap(),
+            user(CLIENT, b"still connected")
+        );
+        t.shutdown();
     }
 
     #[test]

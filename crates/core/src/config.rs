@@ -78,18 +78,15 @@ pub struct ReplanConfig {
     /// amortized when scoring a switch (larger = more eager to move).
     pub amortize_windows: f64,
     /// Bound on the weight fraction a same-plan incremental rebalance may
-    /// move in one tick (caps migration traffic).
+    /// move in one tick: how far one tick moves the packing. (What a switch
+    /// ships does not depend on it — every layout change ships the whole
+    /// namespace anew.)
     pub max_move_frac: f64,
     /// EWMA smoothing factor applied to per-window probe counts before the
     /// supervisor scores plans: `smoothed = α·window + (1-α)·smoothed`.
     /// `1.0` disables smoothing (each window stands alone); smaller values
     /// weigh recent drift against stale history more gradually.
     pub ewma_alpha: f64,
-    /// Maximum list pieces shipped per `MigrateOut` wave during an epoch
-    /// migration (0 = unlimited). Smaller waves let foreground query
-    /// traffic interleave in worker mailboxes instead of being starved
-    /// behind one giant transfer message.
-    pub max_pieces_per_tick: usize,
 }
 
 impl Default for ReplanConfig {
@@ -101,7 +98,6 @@ impl Default for ReplanConfig {
             amortize_windows: 10.0,
             max_move_frac: 0.25,
             ewma_alpha: 0.65,
-            max_pieces_per_tick: 0,
         }
     }
 }

@@ -1,24 +1,25 @@
 //! Routing epochs: the immutable generation of layout a query is admitted
-//! under, the prewarm samples and list sizes that ride it, the migration
-//! from one layout to another, and the eviction of retired epochs once
-//! their last in-flight query has drained. All of it runs under the
-//! namespace's supervisor lock, received as `&mut SupervisorState`; the
-//! swap that brings an epoch into force is a publication and lives with
-//! the view ([`EngineCore::install_epoch`]).
+//! under, the prewarm samples and list sizes that ride it, the one routine
+//! that cuts an epoch's grid blocks and ships them ([`ship_epoch`]), and
+//! the eviction of retired epochs once their last in-flight query has
+//! drained. The swap that brings an epoch into force is a publication and
+//! lives with the view ([`EngineCore::install_epoch`]).
 
-use harmony_cluster::NodeId;
-use harmony_index::{DimRange, Metric, TopK, VectorStore};
+use crossbeam::channel::Receiver;
+use harmony_cluster::{Cluster, NodeId, Wire};
+use harmony_index::{BlockRepr, DimRange, Metric, TopK, VectorStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use super::namespace::{BaseStore, NamespaceState};
+use super::namespace::{cut_list, BaseStore, NamespaceState};
 use super::supervisor::SupervisorState;
-use super::EngineCore;
+use super::{await_acks, once_per_machine, EngineCore};
 use crate::cost::{CostModel, PlanEstimate};
 use crate::error::CoreError;
-use crate::messages::{BeginEpoch, MigrateOut, ToWorker, TransferSpec};
+use crate::messages::{metric_tag, repr_tag, LoadBlock, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
 
 /// One immutable generation of routing state. Queries capture the Arc at
@@ -36,9 +37,8 @@ pub struct RoutingEpoch {
     pub(super) dim_ranges: Vec<DimRange>,
     /// Clusters owned by each shard.
     pub(super) shard_clusters: Vec<Vec<u32>>,
-    /// The lists this epoch serves. A migration moves lists without
-    /// changing them and shares the incumbent's.
-    pub(super) lists: Arc<EpochLists>,
+    /// The lists this epoch serves.
+    pub(super) lists: EpochLists,
     /// Expected share of a visit's candidates that enters each pipeline
     /// position, as the namespace's cost model holds it when the epoch is
     /// cut (1 everywhere with pruning off) — what the load estimates
@@ -52,7 +52,7 @@ impl RoutingEpoch {
         plan: PartitionPlan,
         assignment: ShardAssignment,
         dim: usize,
-        lists: Arc<EpochLists>,
+        lists: EpochLists,
         model: &CostModel,
     ) -> Result<Self, CoreError> {
         let dim_ranges = plan.dim_ranges(dim)?;
@@ -67,22 +67,6 @@ impl RoutingEpoch {
             shard_clusters,
             lists,
             survivors: model.survivors_entering(plan),
-        })
-    }
-
-    /// Announces this epoch's block `(shard, dim_block)` of namespace `ns`
-    /// to the machine hosting it: active once `pieces` list pieces arrived.
-    pub(super) fn begin(&self, ns: u16, shard: usize, dim_block: usize, pieces: u64) -> ToWorker {
-        let range = self.dim_ranges[dim_block];
-        ToWorker::BeginEpoch(BeginEpoch {
-            ns,
-            epoch: self.epoch,
-            shard: shard as u32,
-            dim_block: dim_block as u32,
-            dim_start: range.start as u64,
-            dim_end: range.end as u64,
-            total_dim_blocks: self.plan.dim_blocks as u32,
-            expected_pieces: pieces,
         })
     }
 }
@@ -217,12 +201,12 @@ pub struct MigrationReport {
     pub to_plan: PartitionPlan,
     /// Clusters whose shard changed.
     pub clusters_moved: usize,
-    /// Point-to-point transfers that crossed the fabric (self-transfers
-    /// install locally and are excluded).
-    pub network_pieces: u64,
-    /// Modeled payload bytes shipped across the fabric.
+    /// Bytes the switch was priced at: a layout change ships every grid
+    /// block of the namespace anew, so what the replaced epoch's blocks
+    /// took on the wire.
     pub modeled_bytes: u64,
-    /// Modeled one-time migration time, ns.
+    /// Modeled one-time migration time, ns: `modeled_bytes` as one
+    /// message per machine.
     pub migration_ns: f64,
     /// Modeled cost of staying, ns (0 for forced migrations).
     pub stay_ns: f64,
@@ -234,87 +218,79 @@ pub struct MigrationReport {
     pub candidates: Vec<PlanEstimate>,
 }
 
-/// Walks the migration schedule from `cur` to `next` without materializing
-/// it: for every cluster, the overlap of each old dimension block with each
-/// new dimension block is one piece, shipped from the machine storing the
-/// old block to the machine hosting the new one. The supervisor scores many
-/// candidate layouts per tick; streaming the schedule keeps those
-/// evaluations allocation-free.
-fn visit_transfers(
-    cur: &RoutingEpoch,
-    next: &RoutingEpoch,
-    mut visit: impl FnMut(NodeId, TransferSpec),
-) {
-    let shard_of = |epoch: &RoutingEpoch, c: usize| {
-        let shard = epoch.assignment.cluster_to_shard.get(c).copied();
-        (shard.unwrap_or(0) as usize).min(epoch.plan.vec_shards - 1)
+/// Deadline for an epoch's ship → ack handshake. Generous: whole grid
+/// blocks cross the modeled fabric while query traffic shares the worker
+/// mailboxes. On expiry the caller evicts the epoch everywhere.
+const EPOCH_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Pre-assign (§4, Fig. 10), the one way list storage reaches a worker:
+/// walks `routing`'s `(shard, dimension range)` grid, cuts each block from
+/// the exact copy and sends it as one [`LoadBlock`] before cutting the
+/// next, then awaits every machine's [`ToClient::EpochReady`] on the
+/// control channel the router feeds. An epoch is therefore the block set a
+/// fresh build at its layout would ship, however it was reached. Returns
+/// the bytes sent.
+pub(super) fn ship_epoch(
+    cluster: &Cluster,
+    control: &Receiver<(NodeId, ToClient)>,
+    state: &NamespaceState,
+    routing: &RoutingEpoch,
+    base: &BaseStore,
+) -> Result<u64, CoreError> {
+    let (ns, epoch) = (state.ns, routing.epoch);
+    let is_ip = !matches!(state.metric, Metric::L2);
+    let repr = if state.sq8 {
+        BlockRepr::Sq8
+    } else {
+        BlockRepr::F32
     };
-    for c in 0..cur.lists.members.len() {
-        let (s_old, s_new) = (shard_of(cur, c), shard_of(next, c));
-        for (b_new, r_new) in next.dim_ranges.iter().enumerate() {
-            let dest = next.plan.machine_of(s_new, b_new);
-            for (b_old, r_old) in cur.dim_ranges.iter().enumerate() {
-                let start = r_new.start.max(r_old.start);
-                let end = r_new.end.min(r_old.end);
-                if start >= end {
-                    continue;
-                }
-                let src = cur.plan.machine_of(s_old, b_old);
-                visit(
-                    src,
-                    TransferSpec {
-                        cluster: c as u32,
-                        src_epoch: cur.epoch,
-                        src_shard: s_old as u32,
-                        dim_start: start as u64,
-                        dim_end: end as u64,
-                        dest: dest as u64,
-                        dest_shard: s_new as u32,
-                        dest_dim_block: b_new as u32,
-                    },
-                );
-            }
+    let mut bytes = 0;
+    for (s, clusters) in routing.shard_clusters.iter().enumerate() {
+        for (b, range) in routing.dim_ranges.iter().enumerate() {
+            let cut = |&c: &u32| {
+                let rows = routing.lists.members[c as usize].iter();
+                let rows = rows.map(|id| base.by_id[id]);
+                cut_list(&base.store, c, rows, *range, is_ip, state.sq8)
+            };
+            let load = ToWorker::Load(LoadBlock {
+                ns,
+                epoch,
+                shard: s as u32,
+                dim_block: b as u32,
+                dim_start: range.start as u64,
+                dim_end: range.end as u64,
+                total_dim_blocks: routing.plan.dim_blocks as u32,
+                metric: metric_tag::encode(state.metric),
+                pruning: state.pruning,
+                repr: repr_tag::encode(repr),
+                lists: clusters.iter().map(cut).collect(),
+            })
+            .to_bytes();
+            bytes += load.len() as u64;
+            cluster.send(routing.plan.machine_of(s, b), load)?;
         }
     }
+    // One block per machine of the plan, which may be fewer than the
+    // deployment's.
+    let (blocks, ready) = (routing.plan.machines(), ToClient::EpochReady { ns, epoch });
+    let timeout = EPOCH_HANDSHAKE_TIMEOUT;
+    await_ready(control, cluster.workers(), &ready, blocks, timeout)?;
+    Ok(bytes)
 }
 
-/// Modeled `(payload bytes, network messages, network pieces)` of the
-/// migration from `cur` to `next`. Self-directed pieces install locally
-/// and cost nothing on the fabric.
-pub(super) fn migration_volume(
-    state: &NamespaceState,
-    cur: &RoutingEpoch,
-    next: &RoutingEpoch,
-) -> (u64, u64, u64) {
-    let is_ip = !matches!(state.metric, Metric::L2);
-    let mut bytes = 0u64;
-    let mut pieces = 0u64;
-    let mut groups: HashSet<(NodeId, u64, u32, u32)> = HashSet::new();
-    visit_transfers(cur, next, |src, t| {
-        if src as u64 == t.dest {
-            return;
-        }
-        let members = cur.lists.members.get(t.cluster as usize);
-        let rows = members.map_or(0, Vec::len) as u64;
-        let width = t.dim_end - t.dim_start;
-        // Header + ids + payload (+ norm tables under inner-product
-        // metrics) — mirrors the ListPiece wire layout. SQ8 ships one
-        // byte per coordinate plus a 4-byte code sum per row and a
-        // fixed segment header instead of 4-byte floats.
-        let mut piece = 44 + rows * 8;
-        piece += if state.sq8 {
-            40 + rows * (width + 4)
-        } else {
-            rows * width * 4
-        };
-        if is_ip {
-            piece += rows * 8;
-        }
-        bytes += piece;
-        pieces += 1;
-        groups.insert((src, t.dest, t.dest_shard, t.dest_dim_block));
-    });
-    (bytes, groups.len() as u64, pieces)
+/// The one wait of an epoch handshake: `blocks` machines each answer
+/// `ready` once. A machine hosts one block of an epoch and epoch numbers
+/// are never reused, so the acks of another epoch — an aborted one's
+/// stragglers — and a machine's duplicate count for nothing.
+fn await_ready(
+    control: &Receiver<(NodeId, ToClient)>,
+    machines: usize,
+    ready: &ToClient,
+    blocks: usize,
+    timeout: Duration,
+) -> Result<(), CoreError> {
+    let acks = once_per_machine(machines, |msg| msg == ready);
+    await_acks(control, Instant::now() + timeout, blocks, acks)
 }
 
 impl EngineCore {
@@ -331,87 +307,43 @@ impl EngineCore {
         });
     }
 
-    /// Executes a live layout switch: announce the next epoch to every
-    /// machine, ship the pieces, and once all have activated it re-home
-    /// the pending ingest state and publish it
-    /// (`EngineCore::install_epoch`). The old epoch stays on the workers
-    /// until its last in-flight query drains
-    /// (see [`EngineCore::gc_retired`]).
-    pub(super) fn execute_migration(
-        &self,
-        state: &NamespaceState,
-        sup: &mut SupervisorState,
-        plan: PartitionPlan,
-        assignment: ShardAssignment,
-    ) -> Result<MigrationReport, CoreError> {
-        let cur = Arc::clone(&state.view().routing);
-        let epoch = sup.number_epoch();
-        let lists = Arc::clone(&cur.lists);
-        let next = RoutingEpoch::new(epoch, plan, assignment, state.dim, lists, &sup.tuned)?;
-        let next = Arc::new(next);
-        // The one winning layout materializes its schedule: pieces expected
-        // per destination, transfers per source.
-        let mut expected = vec![0u64; self.config.n_machines];
-        let mut by_src: BTreeMap<NodeId, Vec<TransferSpec>> = BTreeMap::new();
-        visit_transfers(&cur, &next, |src, t| {
-            expected[t.dest as usize] += 1;
-            by_src.entry(src).or_default().push(t);
-        });
-        let (modeled_bytes, msgs, network_pieces) = migration_volume(state, &cur, &next);
-        let report = MigrationReport {
-            from_epoch: cur.epoch,
-            to_epoch: next.epoch,
-            from_plan: cur.plan,
-            to_plan: next.plan,
-            clusters_moved: cur.assignment.moved_clusters(&next.assignment).len(),
-            network_pieces,
-            modeled_bytes,
-            migration_ns: sup.tuned.migration_ns(modeled_bytes, msgs),
-            stay_ns: 0.0,
-            projected_ns: 0.0,
-            candidates: Vec::new(),
-        };
-        drop(cur);
-
-        let ship = || -> Result<(), CoreError> {
-            for (m, &pieces) in expected.iter().enumerate() {
-                let (shard, dim_block) = next.plan.block_of(m);
-                self.send(m, &next.begin(state.ns, shard, dim_block, pieces))?;
-            }
-            // Ship each source's transfers in bounded waves so foreground
-            // query chunks can interleave in worker mailboxes instead of
-            // stalling behind one giant transfer message. Activation counts
-            // pieces, not messages, so chunking never changes the handshake.
-            let wave = match self.config.replan.max_pieces_per_tick {
-                0 => usize::MAX,
-                wave => wave,
-            };
-            for (&src, transfers) in &by_src {
-                for chunk in transfers.chunks(wave) {
-                    let msg = MigrateOut {
-                        ns: state.ns,
-                        epoch,
-                        transfers: chunk.to_vec(),
-                    };
-                    self.send(src, &ToWorker::MigrateOut(msg))?;
-                }
-            }
-            Ok(())
-        };
-        // The migration ships only the epoch's *list* storage; rows still
-        // sitting in delta lists — and the tombstones suppressing their
-        // stale copies — live outside it and are re-homed once the epoch is
-        // active. Writes go on during the handshake: no ingest guard yet.
-        self.install_epoch(state, sup, None, Arc::clone(&next), ship, |ing| {
-            self.reship_ingest(state, ing, &next)
-        })?;
-        Ok(report)
-    }
-
     /// Best-effort eviction of an epoch from every machine: a drained
     /// retired one, or a half-installed one after a failed handshake, so a
     /// retry cannot meet leftover state.
     pub(super) fn abort_epoch(&self, ns: u16, epoch: u64) {
         let _ = self.broadcast(&ToWorker::EvictEpoch { ns, epoch });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use harmony_cluster::ClusterError;
+
+    #[test]
+    fn a_stale_ack_of_an_aborted_epoch_cannot_complete_a_later_handshake() {
+        let ack = |epoch| ToClient::EpochReady { ns: 7, epoch };
+        let brief = Duration::from_millis(20);
+        let (tx, rx) = unbounded();
+        // Epoch 1 was aborted after every machine had acked it; of epoch 2,
+        // three machines have answered so far, one of them twice, and
+        // another tenant's epoch 2 is ready everywhere.
+        for machine in 0..4 {
+            tx.send((machine, ack(1))).unwrap();
+            tx.send((machine, ToClient::EpochReady { ns: 8, epoch: 2 }))
+                .unwrap();
+        }
+        for machine in [0, 1, 1, 2] {
+            tx.send((machine, ack(2))).unwrap();
+        }
+        let waited = await_ready(&rx, 4, &ack(2), 4, brief);
+        assert_eq!(waited, Err(CoreError::Cluster(ClusterError::Timeout)));
+        // With the fourth machine's ack the same wait completes.
+        for machine in 0..4 {
+            tx.send((machine, ack(1))).unwrap();
+            tx.send((machine, ack(2))).unwrap();
+        }
+        await_ready(&rx, 4, &ack(2), 4, brief).unwrap();
     }
 }

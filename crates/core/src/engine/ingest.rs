@@ -6,24 +6,23 @@
 //! guard as proof that its caller is the one writer. Mutex and view slot
 //! are private to this module, so every writer lives here:
 //! [`EngineCore::upsert_ns`], [`EngineCore::delete_ns`], and
-//! [`EngineCore::install_epoch`], which every compaction and migration
-//! ends in.
+//! [`EngineCore::recut`], which every compaction and migration is.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use harmony_index::distance::ip;
 use harmony_index::kmeans::nearest_centroids;
 use harmony_index::Metric;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use super::epoch::{EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
-use super::namespace::{cut_list, NamespaceState};
+use super::epoch::{ship_epoch, EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
+use super::namespace::NamespaceState;
 use super::supervisor::SupervisorState;
-use super::{await_acks, once_per_machine, EngineCore};
+use super::EngineCore;
 use crate::error::CoreError;
-use crate::messages::{DeleteIds, DeltaUpsert, InstallLists, ToClient, ToWorker};
+use crate::messages::{DeleteIds, DeltaUpsert, ToWorker};
+use crate::partition::{PartitionPlan, ShardAssignment};
 use crate::planner::{ListRows, SampleView};
 
 /// One not-yet-compacted upsert (client-side record of a delta row).
@@ -94,8 +93,8 @@ pub(super) struct NsView {
     pub(super) routing: Arc<RoutingEpoch>,
     /// Ingest watermark: a query admitted under this view scans exactly the
     /// delta rows with `seq < delta_seq`. Every such row was sent — to the
-    /// epoch current at its upsert, and re-shipped or folded into each
-    /// later one — before the view that covers it was published, so
+    /// epoch current at its upsert; each later one has it folded into its
+    /// lists — before the view that covers it was published, so
     /// per-destination FIFO order puts it ahead of the query's chunks.
     pub(super) delta_seq: u64,
     /// Ids deleted and not re-upserted since (id → delete seq): filtered
@@ -181,12 +180,6 @@ impl NamespaceState {
         (ing.pending.len(), ing.tombstones.len())
     }
 }
-
-/// Deadline for an epoch's announce → ship → ack handshake. Generous:
-/// migrations move whole grid blocks over the modeled fabric while query
-/// traffic shares the worker mailboxes. On expiry the epoch is aborted
-/// (evicted everywhere) and the incumbent layout stays in force.
-const EPOCH_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Accounting of one executed compaction.
 #[derive(Debug, Clone)]
@@ -316,7 +309,7 @@ impl EngineCore {
         // while the re-upsert itself stays visible.
         if known {
             let del_seq = ing.number();
-            self.send_tombstone(state.ns, u64::MAX, id, del_seq)?;
+            self.send_tombstone(state.ns, id, del_seq)?;
             ing.tombstones.insert(id, del_seq);
         }
         let seq = ing.number();
@@ -366,7 +359,7 @@ impl EngineCore {
             return Ok(false);
         }
         let seq = ing.number();
-        self.send_tombstone(state.ns, u64::MAX, id, seq)?;
+        self.send_tombstone(state.ns, id, seq)?;
         ing.tombstones.insert(id, seq);
         Arc::make_mut(&mut ing.deleted).insert(id, seq);
         ing.mark_overridden(id);
@@ -375,14 +368,13 @@ impl EngineCore {
         Ok(true)
     }
 
-    /// Tells every machine that `id` is dead below `seq`, in `epoch`
-    /// (`u64::MAX`: in every epoch it holds).
-    fn send_tombstone(&self, ns: u16, epoch: u64, id: u64, seq: u64) -> Result<(), CoreError> {
-        let ids = vec![id];
+    /// Tells every machine that `id` is dead below `seq`, in every epoch
+    /// of the namespace it holds.
+    fn send_tombstone(&self, ns: u16, id: u64, seq: u64) -> Result<(), CoreError> {
         self.broadcast(&ToWorker::DeleteIds(DeleteIds {
             ns,
-            epoch,
-            ids,
+            epoch: u64::MAX,
+            ids: vec![id],
             seq,
         }))
     }
@@ -423,18 +415,29 @@ impl EngineCore {
         Ok(())
     }
 
-    /// One compaction of `state` (see [`EngineCore::compact`]), under its
-    /// supervisor lock. Holds `ingest` from the cut to the publication: no
-    /// write can land between the membership the new lists are cut from
-    /// and the view that stops selecting the rows folded into them.
-    pub(super) fn compact_state(
+    /// Recuts `state` onto the layout `(plan, assignment)` under its
+    /// supervisor lock — the one way an epoch follows another. A compaction
+    /// passes the incumbent's layout, a migration the one it moves to;
+    /// either way every pending write is folded into the lists the new
+    /// epoch is cut from, and with nothing to fold and the layout already
+    /// in force the call is a no-op. Holds `ingest` from the cut to the
+    /// publication: no write can land between the membership the new
+    /// lists are cut from and the view that stops selecting the rows
+    /// folded into them.
+    pub(super) fn recut(
         &self,
         state: &NamespaceState,
         sup: &mut SupervisorState,
+        plan: PartitionPlan,
+        assignment: ShardAssignment,
     ) -> Result<CompactionReport, CoreError> {
         let ing = state.writes.ingest.lock();
         let cur = Arc::clone(&state.view().routing);
-        if ing.pending.is_empty() && ing.deleted.is_empty() && ing.tombstones.is_empty() {
+        let unwritten =
+            ing.pending.is_empty() && ing.deleted.is_empty() && ing.tombstones.is_empty();
+        let in_force =
+            plan == cur.plan && assignment.cluster_to_shard == cur.assignment.cluster_to_shard;
+        if unwritten && in_force {
             return Ok(CompactionReport {
                 epoch: cur.epoch,
                 folded_rows: 0,
@@ -474,7 +477,6 @@ impl EngineCore {
             members[cluster as usize].push(id);
         }
 
-        let base = state.base.read();
         // The published epoch carries prewarm samples of the lists it
         // serves, so thresholds stay as tight as a fresh build's however
         // many write cycles came before.
@@ -482,136 +484,65 @@ impl EngineCore {
             PREWARM_PER_LIST,
             state.prewarm_seed.wrapping_add(epoch),
             &members,
-            &base,
+            &state.base.read(),
             Some((&cur.lists.prewarm, &ing.overridden)),
         )?;
-        // The compacted lists keep the incumbent's layout.
-        let next = Arc::new(RoutingEpoch::new(
+        let next = RoutingEpoch::new(
             epoch,
-            cur.plan,
-            cur.assignment.clone(),
+            plan,
+            assignment,
             state.dim,
-            Arc::new(EpochLists { members, prewarm }),
+            EpochLists { members, prewarm },
             &sup.tuned,
-        )?);
+        )?;
         drop(cur);
-
-        let ship = || -> Result<(), CoreError> {
-            let is_ip = !matches!(state.metric, Metric::L2);
-            for (s, clusters) in next.shard_clusters.iter().enumerate() {
-                for (b, range) in next.dim_ranges.iter().enumerate() {
-                    let machine = next.plan.machine_of(s, b);
-                    self.send(machine, &next.begin(state.ns, s, b, clusters.len() as u64))?;
-                    let pieces = clusters
-                        .iter()
-                        .map(|&c| {
-                            let members = &next.lists.members[c as usize];
-                            let rows = members.iter().map(|id| base.by_id[id]);
-                            cut_list(&base.store, rows, *range, is_ip, state.sq8)
-                                .into_piece(c, *range)
-                        })
-                        .collect();
-                    let msg = InstallLists {
-                        ns: state.ns,
-                        epoch,
-                        shard: s as u32,
-                        dim_block: b as u32,
-                        pieces,
-                    };
-                    self.send(machine, &ToWorker::InstallLists(msg))?;
-                }
-            }
-            // Released before the acks are awaited.
-            drop(base);
-            Ok(())
-        };
-        self.install_epoch(state, sup, Some(ing), Arc::clone(&next), ship, |ing| {
-            // In-flight queries re-rank against whatever is left; the ids
-            // swept here are dead to them already, and stay listed as
-            // deleted until the publication that follows.
-            state.base.write().sweep(&ing.deleted);
-            ing.pending.clear();
-            ing.tombstones.clear();
-            ing.deleted = Arc::default();
-            // Every id written before this point is folded into the lists
-            // the new epoch's samples were cut from.
-            ing.overridden = Arc::default();
-            Ok(())
-        })?;
+        self.install_epoch(state, sup, ing, Arc::new(next))?;
         Ok(report)
     }
 
-    /// Brings `next` into force — the one way a routing epoch is replaced:
-    /// hold the control channel, `ship` the epoch, await every machine's
-    /// activation, let `settle` bring the ingest state in line with it,
+    /// Brings `next` — cut from the ingest state behind `ing` — into force,
+    /// the one way a routing epoch is replaced: hold the control channel,
+    /// ship the epoch's blocks and await every machine's ack
+    /// ([`ship_epoch`]), forget the writes now folded into its lists,
     /// publish, and retire the incumbent until its in-flight queries drain.
-    /// A failure at any step evicts the half-installed epoch and leaves the
+    /// A failed handshake evicts the half-installed epoch and leaves the
     /// incumbent in force.
-    ///
-    /// `held` is the ingest guard of a caller whose epoch was cut from the
-    /// ingest state (a compaction). A caller that only moves lists (a
-    /// migration) passes `None`: writes proceed during its handshake and
-    /// the guard is taken once the epoch is active. Either way it is held
-    /// from `settle` through the publication, so no write slips between
-    /// what `settle` re-homed or folded and the swap.
-    pub(super) fn install_epoch<'a>(
+    pub(super) fn install_epoch(
         &self,
-        state: &'a NamespaceState,
+        state: &NamespaceState,
         sup: &mut SupervisorState,
-        held: Option<MutexGuard<'a, IngestState>>,
+        mut ing: MutexGuard<'_, IngestState>,
         next: Arc<RoutingEpoch>,
-        ship: impl FnOnce() -> Result<(), CoreError>,
-        settle: impl FnOnce(&mut IngestState) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        let (ns, epoch) = (state.ns, next.epoch);
         let shipped = {
+            let base = state.base.read();
             // Held for the whole handshake so concurrent stats collectors
-            // cannot consume the activation acks. Stale stats replies and
-            // acks of older epochs are skipped.
+            // cannot consume the acks.
             let control = self.control.lock();
-            let machines = self.config.n_machines;
-            let acks = once_per_machine(machines, |msg| *msg == ToClient::EpochReady { ns, epoch });
-            ship().and_then(|()| {
-                let deadline = Instant::now() + EPOCH_HANDSHAKE_TIMEOUT;
-                await_acks(&control, deadline, machines, acks)
-            })
+            ship_epoch(&self.cluster, &control, state, &next, &base)
         };
-        let mut ing = held.unwrap_or_else(|| state.writes.ingest.lock());
-        if let Err(e) = shipped.and_then(|()| settle(&mut ing)) {
-            drop(ing);
-            self.abort_epoch(ns, epoch);
-            return Err(e);
+        match shipped {
+            Ok(bytes) => sup.epoch_bytes = bytes,
+            Err(e) => {
+                drop(ing);
+                self.abort_epoch(state.ns, next.epoch);
+                return Err(e);
+            }
         }
+        // In-flight queries re-rank against whatever is left; the ids swept
+        // here are dead to them already, and stay listed as deleted until
+        // the publication that follows.
+        state.base.write().sweep(&ing.deleted);
+        ing.pending.clear();
+        ing.tombstones.clear();
+        ing.deleted = Arc::default();
+        // Every id written before this point is folded into the lists the
+        // new epoch's samples were cut from.
+        ing.overridden = Arc::default();
         // The replaced epoch goes to the retired list and nowhere else:
         // in-flight admissions are its only other holders, which is what
         // lets a strong count of one mean "drained".
         sup.retired.extend(state.writes.publish(&ing, Some(next)));
-        Ok(())
-    }
-
-    /// Replays the live ingest state (tombstones + newest pending row per
-    /// id) into the freshly activated epoch `next`. Rows ship in sequence
-    /// order per destination so the worker-side delta lists stay
-    /// seq-sorted.
-    pub(super) fn reship_ingest(
-        &self,
-        state: &NamespaceState,
-        ing: &IngestState,
-        next: &RoutingEpoch,
-    ) -> Result<(), CoreError> {
-        let mut tombs: Vec<(u64, u64)> = ing.tombstones.iter().map(|(&id, &s)| (id, s)).collect();
-        tombs.sort_unstable_by_key(|&(_, seq)| seq);
-        for (id, seq) in tombs {
-            self.send_tombstone(state.ns, next.epoch, id, seq)?;
-        }
-        let base = state.base.read();
-        for row in ing.newest_pending() {
-            let Some(&at) = base.by_id.get(&row.0) else {
-                debug_assert!(false, "pending delta row missing from the base store");
-                continue;
-            };
-            self.send_delta_row(state, next, row, base.store.row(at))?;
-        }
         Ok(())
     }
 }
@@ -780,7 +711,9 @@ mod tests {
                 record(epoch + 2, live, &written);
                 let report = engine.compact().unwrap();
                 assert_eq!((report.epoch, report.noop), (epoch + 1, false));
-                let plan = plans[cycle as usize % 2];
+                // A layout already in force with nothing to fold would be
+                // a no-op: always move to the other plan.
+                let plan = plans[usize::from(engine.plan() == plans[0])];
                 assert_eq!(engine.migrate_to(plan).unwrap().to_epoch, epoch + 2);
             }
             assert!(engine.compact().unwrap().noop);

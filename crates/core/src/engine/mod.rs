@@ -48,12 +48,13 @@
 //! live per-cluster probe counters ([`crate::ProbeTracker`]) into an
 //! observed [`crate::WorkloadProfile`], re-scores every factorization with the cost model
 //! plus a migration-cost term, and — when the projected win amortizes the
-//! move — executes a live migration: workers ship
-//! [`crate::messages::ListPiece`]s of their
-//! grid blocks to the new layout's machines (epoch N+1), destinations ack
-//! once assembled, the client publishes the new epoch, and the old one is
-//! evicted only after its last in-flight query drains (tracked by the
-//! Arc's reference count).
+//! move — executes a live migration: the client re-runs Pre-assign for
+//! the new layout (epoch N+1), cutting every grid block from its exact
+//! copy with the pending writes folded in and shipping it as a
+//! [`crate::messages::LoadBlock`]; machines ack as they install, the client
+//! publishes the new epoch, and the old one is evicted only after its last
+//! in-flight query drains (tracked by the Arc's reference count). A
+//! compaction is the same recut onto the layout already in force.
 //!
 //! # One published view per namespace
 //!
@@ -67,7 +68,7 @@
 //!
 //! The modules follow the locks: `session` (the session table), `ingest`
 //! (the `ingest` mutex, the view, every publication), `epoch` (routing
-//! epochs, migration), `supervisor` (the `supervisor` mutex and every entry
+//! epochs, Pre-assign), `supervisor` (the `supervisor` mutex and every entry
 //! that takes it), `namespace` (tenant state, build, registry, temperature).
 //! Lock order: `namespaces < supervisor < ingest < base < control < view <
 //! inner` (`lint.toml`).
@@ -130,9 +131,9 @@ pub use supervisor::ReplanOutcome;
 pub(crate) use epoch::PrewarmSamples;
 pub(crate) use namespace::{cut_list, BaseStore};
 
+use epoch::ship_epoch;
 use namespace::{
-    default_namespace_config, install_loads, place_namespace, run_compactor, survey_namespace,
-    PreparedNamespace,
+    default_namespace_config, place_namespace, run_compactor, survey_namespace, PreparedNamespace,
 };
 use session::{run_router, SessionTable};
 
@@ -343,11 +344,10 @@ impl HarmonyEngine {
             .with_message_ns(msg_ns)
             .with_near_tie(config.replan.hysteresis);
         let PreparedNamespace {
-            state,
-            loads,
+            mut state,
             stats,
             model,
-        } = place_namespace(0, &config, &ns0_cfg, config.mode, base, surveyed, &model)?;
+        } = place_namespace(0, &config, &ns0_cfg, config.mode, surveyed, &model)?;
         // Namespaces of namespace 0's shape reuse its scan rates.
         let rates_shape = (config.repr, config.metric, state.dim);
 
@@ -363,7 +363,15 @@ impl HarmonyEngine {
 
         // --- Pre-assign: ship namespace 0's grid blocks ----------------
         let t0 = Instant::now();
-        install_loads(&cluster, &control_rx, 0, loads)?;
+        let view = state.view();
+        let shipped = ship_epoch(
+            &cluster,
+            &control_rx,
+            &state,
+            &view.routing,
+            &state.base.read(),
+        )?;
+        state.supervision.record_shipment(shipped);
         let bytes_shipped = cluster.snapshot().client.bytes_tx;
         let preassign = t0.elapsed();
         // Search metrics must not include the build traffic.

@@ -3,13 +3,11 @@
 //! temperature, and the background thread that folds and retempers
 //! tenants.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Receiver;
-use harmony_cluster::{Cluster, NodeId, Wire};
 use harmony_index::distance::ip;
 use harmony_index::{
     AccessEwma, BlockRepr, DimRange, IndexError, KMeans, KMeansConfig, Metric, Sq8Segment,
@@ -17,16 +15,14 @@ use harmony_index::{
 };
 use parking_lot::RwLock;
 
-use super::epoch::{EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
+use super::epoch::{ship_epoch, EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
 use super::ingest::WriteSide;
 use super::supervisor::Supervision;
 use super::{await_acks, once_per_machine, EngineCore};
 use crate::config::{EngineMode, HarmonyConfig, NamespaceConfig, SearchOptions};
 use crate::cost::{CostModel, ScanRates, Survivors, WorkloadProfile};
 use crate::error::CoreError;
-use crate::messages::{
-    metric_tag, repr_tag, ClusterBlock, ListPiece, LoadBlock, SetTier, ToClient, ToWorker,
-};
+use crate::messages::{ClusterBlock, SetTier, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
 use crate::planner::{self, SampleView};
 use crate::stats::{BuildStats, ProbeTracker};
@@ -146,12 +142,10 @@ pub(super) fn default_namespace_config(config: &HarmonyConfig) -> NamespaceConfi
     }
 }
 
-/// Output of [`place_namespace`]: the assembled state plus the grid
-/// blocks to ship (the caller owns the transport).
+/// Output of [`place_namespace`]: the assembled state, epoch 0 cut but
+/// not yet shipped (the caller owns the transport: [`ship_epoch`]).
 pub(super) struct PreparedNamespace {
     pub(super) state: NamespaceState,
-    /// `(machine, block)` pairs in send order.
-    pub(super) loads: Vec<(usize, LoadBlock)>,
     /// Train, Add and the plan choice; Pre-assign is the caller's to time.
     pub(super) stats: BuildStats,
     /// The model that priced the candidates: the engine's, with this
@@ -159,63 +153,24 @@ pub(super) struct PreparedNamespace {
     pub(super) model: CostModel,
 }
 
-/// One inverted list cut to one dimension range: the payload a
-/// [`ClusterBlock`] (build) and a [`ListPiece`] (compaction) both carry.
-pub(crate) struct ListCut {
-    ids: Vec<u64>,
-    /// Row-major coordinates over the range (empty under SQ8).
-    flat: Vec<f32>,
-    /// The same rows quantized as one segment (SQ8 only).
-    segs: Vec<Sq8Segment>,
-    /// Per-row squared norm over the range and over the full vector
-    /// (inner-product metrics only; empty under L2).
-    range_norms_sq: Vec<f32>,
-    total_norms_sq: Vec<f32>,
-}
-
-impl ListCut {
-    /// The cut as the list of a [`LoadBlock`].
-    pub(crate) fn into_block(self, cluster: u32) -> ClusterBlock {
-        ClusterBlock {
-            cluster,
-            ids: self.ids,
-            flat: self.flat,
-            segs: self.segs,
-            block_norms_sq: self.range_norms_sq,
-            total_norms_sq: self.total_norms_sq,
-        }
-    }
-
-    /// The cut as one list of an [`crate::messages::InstallLists`].
-    pub(super) fn into_piece(self, cluster: u32, range: DimRange) -> ListPiece {
-        ListPiece {
-            cluster,
-            dim_start: range.start as u64,
-            dim_end: range.end as u64,
-            ids: self.ids,
-            flat: self.flat,
-            segs: self.segs,
-            piece_norms_sq: self.range_norms_sq,
-            total_norms_sq: self.total_norms_sq,
-        }
-    }
-}
-
-/// Cuts `rows` of `store` to `range`. Under SQ8 only codes travel and
-/// reside; the norm tables stay exact (computed from the original slices,
-/// before quantization).
+/// Cuts `rows` of `store` to `range` as list `cluster` of a grid block.
+/// Under SQ8 only codes travel and reside, one segment per list; the norm
+/// tables stay exact (computed from the original slices, before
+/// quantization).
 pub(crate) fn cut_list(
     store: &VectorStore,
+    cluster: u32,
     rows: impl ExactSizeIterator<Item = usize>,
     range: DimRange,
     is_ip: bool,
     sq8: bool,
-) -> ListCut {
-    let mut cut = ListCut {
+) -> ClusterBlock {
+    let mut cut = ClusterBlock {
+        cluster,
         ids: Vec::with_capacity(rows.len()),
         flat: Vec::with_capacity(rows.len() * range.len()),
         segs: Vec::new(),
-        range_norms_sq: Vec::new(),
+        block_norms_sq: Vec::new(),
         total_norms_sq: Vec::new(),
     };
     for row in rows {
@@ -223,7 +178,7 @@ pub(crate) fn cut_list(
         let slice = store.row_range(row, range);
         cut.flat.extend_from_slice(slice);
         if is_ip {
-            cut.range_norms_sq.push(ip(slice, slice));
+            cut.block_norms_sq.push(ip(slice, slice));
             let full = store.row(row);
             cut.total_norms_sq.push(ip(full, full));
         }
@@ -261,8 +216,6 @@ pub(super) fn pack_shards(
 /// what the plan choice measures on the namespace's own rows.
 pub(super) struct SurveyedNamespace {
     centroids: VectorStore,
-    /// Rows of the base per list.
-    list_rows: Vec<Vec<usize>>,
     base_store: BaseStore,
     members: Vec<Vec<u64>>,
     prewarm: PrewarmSamples,
@@ -371,7 +324,6 @@ pub(super) fn survey_namespace(
     let survivors = planner::sample_survivors(&view, &picks, profile.nprobe, &plans);
     Ok(SurveyedNamespace {
         centroids: km.centroids,
-        list_rows,
         base_store,
         members,
         prewarm,
@@ -385,20 +337,19 @@ pub(super) fn survey_namespace(
     })
 }
 
-/// Chooses the plan of a surveyed namespace and cuts the grid blocks to
-/// ship (Pre-assign), producing its state. `model` carries what is measured
-/// once per engine — the fabric's message cost — and the knobs of the
-/// choice; the namespace's own rates and survivors complete it.
+/// Chooses the plan of a surveyed namespace and cuts its epoch 0,
+/// producing its state. `model` carries what is measured once per engine —
+/// the fabric's message cost — and the knobs of the choice; the
+/// namespace's own rates and survivors complete it.
 pub(super) fn place_namespace(
     ns: u16,
     config: &HarmonyConfig,
     params: &NamespaceConfig,
     mode: EngineMode,
-    base: &VectorStore,
     survey: SurveyedNamespace,
     model: &CostModel,
 ) -> Result<PreparedNamespace, CoreError> {
-    let dim = base.dim();
+    let dim = survey.base_store.store.dim();
     let metric = params.metric;
     let nlist = survey.centroids.len();
     let sq8 = matches!(params.repr, BlockRepr::Sq8);
@@ -424,43 +375,14 @@ pub(super) fn place_namespace(
         }
     };
 
-    // --- Pre-assign (a plan with more blocks than dimensions ends here) --
-    let lists = Arc::new(EpochLists {
+    // A plan with more blocks than dimensions ends here.
+    let lists = EpochLists {
         members: survey.members,
         prewarm: survey.prewarm,
-    });
+    };
     let sizes = &survey.profile.list_sizes;
     let assignment = pack_shards(config.balanced_load, sizes, plan.vec_shards);
     let routing = RoutingEpoch::new(0, plan, assignment, dim, lists, &scoring)?;
-
-    let is_ip = !matches!(metric, Metric::L2);
-    let mut loads = Vec::new();
-    for (s, clusters) in routing.shard_clusters.iter().enumerate() {
-        for (b, range) in routing.dim_ranges.iter().enumerate() {
-            let machine = plan.machine_of(s, b);
-            let lists: Vec<ClusterBlock> = clusters
-                .iter()
-                .map(|&c| {
-                    let rows = survey.list_rows[c as usize].iter().copied();
-                    cut_list(base, rows, *range, is_ip, sq8).into_block(c)
-                })
-                .collect();
-            let load = LoadBlock {
-                ns,
-                epoch: 0,
-                shard: s as u32,
-                dim_block: b as u32,
-                dim_start: range.start as u64,
-                dim_end: range.end as u64,
-                total_dim_blocks: plan.dim_blocks as u32,
-                metric: metric_tag::encode(metric),
-                pruning: params.pruning,
-                repr: repr_tag::encode(params.repr),
-                lists,
-            };
-            loads.push((machine, load));
-        }
-    }
 
     let state = NamespaceState {
         ns,
@@ -491,7 +413,6 @@ pub(super) fn place_namespace(
     };
     Ok(PreparedNamespace {
         state,
-        loads,
         stats,
         model: scoring,
     })
@@ -531,31 +452,6 @@ pub(super) fn run_compactor(core: Arc<EngineCore>, interval: Duration, stop: Arc
         last = Instant::now();
         core.compactor_tick(&mut access);
     }
-}
-
-/// Ships prepared grid blocks over `cluster` and awaits one ack per block
-/// on the control channel the router feeds.
-pub(super) fn install_loads(
-    cluster: &Cluster,
-    control: &Receiver<(NodeId, ToClient)>,
-    ns: u16,
-    loads: Vec<(usize, LoadBlock)>,
-) -> Result<(), CoreError> {
-    let expected = loads.len();
-    for (machine, load) in loads {
-        cluster.send(machine, ToWorker::Load(load).to_bytes())?;
-    }
-    let deadline = Instant::now() + Duration::from_secs(120);
-    // Stale acks of other namespaces are not this install's.
-    let mut acked: HashSet<(u32, u32)> = HashSet::new();
-    await_acks(control, deadline, expected, |_, msg| match msg {
-        ToClient::LoadAck {
-            ns: n,
-            shard,
-            dim_block,
-        } => n == ns && acked.insert((shard, dim_block)),
-        _ => false,
-    })
 }
 
 impl EngineCore {
@@ -599,22 +495,26 @@ impl EngineCore {
             .next_ns
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
             .map_err(|_| CoreError::Config("namespace ids exhausted (u16 overflow)".into()))?;
-        let PreparedNamespace {
-            mut state, loads, ..
-        } = place_namespace(
+        let PreparedNamespace { mut state, .. } = place_namespace(
             ns,
             &self.config,
             cfg,
             EngineMode::Harmony,
-            base,
             surveyed,
             &self.model,
         )?;
-        let installed = install_loads(&self.cluster, &self.control.lock(), ns, loads);
-        if let Err(e) = installed {
-            // Best-effort cleanup of whatever blocks already landed.
-            self.abort_epoch(ns, 0);
-            return Err(e);
+        let shipped = {
+            let (view, base) = (state.view(), state.base.read());
+            let control = self.control.lock();
+            ship_epoch(&self.cluster, &control, &state, &view.routing, &base)
+        };
+        match shipped {
+            Ok(bytes) => state.supervision.record_shipment(bytes),
+            Err(e) => {
+                // Best-effort cleanup of whatever blocks already landed.
+                self.abort_epoch(ns, 0);
+                return Err(e);
+            }
         }
         state.supervision.start_window(self.collect_stats()?);
         self.namespaces.write().insert(ns, Arc::new(state));

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use harmony_index::VectorStore;
 use parking_lot::Mutex;
 
-use super::epoch::{migration_volume, MigrationReport, RoutingEpoch};
+use super::epoch::{MigrationReport, RoutingEpoch};
 use super::ingest::{with_sample_view, CompactionReport};
 use super::namespace::{list_weights, pack_shards, NamespaceState};
 use super::EngineCore;
@@ -43,13 +43,16 @@ pub(super) struct SupervisorState {
     /// Worker statistics as of the previous tick — the counters are
     /// cumulative, a window is the difference of two collections.
     last_stats: EngineStats,
+    /// Bytes the epoch in force took on the wire — what a layout change,
+    /// which ships every grid block of the namespace anew, is priced at.
+    pub(super) epoch_bytes: u64,
 }
 
 impl SupervisorState {
     /// Numbers the next epoch. Migrations and compactions share the
     /// counter, and it advances on every *attempt*, successful or not: a
     /// failed handshake must never reuse its epoch number, or stale acks
-    /// and pieces of the aborted attempt could corrupt the retry.
+    /// of the aborted attempt could complete the retry's handshake.
     pub(super) fn number_epoch(&mut self) -> u64 {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
@@ -76,8 +79,14 @@ impl Supervision {
                 retired: Vec::new(),
                 tuned,
                 last_stats: EngineStats::default(),
+                epoch_bytes: 0,
             }),
         }
+    }
+
+    /// Records what shipping epoch 0 took on the wire.
+    pub(super) fn record_shipment(&mut self, bytes: u64) {
+        self.supervisor.get_mut().epoch_bytes = bytes;
     }
 
     /// Starts the first observation window at `stats`: the worker counters
@@ -157,17 +166,52 @@ impl EngineCore {
             pack_shards(self.config.balanced_load, &sizes, plan.vec_shards)
         };
         drop(cur);
-        self.execute_migration(state, &mut sup, plan, assignment)
+        self.migrate(state, &mut sup, plan, assignment)
+    }
+
+    /// A live layout switch: [`EngineCore::recut`] onto `(plan,
+    /// assignment)`, reported with the price a tick would have put on it.
+    /// The old epoch stays on the workers until its last in-flight query
+    /// drains ([`EngineCore::gc_retired`]).
+    fn migrate(
+        &self,
+        state: &NamespaceState,
+        sup: &mut SupervisorState,
+        plan: PartitionPlan,
+        assignment: ShardAssignment,
+    ) -> Result<MigrationReport, CoreError> {
+        let cur = Arc::clone(&state.view().routing);
+        let mut report = MigrationReport {
+            from_epoch: cur.epoch,
+            to_epoch: cur.epoch,
+            from_plan: cur.plan,
+            to_plan: plan,
+            clusters_moved: cur.assignment.moved_clusters(&assignment).len(),
+            modeled_bytes: sup.epoch_bytes,
+            migration_ns: self.switch_ns(sup),
+            stay_ns: 0.0,
+            projected_ns: 0.0,
+            candidates: Vec::new(),
+        };
+        drop(cur);
+        report.to_epoch = self.recut(state, sup, plan, assignment)?.epoch;
+        Ok(report)
+    }
+
+    /// Modeled one-time cost of a layout change: the namespace's blocks,
+    /// one message per machine.
+    fn switch_ns(&self, sup: &SupervisorState) -> f64 {
+        let machines = self.config.n_machines as u64;
+        sup.tuned.migration_ns(sup.epoch_bytes, machines)
     }
 
     /// Folds every pending delta row of the default namespace into its
     /// home IVF list and drops tombstoned rows, publishing the result as a
-    /// new epoch through the same `BeginEpoch → InstallLists → EpochReady
-    /// → swap` handshake as live migration — searches in flight keep their
-    /// old epoch and stay bit-consistent; new admissions see only the
-    /// compacted lists. Under SQ8 the recut lists are re-quantized
-    /// client-side. A no-op (nothing pending, nothing deleted) publishes
-    /// no epoch.
+    /// new epoch the way a live migration does ([`EngineCore::recut`]) —
+    /// searches in flight keep their old epoch and stay bit-consistent;
+    /// new admissions see only the compacted lists. Under SQ8 the recut
+    /// lists are re-quantized client-side. A no-op (nothing pending,
+    /// nothing deleted) publishes no epoch.
     ///
     /// # Errors
     /// Transport failures or a handshake timeout (the incumbent epoch
@@ -193,7 +237,11 @@ impl EngineCore {
     ) -> Result<CompactionReport, CoreError> {
         let mut sup = state.supervision.supervisor.lock();
         self.gc_retired(state, &mut sup);
-        self.compact_state(state, &mut sup)
+        // The compacted lists keep the incumbent's layout.
+        let cur = Arc::clone(&state.view().routing);
+        let (plan, assignment) = (cur.plan, cur.assignment.clone());
+        drop(cur);
+        self.recut(state, &mut sup, plan, assignment)
     }
 
     /// Runs the planner's survival sample on queries of the caller's
@@ -323,7 +371,9 @@ impl EngineCore {
         let mut candidates = vec![stay];
 
         // Score every factorization under the observed profile, charging
-        // challengers the amortized cost of moving to them.
+        // challengers the amortized cost of moving to them — the same for
+        // each: a layout change ships the whole namespace anew.
+        let switch_ns = self.switch_ns(sup) / replan.amortize_windows;
         let mut best: Option<(PartitionPlan, ShardAssignment, f64, f64, f64)> = None;
         for plan in PartitionPlan::enumerate(self.config.n_machines) {
             if plan.dim_blocks > state.dim {
@@ -347,23 +397,12 @@ impl EngineCore {
                 .estimate_with_assignment(plan, &profile, &assignment);
             let cost = estimate.cost.total_ns;
             candidates.push(estimate);
-            let lists = Arc::clone(&cur.lists);
-            let next = RoutingEpoch::new(
-                cur.epoch + 1,
-                plan,
-                assignment,
-                state.dim,
-                lists,
-                &sup.tuned,
-            )?;
-            let (bytes, msgs, _) = migration_volume(state, &cur, &next);
-            let migration_ns = sup.tuned.migration_ns(bytes, msgs);
-            let score = cost + migration_ns / replan.amortize_windows;
+            let score = cost + switch_ns;
             // Near-ties are settled by the choice's own rule, and for the
             // incumbent where it has none (`CostModel::challenger_score`).
             let preferred = sup.tuned.challenger_score(cur.plan, plan, score);
             if best.as_ref().is_none_or(|b| preferred < b.4) {
-                best = Some((next.plan, next.assignment, score, cost, preferred));
+                best = Some((plan, assignment, score, cost, preferred));
             }
         }
         drop(cur);
@@ -384,7 +423,7 @@ impl EngineCore {
                 candidates,
             });
         }
-        let mut report = self.execute_migration(state, sup, plan, assignment)?;
+        let mut report = self.migrate(state, sup, plan, assignment)?;
         report.stay_ns = stay_ns;
         report.projected_ns = cost;
         report.candidates = candidates;

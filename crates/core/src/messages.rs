@@ -4,9 +4,11 @@
 //! the byte counts the network model charges match what a real deployment
 //! would put on the wire:
 //!
-//! * **Build phase** — [`LoadBlock`] ships one grid block `V_s D_b` (the
-//!   paper's *Pre-assign* stage, Fig. 10) and is acknowledged by
-//!   [`ToClient::LoadAck`].
+//! * **Pre-assign** — [`LoadBlock`] ships one grid block `V_s D_b` of one
+//!   routing epoch (Fig. 10): at build, and again whenever a compaction or
+//!   a layout change recuts the namespace. It is the only message that
+//!   installs list storage, and is acknowledged by
+//!   [`ToClient::EpochReady`].
 //! * **Query phase** — the client splits each *sub-batch* of queries
 //!   across the dimension blocks of every visited shard as one
 //!   [`ChunkBatch`] per machine (Fig. 4b); workers stream surviving
@@ -203,7 +205,9 @@ impl ClusterBlock {
 }
 
 wire! {
-    /// Build-phase shipment of one grid block to its machine.
+    /// Shipment of one grid block of one routing epoch to its machine: the
+    /// build ships epoch 0, every compaction and layout change the blocks
+    /// of the epoch it cuts.
     #[derive(Debug, Clone, PartialEq)]
     pub struct LoadBlock {
         /// Namespace (tenant) this block belongs to. Workers key all epoch
@@ -901,143 +905,6 @@ impl From<QueryResult> for ResultBatch {
 }
 
 wire! {
-    /// One cluster's rows restricted to a *dimension sub-range* — the unit of
-    /// live migration. Pieces sent to one destination partition that block's
-    /// dimension range, so the receiver reassembles the full grid block by
-    /// copying each piece's columns at its offset.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct ListPiece {
-        /// IVF list (cluster) id.
-        pub cluster: u32,
-        /// Absolute dimension range `[start, end)` the piece covers.
-        pub dim_start: u64,
-        /// End of the piece's dimension range.
-        pub dim_end: u64,
-        /// Member vector ids (identical across the cluster's pieces).
-        pub ids: Vec<u64>,
-        /// Row-major member coordinates, `dim_end - dim_start` wide (f32
-        /// representation; empty under SQ8).
-        pub flat: Vec<f32>,
-        /// SQ8 segments column-sliced to `[dim_start, dim_end)` (empty under
-        /// f32). Each segment keeps its source block's `min`/`scale` verbatim,
-        /// so reassembled blocks are bit-identical to never-migrated ones.
-        pub segs: Vec<Sq8Segment> as sq8_segs,
-        /// Per-member squared norm over *this piece's* dimensions
-        /// (inner-product metrics only; empty under L2). The destination sums
-        /// these across pieces to rebuild its block norms.
-        pub piece_norms_sq: Vec<f32>,
-        /// Per-member squared norm of the full vector (inner-product only).
-        pub total_norms_sq: Vec<f32>,
-    }
-    validate = ListPiece::validate;
-}
-
-impl ListPiece {
-    fn validate(&self) -> Result<(), CodecError> {
-        let rows = self.ids.len();
-        check_rows(
-            "ListPiece",
-            rows,
-            &self.flat,
-            &self.segs,
-            [&self.piece_norms_sq, &self.total_norms_sq],
-        )?;
-        check_width(
-            "ListPiece",
-            rows,
-            (self.dim_start, self.dim_end),
-            &self.flat,
-            &self.segs,
-        )
-    }
-}
-
-wire! {
-    /// One migration transfer: "slice this cluster's stored block to the given
-    /// dimension sub-range and deliver it to `dest`'s new-epoch grid block".
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct TransferSpec {
-        /// Cluster whose data moves.
-        pub cluster: u32,
-        /// Epoch whose storage the source slices from.
-        pub src_epoch: u64,
-        /// Shard the cluster belongs to under the source epoch.
-        pub src_shard: u32,
-        /// Absolute dimension range `[start, end)` to ship.
-        pub dim_start: u64,
-        /// End of the shipped dimension range.
-        pub dim_end: u64,
-        /// Destination machine.
-        pub dest: u64,
-        /// Shard of the destination grid block (new epoch).
-        pub dest_shard: u32,
-        /// Dimension block of the destination grid block (new epoch).
-        pub dest_dim_block: u32,
-    }
-}
-
-wire! {
-    /// Client → source machine: execute these transfers toward `epoch`.
-    /// Worker-to-worker shipping rides the existing fabric; transfers whose
-    /// destination is the source itself are installed locally without touching
-    /// the network.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct MigrateOut {
-        /// Namespace being migrated; sources slice from and destinations
-        /// install into this namespace's storage only.
-        pub ns: u16,
-        /// Epoch the shipped pieces install into.
-        pub epoch: u64,
-        /// Transfers this source must perform.
-        pub transfers: Vec<TransferSpec>,
-    }
-}
-
-wire! {
-    /// Client → destination machine: announce the grid block the machine hosts
-    /// under `epoch` and how many [`ListPiece`]s to expect. Once the count is
-    /// met the machine activates the epoch's storage and acks with
-    /// [`ToClient::EpochReady`].
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct BeginEpoch {
-        /// Namespace whose routing advances to the new epoch.
-        pub ns: u16,
-        /// The new epoch.
-        pub epoch: u64,
-        /// Shard of this machine's grid block under the new plan.
-        pub shard: u32,
-        /// Dimension block index under the new plan.
-        pub dim_block: u32,
-        /// Dimension range `[start, end)` of the block.
-        pub dim_start: u64,
-        /// End of the block's dimension range.
-        pub dim_end: u64,
-        /// Pipeline length of the new plan.
-        pub total_dim_blocks: u32,
-        /// Pieces that must arrive before the epoch activates.
-        pub expected_pieces: u64,
-    }
-}
-
-wire! {
-    /// Worker → worker (or worker → itself): migrated pieces for one grid
-    /// block of `epoch`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct InstallLists {
-        /// Namespace the pieces install into.
-        pub ns: u16,
-        /// Epoch the pieces install into.
-        pub epoch: u64,
-        /// Destination shard (sanity-checked against the announced block).
-        pub shard: u32,
-        /// Destination dimension block.
-        pub dim_block: u32,
-        /// The shipped pieces.
-        pub pieces: Vec<ListPiece>,
-    }
-}
-
-wire! {
     /// Client → every machine of a shard row: freshly upserted rows for that
     /// machine's dimension slice, appended to the shard's in-memory delta list.
     ///
@@ -1185,10 +1052,12 @@ wire! {
 wire! {
     /// Client → worker messages. Tags are a published format (drivers
     /// outside this workspace speak the single-query forms): a new variant
-    /// takes the next free tag, an existing one never moves.
+    /// takes the next free tag, an existing one never moves. Tags 5, 6 and
+    /// 7 (`BeginEpoch`, `MigrateOut`, `InstallLists` — the peer-to-peer
+    /// piece protocol) are retired and never reused.
     #[derive(Debug, Clone, PartialEq)]
     pub enum ToWorker {
-        /// Ship a grid block (build phase).
+        /// Ship a grid block of a routing epoch.
         0 => Load(LoadBlock),
         /// Route a query slice (query phase).
         1 => Chunk(QueryChunk),
@@ -1198,12 +1067,6 @@ wire! {
         3 => GetStats,
         /// Zero the statistics counters.
         4 => ResetStats,
-        /// Announce a new epoch's grid block to its destination machine.
-        5 => BeginEpoch(BeginEpoch),
-        /// Execute migration transfers toward a new epoch.
-        6 => MigrateOut(MigrateOut),
-        /// Migrated pieces from a peer (or from the machine itself).
-        7 => InstallLists(InstallLists),
         /// Drop all storage of a retired epoch.
         8 => EvictEpoch {
             /// Namespace whose epoch retires.
@@ -1226,24 +1089,17 @@ wire! {
 }
 
 wire! {
-    /// Worker → client messages (tags published like [`ToWorker`]'s).
+    /// Worker → client messages (tags published like [`ToWorker`]'s). Tag
+    /// 0 (`LoadAck`, which named a block but not its epoch) is retired and
+    /// never reused.
     #[derive(Debug, Clone, PartialEq)]
     pub enum ToClient {
-        /// Acknowledges a [`LoadBlock`].
-        0 => LoadAck {
-            /// Namespace of the acknowledged block.
-            ns: u16,
-            /// Shard of the acknowledged block.
-            shard: u32,
-            /// Dimension block of the acknowledged block.
-            dim_block: u32,
-        },
         /// A shard pipeline finished for one query.
         1 => Result(QueryResult),
         /// Statistics reply.
         2 => Stats(StatsReport),
-        /// A destination machine received every migrated piece of `epoch`
-        /// and activated the new storage.
+        /// Acknowledges a [`LoadBlock`]: the machine installed its grid
+        /// block of `epoch` and serves queries stamped with it.
         3 => EpochReady {
             /// Namespace of the activated epoch.
             ns: u16,

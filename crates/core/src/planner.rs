@@ -99,7 +99,7 @@ impl Pipeline {
             .map(|range| {
                 let cut = |&c: &u32| {
                     let rows: Vec<usize> = view.rows_of(c, stride).collect();
-                    cut_list(view.store, rows.into_iter(), *range, is_ip, view.sq8).into_block(c)
+                    cut_list(view.store, c, rows.into_iter(), *range, is_ip, view.sq8)
                 };
                 let lists = lists.iter().map(cut).collect();
                 BlockStore::from_wire(range.start as u64, range.end as u64, lists)

@@ -32,16 +32,16 @@
 //! (different senders, one mailbox), so both orders are buffered.
 //! Per-position pruning counters feed Fig. 2a and Table 3.
 //!
-//! # Epochs and live migration
+//! # Epochs
 //!
-//! Block storage is keyed by *routing epoch*. A live replan installs the
-//! next epoch's grid block — assembled from [`ListPiece`]s shipped between
-//! machines over the same fabric that carries queries — while queries
-//! admitted under the old epoch keep executing against the old storage.
-//! The worker activates an epoch (and acks [`ToClient::EpochReady`]) only
-//! once every announced piece has arrived, and drops a retired epoch only
-//! on an explicit [`ToWorker::EvictEpoch`], which the client sends after
-//! the last in-flight query of that epoch has drained.
+//! Block storage is keyed by *routing epoch*. Every epoch — the build's, a
+//! compaction's, a layout change's — reaches a machine the same way: one
+//! [`LoadBlock`] from the client, cut from its exact copy of the rows and
+//! answered with [`ToClient::EpochReady`]. The block installs beside the
+//! incumbent epoch's, so queries admitted under the old epoch keep
+//! executing against the old storage; a retired epoch goes only on an
+//! explicit [`ToWorker::EvictEpoch`], which the client sends after the
+//! last in-flight query of that epoch has drained.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -56,9 +56,8 @@ use harmony_index::quant::{self, Sq8BlockQuery};
 use harmony_index::{BlockCache, DeltaList, Metric, Sq8Segment, Temperature, TombstoneSet, TopK};
 
 use crate::messages::{
-    metric_tag, span, BeginEpoch, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert,
-    InstallLists, ListPiece, LoadBlock, MigrateOut, ResultBatch, SetTier, StatsReport, ToClient,
-    ToWorker,
+    metric_tag, span, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert, LoadBlock,
+    ResultBatch, SetTier, StatsReport, ToClient, ToWorker,
 };
 use crate::pruning::PruneRule;
 
@@ -76,7 +75,8 @@ static SPILL_DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 enum BlockData {
     /// Exact row-major `f32` rows.
     F32 { flat: Vec<f32> },
-    /// SQ8-quantized dimension-slice segments, sorted by `dim_start`.
+    /// SQ8-quantized rows: one segment over the block's range, as
+    /// `cut_list` quantizes a list.
     Sq8 { segs: Vec<Sq8Segment> },
 }
 
@@ -94,12 +94,11 @@ struct ListBlock {
 
 impl ListBlock {
     /// The resident form of one list `width` dimensions wide: SQ8 when it
-    /// has segments — kept in `dim_start` order, so a block is the same
-    /// whichever source's pieces landed first — exact rows otherwise.
+    /// has segments, exact rows otherwise.
     fn new(
         ids: Vec<u64>,
         flat: Vec<f32>,
-        mut segs: Vec<Sq8Segment>,
+        segs: Vec<Sq8Segment>,
         block_norms_sq: Vec<f32>,
         total_norms_sq: Vec<f32>,
         width: usize,
@@ -107,7 +106,6 @@ impl ListBlock {
         let data = if segs.is_empty() {
             BlockData::F32 { flat }
         } else {
-            segs.sort_by_key(|s| s.dim_start);
             BlockData::Sq8 { segs }
         };
         Self {
@@ -144,8 +142,8 @@ impl ListBlock {
 
 /// Storage for one grid block `V_s D_b`.
 pub(crate) struct BlockStore {
-    /// Absolute dimension range `[start, end)` of the block — needed to
-    /// slice sub-ranges out during migration.
+    /// Absolute dimension range `[start, end)` of the block: SQ8 segments
+    /// are addressed in absolute dimensions.
     dim_start: u64,
     dim_end: u64,
     lists: HashMap<u32, ListBlock>,
@@ -331,33 +329,6 @@ impl EpochStore {
     }
 }
 
-/// A new epoch's grid block while its migrated pieces stream in.
-struct InstallAssembly {
-    shard: u32,
-    dim_block: u32,
-    dim_start: u64,
-    dim_end: u64,
-    total_dim_blocks: u32,
-    expected_pieces: u64,
-    received: u64,
-    clusters: HashMap<u32, ClusterAssembly>,
-}
-
-/// One cluster being reassembled from dimension sub-range pieces.
-struct ClusterAssembly {
-    ids: Vec<u64>,
-    /// Row-major, `width` floats per member; columns filled as pieces land
-    /// (f32 pieces only; empty under SQ8).
-    flat: Vec<f32>,
-    /// SQ8 segments collected from pieces; sorted by `dim_start` at
-    /// activation so the assembled order is canonical regardless of piece
-    /// arrival order.
-    segs: Vec<Sq8Segment>,
-    block_norms_sq: Vec<f32>,
-    total_norms_sq: Vec<f32>,
-    width: usize,
-}
-
 /// In-flight sub-batch halves keyed by `(first query id, shard)`: every
 /// machine of a shard row sees a sub-batch's rows in the same order, so the
 /// first id names it on all of them.
@@ -446,11 +417,11 @@ impl MetricOps for IpOps {
         -quant::ip_dot_row(segs, bq, row)
     }
 
-    // |q·p − dq(q)·dq(p)| ≤ E_q·‖p‖ + (‖q‖+E_q)·E_p. The stored block norm
-    // may itself be a dequantized lower bound after a migration, so pad it
-    // by 2·E_p to keep the slack an upper bound on the true ‖p‖ term.
+    // |q·p − dq(q)·dq(p)| ≤ E_q·‖p‖ + (‖q‖+E_q)·E_p. The stored block norms
+    // are exact — `cut_list` takes them from the rows before it quantizes
+    // them, on every route to an epoch — so their maximum bounds ‖p‖ as is.
     fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
-        let p_norm = max_block_norm_sq.max(0.0).sqrt() + 2.0 * bq.data_err;
+        let p_norm = max_block_norm_sq.max(0.0).sqrt();
         bq.err * p_norm + (q_block_norm_sq.max(0.0).sqrt() + bq.err) * bq.data_err
     }
 }
@@ -1005,17 +976,6 @@ pub struct HarmonyWorker {
     /// survives a live migration untouched and tenants never see each
     /// other's blocks. Epoch numbers are per-namespace sequences.
     epochs: HashMap<(u16, u64), EpochStore>,
-    /// Epochs whose pieces are still streaming in.
-    installs: HashMap<(u16, u64), InstallAssembly>,
-    /// Pieces that raced ahead of their [`BeginEpoch`] announcement.
-    orphan_pieces: HashMap<(u16, u64), Vec<InstallLists>>,
-    /// Per-namespace highest epoch ever evicted. Epoch numbers are never
-    /// reused within a namespace, so any announcement or piece at or below
-    /// the watermark is a straggler of an aborted/retired epoch and is
-    /// dropped instead of being stashed forever in `orphan_pieces` (peer
-    /// [`InstallLists`] can outrun the client's [`ToWorker::EvictEpoch`] —
-    /// different senders, no FIFO).
-    evicted_watermark: HashMap<u16, u64>,
     pending: PendingTables,
     /// Reusable buffers of the scan routine.
     scratch: Scratch,
@@ -1064,9 +1024,6 @@ impl HarmonyWorker {
     pub fn with_tiering(spill_dir: PathBuf, cache_budget: usize) -> Self {
         Self {
             epochs: HashMap::new(),
-            installs: HashMap::new(),
-            orphan_pieces: HashMap::new(),
-            evicted_watermark: HashMap::new(),
             pending: PendingTables::default(),
             scratch: Scratch::default(),
             ns_meta: HashMap::new(),
@@ -1089,10 +1046,6 @@ impl HarmonyWorker {
 
     fn tier(&self, ns: u16) -> Temperature {
         self.tiers.get(&ns).copied().unwrap_or_default()
-    }
-
-    fn watermarked(&self, ns: u16, epoch: u64) -> bool {
-        self.evicted_watermark.get(&ns).is_some_and(|&w| epoch <= w)
     }
 
     fn spill_path(&self, key: SpillKey) -> PathBuf {
@@ -1352,13 +1305,11 @@ impl HarmonyWorker {
             load.total_dim_blocks,
             block,
         );
-        let ack = ToClient::LoadAck {
+        let ready = ToClient::EpochReady {
             ns: load.ns,
-            shard: load.shard,
-            dim_block: load.dim_block,
-        }
-        .to_bytes();
-        let _ = ctx.send(CLIENT, ack);
+            epoch: load.epoch,
+        };
+        let _ = ctx.send(CLIENT, ready.to_bytes());
     }
 
     /// Appends freshly upserted rows to the target epoch's delta list for
@@ -1366,14 +1317,12 @@ impl HarmonyWorker {
     /// the client), so the list stays sorted by `seq` and a query's
     /// watermark selects a stable prefix on every machine of the row.
     fn handle_upsert_delta(&mut self, msg: DeltaUpsert) {
-        if self.watermarked(msg.ns, msg.epoch) {
-            return; // straggler for an evicted epoch
-        }
+        // Rows and the block they belong beside come from one sender, the
+        // block first: an epoch this machine does not hold was evicted.
+        let Some(store) = self.epochs.get_mut(&(msg.ns, msg.epoch)) else {
+            return;
+        };
         let width = (msg.dim_end - msg.dim_start) as usize;
-        let store = self
-            .epochs
-            .entry((msg.ns, msg.epoch))
-            .or_insert_with(|| EpochStore::new(1));
         let delta = store
             .deltas
             .entry(msg.shard)
@@ -1522,292 +1471,8 @@ impl HarmonyWorker {
         }
     }
 
-    /// Client announcement of a new epoch's grid block: set up assembly and
-    /// fold in any pieces that raced ahead of the announcement.
-    fn handle_begin_epoch(&mut self, ctx: &NodeCtx, begin: BeginEpoch) {
-        let epoch = begin.epoch;
-        if self.watermarked(begin.ns, epoch) {
-            return; // straggler of an already-evicted epoch
-        }
-        let assembly = InstallAssembly {
-            shard: begin.shard,
-            dim_block: begin.dim_block,
-            dim_start: begin.dim_start,
-            dim_end: begin.dim_end,
-            total_dim_blocks: begin.total_dim_blocks,
-            expected_pieces: begin.expected_pieces,
-            received: 0,
-            clusters: HashMap::new(),
-        };
-        self.installs.insert((begin.ns, epoch), assembly);
-        if let Some(orphans) = self.orphan_pieces.remove(&(begin.ns, epoch)) {
-            for msg in orphans {
-                self.handle_install(ctx, msg);
-            }
-        }
-        self.try_activate_epoch(ctx, begin.ns, epoch);
-    }
-
-    /// Migrated pieces for one of this machine's new-epoch blocks.
-    fn handle_install(&mut self, ctx: &NodeCtx, msg: InstallLists) {
-        let epoch = msg.epoch;
-        if self.watermarked(msg.ns, epoch) {
-            return; // straggler of an already-evicted epoch
-        }
-        let Some(assembly) = self.installs.get_mut(&(msg.ns, epoch)) else {
-            // BeginEpoch not seen yet (possible only under reordering):
-            // stash until the announcement arrives.
-            self.orphan_pieces
-                .entry((msg.ns, epoch))
-                .or_default()
-                .push(msg);
-            return;
-        };
-        debug_assert_eq!(assembly.shard, msg.shard, "piece routed to wrong block");
-        debug_assert_eq!(assembly.dim_block, msg.dim_block);
-        let width = (assembly.dim_end - assembly.dim_start) as usize;
-        for piece in msg.pieces {
-            let rows = piece.ids.len();
-            // SQ8 pieces carry segments instead of flat columns; the f32
-            // column buffer is never allocated for them.
-            let sq8_piece = !piece.segs.is_empty();
-            let entry = assembly
-                .clusters
-                .entry(piece.cluster)
-                .or_insert_with(|| ClusterAssembly {
-                    ids: piece.ids.clone(),
-                    flat: if sq8_piece {
-                        Vec::new()
-                    } else {
-                        vec![0.0; rows * width]
-                    },
-                    segs: Vec::new(),
-                    block_norms_sq: Vec::new(),
-                    total_norms_sq: Vec::new(),
-                    width,
-                });
-            // A source missing the cluster ships an empty fallback piece so
-            // the expected count still closes. If such a piece seeded the
-            // assembly first, re-seed from the first piece that carries
-            // rows; conversely a late empty piece only bumps the counter.
-            if entry.ids.is_empty() && !piece.ids.is_empty() {
-                entry.ids = piece.ids.clone();
-                entry.flat = if sq8_piece {
-                    Vec::new()
-                } else {
-                    vec![0.0; rows * width]
-                };
-                entry.segs = Vec::new();
-                entry.block_norms_sq = Vec::new();
-                entry.total_norms_sq = Vec::new();
-            }
-            if entry.ids.len() == rows && rows > 0 {
-                let offset = piece.dim_start.saturating_sub(assembly.dim_start) as usize;
-                let piece_width = (piece.dim_end - piece.dim_start) as usize;
-                if offset + piece_width > width {
-                    debug_assert!(false, "piece range escapes the announced block");
-                } else if sq8_piece {
-                    entry.segs.extend(piece.segs);
-                } else {
-                    for row in 0..rows {
-                        let dst = row * width + offset;
-                        let src = row * piece_width;
-                        entry.flat[dst..dst + piece_width]
-                            .copy_from_slice(&piece.flat[src..src + piece_width]);
-                    }
-                }
-                // Piece norms partition the block range: sum them per member.
-                if !piece.piece_norms_sq.is_empty() {
-                    if entry.block_norms_sq.is_empty() {
-                        entry.block_norms_sq = vec![0.0; rows];
-                    }
-                    for (acc, p) in entry.block_norms_sq.iter_mut().zip(&piece.piece_norms_sq) {
-                        *acc += p;
-                    }
-                }
-                if entry.total_norms_sq.is_empty() && !piece.total_norms_sq.is_empty() {
-                    entry.total_norms_sq = piece.total_norms_sq;
-                }
-            } else {
-                debug_assert!(rows == 0, "piece id sets disagree");
-            }
-            assembly.received += 1;
-        }
-        self.try_activate_epoch(ctx, msg.ns, epoch);
-    }
-
-    /// Activates an epoch whose assembly is complete and acks the client.
-    fn try_activate_epoch(&mut self, ctx: &NodeCtx, ns: u16, epoch: u64) {
-        let complete = self
-            .installs
-            .get(&(ns, epoch))
-            .is_some_and(|a| a.received >= a.expected_pieces);
-        if !complete {
-            return;
-        }
-        let Some(assembly) = self.installs.remove(&(ns, epoch)) else {
-            return;
-        };
-        // Segments land in canonical order whichever source's pieces came
-        // first, so assembled blocks are bit-identical across transports.
-        let lists = assembly
-            .clusters
-            .into_iter()
-            .map(|(cluster, c)| {
-                let list = ListBlock::new(
-                    c.ids,
-                    c.flat,
-                    c.segs,
-                    c.block_norms_sq,
-                    c.total_norms_sq,
-                    c.width,
-                );
-                (cluster, list)
-            })
-            .collect();
-        let block = BlockStore {
-            dim_start: assembly.dim_start,
-            dim_end: assembly.dim_end,
-            lists,
-        };
-        self.install_block(
-            (ns, epoch, assembly.shard),
-            assembly.total_dim_blocks,
-            block,
-        );
-        // Migrations are serialized and epoch numbers are per-namespace
-        // sequences that never repeat, so any assembly or orphan pieces of
-        // an *older* epoch of this namespace belong to an aborted attempt
-        // and can never activate — drop them.
-        self.installs.retain(|&(n, e), _| n != ns || e > epoch);
-        self.orphan_pieces.retain(|&(n, e), _| n != ns || e > epoch);
-        let _ = ctx.send(CLIENT, ToClient::EpochReady { ns, epoch }.to_bytes());
-    }
-
-    /// Executes migration transfers: slice the requested dimension
-    /// sub-ranges out of local storage and ship them to their destinations.
-    /// Self-directed transfers install locally without touching the fabric
-    /// (a real machine would memcpy, not loop through its NIC).
-    fn handle_migrate_out(&mut self, ctx: &NodeCtx, msg: MigrateOut) {
-        let is_ip = !matches!(self.meta(msg.ns).metric, Metric::L2);
-        // Spilled source blocks must be faulted back before slicing; do it
-        // up front so the transfer loop can borrow the stores immutably.
-        for t in &msg.transfers {
-            self.ensure_resident((msg.ns, t.src_epoch, t.src_shard));
-        }
-        // Group pieces per destination block so each destination receives
-        // one message per source (fewer, larger transfers).
-        let mut outbound: HashMap<(u64, u32, u32), Vec<ListPiece>> = HashMap::new();
-        for t in &msg.transfers {
-            let piece_width = (t.dim_end - t.dim_start) as usize;
-            let list = self
-                .epochs
-                .get(&(msg.ns, t.src_epoch))
-                .and_then(|e| e.blocks.get(&t.src_shard))
-                .and_then(|s| s.resident.as_ref())
-                .filter(|b| t.dim_start >= b.dim_start && t.dim_end <= b.dim_end)
-                .and_then(|b| {
-                    b.lists
-                        .get(&t.cluster)
-                        .map(|l| (l, (t.dim_start - b.dim_start) as usize))
-                });
-            let piece = match list {
-                Some((list, offset)) => {
-                    let rows = list.ids.len();
-                    let mut flat = Vec::new();
-                    let mut segs = Vec::new();
-                    let mut piece_norms_sq = Vec::new();
-                    match &list.data {
-                        BlockData::F32 { flat: src } => {
-                            flat.reserve(rows * piece_width);
-                            for row in 0..rows {
-                                let r = &src[row * list.width..(row + 1) * list.width];
-                                let slice = &r[offset..offset + piece_width];
-                                flat.extend_from_slice(slice);
-                                if is_ip {
-                                    piece_norms_sq.push(ip(slice, slice));
-                                }
-                            }
-                        }
-                        BlockData::Sq8 { segs: src } => {
-                            // Slice the requested dimension range out of each
-                            // overlapping segment. `slice_dims` keeps min and
-                            // scale verbatim, so codes survive any number of
-                            // migrations bit-identically.
-                            for seg in src {
-                                let lo = seg.dim_start.max(t.dim_start);
-                                let hi = seg.dim_end.min(t.dim_end);
-                                if lo < hi {
-                                    segs.push(seg.slice_dims(lo, hi));
-                                }
-                            }
-                            if is_ip {
-                                // Piece norms must stay admissible (the last
-                                // hop uses `total − Σ visited` as an upper
-                                // bound on unseen mass), so ship a lower
-                                // bound: dequantized norm minus the per-row
-                                // reconstruction error, clamped at zero.
-                                for row in 0..rows {
-                                    let mut norm_sq = 0.0f64;
-                                    let mut err = 0.0f64;
-                                    for seg in &segs {
-                                        norm_sq += seg.dequant_row_norm_sq(row);
-                                        err += f64::from(seg.row_error_bound());
-                                    }
-                                    let lower = (norm_sq.sqrt() - err).max(0.0);
-                                    piece_norms_sq.push((lower * lower) as f32);
-                                }
-                            }
-                        }
-                    }
-                    ListPiece {
-                        cluster: t.cluster,
-                        dim_start: t.dim_start,
-                        dim_end: t.dim_end,
-                        ids: list.ids.clone(),
-                        flat,
-                        segs,
-                        piece_norms_sq,
-                        total_norms_sq: list.total_norms_sq.clone(),
-                    }
-                }
-                // Source data missing (evicted early, unknown cluster):
-                // ship an empty piece so the destination's expected count
-                // still closes and the migration cannot wedge.
-                None => ListPiece {
-                    cluster: t.cluster,
-                    dim_start: t.dim_start,
-                    dim_end: t.dim_end,
-                    ..ListPiece::default()
-                },
-            };
-            outbound
-                .entry((t.dest, t.dest_shard, t.dest_dim_block))
-                .or_default()
-                .push(piece);
-        }
-        // Deterministic delivery order.
-        let mut groups: Vec<_> = outbound.into_iter().collect();
-        groups.sort_by_key(|((dest, shard, block), _)| (*dest, *shard, *block));
-        for ((dest, shard, dim_block), pieces) in groups {
-            let install = InstallLists {
-                ns: msg.ns,
-                epoch: msg.epoch,
-                shard,
-                dim_block,
-                pieces,
-            };
-            if dest as usize == ctx.id() {
-                self.handle_install(ctx, install);
-            } else {
-                let _ = ctx.send(dest as NodeId, ToWorker::InstallLists(install).to_bytes());
-            }
-        }
-    }
-
-    /// Drops a retired epoch's storage (and any half-finished assembly),
-    /// and raises the namespace's watermark so stragglers for it are never
-    /// re-stashed. Spill files and cache entries of the epoch go with it.
+    /// Drops an epoch's storage — a retired one's, or what a failed
+    /// handshake left of a new one — with its spill files and cache entries.
     fn handle_evict(&mut self, ns: u16, epoch: u64) {
         if let Some(mut store) = self.epochs.remove(&(ns, epoch)) {
             for slot in store.blocks.values_mut() {
@@ -1823,10 +1488,6 @@ impl HarmonyWorker {
         self.cache
             .remove_matching(|&(n, e, _)| n == ns && e == epoch);
         self.sync_cache_gauge(before);
-        self.installs.remove(&(ns, epoch));
-        self.orphan_pieces.remove(&(ns, epoch));
-        let w = self.evicted_watermark.entry(ns).or_insert(epoch);
-        *w = (*w).max(epoch);
     }
 
     fn stats_report(&self) -> StatsReport {
@@ -1928,9 +1589,6 @@ impl NodeHandler for HarmonyWorker {
                 let _ = ctx.send(CLIENT, ToClient::Stats(self.stats_report()).to_bytes());
             }
             ToWorker::ResetStats => self.reset_stats(),
-            ToWorker::BeginEpoch(begin) => self.handle_begin_epoch(ctx, begin),
-            ToWorker::MigrateOut(m) => self.handle_migrate_out(ctx, m),
-            ToWorker::InstallLists(m) => self.handle_install(ctx, m),
             ToWorker::EvictEpoch { ns, epoch } => self.handle_evict(ns, epoch),
             ToWorker::UpsertDelta(m) => self.handle_upsert_delta(m),
             ToWorker::DeleteIds(m) => self.handle_delete_ids(m),
@@ -1996,7 +1654,7 @@ mod tests {
         let (_, payload) = cluster.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(
             ToClient::from_bytes(payload).unwrap(),
-            ToClient::LoadAck { .. }
+            ToClient::EpochReady { .. }
         ));
     }
 
@@ -2845,6 +2503,22 @@ mod tests {
         assert!(r.ids.contains(&100), "true best pruned: {:?}", r.ids);
         assert!(!r.ids.contains(&300), "far point must still prune");
         cluster.shutdown().unwrap();
+    }
+
+    /// The inner-product slack is the bound the quantizer's property test
+    /// proves (`widened_quantized_distance_lower_bounds_exact`), with the
+    /// list's stored block norm as `‖p‖` and nothing added to it: norms are
+    /// cut from exact rows on every route to an epoch.
+    #[test]
+    fn sq8_ip_slack_takes_the_stored_norm_unpadded() {
+        let bq = Sq8BlockQuery {
+            per_seg: Vec::new(),
+            err: 0.5,
+            data_err: 0.25,
+        };
+        // E_q·‖p‖ + (‖q‖+E_q)·E_p = 0.5·2 + (3+0.5)·0.25.
+        assert_eq!(IpOps::sq8_eps(&bq, 4.0, 9.0), 1.875);
+        assert_eq!(CosOps::sq8_eps(&bq, 4.0, 9.0), 1.875);
     }
 
     fn drain_tier_ack(cluster: &mut Cluster) {

@@ -20,10 +20,10 @@
 //!    stay exact-over-quantized (`harmony-core::pruning`).
 //! 3. **Memory accounting** — report resident payload bytes
 //!    ([`Sq8Segment::memory_bytes`]).
-//! 4. **Wire codec** — survive migration bit-identically: a dimension
-//!    sub-range slice ([`Sq8Segment::slice_dims`]) inherits `min`/`scale`
-//!    *verbatim* and recomputes only integer sums, so re-assembled blocks
-//!    score exactly like freshly sliced ones.
+//! 4. **Wire codec** — a segment travels as its fields (`min`, `scale`,
+//!    codes, code sums); quantization is deterministic in the slice it is
+//!    given, so the same rows cut to the same range score identically
+//!    wherever and whenever they were quantized.
 
 use crate::distance::{ip_u8, l2_sq_u8};
 
@@ -72,11 +72,12 @@ impl std::fmt::Display for BlockRepr {
 
 /// One self-contained SQ8-quantized dimension slice of a list block.
 ///
-/// A freshly built block holds exactly one segment spanning its whole
-/// dimension range; migration slices segments column-wise and destinations
-/// simply concatenate the received segments (sorted by `dim_start`) — no
-/// re-quantization ever happens after build, which is what makes results
-/// bit-identical across transports and across a live migration.
+/// A list block holds exactly one segment spanning its whole dimension
+/// range. Every epoch's blocks are quantized anew from the exact rows —
+/// at build, and again by every compaction and layout change — so results
+/// are bit-identical across transports and across a live migration because
+/// the same rows cut to the same range quantize to the same segment, not
+/// because codes are carried over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sq8Segment {
     /// Absolute first dimension (inclusive) this segment covers.
@@ -232,53 +233,6 @@ impl Sq8Segment {
         let cross = (qq.code_sum + self.code_sums[row]) as f32;
         let int_dot = ip_u8(&qq.codes, self.row_codes(row)) as f32;
         w * self.min * self.min + self.min * self.scale * cross + self.scale * self.scale * int_dot
-    }
-
-    /// Squared L2 norm of the dequantized `row` (migration norm rebuild).
-    pub fn dequant_row_norm_sq(&self, row: usize) -> f64 {
-        self.row_codes(row)
-            .iter()
-            .map(|&c| {
-                let v = self.dequant(c) as f64;
-                v * v
-            })
-            .sum()
-    }
-
-    /// Column-slices the segment to absolute dimensions `[start, end)`
-    /// (must lie within the segment). `min`/`scale` are inherited
-    /// **verbatim** and only the integer sums are recomputed, so scoring a
-    /// sliced-and-reassembled block is bit-identical to scoring the
-    /// original.
-    ///
-    /// # Panics
-    /// Panics when the range is not contained in the segment.
-    pub fn slice_dims(&self, start: u64, end: u64) -> Sq8Segment {
-        assert!(
-            self.dim_start <= start && start <= end && end <= self.dim_end,
-            "slice {start}..{end} outside segment {}..{}",
-            self.dim_start,
-            self.dim_end
-        );
-        let w = self.width();
-        let off = (start - self.dim_start) as usize;
-        let sw = (end - start) as usize;
-        let rows = self.rows();
-        let mut codes = Vec::with_capacity(rows * sw);
-        for r in 0..rows {
-            codes.extend_from_slice(&self.codes[r * w + off..r * w + off + sw]);
-        }
-        let code_sums = (0..rows)
-            .map(|r| codes[r * sw..(r + 1) * sw].iter().map(|&c| c as u32).sum())
-            .collect();
-        Sq8Segment {
-            dim_start: start,
-            dim_end: end,
-            min: self.min,
-            scale: self.scale,
-            codes,
-            code_sums,
-        }
     }
 
     /// Resident payload bytes of this segment (codes + sums + header).
@@ -466,45 +420,29 @@ mod tests {
     }
 
     #[test]
-    fn slice_inherits_affine_code_verbatim() {
-        let vals: Vec<f32> = (0..40).map(|i| (i as f32 * 0.37).sin() * 4.0).collect();
-        let s = Sq8Segment::quantize(&vals, 10, 16);
-        let left = s.slice_dims(16, 20);
-        let right = s.slice_dims(20, 26);
-        assert_eq!(left.min, s.min);
-        assert_eq!(left.scale.to_bits(), s.scale.to_bits());
-        assert_eq!(right.scale.to_bits(), s.scale.to_bits());
-        // Codes are column-copies: integer kernels over the concatenation
-        // match the original exactly.
-        for r in 0..4 {
-            let mut rebuilt: Vec<u8> = left.row_codes(r).to_vec();
-            rebuilt.extend_from_slice(right.row_codes(r));
-            assert_eq!(rebuilt, s.row_codes(r));
-            assert_eq!(
-                left.code_sums[r] + right.code_sums[r],
-                s.code_sums[r],
-                "sums must decompose"
-            );
-        }
-    }
-
-    #[test]
-    fn block_query_scoring_decomposes_over_segments() {
-        let vals: Vec<f32> = (0..48).map(|i| (i as f32 * 0.61).cos() * 2.0).collect();
-        let s = Sq8Segment::quantize(&vals, 12, 0);
-        let split = [s.slice_dims(0, 5), s.slice_dims(5, 12)];
-        let q: Vec<f32> = (0..12).map(|i| (i as f32 * 0.17).sin()).collect();
-        let whole = prepare_block_query(std::slice::from_ref(&s), &q, 0);
-        let parts = prepare_block_query(&split, &q, 0);
+    fn block_query_scoring_sums_over_segments() {
+        // Two segments over adjacent column ranges, each with its own code.
+        let left: Vec<f32> = (0..20).map(|i| (i as f32 * 0.61).cos() * 2.0).collect();
+        let right: Vec<f32> = (0..28).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
+        let segs = [
+            Sq8Segment::quantize(&left, 5, 3),
+            Sq8Segment::quantize(&right, 7, 8),
+        ];
+        let q: Vec<f32> = (0..12).map(|i| (i as f32 * 0.17).sin() * 3.0).collect();
+        let bq = prepare_block_query(&segs, &q, 3);
+        let parts = [
+            segs[0].quantize_query(&q[..5]),
+            segs[1].quantize_query(&q[5..]),
+        ];
+        assert_eq!(bq.per_seg, parts);
+        assert_eq!(bq.err, (parts[0].err_sq + parts[1].err_sq).sqrt());
+        let [e0, e1] = [segs[0].row_error_bound(), segs[1].row_error_bound()];
+        assert_eq!(bq.data_err, (e0 * e0 + e1 * e1).sqrt());
         for row in 0..4 {
-            // Integer kernels decompose exactly; the f32 scale² product
-            // reassociates, so compare with a small tolerance.
-            let a = l2_partial_row(std::slice::from_ref(&s), &whole, row);
-            let b = l2_partial_row(&split, &parts, row);
-            assert!((a - b).abs() <= a.abs() * 1e-5 + 1e-6, "{a} vs {b}");
-            let a = ip_dot_row(std::slice::from_ref(&s), &whole, row);
-            let b = ip_dot_row(&split, &parts, row);
-            assert!((a - b).abs() <= a.abs() * 1e-4 + 1e-4, "{a} vs {b}");
+            let l2 = segs[0].l2_partial(&parts[0], row) + segs[1].l2_partial(&parts[1], row);
+            assert_eq!(l2_partial_row(&segs, &bq, row), l2);
+            let dot = segs[0].ip_dot(&parts[0], row) + segs[1].ip_dot(&parts[1], row);
+            assert_eq!(ip_dot_row(&segs, &bq, row), dot);
         }
     }
 
@@ -577,32 +515,12 @@ mod tests {
                 }
             }
 
-            /// Slicing a segment anywhere preserves codes column-for-column
-            /// and decomposes the integer sums exactly.
-            #[test]
-            fn slices_preserve_codes_and_sums(
-                vals in proptest::collection::vec(-50.0f32..50.0f32, 8..64),
-                width in 2usize..8,
-                cut_seed in proptest::num::u64::ANY,
-            ) {
-                let rows = vals.len() / width;
-                prop_assume!(rows > 0);
-                let flat = &vals[..rows * width];
-                let s = Sq8Segment::quantize(flat, width, 4);
-                let cut = 4 + 1 + (cut_seed % (width as u64 - 1));
-                let a = s.slice_dims(4, cut);
-                let b = s.slice_dims(cut, 4 + width as u64);
-                for r in 0..rows {
-                    let mut rebuilt = a.row_codes(r).to_vec();
-                    rebuilt.extend_from_slice(b.row_codes(r));
-                    prop_assert_eq!(rebuilt, s.row_codes(r).to_vec());
-                    prop_assert_eq!(a.code_sums[r] + b.code_sums[r], s.code_sums[r]);
-                }
-            }
-
             /// The L2 stage-1 partial lower-bounds the exact distance once
             /// widened by the measured query error plus the advertised data
-            /// error: `‖q−p‖ ≥ ‖dq(q)−dq(p)‖ − E_q − E_p`.
+            /// error: `‖q−p‖ ≥ ‖dq(q)−dq(p)‖ − E_q − E_p`. And the stage-1
+            /// dot product is within `E_q·‖p‖ + (‖q‖+E_q)·E_p` of the
+            /// exact one, with `‖p‖` the row's exact norm and no pad on it
+            /// — the inner-product prune slack as the workers compute it.
             #[test]
             fn widened_quantized_distance_lower_bounds_exact(
                 vals in proptest::collection::vec(-20.0f32..20.0f32, 8..64),
@@ -614,13 +532,10 @@ mod tests {
                 let flat = &vals[..rows * width];
                 let s = Sq8Segment::quantize(flat, width, 0);
                 let bq = prepare_block_query(std::slice::from_ref(&s), &q, 0);
+                let q_norm = q.iter().map(|v| v * v).sum::<f32>().sqrt();
                 for row in 0..rows {
-                    let exact: f32 = (0..width)
-                        .map(|j| {
-                            let d = q[j] - flat[row * width + j];
-                            d * d
-                        })
-                        .sum();
+                    let p = &flat[row * width..(row + 1) * width];
+                    let exact: f32 = q.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
                     let quant = l2_partial_row(std::slice::from_ref(&s), &bq, row);
                     let eps = bq.err + bq.data_err;
                     let lower = (quant.max(0.0).sqrt() - eps).max(0.0);
@@ -628,6 +543,15 @@ mod tests {
                         lower * lower <= exact * (1.0 + 1e-4) + 1e-5,
                         "row {row}: widened bound {} exceeds exact {exact}",
                         lower * lower
+                    );
+                    let exact_dot: f32 = q.iter().zip(p).map(|(a, b)| a * b).sum();
+                    let quant_dot = ip_dot_row(std::slice::from_ref(&s), &bq, row);
+                    let p_norm = p.iter().map(|v| v * v).sum::<f32>().sqrt();
+                    let slack = bq.err * p_norm + (q_norm + bq.err) * bq.data_err;
+                    prop_assert!(
+                        (exact_dot - quant_dot).abs() <= slack * (1.0 + 1e-4) + 1e-3,
+                        "row {row}: dot off by {} with slack {slack}",
+                        (exact_dot - quant_dot).abs()
                     );
                 }
             }

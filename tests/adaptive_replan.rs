@@ -116,7 +116,7 @@ fn supervisor_switches_a_stale_plan_under_induced_skew() {
     );
     assert_eq!(engine.current_epoch(), report.to_epoch);
     assert_eq!(engine.plan(), report.to_plan);
-    assert!(report.modeled_bytes > 0 && report.network_pieces > 0);
+    assert!(report.modeled_bytes > 0 && report.migration_ns > 0.0);
     assert!(report.projected_ns < report.stay_ns);
 
     // The replanned layout beats the stale one on the same drifted traffic
@@ -319,8 +319,9 @@ fn same_plan_rebalance_migrates_cleanly() {
     let opts = SearchOptions::new(5).with_nprobe(4);
     let before = engine.search_batch(&d.queries, &opts).unwrap().results;
 
-    // Forcing the same plan re-packs clusters through the full migration
-    // handshake (epoch bump, piece shipping, ack, swap).
+    // Forcing the same plan re-packs the clusters and, where that moves
+    // one, recuts the namespace through the full handshake (epoch bump,
+    // blocks shipped, acks, swap); a packing it cannot improve is a no-op.
     let plan = engine.plan();
     let report = engine.migrate_to(plan).unwrap();
     assert_eq!(report.from_plan, report.to_plan);
@@ -339,62 +340,6 @@ fn same_plan_rebalance_migrates_cleanly() {
         }
     }
     engine.shutdown().unwrap();
-}
-
-#[test]
-fn throttled_migration_ships_in_waves_and_matches_unthrottled_results() {
-    let d = clustered(2_000, 16, 13);
-    let build = |max_pieces_per_tick: usize| {
-        // Pinned: this compares two deployments bit for bit and tests wave
-        // throttling, not planning — two timing-calibrated planners may
-        // settle a near-tie differently.
-        let config = HarmonyConfig::builder()
-            .n_machines(4)
-            .nlist(16)
-            .seed(7)
-            .plan(PartitionPlan::pure_vector(4))
-            .balanced_load(false)
-            .replan(ReplanConfig {
-                max_pieces_per_tick,
-                ..ReplanConfig::default()
-            })
-            .build()
-            .unwrap();
-        HarmonyEngine::build(config, &d.base).unwrap()
-    };
-    let opts = SearchOptions::new(10).with_nprobe(4);
-
-    // One engine ships every transfer in one MigrateOut per source, the
-    // other is throttled to single-transfer waves — the receivers count
-    // *pieces*, not messages, so the epoch handshake must complete
-    // identically either way.
-    let unthrottled = build(0);
-    let throttled = build(1);
-    let plan = PartitionPlan::pure_dimension(4);
-    let r0 = unthrottled.migrate_to(plan).unwrap();
-    let r1 = throttled.migrate_to(plan).unwrap();
-    assert_eq!(r0.to_epoch, r1.to_epoch);
-    assert_eq!(
-        r0.network_pieces, r1.network_pieces,
-        "throttling must reshape message waves, not the shipped pieces"
-    );
-    assert_eq!(throttled.plan(), unthrottled.plan());
-
-    // Both deployments landed on the same layout from the same seed, so
-    // the post-migration bits must agree exactly.
-    let a = unthrottled.search_batch(&d.queries, &opts).unwrap().results;
-    let b = throttled.search_batch(&d.queries, &opts).unwrap().results;
-    for (qi, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.len(), y.len(), "query {qi} lengths differ");
-        for (nx, ny) in x.iter().zip(y) {
-            assert!(
-                matches_bitwise(std::slice::from_ref(nx), std::slice::from_ref(ny)),
-                "query {qi}: throttled migration diverged: {nx:?} vs {ny:?}"
-            );
-        }
-    }
-    unthrottled.shutdown().unwrap();
-    throttled.shutdown().unwrap();
 }
 
 #[test]

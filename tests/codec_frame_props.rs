@@ -31,9 +31,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use harmony::cluster::codec::{CodecError, Wire};
 use harmony::cluster::{decode_frame, encode_frame, Frame, MAX_FRAME_BYTES};
 use harmony::core::messages::{
-    BeginEpoch, Carry, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert, InstallLists,
-    ListPiece, LoadBlock, MigrateOut, QueryChunk, QueryResult, ResultBatch, SetTier, StatsReport,
-    ToClient, ToWorker, TransferSpec,
+    Carry, CarryBatch, ChunkBatch, ClusterBlock, DeleteIds, DeltaUpsert, LoadBlock, QueryChunk,
+    QueryResult, ResultBatch, SetTier, StatsReport, ToClient, ToWorker,
 };
 use harmony::index::Sq8Segment;
 use proptest::prelude::*;
@@ -74,18 +73,18 @@ fn roundtrip_msg<T: Wire + PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
-/// One quantized segment covering `[dim_start, dim_start + width)` for `n`
-/// rows (what an SQ8 block or migration piece carries instead of `flat`).
+/// One quantized segment covering `[0, width)` for `n` rows (what an SQ8
+/// block carries instead of `flat`).
 /// Written out rather than quantized, so the goldens pin the codec alone.
-fn sample_segs(n: usize, width: usize, dim_start: u64) -> Vec<Sq8Segment> {
+fn sample_segs(n: usize, width: usize) -> Vec<Sq8Segment> {
     if n == 0 {
         return Vec::new();
     }
     let codes: Vec<u8> = (0..n * width).map(|i| (i * 37 % 256) as u8).collect();
     let sum = |row: &[u8]| row.iter().map(|&c| u32::from(c)).sum();
     vec![Sq8Segment {
-        dim_start,
-        dim_end: dim_start + width as u64,
+        dim_start: 0,
+        dim_end: width as u64,
         min: -3.0,
         scale: 0.375,
         code_sums: codes.chunks(width).map(sum).collect(),
@@ -103,33 +102,12 @@ fn sample_block(cluster: u32, n: usize, width: usize, ip: bool, sq8: bool) -> Cl
             (0..n * width).map(|i| i as f32 * 0.25 - 1.0).collect()
         },
         segs: if sq8 {
-            sample_segs(n, width, 0)
+            sample_segs(n, width)
         } else {
             Vec::new()
         },
         block_norms_sq: if ip { vec![1.5; n] } else { Vec::new() },
         total_norms_sq: if ip { vec![4.0; n] } else { Vec::new() },
-    }
-}
-
-fn sample_piece(cluster: u32, n: usize, width: usize, ip: bool, sq8: bool) -> ListPiece {
-    ListPiece {
-        cluster,
-        dim_start: 8,
-        dim_end: 8 + width as u64,
-        ids: (0..n as u64).map(|i| i * 7).collect(),
-        flat: if sq8 {
-            Vec::new()
-        } else {
-            (0..n * width).map(|i| -(i as f32) * 0.5).collect()
-        },
-        segs: if sq8 {
-            sample_segs(n, width, 8)
-        } else {
-            Vec::new()
-        },
-        piece_norms_sq: if ip { vec![0.75; n] } else { Vec::new() },
-        total_norms_sq: if ip { vec![2.25; n] } else { Vec::new() },
     }
 }
 
@@ -271,39 +249,6 @@ fn to_worker_sample(name: &str, d: &Draw) -> Option<ToWorker> {
         }),
         "GetStats" => ToWorker::GetStats,
         "ResetStats" => ToWorker::ResetStats,
-        "BeginEpoch" => ToWorker::BeginEpoch(BeginEpoch {
-            ns,
-            epoch,
-            shard,
-            dim_block: 1,
-            dim_start: 0,
-            dim_end,
-            total_dim_blocks: 2,
-            expected_pieces: n as u64,
-        }),
-        "MigrateOut" => ToWorker::MigrateOut(MigrateOut {
-            ns,
-            epoch,
-            transfers: (0..n as u32)
-                .map(|c| TransferSpec {
-                    cluster: c,
-                    src_epoch: epoch,
-                    src_shard: shard,
-                    dim_start: 0,
-                    dim_end,
-                    dest: seed % 4,
-                    dest_shard: c % 2,
-                    dest_dim_block: c % 3,
-                })
-                .collect(),
-        }),
-        "InstallLists" => ToWorker::InstallLists(InstallLists {
-            ns,
-            epoch,
-            shard,
-            dim_block: 0,
-            pieces: vec![sample_piece(shard, n, d.width, d.ip, d.sq8)],
-        }),
         "EvictEpoch" => ToWorker::EvictEpoch { ns, epoch },
         "UpsertDelta" => ToWorker::UpsertDelta(sample_upsert(d)),
         "DeleteIds" => ToWorker::DeleteIds(DeleteIds {
@@ -341,11 +286,6 @@ fn sample_upsert(d: &Draw) -> DeltaUpsert {
 fn to_client_sample(name: &str, d: &Draw) -> Option<ToClient> {
     let (ns, epoch, shard, n, seed) = (d.ns, d.epoch, d.shard, d.n, d.seed);
     Some(match name {
-        "LoadAck" => ToClient::LoadAck {
-            ns,
-            shard,
-            dim_block: shard % 4,
-        },
         "Result" => ToClient::Result(QueryResult {
             query_id: seed,
             shard,
@@ -498,7 +438,7 @@ fn legacy_pipeline_messages_keep_their_bytes() {
 /// `full` has inner-product norm tables and SQ8 payloads (every optional
 /// array present, every field of the batch messages non-default), `plain`
 /// is what an exact L2 deployment sends (every optional array omitted),
-/// `empty` has no rows (empty lists, fallback pieces, zero survivors).
+/// `empty` has no rows (empty lists, zero survivors).
 const FULL: Draw = Draw {
     ns: 1,
     epoch: 2,
@@ -573,9 +513,18 @@ fn golden_messages_keep_their_bytes() {
 
 /// The tag tables, literally. The schema makes a duplicate tag a compile
 /// error; that a tag never *moves* (or is reused for something else) is
-/// what this pins — append new variants, never renumber.
+/// what this pins — append new variants, never renumber. `ToWorker` tags
+/// 5–7 and `ToClient` tag 0 carried the peer-to-peer piece protocol and
+/// its block ack: retired, and a retired tag is a decode error, not a gap
+/// the next variant may fill.
 #[test]
 fn wire_tags_are_golden() {
+    for tag in [5u8, 6, 7] {
+        let got = ToWorker::from_bytes(Bytes::from(vec![tag; 64]));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "tag {tag}");
+    }
+    let got = ToClient::from_bytes(Bytes::from(vec![0u8; 64]));
+    assert!(matches!(got, Err(CodecError::Invalid(_))), "tag 0");
     assert_eq!(
         ToWorker::TAGS,
         &[
@@ -584,9 +533,6 @@ fn wire_tags_are_golden() {
             (2, "Carry"),
             (3, "GetStats"),
             (4, "ResetStats"),
-            (5, "BeginEpoch"),
-            (6, "MigrateOut"),
-            (7, "InstallLists"),
             (8, "EvictEpoch"),
             (9, "UpsertDelta"),
             (10, "DeleteIds"),
@@ -598,7 +544,6 @@ fn wire_tags_are_golden() {
     assert_eq!(
         ToClient::TAGS,
         &[
-            (0, "LoadAck"),
             (1, "Result"),
             (2, "Stats"),
             (3, "EpochReady"),
@@ -713,29 +658,6 @@ fn malformed_shapes_are_rejected_at_decode() {
     rejected("list norms", load(&FULL).lists.remove(0), |l| {
         l.total_norms_sq.truncate(1);
     });
-
-    let piece = |d: &Draw| sample_piece(5, d.n, d.width, d.ip, d.sq8);
-    rejected("piece flat vs rows", piece(&plain), |p| p.flat.truncate(7));
-    rejected("piece range", piece(&plain), |p| p.dim_end = 7);
-    rejected("piece rows without payload", piece(&plain), |p| {
-        p.flat.clear()
-    });
-    rejected("piece norms", piece(&FULL), |p| {
-        p.piece_norms_sq.truncate(1)
-    });
-    rejected("piece codes vs rows", piece(&FULL), |p| {
-        p.segs[0].codes.push(0)
-    });
-    rejected("piece segment outside", piece(&FULL), |p| p.dim_start = 9);
-    // Pieces are checked wherever they travel.
-    let install = |d: &Draw| InstallLists {
-        ns: d.ns,
-        epoch: d.epoch,
-        shard: d.shard,
-        dim_block: 0,
-        pieces: vec![piece(d)],
-    };
-    rejected("install", install(&plain), |m| m.pieces[0].flat.truncate(7));
 
     rejected("upsert seqs", sample_upsert(&FULL), |m| m.seqs.truncate(1));
     rejected("upsert flat vs rows", sample_upsert(&FULL), |m| {
