@@ -214,20 +214,20 @@ pub fn cache_block_sub(n: usize) {
     CACHE_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
 }
 
-/// On-disk block-file payload bytes for spilled (warm/cold tier) grid
-/// blocks across every live worker. Disk-resident, *not* part of any RAM
-/// gauge; a block faulted back into the cache stays counted here until its
-/// spill file is deleted.
+/// On-disk part-file bytes of spilled (warm/cold tier) grid blocks across
+/// every live worker. Disk-resident, *not* part of any RAM gauge; a list
+/// faulted back into the cache stays counted here until its block's part
+/// file is deleted.
 pub fn spilled_block_bytes() -> usize {
     SPILLED_BLOCK_BYTES.load(Ordering::Relaxed)
 }
 
-/// Accounts `n` payload bytes written to a spill file.
+/// Accounts `n` bytes written to a part file.
 pub fn spilled_block_add(n: usize) {
     SPILLED_BLOCK_BYTES.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Accounts `n` payload bytes of spill files deleted (promotion/eviction).
+/// Accounts `n` bytes of part files deleted (promotion/eviction).
 pub fn spilled_block_sub(n: usize) {
     SPILLED_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
 }

@@ -196,11 +196,11 @@ pub struct HarmonyConfig {
     /// auto-tiered namespaces between temperature tiers by access rate
     /// (0 = no background thread).
     pub compact_interval_ms: u64,
-    /// Per-worker byte budget of the warm/cold block cache. Faulted-in
-    /// blocks of non-pinned namespaces are retained up to this budget and
-    /// evicted least-recently-visited first.
+    /// Per-worker byte budget of the warm/cold list cache. Faulted-in lists
+    /// of non-pinned namespaces — ids, rows and norm tables alike — are
+    /// retained up to this budget and evicted least-recently-used first.
     pub cache_budget_bytes: usize,
-    /// Root directory for spilled block files of warm/cold namespaces.
+    /// Root directory for spilled part files of warm/cold namespaces.
     /// `None` uses a per-process temp directory cleaned on worker drop.
     pub spill_dir: Option<PathBuf>,
 }

@@ -83,10 +83,11 @@
 //! tenants can never observe each other's rows, even with overlapping
 //! external ids. Each namespace also has a storage *temperature*
 //! ([`crate::Temperature`]): hot namespaces stay fully RAM-resident; warm and
-//! cold namespaces spill their grid blocks to length-checked disk files
-//! and fault them back through a per-worker byte-budgeted LRU cache on
-//! first visit ([`EngineCore::set_namespace_tier`]) — faulted bytes are
-//! bit-identical, so results never depend on residency. With
+//! cold namespaces spill each grid block to a part file and fault back the
+//! lists a sub-batch probes through a per-worker byte-budgeted LRU list
+//! cache, prefetched on every machine of the itinerary at admission
+//! ([`EngineCore::set_namespace_tier`]) — faulted bytes are bit-identical,
+//! so results never depend on residency. With
 //! [`HarmonyConfig::compact_interval_ms`] set, a background **compactor
 //! thread** — the one compaction trigger besides an explicit
 //! [`EngineCore::compact`] — folds any namespace's unfolded writes once
@@ -546,6 +547,10 @@ impl EngineCore {
             stats.tombstone_entries += r.tombstone_entries;
             stats.cache_block_bytes += r.cache_block_bytes;
             stats.spilled_block_bytes += r.spilled_block_bytes;
+            stats.cache_hits += r.cache_hits;
+            stats.cache_misses += r.cache_misses;
+            stats.fault_bytes += r.fault_bytes;
+            stats.spill_read_errors += r.spill_read_errors;
             true
         })?;
         Ok(stats)

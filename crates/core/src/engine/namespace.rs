@@ -92,7 +92,7 @@ impl NamespaceState {
         Err(IndexError::DimensionMismatch { expected, actual }.into())
     }
 
-    fn temperature(&self) -> Temperature {
+    pub(super) fn temperature(&self) -> Temperature {
         Temperature::decode(self.temperature.load(Ordering::Relaxed)).unwrap_or(Temperature::Hot)
     }
 }

@@ -14,7 +14,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use harmony_cluster::{ClientReceiver, ClusterError, NodeId, Wire};
 use harmony_index::distance::ip;
 use harmony_index::kmeans::nearest_centroids;
-use harmony_index::{Metric, Neighbor, TopK, VectorStore};
+use harmony_index::{Metric, Neighbor, Temperature, TopK, VectorStore};
 use parking_lot::Mutex;
 
 use super::ingest::NsView;
@@ -486,8 +486,48 @@ impl EngineCore {
                 admitted.push(row);
             }
         }
+        if ns_state.temperature() != Temperature::Hot {
+            self.prefetch(ns_state.ns, &admission, &admitted, active)?;
+        }
         self.dispatch_round(ctx, &admitted, active, charges)?;
         Ok(admitted.len())
+    }
+
+    /// Tells every machine of every shard row the admitted rows will visit
+    /// which lists they will probe there, so a spilled block's lists fault
+    /// in on all of them at once instead of hop after hop and visit after
+    /// visit.
+    fn prefetch(
+        &self,
+        ns: u16,
+        admission: &Admission,
+        rows: &[usize],
+        active: &[Option<QueryState>],
+    ) -> Result<(), CoreError> {
+        let mut probed: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for state in rows.iter().filter_map(|&row| active[row].as_ref()) {
+            for (shard, clusters) in &state.pending_visits {
+                probed.entry(*shard).or_default().extend(clusters);
+            }
+        }
+        let routing = &admission.view.routing;
+        for (shard, mut clusters) in probed {
+            clusters.sort_unstable();
+            clusters.dedup();
+            if clusters.is_empty() {
+                continue; // a delta-only visit probes no list
+            }
+            let msg = ToWorker::Prefetch {
+                ns,
+                epoch: routing.epoch,
+                shard,
+                clusters,
+            };
+            for b in 0..routing.plan.dim_blocks {
+                self.send(routing.plan.machine_of(shard as usize, b), &msg)?;
+            }
+        }
+        Ok(())
     }
 
     /// Sets up one query: probes, prewarm, visit list. Returns `None` when

@@ -15,7 +15,9 @@
 //!   candidates down the pipeline as one [`CarryBatch`] per hop (Fig. 5b)
 //!   and the final hop reports one [`ResultBatch`]. The single-query forms
 //!   [`QueryChunk`] / [`Carry`] / [`QueryResult`] stay decodable and are
-//!   lifted into one-row batches on arrival.
+//!   lifted into one-row batches on arrival. For a warm or cold namespace
+//!   the client first sends every machine a sub-batch will visit one
+//!   [`ToWorker::Prefetch`] naming the lists it will probe there.
 //! * **Diagnostics** — [`ToWorker::GetStats`] / [`ToClient::Stats`] collect
 //!   the per-slice pruning counters behind Fig. 2a and Table 3.
 //!
@@ -1040,12 +1042,22 @@ wire! {
         pub delta_rows: u64,
         /// Tombstoned ids currently held across live epochs.
         pub tombstone_entries: u64,
-        /// Evictable block payload bytes resident in the warm-tier cache (a
+        /// Evictable list payload bytes resident in the warm-tier cache (a
         /// subset of `f32_block_bytes` + `sq8_block_bytes`).
         pub cache_block_bytes: u64,
-        /// Block payload bytes spilled to disk (warm/cold namespaces); not
-        /// counted in any RAM gauge.
+        /// Part-file bytes on disk (warm/cold namespaces); not counted in
+        /// any RAM gauge.
         pub spilled_block_bytes: u64,
+        /// Requested lists of spilled blocks (by a hop or a prefetch) that
+        /// were already resident.
+        pub cache_hits: u64,
+        /// Lists faulted in from part files.
+        pub cache_misses: u64,
+        /// Part-file bytes read by those faults.
+        pub fault_bytes: u64,
+        /// Sub-batches answered emptily because a probed list could not be
+        /// read back from its part file.
+        pub spill_read_errors: u64,
     }
 }
 
@@ -1085,6 +1097,19 @@ wire! {
         12 => ChunkBatch(ChunkBatch),
         /// Pipeline hop of one sub-batch from a peer worker.
         13 => CarryBatch(CarryBatch),
+        /// Fault these lists of a spilled block in ahead of the sub-batch
+        /// that will probe them (warm/cold namespaces only; scans nothing,
+        /// answers nothing).
+        14 => Prefetch {
+            /// Namespace of the block.
+            ns: u16,
+            /// Epoch the sub-batch was admitted under.
+            epoch: u64,
+            /// Shard row of the block.
+            shard: u32,
+            /// Clusters the sub-batch probes on that shard, ascending.
+            clusters: Vec<u32>,
+        },
     }
 }
 

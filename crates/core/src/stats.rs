@@ -302,10 +302,20 @@ pub struct EngineStats {
     pub delta_rows: u64,
     /// Tombstoned ids held across worker epochs.
     pub tombstone_entries: u64,
-    /// Bytes of faulted-in warm/cold blocks resident in worker LRU caches.
+    /// Payload bytes of faulted-in warm/cold lists resident in worker LRU
+    /// caches.
     pub cache_block_bytes: u64,
-    /// Bytes of spilled block files on disk across workers.
+    /// Bytes of spilled part files on disk across workers.
     pub spilled_block_bytes: u64,
+    /// Lists of spilled blocks a hop or a prefetch found resident.
+    pub cache_hits: u64,
+    /// Lists faulted in from part files.
+    pub cache_misses: u64,
+    /// Part-file bytes those faults read.
+    pub fault_bytes: u64,
+    /// Sub-batch hops answered emptily because a probed list could not be
+    /// read back from its part file.
+    pub spill_read_errors: u64,
 }
 
 impl EngineStats {

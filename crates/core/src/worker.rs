@@ -42,16 +42,31 @@
 //! executing against the old storage; a retired epoch goes only on an
 //! explicit [`ToWorker::EvictEpoch`], which the client sends after the
 //! last in-flight query of that epoch has drained.
+//!
+//! # Tiering
+//!
+//! A warm or cold namespace's block is spilled once, as an immutable part
+//! file with a list directory (`harmony_index::persist`), and becomes
+//! resident **list by list**: a hop faults exactly the probed lists its
+//! block lacks, and the client's [`ToWorker::Prefetch`] lets every machine
+//! of a sub-batch's itinerary do so before the hop reaches it. Faulted
+//! lists live in a per-worker LRU keyed by `(ns, epoch, shard, cluster)`.
+//! A hop never runs while a list it probes is in the directory but not
+//! resident: if one cannot be read back the sub-batch is answered emptily
+//! and counted, because scanning it as absent would shift the canonical
+//! candidate indices the machines of the shard row carry between them.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use harmony_cluster::{mem, NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
 use harmony_index::distance::{ip, l2_sq};
-use harmony_index::persist::{load_block_file, save_block_file};
+use harmony_index::persist::{
+    read_part_lists, write_part_file, PartDirectory, PartList, PartListRef, PersistError,
+};
 use harmony_index::quant::{self, Sq8BlockQuery};
 use harmony_index::{BlockCache, DeltaList, Metric, Sq8Segment, Temperature, TombstoneSet, TopK};
 
@@ -63,9 +78,13 @@ use crate::pruning::PruneRule;
 
 /// Addresses one grid block in the tier machinery: `(ns, epoch, shard)`.
 /// A worker hosts at most one block per shard per `(ns, epoch)`, so the key
-/// is unique within a worker (and spill files live in a per-worker
+/// is unique within a worker (and part files live in a per-worker
 /// directory, so it is unique on disk too).
-type SpillKey = (u16, u64, u32);
+type BlockKey = (u16, u64, u32);
+
+/// Addresses one list of a grid block: the list cache's key,
+/// `(ns, epoch, shard, cluster)`.
+type ListKey = (u16, u64, u32, u32);
 
 /// Distinguishes concurrently-constructed workers' default spill
 /// directories within one process.
@@ -78,6 +97,17 @@ enum BlockData {
     /// SQ8-quantized rows: one segment over the block's range, as
     /// `cut_list` quantizes a list.
     Sq8 { segs: Vec<Sq8Segment> },
+}
+
+impl BlockData {
+    /// SQ8 when there are segments, exact rows otherwise.
+    fn of(flat: Vec<f32>, segs: Vec<Sq8Segment>) -> Self {
+        if segs.is_empty() {
+            BlockData::F32 { flat }
+        } else {
+            BlockData::Sq8 { segs }
+        }
+    }
 }
 
 /// One inverted list restricted to this worker's dimension block.
@@ -103,18 +133,43 @@ impl ListBlock {
         total_norms_sq: Vec<f32>,
         width: usize,
     ) -> Self {
-        let data = if segs.is_empty() {
-            BlockData::F32 { flat }
-        } else {
-            BlockData::Sq8 { segs }
-        };
         Self {
             ids,
-            data,
+            data: BlockData::of(flat, segs),
             max_block_norm_sq: block_norms_sq.iter().fold(0.0f32, |a, &b| a.max(b)),
             block_norms_sq,
             total_norms_sq,
             width,
+        }
+    }
+
+    /// The resident form of a list read back from a part file: its arrays
+    /// moved in, the derived maximum taken from the directory.
+    fn from_part(part: PartList, width: usize) -> Self {
+        Self {
+            ids: part.ids,
+            data: BlockData::of(part.flat, part.segs),
+            block_norms_sq: part.block_norms_sq,
+            total_norms_sq: part.total_norms_sq,
+            max_block_norm_sq: part.max_block_norm_sq,
+            width,
+        }
+    }
+
+    /// What a part file stores of this list.
+    fn part_ref(&self, cluster: u32) -> PartListRef<'_> {
+        let (flat, segs): (&[f32], &[Sq8Segment]) = match &self.data {
+            BlockData::F32 { flat } => (flat, &[]),
+            BlockData::Sq8 { segs } => (&[], segs),
+        };
+        PartListRef {
+            cluster,
+            ids: &self.ids,
+            flat,
+            segs,
+            block_norms_sq: &self.block_norms_sq,
+            total_norms_sq: &self.total_norms_sq,
+            max_block_norm_sq: self.max_block_norm_sq,
         }
     }
 
@@ -190,87 +245,72 @@ impl BlockStore {
     }
 }
 
-/// Accounts a block store's payload into the process-wide per-repr gauges.
-fn gauge_add(store: &BlockStore) {
-    let (f, s) = store.payload_bytes();
+/// Accounts a list's payload into the process-wide per-repr gauges, and
+/// into the cache gauge when it is a `cached` list of a spilled block.
+fn gauge_add(list: &ListBlock, cached: bool) {
+    let (f, s) = list.payload_bytes();
     mem::f32_block_add(f);
     mem::sq8_block_add(s);
+    if cached {
+        mem::cache_block_add(f + s);
+    }
 }
 
-/// Removes a block store's payload from the per-repr gauges.
-fn gauge_sub(store: &BlockStore) {
-    let (f, s) = store.payload_bytes();
+/// Removes a list's payload from the gauges [`gauge_add`] put it in.
+fn gauge_sub(list: &ListBlock, cached: bool) {
+    let (f, s) = list.payload_bytes();
     mem::f32_block_sub(f);
     mem::sq8_block_sub(s);
+    if cached {
+        mem::cache_block_sub(f + s);
+    }
 }
 
-/// The disk backing of a spilled grid block.
+/// The disk backing of a spilled grid block: its part file, and the
+/// file's list directory kept in memory so a fault reads only lists.
 struct SpillFile {
     path: PathBuf,
-    /// Serialized payload bytes on disk (the spilled-byte gauge's unit).
-    payload_bytes: usize,
+    dir: PartDirectory,
 }
 
-/// One shard's grid block under the tier machinery: RAM payload, disk
-/// backing, or both (warm blocks faulted into the cache keep their file —
-/// spill files are immutable for the life of the block, so demoting again
-/// is free).
+/// One shard's grid block under the tier machinery. A pinned (hot) block
+/// has no backing and every list resident; a spilled (warm/cold) one has a
+/// part file — immutable for the life of the block, so demoting again is
+/// free — and exactly the lists the cache holds.
 struct BlockSlot {
-    /// RAM-resident payload; `None` while spilled out.
-    resident: Option<BlockStore>,
-    /// Disk backing; `None` for hot (pinned) blocks.
+    store: BlockStore,
     spill: Option<SpillFile>,
 }
 
 impl BlockSlot {
     fn pinned(store: BlockStore) -> Self {
-        Self {
-            resident: Some(store),
-            spill: None,
+        Self { store, spill: None }
+    }
+
+    /// Un-accounts every resident list and deletes the part file (the
+    /// caller forgets the block's cache entries).
+    fn release(mut self) {
+        let cached = self.spill.is_some();
+        for list in self.store.lists.values() {
+            gauge_sub(list, cached);
+        }
+        self.drop_spill();
+    }
+
+    /// Deletes the part file and releases its gauge bytes.
+    fn drop_spill(&mut self) {
+        if let Some(spill) = self.spill.take() {
+            mem::spilled_block_sub(spill.dir.file_bytes() as usize);
+            let _ = std::fs::remove_file(&spill.path);
         }
     }
 }
 
-/// Serializes a block store for spilling. The list payload reuses the wire
-/// codec's [`ClusterBlock`] encoding (sorted by cluster id), so a faulted
-/// block rebuilds through the exact path a [`LoadBlock`] takes — faulting
-/// is a pure byte round-trip and search results stay bit-identical.
-fn encode_block_store(store: &BlockStore) -> Vec<u8> {
-    let mut clusters: Vec<ClusterBlock> = store
-        .lists
-        .iter()
-        .map(|(&cluster, l)| ClusterBlock {
-            cluster,
-            ids: l.ids.clone(),
-            flat: match &l.data {
-                BlockData::F32 { flat } => flat.clone(),
-                BlockData::Sq8 { .. } => Vec::new(),
-            },
-            segs: match &l.data {
-                BlockData::F32 { .. } => Vec::new(),
-                BlockData::Sq8 { segs } => segs.clone(),
-            },
-            block_norms_sq: l.block_norms_sq.clone(),
-            total_norms_sq: l.total_norms_sq.clone(),
-        })
-        .collect();
-    clusters.sort_by_key(|c| c.cluster);
-    let mut buf = BytesMut::new();
-    store.dim_start.encode(&mut buf);
-    store.dim_end.encode(&mut buf);
-    clusters.encode(&mut buf);
-    buf.to_vec()
-}
-
-/// Rebuilds a block store from a spill payload. Returns `None` on any
-/// decode mismatch (a corrupt file already failed the checksum in
-/// [`load_block_file`]; this guards logic errors).
-fn decode_block_store(payload: &[u8]) -> Option<BlockStore> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    let dim_start = u64::decode(&mut buf).ok()?;
-    let dim_end = u64::decode(&mut buf).ok()?;
-    let clusters = Vec::<ClusterBlock>::decode(&mut buf).ok()?;
-    (dim_start <= dim_end).then(|| BlockStore::from_wire(dim_start, dim_end, clusters))
+fn slot_mut(
+    epochs: &mut HashMap<(u16, u64), EpochStore>,
+    (ns, epoch, shard): BlockKey,
+) -> Option<&mut BlockSlot> {
+    epochs.get_mut(&(ns, epoch))?.blocks.get_mut(&shard)
 }
 
 /// Per-namespace query configuration, set by the namespace's first
@@ -326,6 +366,16 @@ impl EpochStore {
 
     fn delta_bytes(&self) -> usize {
         self.deltas.values().map(DeltaList::memory_bytes).sum()
+    }
+
+    /// Un-accounts the epoch's storage and deletes its part files (the
+    /// caller forgets its cache entries).
+    fn release(self) {
+        mem::delta_block_sub(self.delta_bytes());
+        mem::tombstone_sub(self.tombstones.len());
+        for slot in self.blocks.into_values() {
+            slot.release();
+        }
     }
 }
 
@@ -983,9 +1033,11 @@ pub struct HarmonyWorker {
     ns_meta: HashMap<u16, NsMeta>,
     /// Per-namespace residency tier (absent = hot).
     tiers: HashMap<u16, Temperature>,
-    /// LRU over faulted warm/cold blocks; payloads live in the slots.
-    cache: BlockCache<SpillKey>,
-    /// Directory for this worker's spill files (created lazily).
+    /// LRU over the resident lists of spilled blocks, each at its full
+    /// memory footprint (ids, rows, norm tables); the lists live in the
+    /// slots.
+    cache: BlockCache<ListKey>,
+    /// Directory for this worker's part files (created lazily).
     spill_dir: PathBuf,
     spill_dir_ready: bool,
     /// Longest pipeline across live epochs (sizes the slice counters).
@@ -997,6 +1049,13 @@ pub struct HarmonyWorker {
     /// Wall nanoseconds spent in candidate scan loops (observed compute,
     /// fed back into the client's cost-model recalibration).
     compute_ns: u64,
+    /// Requested lists of spilled blocks found resident.
+    cache_hits: u64,
+    /// Lists faulted in, and the part-file bytes that took.
+    cache_misses: u64,
+    fault_bytes: u64,
+    /// Sub-batches answered emptily because a probed list was unreadable.
+    spill_read_errors: u64,
 }
 
 impl Default for HarmonyWorker {
@@ -1020,7 +1079,7 @@ impl HarmonyWorker {
     }
 
     /// Creates an empty worker that spills warm/cold blocks under
-    /// `spill_dir` and caches faulted payloads up to `cache_budget` bytes.
+    /// `spill_dir` and caches faulted lists up to `cache_budget` bytes.
     pub fn with_tiering(spill_dir: PathBuf, cache_budget: usize) -> Self {
         Self {
             epochs: HashMap::new(),
@@ -1036,6 +1095,10 @@ impl HarmonyWorker {
             slice_pruned: vec![0],
             scanned_point_dims: 0,
             compute_ns: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            fault_bytes: 0,
+            spill_read_errors: 0,
         }
     }
 
@@ -1048,56 +1111,29 @@ impl HarmonyWorker {
         self.tiers.get(&ns).copied().unwrap_or_default()
     }
 
-    fn spill_path(&self, key: SpillKey) -> PathBuf {
-        let (ns, epoch, shard) = key;
-        self.spill_dir.join(format!("ns{ns}-e{epoch}-s{shard}.blk"))
+    fn spill_path(&self, (ns, epoch, shard): BlockKey) -> PathBuf {
+        self.spill_dir
+            .join(format!("ns{ns}-e{epoch}-s{shard}.part"))
     }
 
-    /// Drops a slot's resident payload (cache eviction / cold demotion).
-    /// Only slots with a disk backing may be evicted, so the data is never
-    /// lost. The caller keeps the cache (and its gauge) in sync.
-    fn evict_resident(slot: &mut BlockSlot) {
-        debug_assert!(slot.spill.is_some(), "evicting a block with no backing");
-        if let Some(store) = slot.resident.take() {
-            gauge_sub(&store);
-        }
-    }
-
-    /// Mirrors the process-wide cache gauge onto the cache's tracked bytes
-    /// after a mutation; `before` is `cache.resident_bytes()` prior to it.
-    fn sync_cache_gauge(&self, before: usize) {
-        let after = self.cache.resident_bytes();
-        if after > before {
-            mem::cache_block_add(after - before);
-        } else {
-            mem::cache_block_sub(before - after);
-        }
-    }
-
-    /// Forgets `key` in the warm cache (its payload stays with the slot).
-    fn uncache(&mut self, key: &SpillKey) {
-        let before = self.cache.resident_bytes();
-        self.cache.remove(key);
-        self.sync_cache_gauge(before);
-    }
-
-    /// Evicts the slots named by a batch of cache-evicted keys.
-    fn apply_cache_evictions(&mut self, evicted: Vec<SpillKey>) {
-        for key in evicted {
-            if let Some(slot) = self
-                .epochs
-                .get_mut(&(key.0, key.1))
-                .and_then(|e| e.blocks.get_mut(&key.2))
-            {
-                Self::evict_resident(slot);
+    /// Drops the named lists of spilled blocks (cache evictions, and the
+    /// lists a hop kept past the budget until it was done with them).
+    fn drop_cached(&mut self, keys: impl IntoIterator<Item = ListKey>) {
+        for (ns, epoch, shard, cluster) in keys {
+            let Some(slot) = slot_mut(&mut self.epochs, (ns, epoch, shard)) else {
+                continue;
+            };
+            debug_assert!(slot.spill.is_some(), "dropping a list with no backing");
+            if let Some(list) = slot.store.lists.remove(&cluster) {
+                gauge_sub(&list, true);
             }
         }
     }
 
-    /// Ensures a spill file exists for the slot, writing one if needed.
-    /// On I/O failure the slot simply keeps no backing — it then behaves
-    /// as pinned (never cache-evicted), trading memory for safety.
-    fn ensure_spilled(&mut self, key: SpillKey) {
+    /// Writes the block's part file unless it has one. Only a pinned block
+    /// lacks one, and a pinned block holds every list. On I/O failure the
+    /// block keeps no backing and stays pinned, trading memory for safety.
+    fn ensure_spilled(&mut self, key: BlockKey) {
         let path = self.spill_path(key);
         if !self.spill_dir_ready {
             if std::fs::create_dir_all(&self.spill_dir).is_err() {
@@ -1105,122 +1141,165 @@ impl HarmonyWorker {
             }
             self.spill_dir_ready = true;
         }
-        let Some(slot) = self
-            .epochs
-            .get_mut(&(key.0, key.1))
-            .and_then(|e| e.blocks.get_mut(&key.2))
-        else {
+        let Some(slot) = slot_mut(&mut self.epochs, key) else {
             return;
         };
         if slot.spill.is_some() {
             return;
         }
-        let Some(store) = slot.resident.as_ref() else {
-            return;
-        };
-        let payload = encode_block_store(store);
-        if save_block_file(&path, &payload).is_ok() {
-            mem::spilled_block_add(payload.len());
-            slot.spill = Some(SpillFile {
-                path,
-                payload_bytes: payload.len(),
-            });
+        let store = &slot.store;
+        let mut lists: Vec<PartListRef<'_>> =
+            store.lists.iter().map(|(&c, l)| l.part_ref(c)).collect();
+        if let Ok(dir) = write_part_file(&path, (store.dim_start, store.dim_end), &mut lists) {
+            mem::spilled_block_add(dir.file_bytes() as usize);
+            slot.spill = Some(SpillFile { path, dir });
         }
     }
 
-    /// Deletes a slot's spill file and releases its gauge bytes.
-    fn drop_spill(slot: &mut BlockSlot) {
-        if let Some(spill) = slot.spill.take() {
-            mem::spilled_block_sub(spill.payload_bytes);
-            let _ = std::fs::remove_file(&spill.path);
-        }
-    }
-
-    /// Makes the block for `key` RAM-resident, faulting it from disk if the
-    /// namespace is demoted, and refreshes its cache recency. Faulting may
-    /// evict colder blocks past the cache budget.
-    fn ensure_resident(&mut self, key: SpillKey) {
-        let Some(slot) = self
-            .epochs
-            .get_mut(&(key.0, key.1))
-            .and_then(|e| e.blocks.get_mut(&key.2))
-        else {
-            return;
+    /// Makes the lists `clusters` of `key`'s block resident: a spilled
+    /// block faults the ones it lacks from its part file — each read and
+    /// checked alone — and refreshes the recency of the rest; a pinned
+    /// block (or an unknown one) returns at once. Faulting may push colder
+    /// lists past the cache budget. Returns the requested lists the budget
+    /// pushed out too: they stay resident for the caller, who drops them
+    /// ([`Self::drop_cached`]) once done. On a read error nothing is
+    /// installed.
+    fn fault_in(&mut self, key: BlockKey, clusters: &[u32]) -> Result<Vec<ListKey>, PersistError> {
+        let Some(slot) = slot_mut(&mut self.epochs, key) else {
+            return Ok(Vec::new());
         };
-        if slot.resident.is_some() {
-            if slot.spill.is_some() {
-                self.cache.touch(&key);
+        let Some(spill) = &slot.spill else {
+            return Ok(Vec::new()); // pinned
+        };
+        let (ns, epoch, shard) = key;
+        let mut wanted: Vec<u32> = clusters
+            .iter()
+            .copied()
+            .filter(|&c| spill.dir.entry(c).is_some())
+            .collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut missing = Vec::new();
+        for &cluster in &wanted {
+            if slot.store.lists.contains_key(&cluster) {
+                self.cache.touch(&(ns, epoch, shard, cluster));
+                self.cache_hits += 1;
+            } else {
+                missing.push(cluster);
             }
-            return;
         }
-        let Some(spill) = slot.spill.as_ref() else {
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        let parts = read_part_lists(&spill.path, &spill.dir, &missing)?;
+        let read: u64 = missing
+            .iter()
+            .filter_map(|&c| spill.dir.entry(c))
+            .map(|e| e.len)
+            .sum();
+        self.fault_bytes += read;
+        self.cache_misses += parts.len() as u64;
+        let width = (slot.store.dim_end - slot.store.dim_start) as usize;
+        let mut evicted = Vec::new();
+        for part in parts {
+            let cluster = part.cluster;
+            let list = ListBlock::from_part(part, width);
+            gauge_add(&list, true);
+            let bytes = list.memory_bytes();
+            slot.store.lists.insert(cluster, list);
+            evicted.extend(self.cache.insert((ns, epoch, shard, cluster), bytes));
+        }
+        let (kept, dropped): (Vec<ListKey>, Vec<ListKey>) = evicted
+            .into_iter()
+            .partition(|&(n, e, s, c)| (n, e, s) == key && wanted.binary_search(&c).is_ok());
+        self.drop_cached(dropped);
+        Ok(kept)
+    }
+
+    /// Spills `key`'s block (once) and keeps its resident lists as cache
+    /// entries (`keep`, warm) or drops them (cold). A block whose spill
+    /// fails stays pinned.
+    fn demote(&mut self, key: BlockKey, keep: bool) {
+        let was_spilled = slot_mut(&mut self.epochs, key).is_some_and(|s| s.spill.is_some());
+        self.ensure_spilled(key);
+        let Some(slot) = slot_mut(&mut self.epochs, key) else {
             return;
         };
-        let Ok(payload) = load_block_file(&spill.path) else {
-            return; // unreadable backing: degrade to an empty answer
-        };
-        let Some(store) = decode_block_store(&payload) else {
+        if slot.spill.is_none() || (keep && was_spilled) {
+            return; // spill failed: pinned; or already warm/cold: cached
+        }
+        let (ns, epoch, shard) = key;
+        if keep {
+            // Ascending cluster id: the recency order does not depend on
+            // the map's iteration order.
+            let mut lists: Vec<_> = slot.store.lists.iter().collect();
+            lists.sort_unstable_by_key(|&(&c, _)| c);
+            let mut evicted = Vec::new();
+            for (&c, list) in lists {
+                let (f, s) = list.payload_bytes();
+                mem::cache_block_add(f + s);
+                let bytes = list.memory_bytes();
+                evicted.extend(self.cache.insert((ns, epoch, shard, c), bytes));
+            }
+            self.drop_cached(evicted);
+        } else {
+            for (c, list) in std::mem::take(&mut slot.store.lists) {
+                gauge_sub(&list, was_spilled);
+                self.cache.remove(&(ns, epoch, shard, c));
+            }
+        }
+    }
+
+    /// Faults every list of `key`'s spilled block back, pins them all and
+    /// deletes the part file. A block with a list that cannot be read back
+    /// keeps its file and stays spilled rather than lose the list.
+    fn promote(&mut self, key: BlockKey) {
+        let Some(slot) = slot_mut(&mut self.epochs, key) else {
             return;
         };
-        let (f, s) = store.payload_bytes();
-        gauge_add(&store);
-        slot.resident = Some(store);
-        let before = self.cache.resident_bytes();
-        let evicted = self.cache.insert(key, f + s);
-        self.sync_cache_gauge(before);
-        self.apply_cache_evictions(evicted);
+        let Some(spill) = &slot.spill else {
+            return; // already pinned
+        };
+        let missing: Vec<u32> = spill
+            .dir
+            .entries()
+            .iter()
+            .map(|e| e.cluster)
+            .filter(|c| !slot.store.lists.contains_key(c))
+            .collect();
+        let Ok(parts) = read_part_lists(&spill.path, &spill.dir, &missing) else {
+            return;
+        };
+        let (ns, epoch, shard) = key;
+        for (&c, list) in &slot.store.lists {
+            let (f, s) = list.payload_bytes();
+            mem::cache_block_sub(f + s);
+            self.cache.remove(&(ns, epoch, shard, c));
+        }
+        let width = (slot.store.dim_end - slot.store.dim_start) as usize;
+        for part in parts {
+            let cluster = part.cluster;
+            let list = ListBlock::from_part(part, width);
+            gauge_add(&list, false);
+            slot.store.lists.insert(cluster, list);
+        }
+        slot.drop_spill();
     }
 
     /// Applies the namespace's current tier to a freshly installed block:
-    /// hot blocks stay pinned, warm blocks gain a backing and enter the
-    /// cache, cold blocks spill and drop their payload immediately.
-    fn apply_tier(&mut self, key: SpillKey) {
+    /// hot blocks stay pinned, warm blocks spill and cache their lists,
+    /// cold blocks spill and drop them.
+    fn apply_tier(&mut self, key: BlockKey) {
         match self.tier(key.0) {
             Temperature::Hot => {}
-            Temperature::Warm => {
-                if self.cache.touch(&key) {
-                    return; // already demoted and cached
-                }
-                self.ensure_spilled(key);
-                let Some(slot) = self
-                    .epochs
-                    .get_mut(&(key.0, key.1))
-                    .and_then(|e| e.blocks.get_mut(&key.2))
-                else {
-                    return;
-                };
-                if slot.spill.is_none() {
-                    return; // spill failed: stay pinned
-                }
-                if let Some(store) = slot.resident.as_ref() {
-                    let (f, s) = store.payload_bytes();
-                    let before = self.cache.resident_bytes();
-                    let evicted = self.cache.insert(key, f + s);
-                    self.sync_cache_gauge(before);
-                    self.apply_cache_evictions(evicted);
-                }
-            }
-            Temperature::Cold => {
-                self.ensure_spilled(key);
-                let Some(slot) = self
-                    .epochs
-                    .get_mut(&(key.0, key.1))
-                    .and_then(|e| e.blocks.get_mut(&key.2))
-                else {
-                    return;
-                };
-                if slot.spill.is_none() {
-                    return;
-                }
-                Self::evict_resident(slot);
-                self.uncache(&key);
-            }
+            Temperature::Warm => self.demote(key, true),
+            Temperature::Cold => self.demote(key, false),
         }
     }
 
     /// Every block key currently stored for a namespace.
-    fn ns_keys(&self, ns: u16) -> Vec<SpillKey> {
-        let mut keys: Vec<SpillKey> = self
+    fn ns_keys(&self, ns: u16) -> Vec<BlockKey> {
+        let mut keys: Vec<BlockKey> = self
             .epochs
             .iter()
             .filter(|((n, _), _)| *n == ns)
@@ -1238,19 +1317,7 @@ impl HarmonyWorker {
         self.tiers.insert(msg.ns, tier);
         for key in self.ns_keys(msg.ns) {
             match tier {
-                Temperature::Hot => {
-                    // Promote: fault everything back, pin it, release
-                    // the disk backing.
-                    self.ensure_resident(key);
-                    self.uncache(&key);
-                    if let Some(slot) = self
-                        .epochs
-                        .get_mut(&(key.0, key.1))
-                        .and_then(|e| e.blocks.get_mut(&key.2))
-                    {
-                        Self::drop_spill(slot);
-                    }
-                }
+                Temperature::Hot => self.promote(key),
                 Temperature::Warm | Temperature::Cold => self.apply_tier(key),
             }
         }
@@ -1271,7 +1338,7 @@ impl HarmonyWorker {
 
     /// Installs `block` as `key`'s grid block — replacing, and un-accounting,
     /// one already there — and applies the namespace's tier to it.
-    fn install_block(&mut self, key: SpillKey, total_dim_blocks: u32, block: BlockStore) {
+    fn install_block(&mut self, key: BlockKey, total_dim_blocks: u32, block: BlockStore) {
         let total_dim_blocks = total_dim_blocks.max(1) as usize;
         self.ensure_slice_positions(total_dim_blocks);
         let (ns, epoch, shard) = key;
@@ -1280,14 +1347,13 @@ impl HarmonyWorker {
             .entry((ns, epoch))
             .or_insert_with(|| EpochStore::new(total_dim_blocks));
         store.total_dim_blocks = total_dim_blocks;
-        gauge_add(&block);
-        if let Some(mut old) = store.blocks.insert(shard, BlockSlot::pinned(block)) {
-            // Replaced block: its spill file (if any) describes stale data.
-            if let Some(old_store) = old.resident.take() {
-                gauge_sub(&old_store);
-            }
-            Self::drop_spill(&mut old);
-            self.uncache(&key);
+        for list in block.lists.values() {
+            gauge_add(list, false);
+        }
+        if let Some(old) = store.blocks.insert(shard, BlockSlot::pinned(block)) {
+            // Replaced block: its part file (if any) describes stale data.
+            old.release();
+            self.cache.remove_matching(|&(n, e, s, _)| (n, e, s) == key);
         }
         // A demoted namespace keeps its tier across reloads and migrations.
         self.apply_tier(key);
@@ -1398,23 +1464,33 @@ impl HarmonyWorker {
     fn run_hop(&mut self, ctx: &NodeCtx, chunk: ChunkBatch, carry: Option<CarryBatch>) {
         let n = chunk.len();
         let position = chunk.position as usize;
-        // Fault a demoted block back in (and refresh its cache recency)
-        // once per sub-batch, before taking the immutable storage borrow.
-        self.ensure_resident((chunk.ns, chunk.epoch, chunk.shard));
+        // Fault what a demoted block lacks of the probed lists (and refresh
+        // their cache recency) once per sub-batch, before taking the
+        // immutable storage borrow. A list that cannot be read back is not
+        // scanned as absent — that would shift the canonical indices the
+        // shard row carries — the sub-batch is answered emptily instead.
+        let kept = match self.fault_in((chunk.ns, chunk.epoch, chunk.shard), &chunk.clusters) {
+            Ok(kept) => Some(kept),
+            Err(_) => {
+                self.spill_read_errors += 1;
+                None
+            }
+        };
         let meta = self.meta(chunk.ns);
         let store = self.epochs.get(&(chunk.ns, chunk.epoch));
         let block = store
             .and_then(|s| s.blocks.get(&chunk.shard))
-            .and_then(|s| s.resident.as_ref());
+            .map(|s| &s.store);
         let delta = store
             .and_then(|s| s.deltas.get(&chunk.shard))
             .filter(|_| chunk.delta_seq > 0);
         let rows_agree = carry.as_ref().is_none_or(|c| c.len() == n);
         debug_assert!(rows_agree, "carry and chunk disagree on the sub-batch");
-        let store = store.filter(|_| rows_agree && (block.is_some() || delta.is_some()));
+        let store =
+            store.filter(|_| kept.is_some() && rows_agree && (block.is_some() || delta.is_some()));
         let Some(store) = store else {
-            // Epoch never loaded (or already evicted): answer emptily so
-            // the client can finish.
+            // Epoch never loaded (or already evicted), or a probed list
+            // unreadable: answer emptily so the client can finish.
             let empty = ResultBatch {
                 shard: chunk.shard,
                 result_ends: vec![0; n],
@@ -1424,6 +1500,7 @@ impl HarmonyWorker {
                 query_ids: chunk.query_ids,
             };
             Self::reply(ctx, chunk.legacy_reply, empty);
+            self.drop_cached(kept.into_iter().flatten());
             return;
         };
 
@@ -1456,6 +1533,18 @@ impl HarmonyWorker {
                 debug_assert!(false, "a forwarding hop is never the itinerary's last")
             }
         }
+        self.drop_cached(kept.into_iter().flatten());
+    }
+
+    /// Faults the lists a sub-batch will probe on this machine ahead of its
+    /// hop, scanning nothing. Nothing to do for a pinned block or an
+    /// epoch this machine does not hold; an unreadable list is left for
+    /// the hop, which re-faults whatever is missing by then and counts the
+    /// failure.
+    fn handle_prefetch(&mut self, key: BlockKey, clusters: &[u32]) {
+        if let Ok(kept) = self.fault_in(key, clusters) {
+            self.drop_cached(kept);
+        }
     }
 
     /// Sends a finished sub-batch to the client: one [`ResultBatch`], or —
@@ -1472,40 +1561,31 @@ impl HarmonyWorker {
     }
 
     /// Drops an epoch's storage — a retired one's, or what a failed
-    /// handshake left of a new one — with its spill files and cache entries.
+    /// handshake left of a new one — with its part files and cache entries.
     fn handle_evict(&mut self, ns: u16, epoch: u64) {
-        if let Some(mut store) = self.epochs.remove(&(ns, epoch)) {
-            for slot in store.blocks.values_mut() {
-                if let Some(block) = &slot.resident {
-                    gauge_sub(block);
-                }
-                Self::drop_spill(slot);
-            }
-            mem::delta_block_sub(store.delta_bytes());
-            mem::tombstone_sub(store.tombstones.len());
+        if let Some(store) = self.epochs.remove(&(ns, epoch)) {
+            store.release();
         }
-        let before = self.cache.resident_bytes();
         self.cache
-            .remove_matching(|&(n, e, _)| n == ns && e == epoch);
-        self.sync_cache_gauge(before);
+            .remove_matching(|&(n, e, _, _)| n == ns && e == epoch);
     }
 
     fn stats_report(&self) -> StatsReport {
-        let (f32_bytes, sq8_bytes) = self
-            .epochs
-            .values()
-            .flat_map(|e| e.blocks.values())
-            .filter_map(|s| s.resident.as_ref())
-            .fold((0usize, 0usize), |(f, s), b| {
-                let (bf, bs) = b.payload_bytes();
-                (f + bf, s + bs)
-            });
-        let spilled_bytes: usize = self
-            .epochs
-            .values()
-            .flat_map(|e| e.blocks.values())
+        let slots = || self.epochs.values().flat_map(|e| e.blocks.values());
+        let (f32_bytes, sq8_bytes) = slots().fold((0usize, 0usize), |(f, s), slot| {
+            let (bf, bs) = slot.store.payload_bytes();
+            (f + bf, s + bs)
+        });
+        let cached_bytes: usize = slots()
+            .filter(|slot| slot.spill.is_some())
+            .map(|slot| {
+                let (f, s) = slot.store.payload_bytes();
+                f + s
+            })
+            .sum();
+        let spilled_bytes: u64 = slots()
             .filter_map(|s| s.spill.as_ref())
-            .map(|f| f.payload_bytes)
+            .map(|f| f.dir.file_bytes())
             .sum();
         let delta_bytes: usize = self.epochs.values().map(EpochStore::delta_bytes).sum();
         let delta_rows: usize = self
@@ -1519,13 +1599,7 @@ impl HarmonyWorker {
             slice_in: self.slice_in.clone(),
             slice_pruned: self.slice_pruned.clone(),
             scanned_point_dims: self.scanned_point_dims,
-            memory_bytes: self
-                .epochs
-                .values()
-                .flat_map(|e| e.blocks.values())
-                .filter_map(|s| s.resident.as_ref())
-                .map(BlockStore::memory_bytes)
-                .sum::<usize>() as u64
+            memory_bytes: slots().map(|s| s.store.memory_bytes()).sum::<usize>() as u64
                 + delta_bytes as u64,
             f32_block_bytes: f32_bytes as u64,
             sq8_block_bytes: sq8_bytes as u64,
@@ -1533,8 +1607,12 @@ impl HarmonyWorker {
             delta_bytes: delta_bytes as u64,
             delta_rows: delta_rows as u64,
             tombstone_entries: tombstone_entries as u64,
-            cache_block_bytes: self.cache.resident_bytes() as u64,
-            spilled_block_bytes: spilled_bytes as u64,
+            cache_block_bytes: cached_bytes as u64,
+            spilled_block_bytes: spilled_bytes,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            fault_bytes: self.fault_bytes,
+            spill_read_errors: self.spill_read_errors,
         }
     }
 
@@ -1543,6 +1621,10 @@ impl HarmonyWorker {
         self.slice_pruned = vec![0; self.slice_positions];
         self.scanned_point_dims = 0;
         self.compute_ns = 0;
+        self.cache_hits = 0;
+        self.cache_misses = 0;
+        self.fault_bytes = 0;
+        self.spill_read_errors = 0;
     }
 }
 
@@ -1551,18 +1633,10 @@ impl Drop for HarmonyWorker {
     /// byte gauges, so short-lived clusters (tests, benches) don't leak
     /// resident-byte accounting into later measurements.
     fn drop(&mut self) {
-        for store in self.epochs.values_mut() {
-            for slot in store.blocks.values_mut() {
-                if let Some(block) = &slot.resident {
-                    gauge_sub(block);
-                }
-                Self::drop_spill(slot);
-            }
-            mem::delta_block_sub(store.delta_bytes());
-            mem::tombstone_sub(store.tombstones.len());
+        for store in std::mem::take(&mut self.epochs).into_values() {
+            store.release();
         }
-        mem::cache_block_sub(self.cache.resident_bytes());
-        // Best-effort: the dir only disappears once all spill files are
+        // Best-effort: the dir only disappears once all part files are
         // gone; leftovers from a crashed worker are bounded by temp-dir
         // hygiene, not correctness.
         let _ = std::fs::remove_dir(&self.spill_dir);
@@ -1593,6 +1667,12 @@ impl NodeHandler for HarmonyWorker {
             ToWorker::UpsertDelta(m) => self.handle_upsert_delta(m),
             ToWorker::DeleteIds(m) => self.handle_delete_ids(m),
             ToWorker::SetTier(m) => self.handle_set_tier(ctx, m),
+            ToWorker::Prefetch {
+                ns,
+                epoch,
+                shard,
+                clusters,
+            } => self.handle_prefetch((ns, epoch, shard), &clusters),
         }
     }
 }

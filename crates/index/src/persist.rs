@@ -16,13 +16,19 @@
 //! Readers validate magic, version, shapes, and checksum before
 //! constructing the index, so a truncated or corrupted file can never
 //! produce a silently-wrong index.
+//!
+//! The same module holds the worker's spill format, the **part file**
+//! ([`write_part_file`]): one immutable file per spilled grid block whose
+//! list directory lets a fault read and verify exactly the lists a query
+//! probes ([`read_part_lists`]).
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::distance::Metric;
 use crate::ivf::{InvertedList, IvfIndex};
+use crate::quant::Sq8Segment;
 use crate::vector::VectorStore;
 
 const MAGIC: &[u8; 4] = b"HIVF";
@@ -429,10 +435,9 @@ const BLOCK_MAX_PAYLOAD: u64 = 1 << 40;
 /// magic "HBLK" | version u32 | payload_len u64 | payload | fnv1a-64 trailer
 /// ```
 ///
-/// Block files carry spilled (warm/cold tier) grid-block payloads; the
-/// format is deliberately opaque so the tier layer needs no knowledge of
-/// the block representation — callers serialize, this layer guarantees
-/// integrity and torn-write detection.
+/// An opaque, whole-file-checksummed container. The worker spills to part
+/// files ([`write_part_file`]) instead; this pair stays because the
+/// benchmark probes its throughput.
 ///
 /// # Errors
 /// [`PersistError::Io`] on filesystem failure.
@@ -517,6 +522,448 @@ pub fn load_block_file(path: impl AsRef<Path>) -> Result<Vec<u8>, PersistError> 
         )));
     }
     Ok(payload)
+}
+
+const PART_MAGIC: &[u8; 4] = b"HPRT";
+const PART_VERSION: u32 = 1;
+/// magic (4) + version (4) + dim_start (8) + dim_end (8) + list count (8).
+const PART_HEADER_BYTES: u64 = 32;
+/// cluster u32 | segments u32 | flags u32 | max_block_norm_sq f32 |
+/// offset u64 | len u64 | rows u64 | checksum u64.
+const PART_ENTRY_BYTES: u64 = 48;
+/// Directory entry flag: the list carries per-row block norms.
+const HAS_BLOCK_NORMS: u32 = 1;
+/// Directory entry flag: the list carries per-row full-vector norms.
+const HAS_TOTAL_NORMS: u32 = 2;
+/// Bytes of one SQ8 segment's header inside a list payload: dim_start u64 |
+/// dim_end u64 | min f32 | scale f32.
+const SEG_HEADER_BYTES: u64 = 24;
+
+/// Word-at-a-time checksum of a part file's lists and directory: four
+/// independent multiply–rotate lanes over 8-byte words, folded with the
+/// tail through FNV-1a. Each lane step is a bijection of the lane, so a
+/// corrupted word always changes its lane. A fault pays it on every byte it
+/// reads: ≈ 22× the speed of the byte-wise FNV-1a trailer (15.8 against
+/// 0.7 GB/s over 1.3 MB in the 2-vCPU sandbox).
+fn part_checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut lanes = [
+        0x243F_6A88_85A3_08D3u64,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = (*lane ^ le_u64(word)).wrapping_mul(K).rotate_left(29);
+        }
+    }
+    let mut h = Fnv1a::new();
+    h.update(&(bytes.len() as u64).to_le_bytes());
+    for lane in lanes {
+        h.update(&lane.to_le_bytes());
+    }
+    h.update(blocks.remainder());
+    h.0
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(b);
+    u64::from_le_bytes(a)
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    let mut a = [0u8; 4];
+    a.copy_from_slice(b);
+    u32::from_le_bytes(a)
+}
+
+fn le_f32(b: &[u8]) -> f32 {
+    f32::from_bits(le_u32(b))
+}
+
+/// One inverted list as a part file stores it, borrowed from its resident
+/// form. Exactly one of `flat` (exact rows) and `segs` (SQ8) carries the
+/// rows; an empty `segs` means exact rows.
+#[derive(Debug, Clone, Copy)]
+pub struct PartListRef<'a> {
+    /// IVF list (cluster) id.
+    pub cluster: u32,
+    /// Member vector ids.
+    pub ids: &'a [u64],
+    /// Row-major exact rows, as wide as the part file's dimension range.
+    pub flat: &'a [f32],
+    /// SQ8 segments of the rows.
+    pub segs: &'a [Sq8Segment],
+    /// Per-row squared norm of the block's coordinates (may be empty).
+    pub block_norms_sq: &'a [f32],
+    /// Per-row squared norm of the full vector (may be empty).
+    pub total_norms_sq: &'a [f32],
+    /// Maximum of `block_norms_sq` (0 when empty), stored so a fault does
+    /// not rederive it.
+    pub max_block_norm_sq: f32,
+}
+
+/// One list read back from a part file: the owned arrays of a
+/// [`PartListRef`], ready to move into the resident form without a copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartList {
+    /// IVF list (cluster) id.
+    pub cluster: u32,
+    /// Member vector ids.
+    pub ids: Vec<u64>,
+    /// Exact rows (empty for an SQ8 list).
+    pub flat: Vec<f32>,
+    /// SQ8 segments (empty for exact rows).
+    pub segs: Vec<Sq8Segment>,
+    /// Per-row block norms (empty if the list had none).
+    pub block_norms_sq: Vec<f32>,
+    /// Per-row full-vector norms (empty if the list had none).
+    pub total_norms_sq: Vec<f32>,
+    /// As stored in the directory.
+    pub max_block_norm_sq: f32,
+}
+
+/// One list's entry in a part file's directory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PartEntry {
+    /// IVF list (cluster) id; the directory ascends by it.
+    pub cluster: u32,
+    /// Representation: the number of SQ8 segments, 0 for exact f32 rows.
+    pub segments: u32,
+    /// Which norm tables the payload carries (`HAS_*_NORMS` bits).
+    flags: u32,
+    /// Maximum per-row block norm, as [`PartListRef::max_block_norm_sq`].
+    pub max_block_norm_sq: f32,
+    /// Absolute file offset of the list's payload.
+    pub offset: u64,
+    /// Payload length in bytes.
+    pub len: u64,
+    /// Rows of the list.
+    pub rows: u64,
+    /// [`part_checksum`] of the payload.
+    pub checksum: u64,
+}
+
+/// A part file's header and list directory, kept in memory by the owner of
+/// the file so a fault needs no read beyond the lists themselves.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartDirectory {
+    /// Absolute dimension range `[dim_start, dim_end)` of every list.
+    pub dim_start: u64,
+    /// End of the dimension range.
+    pub dim_end: u64,
+    entries: Vec<PartEntry>,
+    file_bytes: u64,
+}
+
+impl PartDirectory {
+    /// Every list's entry, ascending by cluster id.
+    pub fn entries(&self) -> &[PartEntry] {
+        &self.entries
+    }
+
+    /// The entry of `cluster`, if the block holds that list.
+    pub fn entry(&self, cluster: u32) -> Option<&PartEntry> {
+        let i = self
+            .entries
+            .binary_search_by_key(&cluster, |e| e.cluster)
+            .ok()?;
+        self.entries.get(i)
+    }
+
+    /// Size of the whole file on disk.
+    pub fn file_bytes(&self) -> u64 {
+        self.file_bytes
+    }
+
+    fn width(&self) -> u64 {
+        self.dim_end.saturating_sub(self.dim_start)
+    }
+}
+
+/// Appends one list's payload: ids, then exact rows or every SQ8 segment
+/// (header, codes, code sums), then the norm tables it has — raw
+/// little-endian arrays.
+fn encode_part_list(list: &PartListRef<'_>, out: &mut Vec<u8>) {
+    out.extend(list.ids.iter().flat_map(|v| v.to_le_bytes()));
+    out.extend(list.flat.iter().flat_map(|v| v.to_le_bytes()));
+    for s in list.segs {
+        out.extend_from_slice(&s.dim_start.to_le_bytes());
+        out.extend_from_slice(&s.dim_end.to_le_bytes());
+        out.extend_from_slice(&s.min.to_le_bytes());
+        out.extend_from_slice(&s.scale.to_le_bytes());
+        out.extend_from_slice(&s.codes);
+        out.extend(s.code_sums.iter().flat_map(|v| v.to_le_bytes()));
+    }
+    out.extend(list.block_norms_sq.iter().flat_map(|v| v.to_le_bytes()));
+    out.extend(list.total_norms_sq.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// Writes one spilled grid block as an immutable part file, atomically
+/// (tmp file + rename), lists in ascending cluster id:
+///
+/// ```text
+/// magic "HPRT" | version u32 | dim_start u64 | dim_end u64 | lists u64
+/// directory:   per list, a 48-byte PartEntry (cluster, representation,
+///              norm flags, max block norm, offset, length, rows, checksum)
+/// dir check:   part checksum of header + directory
+/// payloads:    per list, ids | f32 rows or SQ8 segments | norm tables
+/// ```
+///
+/// Returns the directory, which the caller keeps: a fault then reads and
+/// verifies exactly the lists it needs ([`read_part_lists`]).
+///
+/// # Errors
+/// [`PersistError::Io`] on filesystem failure.
+pub fn write_part_file(
+    path: impl AsRef<Path>,
+    (dim_start, dim_end): (u64, u64),
+    lists: &mut [PartListRef<'_>],
+) -> Result<PartDirectory, PersistError> {
+    lists.sort_unstable_by_key(|l| l.cluster);
+    let data_start = PART_HEADER_BYTES + lists.len() as u64 * PART_ENTRY_BYTES + 8;
+    let mut payload = Vec::new();
+    let mut entries = Vec::with_capacity(lists.len());
+    for list in lists.iter() {
+        let start = payload.len();
+        encode_part_list(list, &mut payload);
+        let bytes = &payload[start..];
+        let flag = |table: &[f32], bit: u32| if table.is_empty() { 0 } else { bit };
+        entries.push(PartEntry {
+            cluster: list.cluster,
+            segments: list.segs.len() as u32,
+            flags: flag(list.block_norms_sq, HAS_BLOCK_NORMS)
+                | flag(list.total_norms_sq, HAS_TOTAL_NORMS),
+            max_block_norm_sq: list.max_block_norm_sq,
+            offset: data_start + start as u64,
+            len: bytes.len() as u64,
+            rows: list.ids.len() as u64,
+            checksum: part_checksum(bytes),
+        });
+    }
+    let mut head = Vec::with_capacity(data_start as usize);
+    head.extend_from_slice(PART_MAGIC);
+    head.extend_from_slice(&PART_VERSION.to_le_bytes());
+    for v in [dim_start, dim_end, entries.len() as u64] {
+        head.extend_from_slice(&v.to_le_bytes());
+    }
+    for e in &entries {
+        for v in [
+            e.cluster,
+            e.segments,
+            e.flags,
+            e.max_block_norm_sq.to_bits(),
+        ] {
+            head.extend_from_slice(&v.to_le_bytes());
+        }
+        for v in [e.offset, e.len, e.rows, e.checksum] {
+            head.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    head.extend_from_slice(&part_checksum(&head).to_le_bytes());
+
+    let path = path.as_ref();
+    let tmp = path.with_extension("tmp");
+    {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        w.write_all(&head)?;
+        w.write_all(&payload)?;
+        w.flush()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(PartDirectory {
+        dim_start,
+        dim_end,
+        entries,
+        file_bytes: data_start + payload.len() as u64,
+    })
+}
+
+/// Reads and validates a part file's header and directory — what
+/// [`write_part_file`] returned, recovered from the file alone.
+///
+/// # Errors
+/// [`PersistError`] on IO failure, a bad magic or version, a directory
+/// that fails its checksum, or entries that do not fit the file.
+pub fn read_part_directory(path: impl AsRef<Path>) -> Result<PartDirectory, PersistError> {
+    let mut file = File::open(path)?;
+    let file_bytes = file.metadata()?.len();
+    let mut head = vec![0u8; PART_HEADER_BYTES as usize];
+    read_exact_or_format(&mut file, &mut head)?;
+    if &head[..4] != PART_MAGIC {
+        return Err(PersistError::Format(
+            "bad magic; not a Harmony part file".into(),
+        ));
+    }
+    let version = le_u32(&head[4..8]);
+    if version != PART_VERSION {
+        return Err(PersistError::Format(format!(
+            "unsupported part-file version {version} (expected {PART_VERSION})"
+        )));
+    }
+    let (dim_start, dim_end, n) = (
+        le_u64(&head[8..16]),
+        le_u64(&head[16..24]),
+        le_u64(&head[24..32]),
+    );
+    if dim_start > dim_end || n > file_bytes / PART_ENTRY_BYTES {
+        return Err(PersistError::Format(format!(
+            "implausible part header: dims {dim_start}..{dim_end}, {n} lists"
+        )));
+    }
+    head.resize((PART_HEADER_BYTES + n * PART_ENTRY_BYTES + 8) as usize, 0);
+    read_exact_or_format(&mut file, &mut head[PART_HEADER_BYTES as usize..])?;
+    let (covered, stored) = head.split_at(head.len() - 8);
+    if le_u64(stored) != part_checksum(covered) {
+        return Err(PersistError::Format(
+            "part directory checksum mismatch".into(),
+        ));
+    }
+    let entries: Vec<PartEntry> = covered[PART_HEADER_BYTES as usize..]
+        .chunks_exact(PART_ENTRY_BYTES as usize)
+        .map(|e| PartEntry {
+            cluster: le_u32(&e[0..4]),
+            segments: le_u32(&e[4..8]),
+            flags: le_u32(&e[8..12]),
+            max_block_norm_sq: le_f32(&e[12..16]),
+            offset: le_u64(&e[16..24]),
+            len: le_u64(&e[24..32]),
+            rows: le_u64(&e[32..40]),
+            checksum: le_u64(&e[40..48]),
+        })
+        .collect();
+    let ascending = entries.windows(2).all(|w| w[0].cluster < w[1].cluster);
+    let inside = entries.iter().all(|e| {
+        e.offset
+            .checked_add(e.len)
+            .is_some_and(|end| end <= file_bytes)
+    });
+    if !ascending || !inside {
+        return Err(PersistError::Format(
+            "part directory entries out of order or past the file".into(),
+        ));
+    }
+    Ok(PartDirectory {
+        dim_start,
+        dim_end,
+        entries,
+        file_bytes,
+    })
+}
+
+fn read_exact_or_format(r: &mut impl Read, buf: &mut [u8]) -> Result<(), PersistError> {
+    r.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            PersistError::Format("truncated part file".into())
+        } else {
+            PersistError::Io(e)
+        }
+    })
+}
+
+/// Reads the lists `clusters` of the part file at `path`: one positioned
+/// read per list, checked against the list's own checksum, decoded
+/// straight into the owned arrays. Lists come back in the order asked.
+///
+/// # Errors
+/// [`PersistError`] on IO failure, a cluster the directory does not hold,
+/// or a list whose bytes fail their checksum or shape.
+pub fn read_part_lists(
+    path: impl AsRef<Path>,
+    dir: &PartDirectory,
+    clusters: &[u32],
+) -> Result<Vec<PartList>, PersistError> {
+    let mut file = File::open(path)?;
+    let mut buf = Vec::new();
+    clusters
+        .iter()
+        .map(|&cluster| {
+            let entry = dir.entry(cluster).ok_or_else(|| {
+                PersistError::Format(format!("list {cluster} is not in the part file"))
+            })?;
+            buf.resize(entry.len as usize, 0);
+            file.seek(SeekFrom::Start(entry.offset))?;
+            read_exact_or_format(&mut file, &mut buf)?;
+            if part_checksum(&buf) != entry.checksum {
+                return Err(PersistError::Format(format!(
+                    "list {cluster}: checksum mismatch"
+                )));
+            }
+            decode_part_list(entry, dir.width(), &buf).ok_or_else(|| {
+                PersistError::Format(format!("list {cluster}: payload disagrees with its entry"))
+            })
+        })
+        .collect()
+}
+
+/// Bounds-checked cursor over one list payload.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: u64) -> Option<&'a [u8]> {
+        let n = usize::try_from(n).ok()?;
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array(&mut self, rows: u64, width: u64) -> Option<&'a [u8]> {
+        self.take(rows.checked_mul(width)?)
+    }
+
+    fn f32s(&mut self, n: u64) -> Option<Vec<f32>> {
+        Some(self.array(n, 4)?.chunks_exact(4).map(le_f32).collect())
+    }
+}
+
+/// The inverse of [`encode_part_list`] under the shape its entry states;
+/// `None` when the bytes do not have that shape exactly.
+fn decode_part_list(entry: &PartEntry, width: u64, bytes: &[u8]) -> Option<PartList> {
+    let rows = entry.rows;
+    let mut c = Cursor(bytes);
+    let ids = c.array(rows, 8)?.chunks_exact(8).map(le_u64).collect();
+    let mut flat = Vec::new();
+    let mut segs = Vec::with_capacity(entry.segments as usize);
+    if entry.segments == 0 {
+        flat = c.f32s(rows.checked_mul(width)?)?;
+    }
+    for _ in 0..entry.segments {
+        let h = c.take(SEG_HEADER_BYTES)?;
+        let (dim_start, dim_end) = (le_u64(&h[0..8]), le_u64(&h[8..16]));
+        let seg_width = dim_end.checked_sub(dim_start)?;
+        segs.push(Sq8Segment {
+            dim_start,
+            dim_end,
+            min: le_f32(&h[16..20]),
+            scale: le_f32(&h[20..24]),
+            codes: c.array(rows, seg_width)?.to_vec(),
+            code_sums: c.array(rows, 4)?.chunks_exact(4).map(le_u32).collect(),
+        });
+    }
+    let table = |c: &mut Cursor<'_>, bit: u32| {
+        if entry.flags & bit == 0 {
+            Some(Vec::new())
+        } else {
+            c.f32s(rows)
+        }
+    };
+    let block_norms_sq = table(&mut c, HAS_BLOCK_NORMS)?;
+    let total_norms_sq = table(&mut c, HAS_TOTAL_NORMS)?;
+    c.0.is_empty().then_some(PartList {
+        cluster: entry.cluster,
+        ids,
+        flat,
+        segs,
+        block_norms_sq,
+        total_norms_sq,
+        max_block_norm_sq: entry.max_block_norm_sq,
+    })
 }
 
 #[cfg(test)]
@@ -806,6 +1253,149 @@ mod tests {
             other => panic!("bad magic not caught: {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Three lists of a 3-wide block starting at dimension 5: exact rows
+    /// with norm tables, SQ8 rows without, and an empty SQ8 list.
+    fn sample_part_lists() -> Vec<PartList> {
+        let flat: Vec<f32> = (0..12).map(|i| i as f32 * 0.25 - 1.0).collect();
+        let norms: Vec<f32> = flat
+            .chunks(3)
+            .map(|r| r.iter().map(|x| x * x).sum())
+            .collect();
+        vec![
+            PartList {
+                cluster: 9,
+                ids: vec![90, 91, 92, 93],
+                flat: flat.clone(),
+                segs: vec![],
+                max_block_norm_sq: norms.iter().fold(0.0f32, |a, &b| a.max(b)),
+                block_norms_sq: norms.clone(),
+                total_norms_sq: norms.iter().map(|n| n + 1.0).collect(),
+            },
+            PartList {
+                cluster: 2,
+                ids: vec![20, 21, 22, 23],
+                flat: vec![],
+                segs: vec![Sq8Segment::quantize(&flat, 3, 5)],
+                block_norms_sq: vec![],
+                total_norms_sq: vec![],
+                max_block_norm_sq: 0.0,
+            },
+            PartList {
+                cluster: 4,
+                ids: vec![],
+                flat: vec![],
+                segs: vec![Sq8Segment::quantize(&[], 3, 5)],
+                block_norms_sq: vec![],
+                total_norms_sq: vec![],
+                max_block_norm_sq: 0.0,
+            },
+        ]
+    }
+
+    fn write_sample_part(path: &Path, lists: &[PartList]) -> PartDirectory {
+        let mut refs: Vec<PartListRef<'_>> = lists
+            .iter()
+            .map(|l| PartListRef {
+                cluster: l.cluster,
+                ids: &l.ids,
+                flat: &l.flat,
+                segs: &l.segs,
+                block_norms_sq: &l.block_norms_sq,
+                total_norms_sq: &l.total_norms_sq,
+                max_block_norm_sq: l.max_block_norm_sq,
+            })
+            .collect();
+        write_part_file(path, (5, 8), &mut refs).unwrap()
+    }
+
+    #[test]
+    fn part_file_roundtrips_any_subset_of_lists() {
+        let path = temp_path("part-roundtrip");
+        let lists = sample_part_lists();
+        let dir = write_sample_part(&path, &lists);
+        let clusters: Vec<u32> = dir.entries().iter().map(|e| e.cluster).collect();
+        assert_eq!(clusters, vec![2, 4, 9], "directory ascends by cluster");
+        assert_eq!(dir.file_bytes(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!(read_part_directory(&path).unwrap(), dir);
+        assert_eq!(dir.entry(2).unwrap().segments, 1);
+        assert_eq!(dir.entry(9).unwrap().segments, 0);
+        assert!(dir.entry(3).is_none());
+        // Any subset, in the order asked, equal to what was written.
+        let got = read_part_lists(&path, &dir, &[9, 4, 2]).unwrap();
+        assert_eq!(
+            got,
+            vec![lists[0].clone(), lists[2].clone(), lists[1].clone()]
+        );
+        assert!(matches!(
+            read_part_lists(&path, &dir, &[3]),
+            Err(PersistError::Format(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn part_file_corruption_stays_inside_one_list() {
+        let path = temp_path("part-corrupt");
+        let lists = sample_part_lists();
+        let dir = write_sample_part(&path, &lists);
+        let bad = *dir.entry(9).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(bad.offset + bad.len / 2) as usize] ^= 0x08;
+        std::fs::write(&path, &bytes).unwrap();
+        match read_part_lists(&path, &dir, &[9]) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+            other => panic!("corrupt list read back: {other:?}"),
+        }
+        // The other lists and the directory are untouched.
+        assert_eq!(read_part_lists(&path, &dir, &[2]).unwrap()[0], lists[1]);
+        assert_eq!(read_part_directory(&path).unwrap(), dir);
+        // A corrupted directory entry fails the directory checksum.
+        bytes[PART_HEADER_BYTES as usize + 20] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_part_directory(&path),
+            Err(PersistError::Format(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn part_file_truncation_and_bad_magic_rejected() {
+        let path = temp_path("part-trunc");
+        let dir = write_sample_part(&path, &sample_part_lists());
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        // The last list runs past the end; the first is still whole.
+        let last = dir.entries().last().unwrap().cluster;
+        assert!(matches!(
+            read_part_lists(&path, &dir, &[last]),
+            Err(PersistError::Format(_))
+        ));
+        assert!(read_part_lists(&path, &dir, &[2]).is_ok());
+        assert!(matches!(
+            read_part_directory(&path),
+            Err(PersistError::Format(_))
+        ));
+        std::fs::write(&path, b"HBLK0000000000000000000000000000").unwrap();
+        match read_part_directory(&path) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("magic")),
+            other => panic!("bad magic not caught: {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn part_checksum_sees_every_word_and_the_tail() {
+        let base: Vec<u8> = (0..77u32).map(|i| (i * 37 % 251) as u8).collect();
+        let sum = part_checksum(&base);
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x40;
+            assert_ne!(part_checksum(&flipped), sum, "byte {i}");
+        }
+        assert_ne!(part_checksum(&base[..76]), sum, "length is covered");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! * [`Temperature`] — the per-namespace residency tier and its legal
 //!   transitions (any tier may move to any other; the *mechanics* differ),
-//! * [`BlockCache`] — a byte-budgeted LRU over opaque block keys. The
-//!   cache tracks recency and budget only; the owner holds the payloads
-//!   and evicts exactly the keys this cache returns, so resident-byte
-//!   gauges stay exact,
+//! * [`BlockCache`] — a byte-budgeted LRU over opaque keys (the worker's
+//!   are single lists of a grid block). The cache tracks recency and
+//!   budget only; the owner holds the payloads and evicts exactly the keys
+//!   this cache returns, so resident-byte gauges stay exact,
 //! * [`AccessEwma`] — an exponentially-weighted access rate per namespace
 //!   driving automatic promote/demote sweeps.
 //!
@@ -19,18 +19,19 @@
 //! ```text
 //!            demote                 demote
 //!   Hot ───────────────▶ Warm ───────────────▶ Cold
-//!    ▲   (spill, cache)   │    (drop payload)    │
-//!    │                    │ fault on visit       │ fault on visit
+//!    ▲   (spill, cache)   │    (drop lists)      │
+//!    │                    │ fault probed lists   │ fault probed lists
 //!    └────────────────────┴─────────◀────────────┘
 //!            promote (fault all + pin)
 //! ```
 //!
 //! Hot blocks are pinned RAM residents and never appear in the cache.
-//! Warm/cold blocks live on disk as length-checked block files (see
-//! [`crate::persist::save_block_file`]); a query visit faults the block
-//! back, inserts it at the cache's MRU end, and evicts least-recent
-//! entries past the byte budget. Faulting a spilled block back is a pure
-//! byte round-trip, so search results are bit-identical across tiers.
+//! Warm/cold blocks live on disk as part files (see
+//! [`crate::persist::write_part_file`]); a visit — or the prefetch the
+//! client sends ahead of it — faults the probed lists back, inserts them
+//! at the cache's MRU end, and evicts least-recent lists past the byte
+//! budget. Faulting a list back is a pure byte round-trip, so search
+//! results are bit-identical across tiers.
 
 use std::collections::VecDeque;
 

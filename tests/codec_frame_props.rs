@@ -263,6 +263,12 @@ fn to_worker_sample(name: &str, d: &Draw) -> Option<ToWorker> {
         }),
         "ChunkBatch" => ToWorker::ChunkBatch(sample_chunk_batch(n, d.width, d.ip, seed)),
         "CarryBatch" => ToWorker::CarryBatch(sample_carry_batch(n, 1 + shard, d.ip, d.sq8, seed)),
+        "Prefetch" => ToWorker::Prefetch {
+            ns,
+            epoch,
+            shard,
+            clusters: (0..n as u32).map(|i| i * 3 + 1).collect(),
+        },
         _ => return None,
     })
 }
@@ -306,6 +312,10 @@ fn to_client_sample(name: &str, d: &Draw) -> Option<ToClient> {
             tombstone_entries: seed % 50,
             cache_block_bytes: seed / 17,
             spilled_block_bytes: seed / 19,
+            cache_hits: seed / 23,
+            cache_misses: seed / 29,
+            fault_bytes: seed / 31,
+            spill_read_errors: seed % 7,
         }),
         "EpochReady" => ToClient::EpochReady { ns, epoch },
         "TierAck" => ToClient::TierAck { ns },
@@ -539,6 +549,7 @@ fn wire_tags_are_golden() {
             (11, "SetTier"),
             (12, "ChunkBatch"),
             (13, "CarryBatch"),
+            (14, "Prefetch"),
         ]
     );
     assert_eq!(
