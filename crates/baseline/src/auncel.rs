@@ -109,7 +109,7 @@ impl AuncelEngine {
         let dim = base.dim();
         let nlist = config.nlist.min(base.len()).max(1);
 
-        let km = KMeans::train(
+        let fit = KMeans::fit(
             base,
             &KMeansConfig {
                 k: nlist,
@@ -117,7 +117,8 @@ impl AuncelEngine {
                 ..KMeansConfig::default()
             },
         )?;
-        let assignments = km.assign(base);
+        let assignments = fit.assign();
+        let km = fit.model;
         let mut list_rows: Vec<Vec<usize>> = vec![Vec::new(); nlist];
         let mut radii = vec![0.0f32; nlist];
         for (row, &c) in assignments.iter().enumerate() {

@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use harmony_index::{IvfIndex, IvfParams, Metric, Neighbor, VectorStore};
+use harmony_index::{IvfIndex, IvfParams, KMeans, Metric, Neighbor, VectorStore};
 
 use harmony_core::CoreError;
 
@@ -45,14 +45,12 @@ impl FaissLikeEngine {
         base: &VectorStore,
     ) -> Result<Self, CoreError> {
         let nlist = nlist.min(base.len()).max(1);
+        let params = IvfParams::new(nlist).with_metric(metric).with_seed(seed);
         let t0 = Instant::now();
-        let mut ivf = IvfIndex::train(
-            base,
-            &IvfParams::new(nlist).with_metric(metric).with_seed(seed),
-        )?;
+        let fit = KMeans::fit(base, &params.kmeans())?;
         let train = t0.elapsed();
         let t0 = Instant::now();
-        ivf.add(base)?;
+        let ivf = IvfIndex::from_fit(metric, &fit);
         let add = t0.elapsed();
         Ok(Self {
             ivf,

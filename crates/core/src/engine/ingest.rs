@@ -284,7 +284,7 @@ impl EngineCore {
     /// transport failures.
     pub fn upsert_ns(&self, ns: u16, id: u64, vector: &[f32]) -> Result<u64, CoreError> {
         let state = self.namespace(ns)?;
-        state.check_dim(vector.len())?;
+        state.check_rows(vector.len(), vector)?;
         let mut ing = state.writes.ingest.lock();
         // Stable until this guard drops: only its holder publishes.
         let routing = Arc::clone(&state.view().routing);

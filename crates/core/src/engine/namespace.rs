@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use harmony_index::distance::ip;
 use harmony_index::{
-    AccessEwma, BlockRepr, DimRange, IndexError, KMeans, KMeansConfig, Metric, Sq8Segment,
-    Temperature, VectorStore,
+    max_magnitude, AccessEwma, BlockRepr, DimRange, IndexError, KMeans, KMeansConfig, Metric,
+    Sq8Segment, Temperature, VectorStore,
 };
 use parking_lot::RwLock;
 
@@ -83,13 +83,19 @@ impl NamespaceState {
         effective_k(self.sq8, self.rerank_scale, k)
     }
 
-    /// Rejects vectors of another dimensionality than the namespace's.
-    pub(super) fn check_dim(&self, actual: usize) -> Result<(), CoreError> {
-        if actual == self.dim {
-            return Ok(());
+    /// Rejects `rows` (row-major, `dim` wide) of another dimensionality than
+    /// the namespace's, or holding a NaN or infinite coordinate — before
+    /// anything is sent.
+    pub(super) fn check_rows(&self, dim: usize, rows: &[f32]) -> Result<(), CoreError> {
+        let (expected, actual) = (self.dim, dim);
+        if actual != expected {
+            return Err(IndexError::DimensionMismatch { expected, actual }.into());
         }
-        let expected = self.dim;
-        Err(IndexError::DimensionMismatch { expected, actual }.into())
+        let non_finite = rows.chunks(dim).position(|r| max_magnitude(r).is_none());
+        match non_finite {
+            Some(row) => Err(IndexError::NonFinite { row }.into()),
+            None => Ok(()),
+        }
     }
 
     pub(super) fn temperature(&self) -> Temperature {
@@ -263,7 +269,7 @@ pub(super) fn survey_namespace(
 
     // --- Train ---------------------------------------------------
     let t0 = Instant::now();
-    let km = KMeans::train(
+    let fit = KMeans::fit(
         base,
         &KMeansConfig {
             k: nlist,
@@ -275,13 +281,15 @@ pub(super) fn survey_namespace(
 
     // --- Add -----------------------------------------------------
     let t0 = Instant::now();
-    let assignments = km.assign(base);
+    let assignments = fit.assign();
     let mut list_rows: Vec<Vec<usize>> = vec![Vec::new(); nlist];
     for (row, &c) in assignments.iter().enumerate() {
         list_rows[c as usize].push(row);
     }
     let list_sizes: Vec<usize> = list_rows.iter().map(Vec::len).collect();
     let add = t0.elapsed();
+    let rate_budget = planner::rate_budget(fit.nominal_point_dims());
+    let km = fit.model;
 
     // Exact client-side copy of the base: compaction recuts IVF lists
     // from it, and under SQ8 it doubles as the re-rank store.
@@ -298,9 +306,9 @@ pub(super) fn survey_namespace(
     // The build knows nothing of the queries to come, so it prices the ones
     // the API issues by default — `SearchOptions::new`'s probe count, one
     // full in-flight window per batch — spread evenly over the lists. What
-    // it can know it measures: the scan's rates on these lists (a small
-    // fraction of the Train stage it follows), and how many candidates
-    // survive into each hop of every candidate pipeline.
+    // it can know it measures: the scan's rates on these lists (within a
+    // budget sized by Train's nominal work, never by its clock), and how
+    // many candidates survive into each hop of every candidate pipeline.
     let mut profile = WorkloadProfile::uniform(list_sizes, dim, config.max_inflight, 1);
     let asked = SearchOptions::new(profile.k);
     profile.nprobe = asked.nprobe.min(nlist);
@@ -318,7 +326,7 @@ pub(super) fn survey_namespace(
         prewarm: &prewarm,
     };
     let measure =
-        || planner::measure_scan_rates(&view, profile.nprobe, &pipelines, params.seed, train / 64);
+        || planner::measure_scan_rates(&view, profile.nprobe, &pipelines, params.seed, rate_budget);
     let rates = rates.cloned().or_else(measure);
     let picks = planner::even_picks(&view, params.seed);
     let survivors = planner::sample_survivors(&view, &picks, profile.nprobe, &plans);

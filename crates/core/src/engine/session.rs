@@ -257,7 +257,7 @@ impl EngineCore {
         opts: &SearchOptions,
     ) -> Result<BatchResult, CoreError> {
         let state = self.namespace(ns)?;
-        state.check_dim(queries.dim())?;
+        state.check_rows(queries.dim(), queries.as_flat())?;
         let comm_mode = self.cluster.config().comm_mode;
         let t0 = Instant::now();
 

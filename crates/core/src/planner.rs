@@ -197,17 +197,79 @@ const RATE_REPS_MIN: usize = 9;
 /// times. Sizes the sample to the budget.
 const SAMPLE_ROW_NS: u128 = 1_000;
 
-/// Times the worker's scan routine over whole lists of the namespace — the
-/// lists a query from a seeded home list would probe, nearest first, until
-/// the sample holds the rows `budget` pays for (at least 256, at most a
-/// quarter of the namespace; a sample the size of one query's real probe
-/// set streams from where real lists stream from, a smaller one sits in
-/// the nearest cache and flatters wide slices) — cut to every candidate
-/// pipeline's slices, a few of the home list's rows as queries with their
-/// real prewarm thresholds, every hop chained to the next through its real
-/// carry, every pipeline once per repetition. Repetitions stop once they
-/// have taken `budget`. The per-visit times become rates through
-/// [`ScanRates::from_visit_times`].
+/// What one point-dimension of an unpruned Lloyd iteration cost on the
+/// hosts the rate sample was sized on (0.07–0.13 ns measured): the price at
+/// which [`rate_budget`] turns Train's nominal work into time.
+const LLOYD_NS_PER_PD: f64 = 0.1;
+
+/// The rate measurement's budget for a namespace whose unpruned Train
+/// scores `train_point_dims` ([`harmony_index::Fitted::nominal_point_dims`]):
+/// a 64th of that work at [`LLOYD_NS_PER_PD`]. This is the budget the
+/// measurement had when it took a 64th of Train's clock and Train scored
+/// every point-dim — so it draws the sample it drew then — but it follows
+/// from the namespace alone, not from how fast the host ran Train.
+pub(crate) fn rate_budget(train_point_dims: u64) -> Duration {
+    Duration::from_nanos((train_point_dims as f64 * LLOYD_NS_PER_PD / 64.0) as u64)
+}
+
+/// What the rate measurement times, and for how long: the lists a query
+/// from a seeded home list would probe, nearest first, until the sample
+/// holds the rows `budget` pays for (at least 256, at most a quarter of the
+/// namespace; a sample the size of one query's real probe set streams from
+/// where real lists stream from, a smaller one sits in the nearest cache
+/// and flatters wide slices).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RateSample {
+    home: u32,
+    /// The sample lists, nearest the home list first.
+    probes: Vec<u32>,
+    /// Rows the sample lists hold.
+    rows: usize,
+    budget: Duration,
+}
+
+impl RateSample {
+    /// The sample of `view` for `nprobe`-list queries; `None` when every
+    /// list is empty.
+    pub(crate) fn draw(
+        view: &SampleView<'_>,
+        nprobe: usize,
+        seed: u64,
+        budget: Duration,
+    ) -> Option<Self> {
+        let nlist = view.centroids.len();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let start = rng.random_range(0..nlist.max(1));
+        let home = (0..nlist)
+            .map(|j| (start + j) % nlist)
+            .find(|&c| view.lists.len(c as u32) > 0)?;
+        let total = view.store.len();
+        let row_cap =
+            ((budget.as_nanos() / SAMPLE_ROW_NS) as usize).clamp(256, (total / 4).max(256));
+        let mut probes: Vec<u32> = Vec::new();
+        let mut rows = 0;
+        for c in nearest_centroids(view.centroids.row(home), view.centroids, nprobe) {
+            if rows >= row_cap {
+                break;
+            }
+            rows += view.lists.len(c);
+            probes.push(c);
+        }
+        Some(Self {
+            home: home as u32,
+            probes,
+            rows,
+            budget,
+        })
+    }
+}
+
+/// Times the worker's scan routine over the namespace's [`RateSample`] —
+/// cut to every candidate pipeline's slices, a few of the home list's rows
+/// as queries with their real prewarm thresholds, every hop chained to the
+/// next through its real carry, every pipeline once per repetition.
+/// Repetitions stop once they have taken the sample's budget. The per-visit
+/// times become rates through [`ScanRates::from_visit_times`].
 pub(crate) fn measure_scan_rates(
     view: &SampleView<'_>,
     nprobe: usize,
@@ -217,27 +279,16 @@ pub(crate) fn measure_scan_rates(
 ) -> Option<ScanRates> {
     let started = Instant::now();
     let dim = view.store.dim();
-    let nlist = view.centroids.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let start = rng.random_range(0..nlist.max(1));
-    let home = (0..nlist)
-        .map(|j| (start + j) % nlist)
-        .find(|&c| view.lists.len(c as u32) > 0)?;
-    let total = view.store.len();
-    let row_cap = ((budget.as_nanos() / SAMPLE_ROW_NS) as usize).clamp(256, (total / 4).max(256));
-    let mut probes: Vec<u32> = Vec::new();
-    let mut rows = 0;
-    for c in nearest_centroids(view.centroids.row(home), view.centroids, nprobe) {
-        if rows >= row_cap {
-            break;
-        }
-        rows += view.lists.len(c);
-        probes.push(c);
-    }
+    let RateSample {
+        home,
+        probes,
+        budget,
+        ..
+    } = RateSample::draw(view, nprobe, seed, budget)?;
     // A chunk lists its clusters ascending.
     let mut lists = probes.clone();
     lists.sort_unstable();
-    let home_rows: Vec<usize> = view.rows_of(home as u32, 1).collect();
+    let home_rows: Vec<usize> = view.rows_of(home, 1).collect();
     let asked = RATE_QUERIES.min(home_rows.len());
     let queries: Vec<&[f32]> = (0..asked)
         .map(|i| view.store.row(home_rows[i * home_rows.len() / asked]))
@@ -463,4 +514,64 @@ pub(crate) fn measure_message_ns(cluster: &mut Cluster) -> Result<f64, CoreError
         best = best.min(t0.elapsed().as_nanos() as f64 / MESSAGE_FLOOD as f64);
     }
     Ok(best)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harmony_data::SyntheticSpec;
+    use harmony_index::{KMeans, KMeansConfig};
+
+    /// The rate sample — its lists, their rows and the budget — follows from
+    /// the namespace alone: Train's nominal work fixes the budget, however
+    /// long Train took to do it.
+    #[test]
+    fn the_rate_sample_is_a_function_of_the_namespace() {
+        let base = SyntheticSpec::clustered(6_000, 24, 12)
+            .with_seed(3)
+            .generate()
+            .base;
+        let cfg = KMeansConfig {
+            samples_per_centroid: Some(64),
+            ..KMeansConfig::new(32, 9)
+        };
+        let draw = || {
+            let fit = KMeans::fit(&base, &cfg).unwrap();
+            let mut lists = vec![Vec::new(); 32];
+            for (row, c) in fit.assign().into_iter().enumerate() {
+                lists[c as usize].push(row);
+            }
+            let members: Vec<Vec<u64>> = lists
+                .iter()
+                .map(|rows: &Vec<usize>| rows.iter().map(|&r| r as u64).collect())
+                .collect();
+            let store = BaseStore::over(base.clone());
+            let prewarm = PrewarmSamples::cut(8, 0, &members, &store, None).unwrap();
+            let view = SampleView {
+                metric: Metric::L2,
+                sq8: false,
+                pruning: true,
+                k: 10,
+                stage1_k: 10,
+                centroids: &fit.model.centroids,
+                store: &base,
+                lists: &lists,
+                prewarm: &prewarm,
+            };
+            let work = fit.nominal_point_dims();
+            assert_eq!(work, 32 * 64 * 32 * 24 * fit.model.iterations as u64);
+            RateSample::draw(&view, 8, 5, rate_budget(work)).unwrap()
+        };
+        let first = draw();
+        // A second Train of the same namespace runs on another clock.
+        assert_eq!(draw(), first);
+        assert!(first.rows >= 256 && !first.probes.is_empty());
+
+        // The budget is a 64th of the unpruned work at 0.1 ns per point-dim:
+        // on the `scan_uniform` shape (32 768 sampled rows, 128 lists, 128
+        // dims, 20 iterations) the 16.8 ms the clock rule gave there when
+        // Train took ≈ 1.1 s.
+        let scan_uniform = rate_budget(32_768 * 128 * 128 * 20);
+        assert_eq!(scan_uniform, Duration::from_nanos(16_777_216));
+    }
 }

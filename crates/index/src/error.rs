@@ -23,6 +23,11 @@ pub enum IndexError {
         /// Number of items available.
         available: usize,
     },
+    /// A vector held a NaN or infinite coordinate.
+    NonFinite {
+        /// Row of the input holding it (0 for a single vector).
+        row: usize,
+    },
 }
 
 impl fmt::Display for IndexError {
@@ -40,6 +45,9 @@ impl fmt::Display for IndexError {
                 f,
                 "not enough data: required {required}, available {available}"
             ),
+            IndexError::NonFinite { row } => {
+                write!(f, "row {row} has a NaN or infinite coordinate")
+            }
         }
     }
 }

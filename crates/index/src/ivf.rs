@@ -14,7 +14,7 @@
 
 use crate::distance::Metric;
 use crate::error::IndexError;
-use crate::kmeans::{nearest_centroids, KMeans, KMeansConfig};
+use crate::kmeans::{nearest_centroids, Fitted, KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
 use crate::vector::VectorStore;
 
@@ -49,6 +49,14 @@ impl IvfParams {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.train.seed = seed;
         self
+    }
+
+    /// The k-means configuration Train runs: `train` with `nlist` clusters.
+    pub fn kmeans(&self) -> KMeansConfig {
+        KMeansConfig {
+            k: self.nlist,
+            ..self.train.clone()
+        }
     }
 }
 
@@ -86,9 +94,7 @@ impl IvfIndex {
     /// # Errors
     /// Propagates k-means training errors (invalid `nlist`, too little data).
     pub fn train(train_data: &VectorStore, params: &IvfParams) -> Result<Self, IndexError> {
-        let mut cfg = params.train.clone();
-        cfg.k = params.nlist;
-        let km = KMeans::train(train_data, &cfg)?;
+        let km = KMeans::train(train_data, &params.kmeans())?;
         let dim = train_data.dim();
         Ok(Self {
             metric: params.metric,
@@ -100,6 +106,23 @@ impl IvfIndex {
                 .collect(),
             size: 0,
         })
+    }
+
+    /// An index over `fit`'s centroids holding every row of its training
+    /// input: Add, continuing from where Train left the rows it saw
+    /// ([`crate::kmeans::Fitted::assign`]).
+    pub fn from_fit(metric: Metric, fit: &Fitted<'_>) -> Self {
+        let mut members = vec![Vec::new(); fit.model.k()];
+        for (row, list) in fit.assign().into_iter().enumerate() {
+            members[list as usize].push(row);
+        }
+        let lists = members
+            .iter()
+            .map(|rows| InvertedList {
+                vectors: fit.data().gather(rows),
+            })
+            .collect();
+        Self::from_parts(metric, fit.model.centroids.clone(), lists)
     }
 
     /// Builds a trained index directly from parts (used when reassembling a
@@ -296,6 +319,25 @@ mod tests {
         let mut ivf = IvfIndex::train(&data, &IvfParams::new(nlist).with_seed(seed)).unwrap();
         ivf.add(&data).unwrap();
         (ivf, data)
+    }
+
+    #[test]
+    fn from_fit_equals_train_then_add() {
+        // Subsampled (Add continues from Train for a third of the rows) and not.
+        for spc in [Some(10), None] {
+            let data = random_store(900, 12, 3);
+            let mut params = IvfParams::new(30).with_seed(5);
+            params.train.samples_per_centroid = spc;
+            let fit = KMeans::fit(&data, &params.kmeans()).unwrap();
+            let built = IvfIndex::from_fit(params.metric, &fit);
+            let mut added = IvfIndex::train(&data, &params).unwrap();
+            added.add(&data).unwrap();
+            assert_eq!(built.centroids(), added.centroids());
+            assert_eq!(built.len(), added.len());
+            for (b, a) in built.lists().iter().zip(added.lists()) {
+                assert_eq!(b.vectors, a.vectors);
+            }
+        }
     }
 
     #[test]

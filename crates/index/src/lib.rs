@@ -13,7 +13,8 @@
 //!   the pruning threshold `τ²` used by Harmony's early-stop mechanism,
 //! * [`kmeans`] — seeded k-means++ / Lloyd clustering shared by every engine
 //!   in the evaluation (the paper mandates identical clustering across all
-//!   compared systems, §6.1),
+//!   compared systems, §6.1), pruned by the triangle inequality to the
+//!   distances that can change an assignment,
 //! * [`delta`] — append-only delta lists and tombstone sets backing the
 //!   mutable-shard ingestion path,
 //! * [`flat`] — an exact brute-force index used for ground truth,
@@ -45,8 +46,8 @@ pub use distance::{DimRange, Metric};
 pub use error::IndexError;
 pub use flat::FlatIndex;
 pub use ivf::{IvfIndex, IvfParams};
-pub use kmeans::{KMeans, KMeansConfig};
+pub use kmeans::{Fitted, KMeans, KMeansConfig};
 pub use quant::{BlockRepr, Sq8BlockQuery, Sq8Query, Sq8Segment};
 pub use tier::{AccessEwma, BlockCache, Temperature};
 pub use topk::{Neighbor, TopK};
-pub use vector::{VectorId, VectorStore};
+pub use vector::{max_magnitude, VectorId, VectorStore};

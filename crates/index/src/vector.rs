@@ -280,6 +280,18 @@ impl VectorStore {
             .collect()
     }
 
+    /// The largest coordinate magnitude of the store (0 when empty).
+    ///
+    /// # Errors
+    /// [`IndexError::NonFinite`] naming the first row that holds a NaN or
+    /// infinite coordinate.
+    pub fn max_magnitude(&self) -> Result<f32, IndexError> {
+        (0..self.len()).try_fold(0.0f32, |top, row| {
+            let m = max_magnitude(self.row(row)).ok_or(IndexError::NonFinite { row })?;
+            Ok(top.max(m))
+        })
+    }
+
     /// Heap memory held by this store, in bytes (data + ids).
     pub fn memory_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f32>()
@@ -295,9 +307,32 @@ impl VectorStore {
     }
 }
 
+/// The largest coordinate magnitude of `v` (0 when empty), or `None` when a
+/// coordinate is NaN or infinite.
+pub fn max_magnitude(v: &[f32]) -> Option<f32> {
+    // On the bits: magnitudes order as their patterns, and ±inf and NaN sit
+    // above every finite one. An integer max vectorizes.
+    let top = v.iter().fold(0u32, |m, x| m.max(x.to_bits() & 0x7FFF_FFFF));
+    (top < f32::INFINITY.to_bits()).then(|| f32::from_bits(top))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_magnitude_finds_the_largest_and_rejects_non_finite() {
+        assert_eq!(max_magnitude(&[1.0, -3.5, 2.0]), Some(3.5));
+        assert_eq!(max_magnitude(&[]), Some(0.0));
+        assert_eq!(max_magnitude(&[f32::MAX, -f32::MAX]), Some(f32::MAX));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(max_magnitude(&[0.0, bad]), None);
+        }
+        let mut s = sample();
+        assert_eq!(s.max_magnitude(), Ok(9.0));
+        s.row_mut(1)[2] = f32::NAN;
+        assert_eq!(s.max_magnitude(), Err(IndexError::NonFinite { row: 1 }));
+    }
 
     #[test]
     fn retain_rows_compacts_in_place_and_keeps_order() {
