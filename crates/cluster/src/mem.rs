@@ -27,13 +27,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static TOTAL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static TRANSPORT_BUFFERED: AtomicUsize = AtomicUsize::new(0);
-static F32_BLOCK_BYTES: AtomicUsize = AtomicUsize::new(0);
-static SQ8_BLOCK_BYTES: AtomicUsize = AtomicUsize::new(0);
-static DELTA_BLOCK_BYTES: AtomicUsize = AtomicUsize::new(0);
-static TOMBSTONE_ENTRIES: AtomicUsize = AtomicUsize::new(0);
-static CACHE_BLOCK_BYTES: AtomicUsize = AtomicUsize::new(0);
-static SPILLED_BLOCK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`GlobalAlloc`] wrapper around the system allocator that tracks live
 /// and peak heap usage.
@@ -113,125 +106,6 @@ pub fn is_active() -> bool {
     total_allocations() > 0
 }
 
-/// Wire bytes currently parked in transport send queues (frames accepted by
-/// `Transport::send` but not yet written to the fabric). Unlike the heap
-/// counters this gauge works without installing the tracking allocator.
-pub fn transport_buffered_bytes() -> usize {
-    TRANSPORT_BUFFERED.load(Ordering::Relaxed)
-}
-
-/// Accounts `n` wire bytes entering a transport send queue.
-pub(crate) fn transport_buffer_add(n: usize) {
-    TRANSPORT_BUFFERED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` wire bytes leaving a transport send queue.
-pub(crate) fn transport_buffer_sub(n: usize) {
-    TRANSPORT_BUFFERED.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// Resident block payload bytes stored in exact f32 form across every live
-/// worker in the process (vector coordinates only; ids and norm tables are
-/// excluded). Maintained by the worker layer; works without installing the
-/// tracking allocator.
-pub fn f32_block_bytes() -> usize {
-    F32_BLOCK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Resident block payload bytes stored in SQ8-quantized form (codes +
-/// per-row code sums + segment headers) across every live worker.
-pub fn sq8_block_bytes() -> usize {
-    SQ8_BLOCK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Accounts `n` bytes of f32 block payload coming resident.
-pub fn f32_block_add(n: usize) {
-    F32_BLOCK_BYTES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` bytes of f32 block payload being dropped.
-pub fn f32_block_sub(n: usize) {
-    F32_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` bytes of SQ8 block payload coming resident.
-pub fn sq8_block_add(n: usize) {
-    SQ8_BLOCK_BYTES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` bytes of SQ8 block payload being dropped.
-pub fn sq8_block_sub(n: usize) {
-    SQ8_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// Resident delta-list payload bytes (freshly upserted rows held in exact
-/// f32 form awaiting compaction) across every live worker.
-pub fn delta_block_bytes() -> usize {
-    DELTA_BLOCK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Accounts `n` bytes of delta-list payload coming resident.
-pub fn delta_block_add(n: usize) {
-    DELTA_BLOCK_BYTES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` bytes of delta-list payload being dropped.
-pub fn delta_block_sub(n: usize) {
-    DELTA_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// Tombstoned ids currently held across every live worker epoch.
-pub fn tombstone_entries() -> usize {
-    TOMBSTONE_ENTRIES.load(Ordering::Relaxed)
-}
-
-/// Accounts `n` ids entering worker tombstone sets.
-pub fn tombstone_add(n: usize) {
-    TOMBSTONE_ENTRIES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` ids leaving worker tombstone sets (compaction or evict).
-pub fn tombstone_sub(n: usize) {
-    TOMBSTONE_ENTRIES.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// Resident block payload bytes held by warm-tier block caches (spilled
-/// blocks faulted back and retained under the cache's byte budget) across
-/// every live worker. A subset of the per-representation gauges above:
-/// cached bytes are still counted in `f32_block_bytes`/`sq8_block_bytes`,
-/// this gauge tells how many of them are evictable.
-pub fn cache_block_bytes() -> usize {
-    CACHE_BLOCK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Accounts `n` bytes of spilled block payload faulting into a cache.
-pub fn cache_block_add(n: usize) {
-    CACHE_BLOCK_BYTES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` bytes of cached block payload being evicted or pinned.
-pub fn cache_block_sub(n: usize) {
-    CACHE_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
-}
-
-/// On-disk part-file bytes of spilled (warm/cold tier) grid blocks across
-/// every live worker. Disk-resident, *not* part of any RAM gauge; a list
-/// faulted back into the cache stays counted here until its block's part
-/// file is deleted.
-pub fn spilled_block_bytes() -> usize {
-    SPILLED_BLOCK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Accounts `n` bytes written to a part file.
-pub fn spilled_block_add(n: usize) {
-    SPILLED_BLOCK_BYTES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Accounts `n` bytes of part files deleted (promotion/eviction).
-pub fn spilled_block_sub(n: usize) {
-    SPILLED_BLOCK_BYTES.fetch_sub(n, Ordering::Relaxed);
-}
-
 /// Formats a byte count using binary units ("3.21 GiB").
 pub fn format_bytes(bytes: usize) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
@@ -286,45 +160,6 @@ mod tests {
         assert_eq!(format_bytes(2048), "2.00 KiB");
         assert_eq!(format_bytes(3 * 1024 * 1024), "3.00 MiB");
         assert!(format_bytes(5 * 1024 * 1024 * 1024).contains("GiB"));
-    }
-
-    #[test]
-    fn repr_gauges_balance() {
-        let (f0, s0) = (f32_block_bytes(), sq8_block_bytes());
-        f32_block_add(4096);
-        sq8_block_add(1024);
-        assert_eq!(f32_block_bytes(), f0 + 4096);
-        assert_eq!(sq8_block_bytes(), s0 + 1024);
-        f32_block_sub(4096);
-        sq8_block_sub(1024);
-        assert_eq!(f32_block_bytes(), f0);
-        assert_eq!(sq8_block_bytes(), s0);
-    }
-
-    #[test]
-    fn ingest_gauges_balance() {
-        let (d0, t0) = (delta_block_bytes(), tombstone_entries());
-        delta_block_add(2048);
-        tombstone_add(7);
-        assert_eq!(delta_block_bytes(), d0 + 2048);
-        assert_eq!(tombstone_entries(), t0 + 7);
-        delta_block_sub(2048);
-        tombstone_sub(7);
-        assert_eq!(delta_block_bytes(), d0);
-        assert_eq!(tombstone_entries(), t0);
-    }
-
-    #[test]
-    fn tier_gauges_balance() {
-        let (c0, s0) = (cache_block_bytes(), spilled_block_bytes());
-        cache_block_add(8192);
-        spilled_block_add(65536);
-        assert_eq!(cache_block_bytes(), c0 + 8192);
-        assert_eq!(spilled_block_bytes(), s0 + 65536);
-        cache_block_sub(8192);
-        spilled_block_sub(65536);
-        assert_eq!(cache_block_bytes(), c0);
-        assert_eq!(spilled_block_bytes(), s0);
     }
 
     #[test]

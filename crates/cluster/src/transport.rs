@@ -58,7 +58,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{CodecError, Wire};
 use crate::error::ClusterError;
-use crate::mem;
 use crate::node::{NodeId, CLIENT};
 
 /// Hard ceiling on a single frame's encoded body (64 MiB). A corrupt or
@@ -427,8 +426,8 @@ struct QueueState {
     closed: bool,
 }
 
-/// A bounded MPSC frame queue with blocking push/pop and a byte gauge that
-/// feeds [`mem::transport_buffered_bytes`].
+/// A bounded MPSC frame queue with blocking push/pop and a count of the
+/// wire bytes it holds.
 struct SendQueue {
     state: StdMutex<QueueState>,
     not_full: Condvar,
@@ -463,7 +462,6 @@ impl SendQueue {
             if state.frames.len() < self.capacity {
                 let len = 4 + frame.encoded_len();
                 state.bytes += len;
-                mem::transport_buffer_add(len);
                 state.frames.push_back(frame);
                 self.not_empty.notify_one();
                 return Ok(());
@@ -491,7 +489,6 @@ impl SendQueue {
             if let Some(frame) = state.frames.pop_front() {
                 let len = 4 + frame.encoded_len();
                 state.bytes -= len;
-                mem::transport_buffer_sub(len);
                 self.not_full.notify_one();
                 return Ok(Some(frame));
             }
@@ -513,7 +510,6 @@ impl SendQueue {
     fn close(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.closed = true;
-        mem::transport_buffer_sub(state.bytes);
         state.bytes = 0;
         state.frames.clear();
         self.not_empty.notify_all();
@@ -1075,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn transport_buffer_gauge_returns_to_zero() {
+    fn tcp_buffered_bytes_return_to_zero() {
         let t = TcpTransport::bind(1, TcpOptions::default()).unwrap();
         for _ in 0..8 {
             t.send(0, user(CLIENT, b"gauge")).unwrap();

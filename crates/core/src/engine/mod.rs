@@ -300,16 +300,13 @@ impl HarmonyEngine {
         } else {
             CommMode::Blocking
         };
-        // Every engine gets its own spill subtree so concurrent engines
-        // (tests, benches) never collide on block file names.
+        // One flat directory per worker, named for the process, the engine
+        // and the machine, so concurrent engines (tests, benches) never
+        // collide on block file names and a worker that removes its own
+        // directory leaves nothing behind under the root.
         let engine_seq = ENGINE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let spill_root = config
-            .spill_dir
-            .clone()
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("harmony-engine-{}", std::process::id()))
-            })
-            .join(format!("e{engine_seq}"));
+        let spill_root = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+        let spill_prefix = format!("harmony-engine-{}-e{engine_seq}", std::process::id());
         let cache_budget = config.cache_budget_bytes;
         let ns0_cfg = default_namespace_config(&config);
         let surveyed = survey_namespace(&config, &ns0_cfg, base, None)?;
@@ -328,8 +325,10 @@ impl HarmonyEngine {
                 transport: config.transport.clone(),
             },
             {
-                let spill_root = spill_root.clone();
-                move |m| HarmonyWorker::with_tiering(spill_root.join(format!("w{m}")), cache_budget)
+                move |m| {
+                    let dir = spill_root.join(format!("{spill_prefix}-w{m}"));
+                    HarmonyWorker::with_tiering(dir, cache_budget)
+                }
             },
         )
         .map_err(CoreError::Cluster)?;

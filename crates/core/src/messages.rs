@@ -1046,7 +1046,7 @@ wire! {
         /// subset of `f32_block_bytes` + `sq8_block_bytes`).
         pub cache_block_bytes: u64,
         /// Part-file bytes on disk (warm/cold namespaces); not counted in
-        /// any RAM gauge.
+        /// any of the resident byte counts above.
         pub spilled_block_bytes: u64,
         /// Requested lists of spilled blocks (by a hop or a prefetch) that
         /// were already resident.

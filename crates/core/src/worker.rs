@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use bytes::Bytes;
-use harmony_cluster::{mem, NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
+use harmony_cluster::{NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
 use harmony_index::distance::{ip, l2_sq};
 use harmony_index::persist::{
     read_part_lists, write_part_file, PartDirectory, PartList, PartListRef, PersistError,
@@ -245,38 +245,25 @@ impl BlockStore {
     }
 }
 
-/// Accounts a list's payload into the process-wide per-repr gauges, and
-/// into the cache gauge when it is a `cached` list of a spilled block.
-fn gauge_add(list: &ListBlock, cached: bool) {
-    let (f, s) = list.payload_bytes();
-    mem::f32_block_add(f);
-    mem::sq8_block_add(s);
-    if cached {
-        mem::cache_block_add(f + s);
-    }
-}
-
-/// Removes a list's payload from the gauges [`gauge_add`] put it in.
-fn gauge_sub(list: &ListBlock, cached: bool) {
-    let (f, s) = list.payload_bytes();
-    mem::f32_block_sub(f);
-    mem::sq8_block_sub(s);
-    if cached {
-        mem::cache_block_sub(f + s);
-    }
-}
-
 /// The disk backing of a spilled grid block: its part file, and the
 /// file's list directory kept in memory so a fault reads only lists.
+/// Dropping it deletes the file.
 struct SpillFile {
     path: PathBuf,
     dir: PartDirectory,
 }
 
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 /// One shard's grid block under the tier machinery. A pinned (hot) block
 /// has no backing and every list resident; a spilled (warm/cold) one has a
 /// part file — immutable for the life of the block, so demoting again is
-/// free — and exactly the lists the cache holds.
+/// free — and exactly the lists the cache holds. Dropping a slot deletes
+/// its part file (the owner forgets the block's cache entries).
 struct BlockSlot {
     store: BlockStore,
     spill: Option<SpillFile>,
@@ -285,24 +272,6 @@ struct BlockSlot {
 impl BlockSlot {
     fn pinned(store: BlockStore) -> Self {
         Self { store, spill: None }
-    }
-
-    /// Un-accounts every resident list and deletes the part file (the
-    /// caller forgets the block's cache entries).
-    fn release(mut self) {
-        let cached = self.spill.is_some();
-        for list in self.store.lists.values() {
-            gauge_sub(list, cached);
-        }
-        self.drop_spill();
-    }
-
-    /// Deletes the part file and releases its gauge bytes.
-    fn drop_spill(&mut self) {
-        if let Some(spill) = self.spill.take() {
-            mem::spilled_block_sub(spill.dir.file_bytes() as usize);
-            let _ = std::fs::remove_file(&spill.path);
-        }
     }
 }
 
@@ -366,16 +335,6 @@ impl EpochStore {
 
     fn delta_bytes(&self) -> usize {
         self.deltas.values().map(DeltaList::memory_bytes).sum()
-    }
-
-    /// Un-accounts the epoch's storage and deletes its part files (the
-    /// caller forgets its cache entries).
-    fn release(self) {
-        mem::delta_block_sub(self.delta_bytes());
-        mem::tombstone_sub(self.tombstones.len());
-        for slot in self.blocks.into_values() {
-            slot.release();
-        }
     }
 }
 
@@ -1072,9 +1031,7 @@ impl HarmonyWorker {
     /// [`LoadBlock`]. Spill files land in a per-instance temp directory.
     pub fn new() -> Self {
         let seq = SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("harmony-spill-{}", std::process::id()))
-            .join(format!("w{seq}"));
+        let dir = std::env::temp_dir().join(format!("harmony-spill-{}-w{seq}", std::process::id()));
         Self::with_tiering(dir, DEFAULT_CACHE_BUDGET)
     }
 
@@ -1124,9 +1081,7 @@ impl HarmonyWorker {
                 continue;
             };
             debug_assert!(slot.spill.is_some(), "dropping a list with no backing");
-            if let Some(list) = slot.store.lists.remove(&cluster) {
-                gauge_sub(&list, true);
-            }
+            slot.store.lists.remove(&cluster);
         }
     }
 
@@ -1151,7 +1106,6 @@ impl HarmonyWorker {
         let mut lists: Vec<PartListRef<'_>> =
             store.lists.iter().map(|(&c, l)| l.part_ref(c)).collect();
         if let Ok(dir) = write_part_file(&path, (store.dim_start, store.dim_end), &mut lists) {
-            mem::spilled_block_add(dir.file_bytes() as usize);
             slot.spill = Some(SpillFile { path, dir });
         }
     }
@@ -1204,7 +1158,6 @@ impl HarmonyWorker {
         for part in parts {
             let cluster = part.cluster;
             let list = ListBlock::from_part(part, width);
-            gauge_add(&list, true);
             let bytes = list.memory_bytes();
             slot.store.lists.insert(cluster, list);
             evicted.extend(self.cache.insert((ns, epoch, shard, cluster), bytes));
@@ -1236,15 +1189,12 @@ impl HarmonyWorker {
             lists.sort_unstable_by_key(|&(&c, _)| c);
             let mut evicted = Vec::new();
             for (&c, list) in lists {
-                let (f, s) = list.payload_bytes();
-                mem::cache_block_add(f + s);
                 let bytes = list.memory_bytes();
                 evicted.extend(self.cache.insert((ns, epoch, shard, c), bytes));
             }
             self.drop_cached(evicted);
         } else {
-            for (c, list) in std::mem::take(&mut slot.store.lists) {
-                gauge_sub(&list, was_spilled);
+            for c in std::mem::take(&mut slot.store.lists).into_keys() {
                 self.cache.remove(&(ns, epoch, shard, c));
             }
         }
@@ -1271,19 +1221,16 @@ impl HarmonyWorker {
             return;
         };
         let (ns, epoch, shard) = key;
-        for (&c, list) in &slot.store.lists {
-            let (f, s) = list.payload_bytes();
-            mem::cache_block_sub(f + s);
+        for &c in slot.store.lists.keys() {
             self.cache.remove(&(ns, epoch, shard, c));
         }
         let width = (slot.store.dim_end - slot.store.dim_start) as usize;
         for part in parts {
             let cluster = part.cluster;
             let list = ListBlock::from_part(part, width);
-            gauge_add(&list, false);
             slot.store.lists.insert(cluster, list);
         }
-        slot.drop_spill();
+        slot.spill = None; // deletes the part file
     }
 
     /// Applies the namespace's current tier to a freshly installed block:
@@ -1336,8 +1283,8 @@ impl HarmonyWorker {
         }
     }
 
-    /// Installs `block` as `key`'s grid block — replacing, and un-accounting,
-    /// one already there — and applies the namespace's tier to it.
+    /// Installs `block` as `key`'s grid block — replacing one already
+    /// there — and applies the namespace's tier to it.
     fn install_block(&mut self, key: BlockKey, total_dim_blocks: u32, block: BlockStore) {
         let total_dim_blocks = total_dim_blocks.max(1) as usize;
         self.ensure_slice_positions(total_dim_blocks);
@@ -1347,12 +1294,10 @@ impl HarmonyWorker {
             .entry((ns, epoch))
             .or_insert_with(|| EpochStore::new(total_dim_blocks));
         store.total_dim_blocks = total_dim_blocks;
-        for list in block.lists.values() {
-            gauge_add(list, false);
-        }
         if let Some(old) = store.blocks.insert(shard, BlockSlot::pinned(block)) {
-            // Replaced block: its part file (if any) describes stale data.
-            old.release();
+            // Replaced block: its part file (if any) describes stale data,
+            // and shares the path the new block may spill to.
+            drop(old);
             self.cache.remove_matching(|&(n, e, s, _)| (n, e, s) == key);
         }
         // A demoted namespace keeps its tier across reloads and migrations.
@@ -1394,7 +1339,6 @@ impl HarmonyWorker {
             .entry(msg.shard)
             .or_insert_with(|| DeltaList::new(width));
         debug_assert_eq!(delta.width(), width, "delta slice width changed mid-epoch");
-        let before = delta.memory_bytes();
         // Decode validated the shape: `seqs` and `flat` are per-row, the
         // norm tables per-row or (L2) absent.
         let norm = |table: &[f32], i: usize| table.get(i).copied().unwrap_or(0.0);
@@ -1404,7 +1348,6 @@ impl HarmonyWorker {
                 (norm(&msg.block_norms_sq, i), norm(&msg.total_norms_sq, i));
             delta.push(id, seq, row, block_norm_sq, total_norm_sq);
         }
-        mem::delta_block_add(delta.memory_bytes() - before);
     }
 
     /// Records soft deletes in the target epoch's tombstone set (or every
@@ -1412,11 +1355,9 @@ impl HarmonyWorker {
     /// place; suppression happens at result emission.
     fn handle_delete_ids(&mut self, msg: DeleteIds) {
         let apply = |store: &mut EpochStore| {
-            let before = store.tombstones.len();
             for &id in &msg.ids {
                 store.tombstones.insert(id, msg.seq);
             }
-            mem::tombstone_add(store.tombstones.len() - before);
         };
         if msg.epoch == u64::MAX {
             for (_, store) in self.epochs.iter_mut().filter(|((n, _), _)| *n == msg.ns) {
@@ -1563,9 +1504,7 @@ impl HarmonyWorker {
     /// Drops an epoch's storage — a retired one's, or what a failed
     /// handshake left of a new one — with its part files and cache entries.
     fn handle_evict(&mut self, ns: u16, epoch: u64) {
-        if let Some(store) = self.epochs.remove(&(ns, epoch)) {
-            store.release();
-        }
+        self.epochs.remove(&(ns, epoch));
         self.cache
             .remove_matching(|&(n, e, _, _)| n == ns && e == epoch);
     }
@@ -1629,16 +1568,11 @@ impl HarmonyWorker {
 }
 
 impl Drop for HarmonyWorker {
-    /// Releases this worker's contribution to the process-wide per-repr
-    /// byte gauges, so short-lived clusters (tests, benches) don't leak
-    /// resident-byte accounting into later measurements.
+    /// Deletes this worker's part files, then its spill directory: nothing
+    /// a worker wrote outlives it. Best-effort: leftovers from a crashed
+    /// worker are bounded by temp-dir hygiene, not correctness.
     fn drop(&mut self) {
-        for store in std::mem::take(&mut self.epochs).into_values() {
-            store.release();
-        }
-        // Best-effort: the dir only disappears once all part files are
-        // gone; leftovers from a crashed worker are bounded by temp-dir
-        // hygiene, not correctness.
+        self.epochs.clear();
         let _ = std::fs::remove_dir(&self.spill_dir);
     }
 }
@@ -2463,7 +2397,7 @@ mod tests {
 
     /// SQ8 block, single hop: stage-1 quantized distances must rank the
     /// same ids as exact f32 (well-separated vectors), stats must report
-    /// the bytes under the sq8 gauge, and eviction must release them.
+    /// the bytes as SQ8 payload, and eviction must release them.
     #[test]
     fn sq8_block_scans_and_accounts_bytes() {
         let mut cluster = one_worker_cluster();
@@ -2619,7 +2553,7 @@ mod tests {
     }
 
     /// Demote → fault → promote must be invisible to queries: results stay
-    /// bit-identical while the residency gauges move between RAM and disk.
+    /// bit-identical while the resident bytes move between RAM and disk.
     #[test]
     fn tier_demote_fault_promote_is_bit_identical() {
         let mut cluster = one_worker_cluster();

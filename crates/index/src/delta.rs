@@ -104,7 +104,7 @@ impl DeltaList {
         self.total_norms_sq[i]
     }
 
-    /// Heap bytes held by the payload vectors (gauge accounting).
+    /// Heap bytes held by the payload vectors (stats accounting).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.ids.len() * (8 + 8)

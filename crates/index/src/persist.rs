@@ -1,43 +1,22 @@
-//! Index persistence: a versioned, checksummed binary format for
-//! [`IvfIndex`].
+//! On-disk formats of the worker's spill path.
 //!
-//! Production deployments build indexes offline and ship them to serving
-//! fleets; Harmony's pre-assign stage likewise benefits from loading a
-//! trained index instead of re-clustering. The format is deliberately
-//! simple and fully self-describing:
+//! The engine writes one format, the **part file** ([`write_part_file`]):
+//! one immutable file per spilled grid block whose list directory lets a
+//! fault read and verify exactly the lists a query probes
+//! ([`read_part_lists`]). Readers validate magic, version, shapes and
+//! checksums before decoding, so a truncated or corrupted file can never
+//! produce silently-wrong rows.
 //!
-//! ```text
-//! magic "HIVF" | version u32 | metric u8 | dim u64 | nlist u64
-//! centroids: nlist*dim f32 LE
-//! per list:  len u64 | ids len*u64 | vectors len*dim f32 LE
-//! trailer:   fnv1a-64 checksum of everything above
-//! ```
-//!
-//! Readers validate magic, version, shapes, and checksum before
-//! constructing the index, so a truncated or corrupted file can never
-//! produce a silently-wrong index.
-//!
-//! The same module holds the worker's spill format, the **part file**
-//! ([`write_part_file`]): one immutable file per spilled grid block whose
-//! list directory lets a fault read and verify exactly the lists a query
-//! probes ([`read_part_lists`]).
+//! The older opaque **block file** ([`save_block_file`]) stays beside it
+//! because the benchmark probes its throughput.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::distance::Metric;
-use crate::ivf::{InvertedList, IvfIndex};
 use crate::quant::Sq8Segment;
-use crate::vector::VectorStore;
 
-const MAGIC: &[u8; 4] = b"HIVF";
-const VERSION: u32 = 1;
-
-const DELTA_MAGIC: &[u8; 4] = b"HDLT";
-const DELTA_VERSION: u32 = 1;
-
-/// Errors from index persistence.
+/// Errors from reading or writing a spill file.
 #[derive(Debug)]
 pub enum PersistError {
     /// Filesystem failure.
@@ -102,12 +81,6 @@ impl<W: Write> HashingWriter<W> {
     fn write_u64(&mut self, v: u64) -> io::Result<()> {
         self.write_bytes(&v.to_le_bytes())
     }
-    fn write_f32s(&mut self, vs: &[f32]) -> io::Result<()> {
-        for &v in vs {
-            self.write_bytes(&v.to_le_bytes())?;
-        }
-        Ok(())
-    }
 }
 
 /// Reader that hashes everything it reads.
@@ -120,7 +93,7 @@ impl<R: Read> HashingReader<R> {
     fn read_exact_hashed(&mut self, buf: &mut [u8]) -> Result<(), PersistError> {
         self.inner.read_exact(buf).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
-                PersistError::Format("truncated index file".into())
+                PersistError::Format("truncated block file".into())
             } else {
                 PersistError::Io(e)
             }
@@ -138,283 +111,6 @@ impl<R: Read> HashingReader<R> {
         self.read_exact_hashed(&mut b)?;
         Ok(u64::from_le_bytes(b))
     }
-    fn read_f32s(&mut self, n: usize) -> Result<Vec<f32>, PersistError> {
-        let mut bytes = vec![0u8; n * 4];
-        self.read_exact_hashed(&mut bytes)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
-    }
-}
-
-fn metric_to_tag(metric: Metric) -> u8 {
-    match metric {
-        Metric::L2 => 0,
-        Metric::InnerProduct => 1,
-        Metric::Cosine => 2,
-    }
-}
-
-fn metric_from_tag(tag: u8) -> Result<Metric, PersistError> {
-    match tag {
-        0 => Ok(Metric::L2),
-        1 => Ok(Metric::InnerProduct),
-        2 => Ok(Metric::Cosine),
-        t => Err(PersistError::Format(format!("unknown metric tag {t}"))),
-    }
-}
-
-/// Writes `index` to `path`.
-///
-/// # Errors
-/// [`PersistError::Io`] on filesystem failure.
-pub fn save_ivf(index: &IvfIndex, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let mut w = HashingWriter {
-        inner: BufWriter::new(File::create(path)?),
-        hash: Fnv1a::new(),
-    };
-    w.write_bytes(MAGIC)?;
-    w.write_u32(VERSION)?;
-    w.write_bytes(&[metric_to_tag(index.metric())])?;
-    let dim = index.centroids().dim() as u64;
-    w.write_u64(dim)?;
-    w.write_u64(index.nlist() as u64)?;
-    w.write_f32s(index.centroids().as_flat())?;
-    for list in index.lists() {
-        w.write_u64(list.len() as u64)?;
-        for &id in list.vectors.ids() {
-            w.write_u64(id)?;
-        }
-        w.write_f32s(list.vectors.as_flat())?;
-    }
-    let checksum = w.hash.0;
-    w.inner.write_all(&checksum.to_le_bytes())?;
-    w.inner.flush()?;
-    Ok(())
-}
-
-/// Reads an index from `path`, validating structure and checksum.
-///
-/// # Errors
-/// [`PersistError`] on IO failure, malformed structure, version mismatch,
-/// or checksum mismatch.
-pub fn load_ivf(path: impl AsRef<Path>) -> Result<IvfIndex, PersistError> {
-    let mut r = HashingReader {
-        inner: BufReader::new(File::open(path)?),
-        hash: Fnv1a::new(),
-    };
-    let mut magic = [0u8; 4];
-    r.read_exact_hashed(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(PersistError::Format(
-            "bad magic; not a Harmony index".into(),
-        ));
-    }
-    let version = r.read_u32()?;
-    if version != VERSION {
-        return Err(PersistError::Format(format!(
-            "unsupported version {version} (expected {VERSION})"
-        )));
-    }
-    let mut tag = [0u8; 1];
-    r.read_exact_hashed(&mut tag)?;
-    let metric = metric_from_tag(tag[0])?;
-    let dim = r.read_u64()? as usize;
-    let nlist = r.read_u64()? as usize;
-    if dim == 0 || nlist == 0 || dim > 1 << 20 || nlist > 1 << 24 {
-        return Err(PersistError::Format(format!(
-            "implausible shape: dim {dim}, nlist {nlist}"
-        )));
-    }
-    let centroids = VectorStore::from_flat(dim, r.read_f32s(nlist * dim)?)
-        .map_err(|e| PersistError::Format(e.to_string()))?;
-
-    let mut lists = Vec::with_capacity(nlist);
-    for _ in 0..nlist {
-        let len = r.read_u64()? as usize;
-        let mut ids = Vec::with_capacity(len);
-        for _ in 0..len {
-            ids.push(r.read_u64()?);
-        }
-        let flat = r.read_f32s(len * dim)?;
-        let vectors = VectorStore::from_flat_with_ids(dim, flat, ids)
-            .map_err(|e| PersistError::Format(e.to_string()))?;
-        lists.push(InvertedList { vectors });
-    }
-
-    let computed = r.hash.0;
-    let mut trailer = [0u8; 8];
-    r.inner
-        .read_exact(&mut trailer)
-        .map_err(|_| PersistError::Format("missing checksum trailer".into()))?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != computed {
-        return Err(PersistError::Format(format!(
-            "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
-        )));
-    }
-    // Reject trailing garbage.
-    let mut extra = [0u8; 1];
-    match r.inner.read(&mut extra) {
-        Ok(0) => {}
-        Ok(_) => return Err(PersistError::Format("trailing bytes after checksum".into())),
-        Err(e) => return Err(PersistError::Io(e)),
-    }
-
-    Ok(IvfIndex::from_parts(metric, centroids, lists))
-}
-
-/// One pending (not yet compacted) upsert in a [`DeltaLog`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaRecord {
-    /// Vector id.
-    pub id: u64,
-    /// Home IVF list the row will fold into at compaction.
-    pub cluster: u32,
-    /// Ingest sequence number the row was upserted at.
-    pub seq: u64,
-    /// Full (unsliced) vector coordinates.
-    pub vector: Vec<f32>,
-}
-
-/// Crash-consistency checkpoint of the ingest state *between* compactions:
-/// the sequence watermark, the tombstone set, and every pending delta row.
-///
-/// The base index is persisted separately via [`save_ivf`]; replaying a
-/// delta log on top of the matching base reconstructs the exact logical
-/// state (live set and vector values) at checkpoint time, so a crash
-/// mid-compaction loses nothing — the next process reloads the *old* base
-/// plus the log and redoes the fold.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeltaLog {
-    /// Next unused ingest sequence number.
-    pub next_seq: u64,
-    /// Vector dimensionality (validated against the base on replay).
-    pub dim: u64,
-    /// Tombstoned ids with their delete sequence numbers.
-    pub tombstones: Vec<(u64, u64)>,
-    /// Pending delta rows in upsert order.
-    pub pending: Vec<DeltaRecord>,
-}
-
-/// Writes `log` to `path` atomically (tmp file + rename), with the same
-/// FNV-1a-64 integrity trailer as the index format.
-///
-/// # Errors
-/// [`PersistError::Io`] on filesystem failure.
-pub fn save_delta_log(log: &DeltaLog, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut w = HashingWriter {
-            inner: BufWriter::new(File::create(&tmp)?),
-            hash: Fnv1a::new(),
-        };
-        w.write_bytes(DELTA_MAGIC)?;
-        w.write_u32(DELTA_VERSION)?;
-        w.write_u64(log.next_seq)?;
-        w.write_u64(log.dim)?;
-        w.write_u64(log.tombstones.len() as u64)?;
-        w.write_u64(log.pending.len() as u64)?;
-        for &(id, seq) in &log.tombstones {
-            w.write_u64(id)?;
-            w.write_u64(seq)?;
-        }
-        for rec in &log.pending {
-            w.write_u64(rec.id)?;
-            w.write_u32(rec.cluster)?;
-            w.write_u64(rec.seq)?;
-            w.write_f32s(&rec.vector)?;
-        }
-        let checksum = w.hash.0;
-        w.inner.write_all(&checksum.to_le_bytes())?;
-        w.inner.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Reads a delta log from `path`, validating structure and checksum.
-///
-/// # Errors
-/// [`PersistError`] on IO failure, malformed structure, version mismatch,
-/// or checksum mismatch — a torn or truncated checkpoint can never replay
-/// as a silently-wrong ingest state.
-pub fn load_delta_log(path: impl AsRef<Path>) -> Result<DeltaLog, PersistError> {
-    let mut r = HashingReader {
-        inner: BufReader::new(File::open(path)?),
-        hash: Fnv1a::new(),
-    };
-    let mut magic = [0u8; 4];
-    r.read_exact_hashed(&mut magic)?;
-    if &magic != DELTA_MAGIC {
-        return Err(PersistError::Format(
-            "bad magic; not a Harmony delta log".into(),
-        ));
-    }
-    let version = r.read_u32()?;
-    if version != DELTA_VERSION {
-        return Err(PersistError::Format(format!(
-            "unsupported delta-log version {version} (expected {DELTA_VERSION})"
-        )));
-    }
-    let next_seq = r.read_u64()?;
-    let dim = r.read_u64()?;
-    let n_tomb = r.read_u64()? as usize;
-    let n_pending = r.read_u64()? as usize;
-    if dim == 0 || dim > 1 << 20 || n_tomb > 1 << 32 || n_pending > 1 << 32 {
-        return Err(PersistError::Format(format!(
-            "implausible shape: dim {dim}, {n_tomb} tombstones, {n_pending} pending"
-        )));
-    }
-    let mut tombstones = Vec::with_capacity(n_tomb);
-    for _ in 0..n_tomb {
-        let id = r.read_u64()?;
-        let seq = r.read_u64()?;
-        tombstones.push((id, seq));
-    }
-    let mut pending = Vec::with_capacity(n_pending);
-    for _ in 0..n_pending {
-        let id = r.read_u64()?;
-        let cluster = r.read_u32()?;
-        let seq = r.read_u64()?;
-        if seq >= next_seq {
-            return Err(PersistError::Format(format!(
-                "pending row seq {seq} at or past the watermark {next_seq}"
-            )));
-        }
-        let vector = r.read_f32s(dim as usize)?;
-        pending.push(DeltaRecord {
-            id,
-            cluster,
-            seq,
-            vector,
-        });
-    }
-    let computed = r.hash.0;
-    let mut trailer = [0u8; 8];
-    r.inner
-        .read_exact(&mut trailer)
-        .map_err(|_| PersistError::Format("missing checksum trailer".into()))?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != computed {
-        return Err(PersistError::Format(format!(
-            "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
-        )));
-    }
-    let mut extra = [0u8; 1];
-    match r.inner.read(&mut extra) {
-        Ok(0) => {}
-        Ok(_) => return Err(PersistError::Format("trailing bytes after checksum".into())),
-        Err(e) => return Err(PersistError::Io(e)),
-    }
-    Ok(DeltaLog {
-        next_seq,
-        dim,
-        tombstones,
-        pending,
-    })
 }
 
 const BLOCK_MAGIC: &[u8; 4] = b"HBLK";
@@ -969,8 +665,6 @@ fn decode_part_list(entry: &PartEntry, width: u64, bytes: &[u8]) -> Option<PartL
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivf::IvfParams;
-    use rand::prelude::*;
     use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -981,189 +675,6 @@ mod tests {
             std::thread::current().id()
         ));
         p
-    }
-
-    fn build_index(seed: u64) -> (IvfIndex, VectorStore) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<f32> = (0..500 * 8).map(|_| rng.random_range(-1.0..1.0)).collect();
-        let store = VectorStore::from_flat(8, data).unwrap();
-        let mut ivf = IvfIndex::train(&store, &IvfParams::new(8).with_seed(seed)).unwrap();
-        ivf.add(&store).unwrap();
-        (ivf, store)
-    }
-
-    #[test]
-    fn roundtrip_preserves_search_results() {
-        let (ivf, store) = build_index(1);
-        let path = temp_path("roundtrip");
-        save_ivf(&ivf, &path).unwrap();
-        let loaded = load_ivf(&path).unwrap();
-        assert_eq!(loaded.len(), ivf.len());
-        assert_eq!(loaded.nlist(), ivf.nlist());
-        assert_eq!(loaded.metric(), ivf.metric());
-        for qi in [0usize, 100, 499] {
-            assert_eq!(
-                loaded.search(store.row(qi), 5, 8).unwrap(),
-                ivf.search(store.row(qi), 5, 8).unwrap(),
-                "query {qi}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let (ivf, _) = build_index(2);
-        let path = temp_path("corrupt");
-        save_ivf(&ivf, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        match load_ivf(&path) {
-            Err(PersistError::Format(msg)) => {
-                assert!(
-                    msg.contains("checksum")
-                        || msg.contains("implausible")
-                        || msg.contains("truncated"),
-                    "unexpected message: {msg}"
-                )
-            }
-            other => panic!("corruption not caught: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let (ivf, _) = build_index(3);
-        let path = temp_path("trunc");
-        save_ivf(&ivf, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        assert!(matches!(load_ivf(&path), Err(PersistError::Format(_))));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wrong_magic_rejected() {
-        let path = temp_path("magic");
-        std::fs::write(&path, b"NOPE00000000").unwrap();
-        match load_ivf(&path) {
-            Err(PersistError::Format(msg)) => assert!(msg.contains("magic")),
-            other => panic!("bad magic not caught: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let (ivf, _) = build_index(4);
-        let path = temp_path("trailing");
-        save_ivf(&ivf, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0xAB);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_ivf(&path), Err(PersistError::Format(_))));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        assert!(matches!(
-            load_ivf("/nonexistent/harmony.hivf"),
-            Err(PersistError::Io(_))
-        ));
-    }
-
-    fn sample_delta_log() -> DeltaLog {
-        DeltaLog {
-            next_seq: 9,
-            dim: 4,
-            tombstones: vec![(100, 3), (250, 7)],
-            pending: vec![
-                DeltaRecord {
-                    id: 500,
-                    cluster: 2,
-                    seq: 5,
-                    vector: vec![0.5, -1.0, 2.0, 0.25],
-                },
-                DeltaRecord {
-                    id: 501,
-                    cluster: 0,
-                    seq: 8,
-                    vector: vec![1.0, 1.0, -3.0, 4.0],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn delta_log_roundtrips() {
-        let path = temp_path("delta-roundtrip");
-        let log = sample_delta_log();
-        save_delta_log(&log, &path).unwrap();
-        assert_eq!(load_delta_log(&path).unwrap(), log);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn delta_log_save_is_atomic() {
-        // A previous intact log must survive an interrupted rewrite: the
-        // writer only renames over the target after the tmp file is
-        // complete, so a crash leaves either the old or the new log.
-        let path = temp_path("delta-atomic");
-        let log = sample_delta_log();
-        save_delta_log(&log, &path).unwrap();
-        // Simulate a torn in-progress rewrite beside the intact primary.
-        std::fs::write(path.with_extension("tmp"), b"HDLT\x01\x00\x00").unwrap();
-        assert_eq!(load_delta_log(&path).unwrap(), log);
-        std::fs::remove_file(path.with_extension("tmp")).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn delta_log_truncation_detected() {
-        let path = temp_path("delta-trunc");
-        save_delta_log(&sample_delta_log(), &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        assert!(matches!(
-            load_delta_log(&path),
-            Err(PersistError::Format(_))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn delta_log_corruption_detected() {
-        let path = temp_path("delta-corrupt");
-        save_delta_log(&sample_delta_log(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        match load_delta_log(&path) {
-            Err(PersistError::Format(msg)) => assert!(
-                msg.contains("checksum")
-                    || msg.contains("implausible")
-                    || msg.contains("watermark"),
-                "unexpected message: {msg}"
-            ),
-            other => panic!("corruption not caught: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn delta_log_wrong_magic_rejected() {
-        let path = temp_path("delta-magic");
-        std::fs::write(&path, b"HIVF0000000000000000").unwrap();
-        match load_delta_log(&path) {
-            Err(PersistError::Format(msg)) => assert!(msg.contains("magic")),
-            other => panic!("bad magic not caught: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1396,18 +907,5 @@ mod tests {
             assert_ne!(part_checksum(&flipped), sum, "byte {i}");
         }
         assert_ne!(part_checksum(&base[..76]), sum, "length is covered");
-    }
-
-    #[test]
-    fn delta_log_seq_past_watermark_rejected() {
-        let path = temp_path("delta-watermark");
-        let mut log = sample_delta_log();
-        log.pending[1].seq = log.next_seq; // not yet issued — inconsistent
-        save_delta_log(&log, &path).unwrap();
-        match load_delta_log(&path) {
-            Err(PersistError::Format(msg)) => assert!(msg.contains("watermark")),
-            other => panic!("inconsistent watermark not caught: {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -10,7 +10,7 @@
 //! * [`BlockCache`] — a byte-budgeted LRU over opaque keys (the worker's
 //!   are single lists of a grid block). The cache tracks recency and
 //!   budget only; the owner holds the payloads and evicts exactly the keys
-//!   this cache returns, so resident-byte gauges stay exact,
+//!   this cache returns, so its resident-byte stats stay exact,
 //! * [`AccessEwma`] — an exponentially-weighted access rate per namespace
 //!   driving automatic promote/demote sweeps.
 //!
@@ -88,9 +88,9 @@ impl Temperature {
 ///
 /// The cache does not own payloads: [`BlockCache::insert`] records a key
 /// with its resident size and returns every key pushed past the budget —
-/// the caller drops those payloads (and adjusts its gauges) itself. This
-/// split keeps the accounting exact: bytes leave the gauge in the same
-/// call stack that frees them.
+/// the caller drops those payloads itself. This split keeps the
+/// accounting exact: bytes leave the cache in the same call stack that
+/// frees them.
 #[derive(Debug)]
 pub struct BlockCache<K: Eq + Clone> {
     /// Byte budget; 0 admits nothing (every insert evicts itself).

@@ -9,8 +9,11 @@
 //! keep: one for an epoch it does not (or no longer) hold is ignored. And
 //! a list that cannot be read back costs its sub-batch an empty, counted
 //! answer — never a silently shorter candidate list — while every other
-//! list and tenant answers as before. (The gauge and spill-file side lives
-//! in `tests/cold_path_gauges.rs`, alone in its process.)
+//! list and tenant answers as before. Nothing the cold path installs
+//! outlives what put it there: every stored byte the engine's stats count
+//! and every part file return after a promotion, after the lists a query
+//! faulted in are evicted, and after `EvictEpoch` takes a retired epoch
+//! away; once the engine is down, its spill root is empty.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -80,6 +83,27 @@ fn queries(d: &harmony::data::Dataset, offset: usize) -> VectorStore {
 
 fn opts() -> SearchOptions {
     SearchOptions::new(10).with_nprobe(NPROBE)
+}
+
+/// A fresh spill root for one engine of this process.
+fn spill_root(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "harmony-cold-path-{}-{}",
+        std::process::id(),
+        tag.replace([' ', '/'], "")
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Whatever is left under `dir`: files and directories alike.
+fn leftovers(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    out.sort();
+    out
 }
 
 fn bits(results: &[Vec<Neighbor>]) -> Vec<Vec<(u64, u32)>> {
@@ -310,13 +334,17 @@ fn a_prefetch_for_an_epoch_the_worker_does_not_hold_is_ignored() {
     }
 }
 
-/// Every file under `dir` named `name`, sorted.
-fn find_files(dir: &Path, name: &str, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).unwrap() {
+/// Every file under `dir` that `keep` accepts, sorted (none if `dir` is
+/// not there yet: workers make their directories on first spill).
+fn find_files(dir: &Path, keep: &impl Fn(&Path) -> bool, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
         let path = entry.unwrap().path();
         if path.is_dir() {
-            find_files(&path, name, out);
-        } else if path.file_name().is_some_and(|n| n == name) {
+            find_files(&path, keep, out);
+        } else if keep(&path) {
             out.push(path);
         }
     }
@@ -333,8 +361,7 @@ fn an_unreadable_list_costs_its_sub_batch_a_counted_empty_answer_and_nothing_els
         .with_seed(98)
         .generate();
     for repr in [BlockRepr::F32, BlockRepr::Sq8] {
-        let spill =
-            std::env::temp_dir().join(format!("harmony-cold-path-{}-{}", std::process::id(), repr));
+        let spill = spill_root(&repr.to_string());
         let combo = (Metric::L2, repr, TransportKind::InProc);
         let engine = build_engine(&d, &combo, 64 << 10, Some(spill.clone()));
         let ns1 = engine
@@ -358,7 +385,8 @@ fn an_unreadable_list_costs_its_sub_batch_a_counted_empty_answer_and_nothing_els
 
         // Shard 0's block of namespace 0 on the first machine of its row.
         let mut files = Vec::new();
-        find_files(&spill, "ns0-e0-s0.part", &mut files);
+        let named = |p: &Path| p.file_name().is_some_and(|n| n == "ns0-e0-s0.part");
+        find_files(&spill, &named, &mut files);
         assert_eq!(files.len(), 2, "one part file per machine of the row");
         let dir = read_part_directory(&files[0]).unwrap();
         let bad = *dir.entries().iter().find(|e| e.rows > 0).unwrap();
@@ -391,4 +419,114 @@ fn an_unreadable_list_costs_its_sub_batch_a_counted_empty_answer_and_nothing_els
         engine.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&spill);
     }
+}
+
+/// What the workers store, as the engine's stats count it — resident
+/// payload by representation, delta bytes, tombstones, cached and spilled
+/// bytes — beside the sizes of the part files under the spill root.
+fn storage(engine: &HarmonyEngine, spill: &Path) -> ([u64; 6], Vec<u64>) {
+    let s = engine.collect_stats().unwrap();
+    let mut files = Vec::new();
+    find_files(
+        spill,
+        &|p| p.extension().is_some_and(|e| e == "part"),
+        &mut files,
+    );
+    let mut sizes: Vec<u64> = files
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .collect();
+    sizes.sort_unstable();
+    let stats = [
+        s.f32_block_bytes,
+        s.sq8_block_bytes,
+        s.delta_block_bytes,
+        s.tombstone_entries,
+        s.cache_block_bytes,
+        s.spilled_block_bytes,
+    ];
+    (stats, sizes)
+}
+
+#[test]
+fn every_stored_byte_and_part_file_returns_after_promote_evict_and_evict_epoch() {
+    let d = dataset();
+    let q = queries(&d, 7);
+    let (p1, p2) = (
+        PartitionPlan::new(2, 2).unwrap(),
+        PartitionPlan::pure_vector(4),
+    );
+    for combo in matrix() {
+        let what = label(&combo);
+        let spill = spill_root(&what);
+        let engine = build_engine(&d, &combo, 16 << 10, Some(spill.clone()));
+        // A stats round trip orders every earlier message on every worker
+        // before the part files are listed.
+        let settled = || storage(&engine, &spill);
+        let search = || {
+            engine.search_batch(&q, &opts()).unwrap();
+        };
+        let tier = |t: Temperature| engine.set_namespace_tier(0, t).unwrap();
+
+        let hot = settled();
+        assert!(hot.1.is_empty(), "{what}: hot spills nothing");
+        tier(Temperature::Cold);
+        let cold = settled();
+        assert_eq!(cold.1.len(), 4, "{what}: one part file per block");
+        assert_eq!(cold.0[4], 0, "{what}: cold caches nothing");
+        assert_eq!(
+            cold.0[5],
+            cold.1.iter().sum::<u64>(),
+            "{what}: spilled bytes are the part files"
+        );
+
+        // Promote: faulted lists pinned, part files gone.
+        search();
+        assert!(settled().0[4] > 0, "{what}: the queries faulted lists in");
+        tier(Temperature::Hot);
+        assert_eq!(settled(), hot, "{what}: after promotion");
+
+        // Evict: demoting a cold tenant again drops what it faulted.
+        tier(Temperature::Cold);
+        assert_eq!(settled(), cold, "{what}: demoted again");
+        search();
+        tier(Temperature::Cold);
+        assert_eq!(settled(), cold, "{what}: after eviction");
+
+        // EvictEpoch: away to another layout and back, each retired epoch
+        // evicted once the batch after it drains. The epoch that is left is
+        // a fresh cut of the same rows.
+        for plan in [p2, p1] {
+            engine.migrate_to(plan).unwrap();
+            search();
+            search();
+        }
+        tier(Temperature::Cold);
+        assert_eq!(settled(), cold, "{what}: after the retired epochs left");
+
+        engine.shutdown().unwrap();
+        assert_eq!(
+            leftovers(&spill),
+            Vec::<PathBuf>::new(),
+            "{what}: nothing outlives the engine"
+        );
+        let _ = std::fs::remove_dir_all(&spill);
+    }
+}
+
+/// A dropped engine cleans up as a shut-down one does: the caller's spill
+/// root stays, and nothing the engine wrote is left under it.
+#[test]
+fn a_dropped_engine_leaves_its_spill_root_empty() {
+    let d = dataset();
+    let q = queries(&d, 11);
+    let spill = spill_root("dropped");
+    let combo = (Metric::L2, BlockRepr::F32, TransportKind::InProc);
+    let engine = build_engine(&d, &combo, 12 << 10, Some(spill.clone()));
+    engine.set_namespace_tier(0, Temperature::Cold).unwrap();
+    answers(&engine, 0, &q);
+    assert!(!leftovers(&spill).is_empty(), "the cold tenant spilled");
+    drop(engine);
+    assert_eq!(leftovers(&spill), Vec::<PathBuf>::new());
+    let _ = std::fs::remove_dir_all(&spill);
 }
