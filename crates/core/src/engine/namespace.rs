@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use harmony_index::distance::ip;
+use harmony_index::distance::{ip, U8_MAX_WIDTH};
 use harmony_index::{
     max_magnitude, AccessEwma, BlockRepr, DimRange, IndexError, KMeans, KMeansConfig, Metric,
     Sq8Segment, Temperature, VectorStore,
@@ -265,6 +265,14 @@ pub(super) fn survey_namespace(
         return Err(CoreError::Config("base vectors must be non-empty".into()));
     }
     let dim = base.dim();
+    let sq8 = matches!(params.repr, BlockRepr::Sq8);
+    // A plan may scan the full width on one machine, and the u8 kernels'
+    // sums are exact only up to `U8_MAX_WIDTH` codes.
+    if sq8 && dim > U8_MAX_WIDTH {
+        return Err(CoreError::Config(format!(
+            "an SQ8 namespace holds at most {U8_MAX_WIDTH} dimensions, not {dim}"
+        )));
+    }
     let nlist = params.nlist.min(base.len());
 
     // --- Train ---------------------------------------------------
@@ -300,7 +308,6 @@ pub(super) fn survey_namespace(
         .collect();
     let prewarm_seed = params.seed ^ 0x9E37_79B9_7F4A_7C15;
     let prewarm = PrewarmSamples::cut(PREWARM_PER_LIST, prewarm_seed, &members, &base_store, None)?;
-    let sq8 = matches!(params.repr, BlockRepr::Sq8);
 
     // --- What the plan choice measures ------------------------------
     // The build knows nothing of the queries to come, so it prices the ones
@@ -810,5 +817,43 @@ mod tests {
             Err(CoreError::Config(_))
         ));
         engine.shutdown().unwrap();
+    }
+
+    /// The u8 kernels sum in `u32`, exact up to 2¹⁶ codes, and a plan may
+    /// scan the full width on one machine: an SQ8 namespace that wide
+    /// builds and answers, and one dimension more is a typed error at build
+    /// and at creation.
+    #[test]
+    fn sq8_dims_past_the_u8_kernels_are_a_config_error() {
+        let store = |dim: usize| {
+            let flat = (0..6 * dim)
+                .map(|i| (i * 7919 % 1000) as f32 / 1000.0)
+                .collect();
+            VectorStore::from_flat(dim, flat).unwrap()
+        };
+        let config = HarmonyConfig::builder()
+            .n_machines(1)
+            .nlist(2)
+            .seed(7)
+            .repr(BlockRepr::Sq8)
+            .build()
+            .unwrap();
+        let widest = store(U8_MAX_WIDTH);
+        let engine = HarmonyEngine::build(config.clone(), &widest).unwrap();
+        let opts = SearchOptions::new(1).with_nprobe(2);
+        let hit = engine.search(widest.row(3), &opts).unwrap().neighbors;
+        assert_eq!(hit.first().map(|n| n.id), Some(3));
+        let tenant = NamespaceConfig::default()
+            .with_nlist(2)
+            .with_repr(BlockRepr::Sq8);
+        assert!(matches!(
+            engine.create_namespace(&tenant, &store(U8_MAX_WIDTH + 1)),
+            Err(CoreError::Config(_))
+        ));
+        engine.shutdown().unwrap();
+        assert!(matches!(
+            HarmonyEngine::build(config, &store(U8_MAX_WIDTH + 1)),
+            Err(CoreError::Config(_))
+        ));
     }
 }

@@ -36,6 +36,7 @@ use std::ops::Range;
 use bytes::{Bytes, BytesMut};
 use harmony_cluster::codec::{get_ascending, get_count, get_varint, put_ascending, put_varint};
 use harmony_cluster::{wire, CodecError, Wire};
+use harmony_index::distance::U8_MAX_WIDTH;
 use harmony_index::{BlockRepr, Metric, Sq8Segment, Temperature};
 
 /// Field codec of `Vec<Sq8Segment>` (`segs: … as sq8_segs` in the schemas
@@ -246,6 +247,12 @@ impl LoadBlock {
     fn validate(&self) -> Result<(), CodecError> {
         let ip = metric_tag::decode(self.metric)? != Metric::L2;
         let sq8 = repr_tag::decode(self.repr)? == BlockRepr::Sq8;
+        let width = width_of("LoadBlock", self.dim_start, self.dim_end)?;
+        if sq8 && width > U8_MAX_WIDTH {
+            return invalid(format!(
+                "LoadBlock: {width} SQ8 dimensions exceed the u8 kernels' {U8_MAX_WIDTH}"
+            ));
+        }
         for list in &self.lists {
             let rows = list.ids.len();
             check_width(
@@ -255,8 +262,16 @@ impl LoadBlock {
                 &list.flat,
                 &list.segs,
             )?;
+            // Under SQ8, at most the one segment `cut_list` quantizes a list
+            // into, spanning the block: the scan quantizes each query once
+            // per list against it.
             let payload_fits = if sq8 {
                 list.flat.is_empty()
+                    && list.segs.len() <= 1
+                    && list
+                        .segs
+                        .iter()
+                        .all(|s| (s.dim_start, s.dim_end) == (self.dim_start, self.dim_end))
             } else {
                 list.segs.is_empty()
             };

@@ -213,6 +213,75 @@ impl PruneRule {
         };
         bound > threshold
     }
+
+    /// The L2 test of a run whose candidates differ only in an integer:
+    /// each candidate's partial is `scale_sq · (d as f32)` for its kernel
+    /// integer `d ∈ [0, max_d]`, and `threshold` and `quant_eps` are the
+    /// run's. Returns `Some(cut)` such that
+    /// `should_prune_quantized(scale_sq · (d as f32), threshold, 0, 0,
+    /// quant_eps)` holds exactly when `d > cut`, or `None` when it holds
+    /// even at `d = 0`.
+    ///
+    /// That test is a chain of correctly rounded monotone steps — `d as
+    /// f32`, the product with `scale_sq ≥ 0`, `max`, `sqrt`, subtracting
+    /// `quant_eps`, `max`, squaring, the compare — so it is monotone in
+    /// `d`, and one search per run stands in for one test per row. The
+    /// search starts at the real-valued boundary `(√τ + ε)² / scale_sq`,
+    /// gallops outward until it brackets the integer one, and bisects the
+    /// bracket: a handful of tests where the estimate is good, about
+    /// `2·log₂(max_d)` where it is not.
+    pub fn l2_cutoff(
+        &self,
+        scale_sq: f32,
+        threshold: f32,
+        quant_eps: f32,
+        max_d: u32,
+    ) -> Option<u32> {
+        debug_assert_eq!(self.metric, Metric::L2);
+        let pruned = |d: u32| {
+            self.should_prune_quantized(scale_sq * d as f32, threshold, 0.0, 0.0, quant_eps)
+        };
+        if pruned(0) {
+            return None;
+        }
+        if !pruned(max_d) {
+            return Some(max_d);
+        }
+        // From here on `!pruned(lo) && pruned(hi)`.
+        let reach = f64::from(threshold).sqrt() + f64::from(quant_eps.max(0.0));
+        let guess = ((reach * reach / f64::from(scale_sq)) as u32).min(max_d);
+        let (mut lo, mut hi, mut step) = (0, max_d, 1u32);
+        if pruned(guess) {
+            hi = guess;
+            while hi - lo > step {
+                if !pruned(hi - step) {
+                    lo = hi - step;
+                    break;
+                }
+                hi -= step;
+                step = step.saturating_mul(2);
+            }
+        } else {
+            lo = guess;
+            while hi - lo > step {
+                if pruned(lo + step) {
+                    hi = lo + step;
+                    break;
+                }
+                lo += step;
+                step = step.saturating_mul(2);
+            }
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if pruned(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(lo)
+    }
 }
 
 /// Client-side accumulator of per-slice pruning ratios (Fig. 2a, Table 3).
@@ -458,6 +527,64 @@ mod tests {
         // Zero-norm candidates still score 0.
         assert!(cos.should_prune_cosine_quantized(0.0, -0.5, 0.0, 0.0, 1.0, 0.0, 1.0));
         assert!(!cos.should_prune_cosine_quantized(0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 1.0));
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+            /// SQ8's run cutoff is the per-row L2 test: `d > cut` exactly
+            /// when `should_prune_quantized(scale²·d, τ, 0, 0, ε)` holds —
+            /// at the cutoff and either side of it, at both ends of the
+            /// range and at random integers — for thresholds infinite,
+            /// zero, negative and inside the range, scales from subnormal
+            /// to overflowing squares, zero and positive slack, and
+            /// pruning on and off.
+            #[test]
+            fn sq8_l2_cutoff_is_the_per_row_test(
+                scale_exp in -75i32..75,
+                scale_mant in 1.0f32..2.0,
+                tau_kind in 0usize..5,
+                tau_frac in 0.0f32..1.0,
+                eps_kind in 0usize..3,
+                eps_frac in 0.0f32..1.0,
+                enabled in proptest::bool::ANY,
+                width in 1u32..65_537,
+                draws in proptest::collection::vec(proptest::num::u32::ANY, 8..9),
+            ) {
+                let rule = PruneRule::new(Metric::L2, enabled);
+                let scale = scale_mant * 2f32.powi(scale_exp);
+                let scale_sq = scale * scale;
+                let max_d = 65_025 * width;
+                let inside = scale_sq * max_d as f32 * tau_frac;
+                let threshold = match tau_kind {
+                    0 => f32::INFINITY,
+                    1 => 0.0,
+                    2 => -1.0 - inside,
+                    3 => inside * 1e-3,
+                    _ => inside,
+                };
+                let eps = match eps_kind {
+                    0 => 0.0,
+                    1 => eps_frac * 1e-3,
+                    _ => inside.sqrt() * eps_frac,
+                };
+                let cut = rule.l2_cutoff(scale_sq, threshold, eps, max_d);
+                let mut at: Vec<u32> = draws.iter().map(|&r| r % (max_d + 1)).collect();
+                at.extend([0, max_d]);
+                if let Some(c) = cut {
+                    at.extend([c.saturating_sub(1), c, (c + 1).min(max_d)]);
+                }
+                for d in at {
+                    let want =
+                        rule.should_prune_quantized(scale_sq * d as f32, threshold, 0.0, 0.0, eps);
+                    prop_assert_eq!(cut.is_none_or(|c| d > c), want, "d = {}, cut = {:?}", d, cut);
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,11 +63,12 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use harmony_cluster::{NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
-use harmony_index::distance::{ip, l2_sq};
+use harmony_index::distance::{
+    ip, ip_u8_rows, ip_u8_rows_at, l2_sq, l2_sq_u8_rows, l2_sq_u8_rows_at,
+};
 use harmony_index::persist::{
     read_part_lists, write_part_file, PartDirectory, PartList, PartListRef, PersistError,
 };
-use harmony_index::quant::{self, Sq8BlockQuery};
 use harmony_index::{BlockCache, DeltaList, Metric, Sq8Segment, Temperature, TombstoneSet, TopK};
 
 use crate::messages::{
@@ -94,18 +95,17 @@ static SPILL_DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 enum BlockData {
     /// Exact row-major `f32` rows.
     F32 { flat: Vec<f32> },
-    /// SQ8-quantized rows: one segment over the block's range, as
-    /// `cut_list` quantizes a list.
-    Sq8 { segs: Vec<Sq8Segment> },
+    /// SQ8-quantized rows: the one segment over the block's range that
+    /// `cut_list` quantizes a list into (`LoadBlock` admits no other).
+    Sq8 { seg: Sq8Segment },
 }
 
 impl BlockData {
-    /// SQ8 when there are segments, exact rows otherwise.
+    /// SQ8 when there is a segment, exact rows otherwise.
     fn of(flat: Vec<f32>, segs: Vec<Sq8Segment>) -> Self {
-        if segs.is_empty() {
-            BlockData::F32 { flat }
-        } else {
-            BlockData::Sq8 { segs }
+        match segs.into_iter().next() {
+            Some(seg) => BlockData::Sq8 { seg },
+            None => BlockData::F32 { flat },
         }
     }
 }
@@ -160,7 +160,7 @@ impl ListBlock {
     fn part_ref(&self, cluster: u32) -> PartListRef<'_> {
         let (flat, segs): (&[f32], &[Sq8Segment]) = match &self.data {
             BlockData::F32 { flat } => (flat, &[]),
-            BlockData::Sq8 { segs } => (&[], segs),
+            BlockData::Sq8 { seg } => (&[], std::slice::from_ref(seg)),
         };
         PartListRef {
             cluster,
@@ -181,7 +181,7 @@ impl ListBlock {
     fn payload_bytes(&self) -> (usize, usize) {
         match &self.data {
             BlockData::F32 { flat } => (flat.capacity() * 4, 0),
-            BlockData::Sq8 { segs } => (0, quant::segs_memory_bytes(segs)),
+            BlockData::Sq8 { seg } => (0, seg.memory_bytes()),
         }
     }
 
@@ -347,8 +347,8 @@ struct PendingTables {
     carries: HashMap<(u64, u32), CarryBatch>,
 }
 
-/// What a metric contributes to the scan: how a row scores, how far SQ8
-/// may have moved that score, how a full partial becomes a result score
+/// What a metric contributes to the scan: how an exact row scores, how far
+/// SQ8 may have moved a score, how a full partial becomes a result score
 /// and when a partial can be discarded. Resolved once per sub-batch
 /// ([`HarmonyWorker::run_hop`]), so the row loop is monomorphised and
 /// carries no metric branch.
@@ -360,12 +360,11 @@ trait MetricOps {
     /// Lower-is-better partial of an exact row.
     fn f32_partial(q: &[f32], row: &[f32]) -> f32;
 
-    /// Lower-is-better stage-1 partial of a quantized row.
-    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32;
-
-    /// This list's prune-widening term (see the `pruning` module docs):
-    /// distance-space under L2, dot-space under IP/cosine.
-    fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32;
+    /// This list's prune-widening term (see the `pruning` module docs) from
+    /// the query's exact quantization error `err` and the segment's
+    /// data-side bound `data_err`: distance-space under L2, dot-space under
+    /// IP/cosine.
+    fn sq8_eps(err: f32, data_err: f32, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32;
 
     /// Result score of a fully accumulated partial.
     #[inline]
@@ -402,14 +401,9 @@ impl MetricOps for L2Ops {
         l2_sq(q, row)
     }
 
-    #[inline]
-    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
-        quant::l2_partial_row(segs, bq, row)
-    }
-
     // Triangle inequality: ‖q−p‖ ≥ ‖dq(q)−dq(p)‖ − (E_q+E_p).
-    fn sq8_eps(bq: &Sq8BlockQuery, _max_block_norm_sq: f32, _q_block_norm_sq: f32) -> f32 {
-        bq.err + bq.data_err
+    fn sq8_eps(err: f32, data_err: f32, _max_block_norm_sq: f32, _q_block_norm_sq: f32) -> f32 {
+        err + data_err
     }
 }
 
@@ -421,17 +415,12 @@ impl MetricOps for IpOps {
         -ip(q, row)
     }
 
-    #[inline]
-    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
-        -quant::ip_dot_row(segs, bq, row)
-    }
-
     // |q·p − dq(q)·dq(p)| ≤ E_q·‖p‖ + (‖q‖+E_q)·E_p. The stored block norms
     // are exact — `cut_list` takes them from the rows before it quantizes
     // them, on every route to an epoch — so their maximum bounds ‖p‖ as is.
-    fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
+    fn sq8_eps(err: f32, data_err: f32, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
         let p_norm = max_block_norm_sq.max(0.0).sqrt();
-        bq.err * p_norm + (q_block_norm_sq.max(0.0).sqrt() + bq.err) * bq.data_err
+        err * p_norm + (q_block_norm_sq.max(0.0).sqrt() + err) * data_err
     }
 }
 
@@ -443,13 +432,8 @@ impl MetricOps for CosOps {
         IpOps::f32_partial(q, row)
     }
 
-    #[inline]
-    fn sq8_partial(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
-        IpOps::sq8_partial(segs, bq, row)
-    }
-
-    fn sq8_eps(bq: &Sq8BlockQuery, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
-        IpOps::sq8_eps(bq, max_block_norm_sq, q_block_norm_sq)
+    fn sq8_eps(err: f32, data_err: f32, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
+        IpOps::sq8_eps(err, data_err, max_block_norm_sq, q_block_norm_sq)
     }
 
     /// Normalized by the full vector norms so worker results land in the
@@ -482,13 +466,21 @@ impl MetricOps for CosOps {
 
 /// One run of rows a query is scored against: a list restricted to this
 /// block ([`ListRows`], bound to the query by its representation's scoring
-/// closure) or the shard's delta prefix ([`DeltaRows`]). `BlockRepr`
+/// of a row) or the shard's delta prefix ([`DeltaRows`]). `BlockRepr`
 /// contract point 1 (DESIGN.md §5) as code: a representation joins the
-/// scan with a [`MetricOps`] scoring hook and an arm in [`scan_batch`]
-/// that binds it — the row loop never learns which one it runs.
+/// scan with an arm in [`scan_batch`] that binds it — exact rows through a
+/// [`MetricOps`] kernel call per row, SQ8 through the buffer its run was
+/// scored into — and the row loop never learns which one it runs.
 trait Rows {
     /// This block's contribution to `row`'s lower-is-better partial.
     fn partial(&self, row: usize) -> f32;
+    /// `Some(pruned)` when the run has settled `row`'s threshold test
+    /// exactly already (SQ8's integer cutoff); `None` leaves it to the
+    /// metric.
+    #[inline]
+    fn cut(&self, _row: usize) -> Option<bool> {
+        None
+    }
     /// Squared norm of `row`'s coordinates in this block (IP metrics).
     fn block_norm_sq(&self, row: usize) -> f32;
     /// Squared norm of `row`'s full vector (IP metrics).
@@ -499,11 +491,16 @@ trait Rows {
     fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool;
 }
 
-/// A list restricted to this block, bound to one query by `partial` —
-/// the representation's scoring of a row (exact or quantized).
+/// A list restricted to this block, bound to one query by `partial` — the
+/// representation's scoring of a row: an exact kernel call, or a read of
+/// the buffer SQ8 scored the run into — and, on SQ8's L2 first hops, by
+/// the run's integer cutoff.
 struct ListRows<'a, P> {
     list: &'a ListBlock,
     partial: P,
+    /// `(kernel integer per row, cut)`: a row is pruned iff its integer
+    /// exceeds `cut`.
+    cut: Option<(&'a [u32], u32)>,
 }
 
 /// The shard's delta rows, exact f32 whatever the block representation.
@@ -516,6 +513,10 @@ impl<P: Fn(usize) -> f32> Rows for ListRows<'_, P> {
     #[inline]
     fn partial(&self, row: usize) -> f32 {
         (self.partial)(row)
+    }
+    #[inline]
+    fn cut(&self, row: usize) -> Option<bool> {
+        self.cut.map(|(ints, cut)| ints[row] > cut)
     }
     #[inline]
     fn block_norm_sq(&self, row: usize) -> f32 {
@@ -615,6 +616,130 @@ pub(crate) struct Scratch {
     /// `(cluster, query row)` pairs of the sub-batch, sorted: the
     /// list-major walk order.
     probes: Vec<(u32, u32)>,
+    sq8: Sq8Scratch,
+}
+
+/// SQ8's run buffers: one `(query, list)` run is scored into them, then
+/// settled from them.
+#[derive(Default)]
+struct Sq8Scratch {
+    /// The query slice's codes against the list's segment.
+    codes: Vec<u8>,
+    /// On a carried hop, the rows of the run its survivors sit at.
+    picks: Vec<u32>,
+    /// The kernel's integer per candidate: by row on the first hop,
+    /// parallel to `picks` on later ones.
+    ints: Vec<u32>,
+    /// Each candidate's partial, by row.
+    partials: Vec<f32>,
+    /// Score runs row by row instead ([`tests::score_run_by_rows`]): the
+    /// reference the run scoring is checked against.
+    #[cfg(test)]
+    row_oracle: bool,
+}
+
+/// What SQ8's scoring step hands the walk for one run.
+struct Sq8Run {
+    /// The run's prune slack.
+    eps: f32,
+    /// The L2 first-hop cutoff on the kernel integer, where one applies.
+    cut: Option<u32>,
+}
+
+impl Sq8Scratch {
+    /// SQ8's scoring step for one `(query, list)` run. Quantizes the query
+    /// slice `q` once, into `codes`; scores the run's candidates with the
+    /// blocked u8 kernels — every row on the first hop, the carried
+    /// survivors inside the run on later hops — into `ints`; and turns each
+    /// integer into its partial, `partials[row]`, with the segment's own
+    /// formula, so every partial is bit for bit what
+    /// `quant::l2_partial_row` / `ip_dot_row` give. On an L2 first hop that
+    /// is not the last, the prune test depends on the integer alone
+    /// (DESIGN.md §5), so one cutoff per run settles it.
+    fn score_run<M: MetricOps>(
+        &mut self,
+        env: &HopEnv<'_>,
+        list: &ListBlock,
+        seg: &Sq8Segment,
+        q: &[f32],
+        slot: &QuerySlot,
+    ) -> Sq8Run {
+        #[cfg(test)]
+        if self.row_oracle {
+            return tests::score_run_by_rows::<M>(self, list, seg, q, slot);
+        }
+        let (q_code_sum, err_sq) = seg.quantize_query_into(q, &mut self.codes);
+        // `prepare_block_query`'s sums over segments, for one segment.
+        let data_err = {
+            let e = seg.row_error_bound();
+            (e * e).sqrt()
+        };
+        let eps = M::sq8_eps(
+            err_sq.sqrt(),
+            data_err,
+            list.max_block_norm_sq,
+            slot.q_block_norm_sq,
+        );
+        let partial = |row: usize, int: u32| {
+            if M::IP {
+                -seg.ip_of(q_code_sum, row, int)
+            } else {
+                seg.l2_of(int)
+            }
+        };
+        let n = list.rows();
+        grow(&mut self.partials, n);
+        match env.carry {
+            None => {
+                grow(&mut self.ints, n);
+                let ints = &mut self.ints[..n];
+                if M::IP {
+                    ip_u8_rows(&self.codes, &seg.codes, ints);
+                } else {
+                    l2_sq_u8_rows(&self.codes, &seg.codes, ints);
+                }
+                for (row, (p, &int)) in self.partials.iter_mut().zip(&*ints).enumerate() {
+                    *p = partial(row, int);
+                }
+            }
+            Some(carry) => {
+                let carried = &carry.indices[slot.cursor..slot.carried_end];
+                self.picks.clear();
+                self.picks.extend(
+                    carried
+                        .iter()
+                        .map(|&index| index.wrapping_sub(slot.base))
+                        .take_while(|&row| (row as usize) < n),
+                );
+                let m = self.picks.len();
+                grow(&mut self.ints, m);
+                let ints = &mut self.ints[..m];
+                if M::IP {
+                    ip_u8_rows_at(&self.codes, &seg.codes, &self.picks, ints);
+                } else {
+                    l2_sq_u8_rows_at(&self.codes, &seg.codes, &self.picks, ints);
+                }
+                for (&row, &int) in self.picks.iter().zip(&*ints) {
+                    self.partials[row as usize] = partial(row as usize, int);
+                }
+            }
+        }
+        let cut = if env.carry.is_none() && !env.is_last && !M::IP {
+            let b = Bounds::of(slot, eps);
+            env.rule
+                .l2_cutoff(seg.scale * seg.scale, b.threshold, b.eps, seg.max_l2_int())
+        } else {
+            None
+        };
+        Sq8Run { eps, cut }
+    }
+}
+
+/// Lengthens a reused buffer to at least `n` entries; it never shrinks.
+fn grow<T: Copy + Default>(buf: &mut Vec<T>, n: usize) {
+    if buf.len() < n {
+        buf.resize(n, T::default());
+    }
 }
 
 /// What one hop did, for the statistics counters.
@@ -647,6 +772,19 @@ struct Bounds {
     eps: f32,
 }
 
+impl Bounds {
+    /// What one query's candidates are bounded against in a run whose own
+    /// prune slack is `eps_run`.
+    fn of(slot: &QuerySlot, eps_run: f32) -> Self {
+        Self {
+            threshold: slot.threshold,
+            q_total_sq: slot.q_total_norm_sq,
+            q_rest_sq: slot.q_total_norm_sq - slot.q_visited_norm_sq,
+            eps: slot.eps_in + eps_run,
+        }
+    }
+}
+
 /// `bound → prune → emit` for one scored candidate.
 #[inline(always)]
 fn settle<M: MetricOps, R: Rows>(
@@ -673,7 +811,9 @@ fn settle<M: MetricOps, R: Rows>(
             rest.p_rest_sq = rest.p_total_sq - p_visited;
         }
     }
-    let global_prune = M::prune(&env.rule, partial, threshold, rest, eps);
+    let global_prune = rows
+        .cut(c.row)
+        .unwrap_or_else(|| M::prune(&env.rule, partial, threshold, rest, eps));
     if let Some(topk) = out.topk.as_mut() {
         // Full score now known; keep only entries beating both the local
         // top-k (same-domain, no widening) and the exact-domain client
@@ -709,12 +849,7 @@ fn scan_run<M: MetricOps, R: Rows>(
     tally: &mut HopTally,
 ) {
     slot.hop_eps = slot.hop_eps.max(eps_run);
-    let bounds = Bounds {
-        threshold: slot.threshold,
-        q_total_sq: slot.q_total_norm_sq,
-        q_rest_sq: slot.q_total_norm_sq - slot.q_visited_norm_sq,
-        eps: slot.eps_in + eps_run,
-    };
+    let bounds = Bounds::of(slot, eps_run);
     let base = slot.base;
     let before = slot.cursor;
     match env.carry {
@@ -770,7 +905,7 @@ fn scan_batch<M: MetricOps>(
     scratch: &mut Scratch,
 ) -> HopTally {
     let mut tally = HopTally::default();
-    let Scratch { slots, probes } = scratch;
+    let Scratch { slots, probes, sq8 } = scratch;
     if let Some(block) = block {
         probes.clear();
         for q in 0..chunk.len() {
@@ -805,15 +940,22 @@ fn scan_batch<M: MetricOps>(
                 BlockData::F32 { flat } => {
                     let w = list.width;
                     let partial = |row: usize| M::f32_partial(dims, &flat[row * w..(row + 1) * w]);
-                    let rows = ListRows { list, partial };
+                    let rows = ListRows {
+                        list,
+                        partial,
+                        cut: None,
+                    };
                     scan_run::<M, _>(env, &rows, shape, 0.0, slot, &mut tally);
                 }
-                BlockData::Sq8 { segs } => {
-                    let bq = quant::prepare_block_query(segs, dims, block.dim_start);
-                    let eps = M::sq8_eps(&bq, list.max_block_norm_sq, slot.q_block_norm_sq);
-                    let partial = |row: usize| M::sq8_partial(segs, &bq, row);
-                    let rows = ListRows { list, partial };
-                    scan_run::<M, _>(env, &rows, shape, eps, slot, &mut tally);
+                BlockData::Sq8 { seg } => {
+                    let run = sq8.score_run::<M>(env, list, seg, &dims[..list.width], slot);
+                    let partials = &sq8.partials;
+                    let rows = ListRows {
+                        list,
+                        partial: |row: usize| partials[row],
+                        cut: run.cut.map(|cut| (&sq8.ints[..], cut)),
+                    };
+                    scan_run::<M, _>(env, &rows, shape, run.eps, slot, &mut tally);
                 }
             }
         }
@@ -1616,6 +1758,7 @@ mod tests {
     use super::*;
     use crate::messages::{Carry, QueryChunk, QueryResult};
     use harmony_cluster::{Cluster, ClusterConfig};
+    use harmony_index::quant;
     use std::time::Duration;
 
     /// Loads a 2-vector block into a single worker and runs a query.
@@ -2525,14 +2668,277 @@ mod tests {
     /// cut from exact rows on every route to an epoch.
     #[test]
     fn sq8_ip_slack_takes_the_stored_norm_unpadded() {
-        let bq = Sq8BlockQuery {
-            per_seg: Vec::new(),
-            err: 0.5,
-            data_err: 0.25,
-        };
         // E_q·‖p‖ + (‖q‖+E_q)·E_p = 0.5·2 + (3+0.5)·0.25.
-        assert_eq!(IpOps::sq8_eps(&bq, 4.0, 9.0), 1.875);
-        assert_eq!(CosOps::sq8_eps(&bq, 4.0, 9.0), 1.875);
+        assert_eq!(IpOps::sq8_eps(0.5, 0.25, 4.0, 9.0), 1.875);
+        assert_eq!(CosOps::sq8_eps(0.5, 0.25, 4.0, 9.0), 1.875);
+    }
+
+    // --- SQ8 run scoring against the row-at-a-time oracle ---------------
+
+    /// The row-at-a-time SQ8 scoring the run scoring replaced: the query
+    /// prepared per `(query, list)` by `quant::prepare_block_query`, every
+    /// row of the list scored through `quant::l2_partial_row` /
+    /// `ip_dot_row`, and every prune left to `settle`'s float test.
+    pub(super) fn score_run_by_rows<M: MetricOps>(
+        buf: &mut Sq8Scratch,
+        list: &ListBlock,
+        seg: &Sq8Segment,
+        q: &[f32],
+        slot: &QuerySlot,
+    ) -> Sq8Run {
+        let segs = std::slice::from_ref(seg);
+        let bq = quant::prepare_block_query(segs, q, seg.dim_start);
+        buf.partials.clear();
+        buf.partials.extend((0..list.rows()).map(|row| {
+            if M::IP {
+                -quant::ip_dot_row(segs, &bq, row)
+            } else {
+                quant::l2_partial_row(segs, &bq, row)
+            }
+        }));
+        Sq8Run {
+            eps: M::sq8_eps(
+                bq.err,
+                bq.data_err,
+                list.max_block_norm_sq,
+                slot.q_block_norm_sq,
+            ),
+            cut: None,
+        }
+    }
+
+    /// Dimension ranges of the oracle fixture's pipelines: one hop over all
+    /// 62 dimensions, and three whose widths take a 16-code step plus a
+    /// scalar tail, plus the 8-code tail, and plus one code.
+    const OR_SPLITS: [&[usize]; 2] = [&[0, 62], &[0, 21, 45, 62]];
+    /// Rows per list: empty, short of a quad, across quad boundaries.
+    const OR_LISTS: [usize; 8] = [0, 1, 3, 4, 5, 9, 17, 30];
+
+    fn or_row(id: u64) -> Vec<f32> {
+        (0..62u64)
+            .map(|j| fx_coord(id * 67 + j) * (1 + j % 5) as f32)
+            .collect()
+    }
+
+    /// One machine's share of the oracle fixture: every list cut to
+    /// `range` and quantized as `cut_list` does, and four delta rows.
+    fn or_block(range: std::ops::Range<usize>, is_ip: bool) -> (BlockStore, DeltaList) {
+        let norms = |v: &[f32]| (ip(&v[range.clone()], &v[range.clone()]), ip(v, v));
+        let lists = OR_LISTS
+            .iter()
+            .enumerate()
+            .map(|(l, &n)| {
+                let ids: Vec<u64> = (0..n).map(|r| fx_list_id(l as u32, r)).collect();
+                let rows: Vec<Vec<f32>> = ids.iter().map(|&id| or_row(id)).collect();
+                let flat: Vec<f32> = rows
+                    .iter()
+                    .flat_map(|v| v[range.clone()].to_vec())
+                    .collect();
+                let (block_norms_sq, total_norms_sq): (Vec<f32>, Vec<f32>) = if is_ip {
+                    rows.iter().map(|v| norms(v)).unzip()
+                } else {
+                    (vec![], vec![])
+                };
+                crate::messages::ClusterBlock {
+                    cluster: l as u32,
+                    ids,
+                    flat: vec![],
+                    segs: if n > 0 {
+                        vec![Sq8Segment::quantize(&flat, range.len(), range.start as u64)]
+                    } else {
+                        vec![]
+                    },
+                    block_norms_sq,
+                    total_norms_sq,
+                }
+            })
+            .collect();
+        let mut delta = DeltaList::new(range.len());
+        for i in 0..4u64 {
+            let v = or_row(900 + i);
+            let (b, t) = if is_ip { norms(&v) } else { (0.0, 0.0) };
+            delta.push(900 + i, i + 1, &v[range.clone()], b, t);
+        }
+        let block = BlockStore::from_wire(range.start as u64, range.end as u64, lists);
+        (block, delta)
+    }
+
+    /// Twelve queries: random without a threshold, random with a moderate
+    /// one, and near a list row with that row's score as the threshold —
+    /// tight enough that the first hop prunes.
+    fn or_queries(metric: Metric) -> Vec<FxQuery> {
+        (0..12u64)
+            .map(|i| {
+                let target = or_row(fx_list_id(7, i as usize));
+                let vector: Vec<f32> = if i % 3 == 2 {
+                    target
+                        .iter()
+                        .zip(0u64..)
+                        .map(|(x, j)| x + 0.05 * fx_coord(i * 131 + j))
+                        .collect()
+                } else {
+                    or_row(5_000 + i)
+                };
+                let threshold = if i % 3 == 0 {
+                    f32::INFINITY
+                } else {
+                    metric.score(&vector, &target)
+                };
+                FxQuery {
+                    id: 100 + i,
+                    vector,
+                    clusters: (0..OR_LISTS.len() as u32)
+                        .filter(|&l| (i + u64::from(l)) % 4 != 0)
+                        .collect(),
+                    threshold,
+                }
+            })
+            .collect()
+    }
+
+    fn or_chunk(
+        metric: Metric,
+        queries: &[FxQuery],
+        splits: &[usize],
+        position: usize,
+    ) -> ChunkBatch {
+        let range = splits[position]..splits[position + 1];
+        let mut clusters = Vec::new();
+        let mut cluster_ends = Vec::new();
+        for q in queries {
+            clusters.extend_from_slice(&q.clusters);
+            cluster_ends.push(clusters.len() as u32);
+        }
+        ChunkBatch {
+            ns: 0,
+            epoch: 0,
+            shard: 0,
+            k: 5,
+            order: (0..splits.len() as u64 - 1).collect(),
+            position: position as u32,
+            delta_seq: 4, // the last delta row is past it
+            legacy_reply: false,
+            query_ids: queries.iter().map(|q| q.id).collect(),
+            thresholds: queries.iter().map(|q| q.threshold).collect(),
+            q_total_norms_sq: if metric == Metric::L2 {
+                vec![]
+            } else {
+                queries.iter().map(|q| ip(&q.vector, &q.vector)).collect()
+            },
+            cluster_ends,
+            clusters,
+            dims: queries
+                .iter()
+                .flat_map(|q| q.vector[range.clone()].to_vec())
+                .collect(),
+        }
+    }
+
+    /// Everything a hop hands on, as bits: a carry's survivors, partials,
+    /// norms, slack and thresholds, or an answer's ids, scores and counts.
+    fn hop_bits(out: &HopOutput) -> Vec<Vec<u64>> {
+        let bits = |v: &[f32]| -> Vec<u64> { v.iter().map(|x| u64::from(x.to_bits())).collect() };
+        let wide = |v: &[u32]| -> Vec<u64> { v.iter().map(|&x| u64::from(x)).collect() };
+        match out {
+            HopOutput::Forward(c) => vec![
+                wide(&c.survivor_ends),
+                wide(&c.indices),
+                bits(&c.partials),
+                bits(&c.visited_norms_sq),
+                bits(&c.q_visited_norms_sq),
+                bits(&c.quant_eps),
+                bits(&c.thresholds),
+            ],
+            HopOutput::Answer(r) => vec![
+                wide(&r.result_ends),
+                r.ids.clone(),
+                bits(&r.scores),
+                r.candidates_seen.clone(),
+            ],
+        }
+    }
+
+    /// One sub-batch down an oracle-fixture pipeline through `scan_hop`,
+    /// each hop's carry feeding the next: every hop's output as bits, and
+    /// its tally.
+    fn or_pipeline(
+        meta: NsMeta,
+        blocks: &[(BlockStore, DeltaList)],
+        tombstones: &TombstoneSet,
+        splits: &[usize],
+        queries: &[FxQuery],
+        scratch: &mut Scratch,
+    ) -> Vec<(Vec<Vec<u64>>, [u64; 3])> {
+        let mut carry = None;
+        let mut hops = Vec::new();
+        for (position, (block, delta)) in blocks.iter().enumerate() {
+            let chunk = or_chunk(meta.metric, queries, splits, position);
+            let (out, t) = scan_hop(
+                meta,
+                tombstones,
+                Some(block),
+                Some(delta),
+                chunk,
+                carry.as_ref(),
+                scratch,
+            );
+            hops.push((hop_bits(&out), [t.seen, t.pruned, t.scanned_point_dims]));
+            carry = match out {
+                HopOutput::Forward(c) => Some(c),
+                HopOutput::Answer(_) => None,
+            };
+        }
+        hops
+    }
+
+    /// SQ8's run scoring — one quantization per `(query, list)`, the
+    /// blocked kernels, the integer cutoff — is an execution strategy, not
+    /// a different computation: against the row-at-a-time scoring it
+    /// replaced, every hop of a one-hop and a three-hop pipeline (first,
+    /// carried and last positions) hands on the same carry (survivor
+    /// indices, partial and `quant_eps` bits) or answer (ids, score bits)
+    /// and counts the same tally, under L2, IP and cosine, pruning on and
+    /// off, with delta rows and tombstones in play, as a sub-batch and
+    /// query by query.
+    #[test]
+    fn sq8_run_scoring_matches_row_oracle() {
+        let mut tombstones = TombstoneSet::new();
+        tombstones.insert(fx_list_id(6, 3), 2);
+        tombstones.insert(900, 2);
+        let mut runs = Scratch::default();
+        let mut rows = Scratch::default();
+        rows.sq8.row_oracle = true;
+        let mut first_hop_pruned = 0;
+        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+            let queries = or_queries(metric);
+            for splits in OR_SPLITS {
+                let blocks: Vec<_> = splits
+                    .windows(2)
+                    .map(|r| or_block(r[0]..r[1], metric != Metric::L2))
+                    .collect();
+                for pruning in [true, false] {
+                    let meta = NsMeta::new(metric, pruning);
+                    let mut check = |qs: &[FxQuery]| {
+                        let got = or_pipeline(meta, &blocks, &tombstones, splits, qs, &mut runs);
+                        let want = or_pipeline(meta, &blocks, &tombstones, splits, qs, &mut rows);
+                        let ids: Vec<u64> = qs.iter().map(|q| q.id).collect();
+                        assert_eq!(
+                            got, want,
+                            "{metric:?} {splits:?} pruning={pruning}: {ids:?}"
+                        );
+                        got
+                    };
+                    let batch = check(&queries);
+                    if metric == Metric::L2 && pruning && splits.len() > 2 {
+                        first_hop_pruned += batch[0].1[1];
+                    }
+                    for q in &queries {
+                        check(std::slice::from_ref(q));
+                    }
+                }
+            }
+        }
+        assert!(first_hop_pruned > 0, "the L2 cutoff never pruned");
     }
 
     fn drain_tier_ack(cluster: &mut Cluster) {

@@ -261,6 +261,56 @@ pub fn ip_u8_scalar(a: &[u8], b: &[u8]) -> u32 {
     acc
 }
 
+/// Widest code slice the u8 kernels score exactly: their `u32` sums hold
+/// 255² · 2¹⁶ < 2³², and a wider slice would wrap silently.
+pub const U8_MAX_WIDTH: usize = 1 << 16;
+
+/// Row `i` of a row-major code matrix `w` codes wide.
+#[inline]
+fn code_row(rows: &[u8], w: usize, i: usize) -> &[u8] {
+    &rows[i * w..(i + 1) * w]
+}
+
+/// [`l2_sq_u8_rows`], scalar: one [`l2_sq_u8_scalar`] per row.
+pub fn l2_sq_u8_rows_scalar(q: &[u8], rows: &[u8], out: &mut [u32]) {
+    assert_eq!(
+        rows.len(),
+        q.len() * out.len(),
+        "rows must be out.len() rows of q.len()"
+    );
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = l2_sq_u8_scalar(q, code_row(rows, q.len(), i));
+    }
+}
+
+/// [`ip_u8_rows`], scalar: one [`ip_u8_scalar`] per row.
+pub fn ip_u8_rows_scalar(q: &[u8], rows: &[u8], out: &mut [u32]) {
+    assert_eq!(
+        rows.len(),
+        q.len() * out.len(),
+        "rows must be out.len() rows of q.len()"
+    );
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = ip_u8_scalar(q, code_row(rows, q.len(), i));
+    }
+}
+
+/// [`l2_sq_u8_rows_at`], scalar: one [`l2_sq_u8_scalar`] per picked row.
+pub fn l2_sq_u8_rows_at_scalar(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    for (o, &r) in out.iter_mut().zip(at) {
+        *o = l2_sq_u8_scalar(q, code_row(rows, q.len(), r as usize));
+    }
+}
+
+/// [`ip_u8_rows_at`], scalar: one [`ip_u8_scalar`] per picked row.
+pub fn ip_u8_rows_at_scalar(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    for (o, &r) in out.iter_mut().zip(at) {
+        *o = ip_u8_scalar(q, code_row(rows, q.len(), r as usize));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 kernels, selected at runtime.
 // ---------------------------------------------------------------------------
@@ -395,6 +445,142 @@ mod avx2 {
         sum
     }
 
+    /// One widened step of a blocked u8 kernel: 16 i16 lanes of query and
+    /// row codes become eight i32 lanes of `(q−r)²` pair sums (`L2`) or
+    /// `q·r` pair sums.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn step<const L2: bool>(qw: __m256i, rw: __m256i) -> __m256i {
+        if L2 {
+            let d = _mm256_sub_epi16(qw, rw);
+            _mm256_madd_epi16(d, d)
+        } else {
+            _mm256_madd_epi16(qw, rw)
+        }
+    }
+
+    /// Four rows' u8 kernel sums against `q` at once: each 16 query codes
+    /// are widened once for all four rows, an 8-code tail takes a 64-bit
+    /// load (its upper lanes widen zeros on both sides and add nothing),
+    /// and the four accumulators meet in one `hadd` reduction. Each i32
+    /// lane stays below 2·255²·(width/16 + 1) < 2³¹ for widths ≤ 2¹⁶; the
+    /// reduction's adds wrap, so the u32 totals are exact.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and that every row is at
+    /// least `q.len()` codes long.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn four<const L2: bool>(q: &[u8], rows: [&[u8]; 4]) -> [u32; 4] {
+        let n = q.len();
+        debug_assert!(rows.iter().all(|r| r.len() >= n));
+        let mut acc = [_mm256_setzero_si256(); 4];
+        let mut j = 0;
+        while j + 16 <= n {
+            // SAFETY: j + 16 <= n and every row holds n codes, so each
+            // 16-byte load is in bounds.
+            let qw = _mm256_cvtepu8_epi16(unsafe {
+                _mm_loadu_si128(q.as_ptr().add(j) as *const __m128i)
+            });
+            for (a, row) in acc.iter_mut().zip(rows) {
+                // SAFETY: as for the query load; `step` needs the features
+                // this function has.
+                unsafe {
+                    let rw = _mm256_cvtepu8_epi16(_mm_loadu_si128(
+                        row.as_ptr().add(j) as *const __m128i
+                    ));
+                    *a = _mm256_add_epi32(*a, step::<L2>(qw, rw));
+                }
+            }
+            j += 16;
+        }
+        if j + 8 <= n {
+            // SAFETY: j + 8 <= n, so each 8-byte load is in bounds.
+            let qw = _mm256_cvtepu8_epi16(unsafe {
+                _mm_loadl_epi64(q.as_ptr().add(j) as *const __m128i)
+            });
+            for (a, row) in acc.iter_mut().zip(rows) {
+                // SAFETY: as for the query load; `step` needs the features
+                // this function has.
+                unsafe {
+                    let rw = _mm256_cvtepu8_epi16(_mm_loadl_epi64(
+                        row.as_ptr().add(j) as *const __m128i
+                    ));
+                    *a = _mm256_add_epi32(*a, step::<L2>(qw, rw));
+                }
+            }
+            j += 8;
+        }
+        let s = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(acc[0], acc[1]),
+            _mm256_hadd_epi32(acc[2], acc[3]),
+        );
+        let t = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+        let mut sums = [0u32; 4];
+        // SAFETY: `sums` is a 16-byte local array, valid for a 128-bit store.
+        unsafe { _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, t) };
+        for (sum, row) in sums.iter_mut().zip(rows) {
+            for (&a, &b) in q[j..].iter().zip(&row[j..n]) {
+                *sum += if L2 {
+                    let d = a as i32 - b as i32;
+                    (d * d) as u32
+                } else {
+                    a as u32 * b as u32
+                };
+            }
+        }
+        sums
+    }
+
+    /// Scores `out.len()` rows four at a time, `row(i)` being the i-th; a
+    /// short last quad repeats its final row and keeps its own results.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and that every `row(i)`
+    /// is at least `q.len()` codes long.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn blocked<'r, const L2: bool>(
+        q: &[u8],
+        out: &mut [u32],
+        row: impl Fn(usize) -> &'r [u8],
+    ) {
+        for (c, quad) in out.chunks_mut(4).enumerate() {
+            let last = quad.len() - 1;
+            let at = |k: usize| row(c * 4 + k.min(last));
+            // SAFETY: same target features as self; rows as required.
+            let sums = unsafe { four::<L2>(q, [at(0), at(1), at(2), at(3)]) };
+            quad.copy_from_slice(&sums[..quad.len()]);
+        }
+    }
+
+    /// [`super::l2_sq_u8_rows`] (`L2`) and [`super::ip_u8_rows`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn u8_rows<const L2: bool>(q: &[u8], rows: &[u8], out: &mut [u32]) {
+        let w = q.len();
+        // SAFETY: same target features as self; `code_row` slices every
+        // row exactly `w` codes wide, bounds-checked.
+        unsafe { blocked::<L2>(q, out, |i| super::code_row(rows, w, i)) }
+    }
+
+    /// [`super::l2_sq_u8_rows_at`] (`L2`) and [`super::ip_u8_rows_at`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn u8_rows_at<const L2: bool>(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+        let w = q.len();
+        // SAFETY: same target features as self; `code_row` slices every
+        // picked row exactly `w` codes wide, bounds-checked.
+        unsafe { blocked::<L2>(q, out, |i| super::code_row(rows, w, at[i] as usize)) }
+    }
+
     /// Sums the eight i32 lanes. Lanes are non-negative and bounded by
     /// 2·255²·(width/16), so for widths ≤ 2¹⁶ both the 128-bit lane adds
     /// and the final u32 total are exact.
@@ -502,6 +688,103 @@ pub fn ip_u8(a: &[u8], b: &[u8]) -> u32 {
         }
     }
     ip_u8_scalar(a, b)
+}
+
+/// Squared L2 distance of the u8 query `q` to each of the `out.len()` rows
+/// of the row-major code matrix `rows` (`q.len()` codes wide), into `out`:
+/// SQ8's first-hop scan of a whole list. Four rows per pass — the query is
+/// widened once per 16 codes for all four, and their sums meet in one
+/// reduction — with [`l2_sq_u8_rows_scalar`] as the path without AVX2.
+/// Each result equals [`l2_sq_u8`] of its row exactly, for widths up to
+/// [`U8_MAX_WIDTH`].
+///
+/// # Panics
+/// When `rows.len() != q.len() * out.len()`.
+pub fn l2_sq_u8_rows(q: &[u8], rows: &[u8], out: &mut [u32]) {
+    assert_eq!(
+        rows.len(),
+        q.len() * out.len(),
+        "rows must be out.len() rows of q.len()"
+    );
+    debug_assert!(
+        q.len() <= U8_MAX_WIDTH,
+        "u32 accumulator caps widths at 2^16"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2::u8_rows::<true>(q, rows, out) };
+        }
+    }
+    l2_sq_u8_rows_scalar(q, rows, out)
+}
+
+/// Dot product of the u8 query `q` with each row of `rows`; the blocked
+/// twin of [`ip_u8`] as [`l2_sq_u8_rows`] is of [`l2_sq_u8`].
+///
+/// # Panics
+/// When `rows.len() != q.len() * out.len()`.
+pub fn ip_u8_rows(q: &[u8], rows: &[u8], out: &mut [u32]) {
+    assert_eq!(
+        rows.len(),
+        q.len() * out.len(),
+        "rows must be out.len() rows of q.len()"
+    );
+    debug_assert!(
+        q.len() <= U8_MAX_WIDTH,
+        "u32 accumulator caps widths at 2^16"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2::u8_rows::<false>(q, rows, out) };
+        }
+    }
+    ip_u8_rows_scalar(q, rows, out)
+}
+
+/// [`l2_sq_u8_rows`] over the picked rows `at` of `rows` only — SQ8's
+/// carried hops, which score the survivors a run still holds — with
+/// `out[i]` the distance to row `at[i]`, four picked rows per pass.
+///
+/// # Panics
+/// When `at.len() != out.len()` or a picked row lies outside `rows`.
+pub fn l2_sq_u8_rows_at(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    debug_assert!(
+        q.len() <= U8_MAX_WIDTH,
+        "u32 accumulator caps widths at 2^16"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2::u8_rows_at::<true>(q, rows, at, out) };
+        }
+    }
+    l2_sq_u8_rows_at_scalar(q, rows, at, out)
+}
+
+/// [`ip_u8_rows`] over the picked rows `at` of `rows` only.
+///
+/// # Panics
+/// When `at.len() != out.len()` or a picked row lies outside `rows`.
+pub fn ip_u8_rows_at(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    debug_assert!(
+        q.len() <= U8_MAX_WIDTH,
+        "u32 accumulator caps widths at 2^16"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2::u8_rows_at::<false>(q, rows, at, out) };
+        }
+    }
+    ip_u8_rows_at_scalar(q, rows, at, out)
 }
 
 /// True cosine similarity (handles unnormalized inputs; zero vectors map
@@ -695,6 +978,90 @@ mod tests {
         assert_eq!(l2_sq_u8(&a, &b), 255 * 255 * 4096);
         assert_eq!(ip_u8(&a, &a), 255 * 255 * 4096);
         assert_eq!(ip_u8(&a, &b), 0);
+        // The blocked kernels at the same extremes, and at the widest
+        // slice they accept, where a row's sum passes 2³¹.
+        for w in [4096, U8_MAX_WIDTH] {
+            let max = 255 * 255 * w as u32;
+            let q = vec![255u8; w];
+            let zeros = vec![0u8; 5 * w];
+            let full = vec![255u8; 5 * w];
+            let mut out = [7u32; 5];
+            l2_sq_u8_rows(&q, &zeros, &mut out);
+            assert_eq!(out, [max; 5], "l2 rows w={w}");
+            ip_u8_rows(&q, &full, &mut out);
+            assert_eq!(out, [max; 5], "ip rows w={w}");
+            ip_u8_rows(&q, &zeros, &mut out);
+            assert_eq!(out, [0; 5], "ip rows w={w}");
+            l2_sq_u8_rows_at(&q, &zeros, &[4, 0, 2], &mut out[..3]);
+            assert_eq!(out[..3], [max; 3], "l2 picked w={w}");
+            l2_sq_u8_rows_scalar(&q, &zeros, &mut out);
+            assert_eq!(out, [max; 5], "l2 rows scalar w={w}");
+        }
+    }
+
+    /// The blocked kernels and their index forms against their scalar
+    /// twins and the one-row kernels, bit for bit: widths on both sides of
+    /// every lane boundary (16-code steps, the 8-code tail, the scalar
+    /// tail) and row counts on both sides of every quad boundary.
+    #[test]
+    fn blocked_u8_kernels_match_the_one_row_kernels() {
+        use rand::prelude::*;
+        type One = fn(&[u8], &[u8]) -> u32;
+        type Rows = fn(&[u8], &[u8], &mut [u32]);
+        type At = fn(&[u8], &[u8], &[u32], &mut [u32]);
+        let kernels: [(One, One, Rows, Rows, At, At); 2] = [
+            (
+                l2_sq_u8,
+                l2_sq_u8_scalar,
+                l2_sq_u8_rows,
+                l2_sq_u8_rows_scalar,
+                l2_sq_u8_rows_at,
+                l2_sq_u8_rows_at_scalar,
+            ),
+            (
+                ip_u8,
+                ip_u8_scalar,
+                ip_u8_rows,
+                ip_u8_rows_scalar,
+                ip_u8_rows_at,
+                ip_u8_rows_at_scalar,
+            ),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let mut codes =
+            |n: usize| -> Vec<u8> { (0..n).map(|_| rng.random_range(0u16..256) as u8).collect() };
+        for w in [1usize, 15, 16, 17, 24, 31, 32, 48, 64, 96, 130] {
+            for n in (0..=9).chain([17]) {
+                let q = codes(w);
+                let rows = codes(n * w);
+                // Picks in any order, repeats included: the last byte of
+                // each draw, modulo the row count.
+                let at: Vec<u32> = codes(n + 2)
+                    .iter()
+                    .filter(|_| n > 0)
+                    .map(|&b| u32::from(b) % n as u32)
+                    .collect();
+                for (one, one_scalar, blocked, blocked_scalar, picked, picked_scalar) in kernels {
+                    let row = |i: usize| &rows[i * w..(i + 1) * w];
+                    let want: Vec<u32> = (0..n).map(|i| one(&q, row(i))).collect();
+                    let scalar: Vec<u32> = (0..n).map(|i| one_scalar(&q, row(i))).collect();
+                    assert_eq!(want, scalar, "one-row w={w} n={n}");
+                    let mut got = vec![u32::MAX; n];
+                    blocked(&q, &rows, &mut got);
+                    assert_eq!(got, want, "rows w={w} n={n}");
+                    got.fill(u32::MAX);
+                    blocked_scalar(&q, &rows, &mut got);
+                    assert_eq!(got, want, "rows scalar w={w} n={n}");
+                    let want_at: Vec<u32> = at.iter().map(|&r| want[r as usize]).collect();
+                    let mut got = vec![u32::MAX; at.len()];
+                    picked(&q, &rows, &at, &mut got);
+                    assert_eq!(got, want_at, "picked w={w} n={n}");
+                    got.fill(u32::MAX);
+                    picked_scalar(&q, &rows, &at, &mut got);
+                    assert_eq!(got, want_at, "picked scalar w={w} n={n}");
+                }
+            }
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

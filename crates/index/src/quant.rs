@@ -14,7 +14,8 @@
 //!
 //! 1. **Scan** — produce a deterministic lower-is-better partial score per
 //!    row per dimension slice ([`Sq8Segment::l2_partial`],
-//!    [`Sq8Segment::ip_dot`]).
+//!    [`Sq8Segment::ip_dot`]; [`Sq8Segment::l2_of`] / [`Sq8Segment::ip_of`]
+//!    from a blocked kernel's integers).
 //! 2. **Error bound** — advertise a per-coordinate round-trip bound
 //!    ([`Sq8Segment::coord_error_bound`]) so prune bounds can be widened to
 //!    stay exact-over-quantized (`harmony-core::pruning`).
@@ -67,6 +68,24 @@ impl BlockRepr {
 impl std::fmt::Display for BlockRepr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The code of `v` under the affine code `(min, scale)`, `scale > 0`:
+/// `round((v − min) / scale)` clamped to `[0, 255]`, NaN → 0, for both
+/// quantizers. `f64::round` is a library call on the x86-64 baseline
+/// target; this is the same rounding, half away from zero, inline: below
+/// 255, `t = x as u32` is `⌊x⌋` for `x ≥ 0` (and 0 for negative or NaN
+/// `x`, which clamp to 0 anyway), `x − t` is exact, and `t + (x − t ≥ ½)`
+/// is `round(x)`.
+#[inline]
+fn code(v: f32, min: f32, scale: f32) -> u8 {
+    let x = (v as f64 - min as f64) / scale as f64;
+    let t = x as u32;
+    if t >= 255 {
+        255
+    } else {
+        (t + u32::from(x - t as f64 >= 0.5)) as u8
     }
 }
 
@@ -131,15 +150,7 @@ impl Sq8Segment {
         let scale = ((max as f64 - min as f64) / 255.0) as f32;
         let codes: Vec<u8> = flat
             .iter()
-            .map(|&v| {
-                if scale > 0.0 {
-                    ((v as f64 - min as f64) / scale as f64)
-                        .round()
-                        .clamp(0.0, 255.0) as u8
-                } else {
-                    0
-                }
-            })
+            .map(|&v| if scale > 0.0 { code(v, min, scale) } else { 0 })
             .collect();
         let rows = flat.len().checked_div(width).unwrap_or(0);
         let code_sums = (0..rows)
@@ -194,15 +205,26 @@ impl Sq8Segment {
     /// `‖q − dq(qc)‖²` is returned so prune-bound widening never has to
     /// assume anything about the query.
     pub fn quantize_query(&self, q: &[f32]) -> Sq8Query {
-        debug_assert_eq!(q.len(), self.width());
         let mut codes = Vec::with_capacity(q.len());
+        let (code_sum, err_sq) = self.quantize_query_into(q, &mut codes);
+        Sq8Query {
+            codes,
+            code_sum,
+            err_sq,
+        }
+    }
+
+    /// [`Self::quantize_query`] into a caller's buffer, so a scan that
+    /// reuses `codes` quantizes without allocating: `codes` is refilled
+    /// with the query's codes and `(code_sum, err_sq)` is returned.
+    pub fn quantize_query_into(&self, q: &[f32], codes: &mut Vec<u8>) -> (u32, f32) {
+        debug_assert_eq!(q.len(), self.width());
+        codes.clear();
         let mut code_sum = 0u32;
         let mut err_sq = 0f64;
         for &v in q {
             let c = if self.scale > 0.0 {
-                ((v as f64 - self.min as f64) / self.scale as f64)
-                    .round()
-                    .clamp(0.0, 255.0) as u8
+                code(v, self.min, self.scale)
             } else {
                 0
             };
@@ -211,28 +233,46 @@ impl Sq8Segment {
             let d = v as f64 - self.dequant(c) as f64;
             err_sq += d * d;
         }
-        Sq8Query {
-            codes,
-            code_sum,
-            err_sq: err_sq as f32,
-        }
+        (code_sum, err_sq as f32)
+    }
+
+    /// Largest L2 kernel integer a row of this segment can reach: 255² per
+    /// coordinate.
+    #[inline]
+    pub fn max_l2_int(&self) -> u32 {
+        (65_025 * self.width() as u64).min(u64::from(u32::MAX)) as u32
     }
 
     /// Stage-1 L2 partial of `row` against a quantized query:
     /// `‖dq(q) − dq(p)‖² = scale² · Σ (qc − pc)²` (integer kernel).
     #[inline]
     pub fn l2_partial(&self, qq: &Sq8Query, row: usize) -> f32 {
-        self.scale * self.scale * l2_sq_u8(&qq.codes, self.row_codes(row)) as f32
+        self.l2_of(l2_sq_u8(&qq.codes, self.row_codes(row)))
+    }
+
+    /// [`Self::l2_partial`] of a row whose kernel integer `Σ (qc − pc)²` is
+    /// `d`: one formula for the one-row and the blocked kernels.
+    #[inline]
+    pub fn l2_of(&self, d: u32) -> f32 {
+        self.scale * self.scale * d as f32
     }
 
     /// Stage-1 dot product of `row` against a quantized query:
     /// `dq(q) · dq(p) = w·min² + min·scale·(Σqc + Σpc) + scale²·(qc·pc)`.
     #[inline]
     pub fn ip_dot(&self, qq: &Sq8Query, row: usize) -> f32 {
+        self.ip_of(qq.code_sum, row, ip_u8(&qq.codes, self.row_codes(row)))
+    }
+
+    /// [`Self::ip_dot`] of `row` whose kernel integer `qc·pc` is `dot`,
+    /// against a query whose codes sum to `q_code_sum`.
+    #[inline]
+    pub fn ip_of(&self, q_code_sum: u32, row: usize, dot: u32) -> f32 {
         let w = self.width() as f32;
-        let cross = (qq.code_sum + self.code_sums[row]) as f32;
-        let int_dot = ip_u8(&qq.codes, self.row_codes(row)) as f32;
-        w * self.min * self.min + self.min * self.scale * cross + self.scale * self.scale * int_dot
+        let cross = (q_code_sum + self.code_sums[row]) as f32;
+        w * self.min * self.min
+            + self.min * self.scale * cross
+            + self.scale * self.scale * dot as f32
     }
 
     /// Resident payload bytes of this segment (codes + sums + header).
@@ -308,17 +348,44 @@ pub fn ip_dot_row(segs: &[Sq8Segment], bq: &Sq8BlockQuery, row: usize) -> f32 {
         .sum()
 }
 
-/// Total resident payload bytes of a block's segments.
-pub fn segs_memory_bytes(segs: &[Sq8Segment]) -> usize {
-    segs.iter().map(Sq8Segment::memory_bytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn seg_from(values: &[f32], width: usize) -> Sq8Segment {
         Sq8Segment::quantize(values, width, 0)
+    }
+
+    /// The rounding reference: `f64::round`, clamped — how both quantizers
+    /// computed a code before they shared [`code`].
+    fn code_by_round(v: f32, min: f32, scale: f32) -> u8 {
+        if scale > 0.0 {
+            ((v as f64 - min as f64) / scale as f64)
+                .round()
+                .clamp(0.0, 255.0) as u8
+        } else {
+            0
+        }
+    }
+
+    /// [`Sq8Segment::quantize_query`] over [`code_by_round`].
+    fn quantize_query_by_round(s: &Sq8Segment, q: &[f32]) -> Sq8Query {
+        let codes: Vec<u8> = q
+            .iter()
+            .map(|&v| code_by_round(v, s.min, s.scale))
+            .collect();
+        let mut code_sum = 0u32;
+        let mut err_sq = 0f64;
+        for (&v, &c) in q.iter().zip(&codes) {
+            code_sum += c as u32;
+            let d = v as f64 - s.dequant(c) as f64;
+            err_sq += d * d;
+        }
+        Sq8Query {
+            codes,
+            code_sum,
+            err_sq: err_sq as f32,
+        }
     }
 
     #[test]
@@ -357,6 +424,36 @@ mod tests {
             assert!(
                 (v - back).abs() <= bound,
                 "coord {i}: |{v} - {back}| > {bound}"
+            );
+        }
+    }
+
+    /// Codes sitting exactly on half steps round away from zero, as
+    /// `f64::round` does; NaN and both clamps land where it put them.
+    #[test]
+    fn query_codes_round_half_away_from_zero() {
+        // min 0, max 255: the step is exactly 1, so `k + 0.5` is a tie.
+        let s = seg_from(&[0.0, 255.0], 1);
+        assert_eq!(s.scale, 1.0);
+        let cases = [
+            (0.5f32, 1u8),
+            (1.5, 2),
+            (2.5, 3),
+            (254.5, 255),
+            (0.499_999_97, 0),
+            (-0.5, 0),
+            (255.5, 255),
+            (1e30, 255),
+            (f32::NAN, 0),
+        ];
+        for (v, want) in cases {
+            let got = s.quantize_query(&[v]);
+            assert_eq!(got.codes, vec![want], "query {v}");
+            let reference = quantize_query_by_round(&s, &[v]);
+            assert_eq!(
+                got.err_sq.to_bits(),
+                reference.err_sq.to_bits(),
+                "query {v}"
             );
         }
     }
@@ -513,6 +610,45 @@ mod tests {
                         s.min, s.scale
                     );
                 }
+            }
+
+            /// One query quantizer behind two entry points, both bit for
+            /// bit the `f64::round` reference in every adversarial regime —
+            /// constant slices (scale 0), tiny and huge scales, queries
+            /// clamped at either end and queries far outside `[min, max]` —
+            /// with the buffer reused dirty, as a scan reuses it. The data
+            /// quantizer shares the rounding and matches it too.
+            #[test]
+            fn buffered_query_quantizer_matches_the_rounding_reference(
+                base in proptest::collection::vec(-1.0f32..1.0f32, 1..96),
+                mode in 0usize..5,
+                width in 1usize..9,
+                q_base in proptest::collection::vec(-1.0f32..1.0f32, 8..9),
+                q_mode in 0usize..5,
+                stretch in 0usize..4,
+            ) {
+                let vals = adversarialize(&base, mode);
+                let rows = vals.len() / width;
+                let flat = &vals[..rows * width];
+                let s = Sq8Segment::quantize(flat, width, 0);
+                let data: Vec<u8> = flat.iter().map(|&v| code_by_round(v, s.min, s.scale)).collect();
+                prop_assert_eq!(&s.codes, &data);
+                let factor = [1.0f32, 1e3, 1e-3, -1.0][stretch];
+                let q: Vec<f32> = adversarialize(&q_base, q_mode)
+                    .iter()
+                    .take(width)
+                    .map(|v| v * factor)
+                    .collect();
+                let want = quantize_query_by_round(&s, &q);
+                let mut buf = vec![7u8; 11];
+                let (code_sum, err_sq) = s.quantize_query_into(&q, &mut buf);
+                prop_assert_eq!(&buf, &want.codes);
+                prop_assert_eq!(code_sum, want.code_sum);
+                prop_assert_eq!(err_sq.to_bits(), want.err_sq.to_bits());
+                let got = s.quantize_query(&q);
+                prop_assert_eq!(&got.codes, &want.codes);
+                prop_assert_eq!(got.code_sum, want.code_sum);
+                prop_assert_eq!(got.err_sq.to_bits(), want.err_sq.to_bits());
             }
 
             /// The L2 stage-1 partial lower-bounds the exact distance once

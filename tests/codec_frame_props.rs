@@ -665,6 +665,14 @@ fn malformed_shapes_are_rejected_at_decode() {
         m.lists[0].segs[0].dim_start = 3;
     });
     rejected("segment outside the block", load(&FULL), |m| m.dim_end = 1);
+    rejected("two segments in one list", load(&FULL), |m| {
+        let seg = m.lists[0].segs[0].clone();
+        m.lists[0].segs.push(seg);
+    });
+    rejected("sq8 block wider than the u8 kernels", load(&FULL), |m| {
+        m.lists.clear();
+        m.dim_end = m.dim_start + 65_537;
+    });
     // A list on its own (the spill format) checks what needs no width.
     rejected("list norms", load(&FULL).lists.remove(0), |l| {
         l.total_norms_sq.truncate(1);
