@@ -7,17 +7,18 @@
 //! C(π, Q) = Σ_q  Σ_blocks [c_comp(b, q) + c_comm(b, q)]  +  α · I(π)
 //! ```
 //!
-//! * `c_comp` — worker scan time, two terms: `a(width) · point_dims +
-//!   b · candidate_visits`, where `candidate_visits = Σ_hops survivors
-//!   entering the hop`. `a` is the kernel's rate at the plan's slice width,
-//!   `b` what one candidate costs a hop beside its arithmetic (slot walk,
-//!   bound, prune, emit). On narrow slices `b` is most of the time: a
-//!   quarter-width hop does a quarter of the arithmetic per candidate and
-//!   all of the bookkeeping, so a plan with `B_dim` blocks pays `b` up to
-//!   `B_dim` times per candidate unless pruning thins the later hops —
-//!   which is why survivors per hop ([`Survivors`]) are sampled, not
-//!   assumed. Both rates are timed through the worker's own scan routine
-//!   ([`ScanRates`]; the engine measures them at build).
+//! * `c_comp` — worker scan time, per candidate entering hop 0:
+//!   `survivors[0] · first(width) + Σ survivors[1..] · carried(width)`,
+//!   the survivors entering each hop times what one visit costs that kind
+//!   of hop at the plan's slice width. A first hop walks whole lists
+//!   through the register tile; a carried hop gathers survivors out of
+//!   them and pays most of its time beside the arithmetic (slot walk,
+//!   bound, prune, emit), so a plan with `B_dim` blocks pays a carried
+//!   visit up to `B_dim − 1` times per candidate unless pruning thins the
+//!   later hops — which is why survivors per hop ([`Survivors`]) are
+//!   sampled, not assumed. Both times are measured hop by hop through the
+//!   worker's own scan routine at every candidate width ([`ScanRates`];
+//!   the engine measures them at build).
 //! * `c_comm` — messages counted the way the dispatch loop sends them
 //!   ([`PlanInputs::msgs_per_query`], sub-batches of [`sub_batch_rows`]
 //!   rows), each at a measured fixed cost plus the modeled link's latency,
@@ -211,112 +212,92 @@ pub fn sub_batch_rows(window: usize, dim_blocks: usize) -> usize {
     (window / (2 * dim_blocks.max(1))).clamp(1, 32)
 }
 
-/// The two measured rates of the worker scan: `scan_ns = a(width) ·
-/// point_dims + b · candidate_visits`.
-#[derive(Debug, Clone, PartialEq)]
+/// What one candidate visit costs the worker scan, by hop kind and slice
+/// width: a *first* hop walks whole lists (every row a candidate, scored
+/// by the register tile), a *carried* hop gathers the survivors a carry
+/// names out of them. The two loops speed up differently — a kernel change
+/// can move one and not the other — so each is timed on its own, through
+/// the worker's own scan routine ([`crate::planner`] does, at every width
+/// a candidate plan scans), and priced on its own.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScanRates {
-    /// `a`: nanoseconds per (point · dimension), per calibrated slice
-    /// width, ascending by width. Narrow slices pay more per dimension
-    /// (shorter vector loops); a width between two entries reads the
-    /// nearer one.
-    pub point_dim_ns: Vec<(usize, f64)>,
-    /// `b`: nanoseconds one candidate costs one hop beside its arithmetic.
-    pub visit_ns: f64,
+    /// `(width, ns)` per first-hop visit, ascending by width.
+    pub first: Vec<(usize, f64)>,
+    /// `(width, ns)` per carried-hop visit, ascending by width.
+    pub carried: Vec<(usize, f64)>,
 }
 
 impl ScanRates {
-    /// The same `a` at every width.
-    pub fn flat(point_dim_ns: f64, visit_ns: f64) -> Self {
+    /// `a · width + b` per visit on either kind of hop: assumed rates,
+    /// `a` per point-dimension and `b` per candidate.
+    pub fn linear(point_dim_ns: f64, visit_ns: f64) -> Self {
+        let line = vec![(0, visit_ns), (1, point_dim_ns + visit_ns)];
         Self {
-            point_dim_ns: vec![(0, point_dim_ns)],
-            visit_ns,
+            first: line.clone(),
+            carried: line,
         }
     }
 
-    /// Rates from measured per-visit scan times `(width, ns)`: `b` is where
-    /// the least-squares line through them meets width 0 — the part of a
-    /// visit no narrowing of the slice removes — and `a(width)` the rest of
-    /// each measurement, so `a(w) · w + b` returns every time exactly. A
-    /// visit on a wider slice does at least the work of one on a narrower:
-    /// where the measurements say otherwise they erred, and neighbours that
-    /// disagree with that order share their mean. One width alone splits
-    /// evenly.
-    pub fn from_visit_times(times: &[(usize, f64)]) -> Self {
-        let mut times: Vec<(usize, f64)> = times
-            .iter()
-            .copied()
-            .filter(|&(w, t)| w > 0 && t.is_finite() && t > 0.0)
-            .collect();
-        times.sort_by_key(|&(w, _)| w);
-        times.dedup_by_key(|&mut (w, _)| w);
-        // Pool adjacent violators: runs of widths whose times descend.
-        let mut start = 0;
-        while start < times.len() {
-            let mut end = start + 1;
-            let mut sum = times[start].1;
-            while end < times.len() && times[end].1 < sum / (end - start) as f64 {
-                sum += times[end].1;
-                end += 1;
-            }
-            let pooled = end - start > 1;
-            for time in &mut times[start..end] {
-                time.1 = sum / (end - start) as f64;
-            }
-            // A pooled run may now undercut the run before it: look again.
-            start = if pooled { 0 } else { end };
+    /// Rates from measured times per visit, `(width, first-hop ns,
+    /// carried-hop ns)`; a width with no carried hop (a one-hop pipeline)
+    /// gives `None` for it. Non-positive and non-finite times are dropped,
+    /// and a width measured twice keeps its first measurement.
+    pub fn measured(times: &[(usize, f64, Option<f64>)]) -> Self {
+        let mut rates = Self::default();
+        for &(width, first, carried) in times {
+            rates.first.push((width, first));
+            rates.carried.extend(carried.map(|ns| (width, ns)));
         }
-        let Some(min_t) = times.iter().map(|&(_, t)| t).reduce(f64::min) else {
-            return Self::flat(0.0, 0.0);
-        };
-        let n = times.len() as f64;
-        let mean_w = times.iter().map(|&(w, _)| w as f64).sum::<f64>() / n;
-        let mean_t = times.iter().map(|&(_, t)| t).sum::<f64>() / n;
-        let var_w: f64 = times
-            .iter()
-            .map(|&(w, _)| (w as f64 - mean_w).powi(2))
-            .sum();
-        let cov: f64 = times
-            .iter()
-            .map(|&(w, t)| (w as f64 - mean_w) * (t - mean_t))
-            .sum();
-        let intercept = if var_w > 0.0 {
-            mean_t - cov / var_w * mean_w
-        } else {
-            min_t / 2.0
-        };
-        // A visit is never free and never all overhead.
-        let visit_ns = intercept.clamp(0.05 * min_t, 0.95 * min_t);
-        Self {
-            point_dim_ns: times
-                .iter()
-                .map(|&(w, t)| (w, (t - visit_ns) / w as f64))
-                .collect(),
-            visit_ns,
+        for series in [&mut rates.first, &mut rates.carried] {
+            series.retain(|&(w, ns)| w > 0 && ns.is_finite() && ns > 0.0);
+            series.sort_by_key(|&(w, _)| w);
+            series.dedup_by_key(|&mut (w, _)| w);
         }
+        rates
     }
 
-    /// `a` at slice `width` (the nearest calibrated width's).
-    pub fn point_dim_ns_at(&self, width: usize) -> f64 {
-        self.point_dim_ns
-            .iter()
-            .min_by_key(|&&(w, _)| w.abs_diff(width))
-            .map_or(0.0, |&(_, a)| a)
+    /// Nanoseconds per first-hop visit on a slice `width` dimensions wide.
+    pub fn first_ns(&self, width: usize) -> f64 {
+        line_at(&self.first, width).0
     }
 
-    /// What one candidate visit costs on a slice `width` dimensions wide.
-    pub fn visit_time_ns(&self, width: usize) -> f64 {
-        self.point_dim_ns_at(width) * width as f64 + self.visit_ns
+    /// Nanoseconds per carried-hop visit on a slice `width` dimensions wide.
+    pub fn carried_ns(&self, width: usize) -> f64 {
+        line_at(&self.carried, width).0
     }
 
     /// The modeled per-node rates of a deployment scanning slices `width`
-    /// dimensions wide: the cluster charges the two rates the planner
-    /// prices with. A cluster holds one `a` for its lifetime, whatever
-    /// layouts it migrates through; an engine gives it the full-width one.
+    /// dimensions wide: the first-hop times' local line `a · w + b` around
+    /// `width`, `a` per point-dimension and `b` per candidate visit. A
+    /// cluster holds one pair for its lifetime, whatever layouts it
+    /// migrates through; an engine gives it the full width's.
     pub fn compute_rates(&self, width: usize) -> ComputeRates {
+        let (ns, slope) = line_at(&self.first, width);
+        let w = width.max(1) as f64;
+        let slope = slope.clamp(0.0, ns / w);
         ComputeRates::default()
-            .with_kernel_rate(self.point_dim_ns_at(width))
-            .with_candidate_rate(self.visit_ns)
+            .with_kernel_rate(slope)
+            .with_candidate_rate(ns - slope * w)
     }
+}
+
+/// A measured series at `width` and its slope there: between two measured
+/// widths on the line through them, beyond the ends on the line through the
+/// two nearest (never below zero); one measurement holds at every width,
+/// none is zero.
+fn line_at(series: &[(usize, f64)], width: usize) -> (f64, f64) {
+    let (lo, hi) = match series {
+        [] => return (0.0, 0.0),
+        [(_, ns)] => return (*ns, 0.0),
+        _ => {
+            let upper = series.partition_point(|&(w, _)| w < width);
+            let hi = upper.clamp(1, series.len() - 1);
+            (series[hi - 1], series[hi])
+        }
+    };
+    let slope = (hi.1 - lo.1) / (hi.0 - lo.0) as f64;
+    let ns = lo.1 + slope * (width as f64 - lo.0 as f64);
+    (ns.max(0.0), slope)
 }
 
 /// Survivors entering each hop of a plan's dimension pipeline, as fractions
@@ -414,10 +395,10 @@ pub struct PlanInputs {
     pub queries: usize,
     /// Slice width of the plan's dimension blocks.
     pub width: usize,
-    /// `a` at that width, ns per (point · dimension).
-    pub point_dim_ns: f64,
-    /// `b`, ns per candidate visit.
-    pub visit_ns: f64,
+    /// Ns per candidate visit on the first hop, at that width.
+    pub first_ns: f64,
+    /// Ns per candidate visit on a carried hop, at that width.
+    pub carried_ns: f64,
     /// Fixed ns per message (measured) plus the modeled link's latency.
     pub msg_ns: f64,
     /// Survivors entering each hop, as fractions of hop 0's candidates.
@@ -451,7 +432,7 @@ pub struct PlanEstimate {
 impl PlanEstimate {
     /// Column titles of the row [`PlanEstimate`] displays as.
     pub const HEADER: &'static str = "    plan  total us/q  comp us/q  comm us/q  a*I us/q  \
-         a ns/pd  b ns/visit  visits/q  msgs/q  bytes/q  survivors entering each hop";
+        first ns  carried ns  visits/q  msgs/q  bytes/q  survivors entering each hop";
 }
 
 /// One row of a decision table: costs per query in microseconds, then the
@@ -463,14 +444,14 @@ impl std::fmt::Display for PlanEstimate {
         let imbalance = c.total_ns - c.comp_ns - c.comm_ns;
         write!(
             f,
-            "{:>8}  {:>10.1}  {:>9.1}  {:>9.1}  {:>8.1}  {:>7.3}  {:>10.1}  {:>8.0}  {:>6.2}  {:>7.0}  ",
+            "{:>8}  {:>10.1}  {:>9.1}  {:>9.1}  {:>8.1}  {:>8.1}  {:>10.1}  {:>8.0}  {:>6.2}  {:>7.0}  ",
             self.plan.label(),
             per_query_us(c.total_ns),
             per_query_us(c.comp_ns),
             per_query_us(c.comm_ns),
             per_query_us(imbalance),
-            i.point_dim_ns,
-            i.visit_ns,
+            i.first_ns,
+            i.carried_ns,
             i.visits_per_query,
             i.msgs_per_query,
             i.wire_bytes_per_query,
@@ -485,7 +466,7 @@ impl std::fmt::Display for PlanEstimate {
 /// margin).
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// The worker scan's two rates.
+    /// The worker scan's times per visit, by hop kind.
     pub rates: ScanRates,
     /// Fixed nanoseconds one message costs its two ends (encode, queue,
     /// wake, decode, dispatch), measured on the engine's own fabric.
@@ -518,7 +499,7 @@ impl CostModel {
     pub fn new(net: NetworkModel, alpha: f64) -> Self {
         let assumed = ComputeRates::default();
         Self {
-            rates: ScanRates::flat(assumed.ns_per_point_dim, assumed.ns_per_candidate),
+            rates: ScanRates::linear(assumed.ns_per_point_dim, assumed.ns_per_candidate),
             msg_ns: 2.0 * assumed.ns_per_message,
             net,
             alpha,
@@ -572,8 +553,8 @@ impl CostModel {
 
     /// Measures the scan rates of this host for a caller with no index at
     /// hand: the worker's scan routine over synthetic exact 128-d lists at
-    /// full, half and quarter width. An engine measures on its own lists
-    /// instead.
+    /// full, half and quarter width, hop by hop. An engine measures on its
+    /// own lists instead.
     pub fn calibrate(self) -> Self {
         let rates = crate::planner::synthetic_scan_rates();
         self.with_rates(rates)
@@ -609,11 +590,14 @@ impl CostModel {
         };
 
         // --- Computation. A candidate entering hop 0 is visited once per
-        // hop it survives into; every visit scans one slice and pays `b`.
+        // hop it survives into: at the first hop's time per visit there,
+        // at the carried hops' time per visit after.
         let width = profile.dim / blocks;
         let survivors = self.survivors_entering(plan);
         let visits_per_candidate: f64 = survivors.iter().sum();
-        let candidate_ns = visits_per_candidate * self.rates.visit_time_ns(width);
+        let (first_ns, carried_ns) = (self.rates.first_ns(width), self.rates.carried_ns(width));
+        let candidate_ns = survivors.first().map_or(0.0, |&s| s * first_ns)
+            + survivors.iter().skip(1).sum::<f64>() * carried_ns;
         let mut shard_candidates = vec![0.0f64; plan.vec_shards];
         for (c, &rows) in profile.list_sizes.iter().enumerate() {
             shard_candidates[shard_of(c)] += profile.probes_of(c) * rows as f64;
@@ -703,8 +687,8 @@ impl CostModel {
             inputs: PlanInputs {
                 queries: profile.queries,
                 width,
-                point_dim_ns: self.rates.point_dim_ns_at(width),
-                visit_ns: self.rates.visit_ns,
+                first_ns,
+                carried_ns,
                 msg_ns,
                 visits_per_query: candidates_per_query * visits_per_candidate,
                 point_dims_per_query: candidates_per_query * visits_per_candidate * width as f64,
@@ -742,62 +726,66 @@ impl CostModel {
             .collect()
     }
 
-    /// Whether a near-tie between the two plans goes to `a`: it has
-    /// dimension blocks and `b` has none. A plan without dimension blocks
-    /// rests wholly on the profile's spread of probes — one hot list pins
-    /// one machine — and a build-time profile is uniform by assumption;
-    /// any dimension blocks spread every list over several machines.
-    /// Between two plans that both have them the cheaper stays: the longer
-    /// pipeline's price rests on its sampled survivors, and those on a
-    /// probe count the build also had to assume.
-    fn tie_goes_to(a: PartitionPlan, b: PartitionPlan) -> bool {
-        a.dim_blocks > 1 && b.dim_blocks <= 1
+    /// The choice among scored candidates: the cheapest — unless the
+    /// runner-up is within [`CostModel::near_tie`] of it and needs less
+    /// computation. Inside the band the model cannot tell two plans apart,
+    /// and its two halves are not measured alike: the computation is timed
+    /// on the namespace's own lists through the worker's own routine, while
+    /// the communication rests on what a build cannot check — the batch
+    /// size (a full in-flight window: a 64-query batch sends twice the
+    /// messages per query of `2v x 2d`), a fabric timed idle, and bytes
+    /// priced at the link alone though encoding and decoding them is CPU on
+    /// both ends. So the near-tie goes to the computation. The rule also
+    /// keeps timing noise in the measured rates from flipping near-ties
+    /// between runs. Returns the winner's position.
+    pub fn pick(&self, candidates: &[PlanEstimate]) -> Option<usize> {
+        let priced: Vec<(f64, f64)> = candidates
+            .iter()
+            .map(|c| (c.cost.total_ns, c.cost.comp_ns))
+            .collect();
+        self.pick_priced(&priced)
     }
 
-    /// The choice among scored candidates: the cheapest — unless the
-    /// runner-up is within [`CostModel::near_tie`] of it and the tie goes
-    /// to the runner-up ([`CostModel::tie_goes_to`]). The rule also keeps
-    /// timing noise in the measured rates from flipping near-ties between
-    /// runs. Returns the winner's position.
-    pub fn pick(&self, candidates: &[PlanEstimate]) -> Option<usize> {
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (a, b) = (&candidates[a].cost, &candidates[b].cost);
-            a.total_ns.total_cmp(&b.total_ns)
-        });
+    /// [`CostModel::pick`] over `(price, computation)` pairs.
+    pub fn pick_priced(&self, priced: &[(f64, f64)]) -> Option<usize> {
+        let mut order: Vec<usize> = (0..priced.len()).collect();
+        order.sort_by(|&a, &b| priced[a].0.total_cmp(&priced[b].0));
         let &best = order.first()?;
         let Some(&second) = order.get(1) else {
             return Some(best);
         };
-        let (cheapest, runner_up) = (&candidates[best], &candidates[second]);
-        let tie = cheapest.cost.total_ns >= runner_up.cost.total_ns * (1.0 - self.near_tie);
-        if tie && Self::tie_goes_to(runner_up.plan, cheapest.plan) {
-            return Some(second);
-        }
-        Some(best)
+        let ((cheapest, comp), (runner_up, runner_up_comp)) = (priced[best], priced[second]);
+        let tie = cheapest >= runner_up * (1.0 - self.near_tie);
+        Some(if tie && runner_up_comp < comp {
+            second
+        } else {
+            best
+        })
     }
 
     /// What a challenger priced at `score_ns` (its steady-state cost plus
     /// the amortized cost of moving to it) weighs against `incumbent` at a
-    /// supervisor tick, where near-ties are settled the way
-    /// [`CostModel::pick`] settles them, in both directions: one the rule
-    /// hands to the challenger is left to the hysteresis alone; any other
-    /// goes to the incumbent — by the rule, or because it is the layout
-    /// installed — and the challenger first has to leave that band, the
-    /// hysteresis it must clear being measured from the band's edge. So a
-    /// plan `pick` settled on is not moved off by a tick that sees what the
-    /// choice saw, nor by one that sees a little less, and two plans the
-    /// model prices alike do not trade places as its survivors follow the
-    /// one in force. A re-packing of the incumbent's own plan is no choice
-    /// between plans and is left to the hysteresis too. Every migration
-    /// pays the full hysteresis.
+    /// supervisor tick. A tick prices an observed profile, not an assumed
+    /// one, so near-ties go the way its skew points: a challenger with
+    /// dimension blocks facing an incumbent without them — the only move
+    /// that spreads one hot list over several machines — is left to the
+    /// hysteresis alone; any other challenger first has to leave the
+    /// near-tie band, the hysteresis it must clear being measured from the
+    /// band's edge. [`CostModel::pick`] departs from the cheapest plan only
+    /// inside the band, so a plan it settled on is not moved off by a tick
+    /// that sees what the choice saw, and two plans the model prices alike
+    /// do not trade places as its survivors follow the one in force. A
+    /// re-packing of the incumbent's own plan is no choice between plans
+    /// and is left to the hysteresis too. Every migration pays the full
+    /// hysteresis.
     pub fn challenger_score(
         &self,
         incumbent: PartitionPlan,
         challenger: PartitionPlan,
         score_ns: f64,
     ) -> f64 {
-        match challenger == incumbent || Self::tie_goes_to(challenger, incumbent) {
+        let spreads = challenger.dim_blocks > 1 && incumbent.dim_blocks <= 1;
+        match challenger == incumbent || spreads {
             true => score_ns,
             false => score_ns / (1.0 - self.near_tie).max(f64::MIN_POSITIVE),
         }
@@ -886,7 +874,7 @@ mod tests {
     /// A model with every measured input injected: no clock is read.
     fn injected(a: f64, b: f64, msg_ns: f64) -> CostModel {
         CostModel::new(NetworkModel::instant(), 0.0)
-            .with_rates(ScanRates::flat(a, b))
+            .with_rates(ScanRates::linear(a, b))
             .with_message_ns(msg_ns)
     }
 
@@ -1023,52 +1011,46 @@ mod tests {
     }
 
     #[test]
-    fn near_ties_go_to_dimension_blocks_and_repeat() {
+    fn near_ties_go_to_the_computation_and_repeat() {
         let profile = uniform_profile(64, 128);
-        let estimate = |p: PartitionPlan, total_ns: f64| {
+        let estimate = |p: PartitionPlan, total_ns: f64, comp_ns: f64| {
             let mut e = injected(0.2, 16.0, 0.0).estimate(p, &profile);
-            e.cost.total_ns = total_ns;
+            (e.cost.total_ns, e.cost.comp_ns) = (total_ns, comp_ns);
             e
         };
         let model = injected(0.2, 16.0, 0.0).with_near_tie(0.10);
-        // The runner-up is within 10 % and has dimension blocks, the
-        // cheapest has none.
+        // The runner-up is within 10 % and needs less computation: its
+        // messages are what make it dearer.
         let tie = [
-            estimate(plan(4, 1), 100.0),
-            estimate(plan(2, 2), 108.0),
-            estimate(plan(1, 4), 150.0),
+            estimate(plan(4, 1), 108.0, 80.0),
+            estimate(plan(2, 2), 100.0, 90.0),
+            estimate(plan(1, 4), 150.0, 140.0),
         ];
-        assert_eq!(model.pick(&tie), Some(1));
-        // Outside the margin the cheapest wins whatever its shape.
+        assert_eq!(model.pick(&tie), Some(0));
+        // A runner-up within 10 % that needs more stays the runner-up,
+        // whatever its shape.
+        let dearer = [
+            estimate(plan(4, 1), 100.0, 80.0),
+            estimate(plan(2, 2), 108.0, 90.0),
+            estimate(plan(1, 4), 150.0, 140.0),
+        ];
+        assert_eq!(model.pick(&dearer), Some(0));
+        // Outside the margin the cheapest wins.
         let clear = [
-            estimate(plan(4, 1), 100.0),
-            estimate(plan(2, 2), 115.0),
-            estimate(plan(1, 4), 150.0),
+            estimate(plan(4, 1), 115.0, 80.0),
+            estimate(plan(2, 2), 100.0, 90.0),
+            estimate(plan(1, 4), 150.0, 140.0),
         ];
-        assert_eq!(model.pick(&clear), Some(0));
-        // A cheapest plan that has dimension blocks keeps winning — over a
-        // runner-up with none, and over one with more: a longer pipeline is
-        // no safer, only more dependent on its sampled survivors.
-        let already = [
-            estimate(plan(4, 1), 104.0),
-            estimate(plan(2, 2), 100.0),
-            estimate(plan(1, 4), 105.0),
-        ];
-        assert_eq!(model.pick(&already), Some(1));
-        let longer = [
-            estimate(plan(4, 1), 150.0),
-            estimate(plan(2, 2), 100.0),
-            estimate(plan(1, 4), 103.0),
-        ];
-        assert_eq!(model.pick(&longer), Some(1));
+        assert_eq!(model.pick(&clear), Some(1));
         // Only the two cheapest take part.
         let third = [
-            estimate(plan(4, 1), 100.0),
-            estimate(plan(8, 1), 101.0),
-            estimate(plan(2, 2), 102.0),
+            estimate(plan(4, 1), 109.0, 80.0),
+            estimate(plan(2, 2), 100.0, 90.0),
+            estimate(plan(1, 4), 105.0, 95.0),
         ];
-        assert_eq!(model.pick(&third), Some(0));
+        assert_eq!(model.pick(&third), Some(1));
         assert_eq!(model.pick(&[]), None);
+        assert_eq!(model.pick_priced(&[(7.0, 1.0)]), Some(0));
 
         // At a tick the same rule settles near-ties in both directions:
         // one it hands to the challenger is left to the hysteresis, any
@@ -1157,28 +1139,63 @@ mod tests {
     }
 
     #[test]
-    fn visit_times_split_into_two_terms_and_back() {
-        let rates = ScanRates::from_visit_times(&[(32, 20.0), (64, 24.0), (128, 36.0)]);
-        for (w, t) in [(32, 20.0), (64, 24.0), (128, 36.0)] {
-            assert!((rates.visit_time_ns(w) - t).abs() < 1e-9, "width {w}");
-            assert!(rates.point_dim_ns_at(w) > 0.0);
-        }
-        assert!(rates.visit_ns > 0.0 && rates.visit_ns < 20.0);
-        // A narrower slice cannot cost a visit more than a wider one:
-        // measurements that say so share their mean.
-        let erred = ScanRates::from_visit_times(&[(8, 12.0), (16, 20.0), (32, 16.0)]);
-        assert!((erred.visit_time_ns(8) - 12.0).abs() < 1e-9);
-        assert!((erred.visit_time_ns(16) - 18.0).abs() < 1e-9);
-        assert!((erred.visit_time_ns(32) - 18.0).abs() < 1e-9);
-        let descending = ScanRates::from_visit_times(&[(8, 30.0), (16, 20.0), (32, 10.0)]);
-        assert!((descending.visit_time_ns(8) - 20.0).abs() < 1e-9);
-        assert!((descending.visit_time_ns(32) - 20.0).abs() < 1e-9);
-        // A width between two calibrated ones reads the nearer.
-        assert_eq!(rates.point_dim_ns_at(40), rates.point_dim_ns_at(32));
-        // One width alone splits evenly; none at all is all zeros.
-        let single = ScanRates::from_visit_times(&[(64, 30.0)]);
-        assert!((single.visit_ns - 15.0).abs() < 1e-9);
-        assert_eq!(ScanRates::from_visit_times(&[]).visit_time_ns(64), 0.0);
+    fn each_hop_kind_is_priced_at_its_own_time() {
+        // Injected per-visit times, first and carried, at the three widths
+        // four machines can slice 128 dimensions into.
+        let rates = ScanRates::measured(&[
+            (128, 30.0, None),
+            (64, 10.0, Some(100.0)),
+            (32, 6.0, Some(60.0)),
+            (64, 99.0, Some(99.0)),
+            (16, f64::NAN, Some(-1.0)),
+        ]);
+        assert_eq!(rates.first, vec![(32, 6.0), (64, 10.0), (128, 30.0)]);
+        assert_eq!(rates.carried, vec![(32, 60.0), (64, 100.0)]);
+        // Between measured widths on their line, past the ends on the line
+        // through the nearest two.
+        assert_eq!(rates.first_ns(96), 20.0);
+        assert_eq!(rates.carried_ns(128), 180.0);
+        assert_eq!(rates.carried_ns(16), 40.0);
+        let model = CostModel::new(NetworkModel::instant(), 0.0)
+            .with_rates(rates)
+            .with_message_ns(0.0)
+            .with_survivors(survivors(&[
+                (plan(2, 2), &[1.0, 0.25]),
+                (plan(1, 4), &[1.0, 0.5, 0.25, 0.25]),
+            ]));
+        // 100 queries × 8 probes × 1000-row lists enter hop 0.
+        let profile = uniform_profile(64, 128);
+        let entering = 100.0 * 8.0 * 1000.0;
+        let comp = |p: PartitionPlan| model.plan_cost(p, &profile).comp_ns;
+        assert!((comp(plan(4, 1)) - entering * 30.0).abs() < 1e-3);
+        assert!((comp(plan(2, 2)) - entering * (10.0 + 0.25 * 100.0)).abs() < 1e-3);
+        assert!((comp(plan(1, 4)) - entering * (6.0 + 1.0 * 60.0)).abs() < 1e-3);
+        let hybrid = model.estimate(plan(2, 2), &profile).inputs;
+        assert_eq!((hybrid.first_ns, hybrid.carried_ns), (10.0, 100.0));
+        // A faster first hop alone moves every plan; a faster carried hop
+        // moves only the plans that have one — here enough to turn the
+        // choice from pure vector to the hybrid.
+        assert_eq!(model.choose_plan(4, &profile).0, plan(4, 1));
+        let cheap_carry = model.clone().with_rates(ScanRates::measured(&[
+            (128, 30.0, None),
+            (64, 10.0, Some(8.0)),
+            (32, 6.0, Some(10.0)),
+        ]));
+        let vector = cheap_carry.plan_cost(plan(4, 1), &profile).comp_ns;
+        assert!((vector - entering * 30.0).abs() < 1e-3);
+        assert_eq!(cheap_carry.choose_plan(4, &profile).0, plan(2, 2));
+        // The modeled cluster charges the first hop's local line.
+        let charged = ScanRates::linear(0.25, 12.0).compute_rates(64);
+        assert_eq!(
+            (charged.ns_per_point_dim, charged.ns_per_candidate),
+            (0.25, 12.0)
+        );
+        let charged = ScanRates::measured(&[(32, 6.0, None), (64, 10.0, None)]).compute_rates(64);
+        assert_eq!(
+            (charged.ns_per_point_dim, charged.ns_per_candidate),
+            (0.125, 2.0)
+        );
+        assert_eq!(ScanRates::default().first_ns(64), 0.0);
     }
 
     #[test]
@@ -1309,25 +1326,21 @@ mod tests {
         // enough to catch a rate in the wrong unit (per row instead of per
         // dimension, microseconds instead of nanoseconds).
         let model = CostModel::new(NetworkModel::default(), 1.0).calibrate();
-        assert_eq!(model.rates.point_dim_ns.len(), 3);
-        for &(width, a) in &model.rates.point_dim_ns {
-            assert!((0.005..=100.0).contains(&a), "a({width}) = {a}");
-            let visit = model.rates.visit_time_ns(width);
-            assert!(
-                (1.0..=50_000.0).contains(&visit),
-                "visit({width}) = {visit}"
-            );
+        let widths = |series: &[(usize, f64)]| series.iter().map(|&(w, _)| w).collect::<Vec<_>>();
+        assert_eq!(widths(&model.rates.first), vec![32, 64, 128]);
+        assert_eq!(widths(&model.rates.carried), vec![32, 64]);
+        for &(width, ns) in model.rates.first.iter().chain(&model.rates.carried) {
+            assert!((1.0..=50_000.0).contains(&ns), "visit({width}) = {ns}");
         }
-        let b = model.rates.visit_ns;
-        assert!((0.05..=10_000.0).contains(&b), "b = {b}");
-        // A visit on a wider slice takes at least as long as on a narrower.
-        let times: Vec<f64> = model
-            .rates
-            .point_dim_ns
-            .iter()
-            .map(|&(w, _)| model.rates.visit_time_ns(w))
-            .collect();
-        assert!(times.windows(2).all(|t| t[0] <= t[1] + 1e-9), "{times:?}");
+        let rates = model.rates.compute_rates(128);
+        assert!((0.0..=100.0).contains(&rates.ns_per_point_dim), "{rates:?}");
+        assert!(
+            (0.0..=10_000.0).contains(&rates.ns_per_candidate),
+            "{rates:?}"
+        );
+        // A first-hop visit on a wider slice takes longer than on a narrower.
+        let first: Vec<f64> = model.rates.first.iter().map(|&(_, ns)| ns).collect();
+        assert!(first[0] < first[2], "{first:?}");
         // The geometric prior is what prices a plan without a sample.
         let prior = model.with_pruning_survival(0.5);
         assert_eq!(

@@ -374,7 +374,7 @@ impl EngineCore {
         // challengers the amortized cost of moving to them — the same for
         // each: a layout change ships the whole namespace anew.
         let switch_ns = self.switch_ns(sup) / replan.amortize_windows;
-        let mut best: Option<(PartitionPlan, ShardAssignment, f64, f64, f64)> = None;
+        let mut challengers: Vec<(PartitionPlan, ShardAssignment, f64, f64, f64, f64)> = Vec::new();
         for plan in PartitionPlan::enumerate(self.config.n_machines) {
             if plan.dim_blocks > state.dim {
                 continue;
@@ -396,33 +396,42 @@ impl EngineCore {
                 .tuned
                 .estimate_with_assignment(plan, &profile, &assignment);
             let cost = estimate.cost.total_ns;
+            let comp = estimate.cost.comp_ns;
             candidates.push(estimate);
             let score = cost + switch_ns;
-            // Near-ties are settled by the choice's own rule, and for the
-            // incumbent where it has none (`CostModel::challenger_score`).
+            // Near-ties with the incumbent are settled by
+            // `CostModel::challenger_score`.
             let preferred = sup.tuned.challenger_score(cur.plan, plan, score);
-            if best.as_ref().is_none_or(|b| preferred < b.4) {
-                best = Some((plan, assignment, score, cost, preferred));
-            }
+            challengers.push((plan, assignment, score, cost, preferred, comp));
         }
         drop(cur);
         // Every decision starts a fresh observation window.
         sup.window_start = now;
 
-        let Some((plan, assignment, best_ns, cost, preferred_ns)) = best else {
-            return Ok(ReplanOutcome::Hold {
-                stay_ns,
-                best_ns: stay_ns,
-                candidates,
-            });
-        };
-        if preferred_ns >= stay_ns * (1.0 - replan.hysteresis) {
+        // Of the challengers that clear the hysteresis, the choice's own
+        // rule picks one (`CostModel::pick`): a near-tie between two of
+        // them goes to the one that needs less computation — the shorter
+        // pipeline, whose price rests less on the survivors sampled for
+        // its later hops.
+        let clear = stay_ns * (1.0 - replan.hysteresis);
+        let (clearing, holding): (Vec<_>, Vec<_>) =
+            challengers.into_iter().partition(|c| c.4 < clear);
+        let priced: Vec<(f64, f64)> = clearing.iter().map(|c| (c.4, c.5)).collect();
+        let Some((plan, assignment, _, cost, _, _)) = sup
+            .tuned
+            .pick_priced(&priced)
+            .and_then(|i| clearing.into_iter().nth(i))
+        else {
+            let best_ns = holding
+                .iter()
+                .min_by(|a, b| a.4.total_cmp(&b.4))
+                .map_or(stay_ns, |c| c.2);
             return Ok(ReplanOutcome::Hold {
                 stay_ns,
                 best_ns,
                 candidates,
             });
-        }
+        };
         let mut report = self.migrate(state, sup, plan, assignment)?;
         report.stay_ns = stay_ns;
         report.projected_ns = cost;

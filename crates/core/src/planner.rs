@@ -1,7 +1,8 @@
 //! What the plan choice measures before it chooses (§4.2.1's inputs, taken
-//! from the deployment instead of assumed): the worker scan's two rates,
-//! timed through the worker's own scan routine on a sample of the
-//! namespace's real lists at every candidate slice width; the survivors
+//! from the deployment instead of assumed): the worker scan's time per
+//! candidate visit on a first hop and on a carried hop, timed hop by hop
+//! through the worker's own scan routine on a sample of the namespace's
+//! real lists at every candidate slice width; the survivors
 //! entering each hop of every candidate pipeline, sampled from the
 //! namespace's own rows against the prewarm thresholds its queries will
 //! start with; and the fabric's fixed cost per message. [`crate::cost`]
@@ -153,18 +154,19 @@ impl Pipeline {
     }
 
     /// Runs one shard visit through every hop, chained through its real
-    /// carries. Returns the candidates that entered each position and the
-    /// visit's answer.
+    /// carries. Returns, per position, the candidates that entered it and
+    /// the nanoseconds its hop took, and the visit's answer.
     fn visit(
         &self,
         meta: NsMeta,
         chunks: Vec<ChunkBatch>,
         scratch: &mut Scratch,
-    ) -> (Vec<u64>, Option<ResultBatch>) {
+    ) -> (Vec<(u64, u64)>, Option<ResultBatch>) {
         let mut entering = Vec::with_capacity(chunks.len());
         let mut carry = None;
         for (block, chunk) in self.blocks.iter().zip(chunks) {
             let carried = carry.as_ref();
+            let t0 = Instant::now();
             let (out, tally) = scan_hop(
                 meta,
                 &self.tombstones,
@@ -174,7 +176,7 @@ impl Pipeline {
                 carried,
                 scratch,
             );
-            entering.push(tally.seen);
+            entering.push((tally.seen, t0.elapsed().as_nanos() as u64));
             carry = match out {
                 HopOutput::Forward(carry) => Some(carry),
                 HopOutput::Answer(answer) => return (entering, Some(answer)),
@@ -192,11 +194,6 @@ const RATE_QUERIES: usize = 4;
 const RATE_REPS: usize = 16;
 const RATE_REPS_MIN: usize = 9;
 
-/// Roughly what one sample row costs the rate measurement: cut to every
-/// pipeline's slices, then scanned by [`RATE_QUERIES`] queries a few
-/// times. Sizes the sample to the budget.
-const SAMPLE_ROW_NS: u128 = 1_000;
-
 /// What one point-dimension of an unpruned Lloyd iteration cost on the
 /// hosts the rate sample was sized on (0.07–0.13 ns measured): the price at
 /// which [`rate_budget`] turns Train's nominal work into time.
@@ -206,18 +203,18 @@ const LLOYD_NS_PER_PD: f64 = 0.1;
 /// scores `train_point_dims` ([`harmony_index::Fitted::nominal_point_dims`]):
 /// a 64th of that work at [`LLOYD_NS_PER_PD`]. This is the budget the
 /// measurement had when it took a 64th of Train's clock and Train scored
-/// every point-dim — so it draws the sample it drew then — but it follows
-/// from the namespace alone, not from how fast the host ran Train.
+/// every point-dim, but it follows from the namespace alone, not from how
+/// fast the host ran Train. It decides how often the sample is repeated.
 pub(crate) fn rate_budget(train_point_dims: u64) -> Duration {
     Duration::from_nanos((train_point_dims as f64 * LLOYD_NS_PER_PD / 64.0) as u64)
 }
 
 /// What the rate measurement times, and for how long: the lists a query
-/// from a seeded home list would probe, nearest first, until the sample
-/// holds the rows `budget` pays for (at least 256, at most a quarter of the
-/// namespace; a sample the size of one query's real probe set streams from
-/// where real lists stream from, a smaller one sits in the nearest cache
-/// and flatters wide slices).
+/// from a seeded home list probes, nearest first — its whole probe set, so
+/// the sample streams from where a real query's lists stream from (a
+/// smaller one sits in the nearest cache and flatters the hops that scan it
+/// most), up to a quarter of the namespace — repeated until `budget` is
+/// spent.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RateSample {
     home: u32,
@@ -243,9 +240,7 @@ impl RateSample {
         let home = (0..nlist)
             .map(|j| (start + j) % nlist)
             .find(|&c| view.lists.len(c as u32) > 0)?;
-        let total = view.store.len();
-        let row_cap =
-            ((budget.as_nanos() / SAMPLE_ROW_NS) as usize).clamp(256, (total / 4).max(256));
+        let row_cap = (view.store.len() / 4).max(256);
         let mut probes: Vec<u32> = Vec::new();
         let mut rows = 0;
         for c in nearest_centroids(view.centroids.row(home), view.centroids, nprobe) {
@@ -267,9 +262,13 @@ impl RateSample {
 /// Times the worker's scan routine over the namespace's [`RateSample`] —
 /// cut to every candidate pipeline's slices, a few of the home list's rows
 /// as queries with their real prewarm thresholds, every hop chained to the
-/// next through its real carry, every pipeline once per repetition.
-/// Repetitions stop once they have taken the sample's budget. The per-visit
-/// times become rates through [`ScanRates::from_visit_times`].
+/// next through its real carry, every pipeline once per repetition — hop by
+/// hop: per pipeline, the first hop's time per candidate visit, and the
+/// carried hops' together, each the fastest of the repetitions (what
+/// disturbs a run — a preemption, a neighbour's cache traffic — only ever
+/// adds time). Repetitions stop once they have taken the sample's budget.
+/// Each pipeline's slice width gets the two times it measured
+/// ([`ScanRates::measured`]).
 pub(crate) fn measure_scan_rates(
     view: &SampleView<'_>,
     nprobe: usize,
@@ -310,32 +309,35 @@ pub(crate) fn measure_scan_rates(
             .collect()
     };
 
-    // Per repetition, every pipeline's time per visit, back to back.
+    // Per pipeline, the fastest first-hop and carried-hop times per visit
+    // over the repetitions, every pipeline once per repetition.
     let meta = NsMeta::new(view.metric, view.pruning);
     let mut scratch = Scratch::default();
-    let mut reps: Vec<Vec<f64>> = Vec::new();
-    while reps.len() < RATE_REPS && (reps.len() < RATE_REPS_MIN || started.elapsed() < budget) {
-        let mut rep = Vec::with_capacity(pipelines.len());
-        for pipeline in &pipelines {
-            let chunks = chunks(pipeline);
-            let t0 = Instant::now();
-            let (entering, _) = pipeline.visit(meta, chunks, &mut scratch);
-            let visits: u64 = entering.iter().sum();
-            rep.push(t0.elapsed().as_nanos() as f64 / visits.max(1) as f64);
+    let mut fastest = vec![(f64::INFINITY, f64::INFINITY); pipelines.len()];
+    let mut reps = 0;
+    while reps < RATE_REPS && (reps < RATE_REPS_MIN || started.elapsed() < budget) {
+        for (pipeline, fastest) in pipelines.iter().zip(&mut fastest) {
+            let (hops, _) = pipeline.visit(meta, chunks(pipeline), &mut scratch);
+            let per_visit = |hops: &[(u64, u64)]| {
+                let (seen, ns) = hops.iter().fold((0, 0), |(s, t), &(n, d)| (s + n, t + d));
+                (seen > 0).then(|| ns as f64 / seen as f64)
+            };
+            let first = per_visit(&hops[..hops.len().min(1)]);
+            let carried = per_visit(hops.get(1..).unwrap_or_default());
+            fastest.0 = fastest.0.min(first.unwrap_or(f64::INFINITY));
+            fastest.1 = fastest.1.min(carried.unwrap_or(f64::INFINITY));
         }
-        reps.push(rep);
+        reps += 1;
     }
-    // Per pipeline the fastest repetition counts: what disturbs a run — a
-    // preemption, a neighbour's cache traffic — only ever adds time.
-    let times: Vec<(usize, f64)> = pipelines
+    let times: Vec<(usize, f64, Option<f64>)> = pipelines
         .iter()
-        .enumerate()
-        .map(|(p, pipeline)| {
-            let fastest = reps.iter().map(|rep| rep[p]).fold(f64::INFINITY, f64::min);
-            (dim / pipeline.blocks.len(), fastest)
+        .zip(fastest)
+        .map(|(pipeline, (first, carried))| {
+            let carried = (pipeline.blocks.len() > 1).then_some(carried);
+            (dim / pipeline.blocks.len(), first, carried)
         })
         .collect();
-    (!reps.is_empty()).then(|| ScanRates::from_visit_times(&times))
+    (reps > 0).then(|| ScanRates::measured(&times))
 }
 
 /// Scan rates for a caller with no index at hand
@@ -348,7 +350,7 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
     const ROWS: usize = 1_000;
     let value = |i: usize| (i % 97) as f32 * 0.01 + (i / (ROWS * DIM)) as f32;
     let flat: Vec<f32> = (0..LISTS * ROWS * DIM).map(value).collect();
-    let fallback = ScanRates::flat(0.0, 0.0);
+    let fallback = ScanRates::default();
     let Ok(store) = VectorStore::from_flat(DIM, flat) else {
         return fallback;
     };
@@ -432,8 +434,8 @@ pub(crate) fn survivors_entering<'q>(
                             pipeline.chunk(view, at, &[query], &[topk.threshold()], &clusters)
                         })
                         .collect();
-                    let (seen, answer) = pipeline.visit(meta, chunks, &mut scratch);
-                    for (total, seen) in entering.iter_mut().zip(seen) {
+                    let (hops, answer) = pipeline.visit(meta, chunks, &mut scratch);
+                    for (total, (seen, _)) in entering.iter_mut().zip(hops) {
                         *total += seen;
                     }
                     // The client merges the answer, skipping prewarm ids.

@@ -56,15 +56,17 @@
 //! and counted, because scanning it as absent would shift the canonical
 //! candidate indices the machines of the shard row carry between them.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{self, AtomicUsize};
 use std::time::Instant;
 
 use bytes::Bytes;
 use harmony_cluster::{NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
 use harmony_index::distance::{
-    ip, ip_u8_rows, ip_u8_rows_at, l2_sq, l2_sq_u8_rows, l2_sq_u8_rows_at,
+    ip, ip_rows, ip_rows_at, ip_tile, ip_u8_rows, ip_u8_rows_at, l2_sq_rows, l2_sq_rows_at,
+    l2_sq_tile, l2_sq_u8_rows, l2_sq_u8_rows_at,
 };
 use harmony_index::persist::{
     read_part_lists, write_part_file, PartDirectory, PartList, PartListRef, PersistError,
@@ -229,6 +231,11 @@ impl BlockStore {
         }
     }
 
+    /// Dimensions the block covers.
+    fn width(&self) -> usize {
+        (self.dim_end - self.dim_start) as usize
+    }
+
     fn memory_bytes(&self) -> usize {
         self.lists
             .values()
@@ -347,18 +354,16 @@ struct PendingTables {
     carries: HashMap<(u64, u32), CarryBatch>,
 }
 
-/// What a metric contributes to the scan: how an exact row scores, how far
-/// SQ8 may have moved a score, how a full partial becomes a result score
-/// and when a partial can be discarded. Resolved once per sub-batch
-/// ([`HarmonyWorker::run_hop`]), so the row loop is monomorphised and
-/// carries no metric branch.
+/// What a metric contributes to the scan: whether a partial is a distance
+/// or a negated dot product, how far SQ8 may have moved a score, how a
+/// full partial becomes a result score and when a partial can be
+/// discarded. Resolved once per sub-batch ([`HarmonyWorker::run_hop`]), so
+/// the row loop is monomorphised and carries no metric branch.
 trait MetricOps {
-    /// Inner-product family: rows carry norm tables and partials are
-    /// bounded by Cauchy–Schwarz residuals instead of by monotonicity.
+    /// Inner-product family: partials are negated dot products, rows carry
+    /// norm tables and partials are bounded by Cauchy–Schwarz residuals
+    /// instead of by monotonicity.
     const IP: bool;
-
-    /// Lower-is-better partial of an exact row.
-    fn f32_partial(q: &[f32], row: &[f32]) -> f32;
 
     /// This list's prune-widening term (see the `pruning` module docs) from
     /// the query's exact quantization error `err` and the segment's
@@ -396,11 +401,6 @@ struct CosOps;
 impl MetricOps for L2Ops {
     const IP: bool = false;
 
-    #[inline]
-    fn f32_partial(q: &[f32], row: &[f32]) -> f32 {
-        l2_sq(q, row)
-    }
-
     // Triangle inequality: ‖q−p‖ ≥ ‖dq(q)−dq(p)‖ − (E_q+E_p).
     fn sq8_eps(err: f32, data_err: f32, _max_block_norm_sq: f32, _q_block_norm_sq: f32) -> f32 {
         err + data_err
@@ -409,11 +409,6 @@ impl MetricOps for L2Ops {
 
 impl MetricOps for IpOps {
     const IP: bool = true;
-
-    #[inline]
-    fn f32_partial(q: &[f32], row: &[f32]) -> f32 {
-        -ip(q, row)
-    }
 
     // |q·p − dq(q)·dq(p)| ≤ E_q·‖p‖ + (‖q‖+E_q)·E_p. The stored block norms
     // are exact — `cut_list` takes them from the rows before it quantizes
@@ -426,11 +421,6 @@ impl MetricOps for IpOps {
 
 impl MetricOps for CosOps {
     const IP: bool = true;
-
-    #[inline]
-    fn f32_partial(q: &[f32], row: &[f32]) -> f32 {
-        IpOps::f32_partial(q, row)
-    }
 
     fn sq8_eps(err: f32, data_err: f32, max_block_norm_sq: f32, q_block_norm_sq: f32) -> f32 {
         IpOps::sq8_eps(err, data_err, max_block_norm_sq, q_block_norm_sq)
@@ -464,23 +454,48 @@ impl MetricOps for CosOps {
     }
 }
 
-/// One run of rows a query is scored against: a list restricted to this
-/// block ([`ListRows`], bound to the query by its representation's scoring
-/// of a row) or the shard's delta prefix ([`DeltaRows`]). `BlockRepr`
-/// contract point 1 (DESIGN.md §5) as code: a representation joins the
-/// scan with an arm in [`scan_batch`] that binds it — exact rows through a
-/// [`MetricOps`] kernel call per row, SQ8 through the buffer its run was
-/// scored into — and the row loop never learns which one it runs.
-trait Rows {
-    /// This block's contribution to `row`'s lower-is-better partial.
-    fn partial(&self, row: usize) -> f32;
-    /// `Some(pruned)` when the run has settled `row`'s threshold test
-    /// exactly already (SQ8's integer cutoff); `None` leaves it to the
-    /// metric.
-    #[inline]
-    fn cut(&self, _row: usize) -> Option<bool> {
-        None
+/// Lower-is-better partials of exact rows through the blocked kernels:
+/// squared distances under L2, negated dot products otherwise. Query `q`
+/// against each row of the row-major `rows`, into `out`.
+fn f32_rows<M: MetricOps>(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    if M::IP {
+        ip_rows(q, rows, out);
+        negate(out);
+    } else {
+        l2_sq_rows(q, rows, out);
     }
+}
+
+/// [`f32_rows`] over the picked rows `at` only.
+fn f32_rows_at<M: MetricOps>(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    if M::IP {
+        ip_rows_at(q, rows, at, out);
+        negate(out);
+    } else {
+        l2_sq_rows_at(q, rows, at, out);
+    }
+}
+
+/// [`f32_rows`] for every query of `qs`, query-major.
+fn f32_tile<M: MetricOps>(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+    if M::IP {
+        ip_tile(qs, rows, out);
+        negate(out);
+    } else {
+        l2_sq_tile(qs, rows, out);
+    }
+}
+
+fn negate(out: &mut [f32]) {
+    for p in out {
+        *p = -*p;
+    }
+}
+
+/// What the walk reads of one run's rows beside their scores: a list
+/// restricted to this block ([`ListRows`]) or the shard's delta prefix
+/// ([`DeltaRows`]).
+trait Rows {
     /// Squared norm of `row`'s coordinates in this block (IP metrics).
     fn block_norm_sq(&self, row: usize) -> f32;
     /// Squared norm of `row`'s full vector (IP metrics).
@@ -491,72 +506,64 @@ trait Rows {
     fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool;
 }
 
-/// A list restricted to this block, bound to one query by `partial` — the
-/// representation's scoring of a row: an exact kernel call, or a read of
-/// the buffer SQ8 scored the run into — and, on SQ8's L2 first hops, by
-/// the run's integer cutoff.
-struct ListRows<'a, P> {
-    list: &'a ListBlock,
-    partial: P,
-    /// `(kernel integer per row, cut)`: a row is pruned iff its integer
-    /// exceeds `cut`.
-    cut: Option<(&'a [u32], u32)>,
-}
+/// A list restricted to this block.
+struct ListRows<'a>(&'a ListBlock);
 
 /// The shard's delta rows, exact f32 whatever the block representation.
-struct DeltaRows<'a, P> {
-    delta: &'a DeltaList,
-    partial: P,
-}
+struct DeltaRows<'a>(&'a DeltaList);
 
-impl<P: Fn(usize) -> f32> Rows for ListRows<'_, P> {
-    #[inline]
-    fn partial(&self, row: usize) -> f32 {
-        (self.partial)(row)
-    }
-    #[inline]
-    fn cut(&self, row: usize) -> Option<bool> {
-        self.cut.map(|(ints, cut)| ints[row] > cut)
-    }
+impl Rows for ListRows<'_> {
     #[inline]
     fn block_norm_sq(&self, row: usize) -> f32 {
-        self.list.block_norms_sq[row]
+        self.0.block_norms_sq[row]
     }
     #[inline]
     fn total_norm_sq(&self, row: usize) -> f32 {
-        self.list.total_norms_sq[row]
+        self.0.total_norms_sq[row]
     }
     #[inline]
     fn id(&self, row: usize) -> u64 {
-        self.list.ids[row]
+        self.0.ids[row]
     }
     #[inline]
     fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool {
-        tombstones.suppresses_list_row(self.list.ids[row])
+        tombstones.suppresses_list_row(self.0.ids[row])
     }
 }
 
-impl<P: Fn(usize) -> f32> Rows for DeltaRows<'_, P> {
-    #[inline]
-    fn partial(&self, row: usize) -> f32 {
-        (self.partial)(row)
-    }
+impl Rows for DeltaRows<'_> {
     #[inline]
     fn block_norm_sq(&self, row: usize) -> f32 {
-        self.delta.block_norm_sq(row)
+        self.0.block_norm_sq(row)
     }
     #[inline]
     fn total_norm_sq(&self, row: usize) -> f32 {
-        self.delta.total_norm_sq(row)
+        self.0.total_norm_sq(row)
     }
     #[inline]
     fn id(&self, row: usize) -> u64 {
-        self.delta.id(row)
+        self.0.id(row)
     }
     #[inline]
     fn suppressed(&self, tombstones: &TombstoneSet, row: usize) -> bool {
-        tombstones.suppresses_delta_row(self.delta.id(row), self.delta.seq(row))
+        tombstones.suppresses_delta_row(self.0.id(row), self.0.seq(row))
     }
+}
+
+/// One `(query, run)` scored before it is settled — `BlockRepr` contract
+/// point 1 (DESIGN.md §5) as data: a representation joins the scan by
+/// scoring a run into this, with its blocked kernels, and the walk
+/// ([`scan_run`]) never learns which one it settles.
+struct Scored<'a> {
+    /// This block's contribution to each candidate's partial, in walk
+    /// order: by row on the first hop, by carried survivor on later ones.
+    partials: &'a [f32],
+    /// `(kernel integer per candidate, cut)` where the run has settled the
+    /// threshold test exactly already (SQ8's L2 first-hop cutoff): a
+    /// candidate is pruned iff its integer exceeds `cut`.
+    cut: Option<(&'a [u32], u32)>,
+    /// The run's own prune slack (0 for exact rows).
+    eps: f32,
 }
 
 /// One candidate entering the hop: where it sits in the run, its position
@@ -616,57 +623,103 @@ pub(crate) struct Scratch {
     /// `(cluster, query row)` pairs of the sub-batch, sorted: the
     /// list-major walk order.
     probes: Vec<(u32, u32)>,
-    sq8: Sq8Scratch,
-}
-
-/// SQ8's run buffers: one `(query, list)` run is scored into them, then
-/// settled from them.
-#[derive(Default)]
-struct Sq8Scratch {
-    /// The query slice's codes against the list's segment.
-    codes: Vec<u8>,
-    /// On a carried hop, the rows of the run its survivors sit at.
-    picks: Vec<u32>,
-    /// The kernel's integer per candidate: by row on the first hop,
-    /// parallel to `picks` on later ones.
-    ints: Vec<u32>,
-    /// Each candidate's partial, by row.
-    partials: Vec<f32>,
-    /// Score runs row by row instead ([`tests::score_run_by_rows`]): the
-    /// reference the run scoring is checked against.
+    run: RunScratch,
+    /// Score runs row by row and settle every candidate one at a time
+    /// ([`tests::score_by_rows`]): the reference the run scoring and the
+    /// walk's shortcuts are checked against.
     #[cfg(test)]
-    row_oracle: bool,
+    by_rows: bool,
 }
 
-/// What SQ8's scoring step hands the walk for one run.
-struct Sq8Run {
-    /// The run's prune slack.
-    eps: f32,
-    /// The L2 first-hop cutoff on the kernel integer, where one applies.
-    cut: Option<u32>,
+/// The buffers one run is scored into, then settled from.
+#[derive(Default)]
+struct RunScratch {
+    /// SQ8: the query slice's codes against the list's segment.
+    codes: Vec<u8>,
+    /// On a carried hop, the rows of the run its survivors sit at, in
+    /// carry order.
+    picks: Vec<u32>,
+    /// SQ8: the kernel's integer per candidate.
+    ints: Vec<u32>,
+    /// Each candidate's partial, in walk order; after a first-hop tile,
+    /// every query of the group's, query-major.
+    partials: Vec<f32>,
 }
 
-impl Sq8Scratch {
+impl RunScratch {
+    /// The first `len` candidates scored, with the run's prune slack and
+    /// its L2 first-hop cutoff on the kernel integer, where one applies.
+    fn scored(&self, len: usize, eps: f32, cut: Option<u32>) -> Scored<'_> {
+        Scored {
+            partials: &self.partials[..len],
+            cut: cut.map(|cut| (&self.ints[..len], cut)),
+            eps,
+        }
+    }
+
+    /// The candidates of `slot`'s run of `n` rows: `n` on the first hop;
+    /// on later ones the carried survivors that fall inside the run (runs
+    /// and survivor indices both ascend), whose rows land in `picks`.
+    fn pick(&mut self, env: &HopEnv<'_>, slot: &QuerySlot, n: usize) -> usize {
+        self.picks.clear();
+        let Some(carry) = env.carry else { return n };
+        self.picks.extend(
+            carry.indices[slot.cursor..slot.carried_end]
+                .iter()
+                .map(|&index| index.wrapping_sub(slot.base))
+                .take_while(|&row| (row as usize) < n),
+        );
+        self.picks.len()
+    }
+
+    /// Exact rows' scoring step for one `(query, run)`: the run's `n` rows
+    /// of `rows` (row-major, `q.len()` wide) through the blocked kernels —
+    /// every row on the first hop, the carried survivors in carry order on
+    /// later ones — into `partials`.
+    fn score_f32<M: MetricOps>(
+        &mut self,
+        env: &HopEnv<'_>,
+        rows: &[f32],
+        n: usize,
+        q: &[f32],
+        slot: &QuerySlot,
+    ) -> Scored<'_> {
+        let len = self.pick(env, slot, n);
+        grow(&mut self.partials, len);
+        #[cfg(test)]
+        if env.by_rows {
+            tests::score_f32_by_rows::<M>(self, rows, q, len);
+            return self.scored(len, 0.0, None);
+        }
+        let out = &mut self.partials[..len];
+        match env.carry {
+            None => f32_rows::<M>(q, rows, out),
+            Some(_) => f32_rows_at::<M>(q, rows, &self.picks, out),
+        }
+        self.scored(len, 0.0, None)
+    }
+
     /// SQ8's scoring step for one `(query, list)` run. Quantizes the query
     /// slice `q` once, into `codes`; scores the run's candidates with the
-    /// blocked u8 kernels — every row on the first hop, the carried
-    /// survivors inside the run on later hops — into `ints`; and turns each
-    /// integer into its partial, `partials[row]`, with the segment's own
-    /// formula, so every partial is bit for bit what
-    /// `quant::l2_partial_row` / `ip_dot_row` give. On an L2 first hop that
-    /// is not the last, the prune test depends on the integer alone
-    /// (DESIGN.md §5), so one cutoff per run settles it.
-    fn score_run<M: MetricOps>(
+    /// blocked u8 kernels into `ints`; and turns each integer into its
+    /// partial with the segment's own formula, so every partial is bit for
+    /// bit what `quant::l2_partial_row` / `ip_dot_row` give. On an L2 first
+    /// hop that is not the last, the prune test depends on the integer
+    /// alone (DESIGN.md §5), so one cutoff per run settles it.
+    fn score_sq8<M: MetricOps>(
         &mut self,
         env: &HopEnv<'_>,
         list: &ListBlock,
         seg: &Sq8Segment,
         q: &[f32],
         slot: &QuerySlot,
-    ) -> Sq8Run {
+    ) -> Scored<'_> {
+        let len = self.pick(env, slot, list.rows());
+        grow(&mut self.partials, len);
         #[cfg(test)]
-        if self.row_oracle {
-            return tests::score_run_by_rows::<M>(self, list, seg, q, slot);
+        if env.by_rows {
+            let eps = tests::score_sq8_by_rows::<M>(self, list, seg, q, slot, len);
+            return self.scored(len, eps, None);
         }
         let (q_code_sum, err_sq) = seg.quantize_query_into(q, &mut self.codes);
         // `prepare_block_query`'s sums over segments, for one segment.
@@ -680,49 +733,24 @@ impl Sq8Scratch {
             list.max_block_norm_sq,
             slot.q_block_norm_sq,
         );
-        let partial = |row: usize, int: u32| {
-            if M::IP {
+        grow(&mut self.ints, len);
+        let ints = &mut self.ints[..len];
+        match (env.carry, M::IP) {
+            (None, true) => ip_u8_rows(&self.codes, &seg.codes, ints),
+            (None, false) => l2_sq_u8_rows(&self.codes, &seg.codes, ints),
+            (Some(_), true) => ip_u8_rows_at(&self.codes, &seg.codes, &self.picks, ints),
+            (Some(_), false) => l2_sq_u8_rows_at(&self.codes, &seg.codes, &self.picks, ints),
+        }
+        for (i, (p, &int)) in self.partials.iter_mut().zip(&*ints).enumerate() {
+            let row = match env.carry {
+                None => i,
+                Some(_) => self.picks[i] as usize,
+            };
+            *p = if M::IP {
                 -seg.ip_of(q_code_sum, row, int)
             } else {
                 seg.l2_of(int)
-            }
-        };
-        let n = list.rows();
-        grow(&mut self.partials, n);
-        match env.carry {
-            None => {
-                grow(&mut self.ints, n);
-                let ints = &mut self.ints[..n];
-                if M::IP {
-                    ip_u8_rows(&self.codes, &seg.codes, ints);
-                } else {
-                    l2_sq_u8_rows(&self.codes, &seg.codes, ints);
-                }
-                for (row, (p, &int)) in self.partials.iter_mut().zip(&*ints).enumerate() {
-                    *p = partial(row, int);
-                }
-            }
-            Some(carry) => {
-                let carried = &carry.indices[slot.cursor..slot.carried_end];
-                self.picks.clear();
-                self.picks.extend(
-                    carried
-                        .iter()
-                        .map(|&index| index.wrapping_sub(slot.base))
-                        .take_while(|&row| (row as usize) < n),
-                );
-                let m = self.picks.len();
-                grow(&mut self.ints, m);
-                let ints = &mut self.ints[..m];
-                if M::IP {
-                    ip_u8_rows_at(&self.codes, &seg.codes, &self.picks, ints);
-                } else {
-                    l2_sq_u8_rows_at(&self.codes, &seg.codes, &self.picks, ints);
-                }
-                for (&row, &int) in self.picks.iter().zip(&*ints) {
-                    self.partials[row as usize] = partial(row as usize, int);
-                }
-            }
+            };
         }
         let cut = if env.carry.is_none() && !env.is_last && !M::IP {
             let b = Bounds::of(slot, eps);
@@ -731,7 +759,7 @@ impl Sq8Scratch {
         } else {
             None
         };
-        Sq8Run { eps, cut }
+        self.scored(len, eps, cut)
     }
 }
 
@@ -758,6 +786,21 @@ struct HopEnv<'a> {
     /// `None` on the first hop: every row of a run is a candidate.
     carry: Option<&'a CarryBatch>,
     is_last: bool,
+    /// [`Scratch::by_rows`].
+    #[cfg(test)]
+    by_rows: bool,
+}
+
+impl HopEnv<'_> {
+    /// Whether the walk may take its L2 shortcuts (always, outside the
+    /// reference the tests check them against).
+    fn shortcuts(&self) -> bool {
+        #[cfg(test)]
+        if self.by_rows {
+            return false;
+        }
+        true
+    }
 }
 
 /// What every candidate of one `(query, run)` is bounded against.
@@ -785,12 +828,17 @@ impl Bounds {
     }
 }
 
-/// `bound → prune → emit` for one scored candidate.
+/// `bound → prune → emit` for one candidate, `part` being this block's
+/// contribution to its partial and `cut` the run's exact verdict on it,
+/// if it has one.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn settle<M: MetricOps, R: Rows>(
     env: &HopEnv<'_>,
     rows: &R,
     c: Cand,
+    part: f32,
+    cut: Option<bool>,
     Bounds {
         threshold,
         q_total_sq,
@@ -800,7 +848,7 @@ fn settle<M: MetricOps, R: Rows>(
     out: &mut SlotOut,
     tally: &mut HopTally,
 ) {
-    let partial = c.partial + rows.partial(c.row);
+    let partial = c.partial + part;
     let (mut rest, mut p_visited) = (Rest::default(), 0.0);
     if M::IP {
         p_visited = c.visited_norm_sq + rows.block_norm_sq(c.row);
@@ -811,9 +859,7 @@ fn settle<M: MetricOps, R: Rows>(
             rest.p_rest_sq = rest.p_total_sq - p_visited;
         }
     }
-    let global_prune = rows
-        .cut(c.row)
-        .unwrap_or_else(|| M::prune(&env.rule, partial, threshold, rest, eps));
+    let global_prune = cut.unwrap_or_else(|| M::prune(&env.rule, partial, threshold, rest, eps));
     if let Some(topk) = out.topk.as_mut() {
         // Full score now known; keep only entries beating both the local
         // top-k (same-domain, no widening) and the exact-domain client
@@ -835,59 +881,101 @@ fn settle<M: MetricOps, R: Rows>(
     }
 }
 
-/// `scan → bound → prune → emit` for one query over one run of `run_len`
-/// rows — the only row loop of the worker. The candidates are every row of
-/// the run on the first hop, and on later hops the carried survivors that
-/// fall inside it (a merge-walk: runs and survivor indices both ascend).
-/// `eps_run` is the run's own prune slack (0 for exact rows).
+/// `bound → prune → emit` over one query's scored run of `run_len` rows —
+/// the only row loop of the worker. The candidates are every row of the
+/// run on the first hop, and on later hops the carried survivors that fall
+/// inside it, in the order [`RunScratch::pick`] scored them. Under L2 two
+/// shortcuts decide most candidates without [`settle`], each giving
+/// exactly its verdict: a hop that is not the last keeps its survivors by
+/// a branchless compaction when the test is the run's integer cutoff or
+/// the plain `partial > τ` (no slack: `keep = !(p > τ)`, which keeps NaN,
+/// and τ = ∞ or pruning off keeps all); the last hop drops a candidate
+/// beyond `τ` (no slack) or the local top-k's bound before settling it.
 fn scan_run<M: MetricOps, R: Rows>(
     env: &HopEnv<'_>,
     rows: &R,
     (run_len, width): (usize, usize),
-    eps_run: f32,
+    scored: Scored<'_>,
     slot: &mut QuerySlot,
     tally: &mut HopTally,
 ) {
-    slot.hop_eps = slot.hop_eps.max(eps_run);
-    let bounds = Bounds::of(slot, eps_run);
-    let base = slot.base;
-    let before = slot.cursor;
-    match env.carry {
-        None => {
-            for row in 0..run_len {
-                let c = Cand {
-                    row,
-                    index: base + row as u32,
-                    partial: 0.0,
-                    visited_norm_sq: 0.0,
-                };
-                settle::<M, R>(env, rows, c, bounds, &mut slot.out, tally);
-            }
-            slot.cursor += run_len;
-        }
+    slot.hop_eps = slot.hop_eps.max(scored.eps);
+    let bounds = Bounds::of(slot, scored.eps);
+    let (base, at) = (slot.base, slot.cursor);
+    let len = scored.partials.len();
+    let cand = |i: usize| match env.carry {
+        None => Cand {
+            row: i,
+            index: base + i as u32,
+            partial: 0.0,
+            visited_norm_sq: 0.0,
+        },
         Some(carry) => {
-            while slot.cursor < slot.carried_end {
-                let index = carry.indices[slot.cursor];
-                let row = index.wrapping_sub(base) as usize;
-                if row >= run_len {
-                    break; // survivor lives in a later run
-                }
-                let c = Cand {
-                    row,
-                    index,
-                    partial: carry.partials[slot.cursor],
-                    visited_norm_sq: carry
-                        .visited_norms_sq
-                        .get(slot.cursor)
-                        .copied()
-                        .unwrap_or(0.0),
-                };
-                settle::<M, R>(env, rows, c, bounds, &mut slot.out, tally);
-                slot.cursor += 1;
+            let at = at + i;
+            let index = carry.indices[at];
+            Cand {
+                row: index.wrapping_sub(base) as usize,
+                index,
+                partial: carry.partials[at],
+                visited_norm_sq: carry.visited_norms_sq.get(at).copied().unwrap_or(0.0),
             }
+        }
+    };
+    let shortcuts = !M::IP && env.shortcuts();
+    // Without slack the prune test is the plain `partial > τ`.
+    let plain = bounds.eps <= 0.0;
+    if shortcuts && !env.is_last && (scored.cut.is_some() || plain) {
+        let tau = if env.rule.enabled() {
+            bounds.threshold
+        } else {
+            f32::INFINITY
+        };
+        let out = &mut slot.out;
+        let start = out.indices.len();
+        out.indices.resize(start + len, 0);
+        out.partials.resize(start + len, 0.0);
+        let mut kept = start;
+        for (i, &part) in scored.partials.iter().enumerate() {
+            let c = cand(i);
+            let partial = c.partial + part;
+            let keep = match scored.cut {
+                Some((ints, cut)) => ints[i] <= cut,
+                None => partial.partial_cmp(&tau) != Some(Ordering::Greater),
+            };
+            out.indices[kept] = c.index;
+            out.partials[kept] = partial;
+            kept += usize::from(keep);
+        }
+        out.indices.truncate(kept);
+        out.partials.truncate(kept);
+        tally.pruned += (start + len - kept) as u64;
+    } else {
+        let prefilter = shortcuts && env.is_last && env.rule.enabled();
+        let tau = if plain {
+            bounds.threshold
+        } else {
+            f32::INFINITY
+        };
+        for (i, &part) in scored.partials.iter().enumerate() {
+            let c = cand(i);
+            if prefilter {
+                let partial = c.partial + part;
+                let top = slot
+                    .out
+                    .topk
+                    .as_ref()
+                    .map_or(f32::INFINITY, TopK::threshold);
+                if partial > tau || partial > top {
+                    tally.pruned += 1;
+                    continue;
+                }
+            }
+            let cut = scored.cut.map(|(ints, cut)| ints[i] > cut);
+            settle::<M, R>(env, rows, c, part, cut, bounds, &mut slot.out, tally);
         }
     }
-    tally.scanned_point_dims += ((slot.cursor - before) * width) as u64;
+    slot.cursor += len;
+    tally.scanned_point_dims += (len * width) as u64;
     slot.base += run_len as u32;
 }
 
@@ -895,8 +983,10 @@ fn scan_run<M: MetricOps, R: Rows>(
 /// of the sub-batch probes, in ascending cluster id — which is also every
 /// query's canonical enumeration order, because chunk rows list their
 /// clusters ascending — score every query that probes it while the list's
-/// slice is cache-resident; then the shard's delta prefix, once, for all
-/// queries. Results are left in the slots of `scratch`.
+/// slice is cache-resident (on an exact first hop all of them in one
+/// register tile, which loads each row once per pair of queries); then the
+/// shard's delta prefix, once, for all queries. Results are left in the
+/// slots of `scratch`.
 fn scan_batch<M: MetricOps>(
     env: &HopEnv<'_>,
     block: Option<&BlockStore>,
@@ -905,57 +995,65 @@ fn scan_batch<M: MetricOps>(
     scratch: &mut Scratch,
 ) -> HopTally {
     let mut tally = HopTally::default();
-    let Scratch { slots, probes, sq8 } = scratch;
+    let Scratch {
+        slots, probes, run, ..
+    } = scratch;
     if let Some(block) = block {
         probes.clear();
         for q in 0..chunk.len() {
             probes.extend(chunk.clusters_of(q).iter().map(|&c| (c, q as u32)));
         }
         probes.sort_unstable();
-        let mut current: Option<(u32, Option<&ListBlock>)> = None;
-        for &(cluster, q) in probes.iter() {
-            let list = match current {
-                Some((c, list)) if c == cluster => list,
-                _ => {
-                    let list = block.lists.get(&cluster);
-                    current = Some((cluster, list));
-                    list
-                }
-            };
-            let Some(list) = list else { continue };
-            let slot = &mut slots[q as usize];
-            let shape = (list.rows(), list.width);
-            let carried_here = env.carry.is_none_or(|carry| {
-                slot.cursor < slot.carried_end
-                    && carry.indices[slot.cursor].wrapping_sub(slot.base) < shape.0 as u32
-            });
-            if shape.0 == 0 || !carried_here {
-                // Nothing of this query lives here: only the enumeration
-                // advances (and no SQ8 query preparation is paid).
-                slot.base += shape.0 as u32;
+        let mut tile: Vec<&[f32]> = Vec::new();
+        for group in probes.chunk_by(|a, b| a.0 == b.0) {
+            let Some(list) = block.lists.get(&group[0].0) else {
                 continue;
-            }
-            let dims = chunk.dims_of(q as usize);
+            };
+            let shape = (list.rows(), list.width);
             match &list.data {
-                BlockData::F32 { flat } => {
-                    let w = list.width;
-                    let partial = |row: usize| M::f32_partial(dims, &flat[row * w..(row + 1) * w]);
-                    let rows = ListRows {
-                        list,
-                        partial,
-                        cut: None,
-                    };
-                    scan_run::<M, _>(env, &rows, shape, 0.0, slot, &mut tally);
+                BlockData::F32 { flat } if env.carry.is_none() && env.shortcuts() => {
+                    // Every row is a candidate of every query of the group.
+                    let n = shape.0;
+                    tile.clear();
+                    tile.extend(group.iter().map(|&(_, q)| chunk.dims_of(q as usize)));
+                    grow(&mut run.partials, tile.len() * n);
+                    f32_tile::<M>(&tile, flat, &mut run.partials[..tile.len() * n]);
+                    for (g, &(_, q)) in group.iter().enumerate() {
+                        let scored = Scored {
+                            partials: &run.partials[g * n..(g + 1) * n],
+                            cut: None,
+                            eps: 0.0,
+                        };
+                        let slot = &mut slots[q as usize];
+                        scan_run::<M, _>(env, &ListRows(list), shape, scored, slot, &mut tally);
+                    }
                 }
-                BlockData::Sq8 { seg } => {
-                    let run = sq8.score_run::<M>(env, list, seg, &dims[..list.width], slot);
-                    let partials = &sq8.partials;
-                    let rows = ListRows {
-                        list,
-                        partial: |row: usize| partials[row],
-                        cut: run.cut.map(|cut| (&sq8.ints[..], cut)),
-                    };
-                    scan_run::<M, _>(env, &rows, shape, run.eps, slot, &mut tally);
+                data => {
+                    for &(_, q) in group {
+                        let slot = &mut slots[q as usize];
+                        let carried_here = env.carry.is_none_or(|carry| {
+                            slot.cursor < slot.carried_end
+                                && carry.indices[slot.cursor].wrapping_sub(slot.base)
+                                    < shape.0 as u32
+                        });
+                        if shape.0 == 0 || !carried_here {
+                            // Nothing of this query lives here: only the
+                            // enumeration advances (and no SQ8 query
+                            // preparation is paid).
+                            slot.base += shape.0 as u32;
+                            continue;
+                        }
+                        let dims = chunk.dims_of(q as usize);
+                        let scored = match data {
+                            BlockData::F32 { flat } => {
+                                run.score_f32::<M>(env, flat, shape.0, dims, slot)
+                            }
+                            BlockData::Sq8 { seg } => {
+                                run.score_sq8::<M>(env, list, seg, dims, slot)
+                            }
+                        };
+                        scan_run::<M, _>(env, &ListRows(list), shape, scored, slot, &mut tally);
+                    }
                 }
             }
         }
@@ -974,11 +1072,10 @@ fn scan_batch<M: MetricOps>(
                 .count(),
         };
         let shape = (run_len, delta.width());
+        let rows = delta.rows(run_len);
         for (q, slot) in slots.iter_mut().enumerate().take(chunk.len()) {
-            let dims = chunk.dims_of(q);
-            let partial = |row: usize| M::f32_partial(dims, delta.row(row));
-            let rows = DeltaRows { delta, partial };
-            scan_run::<M, _>(env, &rows, shape, 0.0, slot, &mut tally);
+            let scored = run.score_f32::<M>(env, rows, run_len, chunk.dims_of(q), slot);
+            scan_run::<M, _>(env, &DeltaRows(delta), shape, scored, slot, &mut tally);
         }
     }
     debug_assert!(
@@ -1053,6 +1150,8 @@ pub(crate) fn scan_hop(
         tombstones,
         carry,
         is_last,
+        #[cfg(test)]
+        by_rows: scratch.by_rows,
     };
     let mut tally = match meta.metric {
         Metric::L2 => scan_batch::<L2Ops>(&env, block, delta, &chunk, scratch),
@@ -1172,7 +1271,7 @@ impl HarmonyWorker {
     /// Creates an empty worker; configuration arrives with the first
     /// [`LoadBlock`]. Spill files land in a per-instance temp directory.
     pub fn new() -> Self {
-        let seq = SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+        let seq = SPILL_DIR_SEQ.fetch_add(1, atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("harmony-spill-{}-w{seq}", std::process::id()));
         Self::with_tiering(dir, DEFAULT_CACHE_BUDGET)
     }
@@ -1295,7 +1394,7 @@ impl HarmonyWorker {
             .sum();
         self.fault_bytes += read;
         self.cache_misses += parts.len() as u64;
-        let width = (slot.store.dim_end - slot.store.dim_start) as usize;
+        let width = slot.store.width();
         let mut evicted = Vec::new();
         for part in parts {
             let cluster = part.cluster;
@@ -1366,7 +1465,7 @@ impl HarmonyWorker {
         for &c in slot.store.lists.keys() {
             self.cache.remove(&(ns, epoch, shard, c));
         }
-        let width = (slot.store.dim_end - slot.store.dim_start) as usize;
+        let width = slot.store.width();
         for part in parts {
             let cluster = part.cluster;
             let list = ListBlock::from_part(part, width);
@@ -1569,11 +1668,18 @@ impl HarmonyWorker {
             .filter(|_| chunk.delta_seq > 0);
         let rows_agree = carry.as_ref().is_none_or(|c| c.len() == n);
         debug_assert!(rows_agree, "carry and chunk disagree on the sub-batch");
-        let store =
-            store.filter(|_| kept.is_some() && rows_agree && (block.is_some() || delta.is_some()));
+        // The kernels take a query slice exactly as wide as the rows.
+        let width = chunk.width();
+        let widths_agree = chunk.dims.len() == n * width
+            && block.is_none_or(|b| b.width() == width)
+            && delta.is_none_or(|d| d.width() == width);
+        let store = store.filter(|_| {
+            kept.is_some() && rows_agree && widths_agree && (block.is_some() || delta.is_some())
+        });
         let Some(store) = store else {
-            // Epoch never loaded (or already evicted), or a probed list
-            // unreadable: answer emptily so the client can finish.
+            // Epoch never loaded (or already evicted), a probed list
+            // unreadable, or a malformed sub-batch: answer emptily so the
+            // client can finish.
             let empty = ResultBatch {
                 shard: chunk.shard,
                 result_ends: vec![0; n],
@@ -1758,6 +1864,7 @@ mod tests {
     use super::*;
     use crate::messages::{Carry, QueryChunk, QueryResult};
     use harmony_cluster::{Cluster, ClusterConfig};
+    use harmony_index::distance::l2_sq;
     use harmony_index::quant;
     use std::time::Duration;
 
@@ -2673,38 +2780,58 @@ mod tests {
         assert_eq!(CosOps::sq8_eps(0.5, 0.25, 4.0, 9.0), 1.875);
     }
 
-    // --- SQ8 run scoring against the row-at-a-time oracle ---------------
+    // --- Run scoring against the row-at-a-time oracle -------------------
+
+    /// The row at walk position `i` of a run: row `i` on the first hop, the
+    /// `i`-th pick on later ones.
+    fn oracle_row(buf: &RunScratch, i: usize) -> usize {
+        buf.picks.get(i).map_or(i, |&r| r as usize)
+    }
+
+    /// The row-at-a-time exact scoring the blocked kernels replaced: one
+    /// `l2_sq` / `ip` call per candidate, `rows` being the run row-major.
+    pub(super) fn score_f32_by_rows<M: MetricOps>(
+        buf: &mut RunScratch,
+        rows: &[f32],
+        q: &[f32],
+        len: usize,
+    ) {
+        let w = q.len();
+        for i in 0..len {
+            let r = oracle_row(buf, i);
+            let row = &rows[r * w..(r + 1) * w];
+            buf.partials[i] = if M::IP { -ip(q, row) } else { l2_sq(q, row) };
+        }
+    }
 
     /// The row-at-a-time SQ8 scoring the run scoring replaced: the query
     /// prepared per `(query, list)` by `quant::prepare_block_query`, every
-    /// row of the list scored through `quant::l2_partial_row` /
-    /// `ip_dot_row`, and every prune left to `settle`'s float test.
-    pub(super) fn score_run_by_rows<M: MetricOps>(
-        buf: &mut Sq8Scratch,
+    /// candidate scored through `quant::l2_partial_row` / `ip_dot_row`, and
+    /// every prune left to `settle`'s float test. Returns the run's slack.
+    pub(super) fn score_sq8_by_rows<M: MetricOps>(
+        buf: &mut RunScratch,
         list: &ListBlock,
         seg: &Sq8Segment,
         q: &[f32],
         slot: &QuerySlot,
-    ) -> Sq8Run {
+        len: usize,
+    ) -> f32 {
         let segs = std::slice::from_ref(seg);
         let bq = quant::prepare_block_query(segs, q, seg.dim_start);
-        buf.partials.clear();
-        buf.partials.extend((0..list.rows()).map(|row| {
-            if M::IP {
+        for i in 0..len {
+            let row = oracle_row(buf, i);
+            buf.partials[i] = if M::IP {
                 -quant::ip_dot_row(segs, &bq, row)
             } else {
                 quant::l2_partial_row(segs, &bq, row)
-            }
-        }));
-        Sq8Run {
-            eps: M::sq8_eps(
-                bq.err,
-                bq.data_err,
-                list.max_block_norm_sq,
-                slot.q_block_norm_sq,
-            ),
-            cut: None,
+            };
         }
+        M::sq8_eps(
+            bq.err,
+            bq.data_err,
+            list.max_block_norm_sq,
+            slot.q_block_norm_sq,
+        )
     }
 
     /// Dimension ranges of the oracle fixture's pipelines: one hop over all
@@ -2721,8 +2848,9 @@ mod tests {
     }
 
     /// One machine's share of the oracle fixture: every list cut to
-    /// `range` and quantized as `cut_list` does, and four delta rows.
-    fn or_block(range: std::ops::Range<usize>, is_ip: bool) -> (BlockStore, DeltaList) {
+    /// `range` (and quantized as `cut_list` does, under SQ8), and four
+    /// delta rows.
+    fn or_block(range: std::ops::Range<usize>, is_ip: bool, sq8: bool) -> (BlockStore, DeltaList) {
         let norms = |v: &[f32]| (ip(&v[range.clone()], &v[range.clone()]), ip(v, v));
         let lists = OR_LISTS
             .iter()
@@ -2742,12 +2870,12 @@ mod tests {
                 crate::messages::ClusterBlock {
                     cluster: l as u32,
                     ids,
-                    flat: vec![],
-                    segs: if n > 0 {
+                    segs: if sq8 && n > 0 {
                         vec![Sq8Segment::quantize(&flat, range.len(), range.start as u64)]
                     } else {
                         vec![]
                     },
+                    flat: if sq8 { vec![] } else { flat },
                     block_norms_sq,
                     total_norms_sq,
                 }
@@ -2891,54 +3019,108 @@ mod tests {
         hops
     }
 
-    /// SQ8's run scoring — one quantization per `(query, list)`, the
-    /// blocked kernels, the integer cutoff — is an execution strategy, not
-    /// a different computation: against the row-at-a-time scoring it
-    /// replaced, every hop of a one-hop and a three-hop pipeline (first,
-    /// carried and last positions) hands on the same carry (survivor
-    /// indices, partial and `quant_eps` bits) or answer (ids, score bits)
-    /// and counts the same tally, under L2, IP and cosine, pruning on and
-    /// off, with delta rows and tombstones in play, as a sub-batch and
-    /// query by query.
+    /// Run scoring is an execution strategy, not a different computation.
+    /// Exact rows go through the blocked f32 kernels (the first hop's
+    /// register tile over every query probing a list, the carried hops'
+    /// four-row gather); SQ8 quantizes once per `(query, list)` and scores
+    /// with the blocked u8 kernels and the integer cutoff; and the walk
+    /// takes its L2 shortcuts (compaction, the last hop's pre-filter).
+    /// Against row-at-a-time scoring with every candidate settled one by
+    /// one, every hop of a one-hop and a three-hop pipeline (first, carried
+    /// and last positions) hands on the same carry (survivor indices,
+    /// partial and `quant_eps` bits) or answer (ids, score bits) and counts
+    /// the same tally, under both representations, L2, IP and cosine,
+    /// pruning on and off, with delta rows and tombstones in play, as a
+    /// sub-batch and query by query.
     #[test]
-    fn sq8_run_scoring_matches_row_oracle() {
+    fn run_scoring_matches_row_oracle() {
         let mut tombstones = TombstoneSet::new();
         tombstones.insert(fx_list_id(6, 3), 2);
         tombstones.insert(900, 2);
         let mut runs = Scratch::default();
-        let mut rows = Scratch::default();
-        rows.sq8.row_oracle = true;
-        let mut first_hop_pruned = 0;
-        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
-            let queries = or_queries(metric);
-            for splits in OR_SPLITS {
-                let blocks: Vec<_> = splits
-                    .windows(2)
-                    .map(|r| or_block(r[0]..r[1], metric != Metric::L2))
-                    .collect();
-                for pruning in [true, false] {
-                    let meta = NsMeta::new(metric, pruning);
-                    let mut check = |qs: &[FxQuery]| {
-                        let got = or_pipeline(meta, &blocks, &tombstones, splits, qs, &mut runs);
-                        let want = or_pipeline(meta, &blocks, &tombstones, splits, qs, &mut rows);
-                        let ids: Vec<u64> = qs.iter().map(|q| q.id).collect();
-                        assert_eq!(
-                            got, want,
-                            "{metric:?} {splits:?} pruning={pruning}: {ids:?}"
-                        );
-                        got
-                    };
-                    let batch = check(&queries);
-                    if metric == Metric::L2 && pruning && splits.len() > 2 {
-                        first_hop_pruned += batch[0].1[1];
-                    }
-                    for q in &queries {
-                        check(std::slice::from_ref(q));
+        let mut rows = Scratch {
+            by_rows: true,
+            ..Scratch::default()
+        };
+        for sq8 in [false, true] {
+            let mut first_hop_pruned = 0;
+            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                let queries = or_queries(metric);
+                for splits in OR_SPLITS {
+                    let blocks: Vec<_> = splits
+                        .windows(2)
+                        .map(|r| or_block(r[0]..r[1], metric != Metric::L2, sq8))
+                        .collect();
+                    for pruning in [true, false] {
+                        let meta = NsMeta::new(metric, pruning);
+                        let mut check = |qs: &[FxQuery]| {
+                            let got =
+                                or_pipeline(meta, &blocks, &tombstones, splits, qs, &mut runs);
+                            let want =
+                                or_pipeline(meta, &blocks, &tombstones, splits, qs, &mut rows);
+                            let ids: Vec<u64> = qs.iter().map(|q| q.id).collect();
+                            assert_eq!(
+                                got, want,
+                                "sq8={sq8} {metric:?} {splits:?} pruning={pruning}: {ids:?}"
+                            );
+                            got
+                        };
+                        let batch = check(&queries);
+                        if metric == Metric::L2 && pruning && splits.len() > 2 {
+                            first_hop_pruned += batch[0].1[1];
+                        }
+                        for q in &queries {
+                            check(std::slice::from_ref(q));
+                        }
                     }
                 }
             }
+            assert!(
+                first_hop_pruned > 0,
+                "sq8={sq8}: the L2 first hop never pruned"
+            );
         }
-        assert!(first_hop_pruned > 0, "the L2 cutoff never pruned");
+    }
+
+    /// A sub-batch whose query slices are not as wide as the stored block
+    /// (or its delta rows) is answered emptily, like one whose carry
+    /// disagrees on its rows — the worker thread lives on and answers the
+    /// next, well-formed sub-batch.
+    #[test]
+    fn a_sub_batch_of_the_wrong_width_is_answered_emptily() {
+        let mut cluster = fx_cluster(Metric::L2, false);
+        let queries = fx_queries(Metric::L2, 500);
+        let half = FX_DIM / 2;
+        for width in [half - 1, half + 1] {
+            let chunk = ChunkBatch {
+                ns: 0,
+                epoch: 0,
+                shard: 0,
+                k: 5,
+                order: vec![1],
+                position: 0,
+                delta_seq: FX_DELTA_ROWS,
+                legacy_reply: false,
+                query_ids: vec![600, 601],
+                thresholds: vec![f32::INFINITY; 2],
+                q_total_norms_sq: vec![],
+                cluster_ends: vec![3, 3],
+                clusters: vec![0, 1, 2],
+                dims: vec![0.5; 2 * width],
+            };
+            cluster
+                .send(1, ToWorker::ChunkBatch(chunk).to_bytes())
+                .unwrap();
+            let r = recv_batch(&mut cluster);
+            assert_eq!(r.query_ids, vec![600, 601]);
+            assert_eq!(r.result_ends, vec![0, 0], "width {width}");
+            assert!(r.ids.is_empty());
+        }
+        fx_send(&cluster, Metric::L2, &queries[..2]);
+        let r = recv_batch(&mut cluster);
+        assert_eq!(r.len(), 2);
+        assert!(!r.ids.is_empty(), "the worker must still answer");
+        cluster.shutdown().unwrap();
     }
 
     fn drain_tier_ack(cluster: &mut Cluster) {

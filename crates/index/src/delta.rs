@@ -92,6 +92,13 @@ impl DeltaList {
         &self.flat[i * self.width..(i + 1) * self.width]
     }
 
+    /// The first `n` rows, row-major, `width` floats each: the run the
+    /// blocked kernels score.
+    #[must_use]
+    pub fn rows(&self, n: usize) -> &[f32] {
+        &self.flat[..n * self.width]
+    }
+
     /// Squared norm of row `i` over this slice's coordinates.
     #[must_use]
     pub fn block_norm_sq(&self, i: usize) -> f32 {

@@ -311,6 +311,91 @@ pub fn ip_u8_rows_at_scalar(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) 
     }
 }
 
+/// Row `i` of a row-major f32 matrix `w` floats wide.
+#[inline]
+fn f32_row(rows: &[f32], w: usize, i: usize) -> &[f32] {
+    &rows[i * w..(i + 1) * w]
+}
+
+/// Checks the shape of a one-query rows call: `rows` holds `out.len()`
+/// rows as wide as `q`.
+#[inline]
+fn check_rows(q: &[f32], rows: &[f32], out: &[f32]) {
+    assert_eq!(
+        rows.len(),
+        q.len() * out.len(),
+        "rows must be out.len() rows of q.len()"
+    );
+}
+
+/// Checks the shape of a tile call and returns its rows per query: the
+/// queries share one width, `out` holds `qs.len()` runs of `n` results and
+/// `rows` holds `n` rows of that width.
+#[inline]
+fn check_tile(qs: &[&[f32]], rows: &[f32], out: &[f32]) -> usize {
+    let w = qs.first().map_or(0, |q| q.len());
+    assert!(
+        qs.iter().all(|q| q.len() == w),
+        "queries must share one width"
+    );
+    let n = out.len().checked_div(qs.len()).unwrap_or(0);
+    assert_eq!(out.len(), qs.len() * n, "out must be qs.len() runs of rows");
+    assert_eq!(rows.len(), w * n, "rows must be n rows of the query width");
+    n
+}
+
+/// [`l2_sq_rows`], scalar: one [`l2_sq_scalar`] per row.
+pub fn l2_sq_rows_scalar(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    check_rows(q, rows, out);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = l2_sq_scalar(q, f32_row(rows, q.len(), i));
+    }
+}
+
+/// [`ip_rows`], scalar: one [`ip_scalar`] per row.
+pub fn ip_rows_scalar(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    check_rows(q, rows, out);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = ip_scalar(q, f32_row(rows, q.len(), i));
+    }
+}
+
+/// [`l2_sq_rows_at`], scalar: one [`l2_sq_scalar`] per picked row.
+pub fn l2_sq_rows_at_scalar(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    for (o, &r) in out.iter_mut().zip(at) {
+        *o = l2_sq_scalar(q, f32_row(rows, q.len(), r as usize));
+    }
+}
+
+/// [`ip_rows_at`], scalar: one [`ip_scalar`] per picked row.
+pub fn ip_rows_at_scalar(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    for (o, &r) in out.iter_mut().zip(at) {
+        *o = ip_scalar(q, f32_row(rows, q.len(), r as usize));
+    }
+}
+
+/// [`l2_sq_tile`], scalar: one [`l2_sq_scalar`] per (query, row).
+pub fn l2_sq_tile_scalar(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+    let n = check_tile(qs, rows, out);
+    for (q, out) in qs.iter().zip(out.chunks_mut(n.max(1))) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = l2_sq_scalar(q, f32_row(rows, q.len(), i));
+        }
+    }
+}
+
+/// [`ip_tile`], scalar: one [`ip_scalar`] per (query, row).
+pub fn ip_tile_scalar(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+    let n = check_tile(qs, rows, out);
+    for (q, out) in qs.iter().zip(out.chunks_mut(n.max(1))) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = ip_scalar(q, f32_row(rows, q.len(), i));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 kernels, selected at runtime.
 // ---------------------------------------------------------------------------
@@ -323,7 +408,8 @@ mod avx2 {
     /// Squared L2 distance using AVX2 + FMA.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports `avx2` and `fma`.
+    /// Caller must ensure the CPU supports `avx2` and `fma`, and that `b`
+    /// is as long as `a`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -353,7 +439,8 @@ mod avx2 {
     /// Dot product using AVX2 + FMA.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports `avx2` and `fma`.
+    /// Caller must ensure the CPU supports `avx2` and `fma`, and that `b`
+    /// is as long as `a`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn ip(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -581,6 +668,167 @@ mod avx2 {
         unsafe { blocked::<L2>(q, out, |i| super::code_row(rows, w, at[i] as usize)) }
     }
 
+    /// `M` queries' f32 kernel sums against four rows at once. Every
+    /// (query, row) pair keeps its own 8-lane FMA chain over the steps
+    /// [`l2_sq`] / [`ip`] take, is reduced in [`horizontal_sum`]'s lane
+    /// order ([`horizontal_sums`]) and finished by the same scalar tail, so
+    /// each sum is bit for bit the one-row kernel's; each row is loaded
+    /// once per step for all `M` queries.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and `fma`, and that every
+    /// query and row is exactly `qs[0].len()` floats long.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const L2: bool, const M: usize>(
+        qs: [&[f32]; M],
+        rows: [&[f32]; 4],
+    ) -> [[f32; 4]; M] {
+        let n = qs[0].len();
+        debug_assert!(qs.iter().chain(&rows).all(|v| v.len() == n));
+        let mut acc = [[_mm256_setzero_ps(); 4]; M];
+        let chunks = n / 8;
+        for i in 0..chunks {
+            let mut r = [_mm256_setzero_ps(); 4];
+            for (r, row) in r.iter_mut().zip(rows) {
+                // SAFETY: i < n / 8 and every row holds n floats, so the
+                // 8-lane load ends at i*8+8 <= n.
+                *r = unsafe { _mm256_loadu_ps(row.as_ptr().add(i * 8)) };
+            }
+            for (acc, q) in acc.iter_mut().zip(qs) {
+                // SAFETY: as for the rows; every query holds n floats.
+                let q = unsafe { _mm256_loadu_ps(q.as_ptr().add(i * 8)) };
+                for (a, &r) in acc.iter_mut().zip(&r) {
+                    *a = if L2 {
+                        let d = _mm256_sub_ps(q, r);
+                        _mm256_fmadd_ps(d, d, *a)
+                    } else {
+                        _mm256_fmadd_ps(q, r, *a)
+                    };
+                }
+            }
+        }
+        let mut sums = [[0.0f32; 4]; M];
+        for ((sums, acc), q) in sums.iter_mut().zip(acc).zip(qs) {
+            // SAFETY: callee requires the same target features as self.
+            *sums = unsafe { horizontal_sums(acc) };
+            for (sum, row) in sums.iter_mut().zip(rows) {
+                for (&a, &b) in q[chunks * 8..].iter().zip(&row[chunks * 8..]) {
+                    *sum += if L2 {
+                        let d = a - b;
+                        d * d
+                    } else {
+                        a * b
+                    };
+                }
+            }
+        }
+        sums
+    }
+
+    /// Scores `outs[0].len()` rows against the `M` queries four rows at a
+    /// time, `row(i)` being the i-th, into `outs[g][i]`; a short last quad
+    /// repeats its final row and keeps its own results.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and `fma`, that every
+    /// query is `qs[0].len()` floats long and every `row(i)` too, and that
+    /// every `outs[g]` is as long as `outs[0]`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn blocked_f32<'r, const L2: bool, const M: usize>(
+        qs: [&[f32]; M],
+        mut outs: [&mut [f32]; M],
+        row: impl Fn(usize) -> &'r [f32],
+    ) {
+        let n = outs[0].len();
+        for c in (0..n).step_by(4) {
+            let last = (n - c).min(4) - 1;
+            let at = |k: usize| row(c + k.min(last));
+            // SAFETY: same target features as self; shapes as required.
+            let sums = unsafe { tile::<L2, M>(qs, [at(0), at(1), at(2), at(3)]) };
+            for (out, sums) in outs.iter_mut().zip(sums) {
+                out[c..=c + last].copy_from_slice(&sums[..=last]);
+            }
+        }
+    }
+
+    /// [`super::l2_sq_rows`] (`L2`) and [`super::ip_rows`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and `fma`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn f32_rows<const L2: bool>(q: &[f32], rows: &[f32], out: &mut [f32]) {
+        let w = q.len();
+        // SAFETY: same target features as self; `f32_row` slices every row
+        // exactly `w` floats wide, bounds-checked.
+        unsafe { blocked_f32::<L2, 1>([q], [out], |i| super::f32_row(rows, w, i)) }
+    }
+
+    /// [`super::l2_sq_rows_at`] (`L2`) and [`super::ip_rows_at`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and `fma`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn f32_rows_at<const L2: bool>(
+        q: &[f32],
+        rows: &[f32],
+        at: &[u32],
+        out: &mut [f32],
+    ) {
+        let w = q.len();
+        // SAFETY: same target features as self; `f32_row` slices every
+        // picked row exactly `w` floats wide, bounds-checked.
+        unsafe { blocked_f32::<L2, 1>([q], [out], |i| super::f32_row(rows, w, at[i] as usize)) }
+    }
+
+    /// [`super::l2_sq_tile`] (`L2`) and [`super::ip_tile`]: the queries in
+    /// pairs (an odd last one alone), each pair against every row.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2` and `fma`, and that the
+    /// shape is one [`super::check_tile`] accepts.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn f32_tile<const L2: bool>(qs: &[&[f32]], rows: &[f32], out: &mut [f32], n: usize) {
+        if n == 0 {
+            return;
+        }
+        let w = qs.first().map_or(0, |q| q.len());
+        let row = |i: usize| super::f32_row(rows, w, i);
+        for (pair, outs) in qs.chunks(2).zip(out.chunks_mut(2 * n)) {
+            if let [a, b] = *pair {
+                let (oa, ob) = outs.split_at_mut(n);
+                // SAFETY: same target features as self; the queries share
+                // width `w`, `row` slices rows that wide, and each output
+                // run is `n` long.
+                unsafe { blocked_f32::<L2, 2>([a, b], [oa, ob], row) }
+            } else {
+                // SAFETY: as above, for the odd last query alone.
+                unsafe { blocked_f32::<L2, 1>([pair[0]], [outs], row) }
+            }
+        }
+    }
+
+    /// Four 8-lane sums, each reduced exactly as [`horizontal_sum`] reduces
+    /// one: the two 128-bit halves lane by lane, then `(t0+t1)+(t2+t3)`,
+    /// which two rounds of `hadd` form for all four at once.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn horizontal_sums(v: [__m256; 4]) -> [f32; 4] {
+        let half = |v: __m256| _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+        let s = _mm_hadd_ps(
+            _mm_hadd_ps(half(v[0]), half(v[1])),
+            _mm_hadd_ps(half(v[2]), half(v[3])),
+        );
+        let mut sums = [0.0f32; 4];
+        // SAFETY: `sums` is a 16-byte local array, valid for a 128-bit store.
+        unsafe { _mm_storeu_ps(sums.as_mut_ptr(), s) };
+        sums
+    }
+
     /// Sums the eight i32 lanes. Lanes are non-negative and bounded by
     /// 2·255²·(width/16), so for widths ≤ 2¹⁶ both the 128-bit lane adds
     /// and the final u32 total are exact.
@@ -636,13 +884,14 @@ fn avx2_available() -> bool {
 /// Dispatches to AVX2 when available, scalar otherwise.
 ///
 /// # Panics
-/// Panics in debug builds when slice lengths differ.
+/// When the slice lengths differ.
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "l2_sq of slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above.
+            // SAFETY: availability checked above; lengths asserted equal.
             return unsafe { avx2::l2_sq(a, b) };
         }
     }
@@ -650,16 +899,131 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Dot product between equal-length slices.
+///
+/// # Panics
+/// When the slice lengths differ.
 #[inline]
 pub fn ip(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "ip of slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above.
+            // SAFETY: availability checked above; lengths asserted equal.
             return unsafe { avx2::ip(a, b) };
         }
     }
     ip_scalar(a, b)
+}
+
+/// Squared L2 distance of the query `q` to each of the `out.len()` rows of
+/// the row-major matrix `rows` (`q.len()` floats wide), into `out`: the
+/// f32 scan of a whole list for one query. Four rows per pass, the query
+/// loaded once per 8 lanes for all four, with [`l2_sq_rows_scalar`] as the
+/// path without AVX2. Each result is bit for bit [`l2_sq`] of its row.
+///
+/// # Panics
+/// When `rows.len() != q.len() * out.len()`.
+pub fn l2_sq_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    check_rows(q, rows, out);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2::f32_rows::<true>(q, rows, out) };
+        }
+    }
+    l2_sq_rows_scalar(q, rows, out)
+}
+
+/// Dot product of the query `q` with each row of `rows`; the blocked twin
+/// of [`ip`] as [`l2_sq_rows`] is of [`l2_sq`].
+///
+/// # Panics
+/// When `rows.len() != q.len() * out.len()`.
+pub fn ip_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    check_rows(q, rows, out);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2::f32_rows::<false>(q, rows, out) };
+        }
+    }
+    ip_rows_scalar(q, rows, out)
+}
+
+/// [`l2_sq_rows`] over the picked rows `at` of `rows` only — the carried
+/// hops, which score the survivors a run still holds, in carry order —
+/// with `out[i]` the distance to row `at[i]`, four picked rows per pass.
+///
+/// # Panics
+/// When `at.len() != out.len()` or a picked row lies outside `rows`.
+pub fn l2_sq_rows_at(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above; lengths asserted equal.
+            return unsafe { avx2::f32_rows_at::<true>(q, rows, at, out) };
+        }
+    }
+    l2_sq_rows_at_scalar(q, rows, at, out)
+}
+
+/// [`ip_rows`] over the picked rows `at` of `rows` only.
+///
+/// # Panics
+/// When `at.len() != out.len()` or a picked row lies outside `rows`.
+pub fn ip_rows_at(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above; lengths asserted equal.
+            return unsafe { avx2::f32_rows_at::<false>(q, rows, at, out) };
+        }
+    }
+    ip_rows_at_scalar(q, rows, at, out)
+}
+
+/// Squared L2 distance of every query of `qs` to every row of `rows`,
+/// query-major: `out[g * n + i]` is query `g` against row `i`, for `n`
+/// rows of the queries' shared width. The first-hop scan of one list for
+/// all the queries of a sub-batch that probe it: a 2-query × 4-row
+/// register tile loads each row once per pair of queries. Each result is
+/// bit for bit [`l2_sq`] of its pair; [`l2_sq_tile_scalar`] is the path
+/// without AVX2.
+///
+/// # Panics
+/// When the queries differ in width, `out.len()` is not `qs.len() * n` or
+/// `rows.len()` not `n` rows of that width.
+pub fn l2_sq_tile(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+    let n = check_tile(qs, rows, out);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above; shape checked.
+            return unsafe { avx2::f32_tile::<true>(qs, rows, out, n) };
+        }
+    }
+    l2_sq_tile_scalar(qs, rows, out)
+}
+
+/// Dot product of every query of `qs` with every row of `rows`; the tile
+/// twin of [`ip`] as [`l2_sq_tile`] is of [`l2_sq`].
+///
+/// # Panics
+/// As [`l2_sq_tile`].
+pub fn ip_tile(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+    let n = check_tile(qs, rows, out);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above; shape checked.
+            return unsafe { avx2::f32_tile::<false>(qs, rows, out, n) };
+        }
+    }
+    ip_tile_scalar(qs, rows, out)
 }
 
 /// Squared L2 distance between equal-length u8 code slices (SQ8 stage-1
@@ -820,16 +1184,6 @@ pub fn partial_score(metric: Metric, a_block: &[f32], b_block: &[f32]) -> f32 {
     }
 }
 
-/// Batch of scores from `query` to every row of a row-major matrix.
-///
-/// `matrix.len()` must be a multiple of `query.len()`.
-pub fn scores_into(metric: Metric, query: &[f32], matrix: &[f32], out: &mut Vec<f32>) {
-    let dim = query.len();
-    debug_assert_eq!(matrix.len() % dim.max(1), 0);
-    out.clear();
-    out.extend(matrix.chunks_exact(dim).map(|row| metric.score(query, row)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -934,18 +1288,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scores_into_computes_batch() {
-        let q = [0.0, 0.0];
-        let matrix = [1.0, 0.0, 0.0, 2.0, 3.0, 4.0];
-        let mut out = Vec::new();
-        scores_into(Metric::L2, &q, &matrix, &mut out);
-        assert_eq!(out.len(), 3);
-        assert!((out[0] - 1.0).abs() < EPS);
-        assert!((out[1] - 4.0).abs() < EPS);
-        assert!((out[2] - 25.0).abs() < EPS);
     }
 
     #[test]
@@ -1062,6 +1404,113 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The blocked f32 kernels — tile, rows and picked rows — against the
+    /// one-row kernels, bit for bit, on both dispatch paths: the
+    /// dispatching forms against [`l2_sq`] / [`ip`] (AVX2 where the host
+    /// has it) and the scalar twins against [`l2_sq_scalar`] /
+    /// [`ip_scalar`]. Every width from 1 to 130 (both sides of each 8-lane
+    /// step and the scalar tail), 0–9 rows (both sides of each quad) and
+    /// 1–5 queries (pairs and an odd one out).
+    #[test]
+    fn blocked_f32_kernels_match_the_one_row_kernels() {
+        use rand::prelude::*;
+        type One = fn(&[f32], &[f32]) -> f32;
+        type Rows = fn(&[f32], &[f32], &mut [f32]);
+        type At = fn(&[f32], &[f32], &[u32], &mut [f32]);
+        type Tile = fn(&[&[f32]], &[f32], &mut [f32]);
+        let paths: [(One, Rows, At, Tile); 4] = [
+            (l2_sq, l2_sq_rows, l2_sq_rows_at, l2_sq_tile),
+            (
+                l2_sq_scalar,
+                l2_sq_rows_scalar,
+                l2_sq_rows_at_scalar,
+                l2_sq_tile_scalar,
+            ),
+            (ip, ip_rows, ip_rows_at, ip_tile),
+            (ip_scalar, ip_rows_scalar, ip_rows_at_scalar, ip_tile_scalar),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for w in 1usize..=130 {
+            for n in 0..=9usize {
+                let mut floats = |k: usize| -> Vec<f32> {
+                    (0..k).map(|_| rng.random_range(-2.0..2.0)).collect()
+                };
+                let rows = floats(n * w);
+                let qs: Vec<Vec<f32>> = (0..5).map(|_| floats(w)).collect();
+                // Picks in any order, repeats included.
+                let at: Vec<u32> = (0..n + 2)
+                    .filter(|_| n > 0)
+                    .map(|_| rng.random_range(0..n as u32))
+                    .collect();
+                for (one, blocked, picked, tile) in paths {
+                    let row = |i: usize| &rows[i * w..(i + 1) * w];
+                    let want: Vec<Vec<f32>> = qs
+                        .iter()
+                        .map(|q| (0..n).map(|i| one(q, row(i))).collect())
+                        .collect();
+                    let mut got = vec![f32::NAN; n];
+                    blocked(&qs[0], &rows, &mut got);
+                    assert_eq!(bits(&got), bits(&want[0]), "rows w={w} n={n}");
+                    let want_at: Vec<f32> = at.iter().map(|&r| want[0][r as usize]).collect();
+                    let mut got = vec![f32::NAN; at.len()];
+                    picked(&qs[0], &rows, &at, &mut got);
+                    assert_eq!(bits(&got), bits(&want_at), "picked w={w} n={n}");
+                    for m in 1..=5 {
+                        let group: Vec<&[f32]> = qs[..m].iter().map(Vec::as_slice).collect();
+                        let mut got = vec![f32::NAN; m * n];
+                        tile(&group, &rows, &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want[..m].concat()),
+                            "tile w={w} n={n} m={m}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn l2_of_unequal_slices_panics_in_every_build() {
+        let big = [0.0f32; 64];
+        l2_sq(&[1.0; 64], &big[..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn ip_of_unequal_slices_panics_in_every_build() {
+        let big = [0.0f32; 64];
+        ip(&big[..8], &[1.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be out.len() rows")]
+    fn f32_rows_of_the_wrong_shape_panic() {
+        l2_sq_rows(&[1.0; 8], &[0.0; 20], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn f32_picked_row_outside_the_rows_panics() {
+        ip_rows_at(&[1.0; 8], &[0.0; 24], &[1, 3], &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "queries must share one width")]
+    fn tile_queries_of_different_widths_panic() {
+        let (a, b) = ([1.0f32; 16], [1.0f32; 8]);
+        l2_sq_tile(&[&a, &b], &[0.0; 32], &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be n rows")]
+    fn tile_rows_of_the_wrong_width_panic() {
+        let q = [1.0f32; 16];
+        ip_tile(&[&q, &q], &[0.0; 24], &mut [0.0; 4]);
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -7,8 +7,9 @@
 //! forced through `plan_override`, plus one default-mode engine that lets
 //! the planner choose, runs identical batches on each, and prints per plan
 //! what the planner predicted beside what happened: wall time per query,
-//! worker scan time per query against `a · point_dims + b · visits` at the
-//! rates the default engine measured, messages and survivors per hop
+//! worker scan time per query against `first · hop-0 visits + carried ·
+//! later visits` at the per-hop times the default engine measured (printed
+//! beside it), messages and survivors per hop
 //! against the counts the model priced. Then the Spearman rank correlation
 //! of predicted cost and observed wall time over the forced plans, and the
 //! regret of the plan the planner chose. It is also the repo's wall-clock
@@ -187,7 +188,6 @@ struct Observed {
     /// CPU time of the worker threads, and of every thread, per query.
     worker_cpu_ns_per_query: f64,
     cpu_ns_per_query: f64,
-    point_dims_per_query: f64,
     visits_per_query: f64,
     msgs_per_query: f64,
     bytes_per_query: f64,
@@ -308,8 +308,6 @@ fn run_engine(
         scan_ns_per_query: (stats.compute_ns - stats0.compute_ns) as f64 / queries,
         worker_cpu_ns_per_query: (cpu.0 - cpu0.0) / queries,
         cpu_ns_per_query: (cpu.1 - cpu0.1) / queries,
-        point_dims_per_query: (stats.scanned_point_dims - stats0.scanned_point_dims) as f64
-            / queries,
         visits_per_query: entering.iter().sum::<u64>() as f64 / queries,
         msgs_per_query: traffic.msgs_tx as f64 / queries,
         bytes_per_query: traffic.bytes_tx as f64 / queries,
@@ -368,9 +366,9 @@ fn sweep(shape: &Shape) -> Result<bool, Box<dyn std::error::Error>> {
         .map(|p| run_engine(shape, &data, Some(p)))
         .collect::<Result<_, _>>()?;
     println!(
-        "\n{:>8}  {:>9}  {:>9}  {:>7}  {:>8}  {:>8}  {:>9}  {:>9}  {:>8}  {:>8}  {:>7}  {:>7}  {:>8}  {:>6}  entering each hop (observed)",
-        "plan", "pred us/q", "wall us/q", "QPS", "cpu us/q", "workers", "scan us/q", "a*pd+b*v",
-        "/workers", "/scan", "msgs/q", "(pred)", "bytes/q", "recall"
+        "\n{:>8}  {:>9}  {:>9}  {:>7}  {:>8}  {:>8}  {:>9}  {:>7}  {:>7}  {:>9}  {:>8}  {:>8}  {:>7}  {:>7}  {:>8}  {:>6}  entering each hop (observed)",
+        "plan", "pred us/q", "wall us/q", "QPS", "cpu us/q", "workers", "scan us/q", "first", "carried",
+        "priced", "/workers", "/scan", "msgs/q", "(pred)", "bytes/q", "recall"
     );
     let mut ok = true;
     let mut predicted = Vec::new();
@@ -382,10 +380,14 @@ fn sweep(shape: &Shape) -> Result<bool, Box<dyn std::error::Error>> {
     {
         let estimate = chosen.candidates.iter().find(|c| c.plan == o.plan);
         let pred_ns = estimate.map_or(f64::NAN, |c| c.cost.total_ns / c.inputs.queries as f64);
-        // The default engine's measured rates price the observed work.
-        let scan_pred = estimate.map_or(f64::NAN, |c| {
-            c.inputs.point_dim_ns * o.point_dims_per_query + c.inputs.visit_ns * o.visits_per_query
+        // The default engine's measured per-hop times price the observed
+        // visits: hop 0's at the first-hop time, the rest at the carried.
+        let total: u64 = o.entering.iter().take(o.plan.dim_blocks).sum();
+        let first_visits = o.visits_per_query * o.entering[0] as f64 / total.max(1) as f64;
+        let (first_ns, carried_ns) = estimate.map_or((f64::NAN, f64::NAN), |c| {
+            (c.inputs.first_ns, c.inputs.carried_ns)
         });
+        let scan_pred = first_ns * first_visits + carried_ns * (o.visits_per_query - first_visits);
         let entering: Vec<String> = o
             .entering
             .iter()
@@ -393,13 +395,15 @@ fn sweep(shape: &Shape) -> Result<bool, Box<dyn std::error::Error>> {
             .map(|&e| format!("{:.2}", e as f64 / o.entering[0].max(1) as f64))
             .collect();
         println!(
-            "{label:>8}  {:>9.1}  {:>9.1}  {:>7.0}  {:>8.1}  {:>8.1}  {:>9.1}  {:>9.1}  {:>8.2}  {:>8.2}  {:>7.2}  {:>7.2}  {:>8.0}  {:>6.3}  {}",
+            "{label:>8}  {:>9.1}  {:>9.1}  {:>7.0}  {:>8.1}  {:>8.1}  {:>9.1}  {:>7.1}  {:>7.1}  {:>9.1}  {:>8.2}  {:>8.2}  {:>7.2}  {:>7.2}  {:>8.0}  {:>6.3}  {}",
             pred_ns / 1e3,
             o.wall_ns_per_query / 1e3,
             1e9 / o.wall_ns_per_query,
             o.cpu_ns_per_query / 1e3,
             o.worker_cpu_ns_per_query / 1e3,
             o.scan_ns_per_query / 1e3,
+            first_ns,
+            carried_ns,
             scan_pred / 1e3,
             scan_pred / o.worker_cpu_ns_per_query,
             scan_pred / o.scan_ns_per_query,

@@ -195,7 +195,7 @@ fn decisions_record_what_they_saw() {
     for c in &build.candidates {
         assert_eq!(c.inputs.survivors.len(), c.plan.dim_blocks);
         assert_eq!(c.inputs.survivors[0], 1.0);
-        assert!(c.inputs.point_dim_ns > 0.0 && c.inputs.visit_ns > 0.0 && c.inputs.msg_ns > 0.0);
+        assert!(c.inputs.first_ns > 0.0 && c.inputs.carried_ns >= 0.0 && c.inputs.msg_ns > 0.0);
         assert!(c.inputs.msgs_per_query > 0.0 && c.cost.total_ns > 0.0);
         assert!(!format!("{c}").is_empty());
     }
