@@ -2857,7 +2857,9 @@ mod tests {
             .enumerate()
             .map(|(l, &n)| {
                 let ids: Vec<u64> = (0..n).map(|r| fx_list_id(l as u32, r)).collect();
-                let rows: Vec<Vec<f32>> = ids.iter().map(|&id| or_row(id)).collect();
+                // List 5's rows are one vector: equal scores at the edges.
+                let vector = |id: u64| or_row(if l == 5 { OR_TWIN } else { id });
+                let rows: Vec<Vec<f32>> = ids.iter().map(|&id| vector(id)).collect();
                 let flat: Vec<f32> = rows
                     .iter()
                     .flat_map(|v| v[range.clone()].to_vec())
@@ -2891,11 +2893,17 @@ mod tests {
         (block, delta)
     }
 
+    /// The vector every row of list 5 of the oracle fixture holds.
+    const OR_TWIN: u64 = 4_242;
+
     /// Twelve queries: random without a threshold, random with a moderate
     /// one, and near a list row with that row's score as the threshold —
-    /// tight enough that the first hop prunes.
+    /// tight enough that the first hop prunes. A thirteenth is list 5's
+    /// vector with its own score as the threshold, so partials and top-k
+    /// bounds tie exactly: ties survive, as `settle` keeps them.
     fn or_queries(metric: Metric) -> Vec<FxQuery> {
-        (0..12u64)
+        let twin = or_row(OR_TWIN);
+        let mut queries: Vec<FxQuery> = (0..12u64)
             .map(|i| {
                 let target = or_row(fx_list_id(7, i as usize));
                 let vector: Vec<f32> = if i % 3 == 2 {
@@ -2921,7 +2929,14 @@ mod tests {
                     threshold,
                 }
             })
-            .collect()
+            .collect();
+        queries.push(FxQuery {
+            id: 112,
+            threshold: metric.score(&twin, &twin),
+            vector: twin,
+            clusters: (0..OR_LISTS.len() as u32).collect(),
+        });
+        queries
     }
 
     fn or_chunk(
