@@ -496,15 +496,21 @@ pub(crate) fn sample_survivors(
 /// Messages per direction of one message-cost measurement.
 const MESSAGE_FLOOD: usize = 64;
 
+/// Floods per message-cost measurement; the fastest counts.
+const MESSAGE_FLOODS: usize = 5;
+
 /// The fixed cost of one message on this deployment's own fabric, both ends
 /// together: a flood of the smallest request the protocol has, each
 /// answered by a worker, sender and receiver working in parallel the way
 /// they do under load, so the wall time per request is one encode, send,
-/// wake, receive and decode. The faster of two floods counts. Runs on the
-/// building thread, before the session router takes the receive path.
+/// wake, receive and decode. The fastest of [`MESSAGE_FLOODS`] floods
+/// counts: a flood caught in a slow moment (a wake-up delayed by a
+/// neighbour on the same core) prices every message of the build's choice.
+/// Runs on the building thread, before the session router takes the
+/// receive path.
 pub(crate) fn measure_message_ns(cluster: &mut Cluster) -> Result<f64, CoreError> {
     let mut best = f64::INFINITY;
-    for _ in 0..2 {
+    for _ in 0..MESSAGE_FLOODS {
         let t0 = Instant::now();
         for _ in 0..MESSAGE_FLOOD {
             cluster.send(0, ToWorker::GetStats.to_bytes())?;
