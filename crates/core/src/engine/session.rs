@@ -248,7 +248,9 @@ impl EngineCore {
     /// [`EngineCore::search_batch`]).
     ///
     /// # Errors
-    /// Unknown namespace, dimension mismatches or distributed-collection
+    /// Unknown namespace, dimension mismatches, a `k` whose stage-1
+    /// candidate count (`k`, or `k` × the rerank scale under SQ8) exceeds
+    /// `u32::MAX` ([`CoreError::Config`]), or distributed-collection
     /// failures.
     pub fn search_batch_ns(
         &self,
@@ -258,6 +260,15 @@ impl EngineCore {
     ) -> Result<BatchResult, CoreError> {
         let state = self.namespace(ns)?;
         state.check_rows(queries.dim(), queries.as_flat())?;
+        // Stage 1 ships its `k` to the workers as a u32.
+        let stage1_k = state.effective_k(opts.k);
+        if u32::try_from(stage1_k).is_err() {
+            return Err(CoreError::Config(format!(
+                "k = {} asks stage 1 for {stage1_k} candidates per query; at most {} fit the wire",
+                opts.k,
+                u32::MAX
+            )));
+        }
         let comm_mode = self.cluster.config().comm_mode;
         let t0 = Instant::now();
 

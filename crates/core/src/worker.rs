@@ -65,8 +65,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use harmony_cluster::{NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
 use harmony_index::distance::{
-    ip, ip_rows, ip_rows_at, ip_tile, ip_u8_rows, ip_u8_rows_at, l2_sq_rows, l2_sq_rows_at,
-    l2_sq_tile, l2_sq_u8_rows, l2_sq_u8_rows_at,
+    ip, ip_rows, ip_rows_at, ip_tile, ip_u8_rows, ip_u8_rows_at, l2_sq_prefix_keep,
+    l2_sq_prefix_rows_at, l2_sq_rows, l2_sq_rows_at, l2_sq_tile, l2_sq_u8_rows, l2_sq_u8_rows_at,
 };
 use harmony_index::persist::{
     read_part_lists, write_part_file, PartDirectory, PartList, PartListRef, PersistError,
@@ -492,6 +492,44 @@ fn negate(out: &mut [f32]) {
     }
 }
 
+/// Coordinates of an L2 run's prefix pass (DESIGN.md §5): every candidate
+/// is scored on its block's first `PREFIX` coordinates, and only those
+/// whose partial does not fail the hop's test already are scored over the
+/// whole block.
+const PREFIX: usize = 8;
+
+/// Narrowest exact block the prefix pass runs on: sixteen prefixes, so the
+/// pass costs a sixteenth of a row's arithmetic. On 64-wide rows, whose
+/// register tile is already cheap, it saved less and turned the plan
+/// choices of 64-d corpora into near-ties (DESIGN.md §5).
+const PREFIX_MIN_WIDTH: usize = 16 * PREFIX;
+
+/// The eligibility rule of the prefix pass: L2 over exact rows at least
+/// [`PREFIX_MIN_WIDTH`] wide (the reference scoring of the tests aside).
+fn prefix_eligible<M: MetricOps>(env: &HopEnv<'_>, width: usize) -> bool {
+    !M::IP && width >= PREFIX_MIN_WIDTH && env.shortcuts()
+}
+
+/// What the next run of `slot` drops a candidate beyond after the prefix
+/// pass, if the run takes it: an eligible run ([`prefix_eligible`]) with a
+/// test that can drop — the walk's own, without slack: `τ` on a
+/// forwarding hop, the smaller of `τ` (when there is no slack) and the
+/// local top-k's bound at the run's start on the last. That bound only
+/// falls during the run, so whatever it drops the walk would drop too.
+fn prefix_bound<M: MetricOps>(env: &HopEnv<'_>, slot: &QuerySlot, width: usize) -> Option<f32> {
+    if !prefix_eligible::<M>(env, width) || !env.rule.enabled() {
+        return None;
+    }
+    let plain = slot.eps_in <= 0.0;
+    let bound = match (&slot.out.topk, plain) {
+        (Some(topk), true) => slot.threshold.min(topk.threshold()),
+        (Some(topk), false) => topk.threshold(),
+        (None, true) => slot.threshold,
+        (None, false) => return None,
+    };
+    (bound < f32::INFINITY).then_some(bound)
+}
+
 /// What the walk reads of one run's rows beside their scores: a list
 /// restricted to this block ([`ListRows`]) or the shard's delta prefix
 /// ([`DeltaRows`]).
@@ -554,10 +592,16 @@ impl Rows for DeltaRows<'_> {
 /// point 1 (DESIGN.md §5) as data: a representation joins the scan by
 /// scoring a run into this, with its blocked kernels, and the walk
 /// ([`scan_run`]) never learns which one it settles.
+#[derive(Clone, Copy)]
 struct Scored<'a> {
     /// This block's contribution to each candidate's partial, in walk
     /// order: by row on the first hop, by carried survivor on later ones.
     partials: &'a [f32],
+    /// Candidates that entered the run.
+    len: usize,
+    /// Where an L2 prefix pass dropped candidates: the walk positions of
+    /// the survivors, ascending, `partials` holding theirs only.
+    sel: Option<&'a [u32]>,
     /// `(kernel integer per candidate, cut)` where the run has settled the
     /// threshold test exactly already (SQ8's L2 first-hop cutoff): a
     /// candidate is pruned iff its integer exceeds `cut`.
@@ -644,6 +688,15 @@ struct RunScratch {
     /// Each candidate's partial, in walk order; after a first-hop tile,
     /// every query of the group's, query-major.
     partials: Vec<f32>,
+    /// L2 prefix pass on a carried hop: each candidate's partial over the
+    /// block's first [`PREFIX`] coordinates.
+    prefix: Vec<f32>,
+    /// L2 prefix pass: the walk positions of the candidates it kept.
+    sel: Vec<u32>,
+    /// Candidates the prefix pass has dropped, for the oracle test to see
+    /// that its fixture engages it.
+    #[cfg(test)]
+    prefix_dropped: u64,
 }
 
 impl RunScratch {
@@ -652,6 +705,8 @@ impl RunScratch {
     fn scored(&self, len: usize, eps: f32, cut: Option<u32>) -> Scored<'_> {
         Scored {
             partials: &self.partials[..len],
+            len,
+            sel: None,
             cut: cut.map(|cut| (&self.ints[..len], cut)),
             eps,
         }
@@ -675,7 +730,8 @@ impl RunScratch {
     /// Exact rows' scoring step for one `(query, run)`: the run's `n` rows
     /// of `rows` (row-major, `q.len()` wide) through the blocked kernels —
     /// every row on the first hop, the carried survivors in carry order on
-    /// later ones — into `partials`.
+    /// later ones — into `partials`; in two passes where
+    /// [`prefix_bound`] admits the run ([`RunScratch::score_prefixed`]).
     fn score_f32<M: MetricOps>(
         &mut self,
         env: &HopEnv<'_>,
@@ -691,12 +747,76 @@ impl RunScratch {
             tests::score_f32_by_rows::<M>(self, rows, q, len);
             return self.scored(len, 0.0, None);
         }
+        if let Some(bound) = prefix_bound::<M>(env, slot, q.len()) {
+            return self.score_prefixed(env, rows, len, q, slot, bound);
+        }
         let out = &mut self.partials[..len];
         match env.carry {
             None => f32_rows::<M>(q, rows, out),
             Some(_) => f32_rows_at::<M>(q, rows, &self.picks, out),
         }
         self.scored(len, 0.0, None)
+    }
+
+    /// L2's two passes over an exact run of `len` candidates: the first
+    /// [`PREFIX`] coordinates of every candidate, then the whole row of
+    /// those whose carried partial plus prefix is not beyond `bound`, with
+    /// the four-row gather. The prefix kernel sums its lanes as the row
+    /// kernels sum their first ones, so a prefix is never above the row's
+    /// partial and every candidate dropped is one the walk would prune
+    /// (DESIGN.md §5). Kept out of line, so the one-pass runs' scoring
+    /// step stays as small as it was.
+    #[inline(never)]
+    fn score_prefixed(
+        &mut self,
+        env: &HopEnv<'_>,
+        rows: &[f32],
+        len: usize,
+        q: &[f32],
+        slot: &QuerySlot,
+        bound: f32,
+    ) -> Scored<'_> {
+        grow(&mut self.sel, len);
+        let sel = &mut self.sel[..len];
+        // Kept: `!(partial > bound)`, as the walk's compaction.
+        let kept = match env.carry {
+            // The carried partial is 0: the kernel tests the prefix itself.
+            None => l2_sq_prefix_keep(&q[..PREFIX], rows, q.len(), bound, sel),
+            Some(carry) => {
+                grow(&mut self.prefix, len);
+                let prefix = &mut self.prefix[..len];
+                let picks = &mut self.picks[..len];
+                l2_sq_prefix_rows_at(&q[..PREFIX], rows, q.len(), picks, prefix);
+                let carried = &carry.partials[slot.cursor..slot.cursor + len];
+                // Branchless: every position is written, the kept ones
+                // advance.
+                let mut kept = 0;
+                for (i, (&p, &c)) in prefix.iter().zip(carried).enumerate() {
+                    sel[kept] = i as u32;
+                    picks[kept] = picks[i];
+                    kept += usize::from((c + p).partial_cmp(&bound) != Some(Ordering::Greater));
+                }
+                kept
+            }
+        };
+        #[cfg(test)]
+        {
+            self.prefix_dropped += (len - kept) as u64;
+        }
+        // The survivors' rows: their positions on the first hop, their
+        // compacted picks on later ones.
+        let at = match env.carry {
+            None => &self.sel[..kept],
+            Some(_) => &self.picks[..kept],
+        };
+        l2_sq_rows_at(q, rows, at, &mut self.partials[..kept]);
+        Scored {
+            partials: &self.partials[..kept],
+            len,
+            sel: Some(&self.sel[..kept]),
+            cut: None,
+            eps: 0.0,
+        }
     }
 
     /// SQ8's scoring step for one `(query, list)` run. Quantizes the query
@@ -891,6 +1011,8 @@ fn settle<M: MetricOps, R: Rows>(
 /// the plain `partial > τ` (no slack: `keep = !(p > τ)`, which keeps NaN,
 /// and τ = ∞ or pruning off keeps all); the last hop drops a candidate
 /// beyond `τ` (no slack) or the local top-k's bound before settling it.
+/// Where a prefix pass dropped candidates already, only its survivors are
+/// walked and the rest count as pruned.
 fn scan_run<M: MetricOps, R: Rows>(
     env: &HopEnv<'_>,
     rows: &R,
@@ -900,6 +1022,43 @@ fn scan_run<M: MetricOps, R: Rows>(
     tally: &mut HopTally,
 ) {
     slot.hop_eps = slot.hop_eps.max(scored.eps);
+    match scored.sel {
+        None => walk::<M, R>(env, rows, scored, |j| j, slot, tally),
+        Some(sel) => walk_selected::<M, R>(env, rows, scored, sel, slot, tally),
+    }
+    slot.cursor += scored.len;
+    tally.scanned_point_dims += (scored.len * width) as u64;
+    slot.base += run_len as u32;
+}
+
+/// [`walk`] over the survivors of a prefix pass, the rest counted pruned.
+/// Kept out of line, so the walk of a run without a selection is the only
+/// one inlined into [`scan_run`].
+#[inline(never)]
+fn walk_selected<M: MetricOps, R: Rows>(
+    env: &HopEnv<'_>,
+    rows: &R,
+    scored: Scored<'_>,
+    sel: &[u32],
+    slot: &mut QuerySlot,
+    tally: &mut HopTally,
+) {
+    tally.pruned += (scored.len - sel.len()) as u64;
+    walk::<M, R>(env, rows, scored, |j| sel[j] as usize, slot, tally);
+}
+
+/// [`scan_run`]'s walk over the scored candidates, the `j`-th of which sits
+/// at walk position `pos(j)` of the run: monomorphised apart for a run
+/// without a prefix selection, whose `pos` is the identity.
+#[inline(always)]
+fn walk<M: MetricOps, R: Rows>(
+    env: &HopEnv<'_>,
+    rows: &R,
+    scored: Scored<'_>,
+    pos: impl Fn(usize) -> usize,
+    slot: &mut QuerySlot,
+    tally: &mut HopTally,
+) {
     let bounds = Bounds::of(slot, scored.eps);
     let (base, at) = (slot.base, slot.cursor);
     let len = scored.partials.len();
@@ -935,7 +1094,8 @@ fn scan_run<M: MetricOps, R: Rows>(
         out.indices.resize(start + len, 0);
         out.partials.resize(start + len, 0.0);
         let mut kept = start;
-        for (i, &part) in scored.partials.iter().enumerate() {
+        for (j, &part) in scored.partials.iter().enumerate() {
+            let i = pos(j);
             let c = cand(i);
             let partial = c.partial + part;
             let keep = match scored.cut {
@@ -956,7 +1116,8 @@ fn scan_run<M: MetricOps, R: Rows>(
         } else {
             f32::INFINITY
         };
-        for (i, &part) in scored.partials.iter().enumerate() {
+        for (j, &part) in scored.partials.iter().enumerate() {
+            let i = pos(j);
             let c = cand(i);
             if prefilter {
                 let partial = c.partial + part;
@@ -974,9 +1135,33 @@ fn scan_run<M: MetricOps, R: Rows>(
             settle::<M, R>(env, rows, c, part, cut, bounds, &mut slot.out, tally);
         }
     }
-    slot.cursor += len;
-    tally.scanned_point_dims += (len * width) as u64;
-    slot.base += run_len as u32;
+}
+
+/// The first-hop runs over the exact `list` (`flat`, eligible for the
+/// prefix pass) of the queries of `group` whose test can drop, each scored
+/// in two passes and walked; the others go to `tiled`, for the group's
+/// register tile. Kept out of line, so the tile path of a list the pass
+/// does not run on stays as small as it was.
+#[inline(never)]
+fn scan_prefixed<M: MetricOps>(
+    env: &HopEnv<'_>,
+    list: &ListBlock,
+    flat: &[f32],
+    group: &[(u32, u32)],
+    chunk: &ChunkBatch,
+    (slots, run, tally): (&mut [QuerySlot], &mut RunScratch, &mut HopTally),
+    tiled: &mut Vec<u32>,
+) {
+    let shape = (list.rows(), list.width);
+    for &(_, q) in group {
+        let slot = &mut slots[q as usize];
+        if prefix_bound::<M>(env, slot, shape.1).is_none() {
+            tiled.push(q);
+            continue;
+        }
+        let scored = run.score_f32::<M>(env, flat, shape.0, chunk.dims_of(q as usize), slot);
+        scan_run::<M, _>(env, &ListRows(list), shape, scored, slot, tally);
+    }
 }
 
 /// Scans one sub-batch on one hop, **list-major**: for each list any query
@@ -1005,6 +1190,7 @@ fn scan_batch<M: MetricOps>(
         }
         probes.sort_unstable();
         let mut tile: Vec<&[f32]> = Vec::new();
+        let mut tiled: Vec<u32> = Vec::new();
         for group in probes.chunk_by(|a, b| a.0 == b.0) {
             let Some(list) = block.lists.get(&group[0].0) else {
                 continue;
@@ -1013,14 +1199,28 @@ fn scan_batch<M: MetricOps>(
             match &list.data {
                 BlockData::F32 { flat } if env.carry.is_none() && env.shortcuts() => {
                     // Every row is a candidate of every query of the group.
+                    // A query whose run takes the L2 prefix pass is scored
+                    // alone; the rest share one tile.
                     let n = shape.0;
+                    tiled.clear();
+                    if prefix_eligible::<M>(env, shape.1) {
+                        let runs = (&mut slots[..], &mut *run, &mut tally);
+                        scan_prefixed::<M>(env, list, flat, group, chunk, runs, &mut tiled);
+                    } else {
+                        tiled.extend(group.iter().map(|&(_, q)| q));
+                    }
+                    if tiled.is_empty() {
+                        continue;
+                    }
                     tile.clear();
-                    tile.extend(group.iter().map(|&(_, q)| chunk.dims_of(q as usize)));
+                    tile.extend(tiled.iter().map(|&q| chunk.dims_of(q as usize)));
                     grow(&mut run.partials, tile.len() * n);
                     f32_tile::<M>(&tile, flat, &mut run.partials[..tile.len() * n]);
-                    for (g, &(_, q)) in group.iter().enumerate() {
+                    for (g, &q) in tiled.iter().enumerate() {
                         let scored = Scored {
                             partials: &run.partials[g * n..(g + 1) * n],
+                            len: n,
+                            sel: None,
                             cut: None,
                             eps: 0.0,
                         };
@@ -1162,11 +1362,15 @@ pub(crate) fn scan_hop(
     tally.seen = slots.iter().map(|s| (s.cursor - s.entered) as u64).sum();
 
     if is_last {
+        let hits = slots
+            .iter()
+            .map(|s| s.out.topk.as_ref().map_or(0, TopK::len))
+            .sum();
         let mut result = ResultBatch {
             shard: chunk.shard,
             result_ends: Vec::with_capacity(n),
-            ids: Vec::with_capacity(n * k),
-            scores: Vec::with_capacity(n * k),
+            ids: Vec::with_capacity(hits),
+            scores: Vec::with_capacity(hits),
             candidates_seen: Vec::with_capacity(n),
             query_ids: chunk.query_ids,
         };
@@ -2834,17 +3038,47 @@ mod tests {
         )
     }
 
+    /// Width of the oracle fixture's vectors.
+    const OR_DIM: usize = 274;
     /// Dimension ranges of the oracle fixture's pipelines: one hop over all
-    /// 62 dimensions, and three whose widths take a 16-code step plus a
-    /// scalar tail, plus the 8-code tail, and plus one code.
-    const OR_SPLITS: [&[usize]; 2] = [&[0, 62], &[0, 21, 45, 62]];
+    /// 274 dimensions; four hops, the first three of whose widths take a
+    /// 16-code step plus a scalar tail, plus the 8-code tail, and plus one
+    /// code; and three hops, the first two exactly the prefix pass's
+    /// eligibility width. So the L2 prefix pass runs on a first hop and a
+    /// carried hop that forward and on a first hop and a carried hop that
+    /// answer, and is passed over on narrower hops of every kind.
+    const OR_SPLITS: [&[usize]; 3] = [
+        &[0, OR_DIM],
+        &[0, 21, 45, 62, OR_DIM],
+        &[0, PREFIX_MIN_WIDTH, 2 * PREFIX_MIN_WIDTH, OR_DIM],
+    ];
     /// Rows per list: empty, short of a quad, across quad boundaries.
     const OR_LISTS: [usize; 8] = [0, 1, 3, 4, 5, 9, 17, 30];
 
     fn or_row(id: u64) -> Vec<f32> {
-        (0..62u64)
+        (0..OR_DIM as u64)
             .map(|j| fx_coord(id * 67 + j) * (1 + j % 5) as f32)
             .collect()
+    }
+
+    /// The vector of the oracle's query 113.
+    const OR_EDGE: u64 = 4_343;
+    /// Where row 2 of list 4 departs from [`OR_EDGE`]'s vector: in the
+    /// first [`PREFIX`] coordinates only, by steps whose squares sum one
+    /// ulp higher in lane order 0..8, 7..0, `(t0+t2)+(t1+t3)` or adjacent
+    /// pairs than in the row kernels' tree — so a prefix summed in another
+    /// order drops the row the walk keeps.
+    const OR_EDGE_STEPS: [f32; PREFIX] = [-0.046, -0.78, -0.0057, 0.52, -0.64, -0.014, 0.14, -1.0];
+
+    /// Row 2 of list 4: [`OR_EDGE`]'s vector moved in its first
+    /// [`PREFIX`] coordinates, so a prefix pass from the first dimension
+    /// sees the row's whole score, and one from any later block sees 0.
+    fn or_edge_row() -> Vec<f32> {
+        let mut row = or_row(OR_EDGE);
+        for (x, step) in row.iter_mut().zip(OR_EDGE_STEPS) {
+            *x += step;
+        }
+        row
     }
 
     /// One machine's share of the oracle fixture: every list cut to
@@ -2858,7 +3092,11 @@ mod tests {
             .map(|(l, &n)| {
                 let ids: Vec<u64> = (0..n).map(|r| fx_list_id(l as u32, r)).collect();
                 // List 5's rows are one vector: equal scores at the edges.
-                let vector = |id: u64| or_row(if l == 5 { OR_TWIN } else { id });
+                let vector = |id: u64| match (l, id) {
+                    (5, _) => or_row(OR_TWIN),
+                    (4, id) if id == fx_list_id(4, 2) => or_edge_row(),
+                    _ => or_row(id),
+                };
                 let rows: Vec<Vec<f32>> = ids.iter().map(|&id| vector(id)).collect();
                 let flat: Vec<f32> = rows
                     .iter()
@@ -2900,7 +3138,11 @@ mod tests {
     /// one, and near a list row with that row's score as the threshold —
     /// tight enough that the first hop prunes. A thirteenth is list 5's
     /// vector with its own score as the threshold, so partials and top-k
-    /// bounds tie exactly: ties survive, as `settle` keeps them.
+    /// bounds tie exactly: ties survive, as `settle` keeps them. A
+    /// fourteenth is [`OR_EDGE`]'s vector with the score of the row that
+    /// departs from it in its first [`PREFIX`] coordinates as the
+    /// threshold: that row's prefix partial equals the threshold exactly,
+    /// and it must survive the prefix pass.
     fn or_queries(metric: Metric) -> Vec<FxQuery> {
         let twin = or_row(OR_TWIN);
         let mut queries: Vec<FxQuery> = (0..12u64)
@@ -2934,6 +3176,13 @@ mod tests {
             id: 112,
             threshold: metric.score(&twin, &twin),
             vector: twin,
+            clusters: (0..OR_LISTS.len() as u32).collect(),
+        });
+        let edge = or_row(OR_EDGE);
+        queries.push(FxQuery {
+            id: 113,
+            threshold: metric.score(&edge, &or_edge_row()),
+            vector: edge,
             clusters: (0..OR_LISTS.len() as u32).collect(),
         });
         queries
@@ -3037,16 +3286,17 @@ mod tests {
     /// Run scoring is an execution strategy, not a different computation.
     /// Exact rows go through the blocked f32 kernels (the first hop's
     /// register tile over every query probing a list, the carried hops'
-    /// four-row gather); SQ8 quantizes once per `(query, list)` and scores
-    /// with the blocked u8 kernels and the integer cutoff; and the walk
-    /// takes its L2 shortcuts (compaction, the last hop's pre-filter).
-    /// Against row-at-a-time scoring with every candidate settled one by
-    /// one, every hop of a one-hop and a three-hop pipeline (first, carried
-    /// and last positions) hands on the same carry (survivor indices,
-    /// partial and `quant_eps` bits) or answer (ids, score bits) and counts
-    /// the same tally, under both representations, L2, IP and cosine,
-    /// pruning on and off, with delta rows and tombstones in play, as a
-    /// sub-batch and query by query.
+    /// four-row gather) and, under L2 on blocks at least
+    /// [`PREFIX_MIN_WIDTH`] wide, the prefix pass first; SQ8 quantizes once
+    /// per `(query, list)` and scores with the blocked u8 kernels and the
+    /// integer cutoff; and the walk takes its L2 shortcuts (compaction, the
+    /// last hop's pre-filter). Against row-at-a-time scoring with every
+    /// candidate settled one by one, every hop of a one-hop, a four-hop and
+    /// a three-hop pipeline (first, carried and last positions) hands on
+    /// the same carry (survivor indices, partial and `quant_eps` bits) or
+    /// answer (ids, score bits) and counts the same tally, under both
+    /// representations, L2, IP and cosine, pruning on and off, with delta
+    /// rows and tombstones in play, as a sub-batch and query by query.
     #[test]
     fn run_scoring_matches_row_oracle() {
         let mut tombstones = TombstoneSet::new();
@@ -3059,6 +3309,7 @@ mod tests {
         };
         for sq8 in [false, true] {
             let mut first_hop_pruned = 0;
+            runs.run.prefix_dropped = 0;
             for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
                 let queries = or_queries(metric);
                 for splits in OR_SPLITS {
@@ -3093,6 +3344,11 @@ mod tests {
             assert!(
                 first_hop_pruned > 0,
                 "sq8={sq8}: the L2 first hop never pruned"
+            );
+            // Under SQ8 the exact delta rows take it.
+            assert!(
+                runs.run.prefix_dropped > 0,
+                "sq8={sq8}: the prefix pass never dropped a candidate"
             );
         }
     }

@@ -47,6 +47,11 @@ impl PartialOrd for Neighbor {
     }
 }
 
+/// Most entries [`TopK::new`] reserves up front; a larger `k` grows the
+/// heap as candidates arrive, so an outsized `k` costs nothing until it is
+/// filled.
+const PREALLOC_MAX: usize = 1024;
+
 /// A bounded max-heap keeping the `k` smallest-scored neighbors.
 #[derive(Debug, Clone)]
 pub struct TopK {
@@ -55,7 +60,8 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates a tracker for the best `k` results.
+    /// Creates a tracker for the best `k` results, reserving room for at
+    /// most [`PREALLOC_MAX`] of them.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -63,7 +69,7 @@ impl TopK {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOC_MAX) + 1),
         }
     }
 
@@ -217,6 +223,24 @@ mod tests {
         let out = t.into_sorted();
         assert_eq!(out[0].id, 1);
         assert_eq!(out[1].id, 2);
+    }
+
+    /// An outsized `k` reserves a bounded heap (`1 << 40` entries would be
+    /// 16 TiB) and still keeps every candidate it is offered, past the
+    /// reservation, without a threshold until `k` are in.
+    #[test]
+    fn outsized_k_reserves_little_and_grows() {
+        let mut t = TopK::new(1 << 40);
+        assert!(t.heap.capacity() <= PREALLOC_MAX + 1);
+        let n = 3 * PREALLOC_MAX as u64;
+        for id in 0..n {
+            assert!(t.push(id, (n - id) as f32));
+        }
+        assert_eq!(t.len(), n as usize);
+        assert_eq!(t.threshold(), f32::INFINITY);
+        let out = t.into_sorted();
+        assert_eq!(out[0].id, n - 1);
+        assert_eq!(out.len(), n as usize);
     }
 
     #[test]

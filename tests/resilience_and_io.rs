@@ -3,6 +3,7 @@
 use harmony::cluster::{
     Cluster, ClusterConfig, ClusterError, NodeCtx, NodeHandler, NodeId, CLIENT,
 };
+use harmony::core::CoreError;
 use harmony::data::io;
 use harmony::prelude::*;
 use std::time::Duration;
@@ -109,6 +110,46 @@ fn empty_and_tiny_datasets_behave() {
     assert_eq!(res.neighbors.len(), 1);
     assert_eq!(res.neighbors[0].id, 0);
     engine.shutdown().unwrap();
+}
+
+/// Stage 1 ships its `k` to the workers as a u32. A `k` whose stage-1
+/// count does not fit — `k` itself on exact blocks, `k` × the rerank scale
+/// under SQ8 — is a typed error before anything is sent, and the engine
+/// keeps answering; the largest `k` that fits is served (every probed row
+/// comes back) without reserving room for `k` results anywhere.
+#[test]
+fn a_k_past_the_wire_is_a_config_error_and_the_largest_that_fits_is_served() {
+    let d = SyntheticSpec::clustered(400, 8, 4).with_seed(3).generate();
+    for repr in [BlockRepr::F32, BlockRepr::Sq8] {
+        let config = HarmonyConfig::builder()
+            .n_machines(2)
+            .nlist(4)
+            .repr(repr)
+            .build()
+            .unwrap();
+        let engine = HarmonyEngine::build(config, &d.base).unwrap();
+        let fits = match repr {
+            BlockRepr::F32 => u32::MAX as usize,
+            BlockRepr::Sq8 => u32::MAX as usize / 4,
+        };
+        let query = d.queries.row(0);
+        for k in [fits + 1, 1 << 32, usize::MAX] {
+            let opts = SearchOptions::new(k).with_nprobe(4);
+            match engine.search(query, &opts) {
+                Err(CoreError::Config(msg)) => assert!(msg.contains("stage 1"), "{msg}"),
+                other => panic!("{repr:?} k={k}: expected a config error, got {other:?}"),
+            }
+        }
+        let all = engine
+            .search(query, &SearchOptions::new(fits).with_nprobe(4))
+            .unwrap();
+        assert_eq!(all.neighbors.len(), d.base.len(), "{repr:?}");
+        let top = engine
+            .search(query, &SearchOptions::new(5).with_nprobe(4))
+            .unwrap();
+        assert_eq!(top.neighbors[..], all.neighbors[..5], "{repr:?}");
+        engine.shutdown().unwrap();
+    }
 }
 
 #[test]
