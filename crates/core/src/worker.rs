@@ -65,8 +65,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use harmony_cluster::{NodeCtx, NodeHandler, NodeId, Wire, CLIENT};
 use harmony_index::distance::{
-    ip, ip_rows, ip_rows_at, ip_tile, ip_u8_rows, ip_u8_rows_at, l2_sq_prefix_keep,
-    l2_sq_prefix_rows_at, l2_sq_rows, l2_sq_rows_at, l2_sq_tile, l2_sq_u8_rows, l2_sq_u8_rows_at,
+    ip, ip_rows, ip_rows_at, ip_tile, ip_u8_rows, ip_u8_rows_at, l2_sq_prefix_keep, l2_sq_rows,
+    l2_sq_rows_at, l2_sq_tile, l2_sq_u8_rows, l2_sq_u8_rows_at,
 };
 use harmony_index::persist::{
     read_part_lists, write_part_file, PartDirectory, PartList, PartListRef, PersistError,
@@ -492,41 +492,44 @@ fn negate(out: &mut [f32]) {
     }
 }
 
-/// Coordinates of an L2 run's prefix pass (DESIGN.md §5): every candidate
-/// is scored on its block's first `PREFIX` coordinates, and only those
-/// whose partial does not fail the hop's test already are scored over the
-/// whole block.
+/// Coordinates of an L2 first-hop run's prefix pass (DESIGN.md §5): every
+/// candidate is scored on its block's first `PREFIX` coordinates, and only
+/// those whose partial does not fail the hop's test already are scored over
+/// the whole block.
 const PREFIX: usize = 8;
 
-/// Narrowest exact block the prefix pass runs on: sixteen prefixes, so the
-/// pass costs a sixteenth of a row's arithmetic. On 64-wide rows, whose
-/// register tile is already cheap, it saved less and turned the plan
-/// choices of 64-d corpora into near-ties (DESIGN.md §5).
-const PREFIX_MIN_WIDTH: usize = 16 * PREFIX;
+/// Narrowest exact block the prefix pass runs on. Not the pass's own
+/// break-even: on 64-wide rows it still saves time. But cheaper 64-wide
+/// first hops move the planner's timed rates onto near-ties between plans
+/// of 64-d corpora (DESIGN.md §9): a stale `4v x 1d` plan no longer priced
+/// dear enough to leave under induced skew, and `tenants_cold` and
+/// `scan_uniform` picking either plan build to build. Lower it to the
+/// break-even once the planner tolerates those ties.
+const PREFIX_MIN_WIDTH: usize = 128;
 
-/// The eligibility rule of the prefix pass: L2 over exact rows at least
-/// [`PREFIX_MIN_WIDTH`] wide (the reference scoring of the tests aside).
+/// The eligibility rule of the prefix pass, one per hop: L2 over exact
+/// rows at least [`PREFIX_MIN_WIDTH`] wide, on the first hop (the
+/// reference scoring of the tests aside).
 fn prefix_eligible<M: MetricOps>(env: &HopEnv<'_>, width: usize) -> bool {
-    !M::IP && width >= PREFIX_MIN_WIDTH && env.shortcuts()
+    !M::IP && width >= PREFIX_MIN_WIDTH && env.carry.is_none() && env.shortcuts()
 }
 
-/// What the next run of `slot` drops a candidate beyond after the prefix
-/// pass, if the run takes it: an eligible run ([`prefix_eligible`]) with a
-/// test that can drop — the walk's own, without slack: `τ` on a
-/// forwarding hop, the smaller of `τ` (when there is no slack) and the
-/// local top-k's bound at the run's start on the last. That bound only
-/// falls during the run, so whatever it drops the walk would drop too.
-fn prefix_bound<M: MetricOps>(env: &HopEnv<'_>, slot: &QuerySlot, width: usize) -> Option<f32> {
-    if !prefix_eligible::<M>(env, width) || !env.rule.enabled() {
+/// What the next run of `slot` on an eligible hop ([`prefix_eligible`])
+/// drops a candidate beyond after the prefix pass, if its test can drop:
+/// the walk's own, which on a first hop has no slack — `τ` on a forwarding
+/// hop, the smaller of `τ` and the local top-k's bound at the run's start
+/// on the last. That bound only falls during the run, so whatever it
+/// drops the walk would drop too.
+fn prefix_bound(env: &HopEnv<'_>, slot: &QuerySlot) -> Option<f32> {
+    if !env.rule.enabled() {
         return None;
     }
-    let plain = slot.eps_in <= 0.0;
-    let bound = match (&slot.out.topk, plain) {
-        (Some(topk), true) => slot.threshold.min(topk.threshold()),
-        (Some(topk), false) => topk.threshold(),
-        (None, true) => slot.threshold,
-        (None, false) => return None,
-    };
+    let top = slot
+        .out
+        .topk
+        .as_ref()
+        .map_or(f32::INFINITY, TopK::threshold);
+    let bound = slot.threshold.min(top);
     (bound < f32::INFINITY).then_some(bound)
 }
 
@@ -688,9 +691,6 @@ struct RunScratch {
     /// Each candidate's partial, in walk order; after a first-hop tile,
     /// every query of the group's, query-major.
     partials: Vec<f32>,
-    /// L2 prefix pass on a carried hop: each candidate's partial over the
-    /// block's first [`PREFIX`] coordinates.
-    prefix: Vec<f32>,
     /// L2 prefix pass: the walk positions of the candidates it kept.
     sel: Vec<u32>,
     /// Candidates the prefix pass has dropped, for the oracle test to see
@@ -730,8 +730,8 @@ impl RunScratch {
     /// Exact rows' scoring step for one `(query, run)`: the run's `n` rows
     /// of `rows` (row-major, `q.len()` wide) through the blocked kernels —
     /// every row on the first hop, the carried survivors in carry order on
-    /// later ones — into `partials`; in two passes where
-    /// [`prefix_bound`] admits the run ([`RunScratch::score_prefixed`]).
+    /// later ones — into `partials`; in two passes where the hop is
+    /// eligible ([`prefix_eligible`]) and [`prefix_bound`] can drop.
     fn score_f32<M: MetricOps>(
         &mut self,
         env: &HopEnv<'_>,
@@ -747,73 +747,43 @@ impl RunScratch {
             tests::score_f32_by_rows::<M>(self, rows, q, len);
             return self.scored(len, 0.0, None);
         }
-        if let Some(bound) = prefix_bound::<M>(env, slot, q.len()) {
-            return self.score_prefixed(env, rows, len, q, slot, bound);
-        }
-        let out = &mut self.partials[..len];
         match env.carry {
-            None => f32_rows::<M>(q, rows, out),
-            Some(_) => f32_rows_at::<M>(q, rows, &self.picks, out),
+            None => {
+                if prefix_eligible::<M>(env, q.len()) {
+                    if let Some(bound) = prefix_bound(env, slot) {
+                        return self.score_prefixed(rows, len, q, bound);
+                    }
+                }
+                f32_rows::<M>(q, rows, &mut self.partials[..len]);
+            }
+            Some(_) => f32_rows_at::<M>(q, rows, &self.picks, &mut self.partials[..len]),
         }
         self.scored(len, 0.0, None)
     }
 
-    /// L2's two passes over an exact run of `len` candidates: the first
-    /// [`PREFIX`] coordinates of every candidate, then the whole row of
-    /// those whose carried partial plus prefix is not beyond `bound`, with
-    /// the four-row gather. The prefix kernel sums its lanes as the row
-    /// kernels sum their first ones, so a prefix is never above the row's
-    /// partial and every candidate dropped is one the walk would prune
-    /// (DESIGN.md §5). Kept out of line, so the one-pass runs' scoring
-    /// step stays as small as it was.
+    /// L2's two passes over the `len` rows of a first-hop run: the first
+    /// [`PREFIX`] coordinates of every row, then, with the four-row gather,
+    /// the whole of those whose prefix is not beyond `bound`. The prefix
+    /// kernel sums its lanes as the row kernels sum their first ones, so a
+    /// prefix is never above the row's partial and every candidate dropped
+    /// is one the walk would prune (DESIGN.md §5). Kept out of line, so the
+    /// one-pass runs' scoring step stays as small as it was.
     #[inline(never)]
-    fn score_prefixed(
-        &mut self,
-        env: &HopEnv<'_>,
-        rows: &[f32],
-        len: usize,
-        q: &[f32],
-        slot: &QuerySlot,
-        bound: f32,
-    ) -> Scored<'_> {
+    fn score_prefixed(&mut self, rows: &[f32], len: usize, q: &[f32], bound: f32) -> Scored<'_> {
         grow(&mut self.sel, len);
-        let sel = &mut self.sel[..len];
-        // Kept: `!(partial > bound)`, as the walk's compaction.
-        let kept = match env.carry {
-            // The carried partial is 0: the kernel tests the prefix itself.
-            None => l2_sq_prefix_keep(&q[..PREFIX], rows, q.len(), bound, sel),
-            Some(carry) => {
-                grow(&mut self.prefix, len);
-                let prefix = &mut self.prefix[..len];
-                let picks = &mut self.picks[..len];
-                l2_sq_prefix_rows_at(&q[..PREFIX], rows, q.len(), picks, prefix);
-                let carried = &carry.partials[slot.cursor..slot.cursor + len];
-                // Branchless: every position is written, the kept ones
-                // advance.
-                let mut kept = 0;
-                for (i, (&p, &c)) in prefix.iter().zip(carried).enumerate() {
-                    sel[kept] = i as u32;
-                    picks[kept] = picks[i];
-                    kept += usize::from((c + p).partial_cmp(&bound) != Some(Ordering::Greater));
-                }
-                kept
-            }
-        };
+        grow(&mut self.partials, len);
+        // Kept: `!(prefix > bound)`, as the walk's compaction.
+        let kept = l2_sq_prefix_keep(&q[..PREFIX], rows, q.len(), bound, &mut self.sel[..len]);
         #[cfg(test)]
         {
             self.prefix_dropped += (len - kept) as u64;
         }
-        // The survivors' rows: their positions on the first hop, their
-        // compacted picks on later ones.
-        let at = match env.carry {
-            None => &self.sel[..kept],
-            Some(_) => &self.picks[..kept],
-        };
-        l2_sq_rows_at(q, rows, at, &mut self.partials[..kept]);
+        let sel = &self.sel[..kept];
+        l2_sq_rows_at(q, rows, sel, &mut self.partials[..kept]);
         Scored {
             partials: &self.partials[..kept],
             len,
-            sel: Some(&self.sel[..kept]),
+            sel: Some(sel),
             cut: None,
             eps: 0.0,
         }
@@ -1137,29 +1107,61 @@ fn walk<M: MetricOps, R: Rows>(
     }
 }
 
-/// The first-hop runs over the exact `list` (`flat`, eligible for the
-/// prefix pass) of the queries of `group` whose test can drop, each scored
-/// in two passes and walked; the others go to `tiled`, for the group's
-/// register tile. Kept out of line, so the tile path of a list the pass
-/// does not run on stays as small as it was.
+/// The first-hop runs of `queries` over every row of the exact `list`
+/// (`flat`): one register tile, then each run walked.
+#[inline(always)]
+fn scan_tiled<'c, M: MetricOps>(
+    env: &HopEnv<'_>,
+    list: &ListBlock,
+    flat: &[f32],
+    queries: impl Iterator<Item = u32> + Clone,
+    chunk: &'c ChunkBatch,
+    (slots, run, tally): (&mut [QuerySlot], &mut RunScratch, &mut HopTally),
+    tile: &mut Vec<&'c [f32]>,
+) {
+    let shape = (list.rows(), list.width);
+    let n = shape.0;
+    tile.clear();
+    tile.extend(queries.clone().map(|q| chunk.dims_of(q as usize)));
+    grow(&mut run.partials, tile.len() * n);
+    f32_tile::<M>(tile, flat, &mut run.partials[..tile.len() * n]);
+    for (g, q) in queries.enumerate() {
+        let scored = Scored {
+            partials: &run.partials[g * n..(g + 1) * n],
+            len: n,
+            sel: None,
+            cut: None,
+            eps: 0.0,
+        };
+        let slot = &mut slots[q as usize];
+        scan_run::<M, _>(env, &ListRows(list), shape, scored, slot, tally);
+    }
+}
+
+/// The first-hop runs over the exact `list` (`flat`) of the queries of
+/// `group` on a hop eligible for the prefix pass: each whose test can drop
+/// ([`prefix_bound`]) scored in two passes and walked, the others pushed
+/// to `tiled`, for one register tile. Kept out of line, so the tile path
+/// of a hop the pass does not run on stays as small as it was.
 #[inline(never)]
 fn scan_prefixed<M: MetricOps>(
     env: &HopEnv<'_>,
     list: &ListBlock,
     flat: &[f32],
     group: &[(u32, u32)],
-    chunk: &ChunkBatch,
     (slots, run, tally): (&mut [QuerySlot], &mut RunScratch, &mut HopTally),
     tiled: &mut Vec<u32>,
+    chunk: &ChunkBatch,
 ) {
     let shape = (list.rows(), list.width);
+    tiled.clear();
     for &(_, q) in group {
         let slot = &mut slots[q as usize];
-        if prefix_bound::<M>(env, slot, shape.1).is_none() {
+        let Some(bound) = prefix_bound(env, slot) else {
             tiled.push(q);
             continue;
-        }
-        let scored = run.score_f32::<M>(env, flat, shape.0, chunk.dims_of(q as usize), slot);
+        };
+        let scored = run.score_prefixed(flat, shape.0, chunk.dims_of(q as usize), bound);
         scan_run::<M, _>(env, &ListRows(list), shape, scored, slot, tally);
     }
 }
@@ -1191,42 +1193,29 @@ fn scan_batch<M: MetricOps>(
         probes.sort_unstable();
         let mut tile: Vec<&[f32]> = Vec::new();
         let mut tiled: Vec<u32> = Vec::new();
+        let prefix = prefix_eligible::<M>(env, chunk.width());
         for group in probes.chunk_by(|a, b| a.0 == b.0) {
             let Some(list) = block.lists.get(&group[0].0) else {
                 continue;
             };
             let shape = (list.rows(), list.width);
             match &list.data {
-                BlockData::F32 { flat } if env.carry.is_none() && env.shortcuts() => {
-                    // Every row is a candidate of every query of the group.
-                    // A query whose run takes the L2 prefix pass is scored
-                    // alone; the rest share one tile.
-                    let n = shape.0;
-                    tiled.clear();
-                    if prefix_eligible::<M>(env, shape.1) {
+                // Every row is a candidate of every query of the group: a
+                // query whose run takes the L2 prefix pass is scored alone,
+                // the rest share one tile.
+                BlockData::F32 { flat } if prefix => {
+                    let runs = (&mut slots[..], &mut *run, &mut tally);
+                    scan_prefixed::<M>(env, list, flat, group, runs, &mut tiled, chunk);
+                    if !tiled.is_empty() {
                         let runs = (&mut slots[..], &mut *run, &mut tally);
-                        scan_prefixed::<M>(env, list, flat, group, chunk, runs, &mut tiled);
-                    } else {
-                        tiled.extend(group.iter().map(|&(_, q)| q));
+                        let queries = tiled.iter().copied();
+                        scan_tiled::<M>(env, list, flat, queries, chunk, runs, &mut tile);
                     }
-                    if tiled.is_empty() {
-                        continue;
-                    }
-                    tile.clear();
-                    tile.extend(tiled.iter().map(|&q| chunk.dims_of(q as usize)));
-                    grow(&mut run.partials, tile.len() * n);
-                    f32_tile::<M>(&tile, flat, &mut run.partials[..tile.len() * n]);
-                    for (g, &q) in tiled.iter().enumerate() {
-                        let scored = Scored {
-                            partials: &run.partials[g * n..(g + 1) * n],
-                            len: n,
-                            sel: None,
-                            cut: None,
-                            eps: 0.0,
-                        };
-                        let slot = &mut slots[q as usize];
-                        scan_run::<M, _>(env, &ListRows(list), shape, scored, slot, &mut tally);
-                    }
+                }
+                BlockData::F32 { flat } if env.carry.is_none() && env.shortcuts() => {
+                    let runs = (&mut slots[..], &mut *run, &mut tally);
+                    let queries = group.iter().map(|&(_, q)| q);
+                    scan_tiled::<M>(env, list, flat, queries, chunk, runs, &mut tile);
                 }
                 data => {
                     for &(_, q) in group {
@@ -3044,9 +3033,9 @@ mod tests {
     /// 274 dimensions; four hops, the first three of whose widths take a
     /// 16-code step plus a scalar tail, plus the 8-code tail, and plus one
     /// code; and three hops, the first two exactly the prefix pass's
-    /// eligibility width. So the L2 prefix pass runs on a first hop and a
-    /// carried hop that forward and on a first hop and a carried hop that
-    /// answer, and is passed over on narrower hops of every kind.
+    /// eligibility width. So the L2 prefix pass runs on a first hop that
+    /// forwards and on one that answers, and is passed over on a narrower
+    /// first hop and on carried hops as wide as it.
     const OR_SPLITS: [&[usize]; 3] = [
         &[0, OR_DIM],
         &[0, 21, 45, 62, OR_DIM],
@@ -3071,8 +3060,8 @@ mod tests {
     const OR_EDGE_STEPS: [f32; PREFIX] = [-0.046, -0.78, -0.0057, 0.52, -0.64, -0.014, 0.14, -1.0];
 
     /// Row 2 of list 4: [`OR_EDGE`]'s vector moved in its first
-    /// [`PREFIX`] coordinates, so a prefix pass from the first dimension
-    /// sees the row's whole score, and one from any later block sees 0.
+    /// [`PREFIX`] coordinates, so the prefix pass sees the row's whole
+    /// score.
     fn or_edge_row() -> Vec<f32> {
         let mut row = or_row(OR_EDGE);
         for (x, step) in row.iter_mut().zip(OR_EDGE_STEPS) {
@@ -3286,7 +3275,7 @@ mod tests {
     /// Run scoring is an execution strategy, not a different computation.
     /// Exact rows go through the blocked f32 kernels (the first hop's
     /// register tile over every query probing a list, the carried hops'
-    /// four-row gather) and, under L2 on blocks at least
+    /// four-row gather) and, under L2 on first hops at least
     /// [`PREFIX_MIN_WIDTH`] wide, the prefix pass first; SQ8 quantizes once
     /// per `(query, list)` and scores with the blocked u8 kernels and the
     /// integer cutoff; and the walk takes its L2 shortcuts (compaction, the

@@ -1185,43 +1185,16 @@ pub fn partial_score(metric: Metric, a_block: &[f32], b_block: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// L2 prefix kernels: the first pass of an L2 run's early stop inside a hop.
+// L2 prefix kernel: the first pass of an L2 run's early stop inside a hop.
 // ---------------------------------------------------------------------------
 
-/// The first `p` floats of row `i` of a row-major matrix whose rows start
-/// `stride` floats apart.
-#[inline]
-fn prefix_row(rows: &[f32], stride: usize, p: usize, i: usize) -> &[f32] {
-    &rows[i * stride..i * stride + p]
-}
-
-/// Checks that a prefix call's query prefix fits in the rows' stride.
-#[inline]
-fn check_prefix(q: &[f32], stride: usize) {
-    assert!(q.len() <= stride, "prefix wider than the row stride");
-}
-
-/// [`l2_sq_prefix_rows_at`], scalar: one [`l2_sq_scalar`] per picked row
-/// prefix.
-pub fn l2_sq_prefix_rows_at_scalar(
-    q: &[f32],
-    rows: &[f32],
-    stride: usize,
-    at: &[u32],
-    out: &mut [f32],
-) {
-    check_prefix(q, stride);
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    for (o, &r) in out.iter_mut().zip(at) {
-        *o = l2_sq_scalar(q, prefix_row(rows, stride, q.len(), r as usize));
-    }
-}
-
-/// Checks the shape of a prefix keep call: `rows` holds `keep.len()` rows
-/// `stride` floats apart, each at least as wide as the prefix `q`.
+/// Checks the shape of a prefix keep call: an 8-float prefix `q`, and
+/// `rows` holding `keep.len()` rows `stride` floats apart, each at least
+/// as wide as the prefix.
 #[inline]
 fn check_prefix_keep(q: &[f32], rows: &[f32], stride: usize, keep: &[u32]) {
-    check_prefix(q, stride);
+    assert_eq!(q.len(), 8, "the prefix is 8 floats");
+    assert!(stride >= 8, "row stride narrower than the prefix");
     assert_eq!(
         rows.len(),
         stride * keep.len(),
@@ -1240,7 +1213,7 @@ pub fn l2_sq_prefix_keep_scalar(
     check_prefix_keep(q, rows, stride, keep);
     let mut kept = 0;
     for i in 0..keep.len() {
-        let d = l2_sq_scalar(q, prefix_row(rows, stride, q.len(), i));
+        let d = l2_sq_scalar(q, &rows[i * stride..i * stride + 8]);
         keep[kept] = i as u32;
         kept += usize::from(d.partial_cmp(&bound) != Some(std::cmp::Ordering::Greater));
     }
@@ -1251,113 +1224,18 @@ pub fn l2_sq_prefix_keep_scalar(
 mod avx2_prefix {
     use std::arch::x86_64::*;
 
-    /// Scores the first `q.len()` floats of `n` rows eight at a time,
-    /// `row(i)` pointing at the i-th, and hands each group to `emit` as
-    /// `(first row, rows in the group, their eight sums)`; a short last
-    /// group repeats its final row in the lanes past its own. Each row
-    /// keeps its own 8-lane FMA chain over the steps [`super::l2_sq`]
-    /// takes, is reduced in `avx2::horizontal_sum`'s lane order
-    /// ([`horizontal_sums8`]) and finished by the same scalar tail, so each
-    /// sum is bit for bit [`super::l2_sq`] of the two prefixes.
+    /// [`super::l2_sq_prefix_keep`]: the prefixes of eight rows at a time,
+    /// a short last group repeating its final row in the lanes past its
+    /// own. Each row's one 8-lane step is [`super::l2_sq`]'s first, and
+    /// the eight are reduced in `avx2::horizontal_sum`'s lane order
+    /// ([`horizontal_sums8`]), so each sum is bit for bit [`super::l2_sq`]
+    /// of the two prefixes. The sums are compared with `bound` at once
+    /// (`_CMP_NGT_UQ`, true where a sum is not above it or is NaN) and the
+    /// kept rows' indices written in order.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports `avx2` and `fma`, and that every
-    /// `row(i)` for `i < n` is valid for `q.len()` reads.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn prefix_groups(
-        q: &[f32],
-        n: usize,
-        row: impl Fn(usize) -> *const f32,
-        mut emit: impl FnMut(usize, usize, __m256),
-    ) {
-        let p = q.len();
-        let chunks = p / 8;
-        for c in (0..n).step_by(8) {
-            let last = (n - c).min(8) - 1;
-            let rows: [*const f32; 8] = match last {
-                7 => std::array::from_fn(|k| row(c + k)),
-                _ => std::array::from_fn(|k| row(c + k.min(last))),
-            };
-            let mut acc = [_mm256_setzero_ps(); 8];
-            for i in 0..chunks {
-                // SAFETY: i < p / 8 and the query holds p floats, so the
-                // 8-lane load ends at i*8+8 <= p.
-                let qv = unsafe { _mm256_loadu_ps(q.as_ptr().add(i * 8)) };
-                for (a, &r) in acc.iter_mut().zip(&rows) {
-                    // SAFETY: as for the query; every row is valid for p
-                    // reads.
-                    let d = _mm256_sub_ps(qv, unsafe { _mm256_loadu_ps(r.add(i * 8)) });
-                    *a = _mm256_fmadd_ps(d, d, *a);
-                }
-            }
-            // SAFETY: callee requires the same target features as self.
-            let mut sums = unsafe { horizontal_sums8(acc) };
-            if chunks * 8 < p {
-                let mut tail = [0.0f32; 8];
-                // SAFETY: `tail` is a 32-byte local array, valid for
-                // 256-bit accesses.
-                unsafe { _mm256_storeu_ps(tail.as_mut_ptr(), sums) };
-                for (sum, &r) in tail.iter_mut().zip(&rows) {
-                    for (j, &a) in q.iter().enumerate().skip(chunks * 8) {
-                        // SAFETY: j < p and the row is valid for p reads.
-                        let d = a - unsafe { *r.add(j) };
-                        *sum += d * d;
-                    }
-                }
-                // SAFETY: as for the store.
-                sums = unsafe { _mm256_loadu_ps(tail.as_ptr()) };
-            }
-            emit(c, last + 1, sums);
-        }
-    }
-
-    /// [`super::l2_sq_prefix_rows_at`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports `avx2` and `fma`, and that `q` is
-    /// no wider than `stride`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn l2_prefix_rows_at(
-        q: &[f32],
-        rows: &[f32],
-        stride: usize,
-        at: &[u32],
-        out: &mut [f32],
-    ) {
-        debug_assert!(q.len() <= stride && at.len() == out.len());
-        let (base, p, n) = (rows.as_ptr(), q.len(), out.len());
-        let row = |i: usize| {
-            let start = at[i] as usize * stride;
-            assert!(start + p <= rows.len(), "picked row outside the rows");
-            // SAFETY: asserted just above: the row's first p floats lie
-            // inside `rows`.
-            unsafe { base.add(start) }
-        };
-        let emit = |c: usize, m: usize, sums: __m256| {
-            if m == 8 {
-                // SAFETY: c + 8 <= out.len(), so the store ends inside it.
-                unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(c), sums) };
-            } else {
-                let mut group = [0.0f32; 8];
-                // SAFETY: `group` is a 32-byte local array, valid for a
-                // 256-bit store.
-                unsafe { _mm256_storeu_ps(group.as_mut_ptr(), sums) };
-                out[c..c + m].copy_from_slice(&group[..m]);
-            }
-        };
-        // SAFETY: same target features as self; `row` yields only pointers
-        // valid for p reads.
-        unsafe { prefix_groups(q, n, row, emit) }
-    }
-
-    /// [`super::l2_sq_prefix_keep`]: each group's eight sums compared with
-    /// `bound` at once (`_CMP_NGT_UQ`, true where a sum is not above it or
-    /// is NaN), the kept rows' indices written in order.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports `avx2` and `fma`, that `q` is no
-    /// wider than `stride` and that `rows` holds `keep.len()` rows `stride`
+    /// Caller must ensure the CPU supports `avx2` and `fma`, that `q` and
+    /// `stride` are 8 and at least 8 wide and that `rows` holds `keep.len()` rows `stride`
     /// floats apart.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn l2_prefix_keep(
@@ -1367,23 +1245,34 @@ mod avx2_prefix {
         bound: f32,
         keep: &mut [u32],
     ) -> usize {
-        debug_assert!(q.len() <= stride && rows.len() == stride * keep.len());
+        debug_assert!(q.len() == 8 && stride >= 8 && rows.len() == stride * keep.len());
         let (base, n) = (rows.as_ptr(), keep.len());
+        // SAFETY: the query holds 8 floats.
+        let qv = unsafe { _mm256_loadu_ps(q.as_ptr()) };
         let bound = _mm256_set1_ps(bound);
+        let zero = _mm256_setzero_ps();
         let mut kept = 0;
-        let emit = |c: usize, m: usize, sums: __m256| {
+        for c in (0..n).step_by(8) {
+            let last = (n - c).min(8) - 1;
+            let mut acc = [zero; 8];
+            for (k, a) in acc.iter_mut().enumerate() {
+                // SAFETY: row c + min(k, last) < n starts at its index
+                // times stride, and its first 8 <= stride floats end inside
+                // `rows`, which holds n rows of stride.
+                let r = unsafe { _mm256_loadu_ps(base.add((c + k.min(last)) * stride)) };
+                let d = _mm256_sub_ps(qv, r);
+                *a = _mm256_fmadd_ps(d, d, zero);
+            }
+            // SAFETY: callee requires the same target features as self.
+            let sums = unsafe { horizontal_sums8(acc) };
             let not_above = _mm256_cmp_ps(sums, bound, _CMP_NGT_UQ);
-            let mut mask = (_mm256_movemask_ps(not_above) as u32) & ((1 << m) - 1);
+            let mut mask = (_mm256_movemask_ps(not_above) as u32) & ((2 << last) - 1);
             while mask != 0 {
                 keep[kept] = (c + mask.trailing_zeros() as usize) as u32;
                 kept += 1;
                 mask &= mask - 1;
             }
-        };
-        // SAFETY: same target features as self; row i < n starts at
-        // i * stride and its first q.len() <= stride floats end inside
-        // `rows`, which holds n rows of stride.
-        unsafe { prefix_groups(q, n, |i| base.add(i * stride), emit) };
+        }
         kept
     }
 
@@ -1417,43 +1306,22 @@ mod avx2_prefix {
     }
 }
 
-/// Squared L2 distance of the query prefix `q` to the first `q.len()`
-/// floats of each picked row `at[i]` of `rows`, whose rows start `stride`
-/// floats apart, into `out[i]`: the prefix pass of an L2 run, which drops
-/// a candidate on a few leading coordinates before its whole row is
-/// scored. Eight rows per pass, reduced together. Each result is bit for
-/// bit [`l2_sq`] of the two prefixes, so it is at most [`l2_sq_rows`]' sum
-/// over the whole row: every lane and every add of the reduction only sees
-/// non-negative terms added. [`l2_sq_prefix_rows_at_scalar`] is the path
-/// without AVX2, bit for bit [`l2_sq_scalar`] of the prefixes.
+/// The prefix pass of an L2 run, which drops a candidate on its first 8
+/// coordinates before its whole row is scored: the squared L2 distance of
+/// the query prefix `q` to the first 8 floats of each of the `keep.len()`
+/// rows of `rows`, whose rows start `stride` floats apart, and the index
+/// of every row whose distance is not above `bound` (`!(d > bound)`, so a
+/// NaN distance is kept) written to the front of `keep`, ascending, and
+/// their count returned. Each distance is bit for bit [`l2_sq`] of the two
+/// prefixes, so it is at most [`l2_sq_rows`]' sum over the whole row:
+/// every lane and every add of the reduction only sees non-negative terms
+/// added. Eight rows per pass, reduced and compared together.
+/// [`l2_sq_prefix_keep_scalar`] is the path without AVX2, bit for bit
+/// [`l2_sq_scalar`] of the prefixes.
 ///
 /// # Panics
-/// When `q` is wider than `stride`, `at.len() != out.len()` or a picked
-/// row lies outside `rows`.
-pub fn l2_sq_prefix_rows_at(q: &[f32], rows: &[f32], stride: usize, at: &[u32], out: &mut [f32]) {
-    check_prefix(q, stride);
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above; lengths asserted equal.
-            return unsafe { avx2_prefix::l2_prefix_rows_at(q, rows, stride, at, out) };
-        }
-    }
-    l2_sq_prefix_rows_at_scalar(q, rows, stride, at, out)
-}
-
-/// [`l2_sq_prefix_rows_at`] over every row, and the prefix pass's
-/// first-hop test at once: the index of every row whose prefix distance is
-/// not above `bound` (`!(d > bound)`, so a NaN distance is kept) written
-/// to the front of `keep`, ascending, and their count returned —
-/// `keep.len()` rows of `rows`, `stride` floats apart. The distances are
-/// [`l2_sq_prefix_rows_at`]'s bit for bit; the AVX2 path compares eight
-/// at a time instead of storing them. [`l2_sq_prefix_keep_scalar`] is the
-/// path without AVX2.
-///
-/// # Panics
-/// When `q` is wider than `stride` or `rows.len() != stride * keep.len()`.
+/// When `q` is not 8 floats, `stride < 8` or
+/// `rows.len() != stride * keep.len()`.
 pub fn l2_sq_prefix_keep(
     q: &[f32],
     rows: &[f32],
@@ -1761,34 +1629,27 @@ mod tests {
         }
     }
 
-    /// The prefix kernels on both dispatch paths — the dispatching forms
+    /// The prefix kernel on both dispatch paths — the dispatching form
     /// against [`l2_sq`] and [`l2_sq_rows`] (AVX2 where the host has it),
-    /// the scalar twins against [`l2_sq_scalar`] and
-    /// [`l2_sq_rows_scalar`]: each result is bit for bit the one-row
-    /// kernel of the two prefixes, and never above the row kernel's sum
-    /// over the whole row. Rows 8–200 wide, stored at their width and at
-    /// strides above it, prefixes of 8 (the worker's) and of widths on
-    /// both sides of each 8-lane step, 0–17 rows (both sides of each group
+    /// the scalar twin against [`l2_sq_scalar`] and [`l2_sq_rows_scalar`]:
+    /// the rows it keeps at a bound equal to a row's prefix distance and at
+    /// the float just below it pin each distance bit for bit to the one-row
+    /// kernel of the two 8-float prefixes, which is never above the row
+    /// kernel's sum over the whole row. Rows 8–200 wide, stored at their
+    /// width and at strides above it, 0–17 rows (both sides of each group
     /// of eight), with coordinates drawn from ordinary values, subnormals,
     /// ±1e30 (whose squares overflow to +∞) and the query's own.
     #[test]
-    fn prefix_kernels_match_the_prefix_and_bound_the_row() {
+    fn prefix_kernel_matches_the_prefix_and_bounds_the_row() {
         use rand::prelude::*;
         type One = fn(&[f32], &[f32]) -> f32;
         type Rows = fn(&[f32], &[f32], &mut [f32]);
-        type PrefixAt = fn(&[f32], &[f32], usize, &[u32], &mut [f32]);
         type Keep = fn(&[f32], &[f32], usize, f32, &mut [u32]) -> usize;
-        let paths: [(One, Rows, PrefixAt, Keep); 2] = [
-            (l2_sq, l2_sq_rows, l2_sq_prefix_rows_at, l2_sq_prefix_keep),
-            (
-                l2_sq_scalar,
-                l2_sq_rows_scalar,
-                l2_sq_prefix_rows_at_scalar,
-                l2_sq_prefix_keep_scalar,
-            ),
+        let paths: [(One, Rows, Keep); 2] = [
+            (l2_sq, l2_sq_rows, l2_sq_prefix_keep),
+            (l2_sq_scalar, l2_sq_rows_scalar, l2_sq_prefix_keep_scalar),
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(34);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let subnormal = f32::MIN_POSITIVE / 3.0;
         for w in 8usize..=200 {
             let n = [0usize, 1, 7, 8, 9, 17][w % 6];
@@ -1816,10 +1677,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let at: Vec<u32> = (0..n + 2)
-                .filter(|_| n > 0)
-                .map(|_| rng.random_range(0..n as u32))
-                .collect();
+            let dense = rows.concat();
             for stride in [w, w + 1, w + 9] {
                 let flat: Vec<f32> = rows
                     .iter()
@@ -1829,44 +1687,34 @@ mod tests {
                             .chain(std::iter::repeat_n(7.5, stride - w))
                     })
                     .collect();
-                let dense = rows.concat();
-                for p in [8, 1, 7, 9, 16, 17, w] {
-                    let p = p.min(w);
-                    for (one, row_kernel, prefix_at, keep) in paths {
-                        let want: Vec<f32> = rows.iter().map(|r| one(&q[..p], &r[..p])).collect();
-                        let every: Vec<u32> = (0..n as u32).collect();
-                        let mut got = vec![f32::NAN; n];
-                        prefix_at(&q[..p], &flat, stride, &every, &mut got);
-                        assert_eq!(bits(&got), bits(&want), "w={w} stride={stride} p={p}");
-                        let mut full = vec![f32::NAN; n];
-                        row_kernel(&q, &dense, &mut full);
-                        for (i, (pre, full)) in got.iter().zip(&full).enumerate() {
-                            assert!(
-                                pre <= full,
-                                "w={w} stride={stride} p={p} row {i}: {pre} > {full}"
-                            );
-                        }
-                        // The keep test at bounds equal to a row's prefix
-                        // (kept), between and beyond them, and NaN (all).
-                        let bounds =
-                            want.iter()
-                                .copied()
-                                .chain([-1.0, 0.5, f32::INFINITY, f32::NAN]);
-                        for bound in bounds {
-                            let kept: Vec<u32> = (0..n as u32)
-                                .filter(|&i| {
-                                    want[i as usize].partial_cmp(&bound)
-                                        != Some(std::cmp::Ordering::Greater)
-                                })
-                                .collect();
-                            let mut got = vec![u32::MAX; n];
-                            let count = keep(&q[..p], &flat, stride, bound, &mut got);
-                            assert_eq!(got[..count], kept[..], "keep w={w} stride={stride} p={p}");
-                        }
-                        let want_at: Vec<f32> = at.iter().map(|&r| want[r as usize]).collect();
-                        let mut got = vec![f32::NAN; at.len()];
-                        prefix_at(&q[..p], &flat, stride, &at, &mut got);
-                        assert_eq!(bits(&got), bits(&want_at), "at w={w} stride={stride} p={p}");
+                for (one, row_kernel, keep) in paths {
+                    let want: Vec<f32> = rows.iter().map(|r| one(&q[..8], &r[..8])).collect();
+                    let mut full = vec![f32::NAN; n];
+                    row_kernel(&q, &dense, &mut full);
+                    for (i, (pre, full)) in want.iter().zip(&full).enumerate() {
+                        assert!(pre <= full, "w={w} row {i}: {pre} > {full}");
+                    }
+                    // Kept at a bound equal to a row's distance, dropped at
+                    // the float below it: the kernel's distance is exactly
+                    // `want`'s. Then bounds between and beyond them, and
+                    // NaN (all kept).
+                    let below = want.iter().map(|&d| d.next_down());
+                    let bounds = want.iter().copied().chain(below).chain([
+                        -1.0,
+                        0.5,
+                        f32::INFINITY,
+                        f32::NAN,
+                    ]);
+                    for bound in bounds {
+                        let kept: Vec<u32> = (0..n as u32)
+                            .filter(|&i| {
+                                want[i as usize].partial_cmp(&bound)
+                                    != Some(std::cmp::Ordering::Greater)
+                            })
+                            .collect();
+                        let mut got = vec![u32::MAX; n];
+                        let count = keep(&q[..8], &flat, stride, bound, &mut got);
+                        assert_eq!(got[..count], kept[..], "w={w} stride={stride} {bound}");
                     }
                 }
             }
@@ -1874,8 +1722,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prefix wider than the row stride")]
-    fn prefix_wider_than_the_stride_panics() {
+    #[should_panic(expected = "the prefix is 8 floats")]
+    fn prefix_of_another_width_panics() {
+        l2_sq_prefix_keep(&[1.0; 9], &[0.0; 32], 16, 1.0, &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row stride narrower than the prefix")]
+    fn prefix_stride_narrower_than_the_prefix_panics() {
         l2_sq_prefix_keep(&[1.0; 8], &[0.0; 14], 7, 1.0, &mut [0; 2]);
     }
 
@@ -1886,21 +1740,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one output per picked row")]
-    fn prefix_picks_and_outputs_of_different_lengths_panic() {
-        l2_sq_prefix_rows_at(&[1.0; 8], &[0.0; 64], 16, &[0, 1, 2], &mut [0.0; 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "picked row outside the rows")]
-    fn prefix_picked_row_outside_the_rows_panics() {
-        l2_sq_prefix_rows_at(&[1.0; 8], &[0.0; 64], 16, &[1, 4], &mut [0.0; 2]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn prefix_scalar_picked_row_outside_the_rows_panics() {
-        l2_sq_prefix_rows_at_scalar(&[1.0; 8], &[0.0; 64], 16, &[1, 4], &mut [0.0; 2]);
+    #[should_panic(expected = "rows must be keep.len() rows of stride")]
+    fn prefix_scalar_keep_rows_of_the_wrong_shape_panic() {
+        l2_sq_prefix_keep_scalar(&[1.0; 8], &[0.0; 60], 16, 1.0, &mut [0; 4]);
     }
 
     #[test]
