@@ -419,25 +419,49 @@ impl ClientReceiver {
     }
 }
 
+/// Most user frames one drain of a worker mailbox hands to the handler.
+const DRAIN_MAX_FRAMES: usize = 64;
+
 /// Worker event loop: pulls frames off the transport and feeds payloads to
-/// the handler.
+/// the handler. After each blocking receive it also takes the frames
+/// already queued behind it, without waiting, and hands the user frames
+/// over as one batch ([`NodeHandler::handle_batch`]). A control frame ends
+/// the drain and is acted on after the batch before it, so a barrier pong
+/// still means that everything sent before the ping has been handled.
 fn worker_main<H: NodeHandler>(mut handler: H, ctx: NodeCtx) {
+    let mut batch = Vec::new();
     loop {
-        match ctx.transport.recv(ctx.node_id, Duration::from_millis(500)) {
-            Ok(Frame::User {
-                from,
-                payload,
-                injected_delay_ns,
-            }) => {
-                // Receiver-side injected network delay (non-blocking+sleep
-                // mode): the NIC drains the transfer before the handler runs.
-                spin_sleep(injected_delay_ns);
-                // Deserialization CPU: modeled, busy-not-compute ("other").
-                ctx.metrics()
-                    .add_busy(ctx.rates().overhead_ns(payload.len()));
-                handler.handle(&ctx, from, payload);
+        let mut next = ctx.transport.recv(ctx.node_id, Duration::from_millis(500));
+        let control = loop {
+            match next {
+                Ok(Frame::User {
+                    from,
+                    payload,
+                    injected_delay_ns,
+                }) => {
+                    // Receiver-side injected network delay (non-blocking+sleep
+                    // mode): the NIC drains the transfer before the handler
+                    // runs.
+                    spin_sleep(injected_delay_ns);
+                    // Deserialization CPU: modeled, busy-not-compute ("other").
+                    ctx.metrics()
+                        .add_busy(ctx.rates().overhead_ns(payload.len()));
+                    batch.push((from, payload));
+                    if batch.len() == DRAIN_MAX_FRAMES {
+                        break None;
+                    }
+                    next = ctx.transport.try_recv(ctx.node_id);
+                }
+                Err(ClusterError::Timeout) => break None,
+                other => break Some(other),
             }
-            Ok(Frame::Ping { token }) => {
+        };
+        if !batch.is_empty() {
+            handler.handle_batch(&ctx, std::mem::take(&mut batch));
+        }
+        match control {
+            None | Some(Ok(Frame::User { .. })) => {}
+            Some(Ok(Frame::Ping { token })) => {
                 // Barrier probe: answer out-of-band (not cost-modeled).
                 let _ = ctx.transport.send(
                     CLIENT,
@@ -447,10 +471,8 @@ fn worker_main<H: NodeHandler>(mut handler: H, ctx: NodeCtx) {
                     },
                 );
             }
-            Ok(Frame::Pong { .. }) => {}
-            Ok(Frame::Shutdown) => break,
-            Err(ClusterError::Timeout) => continue,
-            Err(_) => break,
+            Some(Ok(Frame::Pong { .. })) => {}
+            Some(Ok(Frame::Shutdown)) | Some(Err(_)) => break,
         }
     }
     handler.on_shutdown(&ctx);
@@ -748,6 +770,129 @@ mod tests {
         let (_, reply) = rx.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(&reply[..], b"X");
         cluster.shutdown().unwrap();
+    }
+
+    /// Echoes like [`Echo`] and logs each batch the drain hands over; the
+    /// first message waits for `gate`, so the next ones queue behind it.
+    struct Gated {
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+        batches: Arc<parking_lot::Mutex<Vec<Vec<Bytes>>>>,
+    }
+    impl NodeHandler for Gated {
+        fn handle(&mut self, ctx: &NodeCtx, from: NodeId, payload: Bytes) {
+            if let Some(gate) = self.gate.take() {
+                gate.recv().unwrap();
+            }
+            Echo.handle(ctx, from, payload);
+        }
+        fn handle_batch(&mut self, ctx: &NodeCtx, batch: Vec<(NodeId, Bytes)>) {
+            let payloads = batch.iter().map(|(_, p)| p.clone()).collect();
+            self.batches.lock().push(payloads);
+            for (from, payload) in batch {
+                self.handle(ctx, from, payload);
+            }
+        }
+    }
+
+    /// One gated worker, its gate and its batch log.
+    type GatedCluster = (
+        Cluster,
+        std::sync::mpsc::Sender<()>,
+        Arc<parking_lot::Mutex<Vec<Vec<Bytes>>>>,
+    );
+
+    fn gated_cluster(config: ClusterConfig) -> GatedCluster {
+        let (open, gate) = std::sync::mpsc::channel();
+        let batches = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut gate = Some(gate);
+        let log = Arc::clone(&batches);
+        let cluster = Cluster::spawn(config, move |_| Gated {
+            gate: gate.take(),
+            batches: Arc::clone(&log),
+        });
+        (cluster, open, batches)
+    }
+
+    const QUEUED: [&[u8]; 4] = [b"g", b"a", b"b", b"c"];
+
+    /// A barrier ping queued behind user frames is answered only after the
+    /// drain has handled them all: every reply reaches the client before
+    /// the pong, and the frames that queued were handed over together.
+    #[test]
+    fn a_ping_queued_behind_user_frames_is_answered_after_them() {
+        for config in [ClusterConfig::new(1), tcp_config(1)] {
+            let label = config.transport.label();
+            let (mut cluster, open, batches) = gated_cluster(config);
+            for payload in QUEUED {
+                cluster.send(0, Bytes::from_static(payload)).unwrap();
+            }
+            cluster
+                .transport
+                .broadcast(&Frame::Ping { token: 7 })
+                .unwrap();
+            open.send(()).unwrap();
+            let mut replies = Vec::new();
+            loop {
+                match cluster.transport.recv(CLIENT, Duration::from_secs(5)) {
+                    Ok(Frame::User { payload, .. }) => replies.push(payload),
+                    Ok(Frame::Pong { token: 7, from: 0 }) => break,
+                    other => panic!("{label}: unexpected {other:?}"),
+                }
+            }
+            let want = QUEUED.map(|p| Bytes::from(p.to_ascii_uppercase()));
+            assert_eq!(replies, want, "{label}: replies before the pong, in order");
+            let batches = batches.lock().clone();
+            let handed: Vec<Bytes> = batches.iter().flatten().cloned().collect();
+            let sent = QUEUED.map(Bytes::from_static);
+            assert_eq!(
+                handed, sent,
+                "{label}: every frame handed over once, in order"
+            );
+            assert!(
+                batches.iter().any(|b| b.len() > 1),
+                "{label}: frames queued behind the gate were not drained together"
+            );
+            cluster.shutdown().unwrap();
+        }
+    }
+
+    /// A shutdown queued behind user frames still stops the loop, after
+    /// the frames before it are handled.
+    #[test]
+    fn a_queued_shutdown_stops_the_loop_after_the_frames_before_it() {
+        for config in [ClusterConfig::new(1), tcp_config(1)] {
+            let label = config.transport.label();
+            let (mut cluster, open, batches) = gated_cluster(config);
+            for payload in QUEUED {
+                cluster.send(0, Bytes::from_static(payload)).unwrap();
+            }
+            cluster.transport.send(0, Frame::Shutdown).unwrap();
+            open.send(()).unwrap();
+            // Joins the worker thread: returns only once the loop stopped.
+            cluster.shutdown().unwrap();
+            let handed = batches.lock().iter().flatten().count();
+            assert_eq!(handed, QUEUED.len(), "{label}: frames before the shutdown");
+        }
+    }
+
+    /// The default `handle_batch` calls `handle` in arrival order: a
+    /// burst of echoes comes back in the order it was sent.
+    #[test]
+    fn default_batch_handling_keeps_arrival_order() {
+        for config in [ClusterConfig::new(1), tcp_config(1)] {
+            let mut cluster = Cluster::spawn(config, |_| Echo);
+            let sent: Vec<Bytes> = (0..200u32)
+                .map(|i| Bytes::from(format!("m{i}").into_bytes()))
+                .collect();
+            for payload in &sent {
+                cluster.send(0, payload.clone()).unwrap();
+            }
+            for payload in &sent {
+                let (_, reply) = cluster.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(reply[..], payload.to_ascii_uppercase()[..]);
+            }
+            cluster.shutdown().unwrap();
+        }
     }
 
     #[test]

@@ -28,12 +28,22 @@ pub const CLIENT: NodeId = usize::MAX;
 
 /// Logic hosted on a worker node.
 ///
-/// Handlers are single-threaded per node: `handle` is never called
-/// concurrently for the same node, so implementations can keep plain
-/// mutable state.
+/// Handlers are single-threaded per node: `handle` and `handle_batch` are
+/// never called concurrently for the same node, so implementations can
+/// keep plain mutable state.
 pub trait NodeHandler: Send + 'static {
     /// Processes one message. Replies and forwards go through `ctx`.
     fn handle(&mut self, ctx: &NodeCtx, from: NodeId, payload: Bytes);
+
+    /// Processes the messages that were queued together, in arrival
+    /// order: the event loop hands over everything already in the mailbox
+    /// at once, so a handler may execute adjacent messages jointly as long
+    /// as it keeps their order. The default handles them one by one.
+    fn handle_batch(&mut self, ctx: &NodeCtx, batch: Vec<(NodeId, Bytes)>) {
+        for (from, payload) in batch {
+            self.handle(ctx, from, payload);
+        }
+    }
 
     /// Called once after the node receives the shutdown signal.
     fn on_shutdown(&mut self, _ctx: &NodeCtx) {}

@@ -53,7 +53,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{CodecError, Wire};
@@ -304,6 +304,15 @@ pub trait Transport: Send + Sync {
     /// [`ClusterError::ShutDown`] once the fabric is torn down and drained.
     fn recv(&self, node: NodeId, timeout: Duration) -> Result<Frame, ClusterError>;
 
+    /// Takes the next frame already queued for `node`, without waiting
+    /// (and without the spinning and yielding a zero-timeout
+    /// [`Transport::recv`] may do before it gives up).
+    ///
+    /// # Errors
+    /// [`ClusterError::Timeout`] when nothing is queued,
+    /// [`ClusterError::ShutDown`] once the fabric is torn down and drained.
+    fn try_recv(&self, node: NodeId) -> Result<Frame, ClusterError>;
+
     /// Framing bytes this transport adds to each user message on the wire
     /// (0 for in-process delivery). Charged into the `wire_*` metrics.
     fn frame_overhead_bytes(&self) -> u64;
@@ -330,6 +339,15 @@ pub fn build_transport(
     match kind {
         TransportKind::InProc => Ok(Arc::new(InProcTransport::new(workers))),
         TransportKind::Tcp(opts) => Ok(Arc::new(TcpTransport::bind(workers, opts.clone())?)),
+    }
+}
+
+/// [`Transport::try_recv`] on one mailbox.
+fn try_take(rx: &Receiver<Frame>) -> Result<Frame, ClusterError> {
+    match rx.try_recv() {
+        Ok(frame) => Ok(frame),
+        Err(TryRecvError::Empty) => Err(ClusterError::Timeout),
+        Err(TryRecvError::Disconnected) => Err(ClusterError::ShutDown),
     }
 }
 
@@ -399,6 +417,11 @@ impl Transport for InProcTransport {
             Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(ClusterError::ShutDown),
         }
+    }
+
+    fn try_recv(&self, node: NodeId) -> Result<Frame, ClusterError> {
+        let slot = slot_of(node, self.workers)?;
+        try_take(&self.receivers[slot].lock())
     }
 
     fn frame_overhead_bytes(&self) -> u64 {
@@ -663,6 +686,11 @@ impl Transport for TcpTransport {
         }
     }
 
+    fn try_recv(&self, node: NodeId) -> Result<Frame, ClusterError> {
+        let slot = slot_of(node, self.workers)?;
+        try_take(&self.delivery_rx[slot].lock())
+    }
+
     fn frame_overhead_bytes(&self) -> u64 {
         TCP_FRAME_OVERHEAD_BYTES
     }
@@ -911,6 +939,10 @@ mod tests {
             t.recv(0, Duration::from_millis(10)),
             Err(ClusterError::Timeout)
         );
+        // `try_recv` takes only what is already queued.
+        assert_eq!(t.try_recv(0), Err(ClusterError::Timeout));
+        t.send(0, user(1, b"queued")).unwrap();
+        assert_eq!(t.try_recv(0).unwrap(), user(1, b"queued"));
         assert_eq!(
             t.send(5, Frame::Shutdown),
             Err(ClusterError::UnknownNode(5))
@@ -929,6 +961,7 @@ mod tests {
             t.recv(0, Duration::from_millis(10)),
             Err(ClusterError::ShutDown)
         );
+        assert_eq!(t.try_recv(0), Err(ClusterError::ShutDown));
         assert_eq!(t.send(0, Frame::Shutdown), Err(ClusterError::ShutDown));
     }
 

@@ -22,6 +22,11 @@
 //! sub-batch. The single-query messages ([`ToWorker::Chunk`],
 //! [`ToWorker::Carry`]) are lifted into one-row sub-batches on arrival.
 //!
+//! Sub-batches whose one hop answers the client and that were queued
+//! together ([`NodeHandler::handle_batch`]) are scanned as one: each run
+//! of them that agrees on its storage goes through one list-major walk
+//! and its answer is split back per sub-batch (DESIGN.md §2).
+//!
 //! Reported scores live in the metric's client-side lower-is-better space
 //! ([`Metric::score`]): raw for L2 and inner product, and normalized by the
 //! full vector norms for cosine (using the `total_norms_sq` tables shipped
@@ -1449,6 +1454,10 @@ pub struct HarmonyWorker {
     fault_bytes: u64,
     /// Sub-batches answered emptily because a probed list was unreadable.
     spill_read_errors: u64,
+    /// Sub-batches scanned as part of a joined run, for the tests to see
+    /// that their queues form runs.
+    #[cfg(test)]
+    chunks_joined: u64,
 }
 
 impl Default for HarmonyWorker {
@@ -1490,6 +1499,8 @@ impl HarmonyWorker {
             cache_misses: 0,
             fault_bytes: 0,
             spill_read_errors: 0,
+            #[cfg(test)]
+            chunks_joined: 0,
         }
     }
 
@@ -1832,18 +1843,14 @@ impl HarmonyWorker {
         }
     }
 
-    /// One hop of one sub-batch on this worker: resolve the storage the
-    /// chunk names, run [`scan_hop`] over it, count what it did and send
-    /// what it produced — the survivors to the next machine of the
-    /// itinerary, or the last position's answer to the client.
+    /// One hop of one sub-batch on this worker: fault what it probes, then
+    /// [`Self::hop`] it.
     fn run_hop(&mut self, ctx: &NodeCtx, chunk: ChunkBatch, carry: Option<CarryBatch>) {
-        let n = chunk.len();
-        let position = chunk.position as usize;
         // Fault what a demoted block lacks of the probed lists (and refresh
         // their cache recency) once per sub-batch, before taking the
         // immutable storage borrow. A list that cannot be read back is not
         // scanned as absent — that would shift the canonical indices the
-        // shard row carries — the sub-batch is answered emptily instead.
+        // shard row carries — the hop is skipped instead.
         let kept = match self.fault_in((chunk.ns, chunk.epoch, chunk.shard), &chunk.clusters) {
             Ok(kept) => Some(kept),
             Err(_) => {
@@ -1851,6 +1858,72 @@ impl HarmonyWorker {
                 None
             }
         };
+        let n = chunk.len();
+        self.hop(ctx, chunk, carry, kept, std::slice::from_ref(&n));
+    }
+
+    /// Scans a run of queued single-hop sub-batches ([`same_run`]) as one:
+    /// one fault, one probe sort and one list-major walk, so the register
+    /// tile and the prefix pass see every query of the run that probes a
+    /// list. The answer is split back into one [`ResultBatch`] per
+    /// sub-batch. A lone sub-batch runs alone, and so does each of a run
+    /// a probed list of which cannot be read back, so that only the
+    /// sub-batches probing that list are skipped.
+    fn run_joined(&mut self, ctx: &NodeCtx, run: Vec<ChunkBatch>) {
+        let kept = match run.as_slice() {
+            [head, _, ..] => {
+                let probed: Vec<u32> = run
+                    .iter()
+                    .flat_map(|c| c.clusters.iter().copied())
+                    .collect();
+                self.fault_in((head.ns, head.epoch, head.shard), &probed)
+                    .ok()
+            }
+            _ => None,
+        };
+        let Some(kept) = kept else {
+            for chunk in run {
+                self.run_hop(ctx, chunk, None);
+            }
+            return;
+        };
+        #[cfg(test)]
+        {
+            self.chunks_joined += run.len() as u64;
+        }
+        let sizes: Vec<usize> = run.iter().map(ChunkBatch::len).collect();
+        let mut run = run.into_iter();
+        let Some(mut joined) = run.next() else { return };
+        for chunk in run {
+            let base = joined.clusters.len() as u32;
+            joined.query_ids.extend(chunk.query_ids);
+            joined.thresholds.extend(chunk.thresholds);
+            joined.q_total_norms_sq.extend(chunk.q_total_norms_sq);
+            joined
+                .cluster_ends
+                .extend(chunk.cluster_ends.iter().map(|&e| base + e));
+            joined.clusters.extend(chunk.clusters);
+            joined.dims.extend(chunk.dims);
+        }
+        self.hop(ctx, joined, None, Some(kept), &sizes);
+    }
+
+    /// One hop of `chunk` — one sub-batch, or a run of `sizes` queries
+    /// each — over the lists `kept` faulted (`None`: one was unreadable):
+    /// resolve the storage the chunk names, run [`scan_hop`] over it,
+    /// count what it did and send what it produced — the survivors to the
+    /// next machine of the itinerary, or each sub-batch's answer to the
+    /// client.
+    fn hop(
+        &mut self,
+        ctx: &NodeCtx,
+        chunk: ChunkBatch,
+        carry: Option<CarryBatch>,
+        kept: Option<Vec<ListKey>>,
+        sizes: &[usize],
+    ) {
+        let n = chunk.len();
+        let position = chunk.position as usize;
         let meta = self.meta(chunk.ns);
         let store = self.epochs.get(&(chunk.ns, chunk.epoch));
         let block = store
@@ -1871,17 +1944,8 @@ impl HarmonyWorker {
         });
         let Some(store) = store else {
             // Epoch never loaded (or already evicted), a probed list
-            // unreadable, or a malformed sub-batch: answer emptily so the
-            // client can finish.
-            let empty = ResultBatch {
-                shard: chunk.shard,
-                result_ends: vec![0; n],
-                ids: Vec::new(),
-                scores: Vec::new(),
-                candidates_seen: vec![0; n],
-                query_ids: chunk.query_ids,
-            };
-            Self::reply(ctx, chunk.legacy_reply, empty);
+            // unreadable, or a malformed sub-batch.
+            Self::skip_hop(ctx, chunk, sizes);
             self.drop_cached(kept.into_iter().flatten());
             return;
         };
@@ -1899,16 +1963,26 @@ impl HarmonyWorker {
             &mut self.scratch,
         );
         self.compute_ns += scan_start.elapsed().as_nanos() as u64;
-        // Modeled compute charge: deterministic, host-independent.
-        ctx.charge_compute(tally.scanned_point_dims, tally.seen);
         if position < self.slice_in.len() {
             self.slice_in[position] += tally.seen;
             self.slice_pruned[position] += tally.pruned;
         }
         self.scanned_point_dims += tally.scanned_point_dims;
         match (out, next) {
-            (HopOutput::Answer(result), _) => Self::reply(ctx, legacy_reply, result),
+            (HopOutput::Answer(result), _) => {
+                // Modeled compute charge: deterministic, host-independent,
+                // and charged per sub-batch, so a run costs what its
+                // sub-batches cost alone. Every candidate a query saw was
+                // scanned across the whole slice.
+                debug_assert_eq!(tally.scanned_point_dims, tally.seen * width as u64);
+                for part in split_answer(result, sizes) {
+                    let seen = part.candidates_seen.iter().sum::<u64>();
+                    ctx.charge_compute(seen * width as u64, seen);
+                    Self::reply(ctx, legacy_reply, part);
+                }
+            }
             (HopOutput::Forward(carry), Some(next)) => {
+                ctx.charge_compute(tally.scanned_point_dims, tally.seen);
                 let _ = ctx.send(next as NodeId, ToWorker::CarryBatch(carry).to_bytes());
             }
             (HopOutput::Forward(_), None) => {
@@ -1916,6 +1990,40 @@ impl HarmonyWorker {
             }
         }
         self.drop_cached(kept.into_iter().flatten());
+    }
+
+    /// A hop that cannot scan. The last position answers each sub-batch of
+    /// `sizes` emptily, so the client can finish; an earlier one forwards
+    /// a carry without survivors, so the next machine's chunk is not left
+    /// waiting for it and the itinerary's last machine answers.
+    fn skip_hop(ctx: &NodeCtx, chunk: ChunkBatch, sizes: &[usize]) {
+        let n = chunk.len();
+        if let Some(&next) = chunk.order.get(chunk.position as usize + 1) {
+            let carry = CarryBatch {
+                first_query_id: chunk.query_ids.first().copied().unwrap_or_default(),
+                shard: chunk.shard,
+                thresholds: chunk.thresholds,
+                survivor_ends: vec![0; n],
+                indices: Vec::new(),
+                partials: Vec::new(),
+                visited_norms_sq: Vec::new(),
+                q_visited_norms_sq: Vec::new(),
+                quant_eps: Vec::new(),
+            };
+            let _ = ctx.send(next as NodeId, ToWorker::CarryBatch(carry).to_bytes());
+            return;
+        }
+        let empty = ResultBatch {
+            shard: chunk.shard,
+            result_ends: vec![0; n],
+            ids: Vec::new(),
+            scores: Vec::new(),
+            candidates_seen: vec![0; n],
+            query_ids: chunk.query_ids,
+        };
+        for part in split_answer(empty, sizes) {
+            Self::reply(ctx, chunk.legacy_reply, part);
+        }
     }
 
     /// Faults the lists a sub-batch will probe on this machine ahead of its
@@ -2018,15 +2126,65 @@ impl Drop for HarmonyWorker {
     }
 }
 
-impl NodeHandler for HarmonyWorker {
-    fn handle(&mut self, ctx: &NodeCtx, _from: NodeId, payload: Bytes) {
-        let msg = match ToWorker::from_bytes(payload) {
-            Ok(m) => m,
-            Err(_) => {
-                debug_assert!(false, "malformed worker message");
-                return;
-            }
-        };
+/// Most sub-batches, and most queries, one run joins: the scan's scratch
+/// (query slots, probe list, tile partials) grows with a run's queries.
+const RUN_MAX_CHUNKS: usize = 64;
+const RUN_MAX_QUERIES: usize = 256;
+
+/// Whether `chunk` may join a run: it is the whole itinerary, so its hop
+/// answers the client. A forwarding hop never joins one — the carry of
+/// every sub-batch of the run would wait for the whole run's scan, and
+/// the next machine with it.
+fn joins_runs(chunk: &ChunkBatch) -> bool {
+    chunk.position == 0 && chunk.order.len() == 1 && !chunk.legacy_reply && !chunk.is_empty()
+}
+
+/// Whether `next` scans as one sub-batch with the run `head` starts:
+/// the same storage, watermark, `k` and query slice shape.
+fn same_run(head: &ChunkBatch, next: &ChunkBatch) -> bool {
+    (head.ns, head.epoch, head.shard, head.k, head.delta_seq)
+        == (next.ns, next.epoch, next.shard, next.k, next.delta_seq)
+        && head.width() == next.width()
+        && head.q_total_norms_sq.is_empty() == next.q_total_norms_sq.is_empty()
+}
+
+/// Splits a run's answer into one [`ResultBatch`] per sub-batch of
+/// `sizes` queries, in order; a lone sub-batch's is its own.
+fn split_answer(result: ResultBatch, sizes: &[usize]) -> Vec<ResultBatch> {
+    if sizes.len() < 2 {
+        return vec![result];
+    }
+    let (mut q, mut hits) = (0, 0);
+    sizes
+        .iter()
+        .map(|&n| {
+            let ends = &result.result_ends[q..q + n];
+            let end = ends.last().map_or(hits, |&e| e as usize);
+            let part = ResultBatch {
+                shard: result.shard,
+                query_ids: result.query_ids[q..q + n].to_vec(),
+                result_ends: ends.iter().map(|&e| e - hits as u32).collect(),
+                ids: result.ids[hits..end].to_vec(),
+                scores: result.scores[hits..end].to_vec(),
+                candidates_seen: result.candidates_seen[q..q + n].to_vec(),
+            };
+            (q, hits) = (q + n, end);
+            part
+        })
+        .collect()
+}
+
+impl HarmonyWorker {
+    /// A message from the fabric; `None` (and a debug assertion) for one
+    /// that does not decode.
+    fn decode(payload: Bytes) -> Option<ToWorker> {
+        let msg = ToWorker::from_bytes(payload).ok();
+        debug_assert!(msg.is_some(), "malformed worker message");
+        msg
+    }
+
+    /// Handles one message on its own.
+    fn dispatch(&mut self, ctx: &NodeCtx, msg: ToWorker) {
         match msg {
             ToWorker::Load(load) => self.handle_load(ctx, load),
             // The single-query forms run as one-row batches.
@@ -2052,6 +2210,46 @@ impl NodeHandler for HarmonyWorker {
     }
 }
 
+impl NodeHandler for HarmonyWorker {
+    fn handle(&mut self, ctx: &NodeCtx, _from: NodeId, payload: Bytes) {
+        if let Some(msg) = Self::decode(payload) {
+            self.dispatch(ctx, msg);
+        }
+    }
+
+    /// Handles the queued messages in order, except that each run of
+    /// consecutive sub-batches that answer the client and agree on their
+    /// storage ([`joins_runs`], [`same_run`]) is scanned as one
+    /// ([`Self::run_joined`]). Any other message ends the run first, so
+    /// deltas, deletes, loads, evictions, tier changes and prefetches keep
+    /// their place relative to every chunk.
+    fn handle_batch(&mut self, ctx: &NodeCtx, batch: Vec<(NodeId, Bytes)>) {
+        let mut run: Vec<ChunkBatch> = Vec::new();
+        for (_, payload) in batch {
+            let Some(msg) = Self::decode(payload) else {
+                continue;
+            };
+            match msg {
+                ToWorker::ChunkBatch(chunk) if joins_runs(&chunk) => {
+                    let queries: usize = run.iter().map(ChunkBatch::len).sum();
+                    let fits = run.first().is_some_and(|head| same_run(head, &chunk))
+                        && run.len() < RUN_MAX_CHUNKS
+                        && queries + chunk.len() <= RUN_MAX_QUERIES;
+                    if !fits {
+                        self.run_joined(ctx, std::mem::take(&mut run));
+                    }
+                    run.push(chunk);
+                }
+                msg => {
+                    self.run_joined(ctx, std::mem::take(&mut run));
+                    self.dispatch(ctx, msg);
+                }
+            }
+        }
+        self.run_joined(ctx, run);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2059,6 +2257,7 @@ mod tests {
     use harmony_cluster::{Cluster, ClusterConfig};
     use harmony_index::distance::l2_sq;
     use harmony_index::quant;
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// Loads a 2-vector block into a single worker and runs a query.
@@ -2347,10 +2546,16 @@ mod tests {
     /// tombstoned. Exercises every kind of run the scan walks.
     fn fx_cluster(metric: Metric, sq8: bool) -> Cluster {
         let mut cluster = Cluster::spawn(ClusterConfig::new(2), |_| HarmonyWorker::new());
+        fx_install(&mut cluster, metric, sq8, &[0, FX_DIM / 2, FX_DIM]);
+        cluster
+    }
+
+    /// Installs the fixture on the first workers of `cluster`, worker `w`
+    /// holding dimensions `splits[w]..splits[w + 1]`.
+    fn fx_install(cluster: &mut Cluster, metric: Metric, sq8: bool, splits: &[usize]) {
         let is_ip = !matches!(metric, Metric::L2);
-        let half = FX_DIM / 2;
-        for w in 0..2usize {
-            let range = w * half..(w + 1) * half;
+        for (w, r) in splits.windows(2).enumerate() {
+            let (range, width) = (r[0]..r[1], r[1] - r[0]);
             let lists = (0..FX_LISTS)
                 .map(|l| {
                     let ids: Vec<u64> = (0..FX_ROWS).map(|r| fx_list_id(l, r)).collect();
@@ -2363,7 +2568,7 @@ mod tests {
                         cluster: l,
                         ids,
                         segs: if sq8 {
-                            vec![Sq8Segment::quantize(&flat, half, range.start as u64)]
+                            vec![Sq8Segment::quantize(&flat, width, range.start as u64)]
                         } else {
                             vec![]
                         },
@@ -2390,14 +2595,14 @@ mod tests {
                 dim_block: w as u32,
                 dim_start: range.start as u64,
                 dim_end: range.end as u64,
-                total_dim_blocks: 2,
+                total_dim_blocks: splits.len() as u32 - 1,
                 metric: metric_tag::encode(metric),
                 pruning: true,
                 repr: u8::from(sq8),
                 lists,
             };
             cluster.send(w, ToWorker::Load(load).to_bytes()).unwrap();
-            drain_ack(&mut cluster);
+            drain_ack(cluster);
             let delta_ids: Vec<u64> = (0..FX_DELTA_ROWS).map(|i| 900 + i).collect();
             let delta_rows: Vec<Vec<f32>> = delta_ids.iter().map(|&id| fx_row(id)).collect();
             let upsert = DeltaUpsert {
@@ -2441,7 +2646,6 @@ mod tests {
                 .send(w, ToWorker::DeleteIds(delete).to_bytes())
                 .unwrap();
         }
-        cluster
     }
 
     /// One query of the fixture: full vector, probed clusters, threshold.
@@ -2474,39 +2678,51 @@ mod tests {
     /// Sends `queries` down the two-hop fixture pipeline as one sub-batch.
     fn fx_send(cluster: &Cluster, metric: Metric, queries: &[FxQuery]) {
         let half = FX_DIM / 2;
+        for w in 0..2usize {
+            let mut chunk = fx_chunk(metric, queries, w * half..(w + 1) * half, FX_DELTA_ROWS);
+            (chunk.order, chunk.position) = (vec![0, 1], w as u32);
+            cluster
+                .send(w, ToWorker::ChunkBatch(chunk).to_bytes())
+                .unwrap();
+        }
+    }
+
+    /// `queries` as one sub-batch for the machine holding `dims` alone,
+    /// at watermark `delta_seq`.
+    fn fx_chunk(
+        metric: Metric,
+        queries: &[FxQuery],
+        dims: std::ops::Range<usize>,
+        delta_seq: u64,
+    ) -> ChunkBatch {
         let mut clusters = Vec::new();
         let mut cluster_ends = Vec::new();
         for q in queries {
             clusters.extend_from_slice(&q.clusters);
             cluster_ends.push(clusters.len() as u32);
         }
-        for w in 0..2usize {
-            let chunk = ChunkBatch {
-                ns: 0,
-                epoch: 0,
-                shard: 0,
-                k: 5,
-                order: vec![0, 1],
-                position: w as u32,
-                delta_seq: FX_DELTA_ROWS, // the last delta row is past it
-                legacy_reply: false,
-                query_ids: queries.iter().map(|q| q.id).collect(),
-                thresholds: queries.iter().map(|q| q.threshold).collect(),
-                q_total_norms_sq: if matches!(metric, Metric::L2) {
-                    vec![]
-                } else {
-                    queries.iter().map(|q| ip(&q.vector, &q.vector)).collect()
-                },
-                cluster_ends: cluster_ends.clone(),
-                clusters: clusters.clone(),
-                dims: queries
-                    .iter()
-                    .flat_map(|q| q.vector[w * half..(w + 1) * half].to_vec())
-                    .collect(),
-            };
-            cluster
-                .send(w, ToWorker::ChunkBatch(chunk).to_bytes())
-                .unwrap();
+        ChunkBatch {
+            ns: 0,
+            epoch: 0,
+            shard: 0,
+            k: 5,
+            order: vec![0],
+            position: 0,
+            delta_seq,
+            legacy_reply: false,
+            query_ids: queries.iter().map(|q| q.id).collect(),
+            thresholds: queries.iter().map(|q| q.threshold).collect(),
+            q_total_norms_sq: if matches!(metric, Metric::L2) {
+                vec![]
+            } else {
+                queries.iter().map(|q| ip(&q.vector, &q.vector)).collect()
+            },
+            cluster_ends,
+            clusters,
+            dims: queries
+                .iter()
+                .flat_map(|q| q.vector[dims.clone()].to_vec())
+                .collect(),
         }
     }
 
@@ -3381,6 +3597,281 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(!r.ids.is_empty(), "the worker must still answer");
         cluster.shutdown().unwrap();
+    }
+
+    /// A client payload that makes the [`Harness`] hold the client's
+    /// messages; an empty one hands the held ones over.
+    const HOLD: &[u8] = b"hold";
+
+    /// What a [`Harness`] publishes after each step: the worker's
+    /// sub-batches scanned in joined runs, and its pending chunks and
+    /// carries.
+    type Probe = Arc<std::sync::Mutex<(u64, usize)>>;
+
+    /// Drives a worker with a queue of the test's making: between [`HOLD`]
+    /// and an empty payload the messages are held, then handed to the
+    /// worker as one queued batch ([`NodeHandler::handle_batch`]) or,
+    /// unless `together`, one at a time; every other message is handled
+    /// alone, on arrival.
+    struct Harness {
+        worker: HarmonyWorker,
+        together: bool,
+        held: Option<Vec<(NodeId, Bytes)>>,
+        probe: Probe,
+    }
+
+    impl NodeHandler for Harness {
+        fn handle(&mut self, ctx: &NodeCtx, from: NodeId, payload: Bytes) {
+            if payload[..] == *HOLD {
+                self.held = Some(Vec::new());
+            } else if payload.is_empty() {
+                let batch = self.held.take().unwrap_or_default();
+                if self.together {
+                    self.worker.handle_batch(ctx, batch);
+                } else {
+                    for (from, payload) in batch {
+                        self.worker.handle(ctx, from, payload);
+                    }
+                }
+            } else if let Some(held) = self.held.as_mut() {
+                held.push((from, payload));
+            } else {
+                self.worker.handle(ctx, from, payload);
+            }
+            let pending = &self.worker.pending;
+            *self.probe.lock().unwrap() = (
+                self.worker.chunks_joined,
+                pending.chunks.len() + pending.carries.len(),
+            );
+        }
+    }
+
+    fn harness_cluster(workers: usize, together: bool) -> (Cluster, Vec<Probe>) {
+        let probes: Vec<Probe> = (0..workers).map(|_| Probe::default()).collect();
+        let handed = probes.clone();
+        let cluster = Cluster::spawn(ClusterConfig::new(workers), move |w| Harness {
+            worker: HarmonyWorker::new(),
+            together,
+            held: None,
+            probe: Arc::clone(&handed[w]),
+        });
+        (cluster, probes)
+    }
+
+    /// Every message the client receives until `cluster` is quiet.
+    fn drain_client(cluster: &mut Cluster) -> Vec<ToClient> {
+        cluster.quiesce(1, Duration::from_secs(5)).unwrap();
+        let mut got = Vec::new();
+        while let Ok((_, payload)) = cluster.recv_timeout(Duration::from_millis(50)) {
+            got.push(ToClient::from_bytes(payload).unwrap());
+        }
+        got
+    }
+
+    /// A forwarding hop that cannot scan (here: a chunk of the wrong
+    /// width) forwards a carry without survivors: the last machine
+    /// answers the sub-batch, once, and nothing is left pending.
+    #[test]
+    fn a_failed_forwarding_hop_lets_the_last_machine_answer() {
+        let (mut cluster, probes) = harness_cluster(2, false);
+        fx_install(&mut cluster, Metric::L2, false, &[0, FX_DIM / 2, FX_DIM]);
+        let queries = fx_queries(Metric::L2, 700);
+        let half = FX_DIM / 2;
+        for w in [1usize, 0] {
+            // The first machine's slices are one coordinate short.
+            let dims = w * half..(w + 1) * half - usize::from(w == 0);
+            let mut chunk = fx_chunk(Metric::L2, &queries[..3], dims, FX_DELTA_ROWS);
+            (chunk.order, chunk.position) = (vec![0, 1], w as u32);
+            cluster
+                .send(w, ToWorker::ChunkBatch(chunk).to_bytes())
+                .unwrap();
+        }
+        let (from, payload) = cluster.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, 1, "the itinerary's last machine answers");
+        let ToClient::ResultBatch(r) = ToClient::from_bytes(payload).unwrap() else {
+            panic!("not a result batch");
+        };
+        assert_eq!(r.query_ids, vec![700, 701, 702]);
+        assert_eq!(r.result_ends, vec![0; 3]);
+        assert_eq!(r.candidates_seen, vec![0; 3]);
+        assert!(drain_client(&mut cluster).is_empty(), "answered once");
+        for (w, probe) in probes.iter().enumerate() {
+            assert_eq!(
+                probe.lock().unwrap().1,
+                0,
+                "worker {w}: entries left pending"
+            );
+        }
+        cluster.shutdown().unwrap();
+    }
+
+    /// A queued run of single-hop sub-batches scans as one and answers
+    /// exactly as its messages handled one at a time: per sub-batch the
+    /// same result bytes, and the same scan counters. Deletes and delta
+    /// upserts between chunks split runs, so chunks after them see them
+    /// and chunks before do not; so do a legacy chunk, another watermark
+    /// and an epoch the worker does not hold (which empties that
+    /// sub-batch's answer alone).
+    #[test]
+    fn coalesced_runs_equal_one_at_a_time() {
+        for (metric, sq8) in [
+            (Metric::L2, false),
+            (Metric::L2, true),
+            (Metric::Cosine, false),
+            (Metric::Cosine, true),
+        ] {
+            let label = format!("{metric:?} sq8={sq8}");
+            let qs = fx_queries(metric, 0);
+            let full = 0..FX_DIM;
+            let chunk = |first: u64, at: &[usize], delta_seq: u64| {
+                let picked: Vec<FxQuery> = at
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &q)| FxQuery {
+                        id: first + i as u64,
+                        vector: qs[q].vector.clone(),
+                        clusters: qs[q].clusters.clone(),
+                        threshold: qs[q].threshold,
+                    })
+                    .collect();
+                ToWorker::ChunkBatch(fx_chunk(metric, &picked, full.clone(), delta_seq))
+            };
+            // Query 0 probes list 0 alone, without a threshold: the best
+            // row of list 0 is in its top 5 (only three delta rows are
+            // visible); that row gets deleted mid-queue.
+            let head = chunk(100, &[0, 5, 6], FX_DELTA_ROWS);
+            let doomed = {
+                let (mut cluster, _) = harness_cluster(1, false);
+                fx_install(&mut cluster, metric, sq8, &[0, FX_DIM]);
+                cluster.send(0, head.to_bytes()).unwrap();
+                match &drain_client(&mut cluster)[..] {
+                    [ToClient::ResultBatch(r)] => {
+                        *r.result(0).ids.iter().find(|&&id| id < 900).unwrap()
+                    }
+                    other => panic!("{label}: {other:?}"),
+                }
+            };
+            let upserted = &qs[0].vector;
+            let norm = ip(upserted, upserted);
+            let is_ip = metric != Metric::L2;
+            let legacy = ToWorker::Chunk(QueryChunk {
+                ns: 0,
+                query_id: 400,
+                epoch: 0,
+                shard: 0,
+                k: 5,
+                threshold: f32::INFINITY,
+                clusters: vec![2, 0],
+                dims: qs[3].vector.clone(),
+                q_total_norm_sq: if is_ip {
+                    ip(&qs[3].vector, &qs[3].vector)
+                } else {
+                    0.0
+                },
+                order: vec![0],
+                position: 0,
+                delta_seq: FX_DELTA_ROWS,
+            });
+            let mut unknown = chunk(500, &[7, 8], FX_DELTA_ROWS);
+            if let ToWorker::ChunkBatch(c) = &mut unknown {
+                c.epoch = 9;
+            }
+            let late = FX_DELTA_ROWS + 2;
+            let queue = [
+                head,
+                chunk(110, &[1], FX_DELTA_ROWS),
+                chunk(120, &[2, 3, 4, 9, 15], FX_DELTA_ROWS),
+                ToWorker::DeleteIds(DeleteIds {
+                    ns: 0,
+                    epoch: 0,
+                    ids: vec![doomed],
+                    seq: 10,
+                }),
+                chunk(200, &[0, 11], FX_DELTA_ROWS),
+                chunk(210, &[12, 13], FX_DELTA_ROWS),
+                ToWorker::UpsertDelta(DeltaUpsert {
+                    ns: 0,
+                    epoch: 0,
+                    shard: 0,
+                    dim_start: 0,
+                    dim_end: FX_DIM as u64,
+                    ids: vec![950],
+                    seqs: vec![FX_DELTA_ROWS + 1],
+                    flat: upserted.clone(),
+                    block_norms_sq: if is_ip { vec![norm] } else { vec![] },
+                    total_norms_sq: if is_ip { vec![norm] } else { vec![] },
+                }),
+                chunk(300, &[0, 14], late),
+                chunk(310, &[10], late),
+                legacy,
+                chunk(320, &[4, 6, 8], late),
+                chunk(330, &[1, 3], late),
+                unknown,
+                chunk(340, &[2], late),
+                chunk(350, &[5, 7, 9, 11], late),
+                ToWorker::GetStats,
+            ];
+            let mut answers = Vec::new();
+            let mut joined = Vec::new();
+            for together in [false, true] {
+                let (mut cluster, probes) = harness_cluster(1, together);
+                fx_install(&mut cluster, metric, sq8, &[0, FX_DIM]);
+                cluster.send(0, Bytes::from_static(HOLD)).unwrap();
+                for msg in &queue {
+                    cluster.send(0, msg.to_bytes()).unwrap();
+                }
+                cluster.send(0, Bytes::new()).unwrap();
+                answers.push(drain_client(&mut cluster));
+                joined.push(probes[0].lock().unwrap().0);
+                cluster.shutdown().unwrap();
+            }
+            // Runs: [100, 110, 120], [200, 210], [300, 310], [320, 330],
+            // [340, 350]; everything else alone.
+            assert_eq!(joined, vec![0, 11], "{label}: sub-batches joined");
+            let (alone, together) = (&answers[0], &answers[1]);
+            assert_eq!(alone.len(), together.len(), "{label}: messages");
+            assert_eq!(
+                alone.len(),
+                13 + 1,
+                "{label}: one answer per sub-batch, then stats"
+            );
+            for (i, (a, t)) in alone.iter().zip(together).enumerate() {
+                match (a, t) {
+                    (ToClient::Stats(a), ToClient::Stats(t)) => {
+                        assert_eq!(a.slice_in, t.slice_in, "{label}: slice_in");
+                        assert_eq!(a.slice_pruned, t.slice_pruned, "{label}: pruned");
+                        assert_eq!(
+                            a.scanned_point_dims, t.scanned_point_dims,
+                            "{label}: scanned point-dims"
+                        );
+                    }
+                    (a, t) => assert_eq!(a.to_bytes(), t.to_bytes(), "{label}: message {i}"),
+                }
+            }
+            let batch = |first: u64| {
+                together
+                    .iter()
+                    .find_map(|m| match m {
+                        ToClient::ResultBatch(r) if r.query_ids[0] == first => Some(r),
+                        _ => None,
+                    })
+                    .unwrap()
+            };
+            assert!(
+                batch(100).result(0).ids.contains(&doomed),
+                "{label}: deleted early"
+            );
+            assert!(
+                !batch(200).result(0).ids.contains(&doomed),
+                "{label}: delete missed"
+            );
+            assert_eq!(batch(300).result(0).ids[0], 950, "{label}: upsert missed");
+            assert_eq!(batch(500).result_ends, vec![0, 0], "{label}: unknown epoch");
+            assert!(
+                batch(340).ids.len() + batch(350).ids.len() > 0,
+                "{label}: the run after the unknown epoch answered"
+            );
+        }
     }
 
     fn drain_tier_ack(cluster: &mut Cluster) {
