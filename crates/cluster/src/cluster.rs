@@ -826,6 +826,17 @@ mod tests {
             for payload in QUEUED {
                 cluster.send(0, Bytes::from_static(payload)).unwrap();
             }
+            // The gate opens only once every frame sent is handed over or
+            // waiting in the worker's mailbox: a frame still on its way
+            // (over TCP, in the reader) would be drained alone.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let accounted = || {
+                let handed: usize = batches.lock().iter().map(Vec::len).sum();
+                handed + cluster.transport.queued(0)
+            };
+            while accounted() < QUEUED.len() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             cluster
                 .transport
                 .broadcast(&Frame::Ping { token: 7 })

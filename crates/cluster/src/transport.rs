@@ -47,7 +47,7 @@
 use std::collections::VecDeque;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -313,6 +313,11 @@ pub trait Transport: Send + Sync {
     /// [`ClusterError::ShutDown`] once the fabric is torn down and drained.
     fn try_recv(&self, node: NodeId) -> Result<Frame, ClusterError>;
 
+    /// Frames delivered to `node`'s mailbox and not yet received from it
+    /// (0 for an unknown node). A frame still in flight — in a send queue,
+    /// on a socket — is not counted yet.
+    fn queued(&self, node: NodeId) -> usize;
+
     /// Framing bytes this transport adds to each user message on the wire
     /// (0 for in-process delivery). Charged into the `wire_*` metrics.
     fn frame_overhead_bytes(&self) -> u64;
@@ -342,12 +347,54 @@ pub fn build_transport(
     }
 }
 
-/// [`Transport::try_recv`] on one mailbox.
-fn try_take(rx: &Receiver<Frame>) -> Result<Frame, ClusterError> {
-    match rx.try_recv() {
-        Ok(frame) => Ok(frame),
-        Err(TryRecvError::Empty) => Err(ClusterError::Timeout),
-        Err(TryRecvError::Disconnected) => Err(ClusterError::ShutDown),
+/// One node's receive side: its channel, locked only by its single
+/// consumer, and a count of the frames waiting in it.
+struct Mailbox {
+    rx: Mutex<Receiver<Frame>>,
+    /// Frames delivered minus frames taken. Delivery is counted after the
+    /// frame is in the channel, so a frame taken first leaves it at −1
+    /// until its delivery is counted.
+    depth: Arc<AtomicIsize>,
+}
+
+impl Mailbox {
+    fn new(rx: Receiver<Frame>) -> Self {
+        Self {
+            rx: Mutex::new(rx),
+            depth: Arc::new(AtomicIsize::new(0)),
+        }
+    }
+
+    /// [`Transport::recv`] on this mailbox.
+    fn recv(&self, timeout: Duration) -> Result<Frame, ClusterError> {
+        let taken = match self.rx.lock().recv_timeout(timeout) {
+            Ok(frame) => Ok(frame),
+            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::ShutDown),
+        };
+        self.took(taken)
+    }
+
+    /// [`Transport::try_recv`] on this mailbox.
+    fn try_recv(&self) -> Result<Frame, ClusterError> {
+        let taken = match self.rx.lock().try_recv() {
+            Ok(frame) => Ok(frame),
+            Err(TryRecvError::Empty) => Err(ClusterError::Timeout),
+            Err(TryRecvError::Disconnected) => Err(ClusterError::ShutDown),
+        };
+        self.took(taken)
+    }
+
+    fn took(&self, taken: Result<Frame, ClusterError>) -> Result<Frame, ClusterError> {
+        if taken.is_ok() {
+            self.depth.fetch_sub(1, Ordering::AcqRel);
+        }
+        taken
+    }
+
+    /// [`Transport::queued`] on this mailbox.
+    fn queued(&self) -> usize {
+        self.depth.load(Ordering::Acquire).max(0) as usize
     }
 }
 
@@ -373,24 +420,24 @@ pub struct InProcTransport {
     /// Send halves, slot-indexed (workers then client); `None` after
     /// shutdown.
     senders: RwLock<Option<Vec<Sender<Frame>>>>,
-    /// Receive halves; each locked only by its single consumer.
-    receivers: Vec<Mutex<Receiver<Frame>>>,
+    /// Receive sides, slot-indexed like `senders`.
+    mailboxes: Vec<Mailbox>,
 }
 
 impl InProcTransport {
     /// A fabric for `workers` nodes plus the client.
     pub fn new(workers: usize) -> Self {
         let mut senders = Vec::with_capacity(workers + 1);
-        let mut receivers = Vec::with_capacity(workers + 1);
+        let mut mailboxes = Vec::with_capacity(workers + 1);
         for _ in 0..=workers {
             let (tx, rx) = unbounded();
             senders.push(tx);
-            receivers.push(Mutex::new(rx));
+            mailboxes.push(Mailbox::new(rx));
         }
         Self {
             workers,
             senders: RwLock::new(Some(senders)),
-            receivers,
+            mailboxes,
         }
     }
 }
@@ -406,22 +453,21 @@ impl Transport for InProcTransport {
         let senders = guard.as_ref().ok_or(ClusterError::ShutDown)?;
         senders[slot]
             .send(frame)
-            .map_err(|_| ClusterError::NodeDown(to))
+            .map_err(|_| ClusterError::NodeDown(to))?;
+        self.mailboxes[slot].depth.fetch_add(1, Ordering::AcqRel);
+        Ok(())
     }
 
     fn recv(&self, node: NodeId, timeout: Duration) -> Result<Frame, ClusterError> {
-        let slot = slot_of(node, self.workers)?;
-        let rx = self.receivers[slot].lock();
-        match rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::ShutDown),
-        }
+        self.mailboxes[slot_of(node, self.workers)?].recv(timeout)
     }
 
     fn try_recv(&self, node: NodeId) -> Result<Frame, ClusterError> {
-        let slot = slot_of(node, self.workers)?;
-        try_take(&self.receivers[slot].lock())
+        self.mailboxes[slot_of(node, self.workers)?].try_recv()
+    }
+
+    fn queued(&self, node: NodeId) -> usize {
+        slot_of(node, self.workers).map_or(0, |slot| self.mailboxes[slot].queued())
     }
 
     fn frame_overhead_bytes(&self) -> u64 {
@@ -556,7 +602,8 @@ pub struct TcpTransport {
     workers: usize,
     opts: TcpOptions,
     queues: Vec<Arc<SendQueue>>,
-    delivery_rx: Vec<Mutex<Receiver<Frame>>>,
+    /// Receive sides, slot-indexed; each acceptor delivers into its own.
+    mailboxes: Vec<Mailbox>,
     /// Listener addresses, slot-indexed (used by shutdown to unblock
     /// accept).
     addrs: Vec<SocketAddr>,
@@ -592,15 +639,20 @@ impl TcpTransport {
         }
 
         let mut threads = Vec::with_capacity(slots * 2);
-        let mut delivery_rx = Vec::with_capacity(slots);
+        let mut mailboxes = Vec::with_capacity(slots);
         for (slot, listener) in listeners.into_iter().enumerate() {
             let (tx, rx) = unbounded();
-            delivery_rx.push(Mutex::new(rx));
+            let mailbox = Mailbox::new(rx);
+            let delivery = Delivery {
+                tx,
+                depth: Arc::clone(&mailbox.depth),
+            };
+            mailboxes.push(mailbox);
             let down = Arc::clone(&down);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("harmony-tcp-rx-{slot}"))
-                    .spawn(move || accept_loop(listener, tx, down))
+                    .spawn(move || accept_loop(listener, delivery, down))
                     .map_err(|e| ClusterError::Io(format!("spawn reader thread: {e}")))?,
             );
         }
@@ -634,7 +686,7 @@ impl TcpTransport {
             workers,
             opts,
             queues,
-            delivery_rx,
+            mailboxes,
             addrs,
             live_streams,
             dead,
@@ -677,18 +729,15 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self, node: NodeId, timeout: Duration) -> Result<Frame, ClusterError> {
-        let slot = slot_of(node, self.workers)?;
-        let rx = self.delivery_rx[slot].lock();
-        match rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::ShutDown),
-        }
+        self.mailboxes[slot_of(node, self.workers)?].recv(timeout)
     }
 
     fn try_recv(&self, node: NodeId) -> Result<Frame, ClusterError> {
-        let slot = slot_of(node, self.workers)?;
-        try_take(&self.delivery_rx[slot].lock())
+        self.mailboxes[slot_of(node, self.workers)?].try_recv()
+    }
+
+    fn queued(&self, node: NodeId) -> usize {
+        slot_of(node, self.workers).map_or(0, |slot| self.mailboxes[slot].queued())
     }
 
     fn frame_overhead_bytes(&self) -> u64 {
@@ -729,10 +778,16 @@ impl Drop for TcpTransport {
     }
 }
 
+/// The send side of one node's [`Mailbox`], held by its acceptor.
+struct Delivery {
+    tx: Sender<Frame>,
+    depth: Arc<AtomicIsize>,
+}
+
 /// Accepts connections for one node and pumps decoded frames into its
-/// delivery channel. Sequential accepts are the reconnect path: a broken
+/// mailbox. Sequential accepts are the reconnect path: a broken
 /// connection falls back here and the writer dials in again.
-fn accept_loop(listener: TcpListener, delivery: Sender<Frame>, down: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, delivery: Delivery, down: Arc<AtomicBool>) {
     loop {
         if down.load(Ordering::Acquire) {
             return;
@@ -751,7 +806,7 @@ fn accept_loop(listener: TcpListener, delivery: Sender<Frame>, down: Arc<AtomicB
 /// violation (oversized or malformed frame), which drops the connection.
 /// Buffered, so a batch the writer coalesced costs one `read`, not two per
 /// frame; bodies larger than the buffer bypass it.
-fn read_frames(stream: TcpStream, delivery: &Sender<Frame>, down: &AtomicBool) {
+fn read_frames(stream: TcpStream, delivery: &Delivery, down: &AtomicBool) {
     let mut stream = BufReader::with_capacity(64 << 10, stream);
     let mut header = [0u8; 4];
     loop {
@@ -769,9 +824,10 @@ fn read_frames(stream: TcpStream, delivery: &Sender<Frame>, down: &AtomicBool) {
         let Ok(frame) = Frame::from_bytes(Bytes::from(body)) else {
             return;
         };
-        if down.load(Ordering::Acquire) || delivery.send(frame).is_err() {
+        if down.load(Ordering::Acquire) || delivery.tx.send(frame).is_err() {
             return;
         }
+        delivery.depth.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -789,7 +845,16 @@ fn dial(
         }
         if let Ok(stream) = TcpStream::connect(addr) {
             let _ = stream.set_nodelay(true);
-            *live.lock() = stream.try_clone().ok();
+            // `shutdown` sets `down` before it takes `live`, so checked under
+            // the lock, a stream stored here is one it severs. A stream it
+            // can no longer sever is severed here: its clone would keep the
+            // acceptor reading, and `shutdown`'s join waiting, forever.
+            let mut live = live.lock();
+            if down.load(Ordering::Acquire) {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return None;
+            }
+            *live = stream.try_clone().ok();
             return Some(stream);
         }
         std::thread::sleep(opts.retry_backoff * (attempt + 1));
@@ -1101,6 +1166,50 @@ mod tests {
         t.shutdown();
         t.shutdown();
         assert_eq!(waiter.join().unwrap(), Err(ClusterError::ShutDown));
+    }
+
+    /// A shutdown that lands while a writer is still dialing severs the
+    /// connection the writer opens: no acceptor is left reading a socket
+    /// nobody closes, and `shutdown`'s join returns.
+    #[test]
+    fn tcp_shutdown_right_after_bind_never_hangs() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..500 {
+                TcpTransport::bind(2, TcpOptions::default())
+                    .unwrap()
+                    .shutdown();
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "500 bind → shutdown cycles did not finish within 60 s"
+        );
+    }
+
+    /// A mailbox counts the frames delivered to it and not yet taken, on
+    /// both fabrics.
+    #[test]
+    fn queued_counts_delivered_frames_not_yet_received() {
+        let inproc = InProcTransport::new(1);
+        let tcp = TcpTransport::bind(1, TcpOptions::default()).unwrap();
+        for t in [&inproc as &dyn Transport, &tcp] {
+            assert_eq!(t.queued(0), 0);
+            for _ in 0..3 {
+                t.send(0, user(CLIENT, b"depth")).unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while t.queued(0) < 3 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(t.queued(0), 3);
+            assert_eq!(t.queued(CLIENT), 0);
+            t.recv(0, Duration::from_secs(5)).unwrap();
+            t.try_recv(0).unwrap();
+            assert_eq!(t.queued(0), 1);
+            t.shutdown();
+        }
     }
 
     #[test]

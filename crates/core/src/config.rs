@@ -179,10 +179,12 @@ pub struct HarmonyConfig {
     /// Block storage representation: exact `f32` rows or SQ8-quantized
     /// segments scanned in two stages (quantized stage-1, exact re-rank).
     pub repr: BlockRepr,
-    /// Under [`BlockRepr::Sq8`], stage 1 collects `k × rerank_scale`
-    /// survivors per query before the exact f32 re-rank trims them back to
-    /// `k`. Larger values recover more recall at more re-rank work; ignored
-    /// under [`BlockRepr::F32`]. Must be ≥ 1.
+    /// Under [`BlockRepr::Sq8`], the size of each last hop's estimate
+    /// heap: a shard visit returns its `k × rerank_scale` best quantized
+    /// estimates per query. The client reranks every hit exactly as it
+    /// arrives, so the threshold workers prune against is the k-th exact
+    /// score. Larger values recover more recall at more rerank work and
+    /// wire bytes; ignored under [`BlockRepr::F32`]. Must be ≥ 1.
     pub rerank_scale: usize,
     /// The background compactor's threshold: it folds a namespace once
     /// this many unfolded writes (pending upserts plus live tombstones)
@@ -374,7 +376,8 @@ impl HarmonyConfigBuilder {
         repr: BlockRepr
     );
     builder_setter!(
-        /// Stage-1 survivor multiplier for SQ8 re-ranking.
+        /// SQ8: estimates each last hop returns per query, as a multiple of
+        /// `k` (see [`HarmonyConfig::rerank_scale`]).
         rerank_scale: usize
     );
     builder_setter!(
@@ -425,7 +428,11 @@ pub struct NamespaceConfig {
     pub metric: Metric,
     /// Block storage representation (f32 or SQ8 two-stage).
     pub repr: BlockRepr,
-    /// Stage-1 survivor multiplier under SQ8 (ignored for f32); must be ≥ 1.
+    /// Under SQ8, the size of each last hop's estimate heap, as a multiple
+    /// of `k`: a shard visit returns its `k × rerank_scale` best estimates
+    /// per query, and the client reranks every hit exactly as it arrives,
+    /// so the threshold workers prune against is the k-th exact score.
+    /// Ignored for f32; must be ≥ 1.
     pub rerank_scale: usize,
     /// Number of IVF lists for this tenant.
     pub nlist: usize,

@@ -230,9 +230,10 @@ pub(super) fn with_sample_view<R>(
         sq8: state.sq8,
         pruning: state.pruning,
         k,
-        stage1_k: state.effective_k(k),
+        estimates_per_visit: state.estimates_per_visit(k),
         centroids: &state.centroids,
         store: &base.store,
+        by_id: &base.by_id,
         lists: &lists,
         prewarm: &routing.lists.prewarm,
     })

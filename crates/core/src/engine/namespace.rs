@@ -68,9 +68,10 @@ pub struct NamespaceState {
     pub(super) arrivals: AtomicU64,
 }
 
-/// Stage-1 collection size: `k × rerank_scale` under SQ8 (the extra
-/// survivors feed the exact re-rank stage), plain `k` otherwise.
-fn effective_k(sq8: bool, rerank_scale: usize, k: usize) -> usize {
+/// Estimates each last hop keeps per shard visit: `k × rerank_scale` under
+/// SQ8 (every one of them reaches the client's exact rerank), plain `k`
+/// otherwise.
+fn estimates_per_visit(sq8: bool, rerank_scale: usize, k: usize) -> usize {
     if sq8 {
         k.saturating_mul(rerank_scale.max(1))
     } else {
@@ -79,8 +80,8 @@ fn effective_k(sq8: bool, rerank_scale: usize, k: usize) -> usize {
 }
 
 impl NamespaceState {
-    pub(super) fn effective_k(&self, k: usize) -> usize {
-        effective_k(self.sq8, self.rerank_scale, k)
+    pub(super) fn estimates_per_visit(&self, k: usize) -> usize {
+        estimates_per_visit(self.sq8, self.rerank_scale, k)
     }
 
     /// Rejects `rows` (row-major, `dim` wide) of another dimensionality than
@@ -326,9 +327,10 @@ pub(super) fn survey_namespace(
         sq8,
         pruning: params.pruning,
         k: asked.k,
-        stage1_k: effective_k(sq8, params.rerank_scale, asked.k),
+        estimates_per_visit: estimates_per_visit(sq8, params.rerank_scale, asked.k),
         centroids: &km.centroids,
         store: base,
+        by_id: &base_store.by_id,
         lists: &list_rows,
         prewarm: &prewarm,
     };

@@ -2,8 +2,10 @@
 //! it, and the admission / dispatch / collection loop of one
 //! [`EngineCore::search_batch`] call. A session reads a namespace through
 //! [`NamespaceState::view`] — one load per sub-batch admitted, one fresh
-//! load per query finished — and `base` for the SQ8 re-rank; it cannot name
-//! a writer's mutex, and [`EngineCore::after_batch`] never waits on one.
+//! load per query finished — and, under SQ8, `base` and the view's dead set
+//! once per result batch received, to rerank its hits as they arrive; it
+//! cannot name a writer's mutex, and [`EngineCore::after_batch`] never
+//! waits on one.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,10 +17,10 @@ use harmony_cluster::{ClientReceiver, ClusterError, NodeId, Wire};
 use harmony_index::distance::ip;
 use harmony_index::kmeans::nearest_centroids;
 use harmony_index::{Metric, Neighbor, Temperature, TopK, VectorStore};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLockReadGuard};
 
 use super::ingest::NsView;
-use super::namespace::NamespaceState;
+use super::namespace::{BaseStore, NamespaceState};
 use super::{recv_error, EngineCore};
 use crate::config::SearchOptions;
 use crate::cost::sub_batch_rows;
@@ -248,8 +250,8 @@ impl EngineCore {
     /// [`EngineCore::search_batch`]).
     ///
     /// # Errors
-    /// Unknown namespace, dimension mismatches, a `k` whose stage-1
-    /// candidate count (`k`, or `k` × the rerank scale under SQ8) exceeds
+    /// Unknown namespace, dimension mismatches, a `k` whose estimates per
+    /// shard visit (`k`, or `k` × the rerank scale under SQ8) exceed
     /// `u32::MAX` ([`CoreError::Config`]), or distributed-collection
     /// failures.
     pub fn search_batch_ns(
@@ -260,11 +262,11 @@ impl EngineCore {
     ) -> Result<BatchResult, CoreError> {
         let state = self.namespace(ns)?;
         state.check_rows(queries.dim(), queries.as_flat())?;
-        // Stage 1 ships its `k` to the workers as a u32.
-        let stage1_k = state.effective_k(opts.k);
-        if u32::try_from(stage1_k).is_err() {
+        // A chunk ships its last hop's heap size to the workers as a u32.
+        let per_visit = state.estimates_per_visit(opts.k);
+        if u32::try_from(per_visit).is_err() {
             return Err(CoreError::Config(format!(
-                "k = {} asks stage 1 for {stage1_k} candidates per query; at most {} fit the wire",
+                "k = {} asks stage 1 for {per_visit} candidates per query; at most {} fit the wire",
                 opts.k,
                 u32::MAX
             )));
@@ -383,6 +385,16 @@ impl EngineCore {
                 self.discharge(&charge);
             }
 
+            // Under SQ8 every hit is reranked as it arrives, against the
+            // exact copy and the dead set read once for the whole batch, so
+            // a query's heap holds exact scores only and its threshold is
+            // the k-th exact score. The guard is gone before anything is
+            // sent.
+            let exact = ctx.state.sq8.then(|| Exact {
+                base: ctx.state.base.read(),
+                deleted: Arc::clone(&ctx.state.view().deleted),
+            });
+            let mut reranked = 0usize;
             ready.clear();
             for (i, &qid) in batch.query_ids.iter().enumerate() {
                 let row = qid.wrapping_sub(ctx.base) as usize;
@@ -394,10 +406,20 @@ impl EngineCore {
                 }
                 // Merge candidates (skipping prewarm duplicates).
                 let hits = span(&batch.result_ends, i);
-                for (&id, &score) in batch.ids[hits.clone()].iter().zip(&batch.scores[hits]) {
-                    if !state.prewarm_ids.contains(&id) {
-                        state.topk.push(id, score);
-                    }
+                let hits = batch.ids[hits.clone()].iter().zip(&batch.scores[hits]);
+                let query = ctx.queries.row(row);
+                for (&id, &score) in hits.filter(|(id, _)| !state.prewarm_ids.contains(id)) {
+                    let score = match &exact {
+                        None => score,
+                        Some(exact) => {
+                            let Some(score) = exact.score(ctx.state, query, id) else {
+                                continue;
+                            };
+                            reranked += 1;
+                            score
+                        }
+                    };
+                    state.topk.push(id, score);
                 }
                 state.in_flight -= 1;
                 if state.in_flight > 0 {
@@ -407,61 +429,22 @@ impl EngineCore {
                 if !state.pending_visits.is_empty() {
                     ready.push(row);
                 } else if let Some(done) = active[row].take() {
-                    results[row] = self.finalize_results(
-                        ctx.state,
-                        ctx.queries.row(row),
-                        done.topk,
-                        ctx.opts.k,
-                    );
+                    results[row] = finalize_results(ctx.state, done.topk);
                     completed += 1;
                     live -= 1;
                 }
+            }
+            drop(exact);
+            // The rerank is real client-side compute: bill it at the
+            // modeled scan rates like the centroid and prewarm stages.
+            if reranked > 0 {
+                self.cluster
+                    .charge_client_compute((reranked * ctx.state.dim) as u64, reranked as u64);
             }
             // The rows that move on together stay one sub-batch per shard.
             self.dispatch_round(ctx, &ready, &mut active, charges)?;
         }
         Ok(())
-    }
-
-    /// Finishes one query. Deleted ids are filtered first, against the view
-    /// current *now*, not the admission's: a delete that returned before
-    /// this query finished is in it. The worker-side tombstones are
-    /// best-effort, this filter is the guarantee. Under SQ8 every surviving
-    /// stage-1 candidate is then re-scored exactly against the retained
-    /// base copy and the list is trimmed to `k` (prewarm entries re-score
-    /// idempotently — they were exact already). Under f32 the heap is
-    /// already exact.
-    fn finalize_results(
-        &self,
-        state: &NamespaceState,
-        query: &[f32],
-        topk: TopK,
-        k: usize,
-    ) -> Vec<Neighbor> {
-        let deleted = &state.view().deleted;
-        let mut survivors = topk.into_sorted();
-        if !deleted.is_empty() {
-            survivors.retain(|n| !deleted.contains_key(&n.id));
-        }
-        if !state.sq8 {
-            return survivors;
-        }
-        let base = state.base.read();
-        let mut exact = TopK::new(k);
-        for n in &survivors {
-            let score = match base.by_id.get(&n.id) {
-                Some(&row) => state.metric.score(query, base.store.row(row)),
-                // Unknown id (defensive): keep the stage-1 score.
-                None => n.score,
-            };
-            exact.push(n.id, score);
-        }
-        let reranked = survivors.len();
-        // The re-rank is real client-side compute: bill it at the modeled
-        // scan rates like the centroid and prewarm stages.
-        self.cluster
-            .charge_client_compute((reranked * state.dim) as u64, reranked as u64);
-        exact.into_sorted()
     }
 
     /// Subtracts one visit's per-machine estimates from the shared tracker.
@@ -557,9 +540,11 @@ impl EngineCore {
 
         // Prewarm (Algorithm 1 lines 1-5): seed the heap from client-side
         // samples of the probed lists. The budget is capped so prewarming
-        // stays a cheap threshold seed — nearest probes sampled first.
-        // Under SQ8 the heap over-collects for the exact re-rank stage.
-        let mut topk = TopK::new(ns_state.effective_k(opts.k));
+        // stays a cheap threshold seed — nearest probes sampled first. The
+        // heap holds the `k` best exact scores under either representation
+        // (SQ8 hits are reranked on arrival), so its threshold is the k-th
+        // exact score.
+        let mut topk = TopK::new(opts.k);
         let prewarm_ids = routing.lists.prewarm.seed(
             ns_state.metric,
             query,
@@ -725,7 +710,7 @@ impl EngineCore {
             ns: ns.ns,
             epoch: routing.epoch,
             shard,
-            k: ns.effective_k(ctx.opts.k) as u32,
+            k: ns.estimates_per_visit(ctx.opts.k) as u32,
             order: blocks
                 .iter()
                 .map(|&b| plan.machine_of(shard as usize, b) as u64)
@@ -765,6 +750,42 @@ impl EngineCore {
             self.send(machine, &ToWorker::ChunkBatch(chunk))?;
         }
         Ok(())
+    }
+}
+
+/// Finishes one query: its heap in best-first order, deleted ids filtered
+/// against the view current *now*, not the admission's — a delete that
+/// returned before this query finished is in it. The worker-side
+/// tombstones are best-effort, this filter is the guarantee. The heap is
+/// exact already: f32 scores are, and SQ8 hits were reranked on arrival.
+fn finalize_results(state: &NamespaceState, topk: TopK) -> Vec<Neighbor> {
+    let deleted = &state.view().deleted;
+    let mut results = topk.into_sorted();
+    if !deleted.is_empty() {
+        results.retain(|n| !deleted.contains_key(&n.id));
+    }
+    results
+}
+
+/// What an SQ8 session reranks one received batch's hits against, read
+/// once for the batch.
+struct Exact<'a> {
+    base: RwLockReadGuard<'a, BaseStore>,
+    /// The dead set of the view current when the batch arrived.
+    deleted: Arc<HashMap<u64, u64>>,
+}
+
+impl Exact<'_> {
+    /// `id`'s exact score for `query`, or `None` for an id that is deleted
+    /// or missing from the exact copy: such a hit is dropped, not kept with
+    /// its estimate, which could pull the threshold below the true k-th
+    /// exact score and let a worker prune a true top-k member.
+    fn score(&self, state: &NamespaceState, query: &[f32], id: u64) -> Option<f32> {
+        if self.deleted.contains_key(&id) {
+            return None;
+        }
+        let &row = self.base.by_id.get(&id)?;
+        Some(state.metric.score(query, self.base.store.row(row)))
     }
 }
 

@@ -8,7 +8,7 @@
 //! start with; and the fabric's fixed cost per message. [`crate::cost`]
 //! prices plans from the results and never reads a clock itself.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use harmony_cluster::{Cluster, Wire};
@@ -50,22 +50,27 @@ pub(crate) struct SampleView<'a> {
     pub(crate) metric: Metric,
     pub(crate) sq8: bool,
     pub(crate) pruning: bool,
-    /// Results a query asks for (sizes the prewarm budget).
+    /// Results a query asks for (sizes the prewarm budget and the query's
+    /// heap of exact scores).
     pub(crate) k: usize,
-    /// Stage-1 heap size (`k × rerank_scale` under SQ8).
-    pub(crate) stage1_k: usize,
+    /// Estimates each last hop keeps per shard visit (`k × rerank_scale`
+    /// under SQ8).
+    pub(crate) estimates_per_visit: usize,
     pub(crate) centroids: &'a VectorStore,
     /// The namespace's exact vectors.
     pub(crate) store: &'a VectorStore,
+    /// External id → row of `store`: where an SQ8 answer is reranked.
+    pub(crate) by_id: &'a HashMap<u64, usize>,
     /// Rows of `store` per list.
     pub(crate) lists: &'a dyn ListRows,
     pub(crate) prewarm: &'a PrewarmSamples,
 }
 
 impl SampleView<'_> {
-    /// The threshold a query starts its first shard visit with.
+    /// The threshold a query starts its first shard visit with: the k-th
+    /// exact score of its prewarm samples.
     fn prewarm_threshold(&self, query: &[f32], probes: &[u32]) -> f32 {
-        let mut topk = TopK::new(self.stage1_k);
+        let mut topk = TopK::new(self.k);
         let fresh = HashSet::new();
         self.prewarm
             .seed(self.metric, query, probes, self.k, &fresh, &mut topk);
@@ -128,7 +133,7 @@ impl Pipeline {
             ns: 0,
             epoch: 0,
             shard: 0,
-            k: view.stage1_k as u32,
+            k: view.estimates_per_visit as u32,
             order: (0..self.ranges.len() as u64).collect(),
             position: position as u32,
             delta_seq: 0,
@@ -372,9 +377,10 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
         sq8: false,
         pruning: true,
         k: 10,
-        stage1_k: 10,
+        estimates_per_visit: 10,
         centroids: &centroids,
         store: &base.store,
+        by_id: &base.by_id,
         lists: &list_rows,
         prewarm: &prewarm,
     };
@@ -391,9 +397,11 @@ const SURVIVAL_QUERIES: usize = 32;
 /// stores them, and a query walks a plan the way the dispatch loop would
 /// send it: its probes grouped into shard visits, nearest shard first, each
 /// visit run hop by hop through the worker's own scan routine
-/// ([`scan_hop`]) against the query's threshold, which starts from the
-/// prewarm samples and tightens between visits by what each visit answered
-/// — every sampled row standing for the `stride` rows it was drawn from.
+/// ([`scan_hop`]) against the query's threshold — the k-th exact score the
+/// client knows, as a session's is: it starts from the prewarm samples and
+/// tightens between visits by what each visit answered, SQ8 answers
+/// reranked exactly — every sampled row standing for the `stride` rows it
+/// was drawn from.
 /// With `stride` 1 the counts are the `slice_in` counters a deployment
 /// running the plan reports for the same queries sent one by one, blocks
 /// in order.
@@ -423,7 +431,7 @@ pub(crate) fn survivors_entering<'q>(
             let pipeline = Pipeline::cut(view, &probed, stride, plan.dim_blocks.clamp(1, dim));
             let mut entering = vec![0; pipeline.blocks.len()];
             for (query, probes) in &queries {
-                let mut topk = TopK::new(view.stage1_k);
+                let mut topk = TopK::new(view.k);
                 let seeded =
                     view.prewarm
                         .seed(view.metric, query, probes, view.k, &fresh, &mut topk);
@@ -438,9 +446,18 @@ pub(crate) fn survivors_entering<'q>(
                     for (total, (seen, _)) in entering.iter_mut().zip(hops) {
                         *total += seen;
                     }
-                    // The client merges the answer, skipping prewarm ids.
+                    // The client merges the answer, skipping prewarm ids and
+                    // reranking SQ8 estimates.
                     let answer = answer.iter().flat_map(|a| a.ids.iter().zip(&a.scores));
                     for (&id, &score) in answer.filter(|(id, _)| !seeded.contains(id)) {
+                        let score = if view.sq8 {
+                            let Some(&row) = view.by_id.get(&id) else {
+                                continue;
+                            };
+                            view.metric.score(query, view.store.row(row))
+                        } else {
+                            score
+                        };
                         for _ in 0..stride.max(1) {
                             topk.push(id, score);
                         }
@@ -560,9 +577,10 @@ mod tests {
                 sq8: false,
                 pruning: true,
                 k: 10,
-                stage1_k: 10,
+                estimates_per_visit: 10,
                 centroids: &fit.model.centroids,
                 store: &base,
+                by_id: &store.by_id,
                 lists: &lists,
                 prewarm: &prewarm,
             };

@@ -29,10 +29,10 @@
 //! When blocks are stored SQ8-quantized, the stage-1 partials are computed
 //! over *dequantized* coordinates, so they differ from the exact partials by
 //! a bounded perturbation. Comparing a quantized partial against an
-//! exact-domain threshold `τ` (the client's prewarm threshold and the final
-//! re-ranked scores are exact) therefore requires *widening* the prune test
-//! by the accumulated quantization error, or exact survivors could be
-//! dropped:
+//! exact-domain threshold `τ` (the k-th exact score the client knows: its
+//! heap holds prewarm scores and hits reranked as they arrive) therefore
+//! requires *widening* the prune test by the accumulated quantization
+//! error, or exact survivors could be dropped:
 //!
 //! * **L2** — with `ε = ε_q + ε_p` (query- and point-side row error bounds
 //!   accumulated additively along the pipeline),

@@ -6,9 +6,11 @@
 //! is quantized to one byte per coordinate with an affine per-slice code
 //! `v ≈ min + scale · c`, `c ∈ [0, 255]`, where `min`/`scale` are computed
 //! over *all* rows × dimensions of the slice. Stage-1 scans run entirely
-//! over the codes via the integer kernels in [`crate::distance`]; a small
-//! survivor set (`top-k × rerank_scale`) is then re-ranked with exact f32
-//! arithmetic.
+//! over the codes via the integer kernels in [`crate::distance`]. Each
+//! shard visit's last hop returns its `k × rerank_scale` best estimates
+//! (`rerank_scale` sizes that heap), and the client reranks every hit
+//! exactly, in f32, as it arrives, so the threshold τ later visits prune
+//! against is the k-th exact score.
 //!
 //! The contract a representation must satisfy (see DESIGN.md "BlockRepr"):
 //!

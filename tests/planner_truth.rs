@@ -127,6 +127,27 @@ fn sampled_survivors_are_the_survivors_workers_count() {
     engine.shutdown().unwrap();
 }
 
+/// Under SQ8 a query's second shard visit prunes against the k-th exact
+/// score of what the first one answered, reranked on arrival; the sample
+/// merges the same exact scores, so on two shards it still counts what the
+/// workers count.
+#[test]
+fn sq8_sampled_survivors_follow_the_exact_threshold_across_shards() {
+    let d = clustered(2_400, 32, 11);
+    let queries = d.queries.gather(&(0..24).collect::<Vec<_>>());
+    let opts = SearchOptions::new(10).with_nprobe(4);
+    let plan = PartitionPlan::new(2, 2).unwrap();
+    let engine = engine(&d.base, plan, BlockRepr::Sq8);
+    let sampled = engine.sample_survivors(&queries, &opts, plan).unwrap();
+    let counted = counted_entering(&engine, &queries, &opts);
+    assert_eq!(sampled, counted, "sq8 {}", plan.label());
+    assert!(
+        sampled[1] < sampled[0],
+        "the sample must show pruning: {sampled:?}"
+    );
+    engine.shutdown().unwrap();
+}
+
 #[test]
 fn a_tick_observes_its_own_window() {
     let d = clustered(2_400, 32, 13);
