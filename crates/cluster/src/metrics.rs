@@ -13,8 +13,9 @@ use crate::net::CommMode;
 /// Monotonic counters owned by one node (or the client).
 #[derive(Debug, Default)]
 pub struct NodeMetrics {
-    /// Nanoseconds spent inside distance kernels and other real work,
-    /// recorded explicitly via [`crate::node::NodeCtx::time_compute`].
+    /// Nanoseconds of computation charged to this node: modeled from the
+    /// work scanned ([`crate::node::NodeCtx::charge_compute`]), or the
+    /// client's work ([`crate::Cluster::record_client_compute`]).
     pub compute_ns: AtomicU64,
     /// Modeled network nanoseconds charged to this node for sends.
     pub comm_tx_ns: AtomicU64,

@@ -194,20 +194,6 @@ impl NodeCtx {
         send_impl(&self.shared, &*self.transport, self.node_id, to, payload)
     }
 
-    /// Runs `f`, attributing its wall time to this node's *computation*
-    /// bucket (the paper's blue bars). Prefer [`NodeCtx::charge_compute`]
-    /// on oversubscribed hosts — wall time includes preemption by sibling
-    /// workers.
-    #[inline]
-    pub fn time_compute<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.metrics().add_compute(ns);
-        self.metrics().add_busy(ns);
-        out
-    }
-
     /// Charges *modeled* computation time for scanning `point_dims`
     /// point-dimension products across `candidates` candidates, using the
     /// cluster's calibrated [`ComputeRates`]. Deterministic and independent
@@ -332,18 +318,6 @@ mod tests {
         let s = shared.worker_metrics[1].snapshot();
         assert_eq!(s.msgs_rx, 2);
         assert_eq!(shared.worker_metrics[0].snapshot().msgs_tx, 4);
-    }
-
-    #[test]
-    fn time_compute_records_duration() {
-        let shared = test_shared(1, 0);
-        let (ctx, _transport) = test_ctx(shared.clone());
-        let v = ctx.time_compute(|| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(shared.worker_metrics[0].snapshot().compute_ns >= 1_000_000);
     }
 
     #[test]

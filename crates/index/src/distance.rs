@@ -271,60 +271,43 @@ fn code_row(rows: &[u8], w: usize, i: usize) -> &[u8] {
     &rows[i * w..(i + 1) * w]
 }
 
-/// [`l2_sq_u8_rows`], scalar: one [`l2_sq_u8_scalar`] per row.
-pub fn l2_sq_u8_rows_scalar(q: &[u8], rows: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        rows.len(),
-        q.len() * out.len(),
-        "rows must be out.len() rows of q.len()"
-    );
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = l2_sq_u8_scalar(q, code_row(rows, q.len(), i));
-    }
-}
-
-/// [`ip_u8_rows`], scalar: one [`ip_u8_scalar`] per row.
-pub fn ip_u8_rows_scalar(q: &[u8], rows: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        rows.len(),
-        q.len() * out.len(),
-        "rows must be out.len() rows of q.len()"
-    );
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = ip_u8_scalar(q, code_row(rows, q.len(), i));
-    }
-}
-
-/// [`l2_sq_u8_rows_at`], scalar: one [`l2_sq_u8_scalar`] per picked row.
-pub fn l2_sq_u8_rows_at_scalar(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    for (o, &r) in out.iter_mut().zip(at) {
-        *o = l2_sq_u8_scalar(q, code_row(rows, q.len(), r as usize));
-    }
-}
-
-/// [`ip_u8_rows_at`], scalar: one [`ip_u8_scalar`] per picked row.
-pub fn ip_u8_rows_at_scalar(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    for (o, &r) in out.iter_mut().zip(at) {
-        *o = ip_u8_scalar(q, code_row(rows, q.len(), r as usize));
-    }
-}
-
 /// Row `i` of a row-major f32 matrix `w` floats wide.
 #[inline]
 fn f32_row(rows: &[f32], w: usize, i: usize) -> &[f32] {
     &rows[i * w..(i + 1) * w]
 }
 
-/// Checks the shape of a one-query rows call: `rows` holds `out.len()`
-/// rows as wide as `q`.
+/// [`partial_score`] through the scalar kernels.
 #[inline]
-fn check_rows(q: &[f32], rows: &[f32], out: &[f32]) {
+fn partial_score_scalar(metric: Metric, a: &[f32], b: &[f32]) -> f32 {
+    match metric {
+        Metric::L2 => l2_sq_scalar(a, b),
+        Metric::InnerProduct | Metric::Cosine => -ip_scalar(a, b),
+    }
+}
+
+/// The u8 kernel `metric` scores codes with, scalar: the squared distance
+/// under L2, the dot product otherwise.
+#[inline]
+fn u8_score_scalar(metric: Metric, a: &[u8], b: &[u8]) -> u32 {
+    match metric {
+        Metric::L2 => l2_sq_u8_scalar(a, b),
+        Metric::InnerProduct | Metric::Cosine => ip_u8_scalar(a, b),
+    }
+}
+
+/// Checks the shape of a u8 rows call: `rows` holds `out.len()` rows as
+/// wide as `q`, and `q` is no wider than the `u32` sums allow.
+#[inline]
+fn check_u8_rows(q: &[u8], rows: &[u8], out: &[u32]) {
     assert_eq!(
         rows.len(),
         q.len() * out.len(),
         "rows must be out.len() rows of q.len()"
+    );
+    debug_assert!(
+        q.len() <= U8_MAX_WIDTH,
+        "u32 accumulator caps widths at 2^16"
     );
 }
 
@@ -344,55 +327,41 @@ fn check_tile(qs: &[&[f32]], rows: &[f32], out: &[f32]) -> usize {
     n
 }
 
-/// [`l2_sq_rows`], scalar: one [`l2_sq_scalar`] per row.
-pub fn l2_sq_rows_scalar(q: &[f32], rows: &[f32], out: &mut [f32]) {
-    check_rows(q, rows, out);
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = l2_sq_scalar(q, f32_row(rows, q.len(), i));
-    }
-}
-
-/// [`ip_rows`], scalar: one [`ip_scalar`] per row.
-pub fn ip_rows_scalar(q: &[f32], rows: &[f32], out: &mut [f32]) {
-    check_rows(q, rows, out);
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = ip_scalar(q, f32_row(rows, q.len(), i));
-    }
-}
-
-/// [`l2_sq_rows_at`], scalar: one [`l2_sq_scalar`] per picked row.
-pub fn l2_sq_rows_at_scalar(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    for (o, &r) in out.iter_mut().zip(at) {
-        *o = l2_sq_scalar(q, f32_row(rows, q.len(), r as usize));
-    }
-}
-
-/// [`ip_rows_at`], scalar: one [`ip_scalar`] per picked row.
-pub fn ip_rows_at_scalar(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    for (o, &r) in out.iter_mut().zip(at) {
-        *o = ip_scalar(q, f32_row(rows, q.len(), r as usize));
-    }
-}
-
-/// [`l2_sq_tile`], scalar: one [`l2_sq_scalar`] per (query, row).
-pub fn l2_sq_tile_scalar(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+/// [`f32_tile`], scalar: one [`l2_sq_scalar`] or negated [`ip_scalar`]
+/// per (query, row).
+pub fn f32_tile_scalar(metric: Metric, qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
     let n = check_tile(qs, rows, out);
     for (q, out) in qs.iter().zip(out.chunks_mut(n.max(1))) {
         for (i, o) in out.iter_mut().enumerate() {
-            *o = l2_sq_scalar(q, f32_row(rows, q.len(), i));
+            *o = partial_score_scalar(metric, q, f32_row(rows, q.len(), i));
         }
     }
 }
 
-/// [`ip_tile`], scalar: one [`ip_scalar`] per (query, row).
-pub fn ip_tile_scalar(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
-    let n = check_tile(qs, rows, out);
-    for (q, out) in qs.iter().zip(out.chunks_mut(n.max(1))) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = ip_scalar(q, f32_row(rows, q.len(), i));
-        }
+/// [`f32_rows_at`], scalar: one [`l2_sq_scalar`] or negated [`ip_scalar`]
+/// per picked row.
+pub fn f32_rows_at_scalar(metric: Metric, q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    for (o, &r) in out.iter_mut().zip(at) {
+        *o = partial_score_scalar(metric, q, f32_row(rows, q.len(), r as usize));
+    }
+}
+
+/// [`u8_rows`], scalar: one [`l2_sq_u8_scalar`] or [`ip_u8_scalar`] per
+/// row.
+pub fn u8_rows_scalar(metric: Metric, q: &[u8], rows: &[u8], out: &mut [u32]) {
+    check_u8_rows(q, rows, out);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = u8_score_scalar(metric, q, code_row(rows, q.len(), i));
+    }
+}
+
+/// [`u8_rows_at`], scalar: one [`l2_sq_u8_scalar`] or [`ip_u8_scalar`] per
+/// picked row.
+pub fn u8_rows_at_scalar(metric: Metric, q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
+    for (o, &r) in out.iter_mut().zip(at) {
+        *o = u8_score_scalar(metric, q, code_row(rows, q.len(), r as usize));
     }
 }
 
@@ -472,7 +441,8 @@ mod avx2 {
     /// are at most 255² so no saturation is possible).
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports `avx2`.
+    /// Caller must ensure the CPU supports `avx2`, and that `b` is as long
+    /// as `a`: every 16-code load reads both slices at the same offset.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l2_sq_u8(a: &[u8], b: &[u8]) -> u32 {
         debug_assert_eq!(a.len(), b.len());
@@ -505,7 +475,8 @@ mod avx2 {
     /// zero-extend + `madd_epi16` scheme as [`l2_sq_u8`]).
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports `avx2`.
+    /// Caller must ensure the CPU supports `avx2`, and that `b` is as long
+    /// as `a`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn ip_u8(a: &[u8], b: &[u8]) -> u32 {
         debug_assert_eq!(a.len(), b.len());
@@ -644,7 +615,7 @@ mod avx2 {
         }
     }
 
-    /// [`super::l2_sq_u8_rows`] (`L2`) and [`super::ip_u8_rows`].
+    /// [`super::u8_rows`]: squared distances (`L2`) or dot products.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports `avx2`.
@@ -656,7 +627,7 @@ mod avx2 {
         unsafe { blocked::<L2>(q, out, |i| super::code_row(rows, w, i)) }
     }
 
-    /// [`super::l2_sq_u8_rows_at`] (`L2`) and [`super::ip_u8_rows_at`].
+    /// [`super::u8_rows_at`]: squared distances (`L2`) or dot products.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports `avx2`.
@@ -727,8 +698,9 @@ mod avx2 {
     }
 
     /// Scores `outs[0].len()` rows against the `M` queries four rows at a
-    /// time, `row(i)` being the i-th, into `outs[g][i]`; a short last quad
-    /// repeats its final row and keeps its own results.
+    /// time, `row(i)` being the i-th, into `outs[g][i]`: the squared
+    /// distance (`L2`) or the negated dot product, negation being exact. A
+    /// short last quad repeats its final row and keeps its own results.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports `avx2` and `fma`, that every
@@ -748,24 +720,14 @@ mod avx2 {
             // SAFETY: same target features as self; shapes as required.
             let sums = unsafe { tile::<L2, M>(qs, [at(0), at(1), at(2), at(3)]) };
             for (out, sums) in outs.iter_mut().zip(sums) {
+                let sums = if L2 { sums } else { sums.map(|s| -s) };
                 out[c..=c + last].copy_from_slice(&sums[..=last]);
             }
         }
     }
 
-    /// [`super::l2_sq_rows`] (`L2`) and [`super::ip_rows`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports `avx2` and `fma`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn f32_rows<const L2: bool>(q: &[f32], rows: &[f32], out: &mut [f32]) {
-        let w = q.len();
-        // SAFETY: same target features as self; `f32_row` slices every row
-        // exactly `w` floats wide, bounds-checked.
-        unsafe { blocked_f32::<L2, 1>([q], [out], |i| super::f32_row(rows, w, i)) }
-    }
-
-    /// [`super::l2_sq_rows_at`] (`L2`) and [`super::ip_rows_at`].
+    /// [`super::f32_rows_at`]: squared distances (`L2`) or negated dot
+    /// products.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports `avx2` and `fma`.
@@ -782,8 +744,9 @@ mod avx2 {
         unsafe { blocked_f32::<L2, 1>([q], [out], |i| super::f32_row(rows, w, at[i] as usize)) }
     }
 
-    /// [`super::l2_sq_tile`] (`L2`) and [`super::ip_tile`]: the queries in
-    /// pairs (an odd last one alone), each pair against every row.
+    /// [`super::f32_tile`]: squared distances (`L2`) or negated dot
+    /// products, the queries in pairs (an odd last one alone), each pair
+    /// against every row.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports `avx2` and `fma`, and that the
@@ -915,126 +878,77 @@ pub fn ip(a: &[f32], b: &[f32]) -> f32 {
     ip_scalar(a, b)
 }
 
-/// Squared L2 distance of the query `q` to each of the `out.len()` rows of
-/// the row-major matrix `rows` (`q.len()` floats wide), into `out`: the
-/// f32 scan of a whole list for one query. Four rows per pass, the query
-/// loaded once per 8 lanes for all four, with [`l2_sq_rows_scalar`] as the
-/// path without AVX2. Each result is bit for bit [`l2_sq`] of its row.
-///
-/// # Panics
-/// When `rows.len() != q.len() * out.len()`.
-pub fn l2_sq_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
-    check_rows(q, rows, out);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above.
-            return unsafe { avx2::f32_rows::<true>(q, rows, out) };
-        }
-    }
-    l2_sq_rows_scalar(q, rows, out)
-}
-
-/// Dot product of the query `q` with each row of `rows`; the blocked twin
-/// of [`ip`] as [`l2_sq_rows`] is of [`l2_sq`].
-///
-/// # Panics
-/// When `rows.len() != q.len() * out.len()`.
-pub fn ip_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
-    check_rows(q, rows, out);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above.
-            return unsafe { avx2::f32_rows::<false>(q, rows, out) };
-        }
-    }
-    ip_rows_scalar(q, rows, out)
-}
-
-/// [`l2_sq_rows`] over the picked rows `at` of `rows` only — the carried
-/// hops, which score the survivors a run still holds, in carry order —
-/// with `out[i]` the distance to row `at[i]`, four picked rows per pass.
-///
-/// # Panics
-/// When `at.len() != out.len()` or a picked row lies outside `rows`.
-pub fn l2_sq_rows_at(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above; lengths asserted equal.
-            return unsafe { avx2::f32_rows_at::<true>(q, rows, at, out) };
-        }
-    }
-    l2_sq_rows_at_scalar(q, rows, at, out)
-}
-
-/// [`ip_rows`] over the picked rows `at` of `rows` only.
-///
-/// # Panics
-/// When `at.len() != out.len()` or a picked row lies outside `rows`.
-pub fn ip_rows_at(q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above; lengths asserted equal.
-            return unsafe { avx2::f32_rows_at::<false>(q, rows, at, out) };
-        }
-    }
-    ip_rows_at_scalar(q, rows, at, out)
-}
-
-/// Squared L2 distance of every query of `qs` to every row of `rows`,
-/// query-major: `out[g * n + i]` is query `g` against row `i`, for `n`
-/// rows of the queries' shared width. The first-hop scan of one list for
-/// all the queries of a sub-batch that probe it: a 2-query × 4-row
-/// register tile loads each row once per pair of queries. Each result is
-/// bit for bit [`l2_sq`] of its pair; [`l2_sq_tile_scalar`] is the path
-/// without AVX2.
+/// The lower-is-better partial ([`partial_score`]) of every query of `qs`
+/// against every row of `rows` — the squared distance under L2, the
+/// negated dot product under inner product and cosine — query-major:
+/// `out[g * n + i]` is query `g` against row `i`, for `n` rows of the
+/// queries' shared width. The first-hop scan of one run for all the queries
+/// of a sub-batch that probe it; one query makes it the scan of one row
+/// block for one query. A 2-query × 4-row register tile loads each row
+/// once per pair of queries. Each result is bit for bit [`l2_sq`] or
+/// `-`[`ip`] of its pair; [`f32_tile_scalar`] is the path without AVX2.
 ///
 /// # Panics
 /// When the queries differ in width, `out.len()` is not `qs.len() * n` or
 /// `rows.len()` not `n` rows of that width.
-pub fn l2_sq_tile(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
+pub fn f32_tile(metric: Metric, qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
     let n = check_tile(qs, rows, out);
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
             // SAFETY: availability checked above; shape checked.
-            return unsafe { avx2::f32_tile::<true>(qs, rows, out, n) };
+            return unsafe {
+                match metric {
+                    Metric::L2 => avx2::f32_tile::<true>(qs, rows, out, n),
+                    Metric::InnerProduct | Metric::Cosine => {
+                        avx2::f32_tile::<false>(qs, rows, out, n)
+                    }
+                }
+            };
         }
     }
-    l2_sq_tile_scalar(qs, rows, out)
+    f32_tile_scalar(metric, qs, rows, out)
 }
 
-/// Dot product of every query of `qs` with every row of `rows`; the tile
-/// twin of [`ip`] as [`l2_sq_tile`] is of [`l2_sq`].
+/// [`f32_tile`] for one query over the picked rows `at` of `rows` only —
+/// the carried hops, which score the survivors a run still holds, in
+/// carry order — with `out[i]` the partial of row `at[i]`, four picked
+/// rows per pass. [`f32_rows_at_scalar`] is the path without AVX2.
 ///
 /// # Panics
-/// As [`l2_sq_tile`].
-pub fn ip_tile(qs: &[&[f32]], rows: &[f32], out: &mut [f32]) {
-    let n = check_tile(qs, rows, out);
+/// When `at.len() != out.len()` or a picked row lies outside `rows`.
+pub fn f32_rows_at(metric: Metric, q: &[f32], rows: &[f32], at: &[u32], out: &mut [f32]) {
+    assert_eq!(at.len(), out.len(), "one output per picked row");
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above; shape checked.
-            return unsafe { avx2::f32_tile::<false>(qs, rows, out, n) };
+            // SAFETY: availability checked above; lengths asserted equal.
+            return unsafe {
+                match metric {
+                    Metric::L2 => avx2::f32_rows_at::<true>(q, rows, at, out),
+                    Metric::InnerProduct | Metric::Cosine => {
+                        avx2::f32_rows_at::<false>(q, rows, at, out)
+                    }
+                }
+            };
         }
     }
-    ip_tile_scalar(qs, rows, out)
+    f32_rows_at_scalar(metric, q, rows, at, out)
 }
 
 /// Squared L2 distance between equal-length u8 code slices (SQ8 stage-1
 /// scans). Dispatches to AVX2 when available, scalar otherwise; both paths
 /// are exact integer arithmetic, so they agree bit-for-bit.
+///
+/// # Panics
+/// When the slice lengths differ.
 #[inline]
 pub fn l2_sq_u8(a: &[u8], b: &[u8]) -> u32 {
+    assert_eq!(a.len(), b.len(), "l2_sq_u8 of slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above.
+            // SAFETY: availability checked above; lengths asserted equal.
             return unsafe { avx2::l2_sq_u8(a, b) };
         }
     }
@@ -1042,80 +956,57 @@ pub fn l2_sq_u8(a: &[u8], b: &[u8]) -> u32 {
 }
 
 /// Dot product between equal-length u8 code slices (SQ8 stage-1 scans).
+///
+/// # Panics
+/// When the slice lengths differ.
 #[inline]
 pub fn ip_u8(a: &[u8], b: &[u8]) -> u32 {
+    assert_eq!(a.len(), b.len(), "ip_u8 of slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above.
+            // SAFETY: availability checked above; lengths asserted equal.
             return unsafe { avx2::ip_u8(a, b) };
         }
     }
     ip_u8_scalar(a, b)
 }
 
-/// Squared L2 distance of the u8 query `q` to each of the `out.len()` rows
-/// of the row-major code matrix `rows` (`q.len()` codes wide), into `out`:
-/// SQ8's first-hop scan of a whole list. Four rows per pass — the query is
-/// widened once per 16 codes for all four, and their sums meet in one
-/// reduction — with [`l2_sq_u8_rows_scalar`] as the path without AVX2.
-/// Each result equals [`l2_sq_u8`] of its row exactly, for widths up to
-/// [`U8_MAX_WIDTH`].
+/// The u8 kernel of `metric` — [`l2_sq_u8`] under L2, [`ip_u8`] under
+/// inner product and cosine — of the u8 query `q` against each of the
+/// `out.len()` rows of the row-major code matrix `rows` (`q.len()` codes
+/// wide), into `out`: SQ8's first-hop scan of a whole list. Four rows per
+/// pass — the query is widened once per 16 codes for all four, and their
+/// sums meet in one reduction — with [`u8_rows_scalar`] as the path
+/// without AVX2. Each result equals the one-row kernel's exactly, for
+/// widths up to [`U8_MAX_WIDTH`].
 ///
 /// # Panics
 /// When `rows.len() != q.len() * out.len()`.
-pub fn l2_sq_u8_rows(q: &[u8], rows: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        rows.len(),
-        q.len() * out.len(),
-        "rows must be out.len() rows of q.len()"
-    );
-    debug_assert!(
-        q.len() <= U8_MAX_WIDTH,
-        "u32 accumulator caps widths at 2^16"
-    );
+pub fn u8_rows(metric: Metric, q: &[u8], rows: &[u8], out: &mut [u32]) {
+    check_u8_rows(q, rows, out);
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above.
-            return unsafe { avx2::u8_rows::<true>(q, rows, out) };
+            // SAFETY: availability checked above; shape checked.
+            return unsafe {
+                match metric {
+                    Metric::L2 => avx2::u8_rows::<true>(q, rows, out),
+                    Metric::InnerProduct | Metric::Cosine => avx2::u8_rows::<false>(q, rows, out),
+                }
+            };
         }
     }
-    l2_sq_u8_rows_scalar(q, rows, out)
+    u8_rows_scalar(metric, q, rows, out)
 }
 
-/// Dot product of the u8 query `q` with each row of `rows`; the blocked
-/// twin of [`ip_u8`] as [`l2_sq_u8_rows`] is of [`l2_sq_u8`].
-///
-/// # Panics
-/// When `rows.len() != q.len() * out.len()`.
-pub fn ip_u8_rows(q: &[u8], rows: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        rows.len(),
-        q.len() * out.len(),
-        "rows must be out.len() rows of q.len()"
-    );
-    debug_assert!(
-        q.len() <= U8_MAX_WIDTH,
-        "u32 accumulator caps widths at 2^16"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above.
-            return unsafe { avx2::u8_rows::<false>(q, rows, out) };
-        }
-    }
-    ip_u8_rows_scalar(q, rows, out)
-}
-
-/// [`l2_sq_u8_rows`] over the picked rows `at` of `rows` only — SQ8's
-/// carried hops, which score the survivors a run still holds — with
-/// `out[i]` the distance to row `at[i]`, four picked rows per pass.
+/// [`u8_rows`] over the picked rows `at` of `rows` only — SQ8's carried
+/// hops, which score the survivors a run still holds — with `out[i]` the
+/// integer of row `at[i]`, four picked rows per pass.
 ///
 /// # Panics
 /// When `at.len() != out.len()` or a picked row lies outside `rows`.
-pub fn l2_sq_u8_rows_at(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
+pub fn u8_rows_at(metric: Metric, q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
     assert_eq!(at.len(), out.len(), "one output per picked row");
     debug_assert!(
         q.len() <= U8_MAX_WIDTH,
@@ -1124,31 +1015,18 @@ pub fn l2_sq_u8_rows_at(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
-            // SAFETY: availability checked above.
-            return unsafe { avx2::u8_rows_at::<true>(q, rows, at, out) };
+            // SAFETY: availability checked above; lengths asserted equal.
+            return unsafe {
+                match metric {
+                    Metric::L2 => avx2::u8_rows_at::<true>(q, rows, at, out),
+                    Metric::InnerProduct | Metric::Cosine => {
+                        avx2::u8_rows_at::<false>(q, rows, at, out)
+                    }
+                }
+            };
         }
     }
-    l2_sq_u8_rows_at_scalar(q, rows, at, out)
-}
-
-/// [`ip_u8_rows`] over the picked rows `at` of `rows` only.
-///
-/// # Panics
-/// When `at.len() != out.len()` or a picked row lies outside `rows`.
-pub fn ip_u8_rows_at(q: &[u8], rows: &[u8], at: &[u32], out: &mut [u32]) {
-    assert_eq!(at.len(), out.len(), "one output per picked row");
-    debug_assert!(
-        q.len() <= U8_MAX_WIDTH,
-        "u32 accumulator caps widths at 2^16"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: availability checked above.
-            return unsafe { avx2::u8_rows_at::<false>(q, rows, at, out) };
-        }
-    }
-    ip_u8_rows_at_scalar(q, rows, at, out)
+    u8_rows_at_scalar(metric, q, rows, at, out)
 }
 
 /// True cosine similarity (handles unnormalized inputs; zero vectors map
@@ -1313,7 +1191,7 @@ mod avx2_prefix {
 /// of every row whose distance is not above `bound` (`!(d > bound)`, so a
 /// NaN distance is kept) written to the front of `keep`, ascending, and
 /// their count returned. Each distance is bit for bit [`l2_sq`] of the two
-/// prefixes, so it is at most [`l2_sq_rows`]' sum over the whole row:
+/// prefixes, so it is at most [`f32_tile`]'s L2 sum over the whole row:
 /// every lane and every add of the reduction only sees non-negative terms
 /// added. Eight rows per pass, reduced and compared together.
 /// [`l2_sq_prefix_keep_scalar`] is the path without AVX2, bit for bit
@@ -1484,45 +1362,40 @@ mod tests {
             let zeros = vec![0u8; 5 * w];
             let full = vec![255u8; 5 * w];
             let mut out = [7u32; 5];
-            l2_sq_u8_rows(&q, &zeros, &mut out);
+            u8_rows(Metric::L2, &q, &zeros, &mut out);
             assert_eq!(out, [max; 5], "l2 rows w={w}");
-            ip_u8_rows(&q, &full, &mut out);
+            u8_rows(Metric::InnerProduct, &q, &full, &mut out);
             assert_eq!(out, [max; 5], "ip rows w={w}");
-            ip_u8_rows(&q, &zeros, &mut out);
+            u8_rows(Metric::InnerProduct, &q, &zeros, &mut out);
             assert_eq!(out, [0; 5], "ip rows w={w}");
-            l2_sq_u8_rows_at(&q, &zeros, &[4, 0, 2], &mut out[..3]);
+            u8_rows_at(Metric::L2, &q, &zeros, &[4, 0, 2], &mut out[..3]);
             assert_eq!(out[..3], [max; 3], "l2 picked w={w}");
-            l2_sq_u8_rows_scalar(&q, &zeros, &mut out);
+            u8_rows_scalar(Metric::L2, &q, &zeros, &mut out);
             assert_eq!(out, [max; 5], "l2 rows scalar w={w}");
         }
     }
 
-    /// The blocked kernels and their index forms against their scalar
-    /// twins and the one-row kernels, bit for bit: widths on both sides of
-    /// every lane boundary (16-code steps, the 8-code tail, the scalar
-    /// tail) and row counts on both sides of every quad boundary.
+    /// The u8 kernels of every metric, on both dispatch paths, against
+    /// the one-row kernels bit for bit: the dispatching rows and picked
+    /// rows against [`l2_sq_u8`] / [`ip_u8`] (AVX2 where the host has it),
+    /// the scalar twins against [`l2_sq_u8_scalar`] / [`ip_u8_scalar`], and
+    /// those one-row kernels against each other. Widths on both sides of
+    /// every lane boundary (16-code steps, the
+    /// 8-code tail, the scalar tail) and row counts on both sides of every
+    /// quad boundary.
     #[test]
     fn blocked_u8_kernels_match_the_one_row_kernels() {
         use rand::prelude::*;
         type One = fn(&[u8], &[u8]) -> u32;
-        type Rows = fn(&[u8], &[u8], &mut [u32]);
-        type At = fn(&[u8], &[u8], &[u32], &mut [u32]);
-        let kernels: [(One, One, Rows, Rows, At, At); 2] = [
+        type Rows = fn(Metric, &[u8], &[u8], &mut [u32]);
+        type At = fn(Metric, &[u8], &[u8], &[u32], &mut [u32]);
+        let paths: [(One, One, Rows, At); 2] = [
+            (l2_sq_u8, ip_u8, u8_rows, u8_rows_at),
             (
-                l2_sq_u8,
                 l2_sq_u8_scalar,
-                l2_sq_u8_rows,
-                l2_sq_u8_rows_scalar,
-                l2_sq_u8_rows_at,
-                l2_sq_u8_rows_at_scalar,
-            ),
-            (
-                ip_u8,
                 ip_u8_scalar,
-                ip_u8_rows,
-                ip_u8_rows_scalar,
-                ip_u8_rows_at,
-                ip_u8_rows_at_scalar,
+                u8_rows_scalar,
+                u8_rows_at_scalar,
             ),
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
@@ -1539,53 +1412,44 @@ mod tests {
                     .filter(|_| n > 0)
                     .map(|&b| u32::from(b) % n as u32)
                     .collect();
-                for (one, one_scalar, blocked, blocked_scalar, picked, picked_scalar) in kernels {
-                    let row = |i: usize| &rows[i * w..(i + 1) * w];
-                    let want: Vec<u32> = (0..n).map(|i| one(&q, row(i))).collect();
-                    let scalar: Vec<u32> = (0..n).map(|i| one_scalar(&q, row(i))).collect();
-                    assert_eq!(want, scalar, "one-row w={w} n={n}");
-                    let mut got = vec![u32::MAX; n];
-                    blocked(&q, &rows, &mut got);
-                    assert_eq!(got, want, "rows w={w} n={n}");
-                    got.fill(u32::MAX);
-                    blocked_scalar(&q, &rows, &mut got);
-                    assert_eq!(got, want, "rows scalar w={w} n={n}");
-                    let want_at: Vec<u32> = at.iter().map(|&r| want[r as usize]).collect();
-                    let mut got = vec![u32::MAX; at.len()];
-                    picked(&q, &rows, &at, &mut got);
-                    assert_eq!(got, want_at, "picked w={w} n={n}");
-                    got.fill(u32::MAX);
-                    picked_scalar(&q, &rows, &at, &mut got);
-                    assert_eq!(got, want_at, "picked scalar w={w} n={n}");
+                let row = |i: usize| &rows[i * w..(i + 1) * w];
+                for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                    let mut wants = Vec::new();
+                    for (l2, dot, blocked, picked) in paths {
+                        let one = if metric == Metric::L2 { l2 } else { dot };
+                        let want: Vec<u32> = (0..n).map(|i| one(&q, row(i))).collect();
+                        let mut got = vec![u32::MAX; n];
+                        blocked(metric, &q, &rows, &mut got);
+                        assert_eq!(got, want, "{metric:?} rows w={w} n={n}");
+                        let want_at: Vec<u32> = at.iter().map(|&r| want[r as usize]).collect();
+                        let mut got = vec![u32::MAX; at.len()];
+                        picked(metric, &q, &rows, &at, &mut got);
+                        assert_eq!(got, want_at, "{metric:?} picked w={w} n={n}");
+                        wants.push(want);
+                    }
+                    // The dispatching one-row kernel against its twin.
+                    assert_eq!(wants[0], wants[1], "{metric:?} one-row w={w} n={n}");
                 }
             }
         }
     }
 
-    /// The blocked f32 kernels — tile, rows and picked rows — against the
-    /// one-row kernels, bit for bit, on both dispatch paths: the
-    /// dispatching forms against [`l2_sq`] / [`ip`] (AVX2 where the host
-    /// has it) and the scalar twins against [`l2_sq_scalar`] /
-    /// [`ip_scalar`]. Every width from 1 to 130 (both sides of each 8-lane
-    /// step and the scalar tail), 0–9 rows (both sides of each quad) and
-    /// 1–5 queries (pairs and an odd one out).
+    /// The blocked f32 kernels of every metric — tile (one query to five)
+    /// and picked rows — against the one-row kernels, bit for bit, on both
+    /// dispatch paths: the dispatching forms against [`l2_sq`] / `-`[`ip`]
+    /// (AVX2 where the host has it) and the scalar twins against
+    /// [`l2_sq_scalar`] / `-`[`ip_scalar`]. Every width from 1 to 130 (both
+    /// sides of each 8-lane step and the scalar tail), 0–9 rows (both sides
+    /// of each quad) and 1–5 queries (pairs and an odd one out).
     #[test]
     fn blocked_f32_kernels_match_the_one_row_kernels() {
         use rand::prelude::*;
         type One = fn(&[f32], &[f32]) -> f32;
-        type Rows = fn(&[f32], &[f32], &mut [f32]);
-        type At = fn(&[f32], &[f32], &[u32], &mut [f32]);
-        type Tile = fn(&[&[f32]], &[f32], &mut [f32]);
-        let paths: [(One, Rows, At, Tile); 4] = [
-            (l2_sq, l2_sq_rows, l2_sq_rows_at, l2_sq_tile),
-            (
-                l2_sq_scalar,
-                l2_sq_rows_scalar,
-                l2_sq_rows_at_scalar,
-                l2_sq_tile_scalar,
-            ),
-            (ip, ip_rows, ip_rows_at, ip_tile),
-            (ip_scalar, ip_rows_scalar, ip_rows_at_scalar, ip_tile_scalar),
+        type At = fn(Metric, &[f32], &[f32], &[u32], &mut [f32]);
+        type Tile = fn(Metric, &[&[f32]], &[f32], &mut [f32]);
+        let paths: [(One, One, At, Tile); 2] = [
+            (l2_sq, ip, f32_rows_at, f32_tile),
+            (l2_sq_scalar, ip_scalar, f32_rows_at_scalar, f32_tile_scalar),
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1601,28 +1465,31 @@ mod tests {
                     .filter(|_| n > 0)
                     .map(|_| rng.random_range(0..n as u32))
                     .collect();
-                for (one, blocked, picked, tile) in paths {
-                    let row = |i: usize| &rows[i * w..(i + 1) * w];
-                    let want: Vec<Vec<f32>> = qs
-                        .iter()
-                        .map(|q| (0..n).map(|i| one(q, row(i))).collect())
-                        .collect();
-                    let mut got = vec![f32::NAN; n];
-                    blocked(&qs[0], &rows, &mut got);
-                    assert_eq!(bits(&got), bits(&want[0]), "rows w={w} n={n}");
-                    let want_at: Vec<f32> = at.iter().map(|&r| want[0][r as usize]).collect();
-                    let mut got = vec![f32::NAN; at.len()];
-                    picked(&qs[0], &rows, &at, &mut got);
-                    assert_eq!(bits(&got), bits(&want_at), "picked w={w} n={n}");
-                    for m in 1..=5 {
-                        let group: Vec<&[f32]> = qs[..m].iter().map(Vec::as_slice).collect();
-                        let mut got = vec![f32::NAN; m * n];
-                        tile(&group, &rows, &mut got);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want[..m].concat()),
-                            "tile w={w} n={n} m={m}"
-                        );
+                let row = |i: usize| &rows[i * w..(i + 1) * w];
+                for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                    for (l2, dot, picked, tile) in paths {
+                        let one = |q: &[f32], r: &[f32]| match metric {
+                            Metric::L2 => l2(q, r),
+                            Metric::InnerProduct | Metric::Cosine => -dot(q, r),
+                        };
+                        let want: Vec<Vec<f32>> = qs
+                            .iter()
+                            .map(|q| (0..n).map(|i| one(q, row(i))).collect())
+                            .collect();
+                        let want_at: Vec<f32> = at.iter().map(|&r| want[0][r as usize]).collect();
+                        let mut got = vec![f32::NAN; at.len()];
+                        picked(metric, &qs[0], &rows, &at, &mut got);
+                        assert_eq!(bits(&got), bits(&want_at), "{metric:?} picked w={w} n={n}");
+                        for m in 1..=5 {
+                            let group: Vec<&[f32]> = qs[..m].iter().map(Vec::as_slice).collect();
+                            let mut got = vec![f32::NAN; m * n];
+                            tile(metric, &group, &rows, &mut got);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want[..m].concat()),
+                                "{metric:?} tile w={w} n={n} m={m}"
+                            );
+                        }
                     }
                 }
             }
@@ -1630,8 +1497,8 @@ mod tests {
     }
 
     /// The prefix kernel on both dispatch paths — the dispatching form
-    /// against [`l2_sq`] and [`l2_sq_rows`] (AVX2 where the host has it),
-    /// the scalar twin against [`l2_sq_scalar`] and [`l2_sq_rows_scalar`]:
+    /// against [`l2_sq`] and [`f32_tile`] (AVX2 where the host has it),
+    /// the scalar twin against [`l2_sq_scalar`] and [`f32_tile_scalar`]:
     /// the rows it keeps at a bound equal to a row's prefix distance and at
     /// the float just below it pin each distance bit for bit to the one-row
     /// kernel of the two 8-float prefixes, which is never above the row
@@ -1643,11 +1510,11 @@ mod tests {
     fn prefix_kernel_matches_the_prefix_and_bounds_the_row() {
         use rand::prelude::*;
         type One = fn(&[f32], &[f32]) -> f32;
-        type Rows = fn(&[f32], &[f32], &mut [f32]);
+        type Tile = fn(Metric, &[&[f32]], &[f32], &mut [f32]);
         type Keep = fn(&[f32], &[f32], usize, f32, &mut [u32]) -> usize;
-        let paths: [(One, Rows, Keep); 2] = [
-            (l2_sq, l2_sq_rows, l2_sq_prefix_keep),
-            (l2_sq_scalar, l2_sq_rows_scalar, l2_sq_prefix_keep_scalar),
+        let paths: [(One, Tile, Keep); 2] = [
+            (l2_sq, f32_tile, l2_sq_prefix_keep),
+            (l2_sq_scalar, f32_tile_scalar, l2_sq_prefix_keep_scalar),
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(34);
         let subnormal = f32::MIN_POSITIVE / 3.0;
@@ -1687,10 +1554,10 @@ mod tests {
                             .chain(std::iter::repeat_n(7.5, stride - w))
                     })
                     .collect();
-                for (one, row_kernel, keep) in paths {
+                for (one, tile, keep) in paths {
                     let want: Vec<f32> = rows.iter().map(|r| one(&q[..8], &r[..8])).collect();
                     let mut full = vec![f32::NAN; n];
-                    row_kernel(&q, &dense, &mut full);
+                    tile(Metric::L2, &[&q], &dense, &mut full);
                     for (i, (pre, full)) in want.iter().zip(&full).enumerate() {
                         assert!(pre <= full, "w={w} row {i}: {pre} > {full}");
                     }
@@ -1760,29 +1627,61 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different lengths")]
+    fn u8_of_unequal_slices_panics_in_every_build() {
+        let big = [1u8; 64];
+        l2_sq_u8(&[3; 64], &big[..1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn ip_u8_of_unequal_slices_panics_in_every_build() {
+        let big = [1u8; 64];
+        ip_u8(&big[..16], &[3; 64]);
+    }
+
+    #[test]
     #[should_panic(expected = "rows must be out.len() rows")]
-    fn f32_rows_of_the_wrong_shape_panic() {
-        l2_sq_rows(&[1.0; 8], &[0.0; 20], &mut [0.0; 3]);
+    fn u8_rows_of_the_wrong_shape_panic() {
+        u8_rows(Metric::L2, &[1; 8], &[0; 20], &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn u8_picked_row_outside_the_rows_panics() {
+        u8_rows_at(
+            Metric::InnerProduct,
+            &[1; 8],
+            &[0; 24],
+            &[1, 3],
+            &mut [0; 2],
+        );
     }
 
     #[test]
     #[should_panic]
     fn f32_picked_row_outside_the_rows_panics() {
-        ip_rows_at(&[1.0; 8], &[0.0; 24], &[1, 3], &mut [0.0; 2]);
+        f32_rows_at(
+            Metric::InnerProduct,
+            &[1.0; 8],
+            &[0.0; 24],
+            &[1, 3],
+            &mut [0.0; 2],
+        );
     }
 
     #[test]
     #[should_panic(expected = "queries must share one width")]
     fn tile_queries_of_different_widths_panic() {
         let (a, b) = ([1.0f32; 16], [1.0f32; 8]);
-        l2_sq_tile(&[&a, &b], &[0.0; 32], &mut [0.0; 4]);
+        f32_tile(Metric::L2, &[&a, &b], &[0.0; 32], &mut [0.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "rows must be n rows")]
     fn tile_rows_of_the_wrong_width_panic() {
         let q = [1.0f32; 16];
-        ip_tile(&[&q, &q], &[0.0; 24], &mut [0.0; 4]);
+        f32_tile(Metric::InnerProduct, &[&q, &q], &[0.0; 24], &mut [0.0; 4]);
     }
 
     #[cfg(target_arch = "x86_64")]

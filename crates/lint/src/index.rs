@@ -95,6 +95,9 @@ impl FileIndex {
 
         let mut fns = Vec::new();
         let mut test_regions = Vec::new();
+        // Only comments and inner attributes seen so far: an inner
+        // `#![cfg(test)]` here is the file's own attribute.
+        let mut file_start = true;
 
         while i < n {
             let t = &toks[i];
@@ -110,7 +113,8 @@ impl FileIndex {
                 Kind::Punct if t.text == "#" => {
                     // Attribute `#[...]` or `#![...]`.
                     let mut j = i + 1;
-                    if j < n && toks[j].is_punct('!') {
+                    let inner = j < n && toks[j].is_punct('!');
+                    if inner {
                         j += 1;
                     }
                     if j < n && toks[j].is_punct('[') {
@@ -120,15 +124,24 @@ impl FileIndex {
                             .filter(|t| t.kind != Kind::Comment)
                             .map(|t| t.text.as_str())
                             .collect();
+                        // `#![cfg(test)]` at the top of a file makes the whole
+                        // file (a test module's own file) test code; inside a
+                        // block it would reach past the block's close.
+                        if inner && file_start && is_cfg_test(std::slice::from_ref(&text)) {
+                            test_regions.push((i, n));
+                        }
+                        file_start &= inner;
                         pending_attrs.push(text);
                         i = close + 1;
                         continue;
                     }
+                    file_start = false;
                     i += 1;
                     continue;
                 }
-                Kind::Ident => {}
+                Kind::Ident => file_start = false,
                 _ => {
+                    file_start = false;
                     if t.text == ";" || t.text == "{" || t.text == "}" {
                         modifiers.clear();
                         pending_attrs.clear();
@@ -291,6 +304,21 @@ mod tests {
             .unwrap();
         assert!(fi.in_test(call));
         assert!(!fi.in_test(0));
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_the_rest_of_the_file() {
+        let fi = idx("//! Tests.\n#![cfg(test)]\nuse super::*;\nfn helper() { x.unwrap(); }\n");
+        assert!(fi.fns[0].in_test);
+        assert!(fi.in_test(fi.toks.len() - 1));
+        let plain = idx("#![allow(dead_code)]\nfn helper() { x.unwrap(); }\n");
+        assert!(!plain.fns[0].in_test);
+        // Inside a block the inner attribute is the block's, not the file's.
+        let nested = idx("mod m { #![cfg(test)] }\nfn prod() { x.unwrap(); }\n");
+        assert!(!nested.fns[0].in_test);
+        assert!(!nested.in_test(nested.toks.len() - 1));
+        let in_fn = idx("fn f() { #![cfg(test)] }\nfn prod() { x.unwrap(); }\n");
+        assert!(!in_fn.fns[1].in_test);
     }
 
     #[test]
