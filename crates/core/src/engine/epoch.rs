@@ -6,7 +6,7 @@
 //! lives with the view ([`EngineCore::install_epoch`]).
 
 use crossbeam::channel::Receiver;
-use harmony_cluster::{Cluster, NodeId, Wire};
+use harmony_cluster::{Cluster, NodeId};
 use harmony_index::{BlockRepr, DimRange, Metric, TopK, VectorStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -14,12 +14,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::namespace::{cut_list, BaseStore, NamespaceState};
+use super::namespace::{walk_list, BaseStore, NamespaceState};
 use super::supervisor::SupervisorState;
 use super::{await_acks, once_per_machine, EngineCore};
 use crate::cost::{CostModel, PlanEstimate};
 use crate::error::CoreError;
-use crate::messages::{metric_tag, repr_tag, LoadBlock, ToClient, ToWorker};
+use crate::messages::{metric_tag, repr_tag, LoadBlock, LoadFrame, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
 
 /// One immutable generation of routing state. Queries capture the Arc at
@@ -175,9 +175,7 @@ impl PrewarmSamples {
                 }
             }
             for &id in &picked {
-                let row = *base.by_id.get(&id).ok_or_else(|| {
-                    CoreError::Runtime(format!("list member {id} missing from the base store"))
-                })?;
+                let row = base.row_of(id)?;
                 rows[c].push(store.len());
                 store
                     .push(id, base.store.row(row))
@@ -224,12 +222,13 @@ pub struct MigrationReport {
 const EPOCH_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Pre-assign (§4, Fig. 10), the one way list storage reaches a worker:
-/// walks `routing`'s `(shard, dimension range)` grid, cuts each block from
-/// the exact copy and sends it as one [`LoadBlock`] before cutting the
-/// next, then awaits every machine's [`ToClient::EpochReady`] on the
-/// control channel the router feeds. An epoch is therefore the block set a
-/// fresh build at its layout would ship, however it was reached. Returns
-/// the bytes sent.
+/// walks `routing`'s `(shard, dimension range)` grid and writes each block
+/// as one [`LoadBlock`] frame straight from the exact copy
+/// ([`LoadFrame`], [`walk_list`]), sending it before writing the next,
+/// then awaits every machine's [`ToClient::EpochReady`] on the control
+/// channel the router feeds. An epoch is therefore the block set a fresh
+/// build at its layout would ship, however it was reached. Returns the
+/// bytes sent.
 pub(super) fn ship_epoch(
     cluster: &Cluster,
     control: &Receiver<(NodeId, ToClient)>,
@@ -244,15 +243,20 @@ pub(super) fn ship_epoch(
     } else {
         BlockRepr::F32
     };
+    // Each member's row, looked up once for every block that carries it.
+    let members = &routing.lists.members;
+    let rows = members
+        .iter()
+        .map(|ids| ids.iter().map(|&id| base.row_of(id)).collect())
+        .collect::<Result<Vec<Vec<usize>>, _>>()?;
+    let list = |c: u32| {
+        let c = c as usize;
+        members[c].iter().copied().zip(rows[c].iter().copied())
+    };
     let mut bytes = 0;
     for (s, clusters) in routing.shard_clusters.iter().enumerate() {
         for (b, range) in routing.dim_ranges.iter().enumerate() {
-            let cut = |&c: &u32| {
-                let rows = routing.lists.members[c as usize].iter();
-                let rows = rows.map(|id| base.by_id[id]);
-                cut_list(&base.store, c, rows, *range, is_ip, state.sq8)
-            };
-            let load = ToWorker::Load(LoadBlock {
+            let head = LoadBlock {
                 ns,
                 epoch,
                 shard: s as u32,
@@ -263,9 +267,21 @@ pub(super) fn ship_epoch(
                 metric: metric_tag::encode(state.metric),
                 pruning: state.pruning,
                 repr: repr_tag::encode(repr),
-                lists: clusters.iter().map(cut).collect(),
-            })
-            .to_bytes();
+                lists: Vec::new(),
+            };
+            let mut frame = LoadFrame::new(head, clusters.iter().map(|&c| list(c).len()));
+            for &c in clusters {
+                frame.push_list(c, list(c).len(), |out| {
+                    walk_list(
+                        &base.store,
+                        list(c),
+                        *range,
+                        is_ip,
+                        |id, coords, norms_sq| out.push(id, coords, norms_sq),
+                    )
+                });
+            }
+            let load = frame.finish();
             bytes += load.len() as u64;
             cluster.send(routing.plan.machine_of(s, b), load)?;
         }

@@ -53,6 +53,10 @@ pub(super) struct IngestState {
     /// skipped; a compaction recuts the samples and empties the set.
     /// Copy-on-write like `deleted`.
     overridden: Arc<HashSet<u64>>,
+    /// Home clusters of the rows in `pending`, shared copy-on-write with
+    /// the view like `deleted`: copied only when a cluster gets its first
+    /// pending row.
+    pending_clusters: Arc<HashSet<u32>>,
 }
 
 impl IngestState {
@@ -104,7 +108,7 @@ pub(super) struct NsView {
     /// samples are skipped.
     pub(super) overridden: Arc<HashSet<u64>>,
     /// Clusters with pending delta rows (drives forced shard visits).
-    pub(super) pending_clusters: HashSet<u32>,
+    pub(super) pending_clusters: Arc<HashSet<u32>>,
 }
 
 /// The ingest state behind its mutex and the view its holder publishes;
@@ -125,13 +129,14 @@ impl WriteSide {
                 tombstones: HashMap::new(),
                 deleted: Arc::default(),
                 overridden: Arc::default(),
+                pending_clusters: Arc::default(),
             }),
             view: RwLock::new(Arc::new(NsView {
                 routing: Arc::new(routing),
                 delta_seq: 0,
                 deleted: Arc::default(),
                 overridden: Arc::default(),
-                pending_clusters: HashSet::new(),
+                pending_clusters: Arc::default(),
             })),
         }
     }
@@ -158,7 +163,7 @@ impl WriteSide {
             delta_seq: if ing.next_seq > 1 { ing.next_seq } else { 0 },
             deleted: Arc::clone(&ing.deleted),
             overridden: Arc::clone(&ing.overridden),
-            pending_clusters: ing.pending.iter().map(|p| p.cluster).collect(),
+            pending_clusters: Arc::clone(&ing.pending_clusters),
         };
         *self.view.write() = Arc::new(view);
         replaced
@@ -317,13 +322,11 @@ impl EngineCore {
         let cluster = *nearest_centroids(vector, &state.centroids, 1)
             .first()
             .ok_or_else(|| CoreError::Runtime("engine has no centroids".into()))?;
-        {
-            let mut base = state.base.write();
-            let row = base.store.len();
-            base.store.push(id, vector).map_err(CoreError::Index)?;
-            base.by_id.insert(id, row);
-        }
+        state.base.write().upsert(id, vector)?;
         ing.pending.push(PendingDelta { id, cluster, seq });
+        if !ing.pending_clusters.contains(&cluster) {
+            Arc::make_mut(&mut ing.pending_clusters).insert(cluster);
+        }
         if ing.deleted.contains_key(&id) {
             Arc::make_mut(&mut ing.deleted).remove(&id);
         }
@@ -535,6 +538,7 @@ impl EngineCore {
         // the publication that follows.
         state.base.write().sweep(&ing.deleted);
         ing.pending.clear();
+        ing.pending_clusters = Arc::default();
         ing.tombstones.clear();
         ing.deleted = Arc::default();
         // Every id written before this point is folded into the lists the
@@ -569,6 +573,11 @@ mod tests {
                 .map(|r| samples.store.id(r))
                 .collect()
         };
+        // The clusters the view force-visits, rebuilt from every pending row.
+        let pending_homes = || -> HashSet<u32> {
+            let ing = ns.writes.ingest.lock();
+            ing.pending.iter().map(|p| p.cluster).collect()
+        };
         for cycle in 0..4u64 {
             // The worst case for the samples: overwrite and delete the very
             // ids they hold, besides inserting new ones.
@@ -587,12 +596,16 @@ mod tests {
                     .unwrap();
             }
             assert!(!ns.view().overridden.is_empty());
+            let homes = pending_homes();
+            assert!(!homes.is_empty());
+            assert_eq!(*ns.view().pending_clusters, homes, "cycle {cycle}");
             assert!(!engine.compact().unwrap().noop);
 
             // One publication: the emptied set and the recut samples.
             let view = ns.view();
             assert!(view.overridden.is_empty() && view.deleted.is_empty());
             assert!(ns.writes.ingest.lock().overridden.is_empty());
+            assert!(view.pending_clusters.is_empty() && pending_homes().is_empty());
             let routing = &view.routing;
             let base = ns.base.read();
             // Nor does the exact copy keep superseded or deleted rows.

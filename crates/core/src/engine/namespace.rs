@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use harmony_index::distance::{ip, U8_MAX_WIDTH};
 use harmony_index::{
     max_magnitude, AccessEwma, BlockRepr, DimRange, IndexError, KMeans, KMeansConfig, Metric,
-    Sq8Segment, Temperature, VectorStore,
+    Temperature, VectorStore,
 };
 use parking_lot::RwLock;
 
@@ -107,29 +107,62 @@ impl NamespaceState {
 /// Client-side exact vectors: compaction source and SQ8 re-rank store.
 /// Upserts append rows and repoint `by_id`; superseded rows are
 /// unreachable through the id map and linger, like the rows of deleted
-/// ids, until the next compaction sweeps them.
+/// ids, until the next compaction sweeps them. Row order means nothing:
+/// every reader finds a row through `by_id`, from an id or a list member.
 pub(crate) struct BaseStore {
     pub(crate) store: VectorStore,
     /// External id → newest row of `store`.
     pub(crate) by_id: HashMap<u64, usize>,
+    /// Rows an upsert repointed `by_id` away from, each once: with the
+    /// rows of deleted ids, what the next sweep drops.
+    superseded: Vec<usize>,
 }
 
 impl BaseStore {
-    /// The exact copy of a freshly built namespace: every row live.
+    /// The exact copy of a freshly built namespace: every row live but
+    /// those of an id that repeats, which its last row supersedes.
     pub(crate) fn over(store: VectorStore) -> Self {
-        let by_id = (0..store.len()).map(|r| (store.id(r), r)).collect();
-        Self { store, by_id }
+        let mut by_id = HashMap::with_capacity(store.len());
+        let superseded = (0..store.len())
+            .filter_map(|row| by_id.insert(store.id(row), row))
+            .collect();
+        Self {
+            store,
+            by_id,
+            superseded,
+        }
     }
 
-    /// Drops the rows of `deleted` ids and every superseded row, in place.
-    /// Without this the store (and the quota's live count) grew with every
-    /// write a namespace had ever seen.
+    /// The row of list member `id`.
+    pub(super) fn row_of(&self, id: u64) -> Result<usize, CoreError> {
+        let row = self.by_id.get(&id).copied();
+        row.ok_or_else(|| {
+            CoreError::Runtime(format!("list member {id} missing from the base store"))
+        })
+    }
+
+    /// Appends `vector` as `id`'s newest row, superseding its last one.
+    pub(super) fn upsert(&mut self, id: u64, vector: &[f32]) -> Result<(), CoreError> {
+        let row = self.store.len();
+        self.store.push(id, vector)?;
+        self.superseded.extend(self.by_id.insert(id, row));
+        Ok(())
+    }
+
+    /// Drops the rows of `deleted` ids and every superseded row, in place,
+    /// at a cost in the dead rows alone: from the highest down, each is
+    /// filled with the current last row (a live one — the dead rows above
+    /// are gone by then) and only that row's id is repointed. Without this
+    /// the store (and the quota's live count) grew with every write a
+    /// namespace had ever seen.
     pub(super) fn sweep(&mut self, deleted: &HashMap<u64, u64>) {
-        let Self { store, by_id } = self;
-        by_id.retain(|id, _| !deleted.contains_key(id));
-        store.retain_rows(|row, id| by_id.get(&id) == Some(&row));
-        for (row, id) in store.ids().iter().enumerate() {
-            by_id.insert(*id, row);
+        let mut dead = std::mem::take(&mut self.superseded);
+        dead.extend(deleted.keys().filter_map(|id| self.by_id.remove(id)));
+        dead.sort_unstable_by(|a, b| b.cmp(a));
+        for row in dead {
+            if let Some(moved) = self.store.swap_remove(row) {
+                self.by_id.insert(moved, row);
+            }
         }
     }
 }
@@ -160,10 +193,32 @@ pub(super) struct PreparedNamespace {
     pub(super) model: CostModel,
 }
 
-/// Cuts `rows` of `store` to `range` as list `cluster` of a grid block.
-/// Under SQ8 only codes travel and reside, one segment per list; the norm
-/// tables stay exact (computed from the original slices, before
-/// quantization).
+/// The one walk over a list's members that every cut of it takes — the
+/// lists of a [`ship_epoch`] frame and the planner's sample blocks
+/// ([`cut_list`]) alike: each `(id, row)` of `store`, in order, with the
+/// row's coordinates in `range` and, under the inner-product metrics, the
+/// squared norms of those and of the full row — exact, taken before any
+/// quantization.
+pub(super) fn walk_list(
+    store: &VectorStore,
+    members: impl Iterator<Item = (u64, usize)>,
+    range: DimRange,
+    is_ip: bool,
+    mut member: impl FnMut(u64, &[f32], Option<[f32; 2]>),
+) {
+    for (id, row) in members {
+        let coords = store.row_range(row, range);
+        let norms_sq = is_ip.then(|| {
+            let full = store.row(row);
+            [ip(coords, coords), ip(full, full)]
+        });
+        member(id, coords, norms_sq);
+    }
+}
+
+/// Cuts `rows` of `store` to `range` as list `cluster` of a grid block,
+/// the list a worker decodes from the frame [`ship_epoch`] writes of the
+/// same rows. Under SQ8 only codes travel and reside, one segment per list.
 pub(crate) fn cut_list(
     store: &VectorStore,
     cluster: u32,
@@ -180,19 +235,18 @@ pub(crate) fn cut_list(
         block_norms_sq: Vec::new(),
         total_norms_sq: Vec::new(),
     };
-    for row in rows {
-        cut.ids.push(store.id(row));
-        let slice = store.row_range(row, range);
-        cut.flat.extend_from_slice(slice);
-        if is_ip {
-            cut.block_norms_sq.push(ip(slice, slice));
-            let full = store.row(row);
-            cut.total_norms_sq.push(ip(full, full));
+    let members = rows.map(|row| (store.id(row), row));
+    walk_list(store, members, range, is_ip, |id, coords, norms_sq| {
+        cut.ids.push(id);
+        cut.flat.extend_from_slice(coords);
+        if let Some([block, total]) = norms_sq {
+            cut.block_norms_sq.push(block);
+            cut.total_norms_sq.push(total);
         }
-    }
-    if sq8 && !cut.flat.is_empty() {
+    });
+    if sq8 {
         let flat = std::mem::take(&mut cut.flat);
-        cut.segs = vec![Sq8Segment::quantize(&flat, range.len(), range.start as u64)];
+        cut.segs = ClusterBlock::sq8_segments(&flat, range.start as u64, range.end as u64);
     }
     cut
 }
@@ -617,6 +671,65 @@ impl EngineCore {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+
+    /// Seeded writes against a model of the live set: upserts of new,
+    /// live and deleted ids, deletes, and a sweep after each round. A sweep
+    /// moves rows but leaves `by_id` a bijection onto the store's rows,
+    /// every live id on its newest vector and no deleted id anywhere.
+    #[test]
+    fn sweep_leaves_a_bijection_of_live_ids_on_their_newest_rows() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const DIM: usize = 3;
+        let vector = |id: u64, version: u64| -> Vec<f32> {
+            (0..DIM as u64)
+                .map(|d| (id * 1000 + version * 10 + d) as f32)
+                .collect()
+        };
+        // Ids 0..64, then id 7 again: the build's own duplicate.
+        let mut initial = VectorStore::new(DIM);
+        for id in (0..64).chain([7]) {
+            initial
+                .push(id, &vector(id, u64::from(id == 7 && initial.len() == 64)))
+                .unwrap();
+        }
+        let mut base = BaseStore::over(initial);
+        let mut newest: HashMap<u64, u64> = (0..64).map(|id| (id, u64::from(id == 7))).collect();
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut version = 1;
+        for round in 0..40 {
+            let mut deleted: HashMap<u64, u64> = HashMap::new();
+            for _ in 0..rng.random_range(0..64) {
+                let id = rng.random_range(0..96u64);
+                if rng.random_range(0..3) < 2 {
+                    version += 1;
+                    base.upsert(id, &vector(id, version)).unwrap();
+                    newest.insert(id, version);
+                    deleted.remove(&id);
+                } else if newest.remove(&id).is_some() {
+                    deleted.insert(id, version);
+                }
+            }
+            base.sweep(&deleted);
+            assert_eq!(base.store.len(), base.by_id.len(), "round {round}");
+            assert_eq!(base.by_id.len(), newest.len(), "round {round}");
+            let mut rows: Vec<usize> = base.by_id.values().copied().collect();
+            rows.sort_unstable();
+            assert!(
+                rows.iter().copied().eq(0..base.store.len()),
+                "round {round}"
+            );
+            for (&id, &row) in &base.by_id {
+                assert_eq!(base.store.id(row), id, "round {round}");
+                let want = vector(id, newest[&id]);
+                assert_eq!(base.store.row(row), &want[..], "round {round} id {id}");
+            }
+            for id in deleted.keys() {
+                assert!(!base.store.ids().contains(id), "round {round} id {id}");
+            }
+        }
+        assert!(base.superseded.is_empty());
+    }
 
     #[test]
     fn namespaces_are_isolated_tenants() {

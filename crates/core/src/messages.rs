@@ -8,7 +8,9 @@
 //!   routing epoch (Fig. 10): at build, and again whenever a compaction or
 //!   a layout change recuts the namespace. It is the only message that
 //!   installs list storage, and is acknowledged by
-//!   [`ToClient::EpochReady`].
+//!   [`ToClient::EpochReady`]. The client writes its frame straight from
+//!   the rows it carries ([`LoadFrame`]), byte for byte the derived
+//!   codec's.
 //! * **Query phase** — the client splits each *sub-batch* of queries
 //!   across the dimension blocks of every visited shard as one
 //!   [`ChunkBatch`] per machine (Fig. 4b); workers stream surviving
@@ -262,9 +264,9 @@ impl LoadBlock {
                 &list.flat,
                 &list.segs,
             )?;
-            // Under SQ8, at most the one segment `cut_list` quantizes a list
-            // into, spanning the block: the scan quantizes each query once
-            // per list against it.
+            // Under SQ8, at most the one segment a list is quantized into
+            // (`ClusterBlock::sq8_segments`), spanning the block: the scan
+            // quantizes each query once per list against it.
             let payload_fits = if sq8 {
                 list.flat.is_empty()
                     && list.segs.len() <= 1
@@ -285,6 +287,152 @@ impl LoadBlock {
             }
         }
         Ok(())
+    }
+}
+
+impl ClusterBlock {
+    /// The segments an SQ8 list of these row-major `coords` travels as, in
+    /// a block of dimensions `[dim_start, dim_end)`: one spanning the
+    /// block, none for an empty list.
+    pub fn sq8_segments(coords: &[f32], dim_start: u64, dim_end: u64) -> Vec<Sq8Segment> {
+        if coords.is_empty() {
+            return Vec::new();
+        }
+        let width = dim_end.saturating_sub(dim_start) as usize;
+        vec![Sq8Segment::quantize(coords, width, dim_start)]
+    }
+}
+
+/// One [`ToWorker::Load`] frame written list by list, straight from the
+/// rows it carries, into one buffer sized exactly up front: the bytes
+/// `ToWorker::Load(block).to_bytes()` gives for the block of these lists,
+/// without the lists ever existing as [`ClusterBlock`]s. The header goes
+/// through the derived codec with `lists` empty; its list count — the
+/// block's last field — is then patched, and each list is appended in
+/// [`ClusterBlock`]'s field order. Under SQ8 a list's coordinates gather in
+/// one scratch buffer, reused list to list, and leave as
+/// [`ClusterBlock::sq8_segments`].
+pub struct LoadFrame {
+    buf: BytesMut,
+    /// Length the frame will have once every announced list is in.
+    size: usize,
+    /// The block's dimension range.
+    dims: (u64, u64),
+    ip: bool,
+    sq8: bool,
+    /// A list's SQ8 coordinates before quantization.
+    coords: Vec<f32>,
+    /// A list's block and total norm tables (inner-product metrics).
+    norms_sq: [Vec<f32>; 2],
+}
+
+impl LoadFrame {
+    /// Starts the frame of `head` (its `lists` left out) for lists of
+    /// `rows` members each, in the order [`LoadFrame::push_list`] will
+    /// append them.
+    pub fn new(head: LoadBlock, rows: impl IntoIterator<Item = usize>) -> Self {
+        let mut frame = Self {
+            buf: BytesMut::new(),
+            size: 0,
+            dims: (head.dim_start, head.dim_end),
+            ip: head.metric != metric_tag::encode(Metric::L2),
+            sq8: head.repr == repr_tag::encode(BlockRepr::Sq8),
+            coords: Vec::new(),
+            norms_sq: Default::default(),
+        };
+        let (lists, bytes) = rows.into_iter().fold((0u64, 0), |(n, bytes), r| {
+            (n + 1, bytes + frame.list_len(r))
+        });
+        let head = ToWorker::Load(LoadBlock {
+            lists: Vec::new(),
+            ..head
+        });
+        frame.size = head.size_hint() + bytes;
+        frame.buf = BytesMut::with_capacity(frame.size);
+        head.encode(&mut frame.buf);
+        let count = frame.buf.len() - 8;
+        frame.buf[count..].copy_from_slice(&lists.to_le_bytes());
+        frame
+    }
+
+    fn width(&self) -> usize {
+        self.dims.1.saturating_sub(self.dims.0) as usize
+    }
+
+    /// Encoded length of a list of `rows` members: cluster, then ids,
+    /// coordinates, segments and the two norm tables, each behind its
+    /// count.
+    fn list_len(&self, rows: usize) -> usize {
+        let values = rows * self.width();
+        let (coords, segs) = match (self.sq8, values) {
+            (false, _) => (4 * values, 0),
+            (true, 0) => (0, 0),
+            (true, _) => (0, 40 + values + 4 * rows),
+        };
+        let norms = if self.ip { 4 * rows } else { 0 };
+        4 + (8 + 8 * rows) + (8 + coords) + (8 + segs) + 2 * (8 + norms)
+    }
+
+    /// Appends list `cluster`, whose `rows` members `fill` pushes, in
+    /// order, through the [`ListFrame`] it is handed.
+    pub fn push_list(&mut self, cluster: u32, rows: usize, fill: impl FnOnce(&mut ListFrame<'_>)) {
+        let values = if self.sq8 { 0 } else { rows * self.width() };
+        cluster.encode(&mut self.buf);
+        (rows as u64).encode(&mut self.buf);
+        let ids = self.buf.len();
+        self.buf.resize(ids + 8 * rows, 0);
+        (values as u64).encode(&mut self.buf);
+        let mut list = ListFrame {
+            frame: self,
+            next_id: ids,
+        };
+        fill(&mut list);
+        debug_assert_eq!(list.next_id, ids + 8 * rows, "list {cluster}: rows pushed");
+        let segs = ClusterBlock::sq8_segments(&self.coords, self.dims.0, self.dims.1);
+        sq8_segs::encode(&segs, &mut self.buf);
+        self.coords.clear();
+        for table in &mut self.norms_sq {
+            table.encode(&mut self.buf);
+            table.clear();
+        }
+    }
+
+    /// The finished frame.
+    pub fn finish(self) -> Bytes {
+        debug_assert_eq!(self.buf.len(), self.size, "frame length");
+        self.buf.freeze()
+    }
+}
+
+/// One list of a [`LoadFrame`] as [`LoadFrame::push_list`] hands it out.
+pub struct ListFrame<'a> {
+    frame: &'a mut LoadFrame,
+    /// Where the next member's id goes.
+    next_id: usize,
+}
+
+impl ListFrame<'_> {
+    /// Appends the next member: its id, its coordinates in the block's
+    /// dimension range and, under the inner-product metrics, the squared
+    /// norms of those and of its full vector (unread under L2).
+    pub fn push(&mut self, id: u64, coords: &[f32], norms_sq: Option<[f32; 2]>) {
+        let frame = &mut *self.frame;
+        frame.buf[self.next_id..self.next_id + 8].copy_from_slice(&id.to_le_bytes());
+        self.next_id += 8;
+        if frame.sq8 {
+            frame.coords.extend_from_slice(coords);
+        } else {
+            let at = frame.buf.len();
+            frame.buf.resize(at + 4 * coords.len(), 0);
+            for (dst, v) in frame.buf[at..].chunks_exact_mut(4).zip(coords) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        if frame.ip {
+            let [block, total] = norms_sq.unwrap_or_default();
+            frame.norms_sq[0].push(block);
+            frame.norms_sq[1].push(total);
+        }
     }
 }
 
@@ -1228,6 +1376,73 @@ mod tests {
         Vec::<f32>::new().encode(&mut evil); // flat
         u64::MAX.encode(&mut evil); // declared segment count, no payload
         assert!(ClusterBlock::from_bytes(evil.freeze()).is_err());
+    }
+
+    /// The streamed frame is the derived codec's, byte for byte, in every
+    /// representation and metric, an empty list among the others.
+    #[test]
+    fn load_frame_streams_the_bytes_of_the_derived_encoding() {
+        let norm = |v: &[f32]| v.iter().map(|x| x * x).sum::<f32>();
+        let row =
+            |id: u64| -> [f32; 5] { std::array::from_fn(|d| (id as f32 - 2.5) * (d as f32 + 0.5)) };
+        // Lists of block `1..4` of a 5-d space: members, then the empty
+        // list, then one member.
+        let lists: [(u32, Vec<u64>); 3] = [(4, vec![11, 3, 8, 20]), (0, vec![]), (9, vec![6])];
+        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+            for repr in [BlockRepr::F32, BlockRepr::Sq8] {
+                let (ip, sq8) = (metric != Metric::L2, repr == BlockRepr::Sq8);
+                let head = LoadBlock {
+                    ns: 3,
+                    epoch: 9,
+                    shard: 1,
+                    dim_block: 1,
+                    dim_start: 1,
+                    dim_end: 4,
+                    total_dim_blocks: 2,
+                    metric: metric_tag::encode(metric),
+                    repr: repr_tag::encode(repr),
+                    pruning: true,
+                    lists: Vec::new(),
+                };
+                let blocks = lists.iter().map(|(cluster, ids)| {
+                    let rows: Vec<[f32; 5]> = ids.iter().map(|&id| row(id)).collect();
+                    let coords: Vec<f32> = rows.iter().flat_map(|r| r[1..4].to_vec()).collect();
+                    let norms = |of: &dyn Fn(&[f32; 5]) -> f32| match ip {
+                        true => rows.iter().map(of).collect(),
+                        false => Vec::new(),
+                    };
+                    ClusterBlock {
+                        cluster: *cluster,
+                        ids: ids.clone(),
+                        flat: if sq8 { Vec::new() } else { coords.clone() },
+                        segs: match sq8 && !ids.is_empty() {
+                            true => vec![Sq8Segment::quantize(&coords, 3, 1)],
+                            false => Vec::new(),
+                        },
+                        block_norms_sq: norms(&|r| norm(&r[1..4])),
+                        total_norms_sq: norms(&|r| norm(r)),
+                    }
+                });
+                let block = LoadBlock {
+                    lists: blocks.collect(),
+                    ..head.clone()
+                };
+                let want = ToWorker::Load(block).to_bytes();
+
+                let mut frame = LoadFrame::new(head, lists.iter().map(|(_, ids)| ids.len()));
+                for (cluster, ids) in &lists {
+                    frame.push_list(*cluster, ids.len(), |out| {
+                        for &id in ids {
+                            let r = row(id);
+                            out.push(id, &r[1..4], ip.then(|| [norm(&r[1..4]), norm(&r)]));
+                        }
+                    });
+                }
+                let got = frame.finish();
+                assert_eq!(got, want, "{metric:?} {repr:?}");
+                assert!(ToWorker::from_bytes(got).is_ok(), "{metric:?} {repr:?}");
+            }
+        }
     }
 
     #[test]

@@ -145,10 +145,11 @@ impl VectorStore {
     /// Borrow the dimension sub-range `range` of row `row`.
     ///
     /// # Panics
-    /// Panics if the row or range is out of bounds.
+    /// Panics if the row or range is out of bounds, in every build: a range
+    /// past `dim` would otherwise read into the next row.
     #[inline]
     pub fn row_range(&self, row: usize, range: DimRange) -> &[f32] {
-        debug_assert!(range.end <= self.dim);
+        assert!(range.end <= self.dim, "dimension range past the row");
         let start = row * self.dim;
         &self.data[start + range.start..start + range.end]
     }
@@ -178,24 +179,22 @@ impl VectorStore {
         Ok(())
     }
 
-    /// Drops, in place, every row for which `keep(row, id)` is false; kept
-    /// rows close ranks in their original order. Capacity is retained.
-    pub fn retain_rows(&mut self, mut keep: impl FnMut(usize, VectorId) -> bool) {
-        let dim = self.dim;
-        let mut kept = 0;
-        for row in 0..self.ids.len() {
-            if !keep(row, self.ids[row]) {
-                continue;
-            }
-            if kept != row {
-                self.ids[kept] = self.ids[row];
-                self.data
-                    .copy_within(row * dim..(row + 1) * dim, kept * dim);
-            }
-            kept += 1;
+    /// Removes row `row` by moving the last row into its place, like
+    /// [`Vec::swap_remove`]: O(dim), but row order is not kept. Returns the
+    /// id of the row that moved into `row`, `None` when `row` was the last.
+    /// Capacity is retained.
+    ///
+    /// # Panics
+    /// Panics if `row >= self.len()`.
+    pub fn swap_remove(&mut self, row: usize) -> Option<VectorId> {
+        self.ids.swap_remove(row);
+        let (dim, last) = (self.dim, self.ids.len());
+        if row != last {
+            self.data
+                .copy_within(last * dim..(last + 1) * dim, row * dim);
         }
-        self.ids.truncate(kept);
-        self.data.truncate(kept * dim);
+        self.data.truncate(last * dim);
+        self.ids.get(row).copied()
     }
 
     /// Appends every row of `other`.
@@ -334,20 +333,6 @@ mod tests {
         assert_eq!(s.max_magnitude(), Err(IndexError::NonFinite { row: 1 }));
     }
 
-    #[test]
-    fn retain_rows_compacts_in_place_and_keeps_order() {
-        let mut s = VectorStore::new(2);
-        for i in 0..6u64 {
-            s.push(10 + i, &[i as f32, -(i as f32)]).unwrap();
-        }
-        s.retain_rows(|row, id| row != 0 && id != 13);
-        assert_eq!(s.ids(), &[11, 12, 14, 15]);
-        assert_eq!(s.row(2), &[4.0, -4.0]);
-        assert_eq!(s.as_flat().len(), 8);
-        s.retain_rows(|_, _| false);
-        assert!(s.is_empty());
-    }
-
     fn sample() -> VectorStore {
         VectorStore::from_flat(3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]).unwrap()
     }
@@ -435,6 +420,14 @@ mod tests {
         let s = sample();
         assert_eq!(s.row_range(1, DimRange::new(0, 1)), &[4.0]);
         assert_eq!(s.row_range(1, DimRange::new(2, 3)), &[6.0]);
+    }
+
+    /// The range is checked against the row, not only against the buffer:
+    /// row 0's `2..5` of a 3-d store lies inside the data, in row 1.
+    #[test]
+    #[should_panic(expected = "dimension range past the row")]
+    fn row_range_past_the_row_panics_in_every_build() {
+        sample().row_range(0, DimRange::new(2, 5));
     }
 
     #[test]
