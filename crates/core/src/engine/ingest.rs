@@ -455,7 +455,14 @@ impl EngineCore {
         // always outsequences the upserts it follows).
         let mut folded = ing.newest_pending();
         folded.retain(|(id, _, _)| !ing.deleted.contains_key(id));
-        let rehomed: HashSet<u64> = folded.iter().map(|&(id, _, _)| id).collect();
+        // Deleted and re-homed ids are disjoint after the `retain`: one
+        // set of both leaves the old lists with one lookup per member.
+        let gone: HashSet<u64> = ing
+            .deleted
+            .keys()
+            .copied()
+            .chain(folded.iter().map(|&(id, _, _)| id))
+            .collect();
         let report = CompactionReport {
             epoch,
             folded_rows: folded.len(),
@@ -470,12 +477,7 @@ impl EngineCore {
             .lists
             .members
             .iter()
-            .map(|m| {
-                m.iter()
-                    .copied()
-                    .filter(|id| !ing.deleted.contains_key(id) && !rehomed.contains(id))
-                    .collect()
-            })
+            .map(|m| m.iter().copied().filter(|id| !gone.contains(id)).collect())
             .collect();
         for (id, cluster, _) in folded {
             members[cluster as usize].push(id);

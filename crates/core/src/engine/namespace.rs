@@ -388,8 +388,17 @@ pub(super) fn survey_namespace(
         lists: &list_rows,
         prewarm: &prewarm,
     };
-    let measure =
-        || planner::measure_scan_rates(&view, profile.nprobe, &pipelines, params.seed, rate_budget);
+    let peers = planner::timing_peers(config.n_machines);
+    let measure = || {
+        planner::measure_scan_rates(
+            &view,
+            profile.nprobe,
+            &pipelines,
+            params.seed,
+            rate_budget,
+            peers,
+        )
+    };
     let rates = rates.cloned().or_else(measure);
     let picks = planner::even_picks(&view, params.seed);
     let survivors = planner::sample_survivors(&view, &picks, profile.nprobe, &plans);

@@ -9,6 +9,7 @@
 //! prices plans from the results and never reads a clock itself.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use harmony_cluster::{Cluster, Wire};
@@ -214,6 +215,23 @@ pub(crate) fn rate_budget(train_point_dims: u64) -> Duration {
     Duration::from_nanos((train_point_dims as f64 * LLOYD_NS_PER_PD / 64.0) as u64)
 }
 
+/// Threads that scan beside the timed one while the rates are measured:
+/// the other workers of an `n_machines` deployment that the host's cores
+/// run at the same time.
+pub(crate) fn timing_peers(n_machines: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(n_machines).saturating_sub(1)
+}
+
+/// Counts its thread finished when dropped, also by a panic.
+struct Finish<'a>(&'a AtomicUsize);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
 /// What the rate measurement times, and for how long: the lists a query
 /// from a seeded home list probes, nearest first — its whole probe set, so
 /// the sample streams from where a real query's lists stream from (a
@@ -274,12 +292,22 @@ impl RateSample {
 /// adds time). Repetitions stop once they have taken the sample's budget.
 /// Each pipeline's slice width gets the two times it measured
 /// ([`ScanRates::measured`]).
+///
+/// The sample is timed the way workers scan: on `1 + peers` threads at
+/// once ([`timing_peers`]), each timing its own repetitions and scanning
+/// on untimed until all are done, their fastest times averaged. On one
+/// thread of a quiet host, a first hop read 55–65 % of its time beside one
+/// busy peer at 32 dimensions and 60–75 % at 64 (two vCPUs), and how quiet
+/// the host was for the few milliseconds of the timing decided which of
+/// the two a build saw: a near-tie between plans of different widths went
+/// one way or the other from build to build.
 pub(crate) fn measure_scan_rates(
     view: &SampleView<'_>,
     nprobe: usize,
     dim_blocks: &[usize],
     seed: u64,
     budget: Duration,
+    peers: usize,
 ) -> Option<ScanRates> {
     let started = Instant::now();
     let dim = view.store.dim();
@@ -308,32 +336,79 @@ pub(crate) fn measure_scan_rates(
         .map(|&hops| Pipeline::cut(view, &lists, 1, hops))
         .collect();
     // Every query probes every sample list.
-    let chunks = |pipeline: &Pipeline| -> Vec<ChunkBatch> {
-        (0..pipeline.blocks.len())
-            .map(|position| pipeline.chunk(view, position, &queries, &thresholds, &lists))
-            .collect()
-    };
-
-    // Per pipeline, the fastest first-hop and carried-hop times per visit
-    // over the repetitions, every pipeline once per repetition.
+    let batches: Vec<Vec<ChunkBatch>> = pipelines
+        .iter()
+        .map(|pipeline| {
+            (0..pipeline.blocks.len())
+                .map(|position| pipeline.chunk(view, position, &queries, &thresholds, &lists))
+                .collect()
+        })
+        .collect();
     let meta = NsMeta::new(view.metric, view.pruning);
-    let mut scratch = Scratch::default();
-    let mut fastest = vec![(f64::INFINITY, f64::INFINITY); pipelines.len()];
-    let mut reps = 0;
-    while reps < RATE_REPS && (reps < RATE_REPS_MIN || started.elapsed() < budget) {
-        for (pipeline, fastest) in pipelines.iter().zip(&mut fastest) {
-            let (hops, _) = pipeline.visit(meta, chunks(pipeline), &mut scratch);
-            let per_visit = |hops: &[(u64, u64)]| {
-                let (seen, ns) = hops.iter().fold((0, 0), |(s, t), &(n, d)| (s + n, t + d));
-                (seen > 0).then(|| ns as f64 / seen as f64)
-            };
-            let first = per_visit(&hops[..hops.len().min(1)]);
-            let carried = per_visit(hops.get(1..).unwrap_or_default());
-            fastest.0 = fastest.0.min(first.unwrap_or(f64::INFINITY));
-            fastest.1 = fastest.1.min(carried.unwrap_or(f64::INFINITY));
+
+    // Every thread times the sample the same way, then scans on untimed
+    // until every thread is done, so no repetition is timed alone.
+    let threads = 1 + peers;
+    let finished = AtomicUsize::new(0);
+    let time = || {
+        let done = Finish(&finished);
+        let mut scratch = Scratch::default();
+        let mut fastest = vec![(f64::INFINITY, f64::INFINITY); pipelines.len()];
+        let mut reps = 0;
+        while reps < RATE_REPS && (reps < RATE_REPS_MIN || started.elapsed() < budget) {
+            for ((pipeline, chunks), fastest) in pipelines.iter().zip(&batches).zip(&mut fastest) {
+                let (hops, _) = pipeline.visit(meta, chunks.clone(), &mut scratch);
+                let per_visit = |hops: &[(u64, u64)]| {
+                    let (seen, ns) = hops.iter().fold((0, 0), |(s, t), &(n, d)| (s + n, t + d));
+                    (seen > 0).then(|| ns as f64 / seen as f64)
+                };
+                let first = per_visit(&hops[..hops.len().min(1)]);
+                let carried = per_visit(hops.get(1..).unwrap_or_default());
+                fastest.0 = fastest.0.min(first.unwrap_or(f64::INFINITY));
+                fastest.1 = fastest.1.min(carried.unwrap_or(f64::INFINITY));
+            }
+            reps += 1;
         }
-        reps += 1;
-    }
+        drop(done);
+        'load: while finished.load(Ordering::Acquire) < threads {
+            for (pipeline, chunks) in pipelines.iter().zip(&batches) {
+                if finished.load(Ordering::Acquire) >= threads {
+                    break 'load;
+                }
+                pipeline.visit(meta, chunks.clone(), &mut scratch);
+            }
+        }
+        (fastest, reps)
+    };
+    // Per pipeline, each thread's fastest first-hop and carried-hop times
+    // per visit, averaged over the threads.
+    let (fastest, reps) = std::thread::scope(|s| {
+        let peers: Vec<_> = (0..peers)
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .name("harmony-rate-peer".into())
+                    .spawn_scoped(s, time)
+                    .ok()
+            })
+            .collect();
+        // A peer that could not start never counts itself finished.
+        finished.fetch_add(threads - 1 - peers.len(), Ordering::AcqRel);
+        let (mine, reps) = time();
+        let mut runs = vec![mine];
+        runs.extend(
+            peers
+                .into_iter()
+                .filter_map(|p| p.join().ok().map(|(f, _)| f)),
+        );
+        let n = runs.len() as f64;
+        let mut mean = vec![(0.0, 0.0); pipelines.len()];
+        for run in &runs {
+            for (m, t) in mean.iter_mut().zip(run) {
+                *m = (m.0 + t.0 / n, m.1 + t.1 / n);
+            }
+        }
+        (mean, reps)
+    });
     let times: Vec<(usize, f64, Option<f64>)> = pipelines
         .iter()
         .zip(fastest)
@@ -348,7 +423,7 @@ pub(crate) fn measure_scan_rates(
 /// Scan rates for a caller with no index at hand
 /// ([`crate::CostModel::calibrate`]): [`measure_scan_rates`] over four
 /// synthetic exact 128-d lists of a thousand rows, at full, half and
-/// quarter width.
+/// quarter width, on one thread: such a caller names no machine count.
 pub(crate) fn synthetic_scan_rates() -> ScanRates {
     const DIM: usize = 128;
     const LISTS: usize = 4;
@@ -385,7 +460,7 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
         prewarm: &prewarm,
     };
     let budget = Duration::from_millis(5);
-    measure_scan_rates(&view, LISTS, &[1, 2, 4], 0, budget).unwrap_or(fallback)
+    measure_scan_rates(&view, LISTS, &[1, 2, 4], 0, budget, 0).unwrap_or(fallback)
 }
 
 /// Queries the build-time survival sample scores.
@@ -513,8 +588,11 @@ pub(crate) fn sample_survivors(
 /// Messages per direction of one message-cost measurement.
 const MESSAGE_FLOOD: usize = 64;
 
-/// Floods per message-cost measurement; the fastest counts.
-const MESSAGE_FLOODS: usize = 5;
+/// Floods per message-cost measurement; the fastest counts. Five let one
+/// build in tens catch every flood in a slow moment (three times the
+/// usual cost per message on loopback); sixteen add a few milliseconds
+/// to a build over TCP.
+const MESSAGE_FLOODS: usize = 16;
 
 /// The fixed cost of one message on this deployment's own fabric, both ends
 /// together: a flood of the smallest request the protocol has, each
@@ -599,5 +677,48 @@ mod tests {
         // Train took ≈ 1.1 s.
         let scan_uniform = rate_budget(32_768 * 128 * 128 * 20);
         assert_eq!(scan_uniform, Duration::from_nanos(16_777_216));
+    }
+
+    /// Timed beside peers, the sample still measures every width of every
+    /// pipeline, and the peers stop when the timing does — also when there
+    /// are more of them than cores.
+    #[test]
+    fn peers_time_every_width_and_stop() {
+        let base = SyntheticSpec::clustered(3_000, 24, 8)
+            .with_seed(4)
+            .generate()
+            .base;
+        let fit = KMeans::fit(&base, &KMeansConfig::new(8, 2)).unwrap();
+        let mut lists = vec![Vec::new(); 8];
+        for (row, c) in fit.assign().into_iter().enumerate() {
+            lists[c as usize].push(row);
+        }
+        let members: Vec<Vec<u64>> = lists
+            .iter()
+            .map(|rows: &Vec<usize>| rows.iter().map(|&r| r as u64).collect())
+            .collect();
+        let store = BaseStore::over(base.clone());
+        let prewarm = PrewarmSamples::cut(8, 0, &members, &store, None).unwrap();
+        let view = SampleView {
+            metric: Metric::L2,
+            sq8: false,
+            pruning: true,
+            k: 10,
+            estimates_per_visit: 10,
+            centroids: &fit.model.centroids,
+            store: &base,
+            by_id: &store.by_id,
+            lists: &lists,
+            prewarm: &prewarm,
+        };
+        for peers in [0, 3] {
+            let rates = measure_scan_rates(&view, 4, &[1, 2, 4], 5, Duration::ZERO, peers).unwrap();
+            let widths = |series: &[(usize, f64)]| -> Vec<usize> {
+                assert!(series.iter().all(|&(_, ns)| ns.is_finite() && ns > 0.0));
+                series.iter().map(|&(w, _)| w).collect()
+            };
+            assert_eq!(widths(&rates.first), [6, 12, 24], "peers {peers}");
+            assert_eq!(widths(&rates.carried), [6, 12], "peers {peers}");
+        }
     }
 }

@@ -1218,6 +1218,265 @@ pub fn l2_sq_prefix_keep(
     l2_sq_prefix_keep_scalar(q, rows, stride, bound, keep)
 }
 
+// ---------------------------------------------------------------------------
+// SQ8 quantization: a slice's range, its codes and its rows' code sums.
+// ---------------------------------------------------------------------------
+
+/// The SQ8 code of `v` under the affine code `(min, scale)`, `scale > 0`:
+/// `round((v − min) / scale)` clamped to `[0, 255]`, NaN → 0. `f64::round`
+/// is a library call on the x86-64 baseline target; this is the same
+/// rounding, half away from zero, inline: below 255, `t = x as u32` is
+/// `⌊x⌋` for `x ≥ 0` (and 0 for negative or NaN `x`, which clamp to 0
+/// anyway), `x − t` is exact, and `t + (x − t ≥ ½)` is `round(x)`.
+#[inline]
+pub(crate) fn sq8_code(v: f32, min: f32, scale: f32) -> u8 {
+    let x = (v as f64 - min as f64) / scale as f64;
+    let t = x as u32;
+    if t >= 255 {
+        255
+    } else {
+        (t + u32::from(x - t as f64 >= 0.5)) as u8
+    }
+}
+
+/// Half-width of the band around a half-integer inside which [`sq8_codes`]
+/// takes a code from [`sq8_code`]'s divide. Below 256 the quotient
+/// `(v − min) · (1/scale)` is within 1e-13 of `(v − min) / scale` (three
+/// f64 roundings apart), so outside the band both round to the same code.
+const SQ8_NEAR_HALF: f64 = 1e-9;
+
+/// `(min, max)` of `flat` as the serial `f32::min` / `f32::max` fold from
+/// `(∞, −∞)` computes them: NaN entries are skipped, and of two equal
+/// values the earlier is kept, which decides the sign of a zero (and so
+/// the bits of `min` on the wire). [`sq8_range_scalar`] is that fold; the
+/// AVX2 path folds eight lanes at a time and takes a zero's sign from the
+/// slice's first zero.
+pub(crate) fn sq8_range(flat: &[f32]) -> (f32, f32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            // SAFETY: availability checked above.
+            return unsafe { avx2_sq8::range(flat) };
+        }
+    }
+    sq8_range_scalar(flat)
+}
+
+/// [`sq8_range`], scalar: the serial fold.
+pub(crate) fn sq8_range_scalar(flat: &[f32]) -> (f32, f32) {
+    let mut min = f32::INFINITY;
+    let mut max = f32::NEG_INFINITY;
+    for &v in flat {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    (min, max)
+}
+
+/// Checks the shape of a [`sq8_codes`] call: one code per coordinate, and
+/// `flat` holding `sums.len()` rows of `width`.
+#[inline]
+fn check_sq8_codes(flat: &[f32], width: usize, codes: &[u8], sums: &[u32]) {
+    assert_eq!(codes.len(), flat.len(), "one code per coordinate");
+    assert_eq!(
+        flat.len(),
+        width * sums.len(),
+        "the slice must be sums.len() rows of width"
+    );
+}
+
+/// The SQ8 codes of the row-major slice `flat` (`width` coordinates per
+/// row) under `(min, scale)` into `codes`, and each row's code sum into
+/// `sums`, in one pass: every code is [`sq8_code`]'s, and every code 0
+/// when `scale` is not positive. The AVX2 path multiplies by `1/scale`
+/// instead of dividing and takes any code whose quotient lies within
+/// [`SQ8_NEAR_HALF`] of a half-integer from [`sq8_code`], so codes and
+/// sums are bit for bit [`sq8_codes_scalar`]'s.
+///
+/// # Panics
+/// When `codes.len() != flat.len()` or `flat.len() != width * sums.len()`.
+pub(crate) fn sq8_codes(
+    flat: &[f32],
+    width: usize,
+    min: f32,
+    scale: f32,
+    codes: &mut [u8],
+    sums: &mut [u32],
+) {
+    check_sq8_codes(flat, width, codes, sums);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() && scale > 0.0 && scale.is_finite() {
+            // SAFETY: availability checked above; shape checked; scale
+            // positive and finite.
+            return unsafe { avx2_sq8::codes(flat, width, min, scale, codes, sums) };
+        }
+    }
+    sq8_codes_scalar(flat, width, min, scale, codes, sums)
+}
+
+/// [`sq8_codes`], scalar: one divide per coordinate, then the row sums.
+pub(crate) fn sq8_codes_scalar(
+    flat: &[f32],
+    width: usize,
+    min: f32,
+    scale: f32,
+    codes: &mut [u8],
+    sums: &mut [u32],
+) {
+    check_sq8_codes(flat, width, codes, sums);
+    for (c, &v) in codes.iter_mut().zip(flat) {
+        *c = if scale > 0.0 {
+            sq8_code(v, min, scale)
+        } else {
+            0
+        };
+    }
+    for (r, s) in sums.iter_mut().enumerate() {
+        *s = codes[r * width..(r + 1) * width]
+            .iter()
+            .map(|&c| c as u32)
+            .sum();
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2_sq8 {
+    use std::arch::x86_64::*;
+
+    use super::{sq8_code, sq8_range_scalar, SQ8_NEAR_HALF};
+
+    /// [`super::sq8_range`] over four 8-lane accumulator pairs. `minps(v,
+    /// acc)` is `acc` when `v` is NaN or equal to it, so each lane skips
+    /// NaN and keeps its earlier value, as the fold does; the lanes meet in
+    /// the fold over the tail. Lanes keep their own earlier value, not the
+    /// slice's, which only a zero's sign can tell apart: a zero result
+    /// takes the sign of the slice's first zero, the one the fold keeps.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn range(flat: &[f32]) -> (f32, f32) {
+        let (p, n) = (flat.as_ptr(), flat.len());
+        let mut lo = [_mm256_set1_ps(f32::INFINITY); 4];
+        let mut hi = [_mm256_set1_ps(f32::NEG_INFINITY); 4];
+        let mut i = 0;
+        while i + 32 <= n {
+            for k in 0..4 {
+                // SAFETY: i + 8k + 8 <= i + 32 <= n floats.
+                let v = unsafe { _mm256_loadu_ps(p.add(i + 8 * k)) };
+                lo[k] = _mm256_min_ps(v, lo[k]);
+                hi[k] = _mm256_max_ps(v, hi[k]);
+            }
+            i += 32;
+        }
+        while i + 8 <= n {
+            // SAFETY: i + 8 <= n floats.
+            let v = unsafe { _mm256_loadu_ps(p.add(i)) };
+            lo[0] = _mm256_min_ps(v, lo[0]);
+            hi[0] = _mm256_max_ps(v, hi[0]);
+            i += 8;
+        }
+        let lo = _mm256_min_ps(_mm256_min_ps(lo[0], lo[1]), _mm256_min_ps(lo[2], lo[3]));
+        let hi = _mm256_max_ps(_mm256_max_ps(hi[0], hi[1]), _mm256_max_ps(hi[2], hi[3]));
+        let (mut lanes_lo, mut lanes_hi) = ([0f32; 8], [0f32; 8]);
+        // SAFETY: both are 8-float local arrays, valid for a 256-bit store.
+        unsafe {
+            _mm256_storeu_ps(lanes_lo.as_mut_ptr(), lo);
+            _mm256_storeu_ps(lanes_hi.as_mut_ptr(), hi);
+        }
+        let (mut min, mut max) = sq8_range_scalar(&flat[i..]);
+        for (&l, &h) in lanes_lo.iter().zip(&lanes_hi) {
+            min = min.min(l);
+            max = max.max(h);
+        }
+        let first_zero = |z: f32| flat.iter().copied().find(|&v| v == 0.0).unwrap_or(z);
+        if min == 0.0 {
+            min = first_zero(min);
+        }
+        if max == 0.0 {
+            max = first_zero(max);
+        }
+        (min, max)
+    }
+
+    /// [`super::sq8_codes`], eight coordinates per step, row by row. Each
+    /// half of a step widens four coordinates to f64, multiplies their
+    /// offsets from `min` by `1/scale`, caps them at 255 and rounds to
+    /// the nearest integer, ties to even. Rounding half away from zero
+    /// only differs at a tie, and a tie lies in the band: a quotient
+    /// within [`SQ8_NEAR_HALF`] of a half-integer (`|y − round(y)| ≥ ½ −
+    /// band`) takes its code from [`sq8_code`] instead, and the row's sum
+    /// is corrected. Packing with unsigned saturation clamps below at 0:
+    /// a negative quotient packs to 0, and so does NaN, which `minpd`
+    /// passes through (it returns its second operand when one is NaN)
+    /// and which converts to `i32::MIN`. The row's code sum gathers from
+    /// the packed bytes (`psadbw`). A row's last `width % 8` coordinates
+    /// take [`sq8_code`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports `avx2`, that `scale` is
+    /// positive and finite, and that `flat` and `codes` hold `sums.len()`
+    /// rows of `width`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn codes(
+        flat: &[f32],
+        width: usize,
+        min: f32,
+        scale: f32,
+        codes: &mut [u8],
+        sums: &mut [u32],
+    ) {
+        let min_v = _mm256_set1_pd(min as f64);
+        let inv = _mm256_set1_pd(1.0 / scale as f64);
+        let top = _mm256_set1_pd(255.0);
+        let edge = _mm256_set1_pd(0.5 - SQ8_NEAR_HALF);
+        let magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+        let zero = _mm_setzero_si128();
+        // Four codes as i32 lanes, and a bit per code near a half-integer.
+        let four = |v: __m128| -> (__m128i, i32) {
+            let x = _mm256_mul_pd(_mm256_sub_pd(_mm256_cvtps_pd(v), min_v), inv);
+            let y = _mm256_min_pd(top, x);
+            let c = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(y);
+            let off = _mm256_and_pd(_mm256_sub_pd(y, c), magnitude);
+            let near = _mm256_cmp_pd(off, edge, _CMP_GE_OQ);
+            (_mm256_cvtpd_epi32(c), _mm256_movemask_pd(near))
+        };
+        for (r, sum) in sums.iter_mut().enumerate() {
+            let row = &flat[r * width..(r + 1) * width];
+            let out = &mut codes[r * width..(r + 1) * width];
+            let mut acc = zero;
+            let mut fix = 0u32;
+            let mut j = 0;
+            while j + 8 <= width {
+                // SAFETY: j + 8 <= width = row.len().
+                let v = unsafe { _mm256_loadu_ps(row.as_ptr().add(j)) };
+                let (lo, near_lo) = four(_mm256_castps256_ps128(v));
+                let (hi, near_hi) = four(_mm256_extractf128_ps(v, 1));
+                let bytes = _mm_packus_epi16(_mm_packus_epi32(lo, hi), zero);
+                acc = _mm_add_epi64(acc, _mm_sad_epu8(bytes, zero));
+                // SAFETY: j + 8 <= width = out.len(): an 8-byte store.
+                unsafe { _mm_storel_epi64(out.as_mut_ptr().add(j) as *mut __m128i, bytes) };
+                let mut near = near_lo | near_hi << 4;
+                while near != 0 {
+                    let at = j + near.trailing_zeros() as usize;
+                    let exact = sq8_code(row[at], min, scale);
+                    fix = fix.wrapping_add(exact as u32).wrapping_sub(out[at] as u32);
+                    out[at] = exact;
+                    near &= near - 1;
+                }
+                j += 8;
+            }
+            let mut total = (_mm_cvtsi128_si64(acc) as u32).wrapping_add(fix);
+            for (c, &v) in out[j..].iter_mut().zip(&row[j..]) {
+                *c = sq8_code(v, min, scale);
+                total += *c as u32;
+            }
+            *sum = total;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@
 //!    given, so the same rows cut to the same range score identically
 //!    wherever and whenever they were quantized.
 
-use crate::distance::{ip_u8, l2_sq_u8};
+use crate::distance::{ip_u8, l2_sq_u8, sq8_codes, sq8_range};
 
 /// Which in-memory representation a grid block uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -73,23 +73,8 @@ impl std::fmt::Display for BlockRepr {
     }
 }
 
-/// The code of `v` under the affine code `(min, scale)`, `scale > 0`:
-/// `round((v − min) / scale)` clamped to `[0, 255]`, NaN → 0, for both
-/// quantizers. `f64::round` is a library call on the x86-64 baseline
-/// target; this is the same rounding, half away from zero, inline: below
-/// 255, `t = x as u32` is `⌊x⌋` for `x ≥ 0` (and 0 for negative or NaN
-/// `x`, which clamp to 0 anyway), `x − t` is exact, and `t + (x − t ≥ ½)`
-/// is `round(x)`.
-#[inline]
-fn code(v: f32, min: f32, scale: f32) -> u8 {
-    let x = (v as f64 - min as f64) / scale as f64;
-    let t = x as u32;
-    if t >= 255 {
-        255
-    } else {
-        (t + u32::from(x - t as f64 >= 0.5)) as u8
-    }
-}
+/// The signature of [`sq8_codes`] and its scalar twin.
+type CodesKernel = fn(&[f32], usize, f32, f32, &mut [u8], &mut [u32]);
 
 /// One self-contained SQ8-quantized dimension slice of a list block.
 ///
@@ -134,35 +119,47 @@ impl Sq8Segment {
     ///
     /// `min`/`max` are taken over every entry, so no data coordinate is
     /// clamped and the round-trip error is bounded by
-    /// [`Self::coord_error_bound`]. Inputs must be finite.
+    /// [`Self::coord_error_bound`]. Inputs must be finite. The range and
+    /// the codes come from the SQ8 kernels of [`crate::distance`].
+    ///
+    /// # Panics
+    /// When `flat` is not whole rows of `width` (a non-empty slice with
+    /// `width` 0, or a ragged last row).
     pub fn quantize(flat: &[f32], width: usize, dim_start: u64) -> Self {
-        debug_assert!(width == 0 || flat.len().is_multiple_of(width));
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &v in flat {
-            min = min.min(v);
-            max = max.max(v);
-        }
-        if flat.is_empty() {
-            min = 0.0;
-            max = 0.0;
-        }
+        Self::quantize_with(flat, width, dim_start, sq8_range, sq8_codes)
+    }
+
+    /// [`Self::quantize`] with the range and code kernels given, so the
+    /// tests can hold the dispatching kernels to their scalar twins.
+    #[inline]
+    fn quantize_with(
+        flat: &[f32],
+        width: usize,
+        dim_start: u64,
+        range: fn(&[f32]) -> (f32, f32),
+        codes_of: CodesKernel,
+    ) -> Self {
+        assert!(
+            width > 0 || flat.is_empty(),
+            "a non-empty slice quantized at width 0"
+        );
+        assert!(
+            flat.len().is_multiple_of(width.max(1)),
+            "{} coordinates are not whole rows of {width}",
+            flat.len()
+        );
+        let (min, max) = if flat.is_empty() {
+            (0.0, 0.0)
+        } else {
+            range(flat)
+        };
         // f64 keeps the step finite even for ranges that overflow f32
         // (e.g. min = -MAX, max = +MAX).
         let scale = ((max as f64 - min as f64) / 255.0) as f32;
-        let codes: Vec<u8> = flat
-            .iter()
-            .map(|&v| if scale > 0.0 { code(v, min, scale) } else { 0 })
-            .collect();
         let rows = flat.len().checked_div(width).unwrap_or(0);
-        let code_sums = (0..rows)
-            .map(|r| {
-                codes[r * width..(r + 1) * width]
-                    .iter()
-                    .map(|&c| c as u32)
-                    .sum()
-            })
-            .collect();
+        let mut codes = vec![0u8; flat.len()];
+        let mut code_sums = vec![0u32; rows];
+        codes_of(flat, width, min, scale, &mut codes, &mut code_sums);
         Self {
             dim_start,
             dim_end: dim_start + width as u64,
@@ -222,16 +219,18 @@ impl Sq8Segment {
     pub fn quantize_query_into(&self, q: &[f32], codes: &mut Vec<u8>) -> (u32, f32) {
         debug_assert_eq!(q.len(), self.width());
         codes.clear();
+        codes.resize(q.len(), 0);
         let mut code_sum = 0u32;
+        sq8_codes(
+            q,
+            q.len(),
+            self.min,
+            self.scale,
+            codes,
+            std::slice::from_mut(&mut code_sum),
+        );
         let mut err_sq = 0f64;
-        for &v in q {
-            let c = if self.scale > 0.0 {
-                code(v, self.min, self.scale)
-            } else {
-                0
-            };
-            codes.push(c);
-            code_sum += c as u32;
+        for (&v, &c) in q.iter().zip(codes.iter()) {
             let d = v as f64 - self.dequant(c) as f64;
             err_sq += d * d;
         }
@@ -359,7 +358,7 @@ mod tests {
     }
 
     /// The rounding reference: `f64::round`, clamped — how both quantizers
-    /// computed a code before they shared [`code`].
+    /// computed a code before they shared [`crate::distance::sq8_code`].
     fn code_by_round(v: f32, min: f32, scale: f32) -> u8 {
         if scale > 0.0 {
             ((v as f64 - min as f64) / scale as f64)
@@ -557,6 +556,20 @@ mod tests {
         );
     }
 
+    /// A slice that is not whole rows panics in every build: the kernels
+    /// walk whole rows and would drop a ragged tail.
+    #[test]
+    #[should_panic(expected = "not whole rows")]
+    fn ragged_slice_panics() {
+        Sq8Segment::quantize(&[1.0; 7], 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at width 0")]
+    fn widthless_slice_panics() {
+        Sq8Segment::quantize(&[1.0; 4], 0, 0);
+    }
+
     #[test]
     fn empty_block_quantizes_to_empty_segment() {
         let s = Sq8Segment::quantize(&[], 4, 8);
@@ -569,7 +582,127 @@ mod tests {
 
     mod props {
         use super::*;
+        use crate::distance::{sq8_codes_scalar, sq8_range, sq8_range_scalar};
         use proptest::prelude::*;
+        use proptest::TestCaseError;
+
+        /// [`Sq8Segment::quantize`] over the kernels' scalar twins.
+        fn quantize_scalar(flat: &[f32], width: usize) -> Sq8Segment {
+            Sq8Segment::quantize_with(flat, width, 0, sq8_range_scalar, sq8_codes_scalar)
+        }
+
+        /// Holds a segment to the quantizer as it was before its kernels:
+        /// the serial `f32::min` / `f32::max` fold for the bits of `min`
+        /// and `scale`, [`code_by_round`] per coordinate, sums row by row.
+        /// Then every row of `flat`, taken as a query, to
+        /// [`quantize_query_by_round`] — codes, code sum and the bits of
+        /// `err_sq` — through the dispatching path and the scalar twin.
+        fn check_against_reference(
+            s: &Sq8Segment,
+            flat: &[f32],
+            width: usize,
+        ) -> Result<(), TestCaseError> {
+            let mut min = f32::INFINITY;
+            let mut max = f32::NEG_INFINITY;
+            for &v in flat {
+                min = min.min(v);
+                max = max.max(v);
+            }
+            if flat.is_empty() {
+                min = 0.0;
+                max = 0.0;
+            }
+            let scale = ((max as f64 - min as f64) / 255.0) as f32;
+            prop_assert_eq!(s.min.to_bits(), min.to_bits(), "min {} vs {}", s.min, min);
+            prop_assert_eq!(
+                s.scale.to_bits(),
+                scale.to_bits(),
+                "scale {} vs {}",
+                s.scale,
+                scale
+            );
+            let codes: Vec<u8> = flat.iter().map(|&v| code_by_round(v, min, scale)).collect();
+            for (i, (&got, &want)) in s.codes.iter().zip(&codes).enumerate() {
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "coordinate {} = {} (min {}, scale {})",
+                    i,
+                    flat[i],
+                    min,
+                    scale
+                );
+            }
+            prop_assert_eq!(s.codes.len(), codes.len());
+            let sums: Vec<u32> = codes
+                .chunks(width)
+                .map(|r| r.iter().map(|&c| c as u32).sum())
+                .collect();
+            prop_assert_eq!(&s.code_sums, &sums);
+            let mut buf = vec![7u8; 3];
+            let mut twin = vec![0u8; width];
+            for q in flat.chunks(width) {
+                let want = quantize_query_by_round(s, q);
+                let (code_sum, err_sq) = s.quantize_query_into(q, &mut buf);
+                prop_assert_eq!(&buf, &want.codes);
+                prop_assert_eq!(code_sum, want.code_sum);
+                prop_assert_eq!(err_sq.to_bits(), want.err_sq.to_bits());
+                let mut twin_sum = 0u32;
+                sq8_codes_scalar(
+                    q,
+                    width,
+                    s.min,
+                    s.scale,
+                    &mut twin,
+                    std::slice::from_mut(&mut twin_sum),
+                );
+                prop_assert_eq!(&twin, &want.codes);
+                prop_assert_eq!(twin_sum, want.code_sum);
+            }
+            Ok(())
+        }
+
+        /// A code `(m, s)` near the step of the range `[lo, hi]`, and a
+        /// slice it is the code of: `m`, `m + 255·s`, every half step
+        /// `m + (c + ½)·s` (`c` = 0..254) and the 1–4 ulps either side of
+        /// each. `s = k · 2^e`, `k` the first odd number from `odd` up whose
+        /// reciprocal misrounds a tie (`(c + ½)·k·(1/k) < c + ½` for some
+        /// `c`, as for about one odd `k` in seven), and every half step is
+        /// exact in f32: each quotient is a tie, and multiplying by `1/s`
+        /// rounds some of them the wrong way. `None` when the range is empty
+        /// or too narrow for its magnitude for every half step to be exact.
+        fn half_steps(lo: f32, hi: f32, odd: u32) -> Option<(f32, f32, Vec<f32>)> {
+            let t = (hi as f64 - lo as f64) / 255.0;
+            if t.is_nan() || t <= 0.0 {
+                return None;
+            }
+            let misrounds =
+                |k: f64| (0..255).any(|c| (c as f64 + 0.5) * k * (1.0 / k) < c as f64 + 0.5);
+            let k = (odd..).step_by(2).map(f64::from).find(|&k| misrounds(k))?;
+            let e = (t / k).log2().floor() as i32;
+            let s = k * 2f64.powi(e);
+            // Half steps are multiples of `unit`; below 2²³ units each is
+            // exact in f32 and 4 of its ulps are at most `s / (2k)`.
+            let unit = 2f64.powi(e - 1);
+            let m = (lo as f64 / unit).round() * unit;
+            let top = m + 255.0 * s;
+            if m.abs().max(top.abs()) >= unit * 2f64.powi(23) || !((top as f32).is_finite()) {
+                return None;
+            }
+            let mut vals = vec![m as f32, top as f32];
+            for c in 0..255 {
+                let h = (m + (c as f64 + 0.5) * s) as f32;
+                let (mut up, mut down) = (h, h);
+                vals.push(h);
+                for _ in 0..4 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    vals.push(up);
+                    vals.push(down);
+                }
+            }
+            Some((m as f32, s as f32, vals))
+        }
 
         /// Maps a plain `[-1, 1)` sample vector into one of several
         /// adversarial regimes: ordinary magnitudes, tiny scales, huge
@@ -651,6 +784,74 @@ mod tests {
                 prop_assert_eq!(&got.codes, &want.codes);
                 prop_assert_eq!(got.code_sum, want.code_sum);
                 prop_assert_eq!(got.err_sq.to_bits(), want.err_sq.to_bits());
+            }
+
+            /// Every half step of a code drawn from each regime, and the
+            /// ulps around it, quantize bit for bit as the divide and the
+            /// fold did — data codes, code sums, `min`, `scale` and every row
+            /// as a query — on the dispatching path and the scalar twin, at
+            /// widths 1–19 so the kernel's 8-wide steps and tails both run.
+            #[test]
+            fn half_steps_quantize_as_the_divide_rounds_them(
+                base in proptest::collection::vec(-1.0f32..1.0f32, 2..96),
+                mode in 0usize..5,
+                odd in 1u32..4096,
+                width in 1usize..20,
+                at in 0usize..4096,
+            ) {
+                let range = adversarialize(&base, mode);
+                let (lo, hi) = sq8_range_scalar(&range);
+                let Some((m, step, mut vals)) = half_steps(lo, hi, 2 * odd + 1) else {
+                    // No half steps to plant (a constant regime, or a range
+                    // narrow for its magnitude): the regime's slice as drawn.
+                    let rows = range.len() / width;
+                    let flat = &range[..rows * width];
+                    check_against_reference(&Sq8Segment::quantize(flat, width, 0), flat, width)?;
+                    check_against_reference(&quantize_scalar(flat, width), flat, width)?;
+                    return Ok(());
+                };
+                // The range's ends anywhere in the slice, the slice whole rows.
+                let n = vals.len();
+                vals.swap(0, at % n);
+                vals.swap(1, (at * 7 + 1) % n);
+                while !vals.len().is_multiple_of(width) {
+                    vals.push(vals[vals.len() % n]);
+                }
+                for s in [Sq8Segment::quantize(&vals, width, 0), quantize_scalar(&vals, width)] {
+                    prop_assert_eq!((s.min, s.scale), (m, step));
+                    check_against_reference(&s, &vals, width)?;
+                }
+            }
+
+            /// A slice holding both zeros keeps the fold's: `minps` and
+            /// `f32::min` disagree on which of two equal zeros to keep, and
+            /// `min` goes on the wire (so does `scale`, which is `−0` when
+            /// `max` is `−0` and `min` is `+0`). Zeros as the minimum, the
+            /// maximum, inside the range and the whole slice, at any lane.
+            #[test]
+            fn signed_zeros_keep_the_folds_sign(
+                base in proptest::collection::vec(-1.0f32..1.0f32, 1..128),
+                kind in 0usize..4,
+                zeros in proptest::collection::vec((0usize..136, proptest::bool::ANY), 2..6),
+                width in 1usize..20,
+            ) {
+                let mut vals: Vec<f32> = match kind {
+                    0 => base.iter().map(|v| v.abs()).collect(),
+                    1 => base.iter().map(|v| -v.abs()).collect(),
+                    2 => base,
+                    _ => Vec::new(),
+                };
+                for (at, negative) in zeros {
+                    let z = if negative { -0.0 } else { 0.0 };
+                    vals.insert(at.min(vals.len()), z);
+                }
+                while !vals.len().is_multiple_of(width) {
+                    vals.push(vals[0]);
+                }
+                let (lane, fold) = (sq8_range(&vals), sq8_range_scalar(&vals));
+                prop_assert_eq!((lane.0.to_bits(), lane.1.to_bits()), (fold.0.to_bits(), fold.1.to_bits()));
+                check_against_reference(&Sq8Segment::quantize(&vals, width, 0), &vals, width)?;
+                check_against_reference(&quantize_scalar(&vals, width), &vals, width)?;
             }
 
             /// The L2 stage-1 partial lower-bounds the exact distance once
