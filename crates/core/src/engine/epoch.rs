@@ -10,10 +10,10 @@ use harmony_cluster::{Cluster, NodeId};
 use harmony_index::{BlockRepr, DimRange, Metric, TopK, VectorStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use super::id_map::IdSet;
 use super::namespace::{walk_list, BaseStore, NamespaceState};
 use super::supervisor::SupervisorState;
 use super::{await_acks, once_per_machine, EngineCore};
@@ -117,10 +117,10 @@ impl PrewarmSamples {
         query: &[f32],
         probes: &[u32],
         k: usize,
-        overridden: &HashSet<u64>,
+        overridden: &IdSet,
         topk: &mut TopK,
-    ) -> HashSet<u64> {
-        let mut seeded = HashSet::new();
+    ) -> IdSet {
+        let mut seeded = IdSet::default();
         let budget = (4 * k).max(16);
         for &c in probes {
             for &sample_row in &self.rows[c as usize] {
@@ -151,7 +151,7 @@ impl PrewarmSamples {
         seed: u64,
         members: &[Vec<u64>],
         base: &BaseStore,
-        prior: Option<(&PrewarmSamples, &HashSet<u64>)>,
+        prior: Option<(&PrewarmSamples, &IdSet)>,
     ) -> Result<Self, CoreError> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut store = VectorStore::new(base.store.dim());

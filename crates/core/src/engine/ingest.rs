@@ -8,7 +8,7 @@
 //! [`EngineCore::upsert_ns`], [`EngineCore::delete_ns`], and
 //! [`EngineCore::recut`], which every compaction and migration is.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use harmony_index::distance::ip;
@@ -17,6 +17,7 @@ use harmony_index::Metric;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use super::epoch::{ship_epoch, EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
+use super::id_map::{IdMap, IdSet};
 use super::namespace::NamespaceState;
 use super::supervisor::SupervisorState;
 use super::EngineCore;
@@ -42,17 +43,17 @@ pub(super) struct IngestState {
     /// Every live tombstone: id → newest delete sequence. Covers both
     /// user deletes and the supersede-tombstones written by re-upserts.
     /// Cleared by compaction (the recut lists contain no stale copies).
-    tombstones: HashMap<u64, u64>,
+    tombstones: IdMap<u64>,
     /// Ids deleted and not re-upserted since: the authoritative dead-set
     /// filtered out of every result. Subset of `tombstones`. Shared
     /// copy-on-write with the published [`NsView`]: an ingest op clones
     /// only the set it changes.
-    deleted: Arc<HashMap<u64, u64>>,
+    deleted: Arc<IdMap<u64>>,
     /// Ids upserted or deleted since the current lists were cut. The
     /// epoch's prewarm samples of these ids may be stale or dead and are
     /// skipped; a compaction recuts the samples and empties the set.
     /// Copy-on-write like `deleted`.
-    overridden: Arc<HashSet<u64>>,
+    overridden: Arc<IdSet>,
     /// Home clusters of the rows in `pending`, shared copy-on-write with
     /// the view like `deleted`: copied only when a cluster gets its first
     /// pending row.
@@ -103,10 +104,10 @@ pub(super) struct NsView {
     pub(super) delta_seq: u64,
     /// Ids deleted and not re-upserted since (id → delete seq): filtered
     /// out of every result.
-    pub(super) deleted: Arc<HashMap<u64, u64>>,
+    pub(super) deleted: Arc<IdMap<u64>>,
     /// Ids written since `routing`'s prewarm samples were cut: their
     /// samples are skipped.
-    pub(super) overridden: Arc<HashSet<u64>>,
+    pub(super) overridden: Arc<IdSet>,
     /// Clusters with pending delta rows (drives forced shard visits).
     pub(super) pending_clusters: Arc<HashSet<u32>>,
 }
@@ -126,7 +127,7 @@ impl WriteSide {
             ingest: Mutex::new(IngestState {
                 next_seq: 1,
                 pending: Vec::new(),
-                tombstones: HashMap::new(),
+                tombstones: IdMap::default(),
                 deleted: Arc::default(),
                 overridden: Arc::default(),
                 pending_clusters: Arc::default(),
@@ -204,7 +205,7 @@ pub struct CompactionReport {
 /// member ids resolved through the exact copy's id map.
 struct LiveLists<'a> {
     members: &'a [Vec<u64>],
-    by_id: &'a HashMap<u64, usize>,
+    by_id: &'a IdMap,
 }
 
 impl ListRows for LiveLists<'_> {
@@ -457,7 +458,7 @@ impl EngineCore {
         folded.retain(|(id, _, _)| !ing.deleted.contains_key(id));
         // Deleted and re-homed ids are disjoint after the `retain`: one
         // set of both leaves the old lists with one lookup per member.
-        let gone: HashSet<u64> = ing
+        let gone: IdSet = ing
             .deleted
             .keys()
             .copied()
@@ -558,6 +559,7 @@ impl EngineCore {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
 

@@ -95,6 +95,7 @@
 //! `auto_tier` between temperatures by their access-rate EWMA.
 
 mod epoch;
+mod id_map;
 mod ingest;
 mod namespace;
 mod session;
@@ -130,6 +131,7 @@ pub use session::SingleResult;
 pub use supervisor::ReplanOutcome;
 
 pub(crate) use epoch::PrewarmSamples;
+pub(crate) use id_map::{IdMap, IdSet};
 pub(crate) use namespace::{cut_list, BaseStore};
 
 use epoch::ship_epoch;

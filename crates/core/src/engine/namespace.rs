@@ -16,6 +16,7 @@ use harmony_index::{
 use parking_lot::RwLock;
 
 use super::epoch::{ship_epoch, EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
+use super::id_map::IdMap;
 use super::ingest::WriteSide;
 use super::supervisor::Supervision;
 use super::{await_acks, once_per_machine, EngineCore};
@@ -112,7 +113,7 @@ impl NamespaceState {
 pub(crate) struct BaseStore {
     pub(crate) store: VectorStore,
     /// External id → newest row of `store`.
-    pub(crate) by_id: HashMap<u64, usize>,
+    pub(crate) by_id: IdMap,
     /// Rows an upsert repointed `by_id` away from, each once: with the
     /// rows of deleted ids, what the next sweep drops.
     superseded: Vec<usize>,
@@ -122,7 +123,7 @@ impl BaseStore {
     /// The exact copy of a freshly built namespace: every row live but
     /// those of an id that repeats, which its last row supersedes.
     pub(crate) fn over(store: VectorStore) -> Self {
-        let mut by_id = HashMap::with_capacity(store.len());
+        let mut by_id = IdMap::with_capacity_and_hasher(store.len(), Default::default());
         let superseded = (0..store.len())
             .filter_map(|row| by_id.insert(store.id(row), row))
             .collect();
@@ -155,7 +156,7 @@ impl BaseStore {
     /// are gone by then) and only that row's id is repointed. Without this
     /// the store (and the quota's live count) grew with every write a
     /// namespace had ever seen.
-    pub(super) fn sweep(&mut self, deleted: &HashMap<u64, u64>) {
+    pub(super) fn sweep(&mut self, deleted: &IdMap<u64>) {
         let mut dead = std::mem::take(&mut self.superseded);
         dead.extend(deleted.keys().filter_map(|id| self.by_id.remove(id)));
         dead.sort_unstable_by(|a, b| b.cmp(a));
@@ -707,7 +708,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x5EED);
         let mut version = 1;
         for round in 0..40 {
-            let mut deleted: HashMap<u64, u64> = HashMap::new();
+            let mut deleted: IdMap<u64> = IdMap::default();
             for _ in 0..rng.random_range(0..64) {
                 let id = rng.random_range(0..96u64);
                 if rng.random_range(0..3) < 2 {

@@ -7,7 +7,7 @@
 //! cannot name a writer's mutex, and [`EngineCore::after_batch`] never
 //! waits on one.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,9 +16,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use harmony_cluster::{ClientReceiver, ClusterError, NodeId, Wire};
 use harmony_index::distance::ip;
 use harmony_index::kmeans::nearest_centroids;
-use harmony_index::{Metric, Neighbor, Temperature, TopK, VectorStore};
-use parking_lot::{Mutex, RwLockReadGuard};
+use harmony_index::{prefetch, Metric, Neighbor, Temperature, TopK, VectorStore};
+use parking_lot::Mutex;
 
+use super::id_map::{IdMap, IdSet};
 use super::ingest::NsView;
 use super::namespace::{BaseStore, NamespaceState};
 use super::{recv_error, EngineCore};
@@ -155,7 +156,7 @@ pub(super) fn run_router(
 struct QueryState {
     topk: TopK,
     /// Ids already inserted by prewarm (skip on merge to avoid duplicates).
-    prewarm_ids: HashSet<u64>,
+    prewarm_ids: IdSet,
     /// Shard visits not yet dispatched: `(shard, probed clusters)`, nearest
     /// shard last so `pop()` yields it; clusters ascending — the canonical
     /// enumeration order on the workers.
@@ -350,6 +351,7 @@ impl EngineCore {
         let mut live = 0usize;
         let mut completed = 0usize;
         let mut ready: Vec<usize> = Vec::new();
+        let mut rerank = RerankPass::default();
 
         while completed < n {
             // Admit sub-batches up to the session's in-flight window. The
@@ -385,15 +387,27 @@ impl EngineCore {
                 self.discharge(&charge);
             }
 
-            // Under SQ8 every hit is reranked as it arrives, against the
-            // exact copy and the dead set read once for the whole batch, so
-            // a query's heap holds exact scores only and its threshold is
-            // the k-th exact score. The guard is gone before anything is
-            // sent.
-            let exact = ctx.state.sq8.then(|| Exact {
-                base: ctx.state.base.read(),
-                deleted: Arc::clone(&ctx.state.view().deleted),
-            });
+            // Under SQ8 every hit is reranked as it arrives, in one pass
+            // over the batch against the exact copy and the dead set read
+            // once for it, so a query's heap holds exact scores only and
+            // its threshold is the k-th exact score. The guard is gone
+            // before the merge.
+            if ctx.state.sq8 {
+                let base = ctx.state.base.read();
+                let deleted = Arc::clone(&ctx.state.view().deleted);
+                rerank.run(
+                    &batch,
+                    ctx.queries,
+                    ctx.state.metric,
+                    &base,
+                    &deleted,
+                    |qid| {
+                        let row = qid.wrapping_sub(ctx.base) as usize;
+                        let state = active.get(row)?.as_ref()?;
+                        (state.in_flight > 0).then_some((row, &state.prewarm_ids))
+                    },
+                );
+            }
             let mut reranked = 0usize;
             ready.clear();
             for (i, &qid) in batch.query_ids.iter().enumerate() {
@@ -405,21 +419,18 @@ impl EngineCore {
                     continue; // defensive: duplicate result for this visit
                 }
                 // Merge candidates (skipping prewarm duplicates).
-                let hits = span(&batch.result_ends, i);
-                let hits = batch.ids[hits.clone()].iter().zip(&batch.scores[hits]);
-                let query = ctx.queries.row(row);
-                for (&id, &score) in hits.filter(|(id, _)| !state.prewarm_ids.contains(id)) {
-                    let score = match &exact {
-                        None => score,
-                        Some(exact) => {
-                            let Some(score) = exact.score(ctx.state, query, id) else {
-                                continue;
-                            };
-                            reranked += 1;
-                            score
-                        }
-                    };
-                    state.topk.push(id, score);
+                if ctx.state.sq8 {
+                    let (ids, scores) = rerank.hits(i);
+                    reranked += ids.len();
+                    for (&id, &score) in ids.iter().zip(scores) {
+                        state.topk.push(id, score);
+                    }
+                } else {
+                    let hits = span(&batch.result_ends, i);
+                    let hits = batch.ids[hits.clone()].iter().zip(&batch.scores[hits]);
+                    for (&id, &score) in hits.filter(|(id, _)| !state.prewarm_ids.contains(id)) {
+                        state.topk.push(id, score);
+                    }
                 }
                 state.in_flight -= 1;
                 if state.in_flight > 0 {
@@ -434,7 +445,6 @@ impl EngineCore {
                     live -= 1;
                 }
             }
-            drop(exact);
             // The rerank is real client-side compute: bill it at the
             // modeled scan rates like the centroid and prewarm stages.
             if reranked > 0 {
@@ -767,25 +777,78 @@ fn finalize_results(state: &NamespaceState, topk: TopK) -> Vec<Neighbor> {
     results
 }
 
-/// What an SQ8 session reranks one received batch's hits against, read
-/// once for the batch.
-struct Exact<'a> {
-    base: RwLockReadGuard<'a, BaseStore>,
-    /// The dead set of the view current when the batch arrived.
-    deleted: Arc<HashMap<u64, u64>>,
+/// Hits an SQ8 rerank pass prefetches ahead: a hit's exact row is on its
+/// way from memory while the hits before it are scored.
+const RERANK_LOOKAHEAD: usize = 8;
+
+/// The SQ8 rerank of one received batch as one pass — resolve every hit
+/// that merges to its exact row, then score them in order while the row
+/// [`RERANK_LOOKAHEAD`] hits on is prefetched — so the memory latency of
+/// each probe and each cold row overlaps the scoring of the hits before
+/// it instead of following it. Its buffers are reused from receive to
+/// receive.
+#[derive(Default)]
+struct RerankPass {
+    /// Per entry of the batch, one past its last hit in `ids`.
+    ends: Vec<u32>,
+    /// The ids of the hits that merge, in merge order.
+    ids: Vec<u64>,
+    /// Per hit: its query's batch row and its row of the exact copy.
+    rows: Vec<(usize, usize)>,
+    /// Per hit: its exact score.
+    scores: Vec<f32>,
 }
 
-impl Exact<'_> {
-    /// `id`'s exact score for `query`, or `None` for an id that is deleted
-    /// or missing from the exact copy: such a hit is dropped, not kept with
-    /// its estimate, which could pull the threshold below the true k-th
-    /// exact score and let a worker prune a true top-k member.
-    fn score(&self, state: &NamespaceState, query: &[f32], id: u64) -> Option<f32> {
-        if self.deleted.contains_key(&id) {
-            return None;
+impl RerankPass {
+    /// Resolves and scores the hits of `batch` that merge: the hits of an
+    /// entry whose query id `merging` maps to its query's batch row and
+    /// prewarm ids (a query still in flight), bar those prewarm already
+    /// seeded and those whose id is deleted or missing from `base`. Such
+    /// an id is dropped, not kept with its estimate, which could pull the
+    /// threshold below the true k-th exact score and let a worker prune a
+    /// true top-k member.
+    fn run<'a>(
+        &mut self,
+        batch: &ResultBatch,
+        queries: &VectorStore,
+        metric: Metric,
+        base: &BaseStore,
+        deleted: &IdMap<u64>,
+        merging: impl Fn(u64) -> Option<(usize, &'a IdSet)>,
+    ) {
+        self.ends.clear();
+        self.ids.clear();
+        self.rows.clear();
+        self.scores.clear();
+        for (i, &qid) in batch.query_ids.iter().enumerate() {
+            if let Some((query, prewarm)) = merging(qid) {
+                for &id in &batch.ids[span(&batch.result_ends, i)] {
+                    if prewarm.contains(&id) || deleted.contains_key(&id) {
+                        continue;
+                    }
+                    if let Some(&row) = base.by_id.get(&id) {
+                        self.ids.push(id);
+                        self.rows.push((query, row));
+                    }
+                }
+            }
+            self.ends.push(self.ids.len() as u32);
         }
-        let &row = self.base.by_id.get(&id)?;
-        Some(state.metric.score(query, self.base.store.row(row)))
+        let store = &base.store;
+        for (j, &(query, row)) in self.rows.iter().enumerate() {
+            if let Some(&(_, ahead)) = self.rows.get(j + RERANK_LOOKAHEAD) {
+                prefetch(store.row(ahead));
+            }
+            self.scores
+                .push(metric.score(queries.row(query), store.row(row)));
+        }
+    }
+
+    /// The ids and exact scores of entry `i`'s hits that merge, in the
+    /// order they arrived.
+    fn hits(&self, i: usize) -> (&[u64], &[f32]) {
+        let hits = span(&self.ends, i);
+        (&self.ids[hits.clone()], &self.scores[hits])
     }
 }
 
@@ -832,6 +895,136 @@ mod tests {
             let leftover: f64 = engine.outstanding_load().iter().sum();
             assert!(leftover.abs() < 1e-6, "load estimates leaked: {leftover}");
             engine.shutdown().unwrap();
+        }
+    }
+
+    /// The SQ8 rerank pass resolves, scores and hands out exactly the hits
+    /// one `metric.score` per hit would merge, bit for bit and in order:
+    /// deleted and missing ids, prewarm duplicates and the hits of stale
+    /// and finished queries drop out; batches shorter than the lookahead
+    /// and much longer than it alike, with hits on the store's last rows,
+    /// through one pass whose buffers carry over from batch to batch.
+    #[test]
+    fn sq8_rerank_pass_matches_per_hit_rerank() {
+        let dim = 24;
+        let value = |row: usize, d: usize| ((row * 31 + d * 7) % 97) as f32 / 13.0 - 3.0;
+        let id_of = |row: usize| 1_000 + 7 * row as u64;
+        let mut store = VectorStore::new(dim);
+        for row in 0..300 {
+            let v: Vec<f32> = (0..dim).map(|d| value(row, d)).collect();
+            store.push(id_of(row), &v).unwrap();
+        }
+        let mut base = BaseStore::over(store);
+        // Re-upserted ids: their newest rows are the store's last ones.
+        for row in [5, 17, 299] {
+            let v: Vec<f32> = (0..dim).map(|d| value(row + 1_000, d)).collect();
+            base.upsert(id_of(row), &v).unwrap();
+        }
+        let last = base.store.len();
+        let deleted: IdMap<u64> = [(id_of(3), 1), (id_of(17), 2)].into_iter().collect();
+        let missing = 999_999;
+
+        let mut queries = VectorStore::new(dim);
+        for q in 0..5 {
+            let v: Vec<f32> = (0..dim).map(|d| value(q * 13 + 500, d)).collect();
+            queries.push(q as u64, &v).unwrap();
+        }
+        // Per batch row: visits in flight and prewarm ids. Row 1 finished
+        // (a stale result), row 2 has no visit in flight.
+        let qbase = 500u64;
+        let prewarm: IdSet = [id_of(8), id_of(9)].into_iter().collect();
+        let slots: Vec<Option<(usize, IdSet)>> = vec![
+            Some((1, prewarm.clone())),
+            None,
+            Some((0, IdSet::default())),
+            Some((2, IdSet::default())),
+            Some((1, prewarm)),
+        ];
+        let merging = |qid: u64| {
+            let row = qid.wrapping_sub(qbase) as usize;
+            let (in_flight, prewarm) = slots.get(row)?.as_ref()?;
+            (*in_flight > 0).then_some((row, prewarm))
+        };
+        let batch_of = |entries: &[(u64, Vec<u64>)]| {
+            let mut batch = ResultBatch {
+                shard: 0,
+                query_ids: vec![],
+                result_ends: vec![],
+                ids: vec![],
+                scores: vec![],
+                candidates_seen: vec![],
+            };
+            for (qid, ids) in entries {
+                batch.query_ids.push(*qid);
+                batch.ids.extend(ids);
+                batch.scores.extend(ids.iter().map(|&id| id as f32));
+                batch.result_ends.push(batch.ids.len() as u32);
+                batch.candidates_seen.push(ids.len() as u64);
+            }
+            batch
+        };
+        // Fewer hits than the lookahead: a deleted, a missing and a
+        // prewarm id among them, and a re-upserted id on a last row.
+        let short = batch_of(&[
+            (
+                qbase,
+                vec![id_of(3), id_of(8), id_of(5), missing, id_of(40)],
+            ),
+            (qbase + 4, vec![id_of(299), id_of(9)]),
+        ]);
+        // Far more hits than the lookahead, ending on the store's last
+        // rows, beside a stale, a finished and an out-of-range query.
+        let store_ids = |rows: std::ops::Range<usize>| -> Vec<u64> {
+            rows.map(|row| base.store.id(row)).collect()
+        };
+        let long = batch_of(&[
+            (qbase + 1, store_ids(0..40)),
+            (qbase + 3, store_ids(100..last)),
+            (qbase + 2, store_ids(0..20)),
+            (
+                qbase,
+                [store_ids(200..260), vec![missing, id_of(17)]].concat(),
+            ),
+            (7, store_ids(0..10)),
+            (qbase + 4, store_ids(last - 9..last)),
+        ]);
+        assert!(long.ids.len() > 20 * RERANK_LOOKAHEAD);
+
+        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+            let mut pass = RerankPass::default();
+            for batch in [&long, &short, &long] {
+                pass.run(batch, &queries, metric, &base, &deleted, merging);
+                let mut reranked = 0;
+                for (i, &qid) in batch.query_ids.iter().enumerate() {
+                    let (ids, scores) = pass.hits(i);
+                    // The reference: one lookup and one score per hit.
+                    let mut want: Vec<(u64, u32)> = Vec::new();
+                    if let Some((row, prewarm)) = merging(qid) {
+                        let hits = &batch.ids[span(&batch.result_ends, i)];
+                        for &id in hits.iter().filter(|id| !prewarm.contains(id)) {
+                            if deleted.contains_key(&id) {
+                                continue;
+                            }
+                            let Some(&at) = base.by_id.get(&id) else {
+                                continue;
+                            };
+                            let score = metric.score(queries.row(row), base.store.row(at));
+                            want.push((id, score.to_bits()));
+                        }
+                        reranked += ids.len();
+                    }
+                    let got: Vec<(u64, u32)> = ids
+                        .iter()
+                        .zip(scores)
+                        .map(|(&id, s)| (id, s.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{metric:?}, entry {i}");
+                }
+                // Short: two of five hits, then one of two. Long: all 203
+                // rows from 100 on but a deleted one, 60 of 62, 8 of 9.
+                let want_reranked = if std::ptr::eq(batch, &short) { 3 } else { 270 };
+                assert_eq!(reranked, want_reranked, "{metric:?}");
+            }
         }
     }
 

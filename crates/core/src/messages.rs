@@ -310,8 +310,10 @@ impl ClusterBlock {
 /// through the derived codec with `lists` empty; its list count — the
 /// block's last field — is then patched, and each list is appended in
 /// [`ClusterBlock`]'s field order. Under SQ8 a list's coordinates gather in
-/// one scratch buffer, reused list to list, and leave as
-/// [`ClusterBlock::sq8_segments`].
+/// one scratch buffer, reused list to list, and are quantized into the
+/// frame: the codes straight into place, the code sums through a second
+/// reused buffer — the segment [`ClusterBlock::sq8_segments`] gives,
+/// without one being allocated.
 pub struct LoadFrame {
     buf: BytesMut,
     /// Length the frame will have once every announced list is in.
@@ -322,6 +324,8 @@ pub struct LoadFrame {
     sq8: bool,
     /// A list's SQ8 coordinates before quantization.
     coords: Vec<f32>,
+    /// A list's SQ8 code sums, one per member.
+    code_sums: Vec<u32>,
     /// A list's block and total norm tables (inner-product metrics).
     norms_sq: [Vec<f32>; 2],
 }
@@ -338,6 +342,7 @@ impl LoadFrame {
             ip: head.metric != metric_tag::encode(Metric::L2),
             sq8: head.repr == repr_tag::encode(BlockRepr::Sq8),
             coords: Vec::new(),
+            code_sums: Vec::new(),
             norms_sq: Default::default(),
         };
         let (lists, bytes) = rows.into_iter().fold((0u64, 0), |(n, bytes), r| {
@@ -388,13 +393,39 @@ impl LoadFrame {
         };
         fill(&mut list);
         debug_assert_eq!(list.next_id, ids + 8 * rows, "list {cluster}: rows pushed");
-        let segs = ClusterBlock::sq8_segments(&self.coords, self.dims.0, self.dims.1);
-        sq8_segs::encode(&segs, &mut self.buf);
-        self.coords.clear();
+        self.push_segments();
         for table in &mut self.norms_sq {
             table.encode(&mut self.buf);
             table.clear();
         }
+    }
+
+    /// Appends the gathered list's SQ8 segments as [`sq8_segs`] encodes
+    /// [`ClusterBlock::sq8_segments`]: none for an f32 or an empty list,
+    /// else one spanning the block, its codes quantized in place and its
+    /// `min` and `scale` written in once they are known.
+    fn push_segments(&mut self) {
+        let width = self.width();
+        let buf = &mut self.buf;
+        if self.coords.is_empty() {
+            0u64.encode(buf);
+            return;
+        }
+        1u64.encode(buf);
+        self.dims.0.encode(buf);
+        self.dims.1.encode(buf);
+        let min_scale = buf.len();
+        buf.resize(min_scale + 8, 0);
+        (self.coords.len() as u64).encode(buf);
+        let codes = buf.len();
+        buf.resize(codes + self.coords.len(), 0);
+        self.code_sums.resize(self.coords.len() / width, 0);
+        let (min, scale) =
+            Sq8Segment::quantize_into(&self.coords, width, &mut buf[codes..], &mut self.code_sums);
+        buf[min_scale..min_scale + 4].copy_from_slice(&min.to_le_bytes());
+        buf[min_scale + 4..min_scale + 8].copy_from_slice(&scale.to_le_bytes());
+        self.code_sums.encode(buf);
+        self.coords.clear();
     }
 
     /// The finished frame.

@@ -8,7 +8,6 @@
 //! start with; and the fabric's fixed cost per message. [`crate::cost`]
 //! prices plans from the results and never reads a clock itself.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -20,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cost::{ScanRates, Survivors};
-use crate::engine::{cut_list, BaseStore, PrewarmSamples};
+use crate::engine::{cut_list, BaseStore, IdMap, IdSet, PrewarmSamples};
 use crate::error::CoreError;
 use crate::messages::{ChunkBatch, ResultBatch, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
@@ -61,7 +60,7 @@ pub(crate) struct SampleView<'a> {
     /// The namespace's exact vectors.
     pub(crate) store: &'a VectorStore,
     /// External id → row of `store`: where an SQ8 answer is reranked.
-    pub(crate) by_id: &'a HashMap<u64, usize>,
+    pub(crate) by_id: &'a IdMap,
     /// Rows of `store` per list.
     pub(crate) lists: &'a dyn ListRows,
     pub(crate) prewarm: &'a PrewarmSamples,
@@ -72,7 +71,7 @@ impl SampleView<'_> {
     /// exact score of its prewarm samples.
     fn prewarm_threshold(&self, query: &[f32], probes: &[u32]) -> f32 {
         let mut topk = TopK::new(self.k);
-        let fresh = HashSet::new();
+        let fresh = IdSet::default();
         self.prewarm
             .seed(self.metric, query, probes, self.k, &fresh, &mut topk);
         topk.threshold()
@@ -498,7 +497,7 @@ pub(crate) fn survivors_entering<'q>(
         .collect();
     probed.sort_unstable();
     probed.dedup();
-    let fresh = HashSet::new();
+    let fresh = IdSet::default();
     let mut scratch = Scratch::default();
     plans
         .iter()

@@ -50,4 +50,4 @@ pub use kmeans::{Fitted, KMeans, KMeansConfig};
 pub use quant::{BlockRepr, Sq8BlockQuery, Sq8Query, Sq8Segment};
 pub use tier::{AccessEwma, BlockCache, Temperature};
 pub use topk::{Neighbor, TopK};
-pub use vector::{max_magnitude, VectorId, VectorStore};
+pub use vector::{max_magnitude, prefetch, VectorId, VectorStore};

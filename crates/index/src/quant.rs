@@ -129,6 +129,23 @@ impl Sq8Segment {
         Self::quantize_with(flat, width, dim_start, sq8_range, sq8_codes)
     }
 
+    /// [`Self::quantize`] into buffers the caller owns: `flat`'s codes into
+    /// `codes` (exactly as long as `flat`) and each row's code sum into
+    /// `code_sums` (one per row). Returns the segment's `(min, scale)`; the
+    /// three are bit for bit the fields [`Self::quantize`] gives.
+    ///
+    /// # Panics
+    /// As [`Self::quantize`], and when a buffer's length is not the one
+    /// stated.
+    pub fn quantize_into(
+        flat: &[f32],
+        width: usize,
+        codes: &mut [u8],
+        code_sums: &mut [u32],
+    ) -> (f32, f32) {
+        Self::quantize_into_with(flat, width, sq8_range, sq8_codes, codes, code_sums)
+    }
+
     /// [`Self::quantize`] with the range and code kernels given, so the
     /// tests can hold the dispatching kernels to their scalar twins.
     #[inline]
@@ -139,6 +156,31 @@ impl Sq8Segment {
         range: fn(&[f32]) -> (f32, f32),
         codes_of: CodesKernel,
     ) -> Self {
+        let rows = flat.len().checked_div(width).unwrap_or(0);
+        let mut codes = vec![0u8; flat.len()];
+        let mut code_sums = vec![0u32; rows];
+        let (min, scale) =
+            Self::quantize_into_with(flat, width, range, codes_of, &mut codes, &mut code_sums);
+        Self {
+            dim_start,
+            dim_end: dim_start + width as u64,
+            min,
+            scale,
+            codes,
+            code_sums,
+        }
+    }
+
+    /// [`Self::quantize_into`] with the range and code kernels given.
+    #[inline]
+    fn quantize_into_with(
+        flat: &[f32],
+        width: usize,
+        range: fn(&[f32]) -> (f32, f32),
+        codes_of: CodesKernel,
+        codes: &mut [u8],
+        code_sums: &mut [u32],
+    ) -> (f32, f32) {
         assert!(
             width > 0 || flat.is_empty(),
             "a non-empty slice quantized at width 0"
@@ -156,18 +198,8 @@ impl Sq8Segment {
         // f64 keeps the step finite even for ranges that overflow f32
         // (e.g. min = -MAX, max = +MAX).
         let scale = ((max as f64 - min as f64) / 255.0) as f32;
-        let rows = flat.len().checked_div(width).unwrap_or(0);
-        let mut codes = vec![0u8; flat.len()];
-        let mut code_sums = vec![0u32; rows];
-        codes_of(flat, width, min, scale, &mut codes, &mut code_sums);
-        Self {
-            dim_start,
-            dim_end: dim_start + width as u64,
-            min,
-            scale,
-            codes,
-            code_sums,
-        }
+        codes_of(flat, width, min, scale, codes, code_sums);
+        (min, scale)
     }
 
     /// The codes of one row.

@@ -315,9 +315,47 @@ pub fn max_magnitude(v: &[f32]) -> Option<f32> {
     (top < f32::INFINITY.to_bits()).then(|| f32::from_bits(top))
 }
 
+/// Asks the CPU to start loading `data` into cache, so that a read of it a
+/// little later finds it there: one prefetch per 64-byte line the slice
+/// touches. A hint only — it changes no value any read returns — and a
+/// no-op off x86_64.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let bytes = std::mem::size_of_val(data);
+        let start = data.as_ptr().cast::<i8>();
+        // A byte of every line: one each 64 bytes, and the last byte for the
+        // line an unaligned slice ends in.
+        for offset in (0..bytes).step_by(64).chain(bytes.checked_sub(1)) {
+            // SAFETY: `offset < bytes`, so the pointer stays inside `data`;
+            // a prefetch loads nothing the program reads and cannot fault.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A prefetch of any slice — empty, one byte, unaligned, or the last
+    /// row of a store — is a hint and leaves every value as it was.
+    #[test]
+    fn prefetch_takes_any_slice_and_changes_nothing() {
+        let s = VectorStore::from_flat(24, (0..24 * 40).map(|v| v as f32).collect()).unwrap();
+        let before = s.clone();
+        prefetch::<f32>(&[]);
+        prefetch(&[7u8]);
+        for start in 0..s.as_flat().len() {
+            prefetch(&s.as_flat()[start..]);
+        }
+        prefetch(s.row(s.len() - 1));
+        assert_eq!(s, before);
+    }
 
     #[test]
     fn max_magnitude_finds_the_largest_and_rejects_non_finite() {
