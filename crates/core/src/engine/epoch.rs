@@ -13,14 +13,16 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use super::exact::Lists;
 use super::id_map::IdSet;
-use super::namespace::{walk_list, BaseStore, NamespaceState};
+use super::namespace::{walk_list, NamespaceState};
 use super::supervisor::SupervisorState;
 use super::{await_acks, once_per_machine, EngineCore};
 use crate::cost::{CostModel, PlanEstimate};
 use crate::error::CoreError;
 use crate::messages::{metric_tag, repr_tag, LoadBlock, LoadFrame, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
+use crate::planner::ListRows;
 
 /// One immutable generation of routing state. Queries capture the Arc at
 /// admission; a writer replaces it by publishing a new view
@@ -77,17 +79,10 @@ impl RoutingEpoch {
 /// before it need no remembering.
 #[derive(Debug)]
 pub(super) struct EpochLists {
-    /// Member ids per cluster. Mirrors what the workers hold.
-    pub(super) members: Vec<Vec<u64>>,
-    /// Threshold-prewarm samples cut from `members`.
+    /// Rows per cluster, as the workers hold them.
+    pub(super) sizes: Vec<usize>,
+    /// Threshold-prewarm samples cut from the lists.
     pub(super) prewarm: PrewarmSamples,
-}
-
-impl EpochLists {
-    /// List sizes per cluster.
-    pub(super) fn sizes(&self) -> Vec<usize> {
-        self.members.iter().map(Vec::len).collect()
-    }
 }
 
 /// Prewarm samples cut per list (or the whole list, if shorter) at build and
@@ -140,46 +135,45 @@ impl PrewarmSamples {
     }
 
     /// Cuts `per_list` samples (or the whole list, if shorter) from every
-    /// list, vectors read from the exact client-side copy. Samples of
-    /// `prior` whose id was not written since stay, in place — a recut
-    /// only replaces what went stale, so thresholds (and, for ids the
-    /// prewarm heap contributes, result bits) do not jump across a
+    /// one of `lists`, vectors read from the exact client-side copy.
+    /// Samples of `prior` whose id was not written since stay, in place —
+    /// a recut only replaces what went stale, so thresholds (and, for ids
+    /// the prewarm heap contributes, result bits) do not jump across a
     /// compaction. Open places are filled from a seeded start, walking the
-    /// list's members in order.
+    /// list's rows in order.
     pub(crate) fn cut(
         per_list: usize,
         seed: u64,
-        members: &[Vec<u64>],
-        base: &BaseStore,
+        lists: &Lists<'_>,
         prior: Option<(&PrewarmSamples, &IdSet)>,
     ) -> Result<Self, CoreError> {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut store = VectorStore::new(base.store.dim());
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-        let mut picked: Vec<u64> = Vec::with_capacity(per_list);
-        for (c, ids) in members.iter().enumerate() {
-            let want = per_list.min(ids.len());
+        let mut store = VectorStore::new(lists.dim());
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); lists.lists()];
+        let mut picked: Vec<(u64, &[f32])> = Vec::with_capacity(per_list);
+        for (c, rows) in rows.iter_mut().enumerate() {
+            let len = lists.len(c as u32);
+            let want = per_list.min(len);
             picked.clear();
             if let Some((prior, overridden)) = prior {
-                let kept = prior.rows[c].iter().map(|&r| prior.store.id(r));
-                picked.extend(kept.filter(|id| !overridden.contains(id)).take(want));
+                let kept = prior.rows[c]
+                    .iter()
+                    .map(|&r| (prior.store.id(r), prior.store.row(r)));
+                picked.extend(kept.filter(|(id, _)| !overridden.contains(id)).take(want));
             }
-            let start = rng.random_range(0..ids.len().max(1));
-            for j in 0..ids.len() {
+            let start = rng.random_range(0..len.max(1));
+            for j in 0..len {
                 if picked.len() >= want {
                     break;
                 }
-                let id = ids[(start + j) % ids.len()];
-                if !picked.contains(&id) {
-                    picked.push(id);
+                let (id, row) = lists.row(c as u32, (start + j) % len);
+                if !picked.iter().any(|&(p, _)| p == id) {
+                    picked.push((id, row));
                 }
             }
-            for &id in &picked {
-                let row = base.row_of(id)?;
-                rows[c].push(store.len());
-                store
-                    .push(id, base.store.row(row))
-                    .map_err(CoreError::Index)?;
+            for &(id, row) in &picked {
+                rows.push(store.len());
+                store.push(id, row)?;
             }
         }
         Ok(Self { store, rows })
@@ -223,8 +217,9 @@ const EPOCH_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Pre-assign (§4, Fig. 10), the one way list storage reaches a worker:
 /// walks `routing`'s `(shard, dimension range)` grid and writes each block
-/// as one [`LoadBlock`] frame straight from the exact copy
-/// ([`LoadFrame`], [`walk_list`]), sending it before writing the next,
+/// as one [`LoadBlock`] frame straight from `lists` — the exact copy's,
+/// one sequential walk per list ([`LoadFrame`], [`walk_list`]) — sending
+/// it before writing the next,
 /// then awaits every machine's [`ToClient::EpochReady`] on the control
 /// channel the router feeds. An epoch is therefore the block set a fresh
 /// build at its layout would ship, however it was reached. Returns the
@@ -234,7 +229,7 @@ pub(super) fn ship_epoch(
     control: &Receiver<(NodeId, ToClient)>,
     state: &NamespaceState,
     routing: &RoutingEpoch,
-    base: &BaseStore,
+    lists: &Lists<'_>,
 ) -> Result<u64, CoreError> {
     let (ns, epoch) = (state.ns, routing.epoch);
     let is_ip = !matches!(state.metric, Metric::L2);
@@ -242,16 +237,6 @@ pub(super) fn ship_epoch(
         BlockRepr::Sq8
     } else {
         BlockRepr::F32
-    };
-    // Each member's row, looked up once for every block that carries it.
-    let members = &routing.lists.members;
-    let rows = members
-        .iter()
-        .map(|ids| ids.iter().map(|&id| base.row_of(id)).collect())
-        .collect::<Result<Vec<Vec<usize>>, _>>()?;
-    let list = |c: u32| {
-        let c = c as usize;
-        members[c].iter().copied().zip(rows[c].iter().copied())
     };
     let mut bytes = 0;
     for (s, clusters) in routing.shard_clusters.iter().enumerate() {
@@ -269,16 +254,13 @@ pub(super) fn ship_epoch(
                 repr: repr_tag::encode(repr),
                 lists: Vec::new(),
             };
-            let mut frame = LoadFrame::new(head, clusters.iter().map(|&c| list(c).len()));
+            let mut frame = LoadFrame::new(head, clusters.iter().map(|&c| lists.len(c)));
             for &c in clusters {
-                frame.push_list(c, list(c).len(), |out| {
-                    walk_list(
-                        &base.store,
-                        list(c),
-                        *range,
-                        is_ip,
-                        |id, coords, norms_sq| out.push(id, coords, norms_sq),
-                    )
+                frame.push_list(c, lists.len(c), |out| {
+                    let rows = (0..lists.len(c)).map(|i| lists.row(c, i));
+                    walk_list(rows, *range, is_ip, |id, coords, norms_sq| {
+                        out.push(id, coords, norms_sq)
+                    })
                 });
             }
             let load = frame.finish();

@@ -1,9 +1,9 @@
 //! Maps and sets keyed by external id, hashed with one multiply.
 //!
-//! [`BaseStore::by_id`](super::BaseStore), the dead set and a query's
-//! prewarm ids are probed once per SQ8 hit the client reranks, and
-//! `by_id` and the recut's set once per list member each compaction
-//! ships, so their hash is on both hot paths. Ids are `u64`s the caller
+//! The exact copy's `by_id` ([`ExactCopy`](super::ExactCopy)) and a
+//! query's prewarm ids are probed once per SQ8 hit the client reranks,
+//! and `by_id` once per pending row each compaction folds, so their hash
+//! is on both hot paths. Ids are `u64`s the caller
 //! picks — often dense, sometimes strided — and std's SipHash spends tens
 //! of nanoseconds per probe to defend against adversarial keys. [`IdHash`]
 //! folds the 128-bit product of `(id ^ seed)` and an odd constant: the
@@ -20,8 +20,8 @@ use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
-/// External id → `V` (by default, a row).
-pub(crate) type IdMap<V = usize> = HashMap<u64, V, IdHash>;
+/// External id → `V`.
+pub(crate) type IdMap<V> = HashMap<u64, V, IdHash>;
 
 /// A set of external ids.
 pub(crate) type IdSet = HashSet<u64, IdHash>;

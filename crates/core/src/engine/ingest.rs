@@ -17,6 +17,7 @@ use harmony_index::Metric;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use super::epoch::{ship_epoch, EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
+use super::exact::Recut;
 use super::id_map::{IdMap, IdSet};
 use super::namespace::NamespaceState;
 use super::supervisor::SupervisorState;
@@ -24,22 +25,13 @@ use super::EngineCore;
 use crate::error::CoreError;
 use crate::messages::{DeleteIds, DeltaUpsert, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
-use crate::planner::{ListRows, SampleView};
-
-/// One not-yet-compacted upsert (client-side record of a delta row).
-struct PendingDelta {
-    id: u64,
-    /// Home cluster chosen at upsert time (nearest centroid).
-    cluster: u32,
-    seq: u64,
-}
+use crate::planner::ListRows;
 
 /// Client-side ingest bookkeeping, serialized under one mutex.
 pub(super) struct IngestState {
-    /// Next ingest sequence number to assign (starts at 1).
+    /// Next ingest sequence number to assign (starts at 1). The upserts
+    /// not yet folded into IVF lists are the exact copy's pending rows.
     next_seq: u64,
-    /// Upserts not yet folded into IVF lists, in sequence order.
-    pending: Vec<PendingDelta>,
     /// Every live tombstone: id → newest delete sequence. Covers both
     /// user deletes and the supersede-tombstones written by re-upserts.
     /// Cleared by compaction (the recut lists contain no stale copies).
@@ -54,7 +46,7 @@ pub(super) struct IngestState {
     /// skipped; a compaction recuts the samples and empties the set.
     /// Copy-on-write like `deleted`.
     overridden: Arc<IdSet>,
-    /// Home clusters of the rows in `pending`, shared copy-on-write with
+    /// Home clusters of the exact copy's pending rows, shared copy-on-write with
     /// the view like `deleted`: copied only when a cluster gets its first
     /// pending row.
     pending_clusters: Arc<HashSet<u32>>,
@@ -74,17 +66,6 @@ impl IngestState {
         if !self.overridden.contains(&id) {
             Arc::make_mut(&mut self.overridden).insert(id);
         }
-    }
-
-    /// The newest pending upsert of every id as `(id, home cluster, seq)`,
-    /// in sequence order like `pending` itself. Older pending copies of a
-    /// re-upserted id are covered by its supersede tombstone.
-    fn newest_pending(&self) -> Vec<(u64, u32, u64)> {
-        let mut seen = HashSet::new();
-        let newest = self.pending.iter().rev().filter(|p| seen.insert(p.id));
-        let mut rows: Vec<_> = newest.map(|p| (p.id, p.cluster, p.seq)).collect();
-        rows.reverse();
-        rows
     }
 }
 
@@ -126,7 +107,6 @@ impl WriteSide {
         Self {
             ingest: Mutex::new(IngestState {
                 next_seq: 1,
-                pending: Vec::new(),
                 tombstones: IdMap::default(),
                 deleted: Arc::default(),
                 overridden: Arc::default(),
@@ -183,7 +163,7 @@ impl NamespaceState {
     /// tables and the client's dead and override sets just the same.
     pub(super) fn unfolded_writes(&self) -> (usize, usize) {
         let ing = self.writes.ingest.lock();
-        (ing.pending.len(), ing.tombstones.len())
+        (self.base.read().pending().len(), ing.tombstones.len())
     }
 }
 
@@ -199,50 +179,6 @@ pub struct CompactionReport {
     pub dropped_tombstones: usize,
     /// `true` when nothing was pending and no epoch was published.
     pub noop: bool,
-}
-
-/// The lists of a live namespace as the planner's samplers read them:
-/// member ids resolved through the exact copy's id map.
-struct LiveLists<'a> {
-    members: &'a [Vec<u64>],
-    by_id: &'a IdMap,
-}
-
-impl ListRows for LiveLists<'_> {
-    fn len(&self, c: u32) -> usize {
-        self.members[c as usize].len()
-    }
-    fn row(&self, c: u32, i: usize) -> Option<usize> {
-        let id = self.members[c as usize].get(i)?;
-        self.by_id.get(id).copied()
-    }
-}
-
-/// Runs `sample` over the planner's view of a namespace as it stands, for
-/// queries asking for `k` results.
-pub(super) fn with_sample_view<R>(
-    state: &NamespaceState,
-    k: usize,
-    sample: impl FnOnce(&SampleView<'_>) -> R,
-) -> R {
-    let base = state.base.read();
-    let routing = Arc::clone(&state.view().routing);
-    let lists = LiveLists {
-        members: &routing.lists.members,
-        by_id: &base.by_id,
-    };
-    sample(&SampleView {
-        metric: state.metric,
-        sq8: state.sq8,
-        pruning: state.pruning,
-        k,
-        estimates_per_visit: state.estimates_per_visit(k),
-        centroids: &state.centroids,
-        store: &base.store,
-        by_id: &base.by_id,
-        lists: &lists,
-        prewarm: &routing.lists.prewarm,
-    })
 }
 
 impl EngineCore {
@@ -295,13 +231,12 @@ impl EngineCore {
         let mut ing = state.writes.ingest.lock();
         // Stable until this guard drops: only its holder publishes.
         let routing = Arc::clone(&state.view().routing);
-        // The exact copy maps every id that has a row, live or deleted —
-        // list members and pending upserts alike.
+        // The exact copy maps every live id, list row or pending alike; a
+        // deleted one keeps its tombstone until the next compaction.
         let base = state.base.read();
-        let has_row = base.by_id.contains_key(&id);
-        let known = has_row || ing.tombstones.contains_key(&id);
-        let id_live = has_row && !ing.deleted.contains_key(&id);
-        let live = base.by_id.len().saturating_sub(ing.deleted.len());
+        let id_live = base.handle(id).is_some();
+        let known = id_live || ing.tombstones.contains_key(&id);
+        let live = base.ids();
         drop(base);
         // Quota check before any side effect: replacing a live id
         // never grows the namespace, a new id must fit the budget.
@@ -323,8 +258,7 @@ impl EngineCore {
         let cluster = *nearest_centroids(vector, &state.centroids, 1)
             .first()
             .ok_or_else(|| CoreError::Runtime("engine has no centroids".into()))?;
-        state.base.write().upsert(id, vector)?;
-        ing.pending.push(PendingDelta { id, cluster, seq });
+        state.base.write().upsert(id, cluster, vector)?;
         if !ing.pending_clusters.contains(&cluster) {
             Arc::make_mut(&mut ing.pending_clusters).insert(cluster);
         }
@@ -359,12 +293,12 @@ impl EngineCore {
     pub fn delete_ns(&self, ns: u16, id: u64) -> Result<bool, CoreError> {
         let state = self.namespace(ns)?;
         let mut ing = state.writes.ingest.lock();
-        let live = state.base.read().by_id.contains_key(&id) && !ing.deleted.contains_key(&id);
-        if !live {
+        if state.base.read().handle(id).is_none() {
             return Ok(false);
         }
         let seq = ing.number();
         self.send_tombstone(state.ns, id, seq)?;
+        state.base.write().delete(id);
         ing.tombstones.insert(id, seq);
         Arc::make_mut(&mut ing.deleted).insert(id, seq);
         ing.mark_overridden(id);
@@ -438,8 +372,8 @@ impl EngineCore {
     ) -> Result<CompactionReport, CoreError> {
         let ing = state.writes.ingest.lock();
         let cur = Arc::clone(&state.view().routing);
-        let unwritten =
-            ing.pending.is_empty() && ing.deleted.is_empty() && ing.tombstones.is_empty();
+        // Every delete left a tombstone.
+        let unwritten = state.base.read().pending().is_empty() && ing.tombstones.is_empty();
         let in_force =
             plan == cur.plan && assignment.cluster_to_shard == cur.assignment.cluster_to_shard;
         if unwritten && in_force {
@@ -452,81 +386,63 @@ impl EngineCore {
         }
         let epoch = sup.number_epoch();
 
-        // Ids deleted after their last upsert drop out entirely (a delete
-        // always outsequences the upserts it follows).
-        let mut folded = ing.newest_pending();
-        folded.retain(|(id, _, _)| !ing.deleted.contains_key(id));
-        // Deleted and re-homed ids are disjoint after the `retain`: one
-        // set of both leaves the old lists with one lookup per member.
-        let gone: IdSet = ing
-            .deleted
-            .keys()
-            .copied()
-            .chain(folded.iter().map(|&(id, _, _)| id))
-            .collect();
+        // Recut membership: each changed list's live rows in order, then
+        // the newest pending row of each live id homed there, in sequence
+        // order, so list order is deterministic.
+        let base = state.base.read();
+        let recut = base.recut();
+        let lists = base.next(&recut);
         let report = CompactionReport {
             epoch,
-            folded_rows: folded.len(),
+            folded_rows: recut.folded,
             dropped_tombstones: ing.deleted.len(),
             noop: false,
         };
-
-        // Recut membership: old members minus deleted/re-homed ids, plus
-        // each surviving pending id at its new home, in sequence order so
-        // list order is deterministic.
-        let mut members: Vec<Vec<u64>> = cur
-            .lists
-            .members
-            .iter()
-            .map(|m| m.iter().copied().filter(|id| !gone.contains(id)).collect())
-            .collect();
-        for (id, cluster, _) in folded {
-            members[cluster as usize].push(id);
-        }
-
         // The published epoch carries prewarm samples of the lists it
         // serves, so thresholds stay as tight as a fresh build's however
         // many write cycles came before.
         let prewarm = PrewarmSamples::cut(
             PREWARM_PER_LIST,
             state.prewarm_seed.wrapping_add(epoch),
-            &members,
-            &state.base.read(),
+            &lists,
             Some((&cur.lists.prewarm, &ing.overridden)),
         )?;
+        let sizes = lists.sizes();
+        drop(base);
         let next = RoutingEpoch::new(
             epoch,
             plan,
             assignment,
             state.dim,
-            EpochLists { members, prewarm },
+            EpochLists { sizes, prewarm },
             &sup.tuned,
         )?;
         drop(cur);
-        self.install_epoch(state, sup, ing, Arc::new(next))?;
+        self.install_epoch(state, sup, ing, Arc::new(next), recut)?;
         Ok(report)
     }
 
-    /// Brings `next` — cut from the ingest state behind `ing` — into force,
-    /// the one way a routing epoch is replaced: hold the control channel,
-    /// ship the epoch's blocks and await every machine's ack
-    /// ([`ship_epoch`]), forget the writes now folded into its lists,
-    /// publish, and retire the incumbent until its in-flight queries drain.
-    /// A failed handshake evicts the half-installed epoch and leaves the
-    /// incumbent in force.
+    /// Brings `next` — cut from `recut`, the lists the ingest state behind
+    /// `ing` folds into the exact copy — into force, the one way a routing
+    /// epoch is replaced: hold the control channel, ship the epoch's blocks
+    /// and await every machine's ack ([`ship_epoch`]), fold the writes into
+    /// the exact copy and forget them, publish, and retire the incumbent
+    /// until its in-flight queries drain. A failed handshake drops `recut`,
+    /// evicts the half-installed epoch and leaves the incumbent in force.
     pub(super) fn install_epoch(
         &self,
         state: &NamespaceState,
         sup: &mut SupervisorState,
         mut ing: MutexGuard<'_, IngestState>,
         next: Arc<RoutingEpoch>,
+        recut: Recut,
     ) -> Result<(), CoreError> {
         let shipped = {
             let base = state.base.read();
             // Held for the whole handshake so concurrent stats collectors
             // cannot consume the acks.
             let control = self.control.lock();
-            ship_epoch(&self.cluster, &control, state, &next, &base)
+            ship_epoch(&self.cluster, &control, state, &next, &base.next(&recut))
         };
         match shipped {
             Ok(bytes) => sup.epoch_bytes = bytes,
@@ -536,11 +452,9 @@ impl EngineCore {
                 return Err(e);
             }
         }
-        // In-flight queries re-rank against whatever is left; the ids swept
-        // here are dead to them already, and stay listed as deleted until
-        // the publication that follows.
-        state.base.write().sweep(&ing.deleted);
-        ing.pending.clear();
+        // In-flight queries re-rank against whatever is left: the fold
+        // moves rows, never a live id's vector.
+        state.base.write().fold(recut)?;
         ing.pending_clusters = Arc::default();
         ing.tombstones.clear();
         ing.deleted = Arc::default();
@@ -578,10 +492,8 @@ mod tests {
                 .collect()
         };
         // The clusters the view force-visits, rebuilt from every pending row.
-        let pending_homes = || -> HashSet<u32> {
-            let ing = ns.writes.ingest.lock();
-            ing.pending.iter().map(|p| p.cluster).collect()
-        };
+        let pending_homes =
+            || -> HashSet<u32> { ns.base.read().pending().iter().copied().collect() };
         for cycle in 0..4u64 {
             // The worst case for the samples: overwrite and delete the very
             // ids they hold, besides inserting new ones.
@@ -614,9 +526,10 @@ mod tests {
             let base = ns.base.read();
             // Nor does the exact copy keep superseded or deleted rows.
             let lists = &routing.lists;
-            let live: usize = lists.sizes().iter().sum();
-            assert_eq!((base.store.len(), base.by_id.len()), (live, live));
-            for (c, &size) in lists.sizes().iter().enumerate() {
+            let live: usize = lists.sizes.iter().sum();
+            assert_eq!(base.lists().sizes(), lists.sizes);
+            assert_eq!(base.ids(), live);
+            for (c, &size) in lists.sizes.iter().enumerate() {
                 // Exactly what a fresh build over this list would hold.
                 let rows = &lists.prewarm.rows[c];
                 assert_eq!(
@@ -626,8 +539,8 @@ mod tests {
                 );
                 for &r in rows {
                     let id = lists.prewarm.store.id(r);
-                    let live = base.store.row(base.by_id[&id]);
-                    assert_eq!(lists.prewarm.store.row(r), live, "stale sample {id}");
+                    let live = base.vector(id);
+                    assert_eq!(Some(lists.prewarm.store.row(r)), live, "stale sample {id}");
                 }
             }
         }
@@ -674,7 +587,7 @@ mod tests {
                     assert!(view.delta_seq >= delta_seq, "watermark went back");
                     epochs += u64::from(routing.epoch > epoch);
                     (epoch, delta_seq) = (routing.epoch, view.delta_seq);
-                    let sizes = routing.lists.sizes();
+                    let sizes = &routing.lists.sizes;
                     assert_eq!(sizes.len(), nlist);
                     {
                         let ledger = ledger.lock();

@@ -67,9 +67,10 @@
 //! guard as proof, *after* all of its sends (DESIGN.md §6).
 //!
 //! The modules follow the locks: `session` (the session table), `ingest`
-//! (the `ingest` mutex, the view, every publication), `epoch` (routing
-//! epochs, Pre-assign), `supervisor` (the `supervisor` mutex and every entry
-//! that takes it), `namespace` (tenant state, build, registry, temperature).
+//! (the `ingest` mutex, the view, every publication), `exact` (the exact
+//! copy behind the `base` lock), `epoch` (routing epochs, Pre-assign),
+//! `supervisor` (the `supervisor` mutex and every entry that takes it),
+//! `namespace` (tenant state, build, registry, temperature).
 //! Lock order: `namespaces < supervisor < ingest < base < control < view <
 //! inner` (`lint.toml`).
 //!
@@ -95,6 +96,7 @@
 //! `auto_tier` between temperatures by their access-rate EWMA.
 
 mod epoch;
+mod exact;
 mod id_map;
 mod ingest;
 mod namespace;
@@ -131,8 +133,9 @@ pub use session::SingleResult;
 pub use supervisor::ReplanOutcome;
 
 pub(crate) use epoch::PrewarmSamples;
-pub(crate) use id_map::{IdMap, IdSet};
-pub(crate) use namespace::{cut_list, BaseStore};
+pub(crate) use exact::ExactCopy;
+pub(crate) use id_map::IdSet;
+pub(crate) use namespace::cut_list;
 
 use epoch::ship_epoch;
 use namespace::{
@@ -371,7 +374,7 @@ impl HarmonyEngine {
             &control_rx,
             &state,
             &view.routing,
-            &state.base.read(),
+            &state.base.read().lists(),
         )?;
         state.supervision.record_shipment(shipped);
         let bytes_shipped = cluster.snapshot().client.bytes_tx;
@@ -469,7 +472,7 @@ impl EngineCore {
     /// Inverted-list sizes (cluster load profile; reflects the last
     /// compaction). Default namespace.
     pub fn list_sizes(&self) -> Vec<usize> {
-        self.ns0.view().routing.lists.sizes()
+        self.ns0.view().routing.lists.sizes.clone()
     }
 
     /// Trained centroids of the default namespace (client-side copy).

@@ -16,7 +16,7 @@ use harmony_index::{
 use parking_lot::RwLock;
 
 use super::epoch::{ship_epoch, EpochLists, PrewarmSamples, RoutingEpoch, PREWARM_PER_LIST};
-use super::id_map::IdMap;
+use super::exact::ExactCopy;
 use super::ingest::WriteSide;
 use super::supervisor::Supervision;
 use super::{await_acks, once_per_machine, EngineCore};
@@ -25,7 +25,7 @@ use crate::cost::{CostModel, ScanRates, Survivors, WorkloadProfile};
 use crate::error::CoreError;
 use crate::messages::{ClusterBlock, SetTier, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
-use crate::planner::{self, SampleView};
+use crate::planner::{self, CorpusLists, ListRows, SampleView};
 use crate::stats::{BuildStats, ProbeTracker};
 
 /// One tenant's complete logical index: clustering, the exact copy of its
@@ -50,11 +50,10 @@ pub struct NamespaceState {
     /// Seed the prewarm samples' picks derive from, at build and again at
     /// every compaction.
     pub(super) prewarm_seed: u64,
-    /// Exact full-dimension copy of every live vector, `by_id` pointing at
-    /// the newest row per external id. Source of truth for compaction
-    /// (lists are recut from it) and, under SQ8, for the exact re-rank
-    /// stage.
-    pub(super) base: RwLock<BaseStore>,
+    /// Exact full-dimension copy of every vector, by IVF list in the
+    /// workers' order. Source of truth for compaction (lists are recut
+    /// from it) and, under SQ8, for the exact re-rank stage.
+    pub(super) base: RwLock<ExactCopy>,
     /// Mutable-shard ingest bookkeeping and the view published from it.
     pub(super) writes: WriteSide,
     /// Observed per-cluster probe counters (the supervisor's input).
@@ -105,69 +104,6 @@ impl NamespaceState {
     }
 }
 
-/// Client-side exact vectors: compaction source and SQ8 re-rank store.
-/// Upserts append rows and repoint `by_id`; superseded rows are
-/// unreachable through the id map and linger, like the rows of deleted
-/// ids, until the next compaction sweeps them. Row order means nothing:
-/// every reader finds a row through `by_id`, from an id or a list member.
-pub(crate) struct BaseStore {
-    pub(crate) store: VectorStore,
-    /// External id → newest row of `store`.
-    pub(crate) by_id: IdMap,
-    /// Rows an upsert repointed `by_id` away from, each once: with the
-    /// rows of deleted ids, what the next sweep drops.
-    superseded: Vec<usize>,
-}
-
-impl BaseStore {
-    /// The exact copy of a freshly built namespace: every row live but
-    /// those of an id that repeats, which its last row supersedes.
-    pub(crate) fn over(store: VectorStore) -> Self {
-        let mut by_id = IdMap::with_capacity_and_hasher(store.len(), Default::default());
-        let superseded = (0..store.len())
-            .filter_map(|row| by_id.insert(store.id(row), row))
-            .collect();
-        Self {
-            store,
-            by_id,
-            superseded,
-        }
-    }
-
-    /// The row of list member `id`.
-    pub(super) fn row_of(&self, id: u64) -> Result<usize, CoreError> {
-        let row = self.by_id.get(&id).copied();
-        row.ok_or_else(|| {
-            CoreError::Runtime(format!("list member {id} missing from the base store"))
-        })
-    }
-
-    /// Appends `vector` as `id`'s newest row, superseding its last one.
-    pub(super) fn upsert(&mut self, id: u64, vector: &[f32]) -> Result<(), CoreError> {
-        let row = self.store.len();
-        self.store.push(id, vector)?;
-        self.superseded.extend(self.by_id.insert(id, row));
-        Ok(())
-    }
-
-    /// Drops the rows of `deleted` ids and every superseded row, in place,
-    /// at a cost in the dead rows alone: from the highest down, each is
-    /// filled with the current last row (a live one — the dead rows above
-    /// are gone by then) and only that row's id is repointed. Without this
-    /// the store (and the quota's live count) grew with every write a
-    /// namespace had ever seen.
-    pub(super) fn sweep(&mut self, deleted: &IdMap<u64>) {
-        let mut dead = std::mem::take(&mut self.superseded);
-        dead.extend(deleted.keys().filter_map(|id| self.by_id.remove(id)));
-        dead.sort_unstable_by(|a, b| b.cmp(a));
-        for row in dead {
-            if let Some(moved) = self.store.swap_remove(row) {
-                self.by_id.insert(moved, row);
-            }
-        }
-    }
-}
-
 /// The default namespace's parameters, as the engine config states them.
 pub(super) fn default_namespace_config(config: &HarmonyConfig) -> NamespaceConfig {
     NamespaceConfig {
@@ -194,36 +130,31 @@ pub(super) struct PreparedNamespace {
     pub(super) model: CostModel,
 }
 
-/// The one walk over a list's members that every cut of it takes — the
+/// The one walk over a list's rows that every cut of it takes — the
 /// lists of a [`ship_epoch`] frame and the planner's sample blocks
-/// ([`cut_list`]) alike: each `(id, row)` of `store`, in order, with the
-/// row's coordinates in `range` and, under the inner-product metrics, the
+/// ([`cut_list`]) alike: each `(id, row)`, in order, with the row's
+/// coordinates in `range` and, under the inner-product metrics, the
 /// squared norms of those and of the full row — exact, taken before any
 /// quantization.
-pub(super) fn walk_list(
-    store: &VectorStore,
-    members: impl Iterator<Item = (u64, usize)>,
+pub(super) fn walk_list<'a>(
+    rows: impl Iterator<Item = (u64, &'a [f32])>,
     range: DimRange,
     is_ip: bool,
     mut member: impl FnMut(u64, &[f32], Option<[f32; 2]>),
 ) {
-    for (id, row) in members {
-        let coords = store.row_range(row, range);
-        let norms_sq = is_ip.then(|| {
-            let full = store.row(row);
-            [ip(coords, coords), ip(full, full)]
-        });
+    for (id, full) in rows {
+        let coords = &full[range.start..range.end];
+        let norms_sq = is_ip.then(|| [ip(coords, coords), ip(full, full)]);
         member(id, coords, norms_sq);
     }
 }
 
-/// Cuts `rows` of `store` to `range` as list `cluster` of a grid block,
-/// the list a worker decodes from the frame [`ship_epoch`] writes of the
-/// same rows. Under SQ8 only codes travel and reside, one segment per list.
-pub(crate) fn cut_list(
-    store: &VectorStore,
+/// Cuts `rows` to `range` as list `cluster` of a grid block, the list a
+/// worker decodes from the frame [`ship_epoch`] writes of the same rows.
+/// Under SQ8 only codes travel and reside, one segment per list.
+pub(crate) fn cut_list<'a>(
     cluster: u32,
-    rows: impl ExactSizeIterator<Item = usize>,
+    rows: impl ExactSizeIterator<Item = (u64, &'a [f32])>,
     range: DimRange,
     is_ip: bool,
     sq8: bool,
@@ -236,8 +167,7 @@ pub(crate) fn cut_list(
         block_norms_sq: Vec::new(),
         total_norms_sq: Vec::new(),
     };
-    let members = rows.map(|row| (store.id(row), row));
-    walk_list(store, members, range, is_ip, |id, coords, norms_sq| {
+    walk_list(rows, range, is_ip, |id, coords, norms_sq| {
         cut.ids.push(id);
         cut.flat.extend_from_slice(coords);
         if let Some([block, total]) = norms_sq {
@@ -278,8 +208,7 @@ pub(super) fn pack_shards(
 /// what the plan choice measures on the namespace's own rows.
 pub(super) struct SurveyedNamespace {
     centroids: VectorStore,
-    base_store: BaseStore,
-    members: Vec<Vec<u64>>,
+    copy: ExactCopy,
     prewarm: PrewarmSamples,
     prewarm_seed: u64,
     /// The workload the plan choice prices.
@@ -357,13 +286,9 @@ pub(super) fn survey_namespace(
 
     // Exact client-side copy of the base: compaction recuts IVF lists
     // from it, and under SQ8 it doubles as the re-rank store.
-    let base_store = BaseStore::over(base.clone());
-    let members: Vec<Vec<u64>> = list_rows
-        .iter()
-        .map(|rows| rows.iter().map(|&r| base.id(r)).collect())
-        .collect();
+    let copy = ExactCopy::build(base, &assignments, nlist)?;
     let prewarm_seed = params.seed ^ 0x9E37_79B9_7F4A_7C15;
-    let prewarm = PrewarmSamples::cut(PREWARM_PER_LIST, prewarm_seed, &members, &base_store, None)?;
+    let prewarm = PrewarmSamples::cut(PREWARM_PER_LIST, prewarm_seed, &copy.lists(), None)?;
 
     // --- What the plan choice measures ------------------------------
     // The build knows nothing of the queries to come, so it prices the ones
@@ -384,9 +309,11 @@ pub(super) fn survey_namespace(
         k: asked.k,
         estimates_per_visit: estimates_per_visit(sq8, params.rerank_scale, asked.k),
         centroids: &km.centroids,
-        store: base,
-        by_id: &base_store.by_id,
-        lists: &list_rows,
+        exact: &copy,
+        lists: &CorpusLists {
+            store: base,
+            rows: &list_rows,
+        },
         prewarm: &prewarm,
     };
     let peers = planner::timing_peers(config.n_machines);
@@ -401,12 +328,11 @@ pub(super) fn survey_namespace(
         )
     };
     let rates = rates.cloned().or_else(measure);
-    let picks = planner::even_picks(&view, params.seed);
+    let picks = planner::even_picks(base, params.seed);
     let survivors = planner::sample_survivors(&view, &picks, profile.nprobe, &plans);
     Ok(SurveyedNamespace {
         centroids: km.centroids,
-        base_store,
-        members,
+        copy,
         prewarm,
         prewarm_seed,
         profile,
@@ -430,7 +356,7 @@ pub(super) fn place_namespace(
     survey: SurveyedNamespace,
     model: &CostModel,
 ) -> Result<PreparedNamespace, CoreError> {
-    let dim = survey.base_store.store.dim();
+    let dim = survey.centroids.dim();
     let metric = params.metric;
     let nlist = survey.centroids.len();
     let sq8 = matches!(params.repr, BlockRepr::Sq8);
@@ -458,7 +384,7 @@ pub(super) fn place_namespace(
 
     // A plan with more blocks than dimensions ends here.
     let lists = EpochLists {
-        members: survey.members,
+        sizes: survey.copy.lists().sizes(),
         prewarm: survey.prewarm,
     };
     let sizes = &survey.profile.list_sizes;
@@ -476,7 +402,7 @@ pub(super) fn place_namespace(
         auto_tier: params.auto_tier,
         centroids: survey.centroids,
         prewarm_seed: survey.prewarm_seed,
-        base: RwLock::new(survey.base_store),
+        base: RwLock::new(survey.copy),
         writes: WriteSide::new(routing),
         probes: ProbeTracker::new(nlist),
         supervision: Supervision::new(nlist, &config.replan, scoring.clone()),
@@ -587,7 +513,13 @@ impl EngineCore {
         let shipped = {
             let (view, base) = (state.view(), state.base.read());
             let control = self.control.lock();
-            ship_epoch(&self.cluster, &control, &state, &view.routing, &base)
+            ship_epoch(
+                &self.cluster,
+                &control,
+                &state,
+                &view.routing,
+                &base.lists(),
+            )
         };
         match shipped {
             Ok(bytes) => state.supervision.record_shipment(bytes),
@@ -681,65 +613,6 @@ impl EngineCore {
 mod tests {
     use super::super::testkit::*;
     use super::*;
-
-    /// Seeded writes against a model of the live set: upserts of new,
-    /// live and deleted ids, deletes, and a sweep after each round. A sweep
-    /// moves rows but leaves `by_id` a bijection onto the store's rows,
-    /// every live id on its newest vector and no deleted id anywhere.
-    #[test]
-    fn sweep_leaves_a_bijection_of_live_ids_on_their_newest_rows() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        const DIM: usize = 3;
-        let vector = |id: u64, version: u64| -> Vec<f32> {
-            (0..DIM as u64)
-                .map(|d| (id * 1000 + version * 10 + d) as f32)
-                .collect()
-        };
-        // Ids 0..64, then id 7 again: the build's own duplicate.
-        let mut initial = VectorStore::new(DIM);
-        for id in (0..64).chain([7]) {
-            initial
-                .push(id, &vector(id, u64::from(id == 7 && initial.len() == 64)))
-                .unwrap();
-        }
-        let mut base = BaseStore::over(initial);
-        let mut newest: HashMap<u64, u64> = (0..64).map(|id| (id, u64::from(id == 7))).collect();
-        let mut rng = SmallRng::seed_from_u64(0x5EED);
-        let mut version = 1;
-        for round in 0..40 {
-            let mut deleted: IdMap<u64> = IdMap::default();
-            for _ in 0..rng.random_range(0..64) {
-                let id = rng.random_range(0..96u64);
-                if rng.random_range(0..3) < 2 {
-                    version += 1;
-                    base.upsert(id, &vector(id, version)).unwrap();
-                    newest.insert(id, version);
-                    deleted.remove(&id);
-                } else if newest.remove(&id).is_some() {
-                    deleted.insert(id, version);
-                }
-            }
-            base.sweep(&deleted);
-            assert_eq!(base.store.len(), base.by_id.len(), "round {round}");
-            assert_eq!(base.by_id.len(), newest.len(), "round {round}");
-            let mut rows: Vec<usize> = base.by_id.values().copied().collect();
-            rows.sort_unstable();
-            assert!(
-                rows.iter().copied().eq(0..base.store.len()),
-                "round {round}"
-            );
-            for (&id, &row) in &base.by_id {
-                assert_eq!(base.store.id(row), id, "round {round}");
-                let want = vector(id, newest[&id]);
-                assert_eq!(base.store.row(row), &want[..], "round {round} id {id}");
-            }
-            for id in deleted.keys() {
-                assert!(!base.store.ids().contains(id), "round {round} id {id}");
-            }
-        }
-        assert!(base.superseded.is_empty());
-    }
 
     #[test]
     fn namespaces_are_isolated_tenants() {

@@ -19,9 +19,10 @@ use harmony_index::kmeans::nearest_centroids;
 use harmony_index::{prefetch, Metric, Neighbor, Temperature, TopK, VectorStore};
 use parking_lot::Mutex;
 
-use super::id_map::{IdMap, IdSet};
+use super::exact::{ExactCopy, Handle};
+use super::id_map::IdSet;
 use super::ingest::NsView;
-use super::namespace::{BaseStore, NamespaceState};
+use super::namespace::NamespaceState;
 use super::{recv_error, EngineCore};
 use crate::config::SearchOptions;
 use crate::cost::sub_batch_rows;
@@ -388,25 +389,17 @@ impl EngineCore {
             }
 
             // Under SQ8 every hit is reranked as it arrives, in one pass
-            // over the batch against the exact copy and the dead set read
-            // once for it, so a query's heap holds exact scores only and
-            // its threshold is the k-th exact score. The guard is gone
-            // before the merge.
+            // over the batch against the exact copy, which holds live ids
+            // only, so a query's heap holds exact scores only and its
+            // threshold is the k-th exact score. The guard is gone before
+            // the merge.
             if ctx.state.sq8 {
                 let base = ctx.state.base.read();
-                let deleted = Arc::clone(&ctx.state.view().deleted);
-                rerank.run(
-                    &batch,
-                    ctx.queries,
-                    ctx.state.metric,
-                    &base,
-                    &deleted,
-                    |qid| {
-                        let row = qid.wrapping_sub(ctx.base) as usize;
-                        let state = active.get(row)?.as_ref()?;
-                        (state.in_flight > 0).then_some((row, &state.prewarm_ids))
-                    },
-                );
+                rerank.run(&batch, ctx.queries, ctx.state.metric, &base, |qid| {
+                    let row = qid.wrapping_sub(ctx.base) as usize;
+                    let state = active.get(row)?.as_ref()?;
+                    (state.in_flight > 0).then_some((row, &state.prewarm_ids))
+                });
             }
             let mut reranked = 0usize;
             ready.clear();
@@ -673,7 +666,7 @@ impl EngineCore {
         let candidates: usize = members
             .iter()
             .flat_map(|(_, clusters)| clusters)
-            .map(|&c| routing.lists.members.get(c as usize).map_or(0, Vec::len))
+            .map(|&c| routing.lists.sizes.get(c as usize).copied().unwrap_or(0))
             .sum();
 
         // Pipeline order over dimension blocks (§4.3 Load Balancing), once
@@ -794,7 +787,7 @@ struct RerankPass {
     /// The ids of the hits that merge, in merge order.
     ids: Vec<u64>,
     /// Per hit: its query's batch row and its row of the exact copy.
-    rows: Vec<(usize, usize)>,
+    rows: Vec<(usize, Handle)>,
     /// Per hit: its exact score.
     scores: Vec<f32>,
 }
@@ -803,8 +796,8 @@ impl RerankPass {
     /// Resolves and scores the hits of `batch` that merge: the hits of an
     /// entry whose query id `merging` maps to its query's batch row and
     /// prewarm ids (a query still in flight), bar those prewarm already
-    /// seeded and those whose id is deleted or missing from `base`. Such
-    /// an id is dropped, not kept with its estimate, which could pull the
+    /// seeded and those whose id is not live in `base` (deleted, or never
+    /// written). Such an id is dropped, not kept with its estimate, which could pull the
     /// threshold below the true k-th exact score and let a worker prune a
     /// true top-k member.
     fn run<'a>(
@@ -812,8 +805,7 @@ impl RerankPass {
         batch: &ResultBatch,
         queries: &VectorStore,
         metric: Metric,
-        base: &BaseStore,
-        deleted: &IdMap<u64>,
+        base: &ExactCopy,
         merging: impl Fn(u64) -> Option<(usize, &'a IdSet)>,
     ) {
         self.ends.clear();
@@ -823,10 +815,10 @@ impl RerankPass {
         for (i, &qid) in batch.query_ids.iter().enumerate() {
             if let Some((query, prewarm)) = merging(qid) {
                 for &id in &batch.ids[span(&batch.result_ends, i)] {
-                    if prewarm.contains(&id) || deleted.contains_key(&id) {
+                    if prewarm.contains(&id) {
                         continue;
                     }
-                    if let Some(&row) = base.by_id.get(&id) {
+                    if let Some(row) = base.handle(id) {
                         self.ids.push(id);
                         self.rows.push((query, row));
                     }
@@ -834,13 +826,12 @@ impl RerankPass {
             }
             self.ends.push(self.ids.len() as u32);
         }
-        let store = &base.store;
         for (j, &(query, row)) in self.rows.iter().enumerate() {
             if let Some(&(_, ahead)) = self.rows.get(j + RERANK_LOOKAHEAD) {
-                prefetch(store.row(ahead));
+                prefetch(base.row(ahead));
             }
             self.scores
-                .push(metric.score(queries.row(query), store.row(row)));
+                .push(metric.score(queries.row(query), base.row(row)));
         }
     }
 
@@ -914,14 +905,20 @@ mod tests {
             let v: Vec<f32> = (0..dim).map(|d| value(row, d)).collect();
             store.push(id_of(row), &v).unwrap();
         }
-        let mut base = BaseStore::over(store);
-        // Re-upserted ids: their newest rows are the store's last ones.
+        // One list of every row, in order.
+        let mut base = ExactCopy::build(&store, &[0; 300], 1).unwrap();
+        // Re-upserted ids: their newest rows are the pending ones, after
+        // the list's last row. `order` holds the copy's ids in that order.
+        let mut order = store.ids().to_vec();
         for row in [5, 17, 299] {
             let v: Vec<f32> = (0..dim).map(|d| value(row + 1_000, d)).collect();
-            base.upsert(id_of(row), &v).unwrap();
+            base.upsert(id_of(row), 0, &v).unwrap();
+            order.push(id_of(row));
         }
-        let last = base.store.len();
-        let deleted: IdMap<u64> = [(id_of(3), 1), (id_of(17), 2)].into_iter().collect();
+        let last = order.len();
+        for id in [id_of(3), id_of(17)] {
+            base.delete(id);
+        }
         let missing = 999_999;
 
         let mut queries = VectorStore::new(dim);
@@ -974,9 +971,7 @@ mod tests {
         ]);
         // Far more hits than the lookahead, ending on the store's last
         // rows, beside a stale, a finished and an out-of-range query.
-        let store_ids = |rows: std::ops::Range<usize>| -> Vec<u64> {
-            rows.map(|row| base.store.id(row)).collect()
-        };
+        let store_ids = |rows: std::ops::Range<usize>| -> Vec<u64> { order[rows].to_vec() };
         let long = batch_of(&[
             (qbase + 1, store_ids(0..40)),
             (qbase + 3, store_ids(100..last)),
@@ -993,7 +988,7 @@ mod tests {
         for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
             let mut pass = RerankPass::default();
             for batch in [&long, &short, &long] {
-                pass.run(batch, &queries, metric, &base, &deleted, merging);
+                pass.run(batch, &queries, metric, &base, merging);
                 let mut reranked = 0;
                 for (i, &qid) in batch.query_ids.iter().enumerate() {
                     let (ids, scores) = pass.hits(i);
@@ -1002,13 +997,10 @@ mod tests {
                     if let Some((row, prewarm)) = merging(qid) {
                         let hits = &batch.ids[span(&batch.result_ends, i)];
                         for &id in hits.iter().filter(|id| !prewarm.contains(id)) {
-                            if deleted.contains_key(&id) {
-                                continue;
-                            }
-                            let Some(&at) = base.by_id.get(&id) else {
+                            let Some(exact) = base.vector(id) else {
                                 continue;
                             };
-                            let score = metric.score(queries.row(row), base.store.row(at));
+                            let score = metric.score(queries.row(row), exact);
                             want.push((id, score.to_bits()));
                         }
                         reranked += ids.len();

@@ -11,7 +11,7 @@ use harmony_index::VectorStore;
 use parking_lot::Mutex;
 
 use super::epoch::{MigrationReport, RoutingEpoch};
-use super::ingest::{with_sample_view, CompactionReport};
+use super::ingest::CompactionReport;
 use super::namespace::{list_weights, pack_shards, NamespaceState};
 use super::EngineCore;
 use crate::config::{ReplanConfig, SearchOptions};
@@ -158,7 +158,7 @@ impl EngineCore {
         let mut sup = state.supervision.supervisor.lock();
         self.gc_retired(state, &mut sup);
         let cur = Arc::clone(&state.view().routing);
-        let sizes = cur.lists.sizes();
+        let sizes = cur.lists.sizes.clone();
         let assignment = if plan == cur.plan {
             let weights = list_weights(&sizes);
             ShardAssignment::rebalance(&cur.assignment, &weights, plan.vec_shards, 1.0)
@@ -280,15 +280,24 @@ impl EngineCore {
         let assignment = if plan == routing.plan {
             routing.assignment.clone()
         } else {
-            let sizes = routing.lists.sizes();
-            pack_shards(self.config.balanced_load, &sizes, plan.vec_shards)
+            let sizes = &routing.lists.sizes;
+            pack_shards(self.config.balanced_load, sizes, plan.vec_shards)
         };
-        drop(routing);
         let rows = (0..queries.len()).map(|q| queries.row(q));
         let plans = [(plan, &assignment)];
-        let entering = with_sample_view(state, opts.k, |view| {
-            planner::survivors_entering(view, rows, opts.nprobe, &plans, 1)
-        });
+        let base = state.base.read();
+        let view = planner::SampleView {
+            metric: state.metric,
+            sq8: state.sq8,
+            pruning: state.pruning,
+            k: opts.k,
+            estimates_per_visit: state.estimates_per_visit(opts.k),
+            centroids: &state.centroids,
+            exact: &base,
+            lists: &base.lists(),
+            prewarm: &routing.lists.prewarm,
+        };
+        let entering = planner::survivors_entering(&view, rows, opts.nprobe, &plans, 1);
         Ok(entering.into_iter().next().unwrap_or_default())
     }
 
@@ -337,7 +346,7 @@ impl EngineCore {
         let smoothed_queries = sup.ewma.queries().max(1);
         let cur = Arc::clone(&state.view().routing);
         let profile = WorkloadProfile::observed(
-            cur.lists.sizes(),
+            cur.lists.sizes.clone(),
             &smoothed_counts,
             state.dim,
             smoothed_queries as usize,

@@ -19,28 +19,50 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cost::{ScanRates, Survivors};
-use crate::engine::{cut_list, BaseStore, IdMap, IdSet, PrewarmSamples};
+use crate::engine::{cut_list, ExactCopy, IdSet, PrewarmSamples};
 use crate::error::CoreError;
 use crate::messages::{ChunkBatch, ResultBatch, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
 use crate::worker::{scan_hop, BlockStore, HopOutput, NsMeta, Scratch};
 
-/// Where a sampler finds the members of a list among the rows of the
-/// namespace's exact store: the build's row lists, or a live namespace's
-/// member ids through its id map.
+/// The IVF lists of a namespace, row by row: the caller's corpus through
+/// the build's row lists ([`CorpusLists`]), or the exact copy's lists.
 pub(crate) trait ListRows {
-    /// Members of list `c`.
+    /// Dimensions of a row.
+    fn dim(&self) -> usize;
+    /// Lists there are.
+    fn lists(&self) -> usize;
+    /// Rows of list `c`.
     fn len(&self, c: u32) -> usize;
-    /// The store row of list `c`'s `i`-th member (`None` once it is gone).
-    fn row(&self, c: u32, i: usize) -> Option<usize>;
+    /// The id and exact vector of list `c`'s `i`-th row.
+    fn row(&self, c: u32, i: usize) -> (u64, &[f32]);
+
+    /// Rows per list.
+    fn sizes(&self) -> Vec<usize> {
+        (0..self.lists() as u32).map(|c| self.len(c)).collect()
+    }
 }
 
-impl ListRows for Vec<Vec<usize>> {
-    fn len(&self, c: u32) -> usize {
-        self[c as usize].len()
+/// The build's lists as rows of the caller's corpus.
+pub(crate) struct CorpusLists<'a> {
+    pub(crate) store: &'a VectorStore,
+    /// Rows of `store` per list.
+    pub(crate) rows: &'a [Vec<usize>],
+}
+
+impl ListRows for CorpusLists<'_> {
+    fn dim(&self) -> usize {
+        self.store.dim()
     }
-    fn row(&self, c: u32, i: usize) -> Option<usize> {
-        self[c as usize].get(i).copied()
+    fn lists(&self) -> usize {
+        self.rows.len()
+    }
+    fn len(&self, c: u32) -> usize {
+        self.rows[c as usize].len()
+    }
+    fn row(&self, c: u32, i: usize) -> (u64, &[f32]) {
+        let row = self.rows[c as usize][i];
+        (self.store.id(row), self.store.row(row))
     }
 }
 
@@ -57,11 +79,9 @@ pub(crate) struct SampleView<'a> {
     /// under SQ8).
     pub(crate) estimates_per_visit: usize,
     pub(crate) centroids: &'a VectorStore,
-    /// The namespace's exact vectors.
-    pub(crate) store: &'a VectorStore,
-    /// External id → row of `store`: where an SQ8 answer is reranked.
-    pub(crate) by_id: &'a IdMap,
-    /// Rows of `store` per list.
+    /// The exact copy, where an SQ8 answer is reranked.
+    pub(crate) exact: &'a ExactCopy,
+    /// The rows of every list.
     pub(crate) lists: &'a dyn ListRows,
     pub(crate) prewarm: &'a PrewarmSamples,
 }
@@ -78,10 +98,15 @@ impl SampleView<'_> {
     }
 
     /// Every `stride`-th row of list `c`.
-    fn rows_of(&self, c: u32, stride: usize) -> impl Iterator<Item = usize> + '_ {
+    fn rows_of(&self, c: u32, stride: usize) -> impl ExactSizeIterator<Item = (u64, &[f32])> {
         (0..self.lists.len(c))
             .step_by(stride.max(1))
-            .filter_map(move |i| self.lists.row(c, i))
+            .map(move |i| self.lists.row(c, i))
+    }
+
+    /// Rows over every list.
+    fn rows(&self) -> usize {
+        self.lists.sizes().iter().sum()
     }
 }
 
@@ -99,14 +124,11 @@ impl Pipeline {
     /// of the namespace's dimensions, in the namespace's representation.
     fn cut(view: &SampleView<'_>, lists: &[u32], stride: usize, hops: usize) -> Self {
         let is_ip = !matches!(view.metric, Metric::L2);
-        let ranges = DimRange::split(view.store.dim(), hops);
+        let ranges = DimRange::split(view.lists.dim(), hops);
         let blocks = ranges
             .iter()
             .map(|range| {
-                let cut = |&c: &u32| {
-                    let rows: Vec<usize> = view.rows_of(c, stride).collect();
-                    cut_list(view.store, c, rows.into_iter(), *range, is_ip, view.sq8)
-                };
+                let cut = |&c: &u32| cut_list(c, view.rows_of(c, stride), *range, is_ip, view.sq8);
                 let lists = lists.iter().map(cut).collect();
                 BlockStore::from_wire(range.start as u64, range.end as u64, lists)
             })
@@ -262,7 +284,7 @@ impl RateSample {
         let home = (0..nlist)
             .map(|j| (start + j) % nlist)
             .find(|&c| view.lists.len(c as u32) > 0)?;
-        let row_cap = (view.store.len() / 4).max(256);
+        let row_cap = (view.rows() / 4).max(256);
         let mut probes: Vec<u32> = Vec::new();
         let mut rows = 0;
         for c in nearest_centroids(view.centroids.row(home), view.centroids, nprobe) {
@@ -309,7 +331,7 @@ pub(crate) fn measure_scan_rates(
     peers: usize,
 ) -> Option<ScanRates> {
     let started = Instant::now();
-    let dim = view.store.dim();
+    let dim = view.lists.dim();
     let RateSample {
         home,
         probes,
@@ -319,10 +341,10 @@ pub(crate) fn measure_scan_rates(
     // A chunk lists its clusters ascending.
     let mut lists = probes.clone();
     lists.sort_unstable();
-    let home_rows: Vec<usize> = view.rows_of(home, 1).collect();
+    let home_rows: Vec<&[f32]> = view.rows_of(home, 1).map(|(_, row)| row).collect();
     let asked = RATE_QUERIES.min(home_rows.len());
     let queries: Vec<&[f32]> = (0..asked)
-        .map(|i| view.store.row(home_rows[i * home_rows.len() / asked]))
+        .map(|i| home_rows[i * home_rows.len() / asked])
         .collect();
     let thresholds: Vec<f32> = queries
         .iter()
@@ -437,13 +459,11 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
     let list_rows: Vec<Vec<usize>> = (0..LISTS)
         .map(|c| (c * ROWS..(c + 1) * ROWS).collect())
         .collect();
-    // Ids are row numbers.
-    let members: Vec<Vec<u64>> = list_rows
-        .iter()
-        .map(|rows| rows.iter().map(|&r| r as u64).collect())
-        .collect();
-    let base = BaseStore::over(store);
-    let Ok(prewarm) = PrewarmSamples::cut(8, 0, &members, &base, None) else {
+    let homes: Vec<u32> = (0..LISTS * ROWS).map(|r| (r / ROWS) as u32).collect();
+    let Ok(exact) = ExactCopy::build(&store, &homes, LISTS) else {
+        return fallback;
+    };
+    let Ok(prewarm) = PrewarmSamples::cut(8, 0, &exact.lists(), None) else {
         return fallback;
     };
     let view = SampleView {
@@ -453,9 +473,11 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
         k: 10,
         estimates_per_visit: 10,
         centroids: &centroids,
-        store: &base.store,
-        by_id: &base.by_id,
-        lists: &list_rows,
+        exact: &exact,
+        lists: &CorpusLists {
+            store: &store,
+            rows: &list_rows,
+        },
         prewarm: &prewarm,
     };
     let budget = Duration::from_millis(5);
@@ -486,7 +508,7 @@ pub(crate) fn survivors_entering<'q>(
     plans: &[(PartitionPlan, &ShardAssignment)],
     stride: usize,
 ) -> Vec<Vec<u64>> {
-    let dim = view.store.dim();
+    let dim = view.lists.dim();
     let meta = NsMeta::new(view.metric, view.pruning);
     let queries: Vec<(&[f32], Vec<u32>)> = queries
         .map(|q| (q, nearest_centroids(q, view.centroids, nprobe)))
@@ -525,10 +547,10 @@ pub(crate) fn survivors_entering<'q>(
                     let answer = answer.iter().flat_map(|a| a.ids.iter().zip(&a.scores));
                     for (&id, &score) in answer.filter(|(id, _)| !seeded.contains(id)) {
                         let score = if view.sq8 {
-                            let Some(&row) = view.by_id.get(&id) else {
+                            let Some(row) = view.exact.vector(id) else {
                                 continue;
                             };
-                            view.metric.score(query, view.store.row(row))
+                            view.metric.score(query, row)
                         } else {
                             score
                         };
@@ -547,31 +569,31 @@ pub(crate) fn survivors_entering<'q>(
 const SURVIVAL_ROWS_PER_LIST: usize = 16;
 
 /// Sample queries for a build: a seeded, evenly spaced draw of the
-/// namespace's own rows.
-pub(crate) fn even_picks(view: &SampleView<'_>, seed: u64) -> Vec<usize> {
-    let rows = view.store.len();
+/// namespace's own rows, `store`.
+pub(crate) fn even_picks(store: &VectorStore, seed: u64) -> Vec<&[f32]> {
+    let rows = store.len();
     let queries = SURVIVAL_QUERIES.min(rows);
     let mut rng = SmallRng::seed_from_u64(seed);
     let start = rng.random_range(0..rows.max(1));
     (0..queries)
-        .map(|i| (start + i * rows / queries) % rows)
+        .map(|i| store.row((start + i * rows / queries) % rows))
         .collect()
 }
 
-/// A survival sample: the store rows `picks` as queries, every candidate
+/// A survival sample: `picks` as queries, every candidate
 /// plan under the packing it would run with, and a row stride that leaves
 /// an average list [`SURVIVAL_ROWS_PER_LIST`] rows — a few thousand scored
 /// candidates per plan whatever the corpus, against the passes over all of
 /// it Train made.
 pub(crate) fn sample_survivors(
     view: &SampleView<'_>,
-    picks: &[usize],
+    picks: &[&[f32]],
     nprobe: usize,
     plans: &[(PartitionPlan, ShardAssignment)],
 ) -> Survivors {
-    let mean_list = view.store.len() / view.centroids.len().max(1);
+    let mean_list = view.rows() / view.centroids.len().max(1);
     let stride = mean_list.div_ceil(SURVIVAL_ROWS_PER_LIST);
-    let queries = picks.iter().map(|&r| view.store.row(r));
+    let queries = picks.iter().copied();
     let plans: Vec<(PartitionPlan, &ShardAssignment)> =
         plans.iter().map(|(p, a)| (*p, a)).collect();
     let mut survivors = Survivors::default();
@@ -639,16 +661,13 @@ mod tests {
         };
         let draw = || {
             let fit = KMeans::fit(&base, &cfg).unwrap();
+            let homes = fit.assign();
             let mut lists = vec![Vec::new(); 32];
-            for (row, c) in fit.assign().into_iter().enumerate() {
+            for (row, &c) in homes.iter().enumerate() {
                 lists[c as usize].push(row);
             }
-            let members: Vec<Vec<u64>> = lists
-                .iter()
-                .map(|rows: &Vec<usize>| rows.iter().map(|&r| r as u64).collect())
-                .collect();
-            let store = BaseStore::over(base.clone());
-            let prewarm = PrewarmSamples::cut(8, 0, &members, &store, None).unwrap();
+            let exact = ExactCopy::build(&base, &homes, 32).unwrap();
+            let prewarm = PrewarmSamples::cut(8, 0, &exact.lists(), None).unwrap();
             let view = SampleView {
                 metric: Metric::L2,
                 sq8: false,
@@ -656,9 +675,11 @@ mod tests {
                 k: 10,
                 estimates_per_visit: 10,
                 centroids: &fit.model.centroids,
-                store: &base,
-                by_id: &store.by_id,
-                lists: &lists,
+                exact: &exact,
+                lists: &CorpusLists {
+                    store: &base,
+                    rows: &lists,
+                },
                 prewarm: &prewarm,
             };
             let work = fit.nominal_point_dims();
@@ -688,16 +709,13 @@ mod tests {
             .generate()
             .base;
         let fit = KMeans::fit(&base, &KMeansConfig::new(8, 2)).unwrap();
+        let homes = fit.assign();
         let mut lists = vec![Vec::new(); 8];
-        for (row, c) in fit.assign().into_iter().enumerate() {
+        for (row, &c) in homes.iter().enumerate() {
             lists[c as usize].push(row);
         }
-        let members: Vec<Vec<u64>> = lists
-            .iter()
-            .map(|rows: &Vec<usize>| rows.iter().map(|&r| r as u64).collect())
-            .collect();
-        let store = BaseStore::over(base.clone());
-        let prewarm = PrewarmSamples::cut(8, 0, &members, &store, None).unwrap();
+        let exact = ExactCopy::build(&base, &homes, 8).unwrap();
+        let prewarm = PrewarmSamples::cut(8, 0, &exact.lists(), None).unwrap();
         let view = SampleView {
             metric: Metric::L2,
             sq8: false,
@@ -705,9 +723,11 @@ mod tests {
             k: 10,
             estimates_per_visit: 10,
             centroids: &fit.model.centroids,
-            store: &base,
-            by_id: &store.by_id,
-            lists: &lists,
+            exact: &exact,
+            lists: &CorpusLists {
+                store: &base,
+                rows: &lists,
+            },
             prewarm: &prewarm,
         };
         for peers in [0, 3] {

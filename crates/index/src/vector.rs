@@ -179,22 +179,31 @@ impl VectorStore {
         Ok(())
     }
 
-    /// Removes row `row` by moving the last row into its place, like
-    /// [`Vec::swap_remove`]: O(dim), but row order is not kept. Returns the
-    /// id of the row that moved into `row`, `None` when `row` was the last.
-    /// Capacity is retained.
+    /// Keeps the rows at the ascending positions `keep`, in order, each
+    /// moved down in place over the rows dropped before it. Capacity is
+    /// retained.
     ///
     /// # Panics
-    /// Panics if `row >= self.len()`.
-    pub fn swap_remove(&mut self, row: usize) -> Option<VectorId> {
-        self.ids.swap_remove(row);
-        let (dim, last) = (self.dim, self.ids.len());
-        if row != last {
-            self.data
-                .copy_within(last * dim..(last + 1) * dim, row * dim);
+    /// Panics if a position is out of bounds.
+    pub fn retain_rows(&mut self, keep: impl IntoIterator<Item = usize>) {
+        let dim = self.dim;
+        let mut len = 0;
+        for row in keep {
+            debug_assert!(row >= len, "positions must ascend");
+            if row != len {
+                self.ids[len] = self.ids[row];
+                self.data.copy_within(row * dim..(row + 1) * dim, len * dim);
+            }
+            len += 1;
         }
-        self.data.truncate(last * dim);
-        self.ids.get(row).copied()
+        self.ids.truncate(len);
+        self.data.truncate(len * dim);
+    }
+
+    /// Reserves room for exactly `additional` more vectors.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.ids.reserve_exact(additional);
+        self.data.reserve_exact(additional * self.dim);
     }
 
     /// Appends every row of `other`.
@@ -466,6 +475,19 @@ mod tests {
     #[should_panic(expected = "dimension range past the row")]
     fn row_range_past_the_row_panics_in_every_build() {
         sample().row_range(0, DimRange::new(2, 5));
+    }
+
+    #[test]
+    fn retain_rows_keeps_rows_in_order_in_place() {
+        let mut s = sample();
+        s.push(9, &[9.0, 9.5, 10.0]).unwrap();
+        s.retain_rows([1, 3]);
+        assert_eq!(s.ids(), &[1, 9]);
+        assert_eq!(s.as_flat(), &[4.0, 5.0, 6.0, 9.0, 9.5, 10.0]);
+        s.retain_rows([0, 1]);
+        assert_eq!(s.len(), 2);
+        s.retain_rows([]);
+        assert!(s.is_empty() && s.as_flat().is_empty());
     }
 
     #[test]
