@@ -218,12 +218,15 @@ const EPOCH_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 /// Pre-assign (§4, Fig. 10), the one way list storage reaches a worker:
 /// walks `routing`'s `(shard, dimension range)` grid and writes each block
 /// as one [`LoadBlock`] frame straight from `lists` — the exact copy's,
-/// one sequential walk per list ([`LoadFrame`], [`walk_list`]) — sending
-/// it before writing the next,
-/// then awaits every machine's [`ToClient::EpochReady`] on the control
-/// channel the router feeds. An epoch is therefore the block set a fresh
-/// build at its layout would ship, however it was reached. Returns the
-/// bytes sent.
+/// one sequential walk per list ([`LoadFrame`], [`walk_list`]) — sends it
+/// and awaits that machine's [`ToClient::EpochReady`] on the control
+/// channel the router feeds before writing the next. One frame is alive
+/// at a time, so a handshake's memory is one block's bytes whatever the
+/// thread timing: writing the next frame while a worker still decodes the
+/// last leaves one to four alive as the threads fall, and the allocator
+/// hands back and faults in again the difference on every handshake. An
+/// epoch is therefore the block set a fresh build at its layout would
+/// ship, however it was reached. Returns the bytes sent.
 pub(super) fn ship_epoch(
     cluster: &Cluster,
     control: &Receiver<(NodeId, ToClient)>,
@@ -238,6 +241,12 @@ pub(super) fn ship_epoch(
     } else {
         BlockRepr::F32
     };
+    // A machine hosts one block of an epoch and epoch numbers are never
+    // reused, so the acks of another epoch — an aborted one's stragglers —
+    // and a machine's duplicate count for nothing.
+    let ready = ToClient::EpochReady { ns, epoch };
+    let mut acks = once_per_machine(cluster.workers(), |msg| msg == &ready);
+    let deadline = Instant::now() + EPOCH_HANDSHAKE_TIMEOUT;
     let mut bytes = 0;
     for (s, clusters) in routing.shard_clusters.iter().enumerate() {
         for (b, range) in routing.dim_ranges.iter().enumerate() {
@@ -266,29 +275,10 @@ pub(super) fn ship_epoch(
             let load = frame.finish();
             bytes += load.len() as u64;
             cluster.send(routing.plan.machine_of(s, b), load)?;
+            await_acks(control, deadline, 1, &mut acks)?;
         }
     }
-    // One block per machine of the plan, which may be fewer than the
-    // deployment's.
-    let (blocks, ready) = (routing.plan.machines(), ToClient::EpochReady { ns, epoch });
-    let timeout = EPOCH_HANDSHAKE_TIMEOUT;
-    await_ready(control, cluster.workers(), &ready, blocks, timeout)?;
     Ok(bytes)
-}
-
-/// The one wait of an epoch handshake: `blocks` machines each answer
-/// `ready` once. A machine hosts one block of an epoch and epoch numbers
-/// are never reused, so the acks of another epoch — an aborted one's
-/// stragglers — and a machine's duplicate count for nothing.
-fn await_ready(
-    control: &Receiver<(NodeId, ToClient)>,
-    machines: usize,
-    ready: &ToClient,
-    blocks: usize,
-    timeout: Duration,
-) -> Result<(), CoreError> {
-    let acks = once_per_machine(machines, |msg| msg == ready);
-    await_acks(control, Instant::now() + timeout, blocks, acks)
 }
 
 impl EngineCore {
@@ -335,13 +325,17 @@ mod tests {
         for machine in [0, 1, 1, 2] {
             tx.send((machine, ack(2))).unwrap();
         }
-        let waited = await_ready(&rx, 4, &ack(2), 4, brief);
+        let await_ready = |rx| {
+            let acks = once_per_machine(4, |msg| msg == &ack(2));
+            await_acks(rx, Instant::now() + brief, 4, acks)
+        };
+        let waited = await_ready(&rx);
         assert_eq!(waited, Err(CoreError::Cluster(ClusterError::Timeout)));
         // With the fourth machine's ack the same wait completes.
         for machine in 0..4 {
             tx.send((machine, ack(1))).unwrap();
             tx.send((machine, ack(2))).unwrap();
         }
-        await_ready(&rx, 4, &ack(2), 4, brief).unwrap();
+        await_ready(&rx).unwrap();
     }
 }

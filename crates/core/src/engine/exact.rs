@@ -16,6 +16,12 @@ pub(super) type Handle = (u32, u32);
 /// The list of the pending upserts in a [`Handle`]: past every IVF list.
 const PENDING: u32 = u32::MAX;
 
+/// Room each list has past its rows, as a fraction of them (1/`SLACK`):
+/// a fold appends in place until that is used up, then regrows the list to
+/// the same margin, so a list reallocates once per eighth it grows, not on
+/// every fold that adds a row.
+const SLACK: usize = 8;
+
 /// Exact full-dimension copy of a namespace's vectors: compaction source
 /// and SQ8 re-rank store. A row is live while `by_id` points at it. A fold
 /// leaves every list row live and no pending row, so between folds the
@@ -61,7 +67,7 @@ impl ExactCopy {
         let mut copy = Self {
             lists: sizes
                 .iter()
-                .map(|&n| VectorStore::with_capacity(base.dim(), n))
+                .map(|&n| VectorStore::with_capacity(base.dim(), n + n / SLACK))
                 .collect(),
             dead: vec![Vec::new(); lists],
             delta: VectorStore::new(base.dim()),
@@ -194,7 +200,9 @@ impl ExactCopy {
             };
             let kept = next.partition_point(|&(l, _)| l != PENDING);
             list.retain_rows(next[..kept].iter().map(|&(_, pos)| pos as usize));
-            list.reserve_exact(next.len() - kept);
+            if next.len() > list.capacity() {
+                list.reserve_exact(next.len() + next.len() / SLACK - list.len());
+            }
             for &(_, pos) in &next[kept..] {
                 list.push(delta.id(pos as usize), delta.row(pos as usize))?;
             }
@@ -205,7 +213,7 @@ impl ExactCopy {
                 }
             }
         }
-        *delta = VectorStore::new(delta.dim());
+        delta.clear();
         self.homes.clear();
         self.dead.iter_mut().for_each(Vec::clear);
         Ok(())

@@ -200,6 +200,17 @@ impl VectorStore {
         self.data.truncate(len * dim);
     }
 
+    /// Removes every row. Capacity is retained.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.data.clear();
+    }
+
+    /// Vectors the store has room for without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.ids.capacity()
+    }
+
     /// Reserves room for exactly `additional` more vectors.
     pub fn reserve_exact(&mut self, additional: usize) {
         self.ids.reserve_exact(additional);
