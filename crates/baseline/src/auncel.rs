@@ -144,7 +144,6 @@ impl AuncelEngine {
                 comm_mode: CommMode::NonBlocking,
                 delay: config.delay,
                 rates: model.rates.compute_rates(dim),
-                drop_every_nth: 0,
                 transport: harmony_cluster::TransportKind::InProc,
             },
             |_| HarmonyWorker::new(),

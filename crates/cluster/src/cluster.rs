@@ -7,8 +7,10 @@
 //! paper's *client node*: it submits queries with [`Cluster::send`] /
 //! [`Cluster::broadcast`] and harvests results with
 //! [`Cluster::recv_timeout`]. All cluster messaging is transport-agnostic:
-//! the cost model charges the same modeled nanoseconds whether frames move
-//! through in-process channels or real TCP sockets.
+//! every node counts the messages it sends and receives, and
+//! [`Cluster::snapshot`] prices the same counts into the same modeled
+//! nanoseconds whether frames move through in-process channels or real TCP
+//! sockets.
 //!
 //! For multi-threaded clients the receive path can be *split off* with
 //! [`Cluster::take_client_receiver`]: the returned [`ClientReceiver`] is
@@ -17,7 +19,6 @@
 //! [`Cluster::send`], which only needs `&self`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::error::ClusterError;
-use crate::metrics::{ClusterSnapshot, NodeMetrics};
+use crate::metrics::{ClusterSnapshot, NodeMetrics, Prices};
 use crate::net::{CommMode, ComputeRates, DelayMode, NetworkModel};
 use crate::node::{send_impl, spin_sleep, NodeCtx, NodeHandler, NodeId, Shared, CLIENT};
 use crate::transport::{build_transport, Frame, Transport, TransportKind};
@@ -43,8 +44,6 @@ pub struct ClusterConfig {
     pub delay: DelayMode,
     /// Modeled per-node computation rates (see [`ComputeRates`]).
     pub rates: ComputeRates,
-    /// Drop every n-th message (0 = never); deterministic failure injection.
-    pub drop_every_nth: u64,
     /// Which fabric physically carries the frames.
     pub transport: TransportKind,
 }
@@ -57,7 +56,6 @@ impl Default for ClusterConfig {
             comm_mode: CommMode::NonBlocking,
             delay: DelayMode::Account,
             rates: ComputeRates::default(),
-            drop_every_nth: 0,
             transport: TransportKind::default(),
         }
     }
@@ -121,20 +119,20 @@ impl Cluster {
     {
         assert!(config.workers > 0, "cluster needs at least one worker");
 
+        let transport = build_transport(&config.transport, config.workers)?;
         let shared = Arc::new(Shared {
-            net: config.net,
-            rates: config.rates,
-            comm_mode: config.comm_mode,
+            prices: Prices {
+                net: config.net,
+                rates: config.rates,
+                mode: config.comm_mode,
+                frame_overhead_bytes: transport.frame_overhead_bytes(),
+            },
             delay: config.delay,
             worker_metrics: (0..config.workers)
                 .map(|_| NodeMetrics::default())
                 .collect(),
             client_metrics: NodeMetrics::default(),
-            drop_counter: AtomicU64::new(0),
-            drop_every_nth: config.drop_every_nth,
         });
-
-        let transport = build_transport(&config.transport, config.workers)?;
 
         let mut handles = Vec::with_capacity(config.workers);
         for node_id in 0..config.workers {
@@ -210,7 +208,7 @@ impl Cluster {
         if let Some(msg) = self.pending.pop_front() {
             return Ok(msg);
         }
-        recv_user_frame(&*self.transport, timeout)
+        recv_user_frame(&*self.transport, &self.shared.client_metrics, timeout)
     }
 
     /// Detaches the client mailbox as a standalone [`ClientReceiver`].
@@ -232,6 +230,7 @@ impl Cluster {
         self.client_taken = true;
         Ok(ClientReceiver {
             transport: Arc::clone(&self.transport),
+            shared: Arc::clone(&self.shared),
             pending: std::mem::take(&mut self.pending),
         })
     }
@@ -280,6 +279,7 @@ impl Cluster {
                         injected_delay_ns,
                     }) => {
                         spin_sleep(injected_delay_ns);
+                        self.shared.client_metrics.count_rx(payload.len());
                         self.pending.push_back((from, payload));
                     }
                     Ok(_) => {}
@@ -291,16 +291,19 @@ impl Cluster {
         Ok(())
     }
 
-    /// Point-in-time metrics for every node and the client.
+    /// Point-in-time metrics for every node and the client: their counts
+    /// so far, priced by the cluster's network model, compute rates and
+    /// delivery mode and its fabric's framing.
     pub fn snapshot(&self) -> ClusterSnapshot {
+        let prices = &self.shared.prices;
         ClusterSnapshot {
             workers: self
                 .shared
                 .worker_metrics
                 .iter()
-                .map(NodeMetrics::snapshot)
+                .map(|worker| prices.price(worker, true))
                 .collect(),
-            client: self.shared.client_metrics.snapshot(),
+            client: prices.price(&self.shared.client_metrics, false),
         }
     }
 
@@ -309,21 +312,16 @@ impl Cluster {
         &self.transport
     }
 
-    /// Attributes `ns` nanoseconds of computation to the client node
-    /// (centroid assignment, prewarming, result merging).
-    pub fn record_client_compute(&self, ns: u64) {
-        self.shared.client_metrics.add_compute(ns);
-        self.shared.client_metrics.add_busy(ns);
-    }
-
-    /// Charges *modeled* client computation from work counters (see
+    /// Counts client computation (centroid assignment, prewarming, result
+    /// merging) for snapshots to price as *modeled* time (see
     /// [`crate::node::NodeCtx::charge_compute`]).
     pub fn charge_client_compute(&self, point_dims: u64, candidates: u64) {
-        let ns = self.shared.rates.compute_ns(point_dims, candidates);
-        self.record_client_compute(ns);
+        self.shared
+            .client_metrics
+            .count_scan(point_dims, candidates);
     }
 
-    /// Zeroes all metrics (between experiment phases).
+    /// Zeroes all counts (between experiment phases).
     pub fn reset_metrics(&self) {
         for m in &self.shared.worker_metrics {
             m.reset();
@@ -368,9 +366,11 @@ impl Drop for Cluster {
 }
 
 /// Receives the next `User` frame addressed to the client, applying
-/// receiver-side delay injection and skipping stray barrier pongs.
+/// receiver-side delay injection, counting it into the client's `counts`
+/// and skipping stray barrier pongs.
 fn recv_user_frame(
     transport: &dyn Transport,
+    counts: &NodeMetrics,
     timeout: Duration,
 ) -> Result<(NodeId, Bytes), ClusterError> {
     let deadline = Instant::now() + timeout;
@@ -383,6 +383,7 @@ fn recv_user_frame(
                 injected_delay_ns,
             }) => {
                 spin_sleep(injected_delay_ns);
+                counts.count_rx(payload.len());
                 return Ok((from, payload));
             }
             // Stray pong from an abandoned barrier: skip.
@@ -400,6 +401,8 @@ fn recv_user_frame(
 /// receiver-side delay injection as [`Cluster::recv_timeout`].
 pub struct ClientReceiver {
     transport: Arc<dyn Transport>,
+    /// Where the client's receives are counted.
+    shared: Arc<Shared>,
     /// Messages buffered by a pre-split [`Cluster::quiesce`] barrier.
     pending: VecDeque<(NodeId, Bytes)>,
 }
@@ -415,7 +418,7 @@ impl ClientReceiver {
         if let Some(msg) = self.pending.pop_front() {
             return Ok(msg);
         }
-        recv_user_frame(&*self.transport, timeout)
+        recv_user_frame(&*self.transport, &self.shared.client_metrics, timeout)
     }
 }
 
@@ -443,9 +446,7 @@ fn worker_main<H: NodeHandler>(mut handler: H, ctx: NodeCtx) {
                     // mode): the NIC drains the transfer before the handler
                     // runs.
                     spin_sleep(injected_delay_ns);
-                    // Deserialization CPU: modeled, busy-not-compute ("other").
-                    ctx.metrics()
-                        .add_busy(ctx.rates().overhead_ns(payload.len()));
+                    ctx.metrics().count_rx(payload.len());
                     batch.push((from, payload));
                     if batch.len() == DRAIN_MAX_FRAMES {
                         break None;
@@ -481,6 +482,7 @@ fn worker_main<H: NodeHandler>(mut handler: H, ctx: NodeCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::NodeSnapshot;
     use crate::transport::TcpOptions;
 
     /// Echoes every payload back to the client, uppercased.
@@ -625,13 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn dropped_messages_cause_timeout() {
-        let cfg = ClusterConfig {
-            workers: 1,
-            drop_every_nth: 1, // drop everything
-            ..ClusterConfig::default()
-        };
-        let mut cluster = Cluster::spawn(cfg, |_| Echo);
+    fn unanswered_messages_cause_timeout() {
+        struct Silent;
+        impl NodeHandler for Silent {
+            fn handle(&mut self, _ctx: &NodeCtx, _from: NodeId, _p: Bytes) {}
+        }
+        let mut cluster = Cluster::spawn(ClusterConfig::new(1), |_| Silent);
         cluster.send(0, Bytes::from_static(b"lost")).unwrap();
         assert_eq!(
             cluster.recv_timeout(Duration::from_millis(50)),
@@ -903,6 +904,283 @@ mod tests {
                 assert_eq!(reply[..], payload.to_ascii_uppercase()[..]);
             }
             cluster.shutdown().unwrap();
+        }
+    }
+
+    /// A `b'r'` payload goes round the workers in order and back to the
+    /// client, like [`Ring`]; anything else is echoed, like [`Echo`].
+    struct RingOrEcho;
+    impl NodeHandler for RingOrEcho {
+        fn handle(&mut self, ctx: &NodeCtx, from: NodeId, payload: Bytes) {
+            if payload.first() == Some(&b'r') {
+                Ring.handle(ctx, from, payload);
+            } else {
+                Echo.handle(ctx, from, payload);
+            }
+        }
+    }
+
+    /// Over both fabrics, every message a node counts as sent another
+    /// counts as received once the cluster is quiet, byte for byte; a
+    /// reset zeroes every count of every node.
+    #[test]
+    fn sent_and_received_counts_balance_once_quiet() {
+        for config in [ClusterConfig::new(4), tcp_config(4)] {
+            let label = config.transport.label();
+            let mut cluster = Cluster::spawn(config, |_| RingOrEcho);
+            for i in 0..24u8 {
+                let payload = if i % 3 == 0 {
+                    vec![b'r'; i as usize]
+                } else {
+                    vec![b'e'; i as usize * 100]
+                };
+                cluster.send(i as usize % 4, Bytes::from(payload)).unwrap();
+            }
+            for _ in 0..24 {
+                cluster.recv_timeout(Duration::from_secs(5)).unwrap();
+            }
+            cluster.quiesce(4, Duration::from_secs(5)).unwrap();
+            let total = cluster.snapshot().total();
+            // 24 requests and 24 replies, and the rings' hops between.
+            assert!(total.msgs_tx > 48, "{label}: the rings hopped");
+            assert_eq!(total.msgs_tx, total.msgs_rx, "{label}: messages");
+            assert_eq!(total.bytes_tx, total.bytes_rx, "{label}: bytes");
+            assert_eq!(total.wire_tx_bytes, total.wire_rx_bytes, "{label}: wire");
+            cluster.reset_metrics();
+            let zeroed = cluster.snapshot();
+            assert!(
+                zeroed.workers.iter().all(|w| *w == NodeSnapshot::default()),
+                "{label}: workers after a reset"
+            );
+            assert_eq!(zeroed.client, NodeSnapshot::default(), "{label}");
+            cluster.shutdown().unwrap();
+        }
+    }
+
+    /// Header of a [`Scripted`] request: reply bytes, point-dims and
+    /// candidates to charge, each a little-endian `u32`.
+    const SCRIPT: usize = 12;
+
+    /// Charges the compute a request names and replies with the bytes it
+    /// asks for; a payload shorter than a header is only received.
+    struct Scripted;
+    impl NodeHandler for Scripted {
+        fn handle(&mut self, ctx: &NodeCtx, _from: NodeId, payload: Bytes) {
+            if payload.len() < SCRIPT {
+                return;
+            }
+            let word = |i: usize| {
+                let le: [u8; 4] = payload[i * 4..i * 4 + 4].try_into().unwrap();
+                u32::from_le_bytes(le) as u64
+            };
+            ctx.charge_compute(word(1), word(2));
+            ctx.send(CLIENT, Bytes::from(vec![7; word(0) as usize]))
+                .unwrap();
+        }
+    }
+
+    /// Per node, today's per-message formulas summed message by message
+    /// and charge by charge — the model a snapshot must price in one go —
+    /// with the messages and charges summed, each good for 1 ns of
+    /// rounding.
+    #[derive(Debug, Default, Clone)]
+    struct Reference {
+        modeled: NodeSnapshot,
+        roundings: u64,
+    }
+
+    /// Every modeled field of `got` within `want`'s roundings (plus
+    /// `slack`), every count and wire byte equal.
+    fn assert_priced(got: &NodeSnapshot, want: &Reference, slack: u64, at: &str) {
+        let w = &want.modeled;
+        let counts = |s: &NodeSnapshot| {
+            (
+                s.msgs_tx,
+                s.msgs_rx,
+                s.bytes_tx,
+                s.bytes_rx,
+                s.wire_tx_bytes,
+                s.wire_rx_bytes,
+            )
+        };
+        assert_eq!(counts(got), counts(w), "{at}: counts");
+        let tol = want.roundings + slack;
+        for (field, g, w) in [
+            ("compute_ns", got.compute_ns, w.compute_ns),
+            ("comm_tx_ns", got.comm_tx_ns, w.comm_tx_ns),
+            ("comm_rx_ns", got.comm_rx_ns, w.comm_rx_ns),
+            ("busy_ns", got.busy_ns, w.busy_ns),
+        ] {
+            assert!(g.abs_diff(w) <= tol, "{at}: {field} {g} vs {w} (±{tol})");
+        }
+    }
+
+    /// The per-message model a snapshot prices: for each message or charge
+    /// the test makes, the nanoseconds today's formulas give it.
+    struct Model {
+        config: ClusterConfig,
+        frame_overhead: u64,
+        workers: Vec<Reference>,
+        client: Reference,
+    }
+
+    impl Model {
+        fn node(&mut self, node: NodeId) -> &mut Reference {
+            if node == CLIENT {
+                &mut self.client
+            } else {
+                &mut self.workers[node]
+            }
+        }
+
+        fn message(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+            let net = self.config.net;
+            let rates = self.config.rates;
+            let link = match self.config.comm_mode {
+                CommMode::Blocking => net.transfer_ns(bytes),
+                CommMode::NonBlocking => net.occupancy_ns(1, bytes as u64),
+            };
+            let wire = bytes as u64 + self.frame_overhead;
+            let tx = self.node(from);
+            tx.modeled.msgs_tx += 1;
+            tx.modeled.bytes_tx += bytes as u64;
+            tx.modeled.wire_tx_bytes += wire;
+            tx.modeled.comm_tx_ns += link;
+            tx.modeled.busy_ns += rates.overhead_ns(1, bytes as u64);
+            tx.roundings += 1;
+            let rx = self.node(to);
+            rx.modeled.msgs_rx += 1;
+            rx.modeled.bytes_rx += bytes as u64;
+            rx.modeled.wire_rx_bytes += wire;
+            rx.modeled.comm_rx_ns += link;
+            if to != CLIENT {
+                rx.modeled.busy_ns += rates.overhead_ns(1, bytes as u64);
+            }
+            rx.roundings += 1;
+        }
+
+        fn charge(&mut self, node: NodeId, point_dims: u64, candidates: u64) {
+            let ns = self.config.rates.compute_ns(point_dims, candidates);
+            let at = self.node(node);
+            at.modeled.compute_ns += ns;
+            at.modeled.busy_ns += ns;
+            at.roundings += 1;
+        }
+
+        fn clear(&mut self) {
+            self.workers
+                .iter_mut()
+                .for_each(|w| *w = Reference::default());
+            self.client = Reference::default();
+        }
+    }
+
+    /// splitmix64: a seeded stream with no dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Sends `rounds` seeded requests (0 B and 64 KiB first, then any size
+    /// in between) and client charges, and takes every reply.
+    fn drive(cluster: &mut Cluster, model: &mut Model, seed: &mut u64, rounds: usize) {
+        const MAX: u64 = 64 * 1024;
+        let workers = cluster.workers();
+        for i in 0..rounds {
+            let to = next(seed) as usize % workers;
+            let size = match i {
+                0 => 0,
+                1 => MAX as usize,
+                _ => (next(seed) % (MAX + 1)) as usize,
+            };
+            let reply = next(seed) % (MAX + 1);
+            let (point_dims, candidates) = (next(seed) % 1_000_000, next(seed) % 10_000);
+            let mut payload = vec![0; size];
+            if size >= SCRIPT {
+                for (at, word) in [reply, point_dims, candidates].into_iter().enumerate() {
+                    payload[at * 4..at * 4 + 4].copy_from_slice(&(word as u32).to_le_bytes());
+                }
+            }
+            cluster.send(to, Bytes::from(payload)).unwrap();
+            model.message(CLIENT, to, size);
+            if size >= SCRIPT {
+                model.charge(to, point_dims, candidates);
+                model.message(to, CLIENT, reply as usize);
+                let (from, got) = cluster.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!((from, got.len()), (to, reply as usize));
+            }
+            let (point_dims, candidates) = (next(seed) % 100_000, next(seed) % 1_000);
+            cluster.charge_client_compute(point_dims, candidates);
+            model.charge(CLIENT, point_dims, candidates);
+        }
+        // Every request a worker only receives is counted before its pong.
+        cluster.quiesce(1, Duration::from_secs(5)).unwrap();
+    }
+
+    /// A snapshot prices its counts once to what today's per-message
+    /// formulas give message by message — occupancy or the full transfer
+    /// on both ends, the handling overhead per send and per worker
+    /// receive, compute per charge — within 1 ns per message or charge,
+    /// under both delivery modes, two links and both fabrics; and so does
+    /// the delta of two snapshots.
+    #[test]
+    fn snapshots_price_counts_as_each_message_was_priced() {
+        let rates = ComputeRates {
+            ns_per_point_dim: 0.37,
+            ns_per_candidate: 3.3,
+            ns_per_wire_byte: 0.051,
+            ns_per_message: 187.5,
+        };
+        let mut seed = 45;
+        for comm_mode in [CommMode::Blocking, CommMode::NonBlocking] {
+            for net in [NetworkModel::amortized(10), NetworkModel::ten_gbit()] {
+                for transport in [TransportKind::InProc, tcp_config(1).transport] {
+                    let config = ClusterConfig {
+                        workers: 3,
+                        net,
+                        comm_mode,
+                        rates,
+                        transport,
+                        ..ClusterConfig::default()
+                    };
+                    let at = format!(
+                        "{} {} {} Gb/s",
+                        config.transport.label(),
+                        comm_mode.label(),
+                        net.bandwidth_gbps
+                    );
+                    let mut cluster = Cluster::spawn(config.clone(), |_| Scripted);
+                    let mut model = Model {
+                        config,
+                        frame_overhead: cluster.transport().frame_overhead_bytes(),
+                        workers: vec![Reference::default(); 3],
+                        client: Reference::default(),
+                    };
+                    let check = |snap: &ClusterSnapshot, model: &Model, slack, window| {
+                        for (w, (got, want)) in snap.workers.iter().zip(&model.workers).enumerate()
+                        {
+                            assert_priced(got, want, slack, &format!("{at} {window} worker {w}"));
+                        }
+                        assert_priced(
+                            &snap.client,
+                            &model.client,
+                            slack,
+                            &format!("{at} {window} client"),
+                        );
+                    };
+                    drive(&mut cluster, &mut model, &mut seed, 40);
+                    let first = cluster.snapshot();
+                    check(&first, &model, 0, "from spawn");
+                    // A window rounds at both of its ends: 1 ns more.
+                    model.clear();
+                    drive(&mut cluster, &mut model, &mut seed, 40);
+                    check(&cluster.snapshot().delta(&first), &model, 1, "window");
+                    cluster.shutdown().unwrap();
+                }
+            }
         }
     }
 

@@ -11,13 +11,13 @@
 //!   ([`node`], [`cluster`]),
 //! * messages are *really serialized* through a length-prefixed binary wire
 //!   codec ([`codec`]) so byte counts are exact,
-//! * every message is charged against a configurable network cost model
-//!   ([`net`]) — `latency + bytes / bandwidth` — in both blocking and
-//!   non-blocking (overlapped) delivery modes, mirroring the paper's
-//!   `MPI_Send` vs `MPI_Isend` comparison (Fig. 2b),
-//! * per-node metrics ([`metrics`]) break busy time into computation,
-//!   communication and other overhead — the three-way breakdown of
-//!   Figs. 2b & 8,
+//! * every node counts the messages and bytes it sends and receives and
+//!   the work it scans ([`metrics`]); a snapshot prices the counts with a
+//!   configurable network cost model ([`net`]) — `latency + bytes /
+//!   bandwidth` — in both blocking and non-blocking (overlapped) delivery
+//!   modes, mirroring the paper's `MPI_Send` vs `MPI_Isend` comparison
+//!   (Fig. 2b), and breaks busy time into computation, communication and
+//!   other overhead — the three-way breakdown of Figs. 2b & 8,
 //! * an optional byte-tracking global allocator ([`mem`]) measures the peak
 //!   memory numbers of Tables 4 & 5.
 //!
@@ -41,7 +41,7 @@ pub mod transport;
 pub use cluster::{ClientReceiver, Cluster, ClusterConfig};
 pub use codec::{CodecError, Wire};
 pub use error::ClusterError;
-pub use metrics::{ClusterSnapshot, NodeMetrics, NodeSnapshot, TimeBreakdown};
+pub use metrics::{ClusterSnapshot, NodeSnapshot, TimeBreakdown};
 pub use net::{CommMode, ComputeRates, DelayMode, NetworkModel};
 pub use node::{NodeCtx, NodeHandler, NodeId, CLIENT};
 pub use transport::{

@@ -1,137 +1,158 @@
-//! Per-node and cluster-wide metrics.
+//! Per-node counts and the model priced from them.
 //!
 //! The paper's key diagnostics are three-way time breakdowns (computation /
 //! communication / other — Figs. 2b & 8), per-node load profiles (the
-//! imbalance factor of §4.2.1), and byte counters. Counters use relaxed
-//! atomics so worker threads can record without contention; consistency is
-//! only needed at snapshot time, after the cluster has quiesced.
+//! imbalance factor of §4.2.1), and byte counters. Every modeled term is
+//! linear in a node's counts of messages, payload bytes, point-dimensions
+//! and candidates, so a node only counts (`NodeMetrics`) and a snapshot
+//! prices the counts in one place (`Prices::price`). Each count is
+//! written only by the thread doing the work, with relaxed atomics on a
+//! cache line of its own; consistency is only needed at snapshot time,
+//! after the cluster has quiesced.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::net::CommMode;
+use crate::net::{CommMode, ComputeRates, NetworkModel};
 
-/// Monotonic counters owned by one node (or the client).
+/// Two counts one thread adds to together, alone on their cache line (128
+/// bytes: adjacent-line prefetch pairs 64-byte lines), so no other
+/// thread's counts share it.
 #[derive(Debug, Default)]
-pub struct NodeMetrics {
-    /// Nanoseconds of computation charged to this node: modeled from the
-    /// work scanned ([`crate::node::NodeCtx::charge_compute`]), or the
-    /// client's work ([`crate::Cluster::record_client_compute`]).
-    pub compute_ns: AtomicU64,
-    /// Modeled network nanoseconds charged to this node for sends.
-    pub comm_tx_ns: AtomicU64,
-    /// Modeled network nanoseconds charged to this node for receives.
-    pub comm_rx_ns: AtomicU64,
-    /// Wall nanoseconds spent inside message handlers (busy time).
-    pub busy_ns: AtomicU64,
-    /// Payload bytes sent.
-    pub bytes_tx: AtomicU64,
-    /// Payload bytes received.
-    pub bytes_rx: AtomicU64,
-    /// Messages sent.
-    pub msgs_tx: AtomicU64,
-    /// Messages received.
-    pub msgs_rx: AtomicU64,
-    /// Wire bytes sent: payload plus the transport's per-message framing
-    /// overhead (0 for the in-process fabric).
-    pub wire_tx_bytes: AtomicU64,
-    /// Wire bytes received (payload + framing).
-    pub wire_rx_bytes: AtomicU64,
+#[repr(align(128))]
+struct Line([AtomicU64; 2]);
+
+impl Line {
+    #[inline]
+    fn add(&self, a: u64, b: u64) {
+        self.0[0].fetch_add(a, Ordering::Relaxed);
+        self.0[1].fetch_add(b, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> [u64; 2] {
+        self.0.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    fn reset(&self) {
+        self.0.iter().for_each(|c| c.store(0, Ordering::Relaxed));
+    }
+}
+
+/// Monotonic work counts of one node (or the client). Nothing here is
+/// time: [`Prices::price`] models it from the counts at snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct NodeMetrics {
+    /// Messages and payload bytes sent, by the sending thread. The client
+    /// is one modeled node, so its caller threads share this line.
+    tx: Line,
+    /// Messages and payload bytes received, by the node's receiving loop.
+    rx: Line,
+    /// Point-dimensions and candidates scanned, by the scanning thread.
+    scan: Line,
 }
 
 impl NodeMetrics {
-    /// Adds `ns` of compute time.
+    /// Counts one message of `bytes` payload sent.
     #[inline]
-    pub fn add_compute(&self, ns: u64) {
-        self.compute_ns.fetch_add(ns, Ordering::Relaxed);
+    pub(crate) fn count_tx(&self, bytes: usize) {
+        self.tx.add(1, bytes as u64);
     }
 
-    /// Adds `ns` of handler busy time.
+    /// Counts one message of `bytes` payload received.
     #[inline]
-    pub fn add_busy(&self, ns: u64) {
-        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
+    pub(crate) fn count_rx(&self, bytes: usize) {
+        self.rx.add(1, bytes as u64);
     }
 
-    /// Records an outgoing message of `bytes` payload costing `ns`.
+    /// Counts `point_dims` point-dimension products over `candidates`.
     #[inline]
-    pub fn record_tx(&self, bytes: u64, ns: u64) {
-        self.bytes_tx.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_tx.fetch_add(1, Ordering::Relaxed);
-        self.comm_tx_ns.fetch_add(ns, Ordering::Relaxed);
+    pub(crate) fn count_scan(&self, point_dims: u64, candidates: u64) {
+        self.scan.add(point_dims, candidates);
     }
 
-    /// Records an incoming message of `bytes` payload costing `ns`.
-    #[inline]
-    pub fn record_rx(&self, bytes: u64, ns: u64) {
-        self.bytes_rx.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_rx.fetch_add(1, Ordering::Relaxed);
-        self.comm_rx_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Adds `bytes` of outgoing wire traffic (payload + framing).
-    #[inline]
-    pub fn add_wire_tx(&self, bytes: u64) {
-        self.wire_tx_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Adds `bytes` of incoming wire traffic (payload + framing).
-    #[inline]
-    pub fn add_wire_rx(&self, bytes: u64) {
-        self.wire_rx_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Takes a point-in-time copy of the counters.
-    pub fn snapshot(&self) -> NodeSnapshot {
-        NodeSnapshot {
-            compute_ns: self.compute_ns.load(Ordering::Relaxed),
-            comm_tx_ns: self.comm_tx_ns.load(Ordering::Relaxed),
-            comm_rx_ns: self.comm_rx_ns.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
-            bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
-            msgs_tx: self.msgs_tx.load(Ordering::Relaxed),
-            msgs_rx: self.msgs_rx.load(Ordering::Relaxed),
-            wire_tx_bytes: self.wire_tx_bytes.load(Ordering::Relaxed),
-            wire_rx_bytes: self.wire_rx_bytes.load(Ordering::Relaxed),
+    /// Resets every count to zero (between experiment phases).
+    pub(crate) fn reset(&self) {
+        for line in [&self.tx, &self.rx, &self.scan] {
+            line.reset();
         }
-    }
-
-    /// Resets every counter to zero (between experiment phases).
-    pub fn reset(&self) {
-        self.compute_ns.store(0, Ordering::Relaxed);
-        self.comm_tx_ns.store(0, Ordering::Relaxed);
-        self.comm_rx_ns.store(0, Ordering::Relaxed);
-        self.busy_ns.store(0, Ordering::Relaxed);
-        self.bytes_tx.store(0, Ordering::Relaxed);
-        self.bytes_rx.store(0, Ordering::Relaxed);
-        self.msgs_tx.store(0, Ordering::Relaxed);
-        self.msgs_rx.store(0, Ordering::Relaxed);
-        self.wire_tx_bytes.store(0, Ordering::Relaxed);
-        self.wire_rx_bytes.store(0, Ordering::Relaxed);
     }
 }
 
-/// Immutable copy of one node's counters.
+/// What a snapshot prices counts with: the cluster's link, compute rates
+/// and delivery mode, and the framing bytes its fabric adds to a message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prices {
+    pub(crate) net: NetworkModel,
+    pub(crate) rates: ComputeRates,
+    pub(crate) mode: CommMode,
+    pub(crate) frame_overhead_bytes: u64,
+}
+
+impl Prices {
+    /// Prices one node's counts: every modeled field of a snapshot is made
+    /// here, rounded once per node rather than once per message.
+    pub(crate) fn price(&self, node: &NodeMetrics, worker: bool) -> NodeSnapshot {
+        let [msgs_tx, bytes_tx] = node.tx.load();
+        let [msgs_rx, bytes_rx] = node.rx.load();
+        let [point_dims, candidates] = node.scan.load();
+        // Blocking sends occupy both ends for the full transfer (latency +
+        // wire time, `MPI_Send`); non-blocking ones for the wire time only
+        // (`MPI_Isend`: propagation overlaps further work).
+        let latency_ns = match self.mode {
+            CommMode::Blocking => self.net.latency_ns,
+            CommMode::NonBlocking => 0,
+        };
+        let link_ns =
+            |msgs: u64, bytes: u64| msgs * latency_ns + self.net.occupancy_ns(msgs, bytes);
+        let compute_ns = self.rates.compute_ns(point_dims, candidates);
+        // (De)serialization CPU is busy-not-compute, the paper's "other
+        // overhead": every node pays it per send, a worker also per frame
+        // its event loop hands over.
+        let decode_ns = if worker {
+            self.rates.overhead_ns(msgs_rx, bytes_rx)
+        } else {
+            0
+        };
+        NodeSnapshot {
+            compute_ns,
+            comm_tx_ns: link_ns(msgs_tx, bytes_tx),
+            comm_rx_ns: link_ns(msgs_rx, bytes_rx),
+            busy_ns: compute_ns + self.rates.overhead_ns(msgs_tx, bytes_tx) + decode_ns,
+            bytes_tx,
+            bytes_rx,
+            msgs_tx,
+            msgs_rx,
+            wire_tx_bytes: bytes_tx + msgs_tx * self.frame_overhead_bytes,
+            wire_rx_bytes: bytes_rx + msgs_rx * self.frame_overhead_bytes,
+        }
+    }
+}
+
+/// One node's counts and the modeled times priced from them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeSnapshot {
-    /// See [`NodeMetrics::compute_ns`].
+    /// Modeled nanoseconds of computation: the node's scans
+    /// ([`crate::node::NodeCtx::charge_compute`]), or the client's work
+    /// ([`crate::Cluster::charge_client_compute`]), at the compute rates.
     pub compute_ns: u64,
-    /// See [`NodeMetrics::comm_tx_ns`].
+    /// Modeled network nanoseconds of the node's sends.
     pub comm_tx_ns: u64,
-    /// See [`NodeMetrics::comm_rx_ns`].
+    /// Modeled network nanoseconds of the node's receives.
     pub comm_rx_ns: u64,
-    /// See [`NodeMetrics::busy_ns`].
+    /// Modeled nanoseconds the node is busy: its compute plus the
+    /// (de)serialization overhead of its messages. Not wall time.
     pub busy_ns: u64,
-    /// See [`NodeMetrics::bytes_tx`].
+    /// Payload bytes sent.
     pub bytes_tx: u64,
-    /// See [`NodeMetrics::bytes_rx`].
+    /// Payload bytes received.
     pub bytes_rx: u64,
-    /// See [`NodeMetrics::msgs_tx`].
+    /// Messages sent.
     pub msgs_tx: u64,
-    /// See [`NodeMetrics::msgs_rx`].
+    /// Messages received.
     pub msgs_rx: u64,
-    /// See [`NodeMetrics::wire_tx_bytes`].
+    /// Wire bytes sent: payload plus the transport's per-message framing
+    /// overhead (0 for the in-process fabric).
     pub wire_tx_bytes: u64,
-    /// See [`NodeMetrics::wire_rx_bytes`].
+    /// Wire bytes received (payload + framing).
     pub wire_rx_bytes: u64,
 }
 
@@ -321,47 +342,87 @@ impl TimeBreakdown {
 mod tests {
     use super::*;
 
+    /// Round numbers: 1 ns per point-dim, 10 per candidate, 1 per byte and
+    /// 100 per message handled; a link of 8 Gb/s (1 ns per byte) with
+    /// 1000 ns of latency and no framing of its own.
+    fn round_prices(mode: CommMode, frame_overhead_bytes: u64) -> Prices {
+        Prices {
+            net: NetworkModel {
+                bandwidth_gbps: 8.0,
+                latency_ns: 1_000,
+                per_message_overhead_bytes: 0,
+            },
+            rates: ComputeRates {
+                ns_per_point_dim: 1.0,
+                ns_per_candidate: 10.0,
+                ns_per_wire_byte: 1.0,
+                ns_per_message: 100.0,
+            },
+            mode,
+            frame_overhead_bytes,
+        }
+    }
+
     #[test]
     fn record_and_snapshot_roundtrip() {
         let m = NodeMetrics::default();
-        m.add_compute(100);
-        m.add_busy(150);
-        m.record_tx(1000, 50);
-        m.record_rx(500, 25);
-        let s = m.snapshot();
+        m.count_scan(50, 5);
+        m.count_tx(1000);
+        m.count_rx(500);
+        let s = round_prices(CommMode::NonBlocking, 0).price(&m, true);
         assert_eq!(s.compute_ns, 100);
-        assert_eq!(s.busy_ns, 150);
+        // Compute plus one send's and one receive's overhead.
+        assert_eq!(s.busy_ns, 100 + 1100 + 600);
         assert_eq!(s.bytes_tx, 1000);
         assert_eq!(s.bytes_rx, 500);
         assert_eq!(s.msgs_tx, 1);
         assert_eq!(s.msgs_rx, 1);
-        assert_eq!(s.comm_ns(), 75);
-        assert_eq!(s.other_ns(), 50);
+        assert_eq!(s.comm_ns(), 1500);
+        assert_eq!(s.other_ns(), 1700);
+        // Blocking adds the latency at both ends; the client pays no
+        // receive overhead.
+        let s = round_prices(CommMode::Blocking, 0).price(&m, false);
+        assert_eq!(s.comm_ns(), 3500);
+        assert_eq!(s.busy_ns, 100 + 1100);
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let m = NodeMetrics::default();
-        m.add_compute(1);
-        m.record_tx(2, 3);
-        m.add_wire_tx(4);
+        m.count_scan(1, 1);
+        m.count_tx(2);
+        m.count_rx(3);
         m.reset();
-        assert_eq!(m.snapshot(), NodeSnapshot::default());
+        let prices = round_prices(CommMode::Blocking, 4);
+        assert_eq!(prices.price(&m, true), NodeSnapshot::default());
     }
 
     #[test]
     fn wire_bytes_tracked_separately_from_payload() {
         let m = NodeMetrics::default();
-        m.record_tx(100, 5);
-        m.add_wire_tx(121); // payload + framing
-        m.add_wire_rx(42);
-        let s = m.snapshot();
+        m.count_tx(100);
+        m.count_rx(21);
+        m.count_rx(0);
+        let s = round_prices(CommMode::NonBlocking, 21).price(&m, true);
         assert_eq!(s.bytes_tx, 100);
-        assert_eq!(s.wire_tx_bytes, 121);
-        assert_eq!(s.wire_rx_bytes, 42);
+        assert_eq!(s.wire_tx_bytes, 121); // payload + framing
+        assert_eq!(s.wire_rx_bytes, 63);
         let d = s.delta(&NodeSnapshot::default());
         assert_eq!(d.wire_tx_bytes, 121);
-        assert_eq!(s.merged(&s).wire_rx_bytes, 84);
+        assert_eq!(s.merged(&s).wire_rx_bytes, 126);
+    }
+
+    /// Each count sits alone on its line: two threads' counts never share
+    /// one.
+    #[test]
+    fn counts_written_by_different_threads_do_not_share_a_line() {
+        let m = NodeMetrics::default();
+        let at = |line: &Line| line as *const Line as usize;
+        let lines = [at(&m.tx), at(&m.rx), at(&m.scan)];
+        for pair in lines.windows(2) {
+            assert!(pair[0].abs_diff(pair[1]) >= 128);
+        }
+        assert_eq!(std::mem::align_of::<NodeMetrics>(), 128);
     }
 
     #[test]

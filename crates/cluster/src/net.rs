@@ -3,17 +3,17 @@
 //! The paper's testbed connects nodes with 100 Gb/s links whose bandwidth is
 //! one to two orders of magnitude below memory bandwidth — the disparity that
 //! makes communication the bottleneck of naive dimension-based partitioning
-//! (§1, §3.1). The simulated cluster charges every message
+//! (§1, §3.1). The simulated cluster models every message as
 //!
 //! ```text
 //! cost(bytes) = latency + (bytes + overhead) / bandwidth
 //! ```
 //!
-//! and aggregates the charges per node. Two delivery modes mirror the MPI
-//! modes of Fig. 2b: [`CommMode::Blocking`] (a la `MPI_Send`) serializes
-//! communication with computation on the critical path, while
-//! [`CommMode::NonBlocking`] (a la `MPI_Isend`/`MPI_Irecv`) lets them
-//! overlap. Optionally ([`DelayMode::Sleep`]) the modeled cost is also
+//! priced per node from its message and byte counts at snapshot. Two
+//! delivery modes mirror the MPI modes of Fig. 2b: [`CommMode::Blocking`]
+//! (a la `MPI_Send`) serializes communication with computation on the
+//! critical path, while [`CommMode::NonBlocking`] (a la
+//! `MPI_Isend`/`MPI_Irecv`) lets them overlap. Optionally ([`DelayMode::Sleep`]) the modeled cost is also
 //! injected as real sleep so wall-clock measurements feel the network.
 
 use std::time::Duration;
@@ -102,9 +102,10 @@ impl ComputeRates {
             as u64
     }
 
-    /// Modeled serialization overhead for one message of `bytes` payload.
-    pub fn overhead_ns(&self, bytes: usize) -> u64 {
-        (bytes as f64 * self.ns_per_wire_byte + self.ns_per_message) as u64
+    /// Modeled serialization overhead for `msgs` messages carrying
+    /// `bytes` of payload in all.
+    pub fn overhead_ns(&self, msgs: u64, bytes: u64) -> u64 {
+        (bytes as f64 * self.ns_per_wire_byte + msgs as f64 * self.ns_per_message) as u64
     }
 }
 
@@ -167,18 +168,19 @@ impl NetworkModel {
     /// Modeled one-way transfer time for a payload of `payload_bytes`
     /// (propagation latency + wire time).
     pub fn transfer_ns(&self, payload_bytes: usize) -> u64 {
-        self.latency_ns + self.occupancy_ns(payload_bytes)
+        self.latency_ns + self.occupancy_ns(1, payload_bytes as u64)
     }
 
-    /// Wire time only: how long the message *occupies* an endpoint's NIC.
+    /// Wire time only: how long `msgs` messages carrying `payload_bytes`
+    /// in all *occupy* an endpoint's NIC.
     ///
     /// Propagation latency does not occupy the endpoints — a non-blocking
     /// sender issues the next message immediately (`MPI_Isend`) and in-flight
     /// messages overlap. Throughput accounting therefore charges occupancy;
     /// latency is still charged for blocking sends ([`CommMode::Blocking`])
     /// and shows up in per-query latency.
-    pub fn occupancy_ns(&self, payload_bytes: usize) -> u64 {
-        let total_bytes = (payload_bytes + self.per_message_overhead_bytes) as f64;
+    pub fn occupancy_ns(&self, msgs: u64, payload_bytes: u64) -> u64 {
+        let total_bytes = (payload_bytes + msgs * self.per_message_overhead_bytes as u64) as f64;
         let bits = total_bytes * 8.0;
         let seconds = bits / (self.bandwidth_gbps * 1e9);
         if seconds.is_finite() {

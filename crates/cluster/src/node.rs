@@ -1,22 +1,22 @@
-//! Worker node runtime: identity, the cost-modeled send path, and the
-//! per-node context handed to message handlers.
+//! Worker node runtime: identity, the counted send path, and the per-node
+//! context handed to message handlers.
 //!
 //! A Harmony deployment is one *client* (master) node plus `N` worker nodes
 //! (§6.1 uses "one client node and four worker nodes"). Workers run an event
 //! loop (see [`crate::cluster`]) that feeds incoming payloads to a
 //! [`NodeHandler`]. The handler sends messages — to peers for pipeline hops,
-//! to the client for results — through [`NodeCtx::send`], which charges the
-//! network cost model and updates metrics on both ends before handing the
-//! frame to the [`Transport`](crate::transport::Transport) fabric.
+//! to the client for results — through [`NodeCtx::send`], which counts the
+//! message at the sender before handing the frame to the
+//! [`Transport`](crate::transport::Transport) fabric; the receiving loop
+//! counts it again at the other end.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 
 use crate::error::ClusterError;
-use crate::metrics::NodeMetrics;
+use crate::metrics::{NodeMetrics, Prices};
 use crate::net::{CommMode, ComputeRates, DelayMode, NetworkModel};
 use crate::transport::{Frame, Transport};
 
@@ -51,18 +51,13 @@ pub trait NodeHandler: Send + 'static {
 
 /// Shared cluster state visible to every node.
 pub(crate) struct Shared {
-    pub net: NetworkModel,
-    pub rates: ComputeRates,
-    pub comm_mode: CommMode,
+    /// What snapshots price the counts with.
+    pub prices: Prices,
     pub delay: DelayMode,
-    /// Per-worker metrics, indexed by node id.
+    /// Per-worker counts, indexed by node id.
     pub worker_metrics: Vec<NodeMetrics>,
-    /// Metrics of the client node.
+    /// Counts of the client node.
     pub client_metrics: NodeMetrics,
-    /// Message counter for deterministic drop injection.
-    pub drop_counter: AtomicU64,
-    /// Drop every n-th message (0 = never). Deterministic failure injection.
-    pub drop_every_nth: u64,
 }
 
 impl Shared {
@@ -73,21 +68,12 @@ impl Shared {
             &self.worker_metrics[node]
         }
     }
-
-    /// Returns `true` when this message must be dropped (failure injection).
-    pub(crate) fn should_drop(&self) -> bool {
-        if self.drop_every_nth == 0 {
-            return false;
-        }
-        let n = self.drop_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        n.is_multiple_of(self.drop_every_nth)
-    }
 }
 
-/// Core send path shared by workers and the client: charges the cost model,
-/// applies failure injection and delay, then hands the frame to the
-/// transport. Everything simulated lives here — the transport below only
-/// moves frames — so results are identical across fabrics.
+/// Core send path shared by workers and the client: counts the message at
+/// the sender, applies injected delay, then hands the frame to the
+/// transport. It writes no other node's counts and models no time except
+/// the delay [`DelayMode::Sleep`] injects; snapshots price the counts.
 pub(crate) fn send_impl(
     shared: &Shared,
     transport: &dyn Transport,
@@ -98,41 +84,22 @@ pub(crate) fn send_impl(
     if to != CLIENT && to >= shared.worker_metrics.len() {
         return Err(ClusterError::UnknownNode(to));
     }
-
-    let bytes = payload.len() as u64;
-    // Blocking sends occupy the endpoint for the full transfer (latency +
-    // wire time, `MPI_Send`); non-blocking sends only for the wire time
-    // (`MPI_Isend` — propagation overlaps with further work).
-    let cost_ns = match shared.comm_mode {
-        CommMode::Blocking => shared.net.transfer_ns(payload.len()),
-        CommMode::NonBlocking => shared.net.occupancy_ns(payload.len()),
-    };
-    // Wire traffic = payload plus whatever framing this fabric really adds.
-    let wire_bytes = bytes + transport.frame_overhead_bytes();
-    shared.metrics_of(from).record_tx(bytes, cost_ns);
-    shared.metrics_of(from).add_wire_tx(wire_bytes);
-    // Serialization CPU at the sender: modeled, charged as busy-not-compute
-    // ("other overhead" in the paper's breakdowns).
-    shared
-        .metrics_of(from)
-        .add_busy(shared.rates.overhead_ns(payload.len()));
-
-    if shared.should_drop() {
-        // The sender paid for the transmission; the receiver never sees it.
-        return Ok(());
-    }
-    shared.metrics_of(to).record_rx(bytes, cost_ns);
-    shared.metrics_of(to).add_wire_rx(wire_bytes);
+    shared.metrics_of(from).count_tx(payload.len());
 
     let mut injected_delay_ns = 0;
     if let DelayMode::Sleep { scale } = shared.delay {
-        let scaled = (cost_ns as f64 * scale) as u64;
-        match shared.comm_mode {
+        let net = &shared.prices.net;
+        match shared.prices.mode {
             // Blocking send: the sender stalls for the full transfer.
-            CommMode::Blocking => spin_sleep(scaled),
-            // Non-blocking send: the receiver's NIC drains the transfer
+            CommMode::Blocking => {
+                spin_sleep((net.transfer_ns(payload.len()) as f64 * scale) as u64);
+            }
+            // Non-blocking send: the receiver's NIC drains the wire time
             // before the handler sees the payload.
-            CommMode::NonBlocking => injected_delay_ns = scaled,
+            CommMode::NonBlocking => {
+                let ns = net.occupancy_ns(1, payload.len() as u64);
+                injected_delay_ns = (ns as f64 * scale) as u64;
+            }
         }
     }
 
@@ -182,8 +149,8 @@ impl NodeCtx {
         self.transport.workers()
     }
 
-    /// Sends `payload` to `to` (a worker id or [`CLIENT`]), charging the
-    /// network model at both endpoints.
+    /// Sends `payload` to `to` (a worker id or [`CLIENT`]), counted at this
+    /// node now and at `to` when its loop receives it.
     ///
     /// # Errors
     /// [`ClusterError::UnknownNode`] for an invalid id,
@@ -194,52 +161,52 @@ impl NodeCtx {
         send_impl(&self.shared, &*self.transport, self.node_id, to, payload)
     }
 
-    /// Charges *modeled* computation time for scanning `point_dims`
-    /// point-dimension products across `candidates` candidates, using the
-    /// cluster's calibrated [`ComputeRates`]. Deterministic and independent
-    /// of host scheduling.
+    /// Counts a scan of `point_dims` point-dimension products across
+    /// `candidates` candidates; snapshots price it as *modeled* computation
+    /// time at the cluster's calibrated [`ComputeRates`]. Deterministic and
+    /// independent of host scheduling.
     #[inline]
     pub fn charge_compute(&self, point_dims: u64, candidates: u64) {
-        let ns = self.shared.rates.compute_ns(point_dims, candidates);
-        self.metrics().add_compute(ns);
-        self.metrics().add_busy(ns);
+        self.metrics().count_scan(point_dims, candidates);
     }
 
     /// The compute rates in force.
     #[inline]
     pub fn rates(&self) -> &ComputeRates {
-        &self.shared.rates
+        &self.shared.prices.rates
     }
 
-    /// This node's metrics.
+    /// This node's counts.
     #[inline]
-    pub fn metrics(&self) -> &NodeMetrics {
+    pub(crate) fn metrics(&self) -> &NodeMetrics {
         self.shared.metrics_of(self.node_id)
     }
 
     /// The network model in force.
     #[inline]
     pub fn network(&self) -> &NetworkModel {
-        &self.shared.net
+        &self.shared.prices.net
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::NodeSnapshot;
     use crate::transport::InProcTransport;
     use std::time::Duration;
 
-    fn test_shared(workers: usize, drop_every_nth: u64) -> Arc<Shared> {
+    fn test_shared(workers: usize) -> Arc<Shared> {
         Arc::new(Shared {
-            net: NetworkModel::default(),
-            rates: ComputeRates::default(),
-            comm_mode: CommMode::NonBlocking,
+            prices: Prices {
+                net: NetworkModel::default(),
+                rates: ComputeRates::default(),
+                mode: CommMode::NonBlocking,
+                frame_overhead_bytes: 0,
+            },
             delay: DelayMode::Account,
             worker_metrics: (0..workers).map(|_| NodeMetrics::default()).collect(),
             client_metrics: NodeMetrics::default(),
-            drop_counter: AtomicU64::new(0),
-            drop_every_nth,
         })
     }
 
@@ -256,27 +223,30 @@ mod tests {
         )
     }
 
+    /// `node`'s counts priced.
+    fn priced(shared: &Shared, node: NodeId) -> NodeSnapshot {
+        shared.prices.price(shared.metrics_of(node), node != CLIENT)
+    }
+
     #[test]
-    fn send_accounts_both_endpoints() {
-        let shared = test_shared(2, 0);
+    fn send_counts_the_sender_only() {
+        let shared = test_shared(2);
         let (ctx, transport) = test_ctx(shared.clone());
         ctx.send(1, Bytes::from_static(b"hello")).unwrap();
-        let tx = shared.worker_metrics[0].snapshot();
-        let rx = shared.worker_metrics[1].snapshot();
+        let tx = priced(&shared, 0);
         assert_eq!(tx.bytes_tx, 5);
         assert_eq!(tx.msgs_tx, 1);
-        assert_eq!(rx.bytes_rx, 5);
-        assert_eq!(rx.msgs_rx, 1);
         // In-process delivery adds no framing: wire bytes == payload bytes.
         assert_eq!(tx.wire_tx_bytes, 5);
-        assert_eq!(rx.wire_rx_bytes, 5);
         // Non-blocking sends charge wire occupancy only (no propagation
         // latency).
         assert_eq!(
             tx.comm_tx_ns,
-            shared.net.occupancy_ns(5),
+            shared.prices.net.occupancy_ns(1, 5),
             "non-blocking send must charge occupancy"
         );
+        // The receiver's counts are its receiving loop's to write.
+        assert_eq!(priced(&shared, 1), NodeSnapshot::default());
         assert!(matches!(
             transport.recv(1, Duration::from_secs(1)).unwrap(),
             Frame::User { from: 0, .. }
@@ -284,40 +254,23 @@ mod tests {
     }
 
     #[test]
-    fn send_to_client_uses_client_metrics() {
-        let shared = test_shared(1, 0);
+    fn send_to_client_counts_at_the_worker() {
+        let shared = test_shared(1);
         let (ctx, transport) = test_ctx(shared.clone());
         ctx.send(CLIENT, Bytes::from_static(b"result")).unwrap();
-        assert_eq!(shared.client_metrics.snapshot().bytes_rx, 6);
+        assert_eq!(priced(&shared, 0).bytes_tx, 6);
+        assert_eq!(priced(&shared, CLIENT), NodeSnapshot::default());
         assert!(transport.recv(CLIENT, Duration::from_secs(1)).is_ok());
     }
 
     #[test]
     fn unknown_node_rejected() {
-        let shared = test_shared(2, 0);
+        let shared = test_shared(2);
         let (ctx, _transport) = test_ctx(shared);
         assert_eq!(
             ctx.send(99, Bytes::new()),
             Err(ClusterError::UnknownNode(99))
         );
-    }
-
-    #[test]
-    fn drop_injection_swallows_nth_message() {
-        let shared = test_shared(2, 2); // drop every 2nd message
-        let (ctx, transport) = test_ctx(shared.clone());
-        for _ in 0..4 {
-            ctx.send(1, Bytes::from_static(b"x")).unwrap();
-        }
-        // 2 of 4 delivered.
-        let mut delivered = 0;
-        while transport.recv(1, Duration::from_millis(10)).is_ok() {
-            delivered += 1;
-        }
-        assert_eq!(delivered, 2);
-        let s = shared.worker_metrics[1].snapshot();
-        assert_eq!(s.msgs_rx, 2);
-        assert_eq!(shared.worker_metrics[0].snapshot().msgs_tx, 4);
     }
 
     #[test]
@@ -331,7 +284,7 @@ mod tests {
 
     #[test]
     fn send_after_transport_shutdown_rejected() {
-        let shared = test_shared(1, 0);
+        let shared = test_shared(1);
         let (ctx, transport) = test_ctx(shared);
         transport.shutdown();
         assert_eq!(ctx.send(0, Bytes::new()), Err(ClusterError::ShutDown));

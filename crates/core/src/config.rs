@@ -77,11 +77,6 @@ pub struct ReplanConfig {
     /// Observation windows over which the one-time migration cost is
     /// amortized when scoring a switch (larger = more eager to move).
     pub amortize_windows: f64,
-    /// Bound on the weight fraction a same-plan incremental rebalance may
-    /// move in one tick: how far one tick moves the packing. (What a switch
-    /// ships does not depend on it — every layout change ships the whole
-    /// namespace anew.)
-    pub max_move_frac: f64,
     /// EWMA smoothing factor applied to per-window probe counts before the
     /// supervisor scores plans: `smoothed = α·window + (1-α)·smoothed`.
     /// `1.0` disables smoothing (each window stands alone); smaller values
@@ -96,7 +91,6 @@ impl Default for ReplanConfig {
             min_window_queries: 64,
             hysteresis: 0.10,
             amortize_windows: 10.0,
-            max_move_frac: 0.25,
             ewma_alpha: 0.65,
         }
     }
@@ -122,12 +116,6 @@ impl ReplanConfig {
             return Err(CoreError::Config(format!(
                 "replan amortize_windows must be positive and finite, got {}",
                 self.amortize_windows
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.max_move_frac) {
-            return Err(CoreError::Config(format!(
-                "replan max_move_frac must be in [0, 1], got {}",
-                self.max_move_frac
             )));
         }
         if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
@@ -652,10 +640,6 @@ mod tests {
         }));
         assert!(bad(ReplanConfig {
             amortize_windows: 0.0,
-            ..ReplanConfig::default()
-        }));
-        assert!(bad(ReplanConfig {
-            max_move_frac: 1.5,
             ..ReplanConfig::default()
         }));
         assert!(bad(ReplanConfig {

@@ -22,7 +22,6 @@ use crate::cost::{CostModel, PlanEstimate};
 use crate::error::CoreError;
 use crate::messages::{metric_tag, repr_tag, LoadBlock, LoadFrame, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
-use crate::planner::ListRows;
 
 /// One immutable generation of routing state. Queries capture the Arc at
 /// admission; a writer replaces it by publishing a new view

@@ -7,7 +7,6 @@ use harmony_index::VectorStore;
 
 use super::id_map::IdMap;
 use crate::error::CoreError;
-use crate::planner::ListRows;
 
 /// Where a row sits: `(list, position)`, the list [`PENDING`] for the
 /// pending upserts.
@@ -220,37 +219,47 @@ impl ExactCopy {
     }
 }
 
-/// Lists read through the exact copy: as it holds them, or as a [`Recut`]
-/// of it would leave them.
+/// The IVF lists of a namespace, row by row, read through the exact copy:
+/// as it holds them, or as a [`Recut`] of it would leave them.
+#[derive(Clone, Copy)]
 pub(crate) struct Lists<'a> {
     copy: &'a ExactCopy,
     /// The recut's lists (empty: none changed).
     next: &'a [Option<Vec<Handle>>],
 }
 
-impl ListRows for Lists<'_> {
-    fn dim(&self) -> usize {
+impl<'a> Lists<'a> {
+    /// Dimensions of a row.
+    pub(crate) fn dim(&self) -> usize {
         self.copy.delta.dim()
     }
 
-    fn lists(&self) -> usize {
+    /// Lists there are.
+    pub(crate) fn lists(&self) -> usize {
         self.copy.lists.len()
     }
 
-    fn len(&self, c: u32) -> usize {
+    /// Rows of list `c`.
+    pub(crate) fn len(&self, c: u32) -> usize {
         match self.next.get(c as usize) {
             Some(Some(next)) => next.len(),
             _ => self.copy.lists[c as usize].len(),
         }
     }
 
-    fn row(&self, c: u32, i: usize) -> (u64, &[f32]) {
+    /// The id and exact vector of list `c`'s `i`-th row.
+    pub(crate) fn row(&self, c: u32, i: usize) -> (u64, &'a [f32]) {
         let (list, pos) = match self.next.get(c as usize) {
             Some(Some(next)) => next[i],
             _ => (c, i as u32),
         };
         let store = self.copy.store(list);
         (store.id(pos as usize), store.row(pos as usize))
+    }
+
+    /// Rows per list.
+    pub(crate) fn sizes(&self) -> Vec<usize> {
+        (0..self.lists() as u32).map(|c| self.len(c)).collect()
     }
 }
 
@@ -269,6 +278,32 @@ mod tests {
         (0..DIM as u64)
             .map(|d| (id * 1000 + version * 10 + d) as f32)
             .collect()
+    }
+
+    /// For a corpus of unique ids, each list holds the rows the build
+    /// assigned it in corpus order: the rows the plan choice samples are
+    /// those of the corpus, list by list.
+    #[test]
+    fn unique_ids_list_their_rows_in_corpus_order() {
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut base = VectorStore::new(DIM);
+        for row in 0..200 {
+            base.push(1_000 + 3 * row, &vector(row, 0)).unwrap();
+        }
+        let homes: Vec<u32> = (0..base.len())
+            .map(|_| rng.random_range(0..LISTS as u32))
+            .collect();
+        let copy = ExactCopy::build(&base, &homes, LISTS).unwrap();
+        let lists = copy.lists();
+        assert_eq!((lists.lists(), lists.dim()), (LISTS, DIM));
+        for c in 0..LISTS as u32 {
+            let want: Vec<(u64, &[f32])> = (0..base.len())
+                .filter(|&row| homes[row] == c)
+                .map(|row| (base.id(row), base.row(row)))
+                .collect();
+            let got: Vec<(u64, &[f32])> = (0..lists.len(c)).map(|i| lists.row(c, i)).collect();
+            assert_eq!(got, want, "list {c}");
+        }
     }
 
     /// Ids 0..64 dealt over the lists, then id 7 again: the build's own

@@ -25,7 +25,6 @@ use super::EngineCore;
 use crate::error::CoreError;
 use crate::messages::{DeleteIds, DeltaUpsert, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
-use crate::planner::ListRows;
 
 /// Client-side ingest bookkeeping, serialized under one mutex.
 pub(super) struct IngestState {

@@ -326,7 +326,6 @@ impl HarmonyEngine {
                 comm_mode,
                 delay: config.delay,
                 rates: surveyed.rates.compute_rates(base.dim()),
-                drop_every_nth: 0,
                 transport: config.transport.clone(),
             },
             {

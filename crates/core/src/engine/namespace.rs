@@ -25,7 +25,7 @@ use crate::cost::{CostModel, ScanRates, Survivors, WorkloadProfile};
 use crate::error::CoreError;
 use crate::messages::{ClusterBlock, SetTier, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
-use crate::planner::{self, CorpusLists, ListRows, SampleView};
+use crate::planner::{self, SampleView};
 use crate::stats::{BuildStats, ProbeTracker};
 
 /// One tenant's complete logical index: clustering, the exact copy of its
@@ -275,18 +275,15 @@ pub(super) fn survey_namespace(
     // --- Add -----------------------------------------------------
     let t0 = Instant::now();
     let assignments = fit.assign();
-    let mut list_rows: Vec<Vec<usize>> = vec![Vec::new(); nlist];
-    for (row, &c) in assignments.iter().enumerate() {
-        list_rows[c as usize].push(row);
-    }
-    let list_sizes: Vec<usize> = list_rows.iter().map(Vec::len).collect();
     let add = t0.elapsed();
     let rate_budget = planner::rate_budget(fit.nominal_point_dims());
     let km = fit.model;
 
-    // Exact client-side copy of the base: compaction recuts IVF lists
-    // from it, and under SQ8 it doubles as the re-rank store.
+    // Exact client-side copy of the base, by IVF list: compaction recuts
+    // lists from it, under SQ8 it doubles as the re-rank store, and the
+    // plan choice samples its lists.
     let copy = ExactCopy::build(base, &assignments, nlist)?;
+    let list_sizes = copy.lists().sizes();
     let prewarm_seed = params.seed ^ 0x9E37_79B9_7F4A_7C15;
     let prewarm = PrewarmSamples::cut(PREWARM_PER_LIST, prewarm_seed, &copy.lists(), None)?;
 
@@ -310,10 +307,6 @@ pub(super) fn survey_namespace(
         estimates_per_visit: estimates_per_visit(sq8, params.rerank_scale, asked.k),
         centroids: &km.centroids,
         exact: &copy,
-        lists: &CorpusLists {
-            store: base,
-            rows: &list_rows,
-        },
         prewarm: &prewarm,
     };
     let peers = planner::timing_peers(config.n_machines);

@@ -21,6 +21,12 @@ use crate::partition::{PartitionPlan, ShardAssignment};
 use crate::planner;
 use crate::stats::{EngineStats, ProbeEwma, ProbeSnapshot};
 
+/// Bound on the weight fraction a same-plan incremental rebalance
+/// ([`ShardAssignment::rebalance`]) may move in one tick: how far one tick
+/// moves the packing. What a switch ships does not depend on it — every
+/// layout change ships the whole namespace anew.
+const MAX_MOVE_FRAC: f64 = 0.25;
+
 /// Supervisor bookkeeping of one namespace, serialized under one mutex.
 pub(super) struct SupervisorState {
     /// Probe snapshot at the start of the current observation window.
@@ -294,7 +300,6 @@ impl EngineCore {
             estimates_per_visit: state.estimates_per_visit(opts.k),
             centroids: &state.centroids,
             exact: &base,
-            lists: &base.lists(),
             prewarm: &routing.lists.prewarm,
         };
         let entering = planner::survivors_entering(&view, rows, opts.nprobe, &plans, 1);
@@ -393,7 +398,7 @@ impl EngineCore {
                     &cur.assignment,
                     &weights,
                     plan.vec_shards,
-                    replan.max_move_frac,
+                    MAX_MOVE_FRAC,
                 )
             } else {
                 ShardAssignment::balanced(&weights, plan.vec_shards)

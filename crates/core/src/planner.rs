@@ -25,47 +25,6 @@ use crate::messages::{ChunkBatch, ResultBatch, ToClient, ToWorker};
 use crate::partition::{PartitionPlan, ShardAssignment};
 use crate::worker::{scan_hop, BlockStore, HopOutput, NsMeta, Scratch};
 
-/// The IVF lists of a namespace, row by row: the caller's corpus through
-/// the build's row lists ([`CorpusLists`]), or the exact copy's lists.
-pub(crate) trait ListRows {
-    /// Dimensions of a row.
-    fn dim(&self) -> usize;
-    /// Lists there are.
-    fn lists(&self) -> usize;
-    /// Rows of list `c`.
-    fn len(&self, c: u32) -> usize;
-    /// The id and exact vector of list `c`'s `i`-th row.
-    fn row(&self, c: u32, i: usize) -> (u64, &[f32]);
-
-    /// Rows per list.
-    fn sizes(&self) -> Vec<usize> {
-        (0..self.lists() as u32).map(|c| self.len(c)).collect()
-    }
-}
-
-/// The build's lists as rows of the caller's corpus.
-pub(crate) struct CorpusLists<'a> {
-    pub(crate) store: &'a VectorStore,
-    /// Rows of `store` per list.
-    pub(crate) rows: &'a [Vec<usize>],
-}
-
-impl ListRows for CorpusLists<'_> {
-    fn dim(&self) -> usize {
-        self.store.dim()
-    }
-    fn lists(&self) -> usize {
-        self.rows.len()
-    }
-    fn len(&self, c: u32) -> usize {
-        self.rows[c as usize].len()
-    }
-    fn row(&self, c: u32, i: usize) -> (u64, &[f32]) {
-        let row = self.rows[c as usize][i];
-        (self.store.id(row), self.store.row(row))
-    }
-}
-
 /// What the samplers read of a namespace — its build inputs before the
 /// state exists, the state's own fields afterwards.
 pub(crate) struct SampleView<'a> {
@@ -79,10 +38,9 @@ pub(crate) struct SampleView<'a> {
     /// under SQ8).
     pub(crate) estimates_per_visit: usize,
     pub(crate) centroids: &'a VectorStore,
-    /// The exact copy, where an SQ8 answer is reranked.
+    /// The exact copy: the rows of every list, and where an SQ8 answer is
+    /// reranked.
     pub(crate) exact: &'a ExactCopy,
-    /// The rows of every list.
-    pub(crate) lists: &'a dyn ListRows,
     pub(crate) prewarm: &'a PrewarmSamples,
 }
 
@@ -99,14 +57,15 @@ impl SampleView<'_> {
 
     /// Every `stride`-th row of list `c`.
     fn rows_of(&self, c: u32, stride: usize) -> impl ExactSizeIterator<Item = (u64, &[f32])> {
-        (0..self.lists.len(c))
+        let lists = self.exact.lists();
+        (0..lists.len(c))
             .step_by(stride.max(1))
-            .map(move |i| self.lists.row(c, i))
+            .map(move |i| lists.row(c, i))
     }
 
     /// Rows over every list.
     fn rows(&self) -> usize {
-        self.lists.sizes().iter().sum()
+        self.exact.lists().sizes().iter().sum()
     }
 }
 
@@ -124,7 +83,7 @@ impl Pipeline {
     /// of the namespace's dimensions, in the namespace's representation.
     fn cut(view: &SampleView<'_>, lists: &[u32], stride: usize, hops: usize) -> Self {
         let is_ip = !matches!(view.metric, Metric::L2);
-        let ranges = DimRange::split(view.lists.dim(), hops);
+        let ranges = DimRange::split(view.exact.lists().dim(), hops);
         let blocks = ranges
             .iter()
             .map(|range| {
@@ -283,7 +242,7 @@ impl RateSample {
         let start = rng.random_range(0..nlist.max(1));
         let home = (0..nlist)
             .map(|j| (start + j) % nlist)
-            .find(|&c| view.lists.len(c as u32) > 0)?;
+            .find(|&c| view.exact.lists().len(c as u32) > 0)?;
         let row_cap = (view.rows() / 4).max(256);
         let mut probes: Vec<u32> = Vec::new();
         let mut rows = 0;
@@ -291,7 +250,7 @@ impl RateSample {
             if rows >= row_cap {
                 break;
             }
-            rows += view.lists.len(c);
+            rows += view.exact.lists().len(c);
             probes.push(c);
         }
         Some(Self {
@@ -331,7 +290,7 @@ pub(crate) fn measure_scan_rates(
     peers: usize,
 ) -> Option<ScanRates> {
     let started = Instant::now();
-    let dim = view.lists.dim();
+    let dim = view.exact.lists().dim();
     let RateSample {
         home,
         probes,
@@ -456,9 +415,6 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
         return fallback;
     };
     let centroids = store.gather(&(0..LISTS).map(|c| c * ROWS).collect::<Vec<_>>());
-    let list_rows: Vec<Vec<usize>> = (0..LISTS)
-        .map(|c| (c * ROWS..(c + 1) * ROWS).collect())
-        .collect();
     let homes: Vec<u32> = (0..LISTS * ROWS).map(|r| (r / ROWS) as u32).collect();
     let Ok(exact) = ExactCopy::build(&store, &homes, LISTS) else {
         return fallback;
@@ -474,10 +430,6 @@ pub(crate) fn synthetic_scan_rates() -> ScanRates {
         estimates_per_visit: 10,
         centroids: &centroids,
         exact: &exact,
-        lists: &CorpusLists {
-            store: &store,
-            rows: &list_rows,
-        },
         prewarm: &prewarm,
     };
     let budget = Duration::from_millis(5);
@@ -508,7 +460,7 @@ pub(crate) fn survivors_entering<'q>(
     plans: &[(PartitionPlan, &ShardAssignment)],
     stride: usize,
 ) -> Vec<Vec<u64>> {
-    let dim = view.lists.dim();
+    let dim = view.exact.lists().dim();
     let meta = NsMeta::new(view.metric, view.pruning);
     let queries: Vec<(&[f32], Vec<u32>)> = queries
         .map(|q| (q, nearest_centroids(q, view.centroids, nprobe)))
@@ -662,10 +614,6 @@ mod tests {
         let draw = || {
             let fit = KMeans::fit(&base, &cfg).unwrap();
             let homes = fit.assign();
-            let mut lists = vec![Vec::new(); 32];
-            for (row, &c) in homes.iter().enumerate() {
-                lists[c as usize].push(row);
-            }
             let exact = ExactCopy::build(&base, &homes, 32).unwrap();
             let prewarm = PrewarmSamples::cut(8, 0, &exact.lists(), None).unwrap();
             let view = SampleView {
@@ -676,10 +624,6 @@ mod tests {
                 estimates_per_visit: 10,
                 centroids: &fit.model.centroids,
                 exact: &exact,
-                lists: &CorpusLists {
-                    store: &base,
-                    rows: &lists,
-                },
                 prewarm: &prewarm,
             };
             let work = fit.nominal_point_dims();
@@ -710,10 +654,6 @@ mod tests {
             .base;
         let fit = KMeans::fit(&base, &KMeansConfig::new(8, 2)).unwrap();
         let homes = fit.assign();
-        let mut lists = vec![Vec::new(); 8];
-        for (row, &c) in homes.iter().enumerate() {
-            lists[c as usize].push(row);
-        }
         let exact = ExactCopy::build(&base, &homes, 8).unwrap();
         let prewarm = PrewarmSamples::cut(8, 0, &exact.lists(), None).unwrap();
         let view = SampleView {
@@ -724,10 +664,6 @@ mod tests {
             estimates_per_visit: 10,
             centroids: &fit.model.centroids,
             exact: &exact,
-            lists: &CorpusLists {
-                store: &base,
-                rows: &lists,
-            },
             prewarm: &prewarm,
         };
         for peers in [0, 3] {

@@ -15,14 +15,23 @@ impl NodeHandler for Echo {
     }
 }
 
+/// Loses every third message it is sent: the request never answered.
+#[derive(Default)]
+struct Lossy {
+    seen: usize,
+}
+impl NodeHandler for Lossy {
+    fn handle(&mut self, ctx: &NodeCtx, from: NodeId, payload: bytes::Bytes) {
+        self.seen += 1;
+        if !self.seen.is_multiple_of(3) {
+            Echo.handle(ctx, from, payload);
+        }
+    }
+}
+
 #[test]
 fn lossy_network_times_out_cleanly() {
-    let cfg = ClusterConfig {
-        workers: 2,
-        drop_every_nth: 3, // every third message vanishes
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::spawn(cfg, |_| Echo);
+    let mut cluster = Cluster::spawn(ClusterConfig::new(2), |_| Lossy::default());
     let mut delivered = 0;
     let mut timeouts = 0;
     for i in 0..8 {
@@ -35,8 +44,8 @@ fn lossy_network_times_out_cleanly() {
             Err(e) => panic!("unexpected error {e}"),
         }
     }
-    // With request or reply dropped, some round trips must fail — and the
-    // failures must be clean timeouts, never hangs or panics.
+    // With requests lost, some round trips must fail — and the failures
+    // must be clean timeouts, never hangs or panics.
     assert!(timeouts > 0, "expected some losses");
     assert!(delivered > 0, "expected some successes");
     cluster.shutdown().unwrap();
